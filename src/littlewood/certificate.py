@@ -48,10 +48,9 @@ from .entrytime import (
 from .exactnum import (
     DyadicInterval,
     SurdSum,
-    as_surdsum,
     certified_sign,
     frac_pow_interval,
-    surd_nearest_int,
+    surd_residual,
 )
 from .lattice import (
     DirichletPoint,
@@ -277,13 +276,11 @@ def certificate_search(
             f"Dirichlet floor {N0} exceeds max_N={max_N}; raise max_N"
         )
 
-    alpha_q, beta_q = as_quadratic_surd(alpha), as_quadratic_surd(beta)
+    ya, ua = surd_residual(as_quadratic_surd(alpha))
+    yb, ub = surd_residual(as_quadratic_surd(beta))
     trivial = None
-    norm_prod = _dist_to_nearest(alpha_q) * _dist_to_nearest(beta_q)
-    if certified_sign(norm_prod - epsilon) <= 0:
-        trivial = LatticePoint(
-            1, surd_nearest_int(alpha_q), surd_nearest_int(beta_q)
-        )
+    if certified_sign(ua.abs() * ub.abs() - epsilon) <= 0:
+        trivial = LatticePoint(1, ya, yb)
 
     cells: list[TheoremCheck] = []
     found = None
@@ -315,12 +312,6 @@ def certificate_search(
         if found:
             break
     return SearchOutcome(epsilon, n_max, strategy, tuple(cells), found, trivial)
-
-
-def _dist_to_nearest(v) -> SurdSum:
-    v = as_quadratic_surd(v)
-    d = as_surdsum(v) - surd_nearest_int(v)
-    return -d if certified_sign(d) < 0 else d
 
 
 # -- the degree-18 entry-time majorant and the contradiction system --------

@@ -28,8 +28,8 @@ from .exactnum import (
     SurdSum,
     as_surdsum,
     certified_sign,
-    surd_nearest_int,
     surd_normalize,
+    surd_residual,
 )
 
 __all__ = [
@@ -362,12 +362,7 @@ def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     best_hi: Fraction | None = None
     best_q = 1
     for q in range(1, Q + 1):
-        v = value * q
-        m = surd_nearest_int(v)
-        dist = as_surdsum(v) - m
-        if certified_sign(dist) < 0:
-            dist = -dist
-        val = q * dist
+        val = q * surd_residual(value * q)[1].abs()
         if best is not None:
             # cheap interval prune before the exact comparison
             iv = val.interval(96)
@@ -402,7 +397,7 @@ class BadProfile:
             raise InternalInconsistencyError("lambda must equal (M+1)^2")
 
 
-def _observed_M(spec: CFSpec, terms: int) -> int:
+def _observed_M(spec: CFSpec) -> int:
     """Sup of partial quotients a_j (j >= 1).  For periodic kinds the scan
     covers preperiod plus period, so this is the true sup."""
     if spec.kind == QUADRATIC_SURD:
@@ -422,14 +417,14 @@ def _observed_M(spec: CFSpec, terms: int) -> int:
 
 
 def bad_profile(spec: CFSpec, Q: int = 1000) -> BadProfile:
-    M = _observed_M(spec, 0)
+    M = _observed_M(spec)
     return BadProfile(M, (M + 1) ** 2, bad_constant_estimate(spec, Q))
 
 
 def joint_bad_profile(alpha: CFSpec, beta: CFSpec, Q: int = 1000) -> BadProfile:
     """Joint profile of a pair: M is the max over both expansions and the
     constant estimate is the max of the two single scans."""
-    M = max(_observed_M(alpha, 0), _observed_M(beta, 0))
+    M = max(_observed_M(alpha), _observed_M(beta))
     C = max(bad_constant_estimate(alpha, Q), bad_constant_estimate(beta, Q))
     return BadProfile(M, (M + 1) ** 2, C)
 
@@ -442,7 +437,7 @@ def lcm_time(alpha: CFSpec, beta: CFSpec, n: int) -> int:
     qa = convergent(alpha, 2 * n).q
     qb = convergent(beta, 2 * n).q
     t = math.lcm(qa, qb)
-    M = max(_observed_M(alpha, 2 * n), _observed_M(beta, 2 * n))
+    M = max(_observed_M(alpha), _observed_M(beta))
     lam = (M + 1) ** 2
     if n >= 1 and t < (1 << (n - 1)):
         raise InternalInconsistencyError(f"t_{n} = {t} < 2^(n-1)")

@@ -54,7 +54,6 @@ __all__ = [
     "line_gamma",
     "transversality_check",
     "discriminant",
-    "discriminant_rearranged",
     "entry_time",
     "entry_time_bisected",
     "angle",
@@ -162,26 +161,6 @@ def discriminant(line: ApproxLine, params: ConeParams) -> SurdSum:
     """D_n = 4 (B^2 - A C), exactly."""
     A, B, C = _membership_coeffs(line, params)
     return 4 * (B * B - A * C)
-
-
-def discriminant_rearranged(line: ApproxLine, params: ConeParams) -> SurdSum:
-    """The same discriminant with the square expanded and regrouped; equal
-    to :func:`discriminant` as an algebraic identity, kept as a regression
-    cross-check on the exact arithmetic."""
-    ea = line.e_alpha.value
-    eb = line.e_beta.value
-    U0, V0 = line.P0.U0, line.P0.V0
-    phi_s = as_surdsum(params.phi)
-    slack = params.N - line.x0
-    quarter = (
-        2 * params.phi * slack * (ea * U0 + eb * V0)
-        + 2 * (ea * eb) * (U0 * V0)
-        + (ea * ea) * params.phi * slack * slack
-        + (eb * eb) * params.phi * slack * slack
-        + (phi_s - ea * ea) * (V0 * V0)
-        + (phi_s - eb * eb) * (U0 * U0)
-    )
-    return 4 * quarter
 
 
 @dataclass(frozen=True)

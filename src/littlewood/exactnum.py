@@ -4,11 +4,15 @@ dyadic interval arithmetic with certified sign determination.
 Three layers:
 
 * ``QuadraticSurd`` -- a single number (a + b*sqrt(d))/c over arbitrary
-  precision integers, the input representation for alpha and beta.
+  precision integers: the input representation for alpha and beta and the
+  state of the continued-fraction recurrence.  It has only that
+  recurrence's integer steps (x + k, x - k, k*x, 1/x), an exact floor and
+  an exact comparison with a rational.
 * ``SurdSum`` -- a finite rational combination  q0 + q1*sqrt(d1) + ... of
   square roots of distinct squarefree integers.  Sums, differences and
-  products of surds stay in this class, and its sign is exactly decidable,
-  so it is the workhorse for every certified comparison in the package.
+  products stay in this class, and its sign is exactly decidable, so it is
+  the one arithmetic type: every field operation, interval enclosure and
+  certified comparison in the package goes through it.
 * ``DyadicInterval`` -- outward-rounded enclosures with dyadic endpoints,
   used to decide almost every sign quickly before the exact path is tried.
 
@@ -42,8 +46,8 @@ __all__ = [
     "QuadraticSurd",
     "surd_normalize",
     "surd_compare",
-    "surd_to_interval",
     "surd_nearest_int",
+    "surd_residual",
     "SurdSum",
     "as_surdsum",
     "certified_sign",
@@ -190,9 +194,6 @@ class DyadicInterval:
     def __float__(self) -> float:
         return float(self.midpoint())
 
-    def contains(self, x: RationalLike) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
@@ -238,12 +239,6 @@ class DyadicInterval:
         if a > b:
             a, b = b, a
         return DyadicInterval(a, b, self.precision_bits)
-
-    def square(self) -> "DyadicInterval":
-        a, b = self.lo * self.lo, self.hi * self.hi
-        if self.contains_zero():
-            return DyadicInterval(Fraction(0), max(a, b), self.precision_bits)
-        return DyadicInterval(min(a, b), max(a, b), self.precision_bits)
 
     def abs(self) -> "DyadicInterval":
         if self.lo >= 0:
@@ -330,6 +325,9 @@ class QuadraticSurd:
     gcd(a, b, c) = 1, and the rational case collapses to b = d = 0.  The
     dataclass itself only validates; use :meth:`make` or `surd_normalize`
     to canonicalise, and note that ``==`` is structural.
+
+    Arithmetic takes ``int`` operands only; anything else goes through
+    :meth:`to_surdsum`.
     """
 
     a: int
@@ -375,67 +373,22 @@ class QuadraticSurd:
             terms[s.d] = Fraction(s.b, s.c)
         return SurdSum(terms)
 
-    # -- arithmetic (stays inside Q(sqrt(d))) ------------------------------
+    # -- continued-fraction steps (integer operands only) ------------------
 
-    def _coerce_same_field(self, other) -> "tuple[Fraction, Fraction] | None":
-        """Other as (rational part, sqrt(d) coefficient) in this surd's field."""
-        if isinstance(other, QuadraticSurd):
-            o = surd_normalize(other)
-            if o.is_rational:
-                return Fraction(o.a, o.c), Fraction(0)
-            s = surd_normalize(self)
-            if s.is_rational or s.d == o.d:
-                return Fraction(o.a, o.c), Fraction(o.b, o.c)
-            return None
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
-        return None
-
-    def _from_parts(self, rat: Fraction, coef: Fraction, d: int) -> "QuadraticSurd":
-        den = math.lcm(rat.denominator, coef.denominator)
-        return QuadraticSurd.make(
-            int(rat * den), int(coef * den), den, d if coef else 0
-        )
-
-    def __add__(self, other) -> "QuadraticSurd":
-        parts = self._coerce_same_field(other)
-        if parts is None:
+    def __add__(self, k) -> "QuadraticSurd":
+        if not isinstance(k, int):
             return NotImplemented
-        s = surd_normalize(self)
-        rat = Fraction(s.a, s.c) + parts[0]
-        coef = (Fraction(s.b, s.c) if not s.is_rational else Fraction(0)) + parts[1]
-        d = s.d if not s.is_rational else (
-            surd_normalize(other).d if isinstance(other, QuadraticSurd) else 0
-        )
-        return self._from_parts(rat, coef, d)
+        return QuadraticSurd.make(self.a + k * self.c, self.b, self.c, self.d)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd.make(-self.a, -self.b, self.c, self.d)
-
-    def __sub__(self, other) -> "QuadraticSurd":
-        if isinstance(other, (int, Fraction, QuadraticSurd)):
-            neg = -other if isinstance(other, QuadraticSurd) else -Fraction(other)
-            return self + neg
-        return NotImplemented
-
-    def __rsub__(self, other) -> "QuadraticSurd":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QuadraticSurd":
-        parts = self._coerce_same_field(other)
-        if parts is None:
+    def __sub__(self, k) -> "QuadraticSurd":
+        if not isinstance(k, int):
             return NotImplemented
-        s = surd_normalize(self)
-        a1, b1 = Fraction(s.a, s.c), Fraction(s.b, s.c)
-        a2, b2 = parts
-        d = s.d if not s.is_rational else (
-            surd_normalize(other).d if isinstance(other, QuadraticSurd) else 0
-        )
-        rat = a1 * a2 + b1 * b2 * d
-        coef = a1 * b2 + a2 * b1
-        return self._from_parts(rat, coef, d)
+        return QuadraticSurd.make(self.a - k * self.c, self.b, self.c, self.d)
+
+    def __mul__(self, k) -> "QuadraticSurd":
+        if not isinstance(k, int):
+            return NotImplemented
+        return QuadraticSurd.make(self.a * k, self.b * k, self.c, self.d)
 
     __rmul__ = __mul__
 
@@ -467,12 +420,6 @@ class QuadraticSurd:
             return k1
         return k2 if surd_compare(s, Fraction(k2)) >= 0 else k1
 
-    def to_interval(self, bits: int) -> DyadicInterval:
-        return surd_to_interval(self, bits)
-
-    def __float__(self) -> float:
-        return float(self.to_interval(64).midpoint())
-
     def __repr__(self) -> str:
         if self.is_rational:
             return f"({self.a}/{self.c})"
@@ -481,7 +428,13 @@ class QuadraticSurd:
 
 def surd_nearest_int(s: QuadraticSurd) -> int:
     """Nearest integer to an exact surd (rational ties round up)."""
-    return (s + Fraction(1, 2)).floor()
+    return (2 * s + 1).floor() // 2
+
+
+def surd_residual(s: QuadraticSurd) -> tuple[int, "SurdSum"]:
+    """Nearest integer m to s and the signed residual s - m, exactly."""
+    m = surd_nearest_int(s)
+    return m, (s - m).to_surdsum()
 
 
 def surd_normalize(s: QuadraticSurd) -> QuadraticSurd:
@@ -532,31 +485,6 @@ def surd_compare(s: QuadraticSurd, r: RationalLike) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
-def surd_to_interval(s: QuadraticSurd, bits: int) -> DyadicInterval:
-    """Enclosure of the surd with width <= 2**-bits (hence also within the
-    relative contract width <= 2**-bits * max(1, |value|))."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
-    s = surd_normalize(s)
-    if s.is_rational:
-        v = Fraction(s.a, s.c)
-        if (v.denominator & (v.denominator - 1)) == 0:  # dyadic: exact point
-            return DyadicInterval(v, v, bits)
-        return DyadicInterval.point(v, bits)
-    work = bits + max(0, abs(s.b).bit_length() - s.c.bit_length() + 1) + 4
-    while True:
-        root = _cached_sqrt_interval(s.d, work)
-        iv = root.scale(s.b) + DyadicInterval.point(s.a, work)
-        out = DyadicInterval(
-            dyadic_round_down(iv.lo / s.c, work),
-            dyadic_round_up(iv.hi / s.c, work),
-            bits,
-        )
-        if out.width <= Fraction(1, 1 << bits):
-            return out
-        work *= 2
-
-
 class SurdSum:
     """Exact finite sum  q0 + q1*sqrt(d1) + q2*sqrt(d2) + ...  with rational
     coefficients and distinct squarefree radicands (key 1 = rational part).
@@ -602,10 +530,6 @@ class SurdSum:
         return cls({rad: Fraction(coeff) / x.denominator})
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms

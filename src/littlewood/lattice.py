@@ -24,7 +24,7 @@ from .exactnum import (
     SurdSum,
     as_surdsum,
     certified_sign,
-    surd_nearest_int,
+    surd_residual,
 )
 from . import rootfind
 
@@ -45,9 +45,13 @@ __all__ = [
     "cartan_measure",
 ]
 
-# slack added to float prescreens before exact confirmation; float error in
-# x*alpha for x <= 1e7 is below 1e-8, so this can never lose a candidate
+# slack added to the Dirichlet prescreen before exact confirmation.  The
+# screen multiplies x <= N by the float of frac(alpha), which is within
+# 2^-53 of the exact value, so the float residual of x*alpha is off by at
+# most N*2^-52 + 2^-53; that stays below the slack for every
+# N <= _SCREEN_MAX_N, and larger N are refused.
 _SCREEN_SLACK = 1e-6
+_SCREEN_MAX_N = 4 * 10**9
 
 
 class ParameterError(ValueError):
@@ -144,13 +148,6 @@ def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdS
     return x, alpha_s * x - y, beta_s * x - z
 
 
-def _residual(alpha: QuadraticSurd, x: int) -> tuple[int, QuadraticSurd]:
-    """Nearest integer y to alpha*x and the exact residual alpha*x - y."""
-    v = alpha * x
-    y = surd_nearest_int(v)
-    return y, v - y
-
-
 def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     """Smallest x in [1, N] whose nearest-integer residuals for alpha and
     beta are both at most 1/sqrt(N), residual comparisons exact (squared:
@@ -159,12 +156,14 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     """
     if N < 2:
         raise ParameterError("N must be >= 2")
+    if N > _SCREEN_MAX_N:
+        raise ParameterError(f"N must be <= {_SCREEN_MAX_N} (float prescreen bound)")
     alpha = as_quadratic_surd(alpha)
     beta = as_quadratic_surd(beta)
     bound = Fraction(1, N)  # compare residual^2 against 1/N
 
-    af = float(alpha.to_interval(64).midpoint())
-    bf = float(beta.to_interval(64).midpoint())
+    # screen on frac(alpha): the integer part only costs float precision
+    af, bf = (float(as_surdsum(v - v.floor())) for v in (alpha, beta))
     xs = np.arange(1, N + 1, dtype=np.float64)
     thresh = 1.0 / math.sqrt(N) + _SCREEN_SLACK
     fa = np.mod(xs * af, 1.0)
@@ -173,25 +172,13 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     candidates = np.nonzero(near)[0] + 1
 
     for x in map(int, candidates):
-        ya, ua = _residual(alpha, x)
-        if certified_sign(as_surdsum(ua * ua) - bound) > 0:
+        ya, ua = surd_residual(alpha * x)
+        if certified_sign(ua * ua - bound) > 0:
             continue
-        yb, ub = _residual(beta, x)
-        if certified_sign(as_surdsum(ub * ub) - bound) > 0:
+        yb, ub = surd_residual(beta * x)
+        if certified_sign(ub * ub - bound) > 0:
             continue
-        return DirichletPoint(
-            LatticePoint(x, ya, yb), N, as_surdsum(ua), as_surdsum(ub)
-        )
-    # The screen cannot lose a candidate; a full exact sweep is kept as a
-    # belt-and-braces fallback before declaring the impossible.
-    for x in range(1, N + 1):
-        ya, ua = _residual(alpha, x)
-        if certified_sign(as_surdsum(ua * ua) - bound) > 0:
-            continue
-        yb, ub = _residual(beta, x)
-        if certified_sign(as_surdsum(ub * ub) - bound) > 0:
-            continue
-        return DirichletPoint(LatticePoint(x, ya, yb), N, as_surdsum(ua), as_surdsum(ub))
+        return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
     raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
 
 
@@ -218,8 +205,8 @@ def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
     alpha = as_quadratic_surd(alpha)
     beta = as_quadratic_surd(beta)
 
-    af = float(alpha.to_interval(64).midpoint())
-    bf = float(beta.to_interval(64).midpoint())
+    # screen on frac(alpha): the integer part only costs float precision
+    af, bf = (float(as_surdsum(v - v.floor())) for v in (alpha, beta))
     xs = np.arange(1, X + 1, dtype=np.float64)
     fa = np.mod(xs * af, 1.0)
     fb = np.mod(xs * bf, 1.0)
@@ -231,9 +218,9 @@ def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
     best: SurdSum | None = None
     best_hi: Fraction | None = None
     for x in map(int, candidates):
-        _, ua = _residual(alpha, x)
-        _, ub = _residual(beta, x)
-        val = x * as_surdsum(ua).abs() * as_surdsum(ub).abs()
+        _, ua = surd_residual(alpha * x)
+        _, ub = surd_residual(beta * x)
+        val = x * ua.abs() * ub.abs()
         if best is not None:
             iv = val.interval(96)
             if iv.lo > best_hi:

@@ -39,6 +39,15 @@ def _int_at(text: str, token: str, offset: int) -> int:
         raise NumberSpecError(text, offset, f"expected an integer, got {token!r}")
 
 
+def _squarefree_at(text: str, d: int, offset: int) -> tuple[int, int]:
+    try:
+        return squarefree_decompose(d)
+    except ValueError:
+        raise NumberSpecError(
+            text, offset, f"cannot certify the squarefree part of radicand {d}"
+        ) from None
+
+
 def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
     """Parse the grammar above into a CF spec; `frac` maps the value to its
     fractional part (the unit-interval normalization alpha - floor(alpha))."""
@@ -50,7 +59,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         d = _int_at(text, body, offset)
         if d < 0:
             raise NumberSpecError(text, offset, "radicand must be nonnegative")
-        square, free = squarefree_decompose(d)
+        square, free = _squarefree_at(text, d, offset)
         if square != 1 and free > 1:
             log.info("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
         spec = CFSpec.from_surd(QuadraticSurd.make(0, 1, 1, d))
@@ -64,7 +73,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         if d < 0:
             raise NumberSpecError(text, offset, "radicand d must be nonnegative")
         if d > 1:
-            _, free = squarefree_decompose(d)
+            _, free = _squarefree_at(text, d, offset)
             if free != d:
                 log.info("quad radicand %d normalized to squarefree %d", d, free)
         spec = CFSpec.from_surd(QuadraticSurd.make(a, b, c, d))

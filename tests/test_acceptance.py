@@ -110,7 +110,7 @@ def test_criterion_02_error_sandwich():
 def test_criterion_03_growth_bounds():
     ok = True
     for spec in THREE_SPECS:
-        M = _observed_M(spec, 0)
+        M = _observed_M(spec)
         rep = growth_bounds_check(spec, M, 200)
         ok = ok and rep.ok
     b3 = BadProfile(3, 16, Fraction(1, 10))  # lambda = (3+1)^2 = 16 = 2^4

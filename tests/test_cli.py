@@ -225,6 +225,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_uncertifiable_radicand_exits_2(capsys):
+    radicand = "1000000000000000012000000000000000027"
+    assert _run(["levy", "--alpha", f"sqrt:{radicand}"]) == 2
+    assert f"radicand {radicand}" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     for sub in ("liminf", "cone-check", "entry-time", "certificate",
                 "b3-scan", "cartan", "levy"):

@@ -15,7 +15,6 @@ from littlewood.entrytime import (
     approx_line,
     cubic_entry_time,
     discriminant,
-    discriminant_rearranged,
     entry_time,
     entry_time_bisected,
     line_gamma,
@@ -99,6 +98,26 @@ def test_discriminant_axis_degenerate_is_zero():
     assert certified_sign(discriminant(line, params)) == 0
     rep = entry_time(line, params)
     assert rep.already_inside and rep.tau.lo == 0 == rep.tau.hi
+
+
+def discriminant_rearranged(line: ApproxLine, params: ConeParams) -> SurdSum:
+    """The same discriminant with the square expanded and regrouped; equal
+    to :func:`discriminant` as an algebraic identity, so it cross-checks
+    the exact arithmetic."""
+    ea = line.e_alpha.value
+    eb = line.e_beta.value
+    U0, V0 = line.P0.U0, line.P0.V0
+    phi_s = as_surdsum(params.phi)
+    slack = params.N - line.x0
+    quarter = (
+        2 * params.phi * slack * (ea * U0 + eb * V0)
+        + 2 * (ea * eb) * (U0 * V0)
+        + (ea * ea) * params.phi * slack * slack
+        + (eb * eb) * params.phi * slack * slack
+        + (phi_s - ea * ea) * (V0 * V0)
+        + (phi_s - eb * eb) * (U0 * U0)
+    )
+    return 4 * quarter
 
 
 def test_discriminant_rearrangement_identity():

@@ -22,7 +22,7 @@ from littlewood.exactnum import (
     surd_compare,
     surd_nearest_int,
     surd_normalize,
-    surd_to_interval,
+    surd_residual,
 )
 
 mpmath.mp.dps = 60
@@ -95,7 +95,7 @@ def test_compare_equality():
 @given(raw_surds, st.fractions(min_value=-100, max_value=100))
 def test_compare_agrees_with_interval(raw, r):
     s = surd_normalize(QuadraticSurd(*raw))
-    iv = surd_to_interval(s, 128)
+    iv = as_surdsum(s).interval(128)
     if iv.hi < r:
         assert surd_compare(s, r) == -1
     elif iv.lo > r:
@@ -111,23 +111,43 @@ def test_floor_and_nearest():
     assert surd_nearest_int(QuadraticSurd.make(0, 3, 1, 2)) == 4  # 4.24
 
 
+def test_nearest_int_rounds_rational_ties_up():
+    assert surd_nearest_int(QuadraticSurd.from_rational(Fraction(1, 2))) == 1
+    assert surd_nearest_int(QuadraticSurd.from_rational(Fraction(-1, 2))) == 0
+
+
+def test_residual_is_signed():
+    m, r = surd_residual(QuadraticSurd.make(-1, 1, 1, 2) * 5)
+    assert m == 2
+    assert r == SurdSum({1: -7, 2: 5})  # 5*sqrt(2) - 7
+
+
+def test_surd_arithmetic_takes_only_ints():
+    s = QuadraticSurd.sqrt_of(2)
+    assert s + 1 == QuadraticSurd.make(1, 1, 1, 2)
+    with pytest.raises(TypeError):
+        s + s
+    with pytest.raises(TypeError):
+        s * Fraction(1, 2)
+
+
 # -- intervals ---------------------------------------------------------------
 
 
 def test_interval_sqrt2():
-    iv = surd_to_interval(QuadraticSurd.sqrt_of(2), 10)
+    iv = as_surdsum(QuadraticSurd.sqrt_of(2)).interval(10)
     # oracle: integer square-root refinement
     assert iv.lo <= Fraction(14142135623730951, 10**16) <= iv.hi
     assert iv.width <= Fraction(1, 1 << 10) * 2
 
 
 def test_interval_dyadic_rational_exact():
-    iv = surd_to_interval(QuadraticSurd.from_rational(Fraction(1, 2)), 5)
+    iv = as_surdsum(QuadraticSurd.from_rational(Fraction(1, 2))).interval(5)
     assert iv.lo == iv.hi == Fraction(1, 2)
 
 
 def test_interval_golden():
-    iv = surd_to_interval(QuadraticSurd.make(1, 1, 2, 5), 20)
+    iv = as_surdsum(QuadraticSurd.make(1, 1, 2, 5)).interval(20)
     golden = Fraction(16180339887498949, 10**16)
     assert iv.lo <= golden <= iv.hi
     assert iv.width <= Fraction(2, 1 << 20)
@@ -135,7 +155,7 @@ def test_interval_golden():
 
 def test_interval_width_contract_random():
     for bits in (8, 16, 53, 200):
-        iv = surd_to_interval(QuadraticSurd.make(123, 45, 7, 31), bits)
+        iv = as_surdsum(QuadraticSurd.make(123, 45, 7, 31)).interval(bits)
         value_hi = max(abs(iv.lo), abs(iv.hi))
         assert iv.width <= Fraction(1, 1 << bits) * max(1, value_hi)
 

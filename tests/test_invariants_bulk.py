@@ -12,7 +12,6 @@ from littlewood.exactnum import (
     certified_sign,
     surd_compare,
     surd_normalize,
-    surd_to_interval,
 )
 from littlewood.lattice import LatticePoint, f_exact, m_transform
 
@@ -40,7 +39,7 @@ def test_compare_agrees_with_interval_bulk():
     for _ in range(10_000):
         s = surd_normalize(_random_raw_surd(rng))
         r = Fraction(rng.randrange(-500, 501), rng.randrange(1, 100))
-        iv = surd_to_interval(s, 128)
+        iv = as_surdsum(s).interval(128)
         if iv.hi < r:
             assert surd_compare(s, r) == -1
         elif iv.lo > r:

@@ -110,6 +110,27 @@ def test_dirichlet_rejects_small_N():
         dirichlet_search(SQRT2M1, SQRT3M1, 1)
 
 
+def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
+    def no_arrays(*args, **kwargs):
+        raise AssertionError("allocated the screen arrays")
+
+    monkeypatch.setattr("littlewood.lattice.np.arange", no_arrays)
+    with pytest.raises(ParameterError):
+        dirichlet_search(SQRT2M1, SQRT3M1, 5 * 10**9)
+
+
+def test_scans_ignore_integer_part_of_alpha():
+    # float64 keeps too few fraction bits of alpha + 10^9 to find the
+    # record at x = 10864, so the screens must work on frac(alpha)
+    beta = QuadraticSurd.sqrt_of(3)
+    shifted = SQRT2M1 + 10**9
+    X = 2 * 10**5
+    recs = [r.x for r in brute_min_scan(SQRT2M1, beta, X)]
+    assert recs[-1] == 10864
+    assert [r.x for r in brute_min_scan(shifted, beta, X)] == recs
+    assert dirichlet_search(shifted, beta, X).x == dirichlet_search(SQRT2M1, beta, X).x
+
+
 def test_dirichlet_smallest_x_and_bad_lower_bound():
     rng = random.Random(7)
     c_est = max(
