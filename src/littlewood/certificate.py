@@ -32,15 +32,12 @@ from typing import Iterable, Sequence
 from .cfrac import (
     CFSpec,
     ProfileViolationError,
-    bad_constant_estimate,
-    cf_expand,
     joint_bad_profile,
     lcm_time,
 )
 from .cone import ConeParams, cone_contains
 from .entrytime import (
     ApproxLine,
-    EntryTimeReport,
     approx_line,
     entry_time,
     transversality_check,

@@ -18,7 +18,7 @@ e_n = alpha - p_n/q_n are kept as exact surd handles with certified signs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence

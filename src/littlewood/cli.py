@@ -17,13 +17,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .cfrac import (
     CFError,
-    cf_expand,
-    convergent,
     lcm_growth_profile,
     lcm_time,
     levy_quotient,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rootfind
-from .cfrac import CFSpec, ErrorTerm, convergents, cf_expand, error_term
+from .cfrac import CFSpec, Convergent, ErrorTerm, convergents, cf_expand, error_term
 from .cone import ConeParams
 from .exactnum import (
     DyadicInterval,
@@ -91,12 +91,23 @@ class ApproxLine:
         return self.P0.point.x
 
 
+def _convergent_2n(spec: CFSpec, n: int, name: str) -> Convergent:
+    """Convergent of order 2n; a rational whose expansion is shorter has none."""
+    quotients = cf_expand(spec, 2 * n + 1)
+    if len(quotients) <= 2 * n:
+        raise ParameterError(
+            f"{name} = {spec.value()} is rational with {len(quotients)} partial "
+            f"quotients: it has no convergent of order 2n = {2 * n}"
+        )
+    return convergents(quotients)[2 * n]
+
+
 def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint) -> ApproxLine:
     """Bundle the order-2n data; even order keeps both error terms >= 0."""
     if n < 0:
         raise ParameterError("n must be >= 0")
-    ca = convergents(cf_expand(alpha_spec, 2 * n + 1))[2 * n]
-    cb = convergents(cf_expand(beta_spec, 2 * n + 1))[2 * n]
+    ca = _convergent_2n(alpha_spec, n, "alpha")
+    cb = _convergent_2n(beta_spec, n, "beta")
     ea = error_term(alpha_spec, 2 * n)
     eb = error_term(beta_spec, 2 * n)
     if ea.sign < 0 or eb.sign < 0:

@@ -15,6 +15,9 @@ Three layers:
   certified comparison in the package goes through it.
 * ``DyadicInterval`` -- outward-rounded enclosures with dyadic endpoints,
   used to decide almost every sign quickly before the exact path is tried.
+  Hot loops use the same enclosures as integer mantissas over a fixed
+  2**-64 scale (:func:`fixed_enclosure`), so a sum is an integer add and a
+  product an integer multiply plus a directed shift.
 
 ``certified_sign`` ties the layers together: interval evaluation with a
 doubling precision schedule (64 up to 4096 bits), then the exact recursive
@@ -24,7 +27,7 @@ sign algorithm for whatever still straddles zero (in practice: true zeros).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
@@ -43,6 +46,8 @@ __all__ = [
     "root_interval",
     "frac_pow_interval",
     "DyadicInterval",
+    "FIXED_BITS",
+    "fixed_enclosure",
     "QuadraticSurd",
     "surd_normalize",
     "surd_compare",
@@ -57,6 +62,11 @@ RationalLike = Union[int, Fraction]
 
 SIGN_BITS_START = 64
 SIGN_BITS_CAP = 4096
+
+# Scale of the integer fixed-point enclosures: a mantissa m stands for
+# m * 2**-FIXED_BITS.  Equal to SIGN_BITS_START, so the enclosure of a
+# SurdSum costs one interval(64), the evaluation certified_sign tries first.
+FIXED_BITS = 64
 
 # Sound factorisation limit for squarefree_decompose: after trial division
 # by everything <= _TRIAL_LIMIT, a cofactor <= _TRIAL_LIMIT**3 is 1, prime,
@@ -324,16 +334,21 @@ class QuadraticSurd:
     Canonical form (after :func:`surd_normalize`): d squarefree, c > 0,
     gcd(a, b, c) = 1, and the rational case collapses to b = d = 0.  The
     dataclass itself only validates; use :meth:`make` or `surd_normalize`
-    to canonicalise, and note that ``==`` is structural.
+    to canonicalise, and note that ``==`` is structural.  Canonical results
+    carry ``canonical=True`` (ignored by ``==`` and ``hash``), so
+    normalising them again factors nothing.
 
     Arithmetic takes ``int`` operands only; anything else goes through
-    :meth:`to_surdsum`.
+    :meth:`to_surdsum`.  The integer steps and :meth:`reciprocal` keep the
+    radicand of a canonical surd, so their results are reduced by gcds
+    alone; only :meth:`make` on outside input factors d.
     """
 
     a: int
     b: int
     c: int = 1
     d: int = 0
+    canonical: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.c == 0:
@@ -348,7 +363,7 @@ class QuadraticSurd:
     @classmethod
     def from_rational(cls, x: RationalLike) -> "QuadraticSurd":
         x = Fraction(x)
-        return cls(x.numerator, 0, x.denominator, 0)
+        return cls(x.numerator, 0, x.denominator, 0, True)
 
     @classmethod
     def sqrt_of(cls, n: int) -> "QuadraticSurd":
@@ -368,27 +383,30 @@ class QuadraticSurd:
 
     def to_surdsum(self) -> "SurdSum":
         s = surd_normalize(self)
-        terms = {1: Fraction(s.a, s.c)}
+        terms = {1: Fraction(s.a, s.c)} if s.a else {}
         if s.b:
             terms[s.d] = Fraction(s.b, s.c)
-        return SurdSum(terms)
+        return SurdSum._from_squarefree(terms)
 
     # -- continued-fraction steps (integer operands only) ------------------
 
     def __add__(self, k) -> "QuadraticSurd":
         if not isinstance(k, int):
             return NotImplemented
-        return QuadraticSurd.make(self.a + k * self.c, self.b, self.c, self.d)
+        s = surd_normalize(self)
+        return _reduce_squarefree(s.a + k * s.c, s.b, s.c, s.d)
 
     def __sub__(self, k) -> "QuadraticSurd":
         if not isinstance(k, int):
             return NotImplemented
-        return QuadraticSurd.make(self.a - k * self.c, self.b, self.c, self.d)
+        s = surd_normalize(self)
+        return _reduce_squarefree(s.a - k * s.c, s.b, s.c, s.d)
 
     def __mul__(self, k) -> "QuadraticSurd":
         if not isinstance(k, int):
             return NotImplemented
-        return QuadraticSurd.make(self.a * k, self.b * k, self.c, self.d)
+        s = surd_normalize(self)
+        return _reduce_squarefree(s.a * k, s.b * k, s.c, s.d)
 
     __rmul__ = __mul__
 
@@ -397,9 +415,9 @@ class QuadraticSurd:
         if s.is_rational:
             if s.a == 0:
                 raise ZeroDivisionError("reciprocal of zero")
-            return QuadraticSurd.make(s.c, 0, s.a, 0)
+            return _reduce_squarefree(s.c, 0, s.a, 0)
         norm = s.a * s.a - s.b * s.b * s.d  # nonzero: value is irrational
-        return QuadraticSurd.make(s.c * s.a, -s.c * s.b, norm, s.d)
+        return _reduce_squarefree(s.c * s.a, -s.c * s.b, norm, s.d)
 
     # -- exact decisions ---------------------------------------------------
 
@@ -439,7 +457,10 @@ def surd_residual(s: QuadraticSurd) -> tuple[int, "SurdSum"]:
 
 def surd_normalize(s: QuadraticSurd) -> QuadraticSurd:
     """Canonical form: d squarefree, c > 0, gcd(a, b, c) = 1; rationals
-    collapse to b = d = 0.  Value preserving and idempotent."""
+    collapse to b = d = 0.  Value preserving and idempotent; a surd that
+    is already canonical is returned as it is."""
+    if s.canonical:
+        return s
     a, b, c, d = s.a, s.b, s.c, s.d
     if c == 0:
         raise MalformedSurdError("denominator c must be nonzero")
@@ -447,6 +468,14 @@ def surd_normalize(s: QuadraticSurd) -> QuadraticSurd:
         square, free = squarefree_decompose(d)
         b *= square
         d = free
+    return _reduce_squarefree(a, b, c, d)
+
+
+def _reduce_squarefree(a: int, b: int, c: int, d: int) -> QuadraticSurd:
+    """Canonical form of (a + b*sqrt(d))/c for a d that is already
+    squarefree (or 0): collapse, sign and gcd only, no factoring."""
+    if c == 0:
+        raise MalformedSurdError("denominator c must be nonzero")
     if d == 1:
         a += b
         b = 0
@@ -457,7 +486,7 @@ def surd_normalize(s: QuadraticSurd) -> QuadraticSurd:
     g = math.gcd(a, b, c)
     if g > 1:
         a, b, c = a // g, b // g, c // g
-    return QuadraticSurd(a, b, c, d)
+    return QuadraticSurd(a, b, c, d, True)
 
 
 def surd_compare(s: QuadraticSurd, r: RationalLike) -> int:
@@ -494,7 +523,9 @@ class SurdSum:
     recursion on the primes appearing in the radicands.
     """
 
-    __slots__ = ("_terms",)
+    # _fixed: the memoised fixed_enclosure, set on first use only; _terms
+    # is never changed after construction, so the memo stays valid
+    __slots__ = ("_terms", "_fixed")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         clean: dict[int, Fraction] = {}
@@ -515,7 +546,15 @@ class SurdSum:
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "SurdSum":
-        return cls({1: Fraction(x)})
+        return cls._from_squarefree({1: Fraction(x)} if x else {})
+
+    @classmethod
+    def _from_squarefree(cls, terms: dict[int, Fraction]) -> "SurdSum":
+        """Adopt terms whose radicands are already squarefree and whose
+        coefficients are nonzero Fractions, without factoring them again."""
+        result = cls.__new__(cls)
+        result._terms = terms
+        return result
 
     @classmethod
     def sqrt(cls, x: RationalLike, coeff: RationalLike = 1) -> "SurdSum":
@@ -560,16 +599,12 @@ class SurdSum:
         out = dict(self._terms)
         for rad, coef in other._terms.items():
             out[rad] = out.get(rad, Fraction(0)) + coef
-        result = SurdSum.__new__(SurdSum)
-        result._terms = {rad: c for rad, c in out.items() if c != 0}
-        return result
+        return SurdSum._from_squarefree({rad: c for rad, c in out.items() if c != 0})
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        result = SurdSum.__new__(SurdSum)
-        result._terms = {rad: -c for rad, c in self._terms.items()}
-        return result
+        return SurdSum._from_squarefree({rad: -c for rad, c in self._terms.items()})
 
     def __sub__(self, other) -> "SurdSum":
         return self + (-as_surdsum(other))
@@ -588,9 +623,7 @@ class SurdSum:
                 rad = (d1 // g) * (d2 // g)
                 coef = c1 * c2 * g
                 out[rad] = out.get(rad, Fraction(0)) + coef
-        result = SurdSum.__new__(SurdSum)
-        result._terms = {rad: c for rad, c in out.items() if c != 0}
-        return result
+        return SurdSum._from_squarefree({rad: c for rad, c in out.items() if c != 0})
 
     __rmul__ = __mul__
 
@@ -730,6 +763,32 @@ def as_surdsum(x) -> SurdSum:
     if isinstance(x, QuadraticSurd):
         return x.to_surdsum()
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
+
+
+def fixed_enclosure(x) -> tuple[int, int]:
+    """Integer mantissas (lo, hi) with lo * 2**-FIXED_BITS <= x <=
+    hi * 2**-FIXED_BITS, rounded outward from ``interval(FIXED_BITS)``.
+
+    Exact for integers and dyadic rationals.  A SurdSum computes its
+    enclosure once and keeps it in its ``_fixed`` slot.
+    """
+    if isinstance(x, SurdSum):
+        enc = getattr(x, "_fixed", None)
+        if enc is None:
+            iv = x.interval(FIXED_BITS)
+            lo, hi = iv.lo, iv.hi
+            enc = x._fixed = (
+                (lo.numerator << FIXED_BITS) // lo.denominator,
+                -((-hi.numerator << FIXED_BITS) // hi.denominator),
+            )
+        return enc
+    if isinstance(x, int):
+        m = x << FIXED_BITS
+        return m, m
+    if isinstance(x, Fraction):
+        n, d = x.numerator << FIXED_BITS, x.denominator
+        return n // d, -(-n // d)
+    return fixed_enclosure(as_surdsum(x))
 
 
 def certified_sign(x) -> int:

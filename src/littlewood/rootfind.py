@@ -2,13 +2,21 @@
 coefficients.
 
 Polynomials are coefficient lists (ascending powers) of SurdSum / Fraction
-/ int entries evaluated exactly at rational points, so every sign used by
-the bisections is certified.  Roots are isolated by recursing on the
-derivative: between consecutive critical points the polynomial is strictly
-monotone and plain sign-change bisection applies.  Tangential (even-order)
-roots sitting exactly at a tested level are detected only when a probe
-lands on them; the callers use generic levels where that cannot happen,
-and an exact zero at a probe point is returned as a degenerate interval.
+/ int entries.  Every sign a bisection uses is certified and computed
+interval-first: Horner's rule on integer fixed-point enclosures
+(:func:`~littlewood.exactnum.fixed_enclosure`) decides it whenever the
+enclosure excludes 0, and the exact SurdSum Horner with
+``certified_sign`` decides the rest, exact zeros included.
+
+Roots are isolated by recursing on the derivative: between consecutive
+critical points the polynomial is strictly monotone and plain sign-change
+bisection applies.  Each critical point sits in a narrow sliver whose end
+signs may agree while the polynomial crosses a level twice inside it; a
+mean-value enclosure proves most slivers root-free, and the others are
+halved towards the critical point until the crossings are bracketed.  Only
+a tangency exactly at the tested level (a double root that no probe lands
+on) stays undecided, and it raises ``ValueError``; an exact zero at a
+probe point is returned as a degenerate interval.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import SurdSum, as_surdsum, certified_sign
+from .exactnum import FIXED_BITS, SurdSum, as_surdsum, certified_sign, fixed_enclosure
 
 __all__ = [
     "poly_eval",
@@ -42,7 +50,26 @@ def poly_derivative(coeffs: Coeffs) -> list[SurdSum]:
     return [as_surdsum(c) * k for k, c in enumerate(coeffs) if k >= 1]
 
 
+def _fixed_horner(coeffs: Coeffs, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """Fixed-point enclosure (mantissas over 2**-FIXED_BITS) of the
+    polynomial on the argument enclosure [t_lo, t_hi]; a point when equal."""
+    lo = hi = 0
+    for c in reversed(coeffs):
+        p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
+        c_lo, c_hi = fixed_enclosure(c)
+        lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
+        hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
+    return lo, hi
+
+
 def poly_sign_at(coeffs: Coeffs, t: Fraction) -> int:
+    """Certified sign at a rational point: the fixed-point Horner when its
+    enclosure excludes 0, the exact Horner otherwise."""
+    lo, hi = _fixed_horner(coeffs, *fixed_enclosure(t))
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
     return certified_sign(poly_eval(coeffs, t))
 
 
@@ -96,6 +123,79 @@ def bisect_root(
     return lo, hi
 
 
+def _keeps_sign(coeffs: Coeffs, deriv: Coeffs, a: Fraction, b: Fraction, s: int) -> bool:
+    """Mean-value proof that p keeps the sign s of p(a) on all of [a, b]:
+    p(t) lies in p(a) + [0, b - a] * p'([a, b]), all in fixed point."""
+    a_lo, a_hi = fixed_enclosure(a)
+    p_lo, p_hi = _fixed_horner(coeffs, a_lo, a_hi)
+    d_lo, d_hi = _fixed_horner(deriv, a_lo, fixed_enclosure(b)[1])
+    w = fixed_enclosure(b - a)[1]
+    if s > 0:
+        return p_lo + (min(0, w * d_lo) >> FIXED_BITS) > 0
+    return p_hi - (-max(0, w * d_hi) >> FIXED_BITS) < 0
+
+
+def _bracket_inside(
+    coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
+) -> tuple[Fraction, Fraction]:
+    """bisect_root on [lo, hi] (opposite nonzero end signs), narrowed until
+    the enclosure touches neither end, so that brackets of the two halves
+    of a sliver stay disjoint."""
+    r_lo, r_hi = bisect_root(coeffs, lo, hi, tol)
+    while r_lo == lo or r_hi == hi:
+        r_lo, r_hi = bisect_root(coeffs, r_lo, r_hi, (r_hi - r_lo) / 2)
+    return r_lo, r_hi
+
+
+def _sliver_roots(
+    coeffs: Coeffs, deriv: Coeffs, a: Fraction, b: Fraction, sa: int, sb: int, tol: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Roots strictly inside a sliver [a, b] in which p' changes sign exactly
+    once (at the critical point c), given the exact signs sa, sb of p at its
+    ends, which do not have opposite signs.
+
+    p is strictly monotone on [a, c] and on [c, b].  Each round either
+    proves [a, b] root-free or halves it at m: the half without c is
+    monotone, so its root (if any) is bracketed, and the search goes on in
+    the half where p' changes sign.
+    """
+    roots: list[tuple[Fraction, Fraction]] = []
+    sda = None  # sign of p'(a), nonzero; found only when the proof fails
+    for _ in range(64):
+        if sa and sa == sb and _keeps_sign(coeffs, deriv, a, b, sa):
+            return sorted(roots)
+        if sda is None:
+            sda = poly_sign_at(deriv, a)
+        # next to a zero end, p has the sign of the extremum, which is sda
+        ea, eb = sa or sda, sb or sda
+        if ea == eb == sda:  # both ends on the side of the extremum
+            return sorted(roots)
+        if sa * sb < 0:
+            roots.append(_bracket_inside(coeffs, a, b, tol))
+            return sorted(roots)
+        m = (a + b) / 2
+        sm, sdm = poly_sign_at(coeffs, m), poly_sign_at(deriv, m)
+        if sm == 0:
+            roots.append((m, m))
+        if sdm == 0:  # m is the critical point: both halves are monotone
+            for u, v, su, sv in ((a, m, sa, sm), (m, b, sm, sb)):
+                if su * sv < 0:
+                    roots.append(_bracket_inside(coeffs, u, v, tol))
+            return sorted(roots)
+        if sdm == sda:  # c lies in [m, b]; [a, m] is monotone
+            if sa * sm < 0:
+                roots.append(_bracket_inside(coeffs, a, m, tol))
+            a, sa = m, sm
+        else:  # c lies in [a, m]; [m, b] is monotone
+            if sm * sb < 0:
+                roots.append(_bracket_inside(coeffs, m, b, tol))
+            b, sb = m, sm
+    raise ValueError(
+        f"roots near t = {float((a + b) / 2):.17g} not separated after 64 "
+        "halvings of the sliver: a tangency at the level"
+    )
+
+
 def isolate_roots(
     coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
@@ -110,23 +210,26 @@ def isolate_roots(
     if len(trimmed) == 1:
         return []
     cuts: list[Fraction] = [lo, hi]
+    deriv: list[SurdSum] = []
+    slivers: dict[Fraction, Fraction] = {}  # critical-point enclosures
     if len(trimmed) > 2:
+        deriv = poly_derivative(trimmed)
         crit_tol = min(tol, (hi - lo) or tol) / 4
-        for c_lo, c_hi in isolate_roots(poly_derivative(trimmed), lo, hi, crit_tol):
+        for c_lo, c_hi in isolate_roots(deriv, lo, hi, crit_tol):
             cuts.extend((c_lo, c_hi))
+            if c_lo < c_hi:
+                slivers[c_lo] = c_hi
     cuts = sorted(set(cuts))
     roots: list[tuple[Fraction, Fraction]] = []
     signs = {t: poly_sign_at(trimmed, t) for t in cuts}
     for a, b in zip(cuts, cuts[1:]):
         sa, sb = signs[a], signs[b]
-        if sa == 0:
-            if not roots or roots[-1][1] < a:
-                roots.append((a, a))
-            continue
-        if sb == 0:
-            continue  # handled as the left endpoint of the next piece
-        if sa != sb:
+        if sa == 0 and (not roots or roots[-1][1] < a):
+            roots.append((a, a))
+        if sa * sb < 0:
             roots.append(bisect_root(trimmed, a, b, tol))
+        elif slivers.get(a) == b:
+            roots.extend(_sliver_roots(trimmed, deriv, a, b, sa, sb, tol))
     if signs[hi] == 0 and (not roots or roots[-1][1] < hi):
         roots.append((hi, hi))
     return roots

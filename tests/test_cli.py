@@ -231,6 +231,15 @@ def test_uncertifiable_radicand_exits_2(capsys):
     assert f"radicand {radicand}" in capsys.readouterr().err
 
 
+def test_rational_without_order_2n_convergent_exits_2(capsys):
+    argv = ["certificate", "--alpha", "rat:1/3", "--beta", "sqrt:3",
+            "--epsilon", "1/100", "--n-max", "3"]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert "alpha = 1/3" in err
+    assert "order 2n = 2" in err
+
+
 def test_help_exits_zero():
     for sub in ("liminf", "cone-check", "entry-time", "certificate",
                 "b3-scan", "cartan", "levy"):

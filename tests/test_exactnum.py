@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from littlewood import exactnum
 from littlewood.exactnum import (
     DyadicInterval,
     MalformedSurdError,
@@ -120,6 +121,29 @@ def test_residual_is_signed():
     m, r = surd_residual(QuadraticSurd.make(-1, 1, 1, 2) * 5)
     assert m == 2
     assert r == SurdSum({1: -7, 2: 5})  # 5*sqrt(2) - 7
+
+
+def test_residual_of_canonical_surd_factors_nothing(monkeypatch):
+    alphas = [QuadraticSurd.make(-1, 1, 1, 2), QuadraticSurd.make(3, -2, 7, 999983)]
+    calls = []
+    real = exactnum.squarefree_decompose
+    monkeypatch.setattr(
+        exactnum, "squarefree_decompose", lambda n: calls.append(n) or real(n)
+    )
+    for alpha in alphas:
+        for x in (1, 5, 12345):
+            m, r = surd_residual(alpha * x)
+            assert calls == []
+            assert r == as_surdsum(alpha) * x - m
+            assert certified_sign(r - Fraction(1, 2)) <= 0
+            assert certified_sign(r + Fraction(1, 2)) >= 0
+
+
+def test_integer_steps_normalize_a_raw_surd():
+    raw = QuadraticSurd(2, 2, -4, 8)  # -(1 + 2*sqrt(2))/2
+    assert raw + 1 == QuadraticSurd.make(1, -2, 2, 2)
+    assert raw * 2 == QuadraticSurd.make(-1, -2, 1, 2)
+    assert raw.reciprocal().to_surdsum() * raw.to_surdsum() == 1
 
 
 def test_surd_arithmetic_takes_only_ints():

@@ -1,0 +1,78 @@
+"""Lint: every name a library module imports is used in that module.
+
+Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
+module lists in ``__all__`` count as used.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "littlewood"
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside an annotation, including quoted forward references."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    exported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [
+        f"line {line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used and name not in exported
+    ]
+
+
+def test_library_modules_have_no_unused_imports():
+    offenders = {
+        path.name: unused
+        for path in sorted(SRC.glob("*.py"))
+        if (unused := unused_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_checker_flags_unused_and_accepts_used_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from fractions import Fraction\n"
+        "from typing import Sequence\n"
+        "from .exactnum import SurdSum, certified_sign\n"
+        "__all__ = ['certified_sign']\n"
+        "def f(x: 'Sequence[int]') -> SurdSum:\n"
+        "    return math.floor(x)\n"
+    )
+    assert unused_imports(source) == ["line 3: Fraction"]
