@@ -335,8 +335,9 @@ class QuadraticSurd:
     gcd(a, b, c) = 1, and the rational case collapses to b = d = 0.  The
     dataclass itself only validates; use :meth:`make` or `surd_normalize`
     to canonicalise, and note that ``==`` is structural.  Canonical results
-    carry ``canonical=True`` (ignored by ``==`` and ``hash``), so
-    normalising them again factors nothing.
+    carry ``canonical = True`` (ignored by ``==`` and ``hash``, and not a
+    constructor argument: only this module sets it), so normalising them
+    again factors nothing.
 
     Arithmetic takes ``int`` operands only; anything else goes through
     :meth:`to_surdsum`.  The integer steps and :meth:`reciprocal` keep the
@@ -348,7 +349,7 @@ class QuadraticSurd:
     b: int
     c: int = 1
     d: int = 0
-    canonical: bool = field(default=False, compare=False, repr=False)
+    canonical: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.c == 0:
@@ -363,7 +364,7 @@ class QuadraticSurd:
     @classmethod
     def from_rational(cls, x: RationalLike) -> "QuadraticSurd":
         x = Fraction(x)
-        return cls(x.numerator, 0, x.denominator, 0, True)
+        return _canonical(x.numerator, 0, x.denominator, 0)
 
     @classmethod
     def sqrt_of(cls, n: int) -> "QuadraticSurd":
@@ -486,7 +487,14 @@ def _reduce_squarefree(a: int, b: int, c: int, d: int) -> QuadraticSurd:
     g = math.gcd(a, b, c)
     if g > 1:
         a, b, c = a // g, b // g, c // g
-    return QuadraticSurd(a, b, c, d, True)
+    return _canonical(a, b, c, d)
+
+
+def _canonical(a: int, b: int, c: int, d: int) -> QuadraticSurd:
+    """A QuadraticSurd marked canonical; the caller guarantees the form."""
+    s = QuadraticSurd(a, b, c, d)
+    object.__setattr__(s, "canonical", True)
+    return s
 
 
 def surd_compare(s: QuadraticSurd, r: RationalLike) -> int:

@@ -12,11 +12,11 @@ Roots are isolated by recursing on the derivative: between consecutive
 critical points the polynomial is strictly monotone and plain sign-change
 bisection applies.  Each critical point sits in a narrow sliver whose end
 signs may agree while the polynomial crosses a level twice inside it; a
-mean-value enclosure proves most slivers root-free, and the others are
-halved towards the critical point until the crossings are bracketed.  Only
-a tangency exactly at the tested level (a double root that no probe lands
-on) stays undecided, and it raises ``ValueError``; an exact zero at a
-probe point is returned as a degenerate interval.
+mean-value enclosure proves most slivers root-free, and exact Sturm counts
+over the SurdSum coefficients split the others until each root is
+bracketed.  A tangency at the level (a root of even multiplicity) comes
+back as an enclosure of width <= tol; an exact zero at a probe point is
+returned as a degenerate interval.
 """
 
 from __future__ import annotations
@@ -139,68 +139,103 @@ def _bracket_inside(
     coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> tuple[Fraction, Fraction]:
     """bisect_root on [lo, hi] (opposite nonzero end signs), narrowed until
-    the enclosure touches neither end, so that brackets of the two halves
-    of a sliver stay disjoint."""
+    the enclosure touches neither end, so that brackets of neighbouring
+    pieces of a sliver stay disjoint."""
     r_lo, r_hi = bisect_root(coeffs, lo, hi, tol)
     while r_lo == lo or r_hi == hi:
         r_lo, r_hi = bisect_root(coeffs, r_lo, r_hi, (r_hi - r_lo) / 2)
     return r_lo, r_hi
 
 
-def _sliver_roots(
-    coeffs: Coeffs, deriv: Coeffs, a: Fraction, b: Fraction, sa: int, sb: int, tol: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Roots strictly inside a sliver [a, b] in which p' changes sign exactly
-    once (at the critical point c), given the exact signs sa, sb of p at its
-    ends, which do not have opposite signs.
+def _pseudo_remainder(a: list[SurdSum], b: list[SurdSum]) -> list[SurdSum]:
+    """Remainder of a by b times an even power of lc(b), so that it has the
+    sign of the true remainder; no division, as SurdSum is only a ring."""
+    lc = b[-1]
+    r = list(a)
+    steps = 0
+    while len(r) >= len(b):
+        shift, top = len(r) - len(b), r[-1]
+        r = [x * lc for x in r]
+        for i, c in enumerate(b):
+            r[shift + i] = r[shift + i] - top * c
+        r.pop()  # the leading term cancels exactly
+        while r and r[-1].is_zero():
+            r.pop()
+        steps += 1
+    return [x * lc for x in r] if steps % 2 else r
 
-    p is strictly monotone on [a, c] and on [c, b].  Each round either
-    proves [a, b] root-free or halves it at m: the half without c is
-    monotone, so its root (if any) is bracketed, and the search goes on in
-    the half where p' changes sign.
+
+def _sturm_chain(coeffs: list[SurdSum]) -> list[list[SurdSum]]:
+    """p, p', then negated pseudo-remainders down to a constant or the gcd."""
+    chain = [coeffs, poly_derivative(coeffs)]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-x for x in r])
+    return chain
+
+
+def _sign_changes(chain: list[list[SurdSum]], t: Fraction) -> int:
+    signs = [s for s in (poly_sign_at(q, t) for q in chain) if s]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _sliver_roots(
+    coeffs: list[SurdSum],
+    deriv: Coeffs,
+    a: Fraction,
+    b: Fraction,
+    sa: int,
+    sb: int,
+    tol: Fraction,
+) -> list[tuple[Fraction, Fraction]]:
+    """Roots strictly inside a critical-point sliver [a, b], given the exact
+    signs sa, sb of p at its ends, which are not opposite.
+
+    A mean-value enclosure proves most slivers root-free.  The rest are
+    decided exactly by Sturm's theorem: with V(t) the sign changes of the
+    Sturm chain at t, (a, b] holds V(a) - V(b) distinct roots whenever
+    p and p' do not both vanish at a or b.  That holds at the sliver ends
+    (p' != 0 there) and at every split point (p != 0 there).  Pieces are
+    halved until each holds one root, which is bracketed by its sign
+    change or, if p keeps its sign around it (a root of even multiplicity:
+    a tangency at the level), enclosed by halving to width tol and away
+    from the sliver ends.
     """
+    if sa and sa == sb and _keeps_sign(coeffs, deriv, a, b, sa):
+        return []
+    chain = _sturm_chain(coeffs)
+    sign = {a: sa, b: sb}
+    changes = {a: _sign_changes(chain, a), b: _sign_changes(chain, b)}
     roots: list[tuple[Fraction, Fraction]] = []
-    sda = None  # sign of p'(a), nonzero; found only when the proof fails
-    for _ in range(64):
-        if sa and sa == sb and _keeps_sign(coeffs, deriv, a, b, sa):
-            return sorted(roots)
-        if sda is None:
-            sda = poly_sign_at(deriv, a)
-        # next to a zero end, p has the sign of the extremum, which is sda
-        ea, eb = sa or sda, sb or sda
-        if ea == eb == sda:  # both ends on the side of the extremum
-            return sorted(roots)
-        if sa * sb < 0:
-            roots.append(_bracket_inside(coeffs, a, b, tol))
-            return sorted(roots)
-        m = (a + b) / 2
-        sm, sdm = poly_sign_at(coeffs, m), poly_sign_at(deriv, m)
-        if sm == 0:
-            roots.append((m, m))
-        if sdm == 0:  # m is the critical point: both halves are monotone
-            for u, v, su, sv in ((a, m, sa, sm), (m, b, sm, sb)):
-                if su * sv < 0:
-                    roots.append(_bracket_inside(coeffs, u, v, tol))
-            return sorted(roots)
-        if sdm == sda:  # c lies in [m, b]; [a, m] is monotone
-            if sa * sm < 0:
-                roots.append(_bracket_inside(coeffs, a, m, tol))
-            a, sa = m, sm
-        else:  # c lies in [a, m]; [m, b] is monotone
-            if sm * sb < 0:
-                roots.append(_bracket_inside(coeffs, m, b, tol))
-            b, sb = m, sm
-    raise ValueError(
-        f"roots near t = {float((a + b) / 2):.17g} not separated after 64 "
-        "halvings of the sliver: a tangency at the level"
-    )
+    pieces = [(a, b)]
+    while pieces:
+        u, v = pieces.pop()
+        count = changes[u] - changes[v] - (sign[v] == 0)  # roots in (u, v)
+        if count == 0:
+            continue
+        if count == 1 and sign[u] * sign[v] < 0:
+            roots.append(_bracket_inside(coeffs, u, v, tol))
+            continue
+        if count == 1 and sign[u] == sign[v] and v - u <= tol and a < u and v < b:
+            roots.append((u, v))
+            continue
+        m = (u + v) / 2
+        while (sm := poly_sign_at(coeffs, m)) == 0:
+            m = (u + m) / 2  # split only where p != 0; the root stays counted
+        sign[m], changes[m] = sm, _sign_changes(chain, m)
+        pieces += [(u, m), (m, v)]
+    return sorted(roots)
 
 
 def isolate_roots(
     coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
     """All real roots in [lo, hi] as disjoint intervals of width <= tol,
-    in increasing order.  Exact-zero probes yield degenerate intervals."""
+    in increasing order.  Exact-zero probes yield degenerate intervals, and
+    a root of even multiplicity is enclosed with the same sign of p at both
+    ends."""
     trimmed = _trim(coeffs)
     lo, hi = Fraction(lo), Fraction(hi)
     if hi < lo:

@@ -205,6 +205,21 @@ def test_cartan_run(tmp_path):
     assert "monic_measure_lo" in out.read_text()
 
 
+def test_cartan_with_a_tangency_at_the_level(tmp_path):
+    # g = t (t - 3)^2 has its local maximum g(1) = 4 exactly at eps, so
+    # g - eps = (t - 1)^2 (t - 4) has a double root; the sublevel set
+    # {|g| <= 4} is [r, 4] with g(r) = -4, of measure 4.355301397608...
+    out = tmp_path / "tan.csv"
+    rc = _run([
+        "cartan", "--alpha", "rat:1", "--beta", "rat:1", "--y0", "3",
+        "--z0", "3", "--epsilon", "4", "--out", str(out),
+    ])
+    assert rc == 0
+    row = out.read_text().splitlines()[1].split(",")
+    lo, hi = float(row[1]), float(row[2])
+    assert lo <= 4.355301397608 <= hi and hi - lo < 1e-9
+
+
 def test_levy_run(tmp_path):
     out = tmp_path / "l.csv"
     rc = _run([

@@ -146,6 +146,19 @@ def test_integer_steps_normalize_a_raw_surd():
     assert raw.reciprocal().to_surdsum() * raw.to_surdsum() == 1
 
 
+def test_canonical_flag_is_not_a_constructor_argument():
+    for make_raw in (
+        lambda: QuadraticSurd(0, 1, 1, 8, True),
+        lambda: QuadraticSurd(0, 1, 1, 8, canonical=True),
+    ):
+        with pytest.raises(TypeError):
+            make_raw()
+    raw = QuadraticSurd(0, 1, 1, 8)  # sqrt(8), radicand not squarefree
+    assert not raw.canonical
+    assert raw.to_surdsum() == SurdSum({2: 2})
+    assert QuadraticSurd.make(0, 1, 1, 8).canonical
+
+
 def test_surd_arithmetic_takes_only_ints():
     s = QuadraticSurd.sqrt_of(2)
     assert s + 1 == QuadraticSurd.make(1, 1, 1, 2)

@@ -122,9 +122,11 @@ R = Fraction(1, 3)
 DELTA = Fraction(1, 10**30)
 QUADRATIC = [R * R - DELTA, -2 * R, 1]  # (t - r)^2 - delta: roots r -+ 1e-15
 CUBIC = [0, R * R - DELTA, -2 * R, 1]  # t * ((t - r)^2 - delta)
+ROOT_FREE = [R * R + DELTA, -2 * R, 1]  # (t - r)^2 + delta: no real root
 # Scaled by 1e30 the values at the sliver ends are far above 2**-64, so
-# only the mean-value term of the proof can reject the sliver.
-SCALES = [1, 10**30]
+# only the mean-value term of the proof can reject the sliver; at scale 1
+# and 1e-30 they are below 2**-64 and the exact Sturm count decides.
+SCALES = [Fraction(1, 10**30), 1, 10**30]
 
 
 def _assert_disjoint_enclosures(roots, exact):
@@ -150,23 +152,129 @@ def test_cubic_with_a_close_pair_keeps_all_three_roots(scale):
     _assert_disjoint_enclosures(roots, [0, R - eps, R + eps])
 
 
-def test_close_pairs_around_irrational_critical_points():
-    rng = random.Random(7)
-    for _ in range(20):
+@pytest.mark.parametrize("scale", SCALES)
+def test_root_free_sliver_with_its_extremum_near_the_level(scale):
+    assert isolate_roots([scale * c for c in ROOT_FREE], -2, 2, TOL) == []
+    sqrt2_free = [2 + DELTA * DELTA, -2 * SQRT2, 1]  # (t - sqrt 2)^2 + 1e-60
+    assert isolate_roots([scale * c for c in sqrt2_free], 0, 2, TOL) == []
+
+
+def test_pair_closer_than_any_fixed_precision_is_separated():
+    delta = Fraction(1, 10**300)  # roots r -+ 1e-150
+    roots = isolate_roots([R * R - delta, -2 * R, 1], -2, 2, TOL)
+    eps = Fraction(1, 10**150)
+    assert len(roots) == 2 and roots[0][1] < roots[1][0]
+    assert roots[0][0] <= R - eps <= roots[0][1]
+    assert roots[1][0] <= R + eps <= roots[1][1]
+
+
+def _assert_tangency_enclosure(coeffs, root, x):
+    lo, hi = root
+    assert certified_sign(as_surdsum(x) - lo) >= 0
+    assert certified_sign(hi - as_surdsum(x)) >= 0
+    assert 0 < hi - lo <= TOL
+    assert poly_sign_at(coeffs, lo) == poly_sign_at(coeffs, hi) != 0
+
+
+def test_tangency_at_an_irrational_point_is_enclosed():
+    # (t - sqrt 2)^2 touches 0 at a point no probe can land on
+    coeffs = [2, -2 * SQRT2, 1]
+    (root,) = isolate_roots(coeffs, 0, 2, TOL)
+    _assert_tangency_enclosure(coeffs, root, SQRT2)
+
+
+def test_tangency_of_a_cubic_next_to_a_simple_root():
+    # (t - 1)^2 (t - 4): the double root 1 is never a bisection point
+    coeffs = [-4, 9, -6, 1]
+    tangent, simple = isolate_roots(coeffs, -10, 10, TOL)
+    _assert_tangency_enclosure(coeffs, tangent, 1)
+    assert simple[0] <= 4 <= simple[1] and tangent[1] < simple[0]
+
+
+def _poly_mul(p, q):
+    out = [as_surdsum(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + as_surdsum(a) * b
+    return out
+
+
+def test_close_pairs_and_tangencies_around_irrational_critical_points():
+    # lead * ((t - c)^2 - delta) * prod (t - x): degrees 3 to 5, so the
+    # Sturm chains see degree drops of one and of two and leading
+    # coefficients of both signs
+    rng = random.Random(11)
+    for _ in range(30):
         c = SQRT2 * Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
-        delta = Fraction(1, 10 ** rng.randrange(20, 40))
-        third = Fraction(rng.randrange(-90, 0), 10)
-        # (t - third) * ((t - c)^2 - delta)
-        quad = [c * c - delta, -2 * c, as_surdsum(1)]
-        coeffs = [-third * quad[0], quad[0] - third * quad[1], quad[1] - third, quad[2]]
-        roots = isolate_roots(coeffs, -10, 10, TOL)
-        assert len(roots) == 3
+        delta = rng.choice([0, Fraction(1, 10 ** rng.randrange(20, 40))])
+        others = {Fraction(rng.randrange(-90, 90), 10) for _ in range(rng.randrange(1, 4))}
+        coeffs = [rng.choice([-3, 1, Fraction(1, 7)])]
+        coeffs = _poly_mul(coeffs, [c * c - delta, -2 * c, 1])
+        for x in others:
+            coeffs = _poly_mul(coeffs, [-x, 1])
+        roots = isolate_roots(coeffs, -20, 20, TOL)
+        assert len(roots) == len(others) + (2 if delta else 1)
         assert all(a[1] < b[0] for a, b in zip(roots, roots[1:]))
+        for x in others:
+            assert any(lo <= x <= hi for lo, hi in roots)
         for lo, hi in roots:
-            assert poly_sign_at(coeffs, lo) * poly_sign_at(coeffs, hi) <= 0
+            assert hi - lo <= TOL
+            if lo < hi:
+                s_lo, s_hi = poly_sign_at(coeffs, lo), poly_sign_at(coeffs, hi)
+                assert s_lo * s_hi < 0 or (not delta and s_lo == s_hi)
 
 
-def test_tangency_at_the_level_raises():
-    # (t - sqrt 2)^2 touches 0 at an irrational point no probe can land on
-    with pytest.raises(ValueError, match=r"near t = 1\.414213562373.* tangency"):
-        isolate_roots([2, -2 * SQRT2, 1], 0, 2, TOL)
+@pytest.mark.parametrize("delta, count", [(DELTA, 2), (0, 1), (-DELTA, 0)])
+def test_quartic_whose_sturm_chain_drops_two_degrees(delta, count):
+    # t^4 + 4t + 3 - delta has its minimum -delta at t = -1; the chain
+    # p, p', -48t - 16(3 - delta), ... has a negative leading coefficient
+    # followed by a drop of two degrees
+    coeffs = [3 - delta, 4, 0, 0, 1]
+    roots = isolate_roots(coeffs, -2, 3, TOL)
+    assert len(roots) == count
+    if count == 1:
+        assert roots[0][0] < -1 < roots[0][1] <= roots[0][0] + TOL
+    if count == 2:
+        # -1 -+ sqrt(delta / 6) + O(delta), about -1 -+ 4.1e-16
+        eps = Fraction(1, 10**15)
+        assert -1 - eps < roots[0][0] <= roots[0][1] < -1 < roots[1][0]
+        assert roots[1][1] < -1 + eps
+
+
+def test_exact_root_at_a_sliver_end_or_midpoint():
+    # (t - c)^2 - (b - c)^2 has the roots b and 2c - b.  With b an end of
+    # the critical-point sliver around c, p vanishes at that end and the
+    # other root lies inside the sliver or just past its far end; with b
+    # its midpoint and 2c - b inside too, the first Sturm split lands on a
+    # root and moves
+    for k in range(1, 9):
+        c = SQRT2 * Fraction(k, 7)
+        crit_tol = TOL / 4
+        ((c_lo, c_hi),) = isolate_roots([-2 * c, 2], -2, 2, crit_tol)
+        mid = (c_lo + c_hi) / 2
+        for b in (c_lo, c_hi, mid):
+            coeffs = [2 * b * c - b * b, -2 * c, 1]
+            if b == mid and poly_sign_at(coeffs, c_lo) != poly_sign_at(coeffs, c_hi):
+                continue  # 2c - b lies past an end: no sliver search
+            roots = isolate_roots(coeffs, -2, 2, TOL)
+            assert len(roots) == 2 and roots[0][1] < roots[1][0]
+            if b != mid:
+                assert (b, b) in roots
+            for x, (lo, hi) in zip(sorted([as_surdsum(b), 2 * c - b]), roots):
+                assert certified_sign(x - lo) >= 0 and certified_sign(hi - x) >= 0
+
+
+def test_tangency_next_to_a_simple_root_stays_disjoint():
+    # (t - c)^2 (t - e) with e within tol of c: the tangency enclosure must
+    # not touch the sliver end that the enclosure of e may reach
+    for j in range(1, 6):
+        c = SQRT2 * Fraction(j, 5)
+        near_c = Fraction(round(float(c) * 10**14), 10**14)
+        for k in range(-2, 3):
+            e = near_c + k * TOL / 16
+            coeffs = _poly_mul([c * c, -2 * c, 1], [-e, 1])
+            roots = isolate_roots(coeffs, -3, 3, TOL)
+            assert len(roots) == 2 and roots[0][1] < roots[1][0]
+            assert any(lo <= e <= hi for lo, hi in roots)
+            (tangent,) = [r for r in roots if not r[0] <= e <= r[1]]
+            _assert_tangency_enclosure(coeffs, tangent, c)
