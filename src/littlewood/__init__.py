@@ -11,8 +11,8 @@ sufficient condition that would make the strategy fire, with brute-force
 oracles alongside every step.
 
 All number-theoretic decisions (signs, comparisons, memberships) are made
-in exact arithmetic; floating point appears only as a prescreen that is
-always confirmed exactly.
+in exact arithmetic; floating point appears only in a screen with a proven
+margin, whose nominations are always confirmed exactly.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Continued fractions: expansion of quadratic irrationals, convergents,
-exact error terms, and growth / approximation-quality metrics.
+exact error terms, growth / approximation-quality metrics, and certified
+residual scans of x*alpha mod 1, whose uint64 bounds only nominate.
 
-Everything here is exact.  Quadratic irrationals are expanded by the
-integer-only floor/invert/normalize recurrence, which detects its own
-period, so partial quotients of any order cost O(period).  Convergents
-p_n/q_n follow the standard two-term recurrence
+Quadratic irrationals are expanded by the integer-only floor/invert/
+normalize recurrence, which detects its own period, so partial quotients
+of any order cost O(period).  Convergents p_n/q_n follow the standard
+two-term recurrence
 
     p_n = a_n * p_{n-1} + p_{n-2},     q_n = a_n * q_{n-1} + q_{n-2}
 
@@ -23,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .exactnum import (
     QuadraticSurd,
     SurdSum,
@@ -33,6 +36,7 @@ from .exactnum import (
 )
 
 __all__ = [
+    "ParameterError",
     "CFError",
     "ProfileViolationError",
     "InternalInconsistencyError",
@@ -63,6 +67,10 @@ FINITE_RATIONAL = "finite-rational"
 
 # Almost-every-alpha limit of log(q_n)/n (Levy); comparison line only.
 LEVY_AE_LOG = math.pi**2 / (12 * math.log(2))
+
+
+class ParameterError(ValueError):
+    """Caller-supplied parameter outside the documented domain."""
 
 
 class CFError(Exception):
@@ -176,12 +184,23 @@ def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Quad
 
 
 @lru_cache(maxsize=512)
-def _surd_cf_cycle(surd: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Preperiod and period of a quadratic irrational's expansion, by the
-    floor / invert / normalize recurrence with state cycle detection."""
-    x = surd_normalize(surd)
-    seen: dict[tuple[int, int, int, int], int] = {}
+def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Preperiod and period of the expansion of any spec.  A rational has
+    its canonical (Euclid) quotients as preperiod and an empty period; a
+    quadratic surd runs the floor / invert / normalize recurrence with state
+    cycle detection."""
+    if spec.kind == EXPLICIT_PERIODIC:
+        return spec.preperiod, spec.period
     quots: list[int] = []
+    if spec.kind == FINITE_RATIONAL:
+        p, q = spec.rational.numerator, spec.rational.denominator
+        while q:
+            a, rem = divmod(p, q)
+            quots.append(a)
+            p, q = q, rem
+        return tuple(quots), ()
+    x = surd_normalize(spec.surd)
+    seen: dict[tuple[int, int, int, int], int] = {}
     while True:
         key = (x.a, x.b, x.c, x.d)
         if key in seen:
@@ -193,36 +212,19 @@ def _surd_cf_cycle(surd: QuadraticSurd) -> tuple[tuple[int, ...], tuple[int, ...
         x = (x - a).reciprocal()
 
 
-def _quotients(spec: CFSpec, count: int) -> list[int]:
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if spec.kind == FINITE_RATIONAL:
-        p, q = spec.rational.numerator, spec.rational.denominator
-        out = []
-        while q and len(out) < count:
-            a, rem = divmod(p, q)
-            out.append(a)
-            p, q = q, rem
-        return out
-    if spec.kind == EXPLICIT_PERIODIC:
-        pre, per = spec.preperiod, spec.period
-    else:
-        pre, per = _surd_cf_cycle(spec.surd)
-    out = list(pre[:count])
-    i = 0
-    while len(out) < count:
-        out.append(per[i % len(per)])
-        i += 1
-    return out
-
-
 def cf_expand(spec: CFSpec, count: int) -> list[int]:
     """First `count` partial quotients a_0 .. a_{count-1}, exactly.
 
     A finite rational may exhaust earlier; the full (shorter) canonical
     expansion is returned in that case, which is the truncation notice.
     """
-    return _quotients(spec, count)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    pre, per = _cf_cycle(spec)
+    out = list(pre[:count])
+    if per:
+        out += (per[i % len(per)] for i in range(count - len(out)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -351,29 +353,84 @@ def levy_quotient(spec: CFSpec, n: int) -> float:
     return math.log(q) / n
 
 
+# -- certified residual scans ---------------------------------------------------
+
+# Range of every residual scan: at x = 2**32 the slack x * 2**-64 of
+# residual_bounds reaches 1/x, the size of the residuals that
+# min q*||q*alpha|| looks at.  Chunks of SCAN_CHUNK x bound a scan's memory.
+SCAN_MAX_X = 2**32
+SCAN_CHUNK = 2**16
+
+
+def residual_bounds(alphas: Sequence[QuadraticSurd], xs: np.ndarray) -> list:
+    """Per alpha, uint64 arrays (lo, hi) with lo <= 2**64 * ||x*alpha|| <= hi
+    exactly, for each x of the uint64 array xs (1 <= x <= SCAN_MAX_X)."""
+    # A = floor(frac(alpha) * 2**64) is exact and frac(alpha) * 2**64 = A + d
+    # with 0 <= d < 1, so x*alpha = (P + t) / 2**64 (mod 1), where the uint64
+    # product P = x*A wraps mod 2**64 and 0 <= t = x*d < x.  D = min(P,
+    # 2**64 - P) is 2**64 * ||P / 2**64||, and ||.|| is 1-Lipschitz on R/Z,
+    # so |2**64 * ||x*alpha|| - D| < x.  Integers only: D + x < 2**64.
+    bounds = []
+    for a in alphas:
+        A = np.uint64(((a - a.floor()) * (1 << 64)).floor())
+        P = xs * A
+        D = np.minimum(P, -P)
+        bounds.append((np.maximum(D, xs) - xs, D + xs))
+    return bounds
+
+
+def residual_chunks(alphas: Sequence[QuadraticSurd], X: int):
+    """(xs, residual_bounds(alphas, xs)) for consecutive chunks xs of [1, X];
+    X > SCAN_MAX_X raises ParameterError before any array exists."""
+    if X > SCAN_MAX_X:
+        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
+    for start in range(1, X + 1, SCAN_CHUNK):
+        xs = np.arange(start, min(start + SCAN_CHUNK, X + 1), dtype=np.uint64)
+        yield xs, residual_bounds(alphas, xs)
+
+
+def residual_minima(alphas: Sequence[QuadraticSurd], X: int) -> list[tuple[int, SurdSum]]:
+    """(x, v(x)) wherever v(x) = x * prod ||x*alpha|| (one or two alphas)
+    reaches a new strict minimum over [1, X], exactly; ties keep the first."""
+    records: list[tuple[int, SurdSum]] = []
+    best = best_hi = None
+    carry = math.inf
+    for xs, bounds in residual_chunks(alphas, X):
+        lo = xs.astype(np.float64)
+        hi = lo.copy()
+        for b_lo, b_hi in bounds:
+            lo *= b_lo
+            hi *= b_hi
+        # Unrounded, 2**(64k) v(x) lies in [lo, hi] (k factors), and a record
+        # has lo(x) <= 2**(64k) v(x) < R(x) = min_{x' < x} hi(x').  In float64
+        # (u = 2**-53) lo and hi are k <= 2 conversions and k products from
+        # exact, so a record has lo' < R' ((1 + u) / (1 - u))**4 < R' (1 + 9u),
+        # and the rounded R' * (1 + 2**-49) is >= R' (1 + 16u)(1 - u), larger.
+        runmin = np.minimum.accumulate(np.concatenate(([carry], hi)))
+        carry = runmin[-1]
+        for x in xs[lo <= runmin[:-1] * (1 + 2.0**-49)].tolist():
+            val = as_surdsum(x)
+            for a in alphas:
+                val = val * surd_residual(a * x)[1].abs()
+            if best is not None:
+                if val.interval(96).lo > best_hi:
+                    continue
+                if certified_sign(val - best) >= 0:
+                    continue
+            records.append((x, val))
+            best, best_hi = val, val.interval(96).hi
+    return records
+
+
 def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
-    """Exact min of q*||q*alpha|| over 1 <= q <= Q and its argmin."""
+    """Exact min of q*||q*alpha|| over 1 <= q <= Q and its (first) argmin."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
     value = spec.value()
     if isinstance(value, Fraction):
         value = QuadraticSurd.from_rational(value)
-    best: SurdSum | None = None
-    best_hi: Fraction | None = None
-    best_q = 1
-    for q in range(1, Q + 1):
-        val = q * surd_residual(value * q)[1].abs()
-        if best is not None:
-            # cheap interval prune before the exact comparison
-            iv = val.interval(96)
-            if iv.lo > best_hi:
-                continue
-            if certified_sign(val - best) >= 0:
-                continue
-        best = val
-        best_hi = val.interval(96).hi
-        best_q = q
-    return best, best_q
+    q, best = residual_minima((value,), Q)[-1]
+    return best, q
 
 
 def bad_constant_estimate(spec: CFSpec, Q: int) -> Fraction:
@@ -400,20 +457,8 @@ class BadProfile:
 def _observed_M(spec: CFSpec) -> int:
     """Sup of partial quotients a_j (j >= 1).  For periodic kinds the scan
     covers preperiod plus period, so this is the true sup."""
-    if spec.kind == QUADRATIC_SURD:
-        pre, per = _surd_cf_cycle(spec.surd)
-        quots = list(pre) + list(per)
-    elif spec.kind == EXPLICIT_PERIODIC:
-        quots = list(spec.preperiod) + list(spec.period)
-    else:
-        p, q = spec.rational.numerator, spec.rational.denominator
-        quots = []
-        while q:
-            a, rem = divmod(p, q)
-            quots.append(a)
-            p, q = q, rem
-    tail = quots[1:] or [1]
-    return max(tail)
+    pre, per = _cf_cycle(spec)
+    return max((pre + per)[1:], default=1)
 
 
 def bad_profile(spec: CFSpec, Q: int = 1000) -> BadProfile:

@@ -3,9 +3,10 @@ the shear that straightens it, simultaneous Dirichlet search, brute-force
 minimisation oracles, and the sublevel-measure check for the one-variable
 cubic.
 
-Scans use a floating prescreen with a generous slack margin to nominate
-candidates, and every nominated candidate is confirmed or rejected in
-exact arithmetic, so reported results carry no floating-point risk.
+The Dirichlet search and the running minima scan x in chunks with the
+residual kernel of :mod:`littlewood.cfrac`, whose uint64 products give
+proven integer bounds on 2**64 * ||x*alpha||.  Those bounds only nominate
+candidates; each nominee is confirmed or rejected in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cfrac import CFSpec
+from .cfrac import CFSpec, ParameterError, residual_chunks, residual_minima
 from .exactnum import (
     DyadicInterval,
     QuadraticSurd,
@@ -31,7 +32,6 @@ from . import rootfind
 __all__ = [
     "ParameterError",
     "TheoremViolationError",
-    "RootIsolationError",
     "LatticePoint",
     "DirichletPoint",
     "FEval",
@@ -45,25 +45,8 @@ __all__ = [
     "cartan_measure",
 ]
 
-# slack added to the Dirichlet prescreen before exact confirmation.  The
-# screen multiplies x <= N by the float of frac(alpha), which is within
-# 2^-53 of the exact value, so the float residual of x*alpha is off by at
-# most N*2^-52 + 2^-53; that stays below the slack for every
-# N <= _SCREEN_MAX_N, and larger N are refused.
-_SCREEN_SLACK = 1e-6
-_SCREEN_MAX_N = 4 * 10**9
-
-
-class ParameterError(ValueError):
-    """Caller-supplied parameter outside the documented domain."""
-
-
 class TheoremViolationError(RuntimeError):
     """A pigeonhole-guaranteed search came back empty (indicates a bug)."""
-
-
-class RootIsolationError(RuntimeError):
-    """Roots could not be separated at the precision cap."""
 
 
 @dataclass(frozen=True)
@@ -152,33 +135,27 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     """Smallest x in [1, N] whose nearest-integer residuals for alpha and
     beta are both at most 1/sqrt(N), residual comparisons exact (squared:
     residual^2 <= 1/N).  Existence for N >= 2 is a Minkowski/pigeonhole
-    guarantee, so an empty result raises TheoremViolationError.
+    guarantee, so an empty result raises TheoremViolationError, and
+    N > 2**32 raises ParameterError.
     """
     if N < 2:
         raise ParameterError("N must be >= 2")
-    if N > _SCREEN_MAX_N:
-        raise ParameterError(f"N must be <= {_SCREEN_MAX_N} (float prescreen bound)")
     alpha = as_quadratic_surd(alpha)
     beta = as_quadratic_surd(beta)
     bound = Fraction(1, N)  # compare residual^2 against 1/N
+    # candidates have both kernel bounds lo <= 2**64 / sqrt(N), that is
+    # lo <= isqrt(2**128 // N) for an integer lo: exact, in uint64
+    cap = np.uint64(math.isqrt((1 << 128) // N))
 
-    # screen on frac(alpha): the integer part only costs float precision
-    af, bf = (float(as_surdsum(v - v.floor())) for v in (alpha, beta))
-    xs = np.arange(1, N + 1, dtype=np.float64)
-    thresh = 1.0 / math.sqrt(N) + _SCREEN_SLACK
-    fa = np.mod(xs * af, 1.0)
-    fb = np.mod(xs * bf, 1.0)
-    near = (np.minimum(fa, 1.0 - fa) <= thresh) & (np.minimum(fb, 1.0 - fb) <= thresh)
-    candidates = np.nonzero(near)[0] + 1
-
-    for x in map(int, candidates):
-        ya, ua = surd_residual(alpha * x)
-        if certified_sign(ua * ua - bound) > 0:
-            continue
-        yb, ub = surd_residual(beta * x)
-        if certified_sign(ub * ub - bound) > 0:
-            continue
-        return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
+    for xs, ((a_lo, _), (b_lo, _)) in residual_chunks((alpha, beta), N):
+        for x in xs[(a_lo <= cap) & (b_lo <= cap)].tolist():
+            ya, ua = surd_residual(alpha * x)
+            if certified_sign(ua * ua - bound) > 0:
+                continue
+            yb, ub = surd_residual(beta * x)
+            if certified_sign(ub * ub - bound) > 0:
+                continue
+            return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
     raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
 
 
@@ -196,41 +173,17 @@ def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
     """Every x in [1, X] where x*||x*alpha||*||x*beta|| reaches a new
     minimum, with certified value enclosures.
 
-    A vectorised float prescan nominates candidates within a 5% band of the
-    float running minimum (float error here is under 1%, so no true record
-    can be missed); each candidate is then settled exactly.
+    Candidates come from cfrac.residual_minima, whose screen provably keeps
+    every record, and are settled exactly.  X > 2**32 raises ParameterError.
     """
     if X < 1:
         raise ParameterError("X must be >= 1")
     alpha = as_quadratic_surd(alpha)
     beta = as_quadratic_surd(beta)
-
-    # screen on frac(alpha): the integer part only costs float precision
-    af, bf = (float(as_surdsum(v - v.floor())) for v in (alpha, beta))
-    xs = np.arange(1, X + 1, dtype=np.float64)
-    fa = np.mod(xs * af, 1.0)
-    fb = np.mod(xs * bf, 1.0)
-    vals = xs * np.minimum(fa, 1.0 - fa) * np.minimum(fb, 1.0 - fb)
-    runmin_prev = np.concatenate(([np.inf], np.minimum.accumulate(vals)[:-1]))
-    candidates = np.nonzero(vals <= runmin_prev * 1.05)[0] + 1
-
     records: list[MinRecord] = []
-    best: SurdSum | None = None
-    best_hi: Fraction | None = None
-    for x in map(int, candidates):
-        _, ua = surd_residual(alpha * x)
-        _, ub = surd_residual(beta * x)
-        val = x * ua.abs() * ub.abs()
-        if best is not None:
-            iv = val.interval(96)
-            if iv.lo > best_hi:
-                continue
-            if certified_sign(val - best) >= 0:
-                continue
+    for x, val in residual_minima((alpha, beta), X):
         iv = val.interval(bits)
         records.append(MinRecord(x, iv.lo, iv.hi, val))
-        best = val
-        best_hi = val.interval(96).hi
     return records
 
 
@@ -274,18 +227,19 @@ def _sublevel_measure(
     lower[0] = lower[0] + level
     R = max(rootfind.root_magnitude_bound(upper), rootfind.root_magnitude_bound(lower))
 
-    attempt_tol = tol
-    for _ in range(4):
+    # Retry at tol / 100 until the enclosures are disjoint.  This ends: g - eps
+    # and g + eps share no root (eps > 0), each enclosure has width <= tol
+    # and holds one root, and two distinct roots get disjoint enclosures
+    # once tol is below half their gap.
+    while True:
         roots = sorted(
-            rootfind.isolate_roots(upper, -R, R, attempt_tol)
-            + rootfind.isolate_roots(lower, -R, R, attempt_tol),
+            rootfind.isolate_roots(upper, -R, R, tol)
+            + rootfind.isolate_roots(lower, -R, R, tol),
             key=lambda r: r[0],
         )
         if all(a[1] < b[0] for a, b in zip(roots, roots[1:])):
             break
-        attempt_tol /= 100  # overlapping enclosures: separate and retry
-    else:
-        raise RootIsolationError("boundary roots would not separate")
+        tol /= 100
 
     lo_sum = Fraction(0)
     hi_sum = Fraction(0)

@@ -232,10 +232,11 @@ def _sliver_roots(
 def isolate_roots(
     coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> list[tuple[Fraction, Fraction]]:
-    """All real roots in [lo, hi] as disjoint intervals of width <= tol,
-    in increasing order.  Exact-zero probes yield degenerate intervals, and
-    a root of even multiplicity is enclosed with the same sign of p at both
-    ends."""
+    """All real roots in [lo, hi] as intervals of width <= tol, one per
+    distinct root, in increasing order.  Enclosures of neighbouring roots
+    do not overlap, but they may share an endpoint: a cut between them,
+    where p != 0.  Exact-zero probes yield degenerate intervals, and a root
+    of even multiplicity is enclosed with the same sign of p at both ends."""
     trimmed = _trim(coeffs)
     lo, hi = Fraction(lo), Fraction(hi)
     if hi < lo:

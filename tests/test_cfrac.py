@@ -2,8 +2,10 @@
 oracle, exact error terms, growth bounds, and approximation metrics."""
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from littlewood.cfrac import (
     CFSpec,
     InternalInconsistencyError,
     ProfileViolationError,
+    SCAN_MAX_X,
     bad_constant_scan,
     bad_constant_estimate,
     cf_expand,
@@ -22,9 +25,16 @@ from littlewood.cfrac import (
     lcm_growth_profile,
     lcm_time,
     levy_quotient,
+    residual_bounds,
     LEVY_AE_LOG,
 )
-from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
+from littlewood.exactnum import (
+    QuadraticSurd,
+    SurdSum,
+    as_surdsum,
+    certified_sign,
+    surd_residual,
+)
 
 from nums import GOLDENM1, SPEC_GOLDENM1, SPEC_SQRT2M1, SPEC_SQRT3M1, SQRT2M1
 
@@ -242,6 +252,66 @@ def test_bad_constant_q1():
 def test_bad_constant_positive_lower_bound():
     for spec in (SPEC_SQRT2M1, SPEC_SQRT3M1, SPEC_GOLDENM1):
         assert bad_constant_estimate(spec, 50) > 0
+
+
+def exact_bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
+    """Oracle: exact min of q*||q*alpha|| and its first argmin, with one
+    exact residual and one exact comparison per q and no screen."""
+    value = spec.value()
+    if isinstance(value, Fraction):
+        value = QuadraticSurd.from_rational(value)
+    best, best_q = None, 1
+    for q in range(1, Q + 1):
+        val = q * surd_residual(value * q)[1].abs()
+        if best is None or certified_sign(val - best) < 0:
+            best, best_q = val, q
+    return best, best_q
+
+
+@pytest.mark.parametrize(
+    "spec, Q",
+    [
+        (SPEC_SQRT2M1, 500),
+        (SPEC_SQRT3M1, 500),
+        (SPEC_GOLDENM1, 377),
+        (CFSpec.from_periodic([0, 50], [1, 40]), 500),
+        (CFSpec.from_periodic([3], [1, 7, 2]), 433),
+        (CFSpec.from_surd(QuadraticSurd.make(10**9, 1, 7, 999983)), 500),
+        (CFSpec.from_rational(Fraction(355, 113)), 500),  # exact zero at 113
+        (CFSpec.from_rational(Fraction(-3, 7)), 5),
+    ],
+)
+def test_bad_constant_scan_matches_exact_oracle(spec, Q):
+    best, argq = bad_constant_scan(spec, Q)
+    want, want_q = exact_bad_constant_scan(spec, Q)
+    assert argq == want_q
+    assert best == want
+
+
+def test_residual_bounds_enclose_the_exact_residual():
+    # lo <= 2**64 * ||x*alpha|| <= hi for x up to 2**32, integer parts up
+    # to 10**9, radicands up to 10**6, and rational alpha
+    rng = random.Random(20261018)
+    for trial in range(80):
+        if trial % 4 == 0:
+            alpha = QuadraticSurd.from_rational(
+                Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**6))
+            )
+        else:
+            alpha = QuadraticSurd.make(
+                rng.randrange(-999, 1000),
+                rng.choice((-1, 1)) * rng.randrange(1, 1000),
+                rng.randrange(1, 1000),
+                rng.randrange(2, 10**6 + 1),
+            ) + rng.randrange(-10**9, 10**9 + 1)
+        xs = [1, 2, SCAN_MAX_X - 1, SCAN_MAX_X]
+        xs += [rng.randrange(1, SCAN_MAX_X + 1) for _ in range(6)]
+        xs += [rng.randrange(1, 10**6) for _ in range(2)]
+        ((lo, hi),) = residual_bounds((alpha,), np.array(xs, dtype=np.uint64))
+        for x, lo_x, hi_x in zip(xs, lo.tolist(), hi.tolist()):
+            scaled = surd_residual(alpha * x)[1].abs() * 2**64
+            assert certified_sign(scaled - lo_x) >= 0, (alpha, x)
+            assert certified_sign(hi_x - scaled) >= 0, (alpha, x)
 
 
 # -- lcm times ---------------------------------------------------------------

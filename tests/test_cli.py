@@ -8,7 +8,7 @@ import pytest
 
 from littlewood.cli import main
 from littlewood.csvio import format_decimal
-from littlewood.exactnum import QuadraticSurd
+from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
 from littlewood.numspec import (
     NumberSpecError,
     parse_exact_fraction,
@@ -131,6 +131,37 @@ def test_liminf_csv_and_determinism(tmp_path):
     assert rows[0].startswith("1,")
 
 
+def test_liminf_csv_encloses_the_exact_minima(tmp_path):
+    out = tmp_path / "minima.csv"
+    assert _run(["liminf", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
+                 "--max-x", "200000", "--out", str(out)]) == 0
+    alpha = parse_number_spec("sqrt:2", frac=True).value()
+    beta = parse_number_spec("sqrt:3").value()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,value_lo,value_hi"
+    rows = [ln.split(",") for ln in lines[1:] if ln and not ln.startswith("#")]
+    assert [int(r[0]) for r in rows][-2:] == [41, 10864]
+    for x, lo, hi in rows:
+        x = int(x)
+        value = x * surd_residual(alpha * x)[1].abs() * surd_residual(beta * x)[1].abs()
+        assert certified_sign(value - Fraction(lo)) >= 0
+        assert certified_sign(Fraction(hi) - value) >= 0
+
+
+def test_cone_check_output_does_not_depend_on_threads(tmp_path):
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert _run(["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
+                     "--N", "8", "--epsilon", "1/9", "--samples", "300", "--seed", "3",
+                     "--threads", threads, "--out", str(out)]) == 0
+        texts.append(out.read_bytes().replace(f"t{threads}.csv".encode(), b"OUT"))
+    # the metadata block records the configuration, --threads included;
+    # every other byte is the same
+    one, two = (t.replace(b"# arg.threads = 2\n", b"# arg.threads = 1\n") for t in texts)
+    assert b"# arg.threads = 1\n" in one and one == two
+
+
 def test_same_path_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "same.csv"
     args = ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
@@ -218,6 +249,22 @@ def test_cartan_with_a_tangency_at_the_level(tmp_path):
     row = out.read_text().splitlines()[1].split(",")
     lo, hi = float(row[1]), float(row[2])
     assert lo <= 4.355301397608 <= hi and hi - lo < 1e-9
+
+
+def test_cartan_with_a_tiny_epsilon(tmp_path):
+    # near the simple root t = 0 of g = t (t - 3)^2 the roots of g - eps
+    # and g + eps lie 2 eps / 9 apart, far below the default tolerance
+    out = tmp_path / "tiny.csv"
+    rc = _run([
+        "cartan", "--alpha", "rat:1", "--beta", "rat:1", "--y0", "3",
+        "--z0", "3", "--epsilon", "1/10000000000000000000000000", "--out", str(out),
+    ])
+    assert rc == 0
+    row = out.read_text().splitlines()[1].split(",")
+    lo, hi = Fraction(row[1]), Fraction(row[2])
+    # measure 3.6514837167013296...e-13 (mpmath, 80 digits), nearly all of
+    # it the 2 sqrt(eps/3) around the double root t = 3
+    assert lo <= Fraction(36514837167013296, 10**29) <= hi
 
 
 def test_levy_run(tmp_path):

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood.cfrac import bad_constant_estimate
+from littlewood.cfrac import bad_constant_estimate, bad_constant_scan
 from littlewood.exactnum import QuadraticSurd, as_surdsum, certified_sign
 from littlewood.lattice import (
     LatticePoint,
@@ -117,6 +117,11 @@ def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
     monkeypatch.setattr("littlewood.lattice.np.arange", no_arrays)
     with pytest.raises(ParameterError):
         dirichlet_search(SQRT2M1, SQRT3M1, 5 * 10**9)
+    # the same range bound holds for the other two residual scans
+    with pytest.raises(ParameterError):
+        brute_min_scan(SQRT2M1, SQRT3M1, 5 * 10**9)
+    with pytest.raises(ParameterError):
+        bad_constant_scan(SPEC_SQRT2M1, 5 * 10**9)
 
 
 def test_scans_ignore_integer_part_of_alpha():
@@ -192,6 +197,13 @@ def test_brute_min_final_record_at_ten_thousand():
     assert last.x == 41
     assert Fraction("0.009956782247828") <= last.lo
     assert last.hi <= Fraction("0.009956782247829")
+
+
+def test_brute_min_record_beyond_the_first_chunks():
+    # the last record lies in chunk 71 of the kernel's 2**16-x chunks, so
+    # the running minimum must carry across chunk boundaries
+    recs = brute_min_scan(SQRT2M1, SQRT3M1, 5 * 10**6)
+    assert [r.x for r in recs][-3:] == [41, 10864, 4628523]
 
 
 def test_brute_min_matches_plain_float_oracle():
