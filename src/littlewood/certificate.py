@@ -374,7 +374,7 @@ def psi_eval(u, X, x0: int, N: int, C, bits: int = 192) -> PsiEval:
 
 
 def _iv_pow(iv: DyadicInterval, k: int) -> DyadicInterval:
-    out = DyadicInterval.point(1, iv.precision_bits)
+    out = DyadicInterval(1, 1, 0)
     base = iv
     while k:
         if k & 1:
@@ -439,7 +439,7 @@ def infeasibility_grid_check(
     ok = True
     min_margin = math.inf
     for u_iv in grid:
-        margin = lhs_at(u_iv).lo - rhs.hi
+        margin = (lhs_at(u_iv) - rhs).lo
         min_margin = min(min_margin, float(margin))
         if margin <= 0:
             ok = False

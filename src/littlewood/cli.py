@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from . import __version__
@@ -324,7 +325,7 @@ def _cmd_levy(ns: argparse.Namespace) -> int:
         row = [n, f"{levy_quotient(alpha, n):.12f}"]
         if beta is not None:
             row.append(f"{levy_quotient(beta, n):.12f}")
-            row.append(f"{__import__('math').log(lcm_time(alpha, beta, n)) / n:.12f}")
+            row.append(f"{math.log(lcm_time(alpha, beta, n)) / n:.12f}")
         rows.append(row)
     extra = {"levy_ae_reference": f"{LEVY_AE_LOG:.12f}"}
     if beta is not None:
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", help="CSV output path (default: print nothing but the summary)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sample partitioning (output is identical)")
+                       help="worker processes for sample partitioning (rows do not depend on it)")
 
     p = sub.add_parser("liminf", help="running minima of x*||x*alpha||*||x*beta||")
     add_numbers(p)

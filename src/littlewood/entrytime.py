@@ -239,7 +239,7 @@ def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fractio
     if d_sign > 0:
         t_minus, t_plus = _root_intervals(A, B, D, rel_tol)
     if already_inside:
-        tau = DyadicInterval(Fraction(0), Fraction(0), 64)
+        tau = DyadicInterval(0, 0, 0)
         positive = False
     else:
         # C < 0 forces D = 4(B^2 - AC) > 0, so t_plus exists
@@ -279,7 +279,7 @@ def _root_intervals(
     while True:
         a_iv = A.interval(bits)
         d_iv = D.interval(bits)
-        if a_iv.lo <= 0 or d_iv.lo < 0:
+        if a_iv.lo_m <= 0 or d_iv.lo_m < 0:
             bits *= 2
             continue
         sq = d_iv.sqrt(bits)

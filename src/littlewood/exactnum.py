@@ -13,11 +13,12 @@ Three layers:
   products stay in this class, and its sign is exactly decidable, so it is
   the one arithmetic type: every field operation, interval enclosure and
   certified comparison in the package goes through it.
-* ``DyadicInterval`` -- outward-rounded enclosures with dyadic endpoints,
-  used to decide almost every sign quickly before the exact path is tried.
-  Hot loops use the same enclosures as integer mantissas over a fixed
-  2**-64 scale (:func:`fixed_enclosure`), so a sum is an integer add and a
-  product an integer multiply plus a directed shift.
+* ``DyadicInterval`` -- the one interval representation: integer
+  mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, used to decide almost
+  every sign quickly before the exact path is tried.  Sums and products are
+  exact integer operations; leaves, division and square roots round
+  outward through one helper.  Hot loops unbox the same mantissas at the
+  fixed scale 2**-64 (:func:`fixed_enclosure`).
 
 ``certified_sign`` ties the layers together: interval evaluation with a
 doubling precision schedule (64 up to 4096 bits), then the exact recursive
@@ -40,9 +41,6 @@ __all__ = [
     "SIGN_BITS_CAP",
     "squarefree_decompose",
     "iroot",
-    "dyadic_round_down",
-    "dyadic_round_up",
-    "sqrt_interval",
     "root_interval",
     "frac_pow_interval",
     "DyadicInterval",
@@ -159,144 +157,145 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
-def dyadic_round_down(x: RationalLike, bits: int) -> Fraction:
-    """Largest multiple of 2**-bits that is <= x."""
-    x = Fraction(x)
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+def _outward(lo_num: int, hi_num: int, den: int, bits: int) -> tuple[int, int]:
+    """Mantissas over 2**-bits of the rational interval [lo_num/den,
+    hi_num/den] (den > 0), rounded outward: the floor of the lower end and
+    the ceiling of the upper end.  All outward rounding goes through here."""
+    return (lo_num << bits) // den, -((-hi_num << bits) // den)
 
 
-def dyadic_round_up(x: RationalLike, bits: int) -> Fraction:
-    """Smallest multiple of 2**-bits that is >= x."""
-    x = Fraction(x)
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
-
-
-@dataclass(frozen=True)
 class DyadicInterval:
-    """Closed interval with dyadic endpoints, guaranteed to contain the
-    exact value it was computed from (outward rounding everywhere).
+    """Closed interval [lo_m * 2**-exp, hi_m * 2**-exp] on integer
+    mantissas, guaranteed to contain the exact value it was computed from.
 
-    Sums, differences and products of dyadics are computed exactly, so only
-    leaf approximations (square roots, non-dyadic rationals) and division
-    round at all.
+    Sums, differences and products are exact (a sum aligns the scales by
+    shifting, a product multiplies the mantissas and adds the scales), so
+    only leaves (:meth:`point`, square roots, ``SurdSum.interval``),
+    :meth:`divide` and :meth:`sqrt` round, always outward.  ``lo``, ``hi``,
+    ``width`` and ``midpoint()`` read as exact Fractions, and equality is by
+    value.  Instances are not changed after construction.
     """
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int = 64
+    __slots__ = ("lo_m", "hi_m", "exp")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo_m: int, hi_m: int, exp: int) -> None:
+        if lo_m > hi_m:
+            raise ValueError(f"inverted interval [{lo_m}, {hi_m}] * 2**-{exp}")
+        self.lo_m = lo_m
+        self.hi_m = hi_m
+        self.exp = exp
 
     @classmethod
     def point(cls, x: RationalLike, bits: int = 64) -> "DyadicInterval":
+        """Enclosure of a rational, exact if x is a multiple of 2**-bits."""
         x = Fraction(x)
-        return cls(dyadic_round_down(x, bits), dyadic_round_up(x, bits), bits)
+        return cls(*_outward(x.numerator, x.numerator, x.denominator, bits), bits)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_m, 1 << self.exp)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_m, 1 << self.exp)
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
 
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_m + self.hi_m, 1 << (self.exp + 1))
 
     def __float__(self) -> float:
-        return float(self.midpoint())
+        return (self.lo_m + self.hi_m) / (1 << (self.exp + 1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DyadicInterval):
+            return NotImplemented
+        shift = self.exp - other.exp
+        if shift < 0:
+            return other == self
+        return (self.lo_m, self.hi_m) == (other.lo_m << shift, other.hi_m << shift)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.lo_m <= 0 <= self.hi_m
 
     def sign_or_none(self) -> int | None:
         """Certified sign if the interval excludes 0 (or is exactly 0)."""
-        if self.lo > 0:
+        if self.lo_m > 0:
             return 1
-        if self.hi < 0:
+        if self.hi_m < 0:
             return -1
-        if self.lo == 0 == self.hi:
+        if self.lo_m == 0 == self.hi_m:
             return 0
         return None
 
     def __neg__(self) -> "DyadicInterval":
-        return DyadicInterval(-self.hi, -self.lo, self.precision_bits)
+        return DyadicInterval(-self.hi_m, -self.lo_m, self.exp)
 
     def __add__(self, other: "DyadicInterval") -> "DyadicInterval":
+        shift = self.exp - other.exp
+        if shift < 0:
+            return other + self
         return DyadicInterval(
-            self.lo + other.lo,
-            self.hi + other.hi,
-            min(self.precision_bits, other.precision_bits),
+            self.lo_m + (other.lo_m << shift), self.hi_m + (other.hi_m << shift), self.exp
         )
 
     def __sub__(self, other: "DyadicInterval") -> "DyadicInterval":
         return self + (-other)
 
     def __mul__(self, other: "DyadicInterval") -> "DyadicInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return DyadicInterval(
-            min(products), max(products), min(self.precision_bits, other.precision_bits)
-        )
+        p1, p2 = self.lo_m * other.lo_m, self.lo_m * other.hi_m
+        p3, p4 = self.hi_m * other.lo_m, self.hi_m * other.hi_m
+        return DyadicInterval(min(p1, p2, p3, p4), max(p1, p2, p3, p4), self.exp + other.exp)
 
     def scale(self, k: RationalLike) -> "DyadicInterval":
-        """Multiply by an exact dyadic-or-rational constant (no rounding if
-        k is dyadic)."""
+        """Multiply by an exact dyadic constant (no rounding)."""
         k = Fraction(k)
-        a, b = self.lo * k, self.hi * k
-        if a > b:
-            a, b = b, a
-        return DyadicInterval(a, b, self.precision_bits)
+        shift = k.denominator.bit_length() - 1
+        if k.denominator != 1 << shift:
+            raise ValueError(f"scale needs a dyadic constant, got {k}")
+        return self * DyadicInterval(k.numerator, k.numerator, shift)
 
     def abs(self) -> "DyadicInterval":
-        if self.lo >= 0:
+        if self.lo_m >= 0:
             return self
-        if self.hi <= 0:
+        if self.hi_m <= 0:
             return -self
-        return DyadicInterval(Fraction(0), max(-self.lo, self.hi), self.precision_bits)
+        return DyadicInterval(0, max(-self.lo_m, self.hi_m), self.exp)
 
-    def divide(self, other: "DyadicInterval", bits: int | None = None) -> "DyadicInterval":
-        """Quotient interval; the divisor must be sign-definite."""
+    def divide(self, other: "DyadicInterval", bits: int) -> "DyadicInterval":
+        """Quotient rounded outward to 2**-bits; the divisor must be
+        sign-definite."""
         if other.contains_zero():
             raise ZeroDivisionError("division by an interval containing zero")
-        bits = bits or max(self.precision_bits, other.precision_bits)
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return DyadicInterval(
-            dyadic_round_down(min(quotients), bits),
-            dyadic_round_up(max(quotients), bits),
+        if other.hi_m < 0:
+            self, other = -self, -other
+        # other > 0, so n / d falls with d for n >= 0 and rises for n < 0
+        d_lo = other.hi_m if self.lo_m >= 0 else other.lo_m
+        d_hi = other.lo_m if self.hi_m >= 0 else other.hi_m
+        lo, hi = _outward(
+            (self.lo_m * d_hi) << other.exp,
+            (self.hi_m * d_lo) << other.exp,
+            (d_lo * d_hi) << self.exp,
             bits,
         )
+        return DyadicInterval(lo, hi, bits)
 
-    def sqrt(self, bits: int | None = None) -> "DyadicInterval":
-        bits = bits or self.precision_bits
-        if self.lo < 0:
+    def sqrt(self, bits: int) -> "DyadicInterval":
+        """Square root rounded outward to 2**-bits."""
+        if self.lo_m < 0:
             raise ValueError("sqrt of an interval with negative lower bound")
         return DyadicInterval(
-            sqrt_interval(self.lo, bits).lo, sqrt_interval(self.hi, bits).hi, bits
+            root_interval(self.lo, 2, bits).lo_m, root_interval(self.hi, 2, bits).hi_m, bits
         )
 
     def __repr__(self) -> str:
-        return f"[{float(self.lo):.17g}, {float(self.hi):.17g}]"
-
-
-def sqrt_interval(x: RationalLike, bits: int) -> DyadicInterval:
-    """Enclosure of sqrt(x) with width <= 2**-bits, via integer square root."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt of a negative rational")
-    scaled = (x.numerator << (2 * bits)) // x.denominator
-    m = math.isqrt(scaled)
-    lo = Fraction(m, 1 << bits)
-    if lo * lo == x:
-        return DyadicInterval(lo, lo, bits)
-    return DyadicInterval(lo, Fraction(m + 1, 1 << bits), bits)
+        scale = 1 << self.exp
+        return f"[{self.lo_m / scale:.17g}, {self.hi_m / scale:.17g}]"
 
 
 def root_interval(x: RationalLike, k: int, bits: int) -> DyadicInterval:
@@ -306,10 +305,8 @@ def root_interval(x: RationalLike, k: int, bits: int) -> DyadicInterval:
         raise ValueError("even roots of negative rationals are not real")
     scaled = (x.numerator << (k * bits)) // x.denominator
     m = iroot(scaled, k)
-    lo = Fraction(m, 1 << bits)
-    if lo**k == x:
-        return DyadicInterval(lo, lo, bits)
-    return DyadicInterval(lo, Fraction(m + 1, 1 << bits), bits)
+    exact = m**k * x.denominator == x.numerator << (k * bits)
+    return DyadicInterval(m, m if exact else m + 1, bits)
 
 
 def frac_pow_interval(base: RationalLike, num: int, den: int, bits: int) -> DyadicInterval:
@@ -323,8 +320,9 @@ def frac_pow_interval(base: RationalLike, num: int, den: int, bits: int) -> Dyad
 
 
 @lru_cache(maxsize=4096)
-def _cached_sqrt_interval(d: int, bits: int) -> DyadicInterval:
-    return sqrt_interval(d, bits)
+def _sqrt_floor(d: int, bits: int) -> int:
+    """floor(sqrt(d) * 2**bits)."""
+    return math.isqrt(d << (2 * bits))
 
 
 @dataclass(frozen=True)
@@ -658,20 +656,24 @@ class SurdSum:
     # -- certified evaluation ----------------------------------------------
 
     def interval(self, bits: int) -> DyadicInterval:
-        """Enclosure of the exact value; only leaf square roots round."""
+        """Enclosure of the exact value; each term is rounded outward at a
+        few guard bits above ``bits`` and the sum is exact."""
         work = bits + max(1, len(self._terms)).bit_length() + 4
-        total = DyadicInterval(Fraction(0), Fraction(0), work)
-        for rad, coef in sorted(self._terms.items()):
+        lo = hi = 0
+        for rad, coef in self._terms.items():
+            p, q = coef.numerator, coef.denominator
             if rad == 1:
-                total = total + DyadicInterval.point(coef, work)
+                t_lo, t_hi = _outward(p, p, q, work)
             else:
-                root = _cached_sqrt_interval(rad, work)
-                lo = dyadic_round_down(
-                    min(root.lo * coef, root.hi * coef), work
-                )
-                hi = dyadic_round_up(max(root.lo * coef, root.hi * coef), work)
-                total = total + DyadicInterval(lo, hi, work)
-        return DyadicInterval(total.lo, total.hi, bits)
+                # sqrt(rad) lies in (m, m + 1) * 2**-work: rad > 1 is squarefree
+                m = _sqrt_floor(rad, work)
+                if p > 0:
+                    t_lo, t_hi = _outward(m * p, (m + 1) * p, q, 0)
+                else:
+                    t_lo, t_hi = _outward((m + 1) * p, m * p, q, 0)
+            lo += t_lo
+            hi += t_hi
+        return DyadicInterval(lo, hi, work)
 
     def sign(self) -> int:
         """Exact sign via certified_sign (interval first, exact fallback)."""
@@ -725,7 +727,7 @@ class SurdSum:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return float(self.interval(64).midpoint())
+        return float(self.interval(64))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -775,7 +777,8 @@ def as_surdsum(x) -> SurdSum:
 
 def fixed_enclosure(x) -> tuple[int, int]:
     """Integer mantissas (lo, hi) with lo * 2**-FIXED_BITS <= x <=
-    hi * 2**-FIXED_BITS, rounded outward from ``interval(FIXED_BITS)``.
+    hi * 2**-FIXED_BITS: ``interval(FIXED_BITS)`` rounded outward to that
+    scale.
 
     Exact for integers and dyadic rationals.  A SurdSum computes its
     enclosure once and keeps it in its ``_fixed`` slot.
@@ -784,18 +787,10 @@ def fixed_enclosure(x) -> tuple[int, int]:
         enc = getattr(x, "_fixed", None)
         if enc is None:
             iv = x.interval(FIXED_BITS)
-            lo, hi = iv.lo, iv.hi
-            enc = x._fixed = (
-                (lo.numerator << FIXED_BITS) // lo.denominator,
-                -((-hi.numerator << FIXED_BITS) // hi.denominator),
-            )
+            enc = x._fixed = _outward(iv.lo_m, iv.hi_m, 1 << iv.exp, FIXED_BITS)
         return enc
-    if isinstance(x, int):
-        m = x << FIXED_BITS
-        return m, m
-    if isinstance(x, Fraction):
-        n, d = x.numerator << FIXED_BITS, x.denominator
-        return n // d, -(-n // d)
+    if isinstance(x, (int, Fraction)):
+        return _outward(x.numerator, x.numerator, x.denominator, FIXED_BITS)
     return fixed_enclosure(as_surdsum(x))
 
 

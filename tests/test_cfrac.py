@@ -249,6 +249,15 @@ def test_bad_constant_q1():
     assert best == as_surdsum(2) - SurdSum.sqrt(3)
 
 
+def test_bad_constant_near_tie_reaches_float_margin():
+    # q = 2 beats q = 1 by about 1e-13 relative, so the float screen of
+    # residual_minima only nominates it through its outward margin
+    spec = CFSpec.from_rational(Fraction(2, 5) + Fraction(1, 2**45))
+    best, argq = bad_constant_scan(spec, 3)
+    assert argq == 2
+    assert best == Fraction(2, 5) - Fraction(1, 2**43)
+
+
 def test_bad_constant_positive_lower_bound():
     for spec in (SPEC_SQRT2M1, SPEC_SQRT3M1, SPEC_GOLDENM1):
         assert bad_constant_estimate(spec, 50) > 0

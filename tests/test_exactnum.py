@@ -18,7 +18,6 @@ from littlewood.exactnum import (
     certified_sign,
     iroot,
     root_interval,
-    sqrt_interval,
     squarefree_decompose,
     surd_compare,
     surd_nearest_int,
@@ -198,7 +197,7 @@ def test_interval_width_contract_random():
 
 
 def test_sqrt_interval_exact_square():
-    iv = sqrt_interval(Fraction(9, 4), 16)
+    iv = root_interval(Fraction(9, 4), 2, 16)
     assert iv.lo == iv.hi == Fraction(3, 2)
 
 

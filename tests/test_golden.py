@@ -1,0 +1,80 @@
+"""Golden outputs of the seven README CLI examples at reduced sizes.
+
+Each case runs ``cli.main`` in a fresh directory with the same relative
+``--out`` the golden file was written with (the path is recorded in the
+CSV's metadata block), then compares the CSV and stdout byte for byte and
+the exit code exactly.  The files in ``tests/golden/`` were written by the
+code before the integer-mantissa interval kernel; a change that keeps them
+identical keeps every printed enclosure and verdict.
+"""
+
+import csv
+import shutil
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from littlewood.cli import main
+from littlewood.cone import ConeParams
+from littlewood.entrytime import approx_line, entry_time
+from littlewood.lattice import dirichlet_search
+from littlewood.numspec import parse_number_spec
+
+GOLDEN = Path(__file__).parent / "golden"
+
+NUMBERS = ["--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3"]
+
+# (name, argv, exit code); the CSV is <name>.csv, stdout <name>.stdout
+CASES = [
+    ("minima", ["liminf", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--frac",
+                "--max-x", "20000"], 0),
+    ("cone", ["cone-check", *NUMBERS, "--N", "10", "--epsilon", "1/10",
+              "--samples", "300"], 0),
+    ("entry", ["entry-time", *NUMBERS, "--N", "51", "--epsilon", "0.01",
+               "--n-max", "8"], 0),
+    ("cert", ["certificate", *NUMBERS, "--epsilon", "1/1000", "--n-max", "6",
+              "--grid", "geometric"], 0),
+    ("b3", ["b3-scan", "--pairs", "pairs.txt", "--frac",
+            "--epsilons", "1/100,1/10000,1/1000000", "--u-points", "100"], 0),
+    ("cartan", ["cartan", *NUMBERS, "--y0", "1", "--z0", "1", "--epsilon", "0.001"], 0),
+    ("levy", ["levy", "--alpha", "quad:1,1,2,5", "--frac", "--beta", "sqrt:2",
+              "--n-max", "40"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_readme_example_matches_golden(name, argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN / "pairs.txt", tmp_path / "pairs.txt")
+    assert main([*argv, "--out", f"{name}.csv"]) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _tau_rows(path):
+    with open(path, newline="") as fh:
+        return [r for r in csv.DictReader(fh) if r["n"].isdigit() and r["tau_lo"]]
+
+
+@pytest.mark.parametrize("name", ["entry", "cert"])
+def test_printed_tau_encloses_exact_entry_time(name, tmp_path, monkeypatch, capsys):
+    """Every printed (tau_lo, tau_hi) pair encloses the exact entry time,
+    decided by the exact comparator tau_vs on the re-parsed decimals."""
+    monkeypatch.chdir(tmp_path)
+    ((_, argv, code),) = [c for c in CASES if c[0] == name]
+    assert main([*argv, "--out", f"{name}.csv"]) == code
+    capsys.readouterr()
+    alpha, beta = parse_number_spec("sqrt:2", True), parse_number_spec("sqrt:3", True)
+    epsilon = Fraction(argv[argv.index("--epsilon") + 1])
+    N_fixed = int(argv[argv.index("--N") + 1]) if "--N" in argv else None
+    rows = _tau_rows(tmp_path / f"{name}.csv")
+    assert len(rows) >= 5
+    for row in rows:
+        n, N = int(row["n"]), N_fixed or int(row["N"])
+        line = approx_line(alpha, beta, n, dirichlet_search(alpha, beta, N))
+        rep = entry_time(line, ConeParams.make(N, epsilon))
+        lo, hi = Fraction(row["tau_lo"]), Fraction(row["tau_hi"])
+        assert not rep.tau_vs(lo, strict=True)  # tau >= lo
+        assert rep.tau_vs(hi)  # tau <= hi
