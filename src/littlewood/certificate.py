@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 from .cfrac import (
     CFSpec,
     ProfileViolationError,
-    joint_bad_profile,
+    _observed_M,
     lcm_time,
 )
 from .cone import ConeParams, cone_contains
@@ -157,8 +157,8 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
         raise ParameterError(
             f"dirichlet-gap: need N >= 2 and N > 1/(2 eps); got N={N}"
         )
-    profile = joint_bad_profile(alpha, beta, Q=1)
-    lam = profile.lam
+    M = max(_observed_M(alpha), _observed_M(beta))
+    lam = (M + 1) ** 2
 
     line_probe = approx_line(alpha, beta, n, _dummy_point(N))
     transversal = transversality_check(N, epsilon, line_probe.e_alpha, line_probe.e_beta)
@@ -421,10 +421,12 @@ def infeasibility_grid_check(
         if u_hi.hi < u_lo.lo:
             return GridCheckResult(True, 0, True, math.inf, u_lo, u_hi)
 
+    a_iv, b_iv, c_iv = a.interval(bits), b.interval(bits), c.interval(bits)
+
     def lhs_at(u_iv: DyadicInterval) -> DyadicInterval:
         u2 = u_iv * u_iv
         u4 = u2 * u2
-        return a.interval(bits) * u4 + b.interval(bits) * u2 + c.interval(bits)
+        return a_iv * u4 + b_iv * u2 + c_iv
 
     grid: list[DyadicInterval] = [u_lo]
     if u_hi is not None and points > 1:
@@ -489,11 +491,9 @@ def b3_infeasibility_scan(
     reports: list[B3PairReport] = []
     pairs = list(pairs)
     for alpha, beta in pairs:
-        profile = joint_bad_profile(alpha, beta, Q=1)
-        if profile.M > 3:
-            raise ProfileViolationError(
-                f"pair has a partial quotient {profile.M} > 3"
-            )
+        M = max(_observed_M(alpha), _observed_M(beta))
+        if M > 3:
+            raise ProfileViolationError(f"pair has a partial quotient {M} > 3")
     for alpha, beta in pairs:
         for eps in epsilons:
             eps = Fraction(eps)

@@ -57,7 +57,6 @@ __all__ = [
     "bad_constant_scan",
     "lcm_time",
     "lcm_growth_profile",
-    "bad_profile",
     "joint_bad_profile",
 ]
 
@@ -459,11 +458,6 @@ def _observed_M(spec: CFSpec) -> int:
     covers preperiod plus period, so this is the true sup."""
     pre, per = _cf_cycle(spec)
     return max((pre + per)[1:], default=1)
-
-
-def bad_profile(spec: CFSpec, Q: int = 1000) -> BadProfile:
-    M = _observed_M(spec)
-    return BadProfile(M, (M + 1) ** 2, bad_constant_estimate(spec, Q))
 
 
 def joint_bad_profile(alpha: CFSpec, beta: CFSpec, Q: int = 1000) -> BadProfile:

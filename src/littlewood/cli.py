@@ -28,7 +28,7 @@ from .cfrac import (
     LEVY_AE_LOG,
 )
 from .certificate import b3_infeasibility_scan, certificate_search
-from .cone import ConeParams, cone_inclusion_sample, sample_point_coordinates
+from .cone import ConeParams, InclusionRun, sample_point_coordinates
 from .csvio import format_decimal, write_csv
 from .entrytime import approx_line, entry_time, transversality_check
 from .exactnum import UndecidedSignError
@@ -82,41 +82,38 @@ def _cmd_liminf(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cone_check(ns: argparse.Namespace) -> int:
-    alpha, beta = _numbers(ns)
+    alpha, beta = (spec.value() for spec in _numbers(ns))
     params = ConeParams.make(ns.N, parse_exact_fraction(ns.epsilon))
-    report = cone_inclusion_sample(
-        alpha.value(), beta.value(), params, ns.samples,
-        seed=ns.seed, threads=ns.threads,
-    )
-    violations = set(report.violations)
-    rows = []
-    for smp in report.rows:
-        x, y_iv, z_iv = sample_point_coordinates(alpha.value(), beta.value(), params, smp)
-        rows.append(
-            [
+    run = InclusionRun(alpha, beta, params, ns.samples, seed=ns.seed, threads=ns.threads)
+
+    def rows():  # streamed into write_csv, which asks for the counts at the end
+        for smp in run:
+            x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+            f, margin = smp.f, smp.margin
+            yield [
                 format_decimal(x),
                 format_decimal(y_iv.midpoint()),
                 format_decimal(z_iv.midpoint()),
-                format_decimal(smp.margin, direction=-1),
-                format_decimal(smp.margin, direction=1),
-                format_decimal(smp.f, direction=-1),
-                format_decimal(smp.f, direction=1),
-                "violation" if smp in violations else "ok",
+                format_decimal(margin, direction=-1),
+                format_decimal(margin, direction=1),
+                format_decimal(f, direction=-1),
+                format_decimal(f, direction=1),
+                "violation" if smp.violation else "ok",
             ]
-        )
+
     write_csv(
         ns.out,
         ["x", "y", "z", "margin_lo", "margin_hi", "f_lo", "f_hi", "verdict"],
-        rows,
-        _metadata(ns, samples=report.samples, violations=len(report.violations),
-                  crosschecked=report.crosschecked),
+        rows(),
+        lambda: _metadata(ns, samples=run.samples, violations=len(run.violations),
+                          crosschecked=run.crosschecked),
     )
     print(
-        f"{report.samples} interior samples of the cone (N={ns.N}, eps={ns.epsilon}): "
-        f"{len(report.violations)} violations of 0 < |f| <= eps; "
-        f"{report.crosschecked} samples re-verified through the surd route"
+        f"{run.samples} interior samples of the cone (N={ns.N}, eps={ns.epsilon}): "
+        f"{len(run.violations)} violations of 0 < |f| <= eps; "
+        f"{run.crosschecked} samples re-verified through the surd route"
     )
-    return EXIT_OK if report.ok else EXIT_CERTIFICATION
+    return EXIT_CERTIFICATION if run.violations else EXIT_OK
 
 
 def _cmd_entry_time(ns: argparse.Namespace) -> int:

@@ -9,6 +9,12 @@ gives exact membership verdicts, the base-circle tangency data against the
 hyperbola y*z = eps, a seeded sampler that stress-tests the inclusion, and
 the enclosing parallelepiped (with bound sqrt(2*eps/N), the cross-section
 radius at x = 1, which is what actually contains the cone).
+
+The sampler works on integers: every draw is k/2**53, so x, u, v, f and the
+margin are integer numerators over fixed denominators and every verdict is
+an integer comparison.  :class:`InclusionRun` streams its rows, and the
+reported coordinates of a row come from integer forms of their SurdSum
+terms, built once per (alpha, beta, params).
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import (
     DyadicInterval,
+    QuadraticSurd,
     SurdSum,
     as_surdsum,
     certified_sign,
@@ -33,6 +41,7 @@ __all__ = [
     "TangencyData",
     "InclusionSample",
     "InclusionReport",
+    "InclusionRun",
     "phi",
     "cone_contains",
     "base_tangency",
@@ -41,6 +50,7 @@ __all__ = [
 ]
 
 _CHUNK = 2048  # samples per RNG chunk; fixed so results ignore thread count
+_UNIT_BITS = 53  # every draw is k / 2**53, k < 2**53
 
 
 def _sqrt_phi(params: "ConeParams", scale: Fraction) -> SurdSum:
@@ -128,17 +138,44 @@ def base_tangency(epsilon) -> TangencyData:
     return TangencyData(radius, (Fraction(1), se, se), disc_zero, on_hyp)
 
 
-@dataclass(frozen=True)
-class InclusionSample:
+class InclusionSample(NamedTuple):
     """One sampled interior point, in scaled cross-section coordinates:
     the point is (x, alpha*x - u*s, beta*x - v*s) with s = sqrt(phi)*(N-x),
-    so f at the point is the exact rational x*u*v*phi*(N-x)^2."""
+    so f at the point is the exact rational x*u*v*phi*(N-x)^2.
 
-    x: Fraction
-    u: Fraction
-    v: Fraction
-    f: Fraction
-    margin: Fraction  # (u^2+v^2-1)*phi*(N-x)^2 <= 0
+    Held as integer numerators: x, u and v over 2**53, f over
+    phi_den * 2**265 and the margin (u^2+v^2-1)*phi*(N-x)^2 over
+    phi_den * 2**212; the properties read them as exact Fractions.
+    ``violation`` is set when 0 < |f| <= eps or margin <= 0 fails.
+    """
+
+    x_num: int
+    u_num: int
+    v_num: int
+    f_num: int
+    margin_num: int
+    phi_den: int
+    violation: bool
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.x_num, 1 << _UNIT_BITS)
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.u_num, 1 << _UNIT_BITS)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.v_num, 1 << _UNIT_BITS)
+
+    @property
+    def f(self) -> Fraction:
+        return Fraction(self.f_num, self.phi_den << 5 * _UNIT_BITS)
+
+    @property
+    def margin(self) -> Fraction:
+        return Fraction(self.margin_num, self.phi_den << 4 * _UNIT_BITS)
 
 
 @dataclass(frozen=True)
@@ -154,30 +191,102 @@ class InclusionReport:
         return not self.violations
 
 
-def _unit_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.getrandbits(53), 1 << 53)
-
-
-def _sample_chunk(args) -> tuple[list[InclusionSample], list[InclusionSample]]:
+def _sample_chunk(args) -> list[InclusionSample]:
+    """One chunk of rows from its own seeded generator, on integers only:
+    with x = X/2**53, u = U/2**53, v = V/2**53, N - x = S/2**53 and
+    phi = p/q, f = X*U*V*S^2*p / (q*2**265) and the margin is
+    (U^2+V^2-2**106)*S^2*p / (q*2**212), so both verdicts are integer
+    comparisons."""
     N, epsilon, phi_val, seed, chunk_index, count = args
     rng = random.Random(seed * 1_000_003 + chunk_index)
+    draw = rng.getrandbits
+    one = 1 << _UNIT_BITS
+    one2 = one * one
+    top = N << _UNIT_BITS
+    p, q = phi_val.numerator, phi_val.denominator
+    eps_den = epsilon.denominator
+    # |f| <= eps  <=>  |F| * eps_den <= eps_num * q * 2**265
+    f_bound = (epsilon.numerator * q) << 5 * _UNIT_BITS
     rows: list[InclusionSample] = []
-    violations: list[InclusionSample] = []
     for _ in range(count):
-        x = 1 + (N - 1) * _unit_fraction(rng)
+        X = one + (N - 1) * draw(_UNIT_BITS)
         while True:
-            u = 2 * _unit_fraction(rng) - 1
-            v = 2 * _unit_fraction(rng) - 1
-            if u != 0 and v != 0 and u * u + v * v < 1:
+            U = 2 * draw(_UNIT_BITS) - one
+            V = 2 * draw(_UNIT_BITS) - one
+            r2 = U * U + V * V
+            if U and V and r2 < one2:
                 break
-        slack2 = (N - x) * (N - x)
-        f = x * u * v * phi_val * slack2
-        margin = (u * u + v * v - 1) * phi_val * slack2
-        sample = InclusionSample(x, u, v, f, margin)
-        rows.append(sample)
-        if not (0 < abs(f) <= epsilon) or margin > 0:
-            violations.append(sample)
-    return rows, violations
+        slack2p = (top - X) ** 2 * p
+        F = X * U * V * slack2p
+        M = (r2 - one2) * slack2p
+        violation = not F or abs(F) * eps_den > f_bound or M > 0
+        rows.append(InclusionSample(X, U, V, F, M, q, violation))
+    return rows
+
+
+class InclusionRun:
+    """One seeded sampling run of the open cone, streamed.
+
+    Iterating yields the rows in order, chunk by chunk (each chunk from its
+    own seeded generator, in worker processes when threads > 1, so the rows
+    do not depend on threads).  Every ``sample_count // crosscheck``-th row
+    is also pushed through the full surd evaluation of f as it passes, and
+    violating rows are recorded.  Iterate a run once: when the iteration
+    has ended, ``samples``, ``violations`` and ``crosschecked`` hold its
+    tallies.
+    """
+
+    def __init__(
+        self,
+        alpha,
+        beta,
+        params: ConeParams,
+        sample_count: int,
+        seed: int = 0,
+        threads: int = 1,
+        crosscheck: int = 32,
+    ) -> None:
+        if sample_count < 1:
+            raise ParameterError("sample_count must be >= 1")
+        self.alpha = as_quadratic_surd(alpha)
+        self.beta = as_quadratic_surd(beta)
+        self.params = params
+        self.threads = threads
+        self.chunks = [
+            (params.N, params.epsilon, params.phi, seed, i,
+             min(_CHUNK, sample_count - i * _CHUNK))
+            for i in range((sample_count + _CHUNK - 1) // _CHUNK)
+        ]
+        self.step = max(1, sample_count // max(1, crosscheck))
+        self.samples = self.crosschecked = 0
+        self.violations: list[InclusionSample] = []
+
+    def __iter__(self) -> Iterator[InclusionSample]:
+        if self.threads > 1:
+            with ProcessPoolExecutor(max_workers=self.threads) as pool:
+                yield from self._tally(pool.map(_sample_chunk, self.chunks))
+        else:
+            yield from self._tally(map(_sample_chunk, self.chunks))
+
+    def _tally(self, chunks: Iterable[list[InclusionSample]]) -> Iterator[InclusionSample]:
+        for rows in chunks:
+            for sample in rows:
+                if self.samples % self.step == 0:
+                    self._crosscheck(sample)
+                if sample.violation:
+                    self.violations.append(sample)
+                self.samples += 1
+                yield sample
+
+    def _crosscheck(self, sample: InclusionSample) -> None:
+        x = sample.x
+        s = _sqrt_phi(self.params, self.params.N - x)
+        y = as_surdsum(self.alpha) * x - sample.u * s
+        z = as_surdsum(self.beta) * x - sample.v * s
+        through_surds = f_exact(self.alpha, self.beta, x, y, z)
+        if certified_sign(through_surds - sample.f) != 0:
+            raise AssertionError("scaled-coordinate f disagrees with the surd evaluation")
+        self.crosschecked += 1
 
 
 def cone_inclusion_sample(
@@ -195,51 +304,70 @@ def cone_inclusion_sample(
 
     In scaled coordinates every check is an exact rational comparison; a
     subsample is additionally pushed through the full surd evaluation of f
-    to confirm the two routes agree exactly.
+    to confirm the two routes agree exactly.  This collects an
+    :class:`InclusionRun`; iterate one directly to stream the rows.
     """
-    if sample_count < 1:
-        raise ParameterError("sample_count must be >= 1")
-    N, epsilon = params.N, params.epsilon
-    chunks = [
-        (N, epsilon, params.phi, seed, i, min(_CHUNK, sample_count - i * _CHUNK))
-        for i in range((sample_count + _CHUNK - 1) // _CHUNK)
-    ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sample_chunk, chunks))
-    else:
-        results = [_sample_chunk(c) for c in chunks]
-    rows: list[InclusionSample] = []
-    violations: list[InclusionSample] = []
-    for r, v in results:
-        rows.extend(r)
-        violations.extend(v)
+    run = InclusionRun(alpha, beta, params, sample_count, seed, threads, crosscheck)
+    rows = tuple(run)
+    return InclusionReport(params, run.samples, tuple(run.violations), rows, run.crosschecked)
 
-    alpha_q = as_quadratic_surd(alpha)
-    beta_q = as_quadratic_surd(beta)
-    checked = 0
-    step = max(1, len(rows) // max(1, crosscheck))
-    for sample in rows[::step]:
-        s = _sqrt_phi(params, N - sample.x)
-        y = as_surdsum(alpha_q) * sample.x - sample.u * s
-        z = as_surdsum(beta_q) * sample.x - sample.v * s
-        through_surds = f_exact(alpha_q, beta_q, sample.x, y, z)
-        if certified_sign(through_surds - sample.f) != 0:
-            raise AssertionError(
-                "scaled-coordinate f disagrees with the surd evaluation"
-            )
-        checked += 1
-    return InclusionReport(params, len(rows), tuple(violations), tuple(rows), checked)
+
+@lru_cache(maxsize=64)
+def _coordinate_forms(
+    alpha: QuadraticSurd, beta: QuadraticSurd, params: ConeParams
+) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """y = alpha*x - u*s and z = beta*x - v*s as integer forms in a
+    sample's numerators, one tuple per coordinate.
+
+    With s = k*sqrt(r)*(N-x) built as _sqrt_phi builds it, x = X/2**53 and
+    u*(N-x) = W/2**106 (W = U*S for y, V*S for z), the coefficient of
+    sqrt(rad) in the coordinate's SurdSum is (a*X + b*W)/den for each
+    (rad, a, b, den) of its form."""
+    ((r, k),) = _sqrt_phi(params, 1).terms()
+    zero = Fraction(0)
+    forms = []
+    for axis in (alpha, beta):
+        coefs = dict(as_surdsum(axis).terms())
+        form = []
+        for rad in coefs.keys() | {r}:
+            # c*X/2**53 - e*W/2**106 over one denominator
+            c, e = coefs.get(rad, zero), (k if rad == r else zero)
+            form.append((
+                rad,
+                c.numerator * e.denominator << _UNIT_BITS,
+                -e.numerator * c.denominator,
+                c.denominator * e.denominator << 2 * _UNIT_BITS,
+            ))
+        forms.append(tuple(form))
+    return tuple(forms)
+
+
+def _coordinate_interval(
+    forms: tuple[tuple[int, int, int, int], ...], X: int, W: int, bits: int
+) -> DyadicInterval:
+    terms = []
+    for rad, a, b, den in forms:
+        p = a * X + b * W
+        if p:
+            terms.append((rad, p, den))
+    return DyadicInterval.of_surd_terms(terms, bits)
 
 
 def sample_point_coordinates(
     alpha, beta, params: ConeParams, sample: InclusionSample, bits: int = 128
 ) -> tuple[Fraction, DyadicInterval, DyadicInterval]:
-    """Cartesian coordinates of a sampled point for reporting."""
-    s = _sqrt_phi(params, params.N - sample.x)
-    y = as_surdsum(as_quadratic_surd(alpha)) * sample.x - sample.u * s
-    z = as_surdsum(as_quadratic_surd(beta)) * sample.x - sample.v * s
-    return sample.x, y.interval(bits), z.interval(bits)
+    """Cartesian coordinates of a sampled point for reporting: x exactly,
+    y and z as the enclosures ``interval(bits)`` of their exact SurdSums."""
+    y_forms, z_forms = _coordinate_forms(
+        as_quadratic_surd(alpha), as_quadratic_surd(beta), params
+    )
+    X = sample.x_num
+    S = (params.N << _UNIT_BITS) - X
+    return (
+        sample.x,
+        _coordinate_interval(y_forms, X, sample.u_num * S, bits),
+        _coordinate_interval(z_forms, X, sample.v_num * S, bits),
+    )
 
 
 def parallelepiped_contains(alpha, beta, p: Sequence, params: ConeParams) -> bool:

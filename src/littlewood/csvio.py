@@ -12,11 +12,16 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = ["format_decimal", "render_csv", "write_csv"]
 
 SIG_DIGITS = 15
+
+
+def _below_pow10(a: int, d: int, k: int) -> bool:
+    """a/d < 10**k for a, d > 0, by one integer comparison."""
+    return a < d * 10**k if k >= 0 else a * 10**-k < d
 
 
 def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
@@ -25,27 +30,37 @@ def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
     direction -1 rounds toward -inf, +1 toward +inf, 0 to nearest (half
     away from zero).  The result is parseable by float() and by Fraction().
     """
-    x = Fraction(x)
-    if x == 0:
+    if isinstance(x, int):
+        num, den = x, 1
+    else:
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        num, den = x.numerator, x.denominator
+    if num == 0:
         return "0"
-    neg = x < 0
-    ax = -x if neg else x
-    e10 = len(str(ax.numerator)) - len(str(ax.denominator))
-    while ax >= Fraction(10) ** (e10 + 1):
+    neg = num < 0
+    a = -num if neg else num
+    # 10**e10 <= a/den < 10**(e10+1): start from the binary exponent times
+    # log10(2) ~ 1233/4096 (off by at most a little) and correct exactly
+    e10 = ((a.bit_length() - den.bit_length()) * 1233) >> 12
+    while not _below_pow10(a, den, e10 + 1):
         e10 += 1
-    while ax < Fraction(10) ** e10:
+    while _below_pow10(a, den, e10):
         e10 -= 1
     shift = sig - 1 - e10
-    scaled = x * Fraction(10) ** shift  # signed; |scaled| in [10^(sig-1), 10^sig)
-    if direction < 0:
-        m = scaled.numerator // scaled.denominator
-    elif direction > 0:
-        m = -((-scaled.numerator) // scaled.denominator)
+    if shift >= 0:
+        a *= 10**shift
     else:
-        half = Fraction(1, 2) if x > 0 else -Fraction(1, 2)
-        t = scaled + half
-        m = t.numerator // t.denominator if x > 0 else -((-t.numerator) // t.denominator)
-    mag = abs(m)
+        den *= 10**-shift
+    # |x| * 10**shift = a/den lies in [10**(sig-1), 10**sig); round its
+    # magnitude to nearest (ties away from zero), up when the directed
+    # rounding points away from zero, down when it points toward zero
+    if direction == 0:
+        mag = (2 * a + den) // (2 * den)
+    elif (direction < 0) == neg:
+        mag = -(-a // den)
+    else:
+        mag = a // den
     if mag >= 10**sig:
         mag //= 10
         e10 += 1
@@ -66,14 +81,21 @@ def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
 def render_csv(
     header: Sequence[str],
     rows: Iterable[Sequence],
-    metadata: Mapping[str, object] | None = None,
+    metadata: Mapping[str, object] | Callable[[], Mapping[str, object]] | None = None,
 ) -> str:
-    """CSV text (RFC-4180-style quoting) with a trailing comment block."""
+    """CSV text (RFC-4180-style quoting) with a trailing comment block.
+
+    ``rows`` may be a generator: it is consumed once, in order.  A callable
+    ``metadata`` is called after the last row, so a streamed table can
+    record counts that are known only once its rows have been produced.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
         writer.writerow([str(cell) for cell in row])
+    if callable(metadata):
+        metadata = metadata()
     if metadata:
         for key in metadata:
             buf.write(f"# {key} = {metadata[key]}\n")
@@ -84,7 +106,7 @@ def write_csv(
     path: str | None,
     header: Sequence[str],
     rows: Iterable[Sequence],
-    metadata: Mapping[str, object] | None = None,
+    metadata: Mapping[str, object] | Callable[[], Mapping[str, object]] | None = None,
 ) -> str:
     """Write (or return, when path is None) the rendered CSV."""
     text = render_csv(header, rows, metadata)

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "ExactArithmeticError",
@@ -170,7 +170,7 @@ class DyadicInterval:
 
     Sums, differences and products are exact (a sum aligns the scales by
     shifting, a product multiplies the mantissas and adds the scales), so
-    only leaves (:meth:`point`, square roots, ``SurdSum.interval``),
+    only leaves (:meth:`point`, :meth:`of_surd_terms`, square roots),
     :meth:`divide` and :meth:`sqrt` round, always outward.  ``lo``, ``hi``,
     ``width`` and ``midpoint()`` read as exact Fractions, and equality is by
     value.  Instances are not changed after construction.
@@ -190,6 +190,29 @@ class DyadicInterval:
         """Enclosure of a rational, exact if x is a multiple of 2**-bits."""
         x = Fraction(x)
         return cls(*_outward(x.numerator, x.numerator, x.denominator, bits), bits)
+
+    @classmethod
+    def of_surd_terms(cls, terms: Sequence[tuple[int, int, int]], bits: int) -> "DyadicInterval":
+        """Enclosure of the sum of p/q * sqrt(rad) over the (rad, p, q) in
+        ``terms``, with rad = 1 or squarefree, q > 0 and p != 0; p/q need not
+        be reduced, since every bound is a floor or a ceiling of an exact
+        term.  Each term is rounded outward at a few guard bits above
+        ``bits`` (more terms, more guard bits) and the sum is exact."""
+        work = bits + max(1, len(terms)).bit_length() + 4
+        lo = hi = 0
+        for rad, p, q in terms:
+            if rad == 1:
+                t_lo, t_hi = _outward(p, p, q, work)
+            else:
+                # sqrt(rad) lies in (m, m + 1) * 2**-work: rad > 1 is squarefree
+                m = _sqrt_floor(rad, work)
+                if p > 0:
+                    t_lo, t_hi = _outward(m * p, (m + 1) * p, q, 0)
+                else:
+                    t_lo, t_hi = _outward((m + 1) * p, m * p, q, 0)
+            lo += t_lo
+            hi += t_hi
+        return cls(lo, hi, work)
 
     @property
     def lo(self) -> Fraction:
@@ -585,6 +608,11 @@ class SurdSum:
     def rational_part(self) -> Fraction:
         return self._terms.get(1, Fraction(0))
 
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (radicand, nonzero coefficient) pairs; radicand 1 holds the
+        rational part."""
+        return tuple(self._terms.items())
+
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is irrational")
@@ -656,24 +684,10 @@ class SurdSum:
     # -- certified evaluation ----------------------------------------------
 
     def interval(self, bits: int) -> DyadicInterval:
-        """Enclosure of the exact value; each term is rounded outward at a
-        few guard bits above ``bits`` and the sum is exact."""
-        work = bits + max(1, len(self._terms)).bit_length() + 4
-        lo = hi = 0
-        for rad, coef in self._terms.items():
-            p, q = coef.numerator, coef.denominator
-            if rad == 1:
-                t_lo, t_hi = _outward(p, p, q, work)
-            else:
-                # sqrt(rad) lies in (m, m + 1) * 2**-work: rad > 1 is squarefree
-                m = _sqrt_floor(rad, work)
-                if p > 0:
-                    t_lo, t_hi = _outward(m * p, (m + 1) * p, q, 0)
-                else:
-                    t_lo, t_hi = _outward((m + 1) * p, m * p, q, 0)
-            lo += t_lo
-            hi += t_hi
-        return DyadicInterval(lo, hi, work)
+        """Enclosure of the exact value (see DyadicInterval.of_surd_terms)."""
+        return DyadicInterval.of_surd_terms(
+            [(rad, c.numerator, c.denominator) for rad, c in self._terms.items()], bits
+        )
 
     def sign(self) -> int:
         """Exact sign via certified_sign (interval first, exact fallback)."""

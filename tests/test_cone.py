@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from littlewood.cone import (
+    _CHUNK,
     ConeParams,
+    InclusionRun,
+    InclusionSample,
     base_tangency,
     cone_contains,
     cone_inclusion_sample,
     parallelepiped_contains,
     phi,
     sample_point_coordinates,
+    _sample_chunk,
     _sqrt_phi,
 )
 from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
@@ -174,3 +178,148 @@ def test_sample_point_coordinates_consistent():
     x, y_iv, z_iv = sample_point_coordinates(SQRT2M1, SQRT3M1, params, smp)
     assert x == smp.x
     assert y_iv.width < Fraction(1, 10**20)
+
+
+def fraction_sample_chunk(args):
+    """The former sampler: the same draws, as Fractions.  Returns the rows
+    as (x, u, v, f, margin) and the violating rows."""
+    N, epsilon, phi_val, seed, chunk_index, count = args
+    rng = random.Random(seed * 1_000_003 + chunk_index)
+
+    def unit():
+        return Fraction(rng.getrandbits(53), 1 << 53)
+
+    rows, violations = [], []
+    for _ in range(count):
+        x = 1 + (N - 1) * unit()
+        while True:
+            u = 2 * unit() - 1
+            v = 2 * unit() - 1
+            if u != 0 and v != 0 and u * u + v * v < 1:
+                break
+        slack2 = (N - x) * (N - x)
+        f = x * u * v * phi_val * slack2
+        margin = (u * u + v * v - 1) * phi_val * slack2
+        rows.append((x, u, v, f, margin))
+        if not (0 < abs(f) <= epsilon) or margin > 0:
+            violations.append(rows[-1])
+    return rows, violations
+
+
+def _fractions(sample):
+    return (sample.x, sample.u, sample.v, sample.f, sample.margin)
+
+
+def fraction_inclusion_rows(params, sample_count, seed):
+    rows = []
+    for i in range((sample_count + _CHUNK - 1) // _CHUNK):
+        count = min(_CHUNK, sample_count - i * _CHUNK)
+        rows += fraction_sample_chunk((params.N, params.epsilon, params.phi, seed, i, count))[0]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "N, eps, seed, count",
+    [
+        (2, Fraction(1, 10**12), 0, 1),
+        (2, Fraction(1, 10**12), 9, 300),
+        (10, Fraction(1, 10), 0, 1),
+        (10, Fraction(1, 10), 5, _CHUNK + 301),  # not a whole number of chunks
+        (37, Fraction(3, 7), 12345, 2 * _CHUNK),
+        (1000, Fraction(2, 10**6), 2**40, 500),
+    ],
+)
+def test_integer_sampler_matches_fraction_oracle(N, eps, seed, count):
+    params = ConeParams.make(N, eps)
+    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, count, seed=seed)
+    assert [_fractions(s) for s in rep.rows] == fraction_inclusion_rows(params, count, seed)
+    assert rep.samples == count and rep.ok
+    assert rep.crosschecked == len(rep.rows[:: max(1, count // 32)])
+
+
+@pytest.mark.parametrize(
+    "eps_factor, phi_sign",
+    [(Fraction(1, 1000), 1), (Fraction(1, 20), 1), (Fraction(0), 1), (Fraction(1), -1)],
+)
+def test_integer_violation_verdicts_match_fraction_oracle(eps_factor, phi_sign):
+    # a chunk told a smaller (or zero) epsilon than its cone's, or a negated
+    # phi (every margin positive), must flag exactly the rows the Fraction
+    # comparisons flag
+    params = ConeParams.make(15, Fraction(1, 5))
+    args = (params.N, params.epsilon * eps_factor, params.phi * phi_sign, 4, 1, 600)
+    rows = _sample_chunk(args)
+    expected_rows, expected_violations = fraction_sample_chunk(args)
+    assert [_fractions(s) for s in rows] == expected_rows
+    flagged = [_fractions(s) for s in rows if s.violation]
+    assert flagged == expected_violations
+    assert 0 < len(flagged) <= len(rows)
+
+
+def test_integer_violation_verdict_at_the_epsilon_tie():
+    # |f| = eps exactly is inside the body (the bound is closed)
+    params = ConeParams.make(15, Fraction(1, 5))
+    args = (params.N, params.epsilon, params.phi, 4, 1, 50)
+    tie = abs(fraction_sample_chunk(args)[0][7][3])
+    rows = _sample_chunk((params.N, tie, params.phi, 4, 1, 50))
+    assert not rows[7].violation and abs(rows[7].f) == tie
+    expected = fraction_sample_chunk((params.N, tie, params.phi, 4, 1, 50))[1]
+    assert [_fractions(s) for s in rows if s.violation] == expected != []
+
+
+def test_inclusion_run_streams_the_report():
+    params = ConeParams.make(9, Fraction(1, 7))
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, 700, seed=3, crosscheck=10)
+    rows = []
+    for sample in run:
+        rows.append(sample)
+        assert run.samples == len(rows)
+    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 700, seed=3, crosscheck=10)
+    assert tuple(rows) == rep.rows and run.violations == list(rep.violations) == []
+    assert run.crosschecked == rep.crosschecked == len(rows[::70]) == 10
+    with pytest.raises(ParameterError):
+        InclusionRun(SQRT2M1, SQRT3M1, params, 0)
+
+
+def test_sample_point_coordinates_match_the_surd_route():
+    # the coordinates are the interval(bits) enclosures of the exact SurdSums
+    # alpha*x - u*s and beta*x - v*s, term for term, with s = sqrt(phi)*(N-x)
+    # = k*sqrt(2*eps/N)*(N-x)
+    alpha2 = QuadraticSurd.make(3, 5, 7, 2)  # (3 + 5 sqrt 2)/7
+    cases = [
+        # 2*eps/N = 1/50: the radicand 2 of s merges with alpha's
+        (SQRT2M1, SQRT3M1, ConeParams.make(10, Fraction(1, 10))),
+        # 2*eps/N = 1/4: s is rational and merges with alpha's rational part
+        (alpha2, SQRT3M1, ConeParams.make(8, Fraction(1))),
+        # 2*eps/N = 1/9 and a rational beta: z has one rational term
+        (alpha2, Fraction(5, 3), ConeParams.make(6, Fraction(1, 3))),
+        # 2*eps/N = 9/40: s brings a third radicand, 10
+        (QuadraticSurd.sqrt_of(5), QuadraticSurd.sqrt_of(7), ConeParams.make(40, Fraction(9, 2))),
+    ]
+    for alpha, beta, params in cases:
+        rep = cone_inclusion_sample(alpha, beta, params, 60, seed=1)
+        for smp in rep.rows:
+            s = _sqrt_phi(params, params.N - smp.x)
+            y = as_surdsum(alpha) * smp.x - smp.u * s
+            z = as_surdsum(beta) * smp.x - smp.v * s
+            for bits in (64, 128):
+                x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp, bits)
+                assert x == smp.x
+                assert y_iv == y.interval(bits) and z_iv == z.interval(bits)
+                assert y_iv.exp == y.interval(bits).exp
+
+
+def test_sample_point_coordinates_when_a_term_cancels():
+    # N = 2, eps = 2: s = sqrt(2)*(N - x) exactly, so at x = 1, u = 1/64 the
+    # sqrt(2) coefficient of y = alpha*x - u*s cancels for alpha with sqrt(2)
+    # coefficient 1/64; the enclosure must then count one term fewer
+    params = ConeParams.make(2, Fraction(2))
+    one = 1 << 53
+    smp = InclusionSample(one, one >> 6, one >> 1, 0, 0, params.phi.denominator, False)
+    for alpha in (QuadraticSurd.make(0, 1, 64, 2), QuadraticSurd.make(1, 1, 64, 2)):
+        s = _sqrt_phi(params, params.N - smp.x)
+        y = as_surdsum(alpha) * smp.x - smp.u * s
+        z = as_surdsum(SQRT3M1) * smp.x - smp.v * s
+        assert len(y.terms()) == len(as_surdsum(alpha).terms()) - 1
+        _, y_iv, z_iv = sample_point_coordinates(alpha, SQRT3M1, params, smp)
+        assert y_iv == y.interval(128) and y_iv.exp == y.interval(128).exp
+        assert z_iv == z.interval(128) and z_iv.exp == z.interval(128).exp

@@ -1,0 +1,116 @@
+"""format_decimal against the Fraction implementation it replaced, and the
+streamed rows / deferred metadata of render_csv."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from littlewood.csvio import SIG_DIGITS, format_decimal, render_csv
+
+
+def fraction_format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
+    """The former implementation: e10 and the rounding on Fractions."""
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    neg = x < 0
+    ax = -x if neg else x
+    e10 = len(str(ax.numerator)) - len(str(ax.denominator))
+    while ax >= Fraction(10) ** (e10 + 1):
+        e10 += 1
+    while ax < Fraction(10) ** e10:
+        e10 -= 1
+    shift = sig - 1 - e10
+    scaled = x * Fraction(10) ** shift  # signed; |scaled| in [10^(sig-1), 10^sig)
+    if direction < 0:
+        m = scaled.numerator // scaled.denominator
+    elif direction > 0:
+        m = -((-scaled.numerator) // scaled.denominator)
+    else:
+        half = Fraction(1, 2) if x > 0 else -Fraction(1, 2)
+        t = scaled + half
+        m = t.numerator // t.denominator if x > 0 else -((-t.numerator) // t.denominator)
+    mag = abs(m)
+    if mag >= 10**sig:
+        mag //= 10
+        e10 += 1
+    digits = str(mag).rjust(sig, "0")
+    if -4 <= e10 < sig:
+        if e10 >= 0:
+            intpart, fracpart = digits[: e10 + 1], digits[e10 + 1 :]
+        else:
+            intpart, fracpart = "0", "0" * (-e10 - 1) + digits
+        fracpart = fracpart.rstrip("0")
+        body = intpart + ("." + fracpart if fracpart else "")
+    else:
+        mantissa = digits[0] + ("." + digits[1:].rstrip("0") if digits[1:].rstrip("0") else "")
+        body = f"{mantissa}e{e10:+03d}"
+    return ("-" if neg else "") + body
+
+
+DIRECTIONS = (-1, 0, 1)
+
+
+def _agree(x, sig=SIG_DIGITS):
+    for direction in DIRECTIONS:
+        assert format_decimal(x, sig, direction) == fraction_format_decimal(x, sig, direction), (
+            x, sig, direction)
+
+
+def test_random_rationals_match_the_fraction_oracle():
+    rng = random.Random(20261018)
+    for _ in range(4000):
+        num = rng.randrange(1, 10 ** rng.randrange(1, 61))
+        den = rng.randrange(1, 10 ** rng.randrange(1, 61))
+        x = Fraction(rng.choice((-1, 1)) * num, den)
+        _agree(x, rng.choice((SIG_DIGITS, SIG_DIGITS, rng.randrange(1, 21))))
+
+
+def test_dyadic_rationals_match_the_fraction_oracle():
+    # the shape of the cone CSV cells: interval midpoints and sample
+    # numerators over powers of two
+    rng = random.Random(7)
+    for _ in range(1000):
+        x = Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 300)) + 1,
+                     1 << rng.randrange(0, 300))
+        _agree(x)
+
+
+@pytest.mark.parametrize("sig", range(1, 21))
+def test_powers_of_ten_neighbours_and_ties(sig):
+    for k in range(-25, 26):
+        p = Fraction(10) ** k
+        ulp = Fraction(1, 10 ** (sig + 40))
+        cases = [p, p - ulp * p, p + ulp * p, p - Fraction(1, 10**60), p + Fraction(1, 10**60)]
+        # exact ties at the last printed digit: d.dd...d5 * 10^k
+        for digits in (5, 15, 25, 95, 10**sig - 5, 10**sig + 5):
+            cases.append(Fraction(digits) / 10 ** (len(str(digits)) - 1) * p)
+        # values that round up to the next power of ten
+        cases.append(p * (1 - Fraction(1, 2 * 10**sig)))
+        cases.append(p * (1 - Fraction(1, 10 ** (sig + 1))))
+        for x in cases:
+            _agree(x, sig)
+            _agree(-x, sig)
+
+
+def test_ints_and_small_values():
+    for x in (0, 1, -1, 9, 10, 11, 99, 100, 10**15 - 1, 10**15, 10**15 + 1, 10**40 + 5,
+              -(10**20) + 1, Fraction(1, 3), Fraction(-2, 3), Fraction(5, 10**5)):
+        _agree(x)
+        for sig in (1, 2, 20):
+            _agree(x, sig)
+    assert format_decimal(True) == "1"
+
+
+def test_streamed_rows_and_deferred_metadata():
+    seen = []
+
+    def rows():
+        for i in range(3):
+            seen.append(i)
+            yield [i, format_decimal(Fraction(i, 4))]
+
+    text = render_csv(["i", "q"], rows(), lambda: {"rows": len(seen)})
+    assert text == "i,q\n0,0\n1,0.25\n2,0.5\n# rows = 3\n"
+    assert render_csv(["i"], [[1]], {"a": 1}) == "i\n1\n# a = 1\n"

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from littlewood.cli import main
-from littlewood.cone import ConeParams
+from littlewood.cone import ConeParams, cone_inclusion_sample, sample_point_coordinates
+from littlewood.csvio import format_decimal
 from littlewood.entrytime import approx_line, entry_time
 from littlewood.lattice import dirichlet_search
 from littlewood.numspec import parse_number_spec
@@ -78,3 +79,30 @@ def test_printed_tau_encloses_exact_entry_time(name, tmp_path, monkeypatch, caps
         lo, hi = Fraction(row["tau_lo"]), Fraction(row["tau_hi"])
         assert not rep.tau_vs(lo, strict=True)  # tau >= lo
         assert rep.tau_vs(hi)  # tau <= hi
+
+
+def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
+    """Each printed (margin_lo, margin_hi) and (f_lo, f_hi) pair of the cone
+    CSV encloses the exact margin and f of the same row of
+    cone_inclusion_sample with the same seed, and x, y, z are the rendered
+    sample coordinates."""
+    monkeypatch.chdir(tmp_path)
+    ((_, argv, code),) = [c for c in CASES if c[0] == "cone"]
+    assert main([*argv, "--out", "cone.csv"]) == code
+    capsys.readouterr()
+    with open(tmp_path / "cone.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if not r["x"].startswith("#")]
+    # --frac applies to both numbers
+    alpha, beta = (parse_number_spec(s, True).value() for s in ("sqrt:2", "sqrt:3"))
+    params = ConeParams.make(int(argv[argv.index("--N") + 1]),
+                             Fraction(argv[argv.index("--epsilon") + 1]))
+    report = cone_inclusion_sample(alpha, beta, params, int(argv[argv.index("--samples") + 1]))
+    assert len(rows) == len(report.rows) == 300
+    for row, smp in zip(rows, report.rows):
+        for name, exact in (("margin", smp.margin), ("f", smp.f)):
+            assert Fraction(row[f"{name}_lo"]) <= exact <= Fraction(row[f"{name}_hi"])
+        x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+        assert row["x"] == format_decimal(x)
+        assert row["y"] == format_decimal(y_iv.midpoint())
+        assert row["z"] == format_decimal(z_iv.midpoint())
+        assert row["verdict"] == "ok"
