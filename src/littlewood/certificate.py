@@ -490,13 +490,15 @@ def b3_infeasibility_scan(
     refute the contradiction system on a u-grid."""
     reports: list[B3PairReport] = []
     pairs = list(pairs)
+    epsilons = [Fraction(eps) for eps in epsilons]
+    if any(eps <= 0 for eps in epsilons):
+        raise ParameterError("epsilon must be positive")
     for alpha, beta in pairs:
         M = max(_observed_M(alpha), _observed_M(beta))
         if M > 3:
             raise ProfileViolationError(f"pair has a partial quotient {M} > 3")
     for alpha, beta in pairs:
         for eps in epsilons:
-            eps = Fraction(eps)
             X = 2 * eps
             n_lo = _admissible_n_lo(X)
             n_hi = max(n_lo, int(math.log2(max_N)) // 4)

@@ -31,7 +31,6 @@ from .certificate import b3_infeasibility_scan, certificate_search
 from .cone import ConeParams, InclusionRun, sample_point_coordinates
 from .csvio import format_decimal, write_csv
 from .entrytime import approx_line, entry_time, transversality_check
-from .exactnum import UndecidedSignError
 from .lattice import (
     ParameterError,
     brute_min_scan,
@@ -312,6 +311,8 @@ def _cmd_cartan(ns: argparse.Namespace) -> int:
 
 
 def _cmd_levy(ns: argparse.Namespace) -> int:
+    if ns.n_max < 1:
+        raise ParameterError("n_max must be >= 1")
     alpha = parse_number_spec(ns.alpha, ns.frac)
     beta = parse_number_spec(ns.beta, ns.frac) if ns.beta else None
     header = ["n", "levy_alpha"]
@@ -424,9 +425,6 @@ def main(argv: list[str] | None = None) -> int:
     except (NumberSpecError, ParameterError, CFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UndecidedSignError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATION
 
 
 if __name__ == "__main__":

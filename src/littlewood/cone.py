@@ -248,6 +248,8 @@ class InclusionRun:
     ) -> None:
         if sample_count < 1:
             raise ParameterError("sample_count must be >= 1")
+        if threads < 1:
+            raise ParameterError("threads must be >= 1")
         self.alpha = as_quadratic_surd(alpha)
         self.beta = as_quadratic_surd(beta)
         self.params = params
@@ -263,7 +265,7 @@ class InclusionRun:
 
     def __iter__(self) -> Iterator[InclusionSample]:
         if self.threads > 1:
-            with ProcessPoolExecutor(max_workers=self.threads) as pool:
+            with ProcessPoolExecutor(max_workers=min(self.threads, len(self.chunks))) as pool:
                 yield from self._tally(pool.map(_sample_chunk, self.chunks))
         else:
             yield from self._tally(map(_sample_chunk, self.chunks))

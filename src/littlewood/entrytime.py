@@ -55,7 +55,6 @@ __all__ = [
     "transversality_check",
     "discriminant",
     "entry_time",
-    "entry_time_bisected",
     "angle",
     "cubic_entry_time",
 ]
@@ -295,35 +294,6 @@ def _root_intervals(
         if bits > 1 << 16:
             raise ParameterError("entry time interval failed to converge")
         bits *= 2
-
-
-def entry_time_bisected(
-    line: ApproxLine,
-    params: ConeParams,
-    tol: Fraction = Fraction(1, 10**10),
-    t_max: Fraction | None = None,
-) -> tuple[Fraction, Fraction]:
-    """Independent entry-time oracle: bisection on the exact membership
-    predicate of gamma_n(t) along [0, t_max] (default x0 - 1).
-
-    The membership set on that range is a terminal segment, so the single
-    boundary crossing brackets the entry time.
-    """
-    A, B, C = _membership_coeffs(line, params)
-    member = lambda t: rootfind.poly_sign_at([C, 2 * B, A], t) >= 0
-    if member(Fraction(0)):
-        return Fraction(0), Fraction(0)
-    hi = Fraction(t_max if t_max is not None else line.x0 - 1)
-    if not member(hi):
-        raise ParameterError(f"no entry within [0, {hi}]")
-    lo = Fraction(0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,16 @@ Three layers:
   the one arithmetic type: every field operation, interval enclosure and
   certified comparison in the package goes through it.
 * ``DyadicInterval`` -- the one interval representation: integer
-  mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, used to decide almost
-  every sign quickly before the exact path is tried.  Sums and products are
-  exact integer operations; leaves, division and square roots round
-  outward through one helper.  Hot loops unbox the same mantissas at the
-  fixed scale 2**-64 (:func:`fixed_enclosure`).
+  mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
+  irrational sign is decided.  Sums and products are exact integer
+  operations; leaves, division and square roots round outward through one
+  helper.  Hot loops unbox the same mantissas at the fixed scale 2**-64
+  (:func:`fixed_enclosure`).
 
 ``certified_sign`` ties the layers together: interval evaluation with a
-doubling precision schedule (64 up to 4096 bits), then the exact recursive
-sign algorithm for whatever still straddles zero (in practice: true zeros).
+doubling precision schedule (64 up to 4096 bits), then, for a sum that
+still straddles zero, one evaluation at a precision proven to separate it
+from zero (a root-separation bound; see ``SurdSum._sign_exact``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Mapping, Sequence, Union
 __all__ = [
     "ExactArithmeticError",
     "MalformedSurdError",
-    "UndecidedSignError",
     "SIGN_BITS_START",
     "SIGN_BITS_CAP",
     "squarefree_decompose",
@@ -78,10 +78,6 @@ class ExactArithmeticError(Exception):
 
 class MalformedSurdError(ExactArithmeticError):
     """Quadratic surd with zero denominator or negative radicand."""
-
-
-class UndecidedSignError(ExactArithmeticError):
-    """Sign not certified at the precision cap and no exact path applies."""
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -547,9 +543,11 @@ class SurdSum:
     """Exact finite sum  q0 + q1*sqrt(d1) + q2*sqrt(d2) + ...  with rational
     coefficients and distinct squarefree radicands (key 1 = rational part).
 
-    Closed under +, -, * and integer powers; equality is coefficient-wise;
-    the sign is exactly decidable by the classical split-and-square
-    recursion on the primes appearing in the radicands.
+    Closed under +, -, * and integer powers; equality is coefficient-wise.
+    A sum with a term is nonzero (square roots of distinct squarefree
+    integers are linearly independent over Q), and a root-separation bound
+    says how far from zero it is, so its sign is decided by one interval
+    evaluation at a precision computed from the terms.
     """
 
     # _fixed: the memoised fixed_enclosure, set on first use only; _terms
@@ -690,38 +688,19 @@ class SurdSum:
         )
 
     def sign(self) -> int:
-        """Exact sign via certified_sign (interval first, exact fallback)."""
+        """Exact sign via certified_sign (interval doubling, then the
+        separation bound)."""
         return certified_sign(self)
 
     def _sign_exact(self) -> int:
-        """Recursive exact sign: split off one prime p, compare the p-free
-        part against sqrt(p) times the rest by squaring both sides."""
-        terms = self._terms
-        if not terms:
-            return 0
-        if len(terms) == 1:
-            ((rad, coef),) = terms.items()
-            return 1 if coef > 0 else -1  # sqrt(rad) > 0 for rad >= 1
-        p = None
-        for rad in sorted(terms):
-            if rad > 1:
-                p = _smallest_prime_factor(rad)
-                break
-        if p is None:  # pure rational with several keys cannot happen
-            return (self.rational_part() > 0) - (self.rational_part() < 0)
-        a_terms = {rad: c for rad, c in terms.items() if rad % p != 0}
-        b_terms = {rad // p: c for rad, c in terms.items() if rad % p == 0}
-        A = SurdSum(a_terms)
-        B = SurdSum(b_terms)
-        sa, sb = _sign_inner(A), _sign_inner(B)
-        if sa == 0:
-            return sb
-        if sb == 0:
-            return sa
-        if sa == sb:
-            return sa
-        diff = A * A - SurdSum.from_rational(p) * (B * B)
-        return sa * _sign_inner(diff)
+        """Sign from one evaluation at the separation precision
+        :func:`_separation_bits`, which excludes 0 from the enclosure by
+        proof; ``certified_sign`` calls it only past ``SIGN_BITS_CAP``."""
+        bits = _separation_bits(self)
+        sg = self.interval(bits).sign_or_none()
+        if sg is None:
+            raise AssertionError(f"separation bound broken: interval({bits}) contains 0")
+        return sg
 
     # -- ordering (exact; prefer explicit .sign() in hot paths) ------------
 
@@ -750,32 +729,6 @@ class SurdSum:
         for rad, coef in sorted(self._terms.items()):
             parts.append(str(coef) if rad == 1 else f"{coef}*sqrt({rad})")
         return f"SurdSum({' + '.join(parts)})"
-
-
-def _sign_inner(s: "SurdSum") -> int:
-    """Sign with a single cheap interval probe before exact recursion;
-    used inside the exact fallback to avoid re-running the full schedule."""
-    if s.is_rational():
-        v = s.rational_part()
-        return (v > 0) - (v < 0)
-    sg = s.interval(128).sign_or_none()
-    if sg is not None:
-        return sg
-    return s._sign_exact()
-
-
-@lru_cache(maxsize=65536)
-def _smallest_prime_factor(n: int) -> int:
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
 
 
 def as_surdsum(x) -> SurdSum:
@@ -808,13 +761,46 @@ def fixed_enclosure(x) -> tuple[int, int]:
     return fixed_enclosure(as_surdsum(x))
 
 
+# The separation bound.  Let s = sum c_i*sqrt(d_i) be a canonical SurdSum
+# with n terms, k of them irrational (d_i > 1), D the lcm of the
+# denominators of the c_i and a_i = D*c_i, integers.
+#  * s != 0 if n > 0: square roots of distinct squarefree integers are
+#    linearly independent over Q (Besicovitch 1940).
+#  * D*s is an algebraic integer of K = Q(sqrt(d_1), ..., sqrt(d_k)), a
+#    field of degree m <= 2**k.  Its conjugates are the sums
+#    sum +-a_i*sqrt(d_i), each at most H = sum |a_i|*ceil(sqrt(d_i)) >= 1
+#    in absolute value.
+#  * Its norm, the product of its m conjugates, is a nonzero integer, so
+#    |D*s| * H**(m - 1) >= 1 and |s| >= 1 / (D * H**(2**k - 1)) (the
+#    root-separation argument of Burnikel, Fleischer, Mehlhorn and Schirra
+#    2000).
+#  * interval(b) encloses each term at work >= b bits to within |c_i| + 2
+#    units of 2**-work (sqrt(d_i) is known to one unit, scaled by |c_i|,
+#    and each end rounds outward by less than one unit), so its width is
+#    below (sum |c_i| + 2n) * 2**-b <= (H + 2n) * 2**-b.
+#  * An enclosure of s narrower than |s| excludes 0.  The b below has
+#    2**b > D * H**(2**k - 1) * (H + 2n), since x < 2**bitlen(x), so the
+#    width of interval(b) is below 1 / (D * H**(2**k - 1)) <= |s|.
+def _separation_bits(s: SurdSum) -> int:
+    """Precision b at which ``s.interval(b)`` provably excludes 0 (s != 0)."""
+    terms = s._terms
+    D = math.lcm(*(c.denominator for c in terms.values()))
+    H = sum(
+        abs(c.numerator) * (D // c.denominator) * (math.isqrt(rad - 1) + 1)
+        for rad, c in terms.items()
+    )
+    k = len(terms) - (1 in terms)
+    return D.bit_length() + ((1 << k) - 1) * H.bit_length() + (H + 2 * len(terms)).bit_length()
+
+
 def certified_sign(x) -> int:
     """Exact sign (-1, 0, +1) of an exact expression.
 
     Interval evaluation with the doubling schedule (SIGN_BITS_START up to
-    SIGN_BITS_CAP); whatever still straddles zero at the cap goes to the
-    exact recursive algorithm, which decides every SurdSum-representable
-    value (the interesting survivors are exact zeros).
+    SIGN_BITS_CAP) decides every sign in practice.  A sum that still
+    straddles zero at the cap is a nonzero near-zero; ``SurdSum._sign_exact``
+    decides it at the precision of the separation bound above, so no path
+    ends undecided.
     """
     s = as_surdsum(x)
     if s.is_rational():
@@ -826,17 +812,4 @@ def certified_sign(x) -> int:
         if sg is not None:
             return sg
         bits *= 2
-    nprimes = set()
-    for rad in s._terms:
-        r = rad
-        while r > 1:
-            p = _smallest_prime_factor(r)
-            nprimes.add(p)
-            while r % p == 0:
-                r //= p
-    if len(nprimes) > 12:
-        raise UndecidedSignError(
-            f"sign undecided at {SIGN_BITS_CAP} bits and too many radical "
-            f"generators ({len(nprimes)}) for the exact fallback"
-        )
     return s._sign_exact()

@@ -1,9 +1,12 @@
-"""Shared test numbers and small generators."""
+"""Shared test numbers, small generators and the entry-time oracle."""
 
 from fractions import Fraction
 
+from littlewood import rootfind
 from littlewood.cfrac import CFSpec
+from littlewood.entrytime import _membership_coeffs
 from littlewood.exactnum import QuadraticSurd
+from littlewood.lattice import ParameterError
 
 SQRT2M1 = QuadraticSurd.make(-1, 1, 1, 2)  # sqrt(2) - 1 = [0; 2, 2, ...]
 SQRT3M1 = QuadraticSurd.make(-1, 1, 1, 3)  # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]
@@ -74,3 +77,27 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
             if require_segment and not rep.within_segment:
                 continue
             return a_spec, b_spec, line, params, rep
+
+
+def entry_time_bisected(line, params, tol):
+    """Independent entry-time oracle: bisection on the exact membership
+    predicate of gamma_n(t) along [0, x0 - 1], down to width tol.
+
+    The membership set on that range is a terminal segment, so the single
+    boundary crossing brackets the entry time.
+    """
+    A, B, C = _membership_coeffs(line, params)
+    member = lambda t: rootfind.poly_sign_at([C, 2 * B, A], t) >= 0
+    if member(Fraction(0)):
+        return Fraction(0), Fraction(0)
+    hi = Fraction(line.x0 - 1)
+    if not member(hi):
+        raise ParameterError(f"no entry within [0, {hi}]")
+    lo = Fraction(0)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

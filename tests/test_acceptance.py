@@ -52,7 +52,6 @@ from littlewood.certificate import (
 from littlewood.cone import ConeParams, base_tangency, cone_inclusion_sample
 from littlewood.entrytime import (
     approx_line,
-    entry_time_bisected,
     line_gamma,
 )
 from littlewood.exactnum import QuadraticSurd, as_surdsum, certified_sign, surd_nearest_int
@@ -71,6 +70,7 @@ from nums import (
     SQRT3M1,
     SURD_POOL,
     TEST_PAIRS,
+    entry_time_bisected,
     transversal_config,
 )
 

@@ -287,6 +287,29 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "0", "--u-points", "10"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons=-1/100", "--u-points", "10"],
+        ["levy", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--n-max", "0"],
+        ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
+        ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "8",
+         "--epsilon", "1/9", "--samples", "10", "--threads", "0"],
+    ],
+    ids=["b3-eps-0", "b3-eps-negative", "levy-n-max-0-pair", "levy-n-max-0", "threads-0"],
+)
+def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("sqrt:2 sqrt:3\n")
+    out = tmp_path / "out.csv"
+    argv = [str(pairs) if a == "PAIRS" else a for a in argv] + ["--out", str(out)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_uncertifiable_radicand_exits_2(capsys):
     radicand = "1000000000000000012000000000000000027"
     assert _run(["levy", "--alpha", f"sqrt:{radicand}"]) == 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from littlewood import cone
 from littlewood.cone import (
     _CHUNK,
     ConeParams,
@@ -278,6 +279,34 @@ def test_inclusion_run_streams_the_report():
     assert run.crosschecked == rep.crosschecked == len(rows[::70]) == 10
     with pytest.raises(ParameterError):
         InclusionRun(SQRT2M1, SQRT3M1, params, 0)
+
+
+def test_inclusion_run_starts_at_most_one_worker_per_chunk(monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the chunks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cone, "ProcessPoolExecutor", RecordingPool)
+    params = ConeParams.make(9, Fraction(1, 7))
+    for count, threads, workers in ((10, 8, [1]), (_CHUNK + 1, 8, [2]),
+                                    (_CHUNK + 1, 2, [2]), (_CHUNK + 1, 1, [])):
+        started.clear()
+        rows = tuple(InclusionRun(SQRT2M1, SQRT3M1, params, count, seed=3, threads=threads))
+        assert started == workers
+        assert rows == cone_inclusion_sample(SQRT2M1, SQRT3M1, params, count, seed=3).rows
+    for threads in (0, -3):
+        with pytest.raises(ParameterError, match="threads"):
+            InclusionRun(SQRT2M1, SQRT3M1, params, 10, threads=threads)
 
 
 def test_sample_point_coordinates_match_the_surd_route():

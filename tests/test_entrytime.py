@@ -16,7 +16,6 @@ from littlewood.entrytime import (
     cubic_entry_time,
     discriminant,
     entry_time,
-    entry_time_bisected,
     line_gamma,
     transversality_check,
 )
@@ -30,6 +29,7 @@ from nums import (
     SQRT2M1,
     SQRT3M1,
     TEST_PAIRS,
+    entry_time_bisected,
     transversal_config,
 )
 

@@ -2,6 +2,7 @@
 and conservativeness of the interval arithmetic."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -263,6 +264,72 @@ def test_linear_form_never_zero(d, x, y):
     # alpha irrational, x >= 1: alpha*x - y cannot vanish
     alpha = SurdSum.sqrt(d)
     assert certified_sign(alpha * x - y) != 0
+
+
+# -- the separation bound past SIGN_BITS_CAP --------------------------------
+
+
+def _count_sign_exact(monkeypatch) -> list:
+    calls = []
+    sign_exact = SurdSum._sign_exact
+    monkeypatch.setattr(SurdSum, "_sign_exact", lambda s: calls.append(s) or sign_exact(s))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "unit, n",
+    [((1, 2), 3303), ((1, 2), 3304), ((2, 5), 2017), ((2, 5), 2018)],
+)
+def test_sign_of_pell_near_zero_past_the_cap(monkeypatch, unit, n):
+    # (a - sqrt(d))**n = p - q*sqrt(d) with q ~ 2**4200 and |p - q*sqrt(d)|
+    # ~ 2**-4200: undecided at 8192 bits, decided at the separation bound
+    a, d = unit
+    s = (a - SurdSum.sqrt(d)) ** n
+    (_, p), (_, minus_q) = sorted(s.terms())
+    assert p > 0 > minus_q and p.numerator.bit_length() > 4150
+    assert s.interval(2 * exactnum.SIGN_BITS_CAP).sign_or_none() is None
+    calls = _count_sign_exact(monkeypatch)
+    assert certified_sign(s) == (-1) ** n
+    assert certified_sign(-s) == -((-1) ** n)
+    assert len(calls) == 2
+
+
+def test_sign_of_a_near_zero_over_three_radicands(monkeypatch):
+    # a small unit of Q(sqrt 2, sqrt 3): its three other conjugates are all
+    # about 2**1400, so s ~ 2**-4200 with coefficients ~ 2**1400
+    r2, r3 = SurdSum.sqrt(2), SurdSum.sqrt(3)
+    s = (r2 - 1) ** 1100 * (2 - r3) ** 735 * (r3 - r2) ** 845
+    assert sorted(d for d, _ in s.terms()) == [1, 2, 3, 6]
+    calls = _count_sign_exact(monkeypatch)
+    assert certified_sign(s) == 1
+    assert certified_sign(-s) == -1
+    assert len(calls) == 2
+
+
+def test_separation_bound_failure_is_an_assertion(monkeypatch):
+    s = (1 - SurdSum.sqrt(2)) ** 3303
+    monkeypatch.setattr(exactnum, "_separation_bits", lambda s: exactnum.SIGN_BITS_CAP)
+    with pytest.raises(AssertionError):
+        certified_sign(s)
+
+
+def test_separation_bound_holds_on_random_sums():
+    # |s| >= 2**-b on random small sums, many of them near a rational
+    rng = random.Random(2000)
+    radicands = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 30]
+    for _ in range(400):
+        terms = {
+            d: Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12))
+            for d in rng.sample(radicands, rng.randint(1, 4))
+        }
+        s = SurdSum(terms)
+        if rng.random() < 0.7:  # cancel to near a rational of bounded height
+            s = s - Fraction(float(s)).limit_denominator(rng.choice([10, 10**4, 10**9]))
+        b = exactnum._separation_bits(s)
+        iv = s.interval(2 * b + 64)
+        assert min(abs(iv.lo_m), abs(iv.hi_m)) >= 1 << (iv.exp - b)
+        assert iv.lo_m > 0 or iv.hi_m < 0
+        assert s._sign_exact() == certified_sign(s)
 
 
 # -- interval conservativeness against an independent evaluator -------------
