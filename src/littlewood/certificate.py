@@ -74,6 +74,9 @@ __all__ = [
     "transversality_ceiling",
 ]
 
+# "dirichlet-gap" names the precondition whose breach theorem_check raises
+# as a ParameterError, so no cell carries it; bench/tracer.py spells out
+# the same tuple
 FAIL_REASONS = (
     "dirichlet-gap",
     "transversality-fail",
@@ -296,12 +299,7 @@ def certificate_search(
                 )
             grid = list(range(N0, ceiling + 1))
         for N in grid:
-            try:
-                cell = theorem_check(alpha, beta, epsilon, n, N)
-            except ParameterError:
-                cell = TheoremCheck(
-                    n, N, epsilon, 0, False, reason="dirichlet-gap"
-                )
+            cell = theorem_check(alpha, beta, epsilon, n, N)
             cells.append(cell)
             if cell.verified:
                 found = cell

@@ -1,6 +1,9 @@
 """Continued fractions: expansion of quadratic irrationals, convergents,
-exact error terms, growth / approximation-quality metrics, and certified
-residual scans of x*alpha mod 1, whose uint64 bounds only nominate.
+exact error terms, growth / approximation-quality metrics, and the one
+certified running-minimum scan of x*alpha mod 1 (:func:`residual_minima`),
+whose uint64 bounds only nominate.  It scans x * prod ||x*alpha|| for the
+minima and the bad-approximability constant, and max(||x*alpha||,
+||x*beta||) for the Dirichlet points, and resumes from plain-data state.
 
 Quadratic irrationals are expanded by the integer-only floor/invert/
 normalize recurrence, which detects its own period, so partial quotients
@@ -31,6 +34,7 @@ from .exactnum import (
     SurdSum,
     as_surdsum,
     certified_sign,
+    fixed_enclosure,
     surd_normalize,
     surd_residual,
 )
@@ -372,52 +376,101 @@ def residual_bounds(alphas: Sequence[QuadraticSurd], xs: np.ndarray) -> list:
     bounds = []
     for a in alphas:
         A = np.uint64(((a - a.floor()) * (1 << 64)).floor())
-        P = xs * A
-        D = np.minimum(P, -P)
-        bounds.append((np.maximum(D, xs) - xs, D + xs))
+        D = xs * A  # P, then D and lo in place
+        np.minimum(D, -D, out=D)
+        hi = D + xs
+        np.maximum(D, xs, out=D)
+        D -= xs
+        bounds.append((D, hi))
     return bounds
 
 
-def residual_chunks(alphas: Sequence[QuadraticSurd], X: int):
-    """(xs, residual_bounds(alphas, xs)) for consecutive chunks xs of [1, X];
-    X > SCAN_MAX_X raises ParameterError before any array exists."""
+def residual_chunks(alphas: Sequence[QuadraticSurd], start: int, X: int):
+    """(xs, residual_bounds(alphas, xs)) for consecutive chunks xs of
+    [start, X]; X > SCAN_MAX_X raises ParameterError before any array exists."""
     if X > SCAN_MAX_X:
         raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
-    for start in range(1, X + 1, SCAN_CHUNK):
-        xs = np.arange(start, min(start + SCAN_CHUNK, X + 1), dtype=np.uint64)
+    for lo in range(start, X + 1, SCAN_CHUNK):
+        xs = np.arange(lo, min(lo + SCAN_CHUNK, X + 1), dtype=np.uint64)
         yield xs, residual_bounds(alphas, xs)
 
 
-def residual_minima(alphas: Sequence[QuadraticSurd], X: int) -> list[tuple[int, SurdSum]]:
-    """(x, v(x)) wherever v(x) = x * prod ||x*alpha|| (one or two alphas)
-    reaches a new strict minimum over [1, X], exactly; ties keep the first."""
-    records: list[tuple[int, SurdSum]] = []
-    best = best_hi = None
-    carry = math.inf
-    for xs, bounds in residual_chunks(alphas, X):
-        lo = xs.astype(np.float64)
-        hi = lo.copy()
-        for b_lo, b_hi in bounds:
-            lo *= b_lo
-            hi *= b_hi
-        # Unrounded, 2**(64k) v(x) lies in [lo, hi] (k factors), and a record
-        # has lo(x) <= 2**(64k) v(x) < R(x) = min_{x' < x} hi(x').  In float64
-        # (u = 2**-53) lo and hi are k <= 2 conversions and k products from
-        # exact, so a record has lo' < R' ((1 + u) / (1 - u))**4 < R' (1 + 9u),
-        # and the rounded R' * (1 + 2**-49) is >= R' (1 + 16u)(1 - u), larger.
-        runmin = np.minimum.accumulate(np.concatenate(([carry], hi)))
-        carry = runmin[-1]
-        for x in xs[lo <= runmin[:-1] * (1 + 2.0**-49)].tolist():
-            val = as_surdsum(x)
-            for a in alphas:
-                val = val * surd_residual(a * x)[1].abs()
-            if best is not None:
-                if val.interval(96).lo > best_hi:
-                    continue
-                if certified_sign(val - best) >= 0:
-                    continue
-            records.append((x, val))
-            best, best_hi = val, val.interval(96).hi
+@dataclass
+class ResidualScan:
+    """Where a running-minimum scan stands: [1, X] is scanned, `bound` is
+    the least screen upper bound met so far (None before the first x) and
+    `best` the last record's value.  Plain data, so :func:`residual_minima`
+    resumes it at X + 1.
+
+    The scanned quantity is v(x) = x * prod ||x*alpha|| over the alphas
+    (combine "product", one or two alphas) or m(x) = max(||x*alpha||,
+    ||x*beta||) (combine "max", two alphas)."""
+
+    alphas: tuple[QuadraticSurd, ...]
+    combine: str = "product"
+    X: int = 0
+    bound: float | int | None = None
+    best: SurdSum | None = None
+
+
+def _below(a: SurdSum, b: SurdSum) -> bool:
+    """a < b, exactly; the memoised fixed-point enclosures decide unless
+    they overlap."""
+    a_lo, a_hi = fixed_enclosure(a)
+    b_lo, b_hi = fixed_enclosure(b)
+    if a_hi < b_lo or b_hi < a_lo:
+        return a_hi < b_lo
+    return certified_sign(a - b) < 0
+
+
+def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list]]:
+    """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
+    X] where the value reaches a new strict minimum, exactly; ties keep the
+    first.  `residuals` holds surd_residual(alpha * x) per alpha."""
+    exact = scan.combine == "max"
+    if scan.bound is None:
+        scan.bound = 2**64 - 1 if exact else math.inf
+    margin = 1 if exact else 1 + 2.0**-49
+    records: list[tuple[int, SurdSum, list]] = []
+    best = scan.best
+    for xs, bounds in residual_chunks(scan.alphas, scan.X + 1, X):
+        # A record has lo(x) <= value < R(x) = min_{x' < x} hi(x') for any
+        # enclosure [lo, hi] of its scaled value, so lo <= R * margin keeps
+        # every record, provided the margin covers the rounding of lo and hi.
+        if exact:
+            # 2**64 m(x) lies in [lo, hi], uint64 integers: no rounding
+            (lo, hi), (b_lo, b_hi) = bounds
+            np.maximum(lo, b_lo, out=lo)
+            np.maximum(hi, b_hi, out=hi)
+        else:
+            # Unrounded, 2**(64k) v(x) lies in [lo, hi] (k factors).  In
+            # float64 (u = 2**-53) lo and hi are k <= 2 conversions and k
+            # products from exact, so a record has lo' < R' ((1 + u) / (1 -
+            # u))**4 < R' (1 + 9u), and the rounded R' * (1 + 2**-49) is >=
+            # R' (1 + 16u)(1 - u), larger.
+            lo = xs.astype(np.float64)
+            hi = lo.copy()
+            for b_lo, b_hi in bounds:
+                lo *= b_lo
+                hi *= b_hi
+        # R <= scan.bound, and rounding is monotone, so an x with lo above
+        # scan.bound * margin is no record and its hi >= lo cannot lower R:
+        # the running minimum runs over the other x alone.
+        keep = np.flatnonzero(lo <= scan.bound * margin)
+        xs, lo, hi = xs[keep], lo[keep], hi[keep]
+        runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
+        scan.bound = runmin[-1].item()
+        for x in xs[lo <= runmin[:-1] * margin].tolist():
+            residuals = [surd_residual(a * x) for a in scan.alphas]
+            mags = [u.abs() for _, u in residuals]
+            if exact:
+                val = mags[1] if _below(mags[0], mags[1]) else mags[0]
+            else:
+                val = math.prod(mags, start=as_surdsum(x))
+            if best is None or _below(val, best):
+                records.append((x, val, residuals))
+                best = val
+    scan.X, scan.best = max(scan.X, X), best
     return records
 
 
@@ -428,7 +481,7 @@ def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     value = spec.value()
     if isinstance(value, Fraction):
         value = QuadraticSurd.from_rational(value)
-    q, best = residual_minima((value,), Q)[-1]
+    q, best, _ = residual_minima(ResidualScan((value,)), Q)[-1]
     return best, q
 
 

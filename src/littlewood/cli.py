@@ -116,6 +116,8 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
 
 
 def _cmd_entry_time(ns: argparse.Namespace) -> int:
+    if ns.n_max < 1:
+        raise ParameterError("n_max must be >= 1")
     alpha, beta = _numbers(ns)
     epsilon = parse_exact_fraction(ns.epsilon)
     params = ConeParams.make(ns.N, epsilon)
@@ -356,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_out(p):
         p.add_argument("--out", help="CSV output path (default: print nothing but the summary)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sample partitioning (rows do not depend on it)")
 
     p = sub.add_parser("liminf", help="running minima of x*||x*alpha||*||x*beta||")
     add_numbers(p)
@@ -371,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for sample partitioning (rows do not depend on it)")
     add_out(p)
     p.set_defaults(func=_cmd_cone_check)
 

@@ -3,29 +3,39 @@ the shear that straightens it, simultaneous Dirichlet search, brute-force
 minimisation oracles, and the sublevel-measure check for the one-variable
 cubic.
 
-The Dirichlet search and the running minima scan x in chunks with the
-residual kernel of :mod:`littlewood.cfrac`, whose uint64 products give
-proven integer bounds on 2**64 * ||x*alpha||.  Those bounds only nominate
-candidates; each nominee is confirmed or rejected in exact arithmetic.
+Both scans run on :func:`littlewood.cfrac.residual_minima`, the one
+running-minimum loop over x: the brute-force minima take the records of
+x*||x*alpha||*||x*beta||, and every Dirichlet point is read from the records
+of max(||x*alpha||, ||x*beta||), which are kept per (alpha, beta) and grown
+on demand.  The loop's screen only nominates candidates; each nominee is
+confirmed or rejected in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
-from .cfrac import CFSpec, ParameterError, residual_chunks, residual_minima
+from .cfrac import (
+    SCAN_CHUNK,
+    SCAN_MAX_X,
+    CFSpec,
+    ParameterError,
+    ResidualScan,
+    residual_minima,
+)
 from .exactnum import (
+    FIXED_BITS,
     DyadicInterval,
     QuadraticSurd,
     SurdSum,
     as_surdsum,
     certified_sign,
-    surd_residual,
+    fixed_enclosure,
 )
 from . import rootfind
 
@@ -131,32 +141,71 @@ def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdS
     return x, alpha_s * x - y, beta_s * x - z
 
 
+@lru_cache(maxsize=32)
+def _best_approximations(alpha: QuadraticSurd, beta: QuadraticSurd):
+    """(scan, keys, points) for the running-minimum records of m(x) =
+    max(||x*alpha||, ||x*beta||) over the scanned [1, scan.X], Lagarias's
+    best simultaneous approximations: per record the key min(floor(1/m**2),
+    SCAN_MAX_X), which never decreases along the list, and the lattice
+    point with its two residuals.  dirichlet_search grows the lists."""
+    return ResidualScan((alpha, beta), "max"), [], []
+
+
+def _inverse_square_floor(m: SurdSum) -> int:
+    """min(floor(1/m**2), SCAN_MAX_X) for m >= 0, exactly (m = 0 gives the cap)."""
+    if m.is_zero():
+        return SCAN_MAX_X
+    lo, hi = fixed_enclosure(m)  # memoised: m is a record the scan compared
+    exp = FIXED_BITS
+    while True:
+        # m lies in [lo, hi] * 2**-exp, so floor(1/m**2) lies in [k, k_hi]
+        one = 1 << (2 * exp)
+        k = one // (hi * hi)
+        if k >= SCAN_MAX_X:
+            return SCAN_MAX_X
+        k_hi = one // (lo * lo) if lo > 0 else None
+        if k_hi == k:
+            return k
+        if k_hi == k + 1:
+            return k_hi if certified_sign(m * m * k_hi - 1) <= 0 else k
+        exp *= 2
+        iv = m.interval(exp)
+        lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
+
+
 def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     """Smallest x in [1, N] whose nearest-integer residuals for alpha and
     beta are both at most 1/sqrt(N), residual comparisons exact (squared:
-    residual^2 <= 1/N).  Existence for N >= 2 is a Minkowski/pigeonhole
-    guarantee, so an empty result raises TheoremViolationError, and
-    N > 2**32 raises ParameterError.
+    residual^2 <= 1/N).
+
+    Every earlier x has a larger m(x) = max(||x*alpha||, ||x*beta||), so the
+    answer is the first running-minimum record of m with m(x)**2 <= 1/N,
+    that is with N <= floor(1/m(x)**2).  The records of each (alpha, beta)
+    are cached; a query that none of them answers extends the scan, a chunk
+    at a time, toward max(N, 2 * X) from the scanned X, and stops at the
+    first record that answers it.  Existence for N >= 2 is a
+    Minkowski/pigeonhole guarantee, so an empty result raises
+    TheoremViolationError, and N > 2**32 raises ParameterError.
     """
     if N < 2:
         raise ParameterError("N must be >= 2")
-    alpha = as_quadratic_surd(alpha)
-    beta = as_quadratic_surd(beta)
-    bound = Fraction(1, N)  # compare residual^2 against 1/N
-    # candidates have both kernel bounds lo <= 2**64 / sqrt(N), that is
-    # lo <= isqrt(2**128 // N) for an integer lo: exact, in uint64
-    cap = np.uint64(math.isqrt((1 << 128) // N))
-
-    for xs, ((a_lo, _), (b_lo, _)) in residual_chunks((alpha, beta), N):
-        for x in xs[(a_lo <= cap) & (b_lo <= cap)].tolist():
-            ya, ua = surd_residual(alpha * x)
-            if certified_sign(ua * ua - bound) > 0:
-                continue
-            yb, ub = surd_residual(beta * x)
-            if certified_sign(ub * ub - bound) > 0:
-                continue
-            return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
-    raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
+    if N > SCAN_MAX_X:
+        raise ParameterError(f"scan range {N} exceeds 2**32, the residual kernel's range")
+    alpha, beta = as_quadratic_surd(alpha), as_quadratic_surd(beta)
+    scan, keys, points = _best_approximations(alpha, beta)
+    target = min(max(N, 2 * scan.X), SCAN_MAX_X)
+    i = bisect_left(keys, N)
+    while i == len(keys) and scan.X < target:
+        for x, m, ((ya, ua), (yb, ub)) in residual_minima(
+            scan, min(scan.X + SCAN_CHUNK, target)
+        ):
+            keys.append(_inverse_square_floor(m))
+            points.append((LatticePoint(x, ya, yb), ua, ub))
+        i = bisect_left(keys, N, i)
+    if i == len(keys) or points[i][0].x > N:
+        raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
+    point, ua, ub = points[i]
+    return DirichletPoint(point, N, ua, ub)
 
 
 @dataclass(frozen=True)
@@ -181,7 +230,7 @@ def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
     alpha = as_quadratic_surd(alpha)
     beta = as_quadratic_surd(beta)
     records: list[MinRecord] = []
-    for x, val in residual_minima((alpha, beta), X):
+    for x, val, _ in residual_minima(ResidualScan((alpha, beta)), X):
         iv = val.interval(bits)
         records.append(MinRecord(x, iv.lo, iv.hi, val))
     return records

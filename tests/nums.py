@@ -1,12 +1,22 @@
-"""Shared test numbers, small generators and the entry-time oracle."""
+"""Shared test numbers, small generators, and the entry-time and
+Dirichlet-point oracles."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from littlewood import rootfind
-from littlewood.cfrac import CFSpec
+from littlewood.cfrac import CFSpec, residual_chunks
 from littlewood.entrytime import _membership_coeffs
-from littlewood.exactnum import QuadraticSurd
-from littlewood.lattice import ParameterError
+from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
+from littlewood.lattice import (
+    DirichletPoint,
+    LatticePoint,
+    ParameterError,
+    TheoremViolationError,
+    as_quadratic_surd,
+)
 
 SQRT2M1 = QuadraticSurd.make(-1, 1, 1, 2)  # sqrt(2) - 1 = [0; 2, 2, ...]
 SQRT3M1 = QuadraticSurd.make(-1, 1, 1, 3)  # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]
@@ -101,3 +111,27 @@ def entry_time_bisected(line, params, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:
+    """Independent Dirichlet-point oracle: scan x = 1..N in the residual
+    kernel's chunks, nominate every x whose two integer lower bounds are at
+    most 2**64 / sqrt(N), and return the first nominee whose squared
+    residuals are both <= 1/N exactly."""
+    if N < 2:
+        raise ParameterError("N must be >= 2")
+    alpha = as_quadratic_surd(alpha)
+    beta = as_quadratic_surd(beta)
+    bound = Fraction(1, N)
+    # lo <= 2**64 / sqrt(N) is lo <= isqrt(2**128 // N) for an integer lo
+    cap = np.uint64(math.isqrt((1 << 128) // N))
+    for xs, ((a_lo, _), (b_lo, _)) in residual_chunks((alpha, beta), 1, N):
+        for x in xs[(a_lo <= cap) & (b_lo <= cap)].tolist():
+            ya, ua = surd_residual(alpha * x)
+            if certified_sign(ua * ua - bound) > 0:
+                continue
+            yb, ub = surd_residual(beta * x)
+            if certified_sign(ub * ub - bound) > 0:
+                continue
+            return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
+    raise TheoremViolationError(f"no Dirichlet point for N={N}")

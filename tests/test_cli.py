@@ -296,8 +296,14 @@ def test_usage_errors_exit_2(tmp_path):
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "8",
          "--epsilon", "1/9", "--samples", "10", "--threads", "0"],
+        ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
+         "--epsilon", "0.01", "--n-max", "0"],
+        # the geometric grid reaches N = 6442450944 > 2**32, the scan range
+        ["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
+         "--n-max", "1", "--max-N", "10000000000"],
     ],
-    ids=["b3-eps-0", "b3-eps-negative", "levy-n-max-0-pair", "levy-n-max-0", "threads-0"],
+    ids=["b3-eps-0", "b3-eps-negative", "levy-n-max-0-pair", "levy-n-max-0", "threads-0",
+         "entry-n-max-0", "certificate-N-beyond-scan-range"],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     pairs = tmp_path / "pairs.txt"
@@ -331,3 +337,14 @@ def test_help_exits_zero():
         with pytest.raises(SystemExit) as exc:
             _run([sub, "--help"])
         assert exc.value.code == 0
+
+
+def test_only_cone_check_takes_threads(capsys):
+    for sub in ("liminf", "cone-check", "entry-time", "certificate",
+                "b3-scan", "cartan", "levy"):
+        with pytest.raises(SystemExit):
+            _run([sub, "--help"])
+        assert ("--threads" in capsys.readouterr().out) == (sub == "cone-check")
+    with pytest.raises(SystemExit) as exc:
+        _run(["levy", "--alpha", "sqrt:2", "--n-max", "3", "--threads", "0"])
+    assert exc.value.code == 2

@@ -19,7 +19,7 @@ from littlewood.cli import main
 from littlewood.cone import ConeParams, cone_inclusion_sample, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import approx_line, entry_time
-from littlewood.lattice import dirichlet_search
+from littlewood.lattice import cartan_measure, dirichlet_search
 from littlewood.numspec import parse_number_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,3 +106,21 @@ def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
         assert row["y"] == format_decimal(y_iv.midpoint())
         assert row["z"] == format_decimal(z_iv.midpoint())
         assert row["verdict"] == "ok"
+
+
+def test_cartan_csv_encloses_the_measures():
+    """Each printed (lo, hi) pair of the golden cartan CSV contains the
+    bounds cartan_measure gives at a root tolerance of 1e-30, for the monic
+    measure and for the f measure."""
+    ((_, argv, _),) = [c for c in CASES if c[0] == "cartan"]
+    with open(GOLDEN / "cartan.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if not r["epsilon"].startswith("#")]
+    assert len(rows) == 1
+    alpha, beta = (parse_number_spec(s, True).value() for s in ("sqrt:2", "sqrt:3"))
+    y0, z0 = (int(argv[argv.index(flag) + 1]) for flag in ("--y0", "--z0"))
+    for row in rows:
+        rep = cartan_measure(alpha, beta, y0, z0, Fraction(row["epsilon"]),
+                             tol=Fraction(1, 10**30))
+        for name in ("monic_measure", "f_measure"):
+            assert Fraction(row[f"{name}_lo"]) <= getattr(rep, f"{name}_lo")
+            assert getattr(rep, f"{name}_hi") <= Fraction(row[f"{name}_hi"])

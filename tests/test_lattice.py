@@ -9,11 +9,14 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood.cfrac import bad_constant_estimate, bad_constant_scan
-from littlewood.exactnum import QuadraticSurd, as_surdsum, certified_sign
+from littlewood import cfrac
+from littlewood.cfrac import SCAN_CHUNK, bad_constant_estimate, bad_constant_scan
+from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
 from littlewood.lattice import (
     LatticePoint,
     ParameterError,
+    _best_approximations,
+    _inverse_square_floor,
     brute_min_scan,
     cartan_measure,
     dirichlet_search,
@@ -29,6 +32,7 @@ from nums import (
     SQRT2M1,
     SQRT3M1,
     SURD_POOL,
+    dirichlet_search_chunked,
 )
 
 mpmath.mp.dps = 50
@@ -114,7 +118,7 @@ def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
     def no_arrays(*args, **kwargs):
         raise AssertionError("allocated the screen arrays")
 
-    monkeypatch.setattr("littlewood.lattice.np.arange", no_arrays)
+    monkeypatch.setattr("numpy.arange", no_arrays)
     with pytest.raises(ParameterError):
         dirichlet_search(SQRT2M1, SQRT3M1, 5 * 10**9)
     # the same range bound holds for the other two residual scans
@@ -160,6 +164,101 @@ def test_dirichlet_smallest_x_and_bad_lower_bound():
         # with eps = 1/N the Dirichlet condition N > 1/(2 eps) holds and
         # x0 > C / sqrt(2 eps) = C sqrt(N/2)
         assert x0 * x0 > c_est * c_est * Fraction(N, 2)
+
+
+@pytest.fixture(scope="module")
+def oracle_points():
+    return {N: dirichlet_search_chunked(SQRT2M1, SQRT3M1, N) for N in range(2, 3001)}
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+def test_dirichlet_lookup_matches_the_chunked_oracle(oracle_points, order):
+    # the record list grows differently in each order; the answers must not
+    Ns = sorted(oracle_points, reverse=order == "descending")
+    if order == "random":
+        random.Random(8).shuffle(Ns)
+    _best_approximations.cache_clear()
+    for N in Ns:
+        assert dirichlet_search(SQRT2M1, SQRT3M1, N) == oracle_points[N], N
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,Ns",
+    [
+        (SQRT2M1, SQRT2M1, range(2, 250)),
+        (GOLDENM1, GOLDENM1, range(2, 250)),
+        (SQRT2M1 + 10**9, SQRT3M1, range(2, 250)),
+        # exact ties m(1)**2 = 1/9, then m(3) = 0
+        (Fraction(1, 3), Fraction(1, 3), range(2, 40)),
+        (Fraction(1, 2), Fraction(3, 7), range(2, 60)),
+        (SURD_POOL[4], SURD_POOL[8], [2, 5000, 3, 70000, 71, 4999]),
+    ],
+    ids=["alpha-equals-beta", "golden-twice", "alpha-shifted", "rational-ties",
+         "rational-pair", "resumed-out-of-order"],
+)
+def test_dirichlet_lookup_matches_the_oracle_on_special_pairs(alpha, beta, Ns):
+    expected = {N: dirichlet_search_chunked(alpha, beta, N) for N in Ns}
+    for N in Ns:  # each query cold
+        _best_approximations.cache_clear()
+        assert dirichlet_search(alpha, beta, N) == expected[N], N
+    _best_approximations.cache_clear()
+    for N in Ns:  # one growing record list
+        assert dirichlet_search(alpha, beta, N) == expected[N], N
+
+
+def test_dirichlet_lookup_beyond_the_first_chunks():
+    # the answer for N = 500001 is x = 192070, in the third kernel chunk
+    N = 500001
+    expected = dirichlet_search_chunked(SQRT2M1, SQRT3M1, N)
+    assert 2 * SCAN_CHUNK < expected.x <= 3 * SCAN_CHUNK
+    _best_approximations.cache_clear()
+    assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
+    # a cold query scans no further than the chunk holding its answer
+    scan, _, _ = _best_approximations(SQRT2M1, SQRT3M1)
+    assert scan.X == 3 * SCAN_CHUNK
+    _best_approximations.cache_clear()
+    for small in range(2, 300):
+        dirichlet_search(SQRT2M1, SQRT3M1, small)
+    assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
+
+
+@pytest.mark.parametrize(
+    "m,key",
+    [
+        (Fraction(1, 3), 9),  # 1/m**2 = 9 exactly
+        # 1/m**2 within 2**-130 of 9: the fixed-point enclosure straddles 1/3
+        (Fraction(1, 3) + Fraction(1, 2**140), 8),
+        (Fraction(1, 3) - Fraction(1, 2**140), 9),
+        (SQRT2M1, 5),  # 1/m**2 = 3 + 2 sqrt(2)
+        # m = 2**-15 + (a sqrt(2) term of size 2**30 less its 60-bit floor):
+        # the fixed-point enclosure leaves 64 candidate keys, 128 bits one
+        (SurdSum.sqrt(2, 2**30) - Fraction(math.isqrt(2 * 4**90), 2**60)
+         + Fraction(1, 2**15), 2**30 - 1),
+        (Fraction(0), 2**32),
+        (Fraction(1, 2**20), 2**32),  # capped at the scan range
+    ],
+)
+def test_inverse_square_floor_is_exact(m, key):
+    assert _inverse_square_floor(as_surdsum(m)) == key
+
+
+def test_dirichlet_sweep_extends_the_scan_logarithmically(monkeypatch):
+    calls = []
+    chunks = cfrac.residual_chunks
+
+    def counting(alphas, start, X):
+        calls.append((start, X))
+        return chunks(alphas, start, X)
+
+    monkeypatch.setattr(cfrac, "residual_chunks", counting)
+    for alpha, beta in ((SQRT2M1, SQRT3M1), (GOLDENM1, SQRT2M1), (SURD_POOL[4], SURD_POOL[7])):
+        _best_approximations.cache_clear()
+        calls.clear()
+        for N in range(2, 251):
+            dirichlet_search(alpha, beta, N)
+        assert 1 <= len(calls) <= 1 + math.ceil(math.log2(250)), calls
+        # each extension resumes where the previous one stopped
+        assert all(b[0] == a[1] + 1 for a, b in zip(calls, calls[1:]))
 
 
 # -- brute minimisation ------------------------------------------------------
