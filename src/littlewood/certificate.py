@@ -1,14 +1,16 @@
 """The sufficient-condition checker and its search drivers.
 
 A single (n, N) cell is checked by the pipeline: transversality of the
-order-2n line, Dirichlet point for N, certified entry time tau_n, lcm time
+order-2n line (one integer comparison, N (N-1)^2 <= floor(eps / (2 e^2))),
+Dirichlet point for N, certified entry time tau_n, lcm time
 t_n = lcm(q_2n(alpha), q_2n(beta)), and the chain
 
     tau_n <= 2^(n-1)  <  lambda^(2n)  <=  x0 - 2,
 
-with lambda = (M+1)^2 from the pair's partial-quotient bound.  If the
-chain holds, the lattice point gamma_n(t_n) is constructed and
-0 < |f| <= eps is certified directly; the looser requirement
+with lambda = (M+1)^2 from the pair's partial-quotient bound; the middle
+link always holds (lambda >= 4).  If the chain holds, the lattice point
+gamma_n(t_n) is constructed and 0 < |f| <= eps is certified directly; the
+looser requirement
 tau_n <= t_n < x0 is evaluated and reported alongside.  A search sweeps
 (n, N) cells and either returns the first verified certificate or a
 structured exhaustion report in which every cell records the first
@@ -25,7 +27,7 @@ is refuted pointwise on a u-grid with certified interval arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,6 +40,7 @@ from .cfrac import (
 from .cone import ConeParams, cone_contains
 from .entrytime import (
     ApproxLine,
+    _transversality_budget,
     approx_line,
     entry_time,
     transversality_check,
@@ -47,10 +50,10 @@ from .exactnum import (
     SurdSum,
     certified_sign,
     frac_pow_interval,
+    iroot,
     surd_residual,
 )
 from .lattice import (
-    DirichletPoint,
     LatticePoint,
     ParameterError,
     as_quadratic_surd,
@@ -75,8 +78,9 @@ __all__ = [
 ]
 
 # "dirichlet-gap" names the precondition whose breach theorem_check raises
-# as a ParameterError, so no cell carries it; bench/tracer.py spells out
-# the same tuple
+# as a ParameterError, and "lcm-too-large" the chain link 2^(n-1) <
+# lambda^(2n), which always holds; no cell carries either.  bench/tracer.py
+# spells out the same tuple
 FAIL_REASONS = (
     "dirichlet-gap",
     "transversality-fail",
@@ -115,20 +119,21 @@ def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool
 
 def transversality_ceiling(epsilon, e_alpha, e_beta, max_N: int) -> int:
     """Largest N <= max_N passing the transversality condition (1 when even
-    N = 2 fails; the condition is monotone decreasing in N)."""
-    epsilon = Fraction(epsilon)
-    if not transversality_check(2, epsilon, e_alpha, e_beta):
+    N = 2 fails).
+
+    The condition is N (N-1)^2 <= K for one integer K (see
+    transversality_check), and N (N-1)^2 increases with N.  With r =
+    iroot(K, 3), r^3 <= K < (r+1)^3 puts the answer at r + 1 or r.
+    """
+    K = _transversality_budget(epsilon, e_alpha, e_beta, max(2, max_N * (max_N - 1) ** 2))
+    if K < 2:
         return 1
-    if transversality_check(max_N, epsilon, e_alpha, e_beta):
-        return max_N
-    lo, hi = 2, max_N  # check(lo) true, check(hi) false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if transversality_check(mid, epsilon, e_alpha, e_beta):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if max_N < 2:
+        raise ParameterError("N must be >= 2")
+    N = min(max_N, iroot(K, 3) + 1)
+    while N * (N - 1) ** 2 > K:
+        N -= 1
+    return N
 
 
 def _gamma_lattice_point(line: ApproxLine, t_n: int) -> LatticePoint:
@@ -148,8 +153,11 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
     """Run the full pipeline for one (n, N) and record what binds.
 
     Precondition N > 1/(2 eps) (the Dirichlet condition); violating it is a
-    parameter error.  The recorded reason is the first failing link, so an
-    exhaustion report shows which constraint binds where.
+    parameter error.  The order-2n line is built once, without a point,
+    for the transversality comparison; the Dirichlet point is searched
+    only for a transversal cell and then attached to it.  The recorded
+    reason is the first failing link, so an exhaustion report shows which
+    constraint binds where.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -163,43 +171,26 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
     M = max(_observed_M(alpha), _observed_M(beta))
     lam = (M + 1) ** 2
 
-    line_probe = approx_line(alpha, beta, n, _dummy_point(N))
-    transversal = transversality_check(N, epsilon, line_probe.e_alpha, line_probe.e_beta)
-    if not transversal:
-        return TheoremCheck(
-            n, N, epsilon, lam, False, reason="transversality-fail"
-        )
+    line = approx_line(alpha, beta, n, None)
+    if not transversality_check(N, epsilon, line.e_alpha, line.e_beta):
+        return TheoremCheck(n, N, epsilon, lam, False, reason="transversality-fail")
 
     P0 = dirichlet_search(alpha, beta, N)
-    line = approx_line(alpha, beta, n, P0)
+    line = replace(line, P0=P0)
     params = ConeParams.make(N, epsilon)
     rep = entry_time(line, params)
     t_n = lcm_time(alpha, beta, n)
     x0 = P0.x
 
-    tau_le_pow = rep.tau_vs(1 << (n - 1))
-    pow_lt_lam = (1 << (n - 1)) < lam ** (2 * n)
-    lam_le_x0 = lam ** (2 * n) <= x0 - 2
-    direct_ok = rep.tau_vs(t_n) and t_n < x0
-    tn_below_x0 = t_n < x0
-
     base = dict(
-        n=n,
-        N=N,
-        epsilon=epsilon,
-        lam=lam,
-        transversal=True,
-        x0=x0,
-        tau=rep.tau,
-        t_n=t_n,
-        direct_ok=direct_ok,
-        tn_below_x0=tn_below_x0,
+        n=n, N=N, epsilon=epsilon, lam=lam, transversal=True, x0=x0, tau=rep.tau,
+        t_n=t_n, direct_ok=rep.tau_vs(t_n) and t_n < x0, tn_below_x0=t_n < x0,
     )
-    if not tau_le_pow:
+    # the chain tau_n <= 2^(n-1) < lambda^(2n) <= x0 - 2; its middle link
+    # always holds: M >= 1, so lambda = (M+1)^2 >= 4 and lambda^(2n) >= 2^(4n)
+    if not rep.tau_vs(1 << (n - 1)):
         return TheoremCheck(**base, chain_ok=False, reason="tau-too-large")
-    if not pow_lt_lam:
-        return TheoremCheck(**base, chain_ok=False, reason="lcm-too-large")
-    if not lam_le_x0:
+    if lam ** (2 * n) > x0 - 2:
         return TheoremCheck(**base, chain_ok=False, reason="x0-too-small")
 
     candidate = _gamma_lattice_point(line, t_n)
@@ -208,19 +199,9 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
         alpha.value(), beta.value(), epsilon, candidate
     )
     return TheoremCheck(
-        **base,
-        chain_ok=True,
-        reason=None if good else "verify-fail",
-        candidate=candidate,
-        verified=good,
+        **base, chain_ok=True, reason=None if good else "verify-fail",
+        candidate=candidate, verified=good,
     )
-
-
-def _dummy_point(N: int) -> DirichletPoint:
-    """Placeholder Dirichlet point for the transversality short-circuit,
-    which never looks at it."""
-    zero = SurdSum()
-    return DirichletPoint(LatticePoint(1, 0, 0), N, zero, zero)
 
 
 @dataclass(frozen=True)
@@ -285,8 +266,8 @@ def certificate_search(
     cells: list[TheoremCheck] = []
     found = None
     for n in range(n_min, n_max + 1):
-        probe = approx_line(alpha, beta, n, _dummy_point(N0))
-        ceiling = transversality_ceiling(epsilon, probe.e_alpha, probe.e_beta, max_N)
+        line = approx_line(alpha, beta, n, None)
+        ceiling = transversality_ceiling(epsilon, line.e_alpha, line.e_beta, max_N)
         if ceiling < N0:
             grid = [N0]  # records the transversality failure at the floor
         elif strategy == "geometric":

@@ -14,11 +14,13 @@ inequality
 with e_a = e_2n(alpha), e_b = e_2n(beta) the (positive) even-order error
 terms.  Under the transversality condition
 
-    sqrt(N) (N - 1)  <=  sqrt(2 eps) / (2 max(e_a, e_b))
+    sqrt(N) (N - 1)  <=  sqrt(2 eps) / (2 max(e_a, e_b)),
 
-A is positive and the discriminant D_n = 4 (B^2 - A C) is positive, so the
-first entry time is the root tau_n = (-2B + sqrt(D_n)) / (2A).  Everything
-is decided exactly; tau itself is reported as a certified interval.
+that is the integer comparison N (N - 1)^2 <= floor(eps / (2 e^2)) with
+e = max(e_a, e_b), A is positive and the discriminant D_n = 4 (B^2 - A C)
+is positive, so the first entry time is the root tau_n = (-2B + sqrt(D_n))
+/ (2A).  Everything is decided exactly; tau itself is reported as a
+certified interval.
 
 The cubic variant drops the cone and asks for first entry of the line into
 the full body {|f| <= eps}, which means locating roots of the cubic
@@ -32,14 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rootfind
-from .cfrac import CFSpec, Convergent, ErrorTerm, convergents, cf_expand, error_term
+from .cfrac import CFSpec, Convergent, ErrorTerm, _below, convergents, cf_expand, error_term
 from .cone import ConeParams
 from .exactnum import (
     DyadicInterval,
     QuadraticSurd,
     SurdSum,
+    _inverse_square_floor,
     as_surdsum,
     certified_sign,
+    fixed_enclosure,
 )
 from .lattice import DirichletPoint, ParameterError, as_quadratic_surd
 
@@ -73,7 +77,7 @@ class ApproxLine:
     """Line through a Dirichlet point with an order-2n convergent direction."""
 
     n: int
-    P0: DirichletPoint
+    P0: DirichletPoint | None
     alpha: QuadraticSurd
     beta: QuadraticSurd
     c_alpha: Fraction
@@ -101,8 +105,13 @@ def _convergent_2n(spec: CFSpec, n: int, name: str) -> Convergent:
     return convergents(quotients)[2 * n]
 
 
-def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint) -> ApproxLine:
-    """Bundle the order-2n data; even order keeps both error terms >= 0."""
+def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint | None) -> ApproxLine:
+    """Bundle the order-2n data; even order keeps both error terms >= 0.
+
+    With P0 = None the line carries the order-2n data alone, which is all
+    transversality needs; ``dataclasses.replace(line, P0=P0)`` attaches a
+    Dirichlet point later without recomputing it.
+    """
     if n < 0:
         raise ParameterError("n must be >= 0")
     ca = _convergent_2n(alpha_spec, n, "alpha")
@@ -141,19 +150,33 @@ def _error_value(e) -> SurdSum:
     return as_surdsum(e)
 
 
-def transversality_check(N: int, epsilon, e_alpha, e_beta) -> bool:
-    """Exact verdict of sqrt(N)(N-1) <= sqrt(2 eps)/(2 max(e_a, e_b)),
-    decided by squaring (every quantity is nonnegative)."""
-    if N < 2:
-        raise ParameterError("N must be >= 2")
+def _transversality_budget(epsilon, e_alpha, e_beta, cap: int) -> int:
+    """K = min(floor(eps / (2 e^2)), cap) with e = max(e_a, e_b): the
+    transversality condition at N is the integer comparison N (N-1)^2 <= K
+    whenever cap >= N (N-1)^2.  e = 0 (rational directions, no bound)
+    gives the cap; eps <= 0 gives 0."""
     epsilon = Fraction(epsilon)
     ea = _error_value(e_alpha)
     eb = _error_value(e_beta)
-    emax = ea if certified_sign(ea - eb) >= 0 else eb
-    if certified_sign(emax) == 0:
-        return True  # rational directions: the right-hand side is infinite
-    lhs = 4 * (emax * emax) * (N * (N - 1) ** 2)
-    return certified_sign(lhs - 2 * epsilon) <= 0
+    emax = eb if _below(ea, eb) else ea
+    if fixed_enclosure(emax)[0] < 0:
+        emax = emax.abs()  # only negative inputs: the condition squares e
+    if epsilon <= 0:
+        return cap if emax.is_zero() else 0
+    return _inverse_square_floor(emax, epsilon / 2, cap)
+
+
+def transversality_check(N: int, epsilon, e_alpha, e_beta) -> bool:
+    """Exact verdict of sqrt(N)(N-1) <= sqrt(2 eps)/(2 max(e_a, e_b)).
+
+    Squared, it says N (N-1)^2 <= eps / (2 e^2) with e = max(e_a, e_b), and
+    the left side is an integer, so it is N (N-1)^2 <= floor(eps / (2 e^2)):
+    one exact floor, capped at N (N-1)^2.  A tie is transversal.
+    """
+    if N < 2:
+        raise ParameterError("N must be >= 2")
+    v = N * (N - 1) ** 2
+    return v <= _transversality_budget(epsilon, e_alpha, e_beta, v)
 
 
 def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, SurdSum, SurdSum]:
@@ -178,8 +201,8 @@ class EntryTimeReport:
     """First entry of the line into the cone.
 
     tau is a certified interval (degenerate [0,0] when P0 is already
-    inside); d_n and denominator keep their exact handles so chain
-    comparisons downstream stay exact.
+    inside); d_n = 4 (B^2 - AC), denominator = A and B keep their exact
+    handles so chain comparisons downstream (:meth:`tau_vs`) stay exact.
     """
 
     n: int
@@ -193,22 +216,17 @@ class EntryTimeReport:
     t_plus: DyadicInterval | None
     tau: DyadicInterval
     positive: bool
-    within_x0: bool
-    within_segment: bool
-    _A: SurdSum
     _B: SurdSum
-    _C: SurdSum
 
     def tau_vs(self, k, strict: bool = False) -> bool:
-        """Exact comparison tau <= k (or < k): sqrt(B^2 - AC) vs A*k + B."""
+        """Exact comparison tau <= k (or < k): sqrt(d_n) vs 2 (A k + B)."""
         k = Fraction(k)
         if self.already_inside:
             return 0 < k if strict else 0 <= k
-        rhs = self._A * k + self._B
+        rhs = self.denominator * k + self._B
         if certified_sign(rhs) < 0:
             return False
-        lhs = self._B * self._B - self._A * self._C
-        cmp = certified_sign(lhs - rhs * rhs)
+        cmp = certified_sign(self.d_n - 4 * (rhs * rhs))
         return cmp < 0 if strict else cmp <= 0
 
 
@@ -244,30 +262,10 @@ def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fractio
         # C < 0 forces D = 4(B^2 - AC) > 0, so t_plus exists
         tau = t_plus
         positive = True
-    x0 = line.x0
-    report = EntryTimeReport(
-        line.n,
-        params.N,
-        transversal,
-        already_inside,
-        D,
-        d_sign,
-        A,
-        t_minus,
-        t_plus,
-        tau,
-        positive,
-        False,
-        False,
-        A,
-        B,
-        C,
+    return EntryTimeReport(
+        line.n, params.N, transversal, already_inside, D, d_sign, A,
+        t_minus, t_plus, tau, positive, B,
     )
-    within_x0 = report.tau_vs(x0, strict=True)
-    within_segment = report.tau_vs(x0 - 1)
-    object.__setattr__(report, "within_x0", within_x0)
-    object.__setattr__(report, "within_segment", within_segment)
-    return report
 
 
 def _root_intervals(

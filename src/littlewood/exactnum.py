@@ -83,17 +83,27 @@ class MalformedSurdError(ExactArithmeticError):
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*r`` with ``r`` squarefree; return ``(s, r)``.
 
-    Exact for any n whose post-trial-division cofactor is below
-    ``_TRIAL_LIMIT**3`` (1e15 with the default limit); larger radicands
-    raise rather than risk an uncertified decomposition.
+    Trial division runs to ``_TRIAL_LIMIT`` and, for a non-square cofactor
+    above ``_TRIAL_LIMIT**3`` (1e15), on to its cube root.  A cofactor
+    whose cube root exceeds ``10 * _TRIAL_LIMIT`` raises rather than risk
+    an uncertified decomposition.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
     if n <= 1:
         return 1, n
     square, free, rest = 1, 1, n
-    p = 2
-    while p * p <= rest and p <= _TRIAL_LIMIT:
+    p, limit = 2, _TRIAL_LIMIT
+    while p * p <= rest:
+        if p > limit:
+            # no prime <= limit is left, so a cofactor <= limit**3 is 1, a
+            # prime, a prime square or a product of two primes; a larger
+            # non-square extends the limit once, to its cube root
+            if limit > _TRIAL_LIMIT or rest <= limit**3 or math.isqrt(rest) ** 2 == rest:
+                break
+            limit = iroot(rest, 3) + 1
+            if limit > 10 * _TRIAL_LIMIT:
+                raise ValueError(f"cannot certify squarefree part of {n}")
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -107,30 +117,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         s = math.isqrt(rest)
         if s * s == rest:
             square *= s
-        elif rest <= _TRIAL_LIMIT**3:
-            free *= rest
         else:
-            # second pass: extend trial division to cbrt(rest), after which
-            # the cofactor is certifiably 1, p, p^2 or p*q
-            limit = iroot(rest, 3) + 1
-            if limit > 10 * _TRIAL_LIMIT:
-                raise ValueError(f"cannot certify squarefree part of {n}")
-            while p * p <= rest and p <= limit:
-                if rest % p == 0:
-                    e = 0
-                    while rest % p == 0:
-                        rest //= p
-                        e += 1
-                    square *= p ** (e // 2)
-                    if e % 2:
-                        free *= p
-                p += 2
-            if rest > 1:
-                s = math.isqrt(rest)
-                if s * s == rest:
-                    square *= s
-                else:
-                    free *= rest
+            free *= rest
     return square, free
 
 
@@ -759,6 +747,30 @@ def fixed_enclosure(x) -> tuple[int, int]:
     if isinstance(x, (int, Fraction)):
         return _outward(x.numerator, x.numerator, x.denominator, FIXED_BITS)
     return fixed_enclosure(as_surdsum(x))
+
+
+def _inverse_square_floor(m: SurdSum, c: RationalLike, cap: int) -> int:
+    """min(floor(c / m**2), cap) for m >= 0 and a rational c > 0, exactly
+    (m = 0 gives the cap)."""
+    if m.is_zero():
+        return cap
+    c = Fraction(c)
+    lo, hi = fixed_enclosure(m)  # memoised on m
+    exp = FIXED_BITS
+    while True:
+        # m lies in [lo, hi] * 2**-exp, so floor(c/m**2) lies in [k, k_hi]
+        num = c.numerator << (2 * exp)
+        k = num // (c.denominator * hi * hi)
+        if k >= cap:
+            return cap
+        k_hi = num // (c.denominator * lo * lo) if lo > 0 else None
+        if k_hi == k:
+            return k
+        if k_hi == k + 1:
+            return k_hi if certified_sign(m * m * k_hi - c) <= 0 else k
+        exp *= 2
+        iv = m.interval(exp)
+        lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
 
 
 # The separation bound.  Let s = sum c_i*sqrt(d_i) be a canonical SurdSum

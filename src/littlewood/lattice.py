@@ -29,13 +29,12 @@ from .cfrac import (
     residual_minima,
 )
 from .exactnum import (
-    FIXED_BITS,
     DyadicInterval,
     QuadraticSurd,
     SurdSum,
+    _inverse_square_floor,
     as_surdsum,
     certified_sign,
-    fixed_enclosure,
 )
 from . import rootfind
 
@@ -151,28 +150,6 @@ def _best_approximations(alpha: QuadraticSurd, beta: QuadraticSurd):
     return ResidualScan((alpha, beta), "max"), [], []
 
 
-def _inverse_square_floor(m: SurdSum) -> int:
-    """min(floor(1/m**2), SCAN_MAX_X) for m >= 0, exactly (m = 0 gives the cap)."""
-    if m.is_zero():
-        return SCAN_MAX_X
-    lo, hi = fixed_enclosure(m)  # memoised: m is a record the scan compared
-    exp = FIXED_BITS
-    while True:
-        # m lies in [lo, hi] * 2**-exp, so floor(1/m**2) lies in [k, k_hi]
-        one = 1 << (2 * exp)
-        k = one // (hi * hi)
-        if k >= SCAN_MAX_X:
-            return SCAN_MAX_X
-        k_hi = one // (lo * lo) if lo > 0 else None
-        if k_hi == k:
-            return k
-        if k_hi == k + 1:
-            return k_hi if certified_sign(m * m * k_hi - 1) <= 0 else k
-        exp *= 2
-        iv = m.interval(exp)
-        lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
-
-
 def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     """Smallest x in [1, N] whose nearest-integer residuals for alpha and
     beta are both at most 1/sqrt(N), residual comparisons exact (squared:
@@ -199,7 +176,7 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
         for x, m, ((ya, ua), (yb, ub)) in residual_minima(
             scan, min(scan.X + SCAN_CHUNK, target)
         ):
-            keys.append(_inverse_square_floor(m))
+            keys.append(_inverse_square_floor(m, 1, SCAN_MAX_X))
             points.append((LatticePoint(x, ya, yb), ua, ub))
         i = bisect_left(keys, N, i)
     if i == len(keys) or points[i][0].x > N:
@@ -252,7 +229,7 @@ class CartanReport:
     monic_measure_hi: Fraction
     f_measure_lo: Fraction
     f_measure_hi: Fraction
-    bound: float  # 2e * eps^(1/3)
+    bound: float  # 2e * eps^(1/3), for display; the verdicts are exact
     monic_within_bound: bool
     f_within_bound: bool
 
@@ -314,7 +291,8 @@ def cartan_measure(
 ) -> CartanReport:
     """Measure the sublevel sets of the cubic through (y0, z0) by certified
     root isolation and monotone-piece inversion (default accuracy well
-    under the 1e-9 contract), and compare against 2e*eps^(1/3)."""
+    under the 1e-9 contract), and decide exactly whether each upper bound
+    is at most 2e*eps^(1/3)."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -333,14 +311,30 @@ def cartan_measure(
     # {|P| <= eps} = {|g| <= eps*alpha*beta};  {|f| <= eps} = {|g| <= eps}
     monic_lo, monic_hi = _sublevel_measure(coeffs, ab * epsilon, tol)
     f_lo, f_hi = _sublevel_measure(coeffs, as_surdsum(epsilon), tol)
-    bound = 2 * math.e * float(epsilon) ** (1 / 3)
     return CartanReport(
         epsilon,
         monic_lo,
         monic_hi,
         f_lo,
         f_hi,
-        bound,
-        float(monic_hi) <= bound,
-        float(f_hi) <= bound,
+        2 * math.e * float(epsilon) ** (1 / 3),
+        _within_2e_cbrt(monic_hi, epsilon),
+        _within_2e_cbrt(f_hi, epsilon),
     )
+
+
+def _within_2e_cbrt(x: Fraction, epsilon: Fraction) -> bool:
+    """x <= 2e * eps^(1/3) exactly, as x^3 <= 8 e^3 eps.  e lies in
+    [s, s + 1/(K! K)] with s = sum_{k <= K} 1/k!, and e^3 is irrational,
+    so doubling K decides."""
+    if x <= 0:
+        return True
+    target = x**3 / (8 * epsilon)
+    K = 16
+    while True:
+        e_lo = sum(Fraction(1, math.factorial(k)) for k in range(K + 1))
+        if target < e_lo**3:
+            return True
+        if target > (e_lo + Fraction(1, math.factorial(K) * K)) ** 3:
+            return False
+        K *= 2

@@ -1,5 +1,5 @@
-"""Shared test numbers, small generators, and the entry-time and
-Dirichlet-point oracles."""
+"""Shared test numbers, small generators, and the entry-time,
+Dirichlet-point and transversality oracles."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,7 @@ import numpy as np
 
 from littlewood import rootfind
 from littlewood.cfrac import CFSpec, residual_chunks
-from littlewood.entrytime import _membership_coeffs
+from littlewood.entrytime import _error_value, _membership_coeffs
 from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
 from littlewood.lattice import (
     DirichletPoint,
@@ -31,6 +31,16 @@ TEST_PAIRS = [
     (SPEC_GOLDENM1, SPEC_SQRT2M1),
     (SPEC_GOLDENM1, SPEC_SQRT3M1),
 ]
+
+# where the integer transversality verdicts are checked against the
+# SurdSum oracle: two quadratic irrationals, the golden pair (equal error
+# terms) and a pair with partial quotients <= 3
+TRANSVERSALITY_PAIRS = [
+    (SPEC_SQRT2M1, SPEC_SQRT3M1),
+    (SPEC_GOLDENM1, SPEC_GOLDENM1),
+    (CFSpec.from_periodic([0], [1, 3, 2]), CFSpec.from_periodic([0, 2], [3, 1])),
+]
+TRANSVERSALITY_EPSILONS = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000), Fraction(1, 10**6)]
 
 # unit-interval quadratic irrationals with small radicands, for random picks
 SURD_POOL = [
@@ -63,7 +73,7 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
     from littlewood.entrytime import approx_line, entry_time, transversality_check
     from littlewood.lattice import dirichlet_search
 
-    while True:
+    for _ in range(2000):
         alpha, beta = rng.sample(SURD_POOL, 2)
         a_spec, b_spec = CFSpec.from_surd(alpha), CFSpec.from_surd(beta)
         N = rng.randrange(6, 60)
@@ -84,9 +94,10 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
             rep = entry_time(line, params)
             if not rep.positive:
                 continue
-            if require_segment and not rep.within_segment:
+            if require_segment and not rep.tau_vs(line.x0 - 1):
                 continue
             return a_spec, b_spec, line, params, rep
+    raise AssertionError("no transversal configuration in 2000 draws")
 
 
 def entry_time_bisected(line, params, tol):
@@ -135,3 +146,37 @@ def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:
                 continue
             return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)
     raise TheoremViolationError(f"no Dirichlet point for N={N}")
+
+
+def transversality_check_surd(N: int, epsilon, e_alpha, e_beta) -> bool:
+    """Independent transversality oracle: sqrt(N)(N-1) <= sqrt(2 eps) /
+    (2 max(e_a, e_b)) squared to 4 e^2 N (N-1)^2 <= 2 eps and decided by
+    one certified sign of a SurdSum product."""
+    if N < 2:
+        raise ParameterError("N must be >= 2")
+    epsilon = Fraction(epsilon)
+    ea = _error_value(e_alpha)
+    eb = _error_value(e_beta)
+    emax = ea if certified_sign(ea - eb) >= 0 else eb
+    if certified_sign(emax) == 0:
+        return True  # rational directions: the right-hand side is infinite
+    lhs = 4 * (emax * emax) * (N * (N - 1) ** 2)
+    return certified_sign(lhs - 2 * epsilon) <= 0
+
+
+def transversality_ceiling_bisected(epsilon, e_alpha, e_beta, max_N: int) -> int:
+    """Independent ceiling oracle: bisection on the oracle above for the
+    largest N <= max_N that passes (1 when N = 2 fails)."""
+    check = lambda N: transversality_check_surd(N, epsilon, e_alpha, e_beta)
+    if not check(2):
+        return 1
+    if check(max_N):
+        return max_N
+    lo, hi = 2, max_N  # check(lo) true, check(hi) false
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if check(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

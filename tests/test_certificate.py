@@ -28,6 +28,9 @@ from nums import (
     SPEC_SQRT3M1,
     SQRT2M1,
     SQRT3M1,
+    TRANSVERSALITY_EPSILONS,
+    TRANSVERSALITY_PAIRS,
+    transversality_ceiling_bisected,
 )
 
 
@@ -112,10 +115,7 @@ def test_search_full_grid_guard():
 
 
 def test_transversality_ceiling_monotone():
-    line = approx_line(
-        SPEC_SQRT2M1, SPEC_SQRT3M1, 3,
-        __import__("littlewood.certificate", fromlist=["_dummy_point"])._dummy_point(10),
-    )
+    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 3, None)
     ceiling = transversality_ceiling(
         Fraction(1, 100), line.e_alpha, line.e_beta, 10**6
     )
@@ -124,6 +124,32 @@ def test_transversality_ceiling_monotone():
     assert not transversality_check(
         ceiling + 1, Fraction(1, 100), line.e_alpha, line.e_beta
     )
+
+
+def test_transversality_ceiling_matches_bisection_oracle():
+    for a_spec, b_spec in TRANSVERSALITY_PAIRS:
+        for n in range(1, 9):
+            line = approx_line(a_spec, b_spec, n, None)
+            for eps in TRANSVERSALITY_EPSILONS:
+                for max_N in (2, 3, 10, 3000, 10**6):
+                    got = transversality_ceiling(eps, line.e_alpha, line.e_beta, max_N)
+                    want = transversality_ceiling_bisected(eps, line.e_alpha, line.e_beta, max_N)
+                    assert got == want, (n, eps, max_N)
+
+
+def test_transversality_ceiling_edges():
+    e = Fraction(1, 8)
+    # the exact tie at N = 2 (see test_entrytime) is the ceiling
+    assert transversality_ceiling(Fraction(1, 16), e, e, 10**6) == 2
+    assert transversality_ceiling(Fraction(1, 16) - Fraction(1, 10**30), e, e, 10**6) == 1
+    # no error terms: no bound below max_N
+    assert transversality_ceiling(Fraction(1, 100), Fraction(0), Fraction(0), 10**9) == 10**9
+    # max_N < 2 is an error when N = 2 passes, as in the oracle, and the
+    # answer 1 when it fails
+    for ceiling in (transversality_ceiling, transversality_ceiling_bisected):
+        with pytest.raises(ParameterError, match="N must be >= 2"):
+            ceiling(Fraction(1, 16), e, e, 1)
+        assert ceiling(Fraction(1, 32), e, e, 1) == 1
 
 
 def test_search_exhaustion_deep():

@@ -52,6 +52,18 @@ def test_parse_mixed_preperiod_period_value():
     assert cf_expand(spec, 6) == [1, 2, 3, 3, 3, 3]
 
 
+def test_parse_fractional_part_of_periodic_and_rational():
+    from littlewood.cfrac import cf_expand
+
+    whole = parse_number_spec("cf:[2;1,(3,1)]")
+    frac = parse_number_spec("cf:[2;1,(3,1)]", frac=True)
+    assert frac.kind == "explicit-periodic"
+    assert frac.value() == whole.value() - 2
+    assert cf_expand(frac, 12) == [0] + cf_expand(whole, 12)[1:]
+    assert parse_number_spec("rat:7/3", frac=True).value() == Fraction(1, 3)
+    assert parse_number_spec("rat:-7/3", frac=True).value() == Fraction(2, 3)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(NumberSpecError) as exc:
         parse_number_spec("quad:1,2,0,5")

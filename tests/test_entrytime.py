@@ -20,7 +20,7 @@ from littlewood.entrytime import (
     transversality_check,
 )
 from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
-from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search
+from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search, f_exact
 
 from nums import (
     SPEC_GOLDENM1,
@@ -29,8 +29,12 @@ from nums import (
     SQRT2M1,
     SQRT3M1,
     TEST_PAIRS,
+    TRANSVERSALITY_EPSILONS,
+    TRANSVERSALITY_PAIRS,
     entry_time_bisected,
     transversal_config,
+    transversality_ceiling_bisected,
+    transversality_check_surd,
 )
 
 
@@ -69,6 +73,42 @@ def test_transversality_numeric_example():
 
 def test_transversality_degenerate_rational():
     assert transversality_check(7, Fraction(1, 100), Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("pair", TRANSVERSALITY_PAIRS, ids=["sqrt2-sqrt3", "golden", "cf-b3"])
+def test_transversality_matches_surd_oracle_for_every_N(pair):
+    # the oracle squares both sides into one SurdSum sign, which is monotone
+    # in N; so it passes exactly on [2, c] for its bisected ceiling c, and
+    # the integer check must agree with that at every N in [2, 3000]
+    a_spec, b_spec = pair
+    for n in range(1, 9):
+        line = approx_line(a_spec, b_spec, n, None)
+        ea, eb = line.e_alpha, line.e_beta
+        for eps in TRANSVERSALITY_EPSILONS:
+            c = transversality_ceiling_bisected(eps, ea, eb, 3000)
+            verdicts = [transversality_check(N, eps, ea, eb) for N in range(2, 3001)]
+            assert verdicts == [N <= c for N in range(2, 3001)], (n, eps, c)
+            for N in {2, c, c + 1, 3000} - {1, 3001}:
+                assert transversality_check_surd(N, eps, ea, eb) == (N <= c)
+
+
+def test_transversality_exact_tie_with_rational_error_terms():
+    # 4 e^2 N (N-1)^2 = 4/64 * 2 = 1/8 = 2 eps: a tie, which is transversal
+    e = Fraction(1, 8)
+    assert transversality_check(2, Fraction(1, 16), e, e)
+    assert transversality_check_surd(2, Fraction(1, 16), e, e)
+    below = Fraction(1, 16) - Fraction(1, 10**30)
+    assert not transversality_check(2, below, e, e)
+    assert not transversality_check_surd(2, below, e, e)
+    # N(N-1)^2 = 2 <= floor((eps/2) / e^2) = 2 holds with e_a, e_b swapped
+    assert transversality_check(2, Fraction(1, 16), Fraction(1, 9), e)
+    assert not transversality_check(3, Fraction(1, 16), e, Fraction(1, 9))
+
+
+def test_transversality_zero_error_terms_pass_every_N():
+    for N in (2, 3, 1000, 10**12):
+        assert transversality_check(N, Fraction(1, 10**6), Fraction(0), Fraction(0))
+        assert transversality_check_surd(N, Fraction(1, 10**6), Fraction(0), Fraction(0))
 
 
 def test_transversality_eventually_passes_in_n():
@@ -268,6 +308,24 @@ def test_cubic_no_entry_notice():
     line = _line(n=2, N=10)
     rep = cubic_entry_time(line, Fraction(1, 10**12))
     assert rep.no_entry and rep.tau_cubic is None
+
+
+def test_cubic_entry_strictly_inside_the_segment():
+    # P0 = (3, 1, 2) at N = 10: |f(P0)| = 3 |U0 V0| ~ 0.2 and |f| ~ |U0 V0|
+    # near t = x0 - 1 = 2, so eps = 0.12 is first reached strictly inside
+    line = _line(n=2, N=10)
+    eps = Fraction(12, 100)
+    rep = cubic_entry_time(line, eps)
+    assert not rep.entered_at_zero and not rep.no_entry
+    lo, hi = rep.tau_cubic
+    assert 0 < lo < hi <= line.x0 - 1
+
+    def excess(t):  # f(gamma(t))^2 - eps^2, evaluated from the form f
+        fx = f_exact(SQRT2M1, SQRT3M1, *line_gamma(line, t))
+        return certified_sign(fx * fx - eps * eps)
+
+    assert excess(Fraction(0)) > 0
+    assert excess(lo) > 0 and excess(hi) < 0
 
 
 def test_cubic_roots_certified():

@@ -15,6 +15,7 @@ from littlewood.exactnum import (
     MalformedSurdError,
     QuadraticSurd,
     SurdSum,
+    _inverse_square_floor,
     as_surdsum,
     certified_sign,
     iroot,
@@ -224,6 +225,41 @@ def test_squarefree_decompose():
     assert squarefree_decompose(999983**2 * 7) == (999983, 7)
     s, f = squarefree_decompose(2 * 3**4 * 49)
     assert s == 9 * 7 and f == 2
+
+
+def test_squarefree_decompose_past_the_trial_limit():
+    # cofactors above 10**15 with no factor <= 10**5 extend the trial
+    # division to their cube root; 100003, 100019 and 100043 are prime
+    assert squarefree_decompose(100003 * 100019 * 100043) == (1, 1000650100302451)
+    assert squarefree_decompose(100003**2 * 100019) == (100003, 100019)
+    assert squarefree_decompose(2**3 * 100003**2 * 100019) == (2 * 100003, 2 * 100019)
+    assert squarefree_decompose(1000003**2) == (1000003, 1)  # a square cofactor
+    # a cube root past 10**6 is refused, not guessed
+    with pytest.raises(ValueError, match="cannot certify"):
+        squarefree_decompose(1000003 * 1000033 * 1000037)
+
+
+@pytest.mark.parametrize(
+    "m,c,cap,key",
+    [
+        (Fraction(1, 8), Fraction(1, 32), 10**6, 2),  # c / m**2 = 2 exactly
+        (Fraction(1, 8), Fraction(1, 32) - Fraction(1, 2**140), 10**6, 1),
+        (Fraction(1, 8), Fraction(1, 32), 1, 1),  # capped
+        (Fraction(0), Fraction(1, 32), 7, 7),  # m = 0 gives the cap
+        (SurdSum.sqrt(2) - 1, 3, 10**6, 17),  # 3 (3 + 2 sqrt(2)) = 17.48...
+        (SurdSum.sqrt(2, Fraction(1, 3)), 2, 10**6, 9),  # m**2 = 2/9: a tie
+        (SurdSum.sqrt(2, Fraction(1, 3)), 2 - Fraction(1, 2**100), 10**6, 8),
+        (SurdSum.sqrt(3) - Fraction(17320508075688772, 10**16), Fraction(1, 10**6), 2**200, None),
+    ],
+)
+def test_inverse_square_floor_general_numerator(m, c, cap, key):
+    m = as_surdsum(m)
+    got = _inverse_square_floor(m, c, cap)
+    if key is None:  # a 10**-17-sized m: floor(c/m**2) ~ 10**27, checked exactly
+        assert 10**25 < got < cap
+        assert certified_sign(m * m * got - c) <= 0 < certified_sign(m * m * (got + 1) - c)
+    else:
+        assert got == key
 
 
 # -- certified sign ----------------------------------------------------------

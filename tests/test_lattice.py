@@ -11,12 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from littlewood import cfrac
 from littlewood.cfrac import SCAN_CHUNK, bad_constant_estimate, bad_constant_scan
-from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
+from littlewood.exactnum import (
+    QuadraticSurd,
+    SurdSum,
+    _inverse_square_floor,
+    as_surdsum,
+    certified_sign,
+)
 from littlewood.lattice import (
     LatticePoint,
     ParameterError,
     _best_approximations,
-    _inverse_square_floor,
+    _within_2e_cbrt,
     brute_min_scan,
     cartan_measure,
     dirichlet_search,
@@ -239,7 +245,7 @@ def test_dirichlet_lookup_beyond_the_first_chunks():
     ],
 )
 def test_inverse_square_floor_is_exact(m, key):
-    assert _inverse_square_floor(as_surdsum(m)) == key
+    assert _inverse_square_floor(as_surdsum(m), 1, 2**32) == key
 
 
 def test_dirichlet_sweep_extends_the_scan_logarithmically(monkeypatch):
@@ -330,6 +336,43 @@ def test_cartan_closed_form_origin():
     assert abs(float(rep.f_measure) - float(ref_f)) < 1e-9
     assert abs(float(rep.monic_measure) - float(ref_monic)) < 1e-9
     assert rep.monic_within_bound
+
+
+@pytest.mark.parametrize(
+    "eps", [Fraction(1, 1000), Fraction(1, 100), Fraction(7, 10**6), Fraction(5, 2)]
+)
+def test_cartan_bound_verdict_is_exact(eps):
+    bound = 2 * mpmath.e * mpmath.cbrt(mpmath.mpf(eps.numerator) / eps.denominator)
+    near = Fraction(str(mpmath.nstr(bound, 45)))
+    assert abs(near - Fraction(str(mpmath.nstr(bound, 50)))) < Fraction(1, 10**40)
+    assert _within_2e_cbrt(near - Fraction(1, 10**35), eps)
+    assert not _within_2e_cbrt(near + Fraction(1, 10**35), eps)
+    assert _within_2e_cbrt(Fraction(0), eps)
+
+
+def test_cartan_bound_verdict_where_the_float_bound_errs():
+    # float(1/1000) ** (1/3) is 0.10000000000000002, so the float bound
+    # 0.5436563656918091 lies above the true 2e/10 = 0.54365636569180904...;
+    # a measure between the two is outside the bound
+    eps = Fraction(1, 1000)
+    float_bound = 2 * math.e * float(eps) ** (1 / 3)
+    x = Fraction("0.543656365691809075")
+    assert float(x) <= float_bound
+    assert not _within_2e_cbrt(x, eps)
+    assert _within_2e_cbrt(Fraction("0.543656365691809045"), eps)
+
+
+def test_cartan_verdicts_use_the_exact_bound(monkeypatch):
+    # a measure enclosure whose upper end lies between 2e/10 and the float
+    # bound at eps = 1/1000 is reported as outside the bound
+    from littlewood import lattice
+
+    for hi, within in (("0.543656365691809075", False), ("0.543656365691809045", True)):
+        x = Fraction(hi)
+        monkeypatch.setattr(lattice, "_sublevel_measure", lambda *args: (x, x))
+        rep = cartan_measure(SQRT2M1, SQRT3M1, 1, 1, Fraction(1, 1000))
+        assert rep.monic_within_bound is within and rep.f_within_bound is within
+        assert rep.bound == 2 * math.e * 0.001 ** (1 / 3)
 
 
 def test_cartan_enclosure_is_tight():
