@@ -32,6 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cfrac import (
+    SCAN_MAX_X,
     CFSpec,
     ProfileViolationError,
     _observed_M,
@@ -242,7 +243,8 @@ def certificate_search(
     """Sweep n = n_min..n_max with, per n, N running from the Dirichlet
     floor up to the transversality ceiling (geometric doubling by default,
     every integer with strategy='full').  Deterministic; exhaustion is an
-    outcome, not an error."""
+    outcome, not an error.  max_N > 2**32 raises ParameterError before the
+    first cell: no Dirichlet point beyond the scan range can be found."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -250,6 +252,8 @@ def certificate_search(
         raise ParameterError("n_max must be >= n_min")
     if strategy not in ("geometric", "full"):
         raise ParameterError("strategy must be 'geometric' or 'full'")
+    if max_N > SCAN_MAX_X:
+        raise ParameterError(f"max_N={max_N} exceeds 2**32, the residual kernel's range")
 
     N0 = max(2, int(1 / (2 * epsilon)) + 1)
     if N0 > max_N:

@@ -83,7 +83,7 @@ def _cmd_liminf(ns: argparse.Namespace) -> int:
 def _cmd_cone_check(ns: argparse.Namespace) -> int:
     alpha, beta = (spec.value() for spec in _numbers(ns))
     params = ConeParams.make(ns.N, parse_exact_fraction(ns.epsilon))
-    run = InclusionRun(alpha, beta, params, ns.samples, seed=ns.seed, threads=ns.threads)
+    run = InclusionRun(alpha, beta, params, ns.samples, seed=ns.seed)
 
     def rows():  # streamed into write_csv, which asks for the counts at the end
         for smp in run:
@@ -131,10 +131,10 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
             rows.append([n, line.q2n_alpha, line.q2n_beta, t_n, "", "", False, "nontransversal"])
             continue
         rep = entry_time(line, params)
-        if rep.tau_vs(t_n) and t_n <= line.x0 - 1:
-            verdict = "lattice-time-in-cone"
-        elif not rep.tau_vs(t_n):
+        if not rep.tau_vs(t_n):
             verdict = "entry-after-lattice-time"
+        elif t_n <= line.x0 - 1:
+            verdict = "lattice-time-in-cone"
         else:
             verdict = "lattice-time-beyond-segment"
         rows.append(
@@ -371,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for sample partitioning (rows do not depend on it)")
     add_out(p)
     p.set_defaults(func=_cmd_cone_check)
 

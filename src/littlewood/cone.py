@@ -20,11 +20,10 @@ terms, built once per (alpha, beta, params).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import (
     DyadicInterval,
@@ -33,7 +32,7 @@ from .exactnum import (
     as_surdsum,
     certified_sign,
 )
-from .lattice import ParameterError, as_quadratic_surd, f_exact
+from .lattice import ParameterError, as_quadratic_surd, f_exact, m_transform
 
 __all__ = [
     "ConeParams",
@@ -49,7 +48,8 @@ __all__ = [
     "parallelepiped_contains",
 ]
 
-_CHUNK = 2048  # samples per RNG chunk; fixed so results ignore thread count
+_CHUNK = 2048  # samples per seeded generator; the rows depend on it, so it is fixed
+_CROSSCHECKS = 32  # a run re-verifies every (sample_count // 32)-th row through the surds
 _UNIT_BITS = 53  # every draw is k / 2**53, k < 2**53
 
 
@@ -95,14 +95,10 @@ class ConeMembershipVerdict:
 def cone_contains(alpha, beta, p: Sequence, params: ConeParams, bits: int = 128) -> ConeMembershipVerdict:
     """Certified membership of an exact point (lattice or real with exact
     coordinates); the boundary counts as inside (closed cone)."""
-    alpha_s = as_surdsum(as_quadratic_surd(alpha))
-    beta_s = as_surdsum(as_quadratic_surd(beta))
-    x, y, z = (as_surdsum(c) for c in tuple(p))
+    x, ra, rb = m_transform(alpha, beta, p)
     in_lo = certified_sign(x - 1) >= 0
     in_hi = certified_sign(params.N - x) >= 0
     x_in_range = in_lo and in_hi
-    ra = alpha_s * x - y
-    rb = beta_s * x - z
     slack = params.N - x
     margin = ra * ra + rb * rb - params.phi * (slack * slack)
     sign = certified_sign(margin)
@@ -191,13 +187,14 @@ class InclusionReport:
         return not self.violations
 
 
-def _sample_chunk(args) -> list[InclusionSample]:
+def _sample_chunk(
+    N: int, epsilon: Fraction, phi_val: Fraction, seed: int, chunk_index: int, count: int
+) -> list[InclusionSample]:
     """One chunk of rows from its own seeded generator, on integers only:
     with x = X/2**53, u = U/2**53, v = V/2**53, N - x = S/2**53 and
     phi = p/q, f = X*U*V*S^2*p / (q*2**265) and the margin is
     (U^2+V^2-2**106)*S^2*p / (q*2**212), so both verdicts are integer
     comparisons."""
-    N, epsilon, phi_val, seed, chunk_index, count = args
     rng = random.Random(seed * 1_000_003 + chunk_index)
     draw = rng.getrandbits
     one = 1 << _UNIT_BITS
@@ -227,9 +224,9 @@ def _sample_chunk(args) -> list[InclusionSample]:
 class InclusionRun:
     """One seeded sampling run of the open cone, streamed.
 
-    Iterating yields the rows in order, chunk by chunk (each chunk from its
-    own seeded generator, in worker processes when threads > 1, so the rows
-    do not depend on threads).  Every ``sample_count // crosscheck``-th row
+    Iterating yields the rows in order, chunk by chunk: chunk i holds
+    _CHUNK rows (the last may hold fewer) from a generator seeded with
+    seed * 1_000_003 + i.  Every ``max(1, sample_count // 32)``-th row
     is also pushed through the full surd evaluation of f as it passes, and
     violating rows are recorded.  Iterate a run once: when the iteration
     has ended, ``samples``, ``violations`` and ``crosschecked`` hold its
@@ -237,42 +234,24 @@ class InclusionRun:
     """
 
     def __init__(
-        self,
-        alpha,
-        beta,
-        params: ConeParams,
-        sample_count: int,
-        seed: int = 0,
-        threads: int = 1,
-        crosscheck: int = 32,
+        self, alpha, beta, params: ConeParams, sample_count: int, seed: int = 0
     ) -> None:
         if sample_count < 1:
             raise ParameterError("sample_count must be >= 1")
-        if threads < 1:
-            raise ParameterError("threads must be >= 1")
         self.alpha = as_quadratic_surd(alpha)
         self.beta = as_quadratic_surd(beta)
         self.params = params
-        self.threads = threads
-        self.chunks = [
-            (params.N, params.epsilon, params.phi, seed, i,
-             min(_CHUNK, sample_count - i * _CHUNK))
-            for i in range((sample_count + _CHUNK - 1) // _CHUNK)
-        ]
-        self.step = max(1, sample_count // max(1, crosscheck))
+        self.sample_count = sample_count
+        self.seed = seed
+        self.step = max(1, sample_count // _CROSSCHECKS)
         self.samples = self.crosschecked = 0
         self.violations: list[InclusionSample] = []
 
     def __iter__(self) -> Iterator[InclusionSample]:
-        if self.threads > 1:
-            with ProcessPoolExecutor(max_workers=min(self.threads, len(self.chunks))) as pool:
-                yield from self._tally(pool.map(_sample_chunk, self.chunks))
-        else:
-            yield from self._tally(map(_sample_chunk, self.chunks))
-
-    def _tally(self, chunks: Iterable[list[InclusionSample]]) -> Iterator[InclusionSample]:
-        for rows in chunks:
-            for sample in rows:
+        N, epsilon, phi_val = self.params.N, self.params.epsilon, self.params.phi
+        for i in range((self.sample_count + _CHUNK - 1) // _CHUNK):
+            count = min(_CHUNK, self.sample_count - i * _CHUNK)
+            for sample in _sample_chunk(N, epsilon, phi_val, self.seed, i, count):
                 if self.samples % self.step == 0:
                     self._crosscheck(sample)
                 if sample.violation:
@@ -292,24 +271,19 @@ class InclusionRun:
 
 
 def cone_inclusion_sample(
-    alpha,
-    beta,
-    params: ConeParams,
-    sample_count: int,
-    seed: int = 0,
-    threads: int = 1,
-    crosscheck: int = 32,
+    alpha, beta, params: ConeParams, sample_count: int, seed: int = 0
 ) -> InclusionReport:
     """Draw points uniformly from the open cone (uniform in x, uniform in
     the open cross-section disk minus the axes, where f would vanish) and
     certify 0 < |f| <= eps for each.
 
-    In scaled coordinates every check is an exact rational comparison; a
-    subsample is additionally pushed through the full surd evaluation of f
-    to confirm the two routes agree exactly.  This collects an
-    :class:`InclusionRun`; iterate one directly to stream the rows.
+    In scaled coordinates every check is an exact rational comparison;
+    every ``max(1, sample_count // 32)``-th row is additionally pushed
+    through the full surd evaluation of f to confirm the two routes agree
+    exactly.  This collects the rows of one :class:`InclusionRun`;
+    iterate a run directly to stream them.
     """
-    run = InclusionRun(alpha, beta, params, sample_count, seed, threads, crosscheck)
+    run = InclusionRun(alpha, beta, params, sample_count, seed)
     rows = tuple(run)
     return InclusionReport(params, run.samples, tuple(run.violations), rows, run.crosschecked)
 
@@ -375,14 +349,10 @@ def sample_point_coordinates(
 def parallelepiped_contains(alpha, beta, p: Sequence, params: ConeParams) -> bool:
     """Membership in the box 1 <= x <= N, |alpha*x - y| <= sqrt(2*eps/N),
     |beta*x - z| <= sqrt(2*eps/N), decided exactly on squares."""
-    alpha_s = as_surdsum(as_quadratic_surd(alpha))
-    beta_s = as_surdsum(as_quadratic_surd(beta))
-    x, y, z = (as_surdsum(c) for c in tuple(p))
+    x, ra, rb = m_transform(alpha, beta, p)
     if certified_sign(x - 1) < 0 or certified_sign(params.N - x) < 0:
         return False
     bound = Fraction(2 * params.epsilon, params.N)
-    ra = alpha_s * x - y
-    rb = beta_s * x - z
     return (
         certified_sign(ra * ra - bound) <= 0
         and certified_sign(rb * rb - bound) <= 0

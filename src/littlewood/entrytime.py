@@ -207,7 +207,6 @@ class EntryTimeReport:
 
     n: int
     N: int
-    transversal: bool
     already_inside: bool
     d_n: SurdSum
     d_n_sign: int
@@ -215,7 +214,6 @@ class EntryTimeReport:
     t_minus: DyadicInterval | None
     t_plus: DyadicInterval | None
     tau: DyadicInterval
-    positive: bool
     _B: SurdSum
 
     def tau_vs(self, k, strict: bool = False) -> bool:
@@ -237,10 +235,7 @@ def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fractio
     provably positive.  If P0 already satisfies the membership inequality
     the first entry is immediate and tau = 0 by convention.
     """
-    transversal = transversality_check(
-        params.N, params.epsilon, line.e_alpha, line.e_beta
-    )
-    if not transversal:
+    if not transversality_check(params.N, params.epsilon, line.e_alpha, line.e_beta):
         raise NontransversalConfigurationError(
             f"n={line.n}, N={params.N}: the line may miss the cone"
         )
@@ -257,14 +252,11 @@ def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fractio
         t_minus, t_plus = _root_intervals(A, B, D, rel_tol)
     if already_inside:
         tau = DyadicInterval(0, 0, 0)
-        positive = False
     else:
         # C < 0 forces D = 4(B^2 - AC) > 0, so t_plus exists
         tau = t_plus
-        positive = True
     return EntryTimeReport(
-        line.n, params.N, transversal, already_inside, D, d_sign, A,
-        t_minus, t_plus, tau, positive, B,
+        line.n, params.N, already_inside, D, d_sign, A, t_minus, t_plus, tau, B,
     )
 
 

@@ -109,10 +109,8 @@ def as_quadratic_surd(x) -> QuadraticSurd:
 def f_exact(alpha, beta, x, y, z) -> SurdSum:
     """f = x*(alpha*x - y)*(beta*x - z) with exact (possibly irrational)
     coordinates."""
-    alpha_s = as_surdsum(as_quadratic_surd(alpha))
-    beta_s = as_surdsum(as_quadratic_surd(beta))
-    x, y, z = as_surdsum(x), as_surdsum(y), as_surdsum(z)
-    return x * (alpha_s * x - y) * (beta_s * x - z)
+    x, ra, rb = m_transform(alpha, beta, (x, y, z))
+    return x * ra * rb
 
 
 def f_eval(

@@ -92,7 +92,7 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
                 continue
             params = ConeParams.make(N, eps)
             rep = entry_time(line, params)
-            if not rep.positive:
+            if rep.already_inside:
                 continue
             if require_segment and not rep.tau_vs(line.x0 - 1):
                 continue

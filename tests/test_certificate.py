@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from littlewood import certificate
 from littlewood.cfrac import CFSpec, ProfileViolationError, convergent
 from littlewood.certificate import (
     FAIL_REASONS,
@@ -20,6 +21,7 @@ from littlewood.certificate import (
 from littlewood.entrytime import approx_line, transversality_check
 from littlewood.exactnum import DyadicInterval, QuadraticSurd, certified_sign
 from littlewood.lattice import LatticePoint, ParameterError, brute_min_scan
+from littlewood.numspec import parse_number_spec
 
 from nums import (
     GOLDENM1,
@@ -112,6 +114,22 @@ def test_search_full_grid_guard():
             SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=9,
             strategy="full", max_cells=10,
         )
+
+
+def test_search_refuses_max_N_beyond_the_scan_range_before_any_cell(monkeypatch):
+    # this pair's transversality ceiling passes 2**32, where no Dirichlet
+    # point can be found; the search must refuse before the first cell
+    calls = []
+    real = certificate.theorem_check
+    monkeypatch.setattr(
+        certificate, "theorem_check", lambda *args: calls.append(args) or real(*args)
+    )
+    alpha, beta = parse_number_spec("rat:3/7"), parse_number_spec("rat:2/7")
+    with pytest.raises(ParameterError, match=r"2\*\*32"):
+        certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=2**32 + 1)
+    assert calls == []
+    out = certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=2**32)
+    assert len(calls) == len(out.cells) == 31 and out.cells[-1].N == 2**32
 
 
 def test_transversality_ceiling_monotone():

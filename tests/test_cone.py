@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood import cone
 from littlewood.cone import (
     _CHUNK,
+    _CROSSCHECKS,
     ConeParams,
     InclusionRun,
     InclusionSample,
@@ -119,13 +119,6 @@ def test_inclusion_sampling_no_violations():
     rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 3000, seed=11)
     assert rep.ok and rep.samples == 3000
     assert rep.crosschecked > 0
-
-
-def test_inclusion_sampling_deterministic_across_threads():
-    params = ConeParams.make(9, Fraction(1, 7))
-    r1 = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 2500, seed=3, threads=1)
-    r2 = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 2500, seed=3, threads=3)
-    assert r1.rows == r2.rows
 
 
 def test_sampled_lattice_like_points_satisfy_f_bound():
@@ -248,7 +241,7 @@ def test_integer_violation_verdicts_match_fraction_oracle(eps_factor, phi_sign):
     # comparisons flag
     params = ConeParams.make(15, Fraction(1, 5))
     args = (params.N, params.epsilon * eps_factor, params.phi * phi_sign, 4, 1, 600)
-    rows = _sample_chunk(args)
+    rows = _sample_chunk(*args)
     expected_rows, expected_violations = fraction_sample_chunk(args)
     assert [_fractions(s) for s in rows] == expected_rows
     flagged = [_fractions(s) for s in rows if s.violation]
@@ -261,7 +254,7 @@ def test_integer_violation_verdict_at_the_epsilon_tie():
     params = ConeParams.make(15, Fraction(1, 5))
     args = (params.N, params.epsilon, params.phi, 4, 1, 50)
     tie = abs(fraction_sample_chunk(args)[0][7][3])
-    rows = _sample_chunk((params.N, tie, params.phi, 4, 1, 50))
+    rows = _sample_chunk(params.N, tie, params.phi, 4, 1, 50)
     assert not rows[7].violation and abs(rows[7].f) == tie
     expected = fraction_sample_chunk((params.N, tie, params.phi, 4, 1, 50))[1]
     assert [_fractions(s) for s in rows if s.violation] == expected != []
@@ -269,44 +262,16 @@ def test_integer_violation_verdict_at_the_epsilon_tie():
 
 def test_inclusion_run_streams_the_report():
     params = ConeParams.make(9, Fraction(1, 7))
-    run = InclusionRun(SQRT2M1, SQRT3M1, params, 700, seed=3, crosscheck=10)
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, 700, seed=3)
     rows = []
     for sample in run:
         rows.append(sample)
         assert run.samples == len(rows)
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 700, seed=3, crosscheck=10)
+    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 700, seed=3)
     assert tuple(rows) == rep.rows and run.violations == list(rep.violations) == []
-    assert run.crosschecked == rep.crosschecked == len(rows[::70]) == 10
+    assert run.crosschecked == rep.crosschecked == len(rows[:: 700 // _CROSSCHECKS]) == 34
     with pytest.raises(ParameterError):
         InclusionRun(SQRT2M1, SQRT3M1, params, 0)
-
-
-def test_inclusion_run_starts_at_most_one_worker_per_chunk(monkeypatch):
-    started = []
-
-    class RecordingPool:  # runs the chunks in this process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(cone, "ProcessPoolExecutor", RecordingPool)
-    params = ConeParams.make(9, Fraction(1, 7))
-    for count, threads, workers in ((10, 8, [1]), (_CHUNK + 1, 8, [2]),
-                                    (_CHUNK + 1, 2, [2]), (_CHUNK + 1, 1, [])):
-        started.clear()
-        rows = tuple(InclusionRun(SQRT2M1, SQRT3M1, params, count, seed=3, threads=threads))
-        assert started == workers
-        assert rows == cone_inclusion_sample(SQRT2M1, SQRT3M1, params, count, seed=3).rows
-    for threads in (0, -3):
-        with pytest.raises(ParameterError, match="threads"):
-            InclusionRun(SQRT2M1, SQRT3M1, params, 10, threads=threads)
 
 
 def test_sample_point_coordinates_match_the_surd_route():

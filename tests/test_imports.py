@@ -1,10 +1,14 @@
-"""Lint: every name a library module imports is used in that module.
+"""Lint: every name a library module imports is used in that module, and
+importing the command-line module loads no process-pool machinery.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "littlewood"
@@ -76,3 +80,17 @@ def test_checker_flags_unused_and_accepts_used_names():
         "    return math.floor(x)\n"
     )
     assert unused_imports(source) == ["line 3: Fraction"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # every CLI call pays for what `import littlewood.cli` loads
+    probe = (
+        "import sys, littlewood.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"
