@@ -120,17 +120,17 @@ def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool
 
 def transversality_ceiling(epsilon, e_alpha, e_beta, max_N: int) -> int:
     """Largest N <= max_N passing the transversality condition (1 when even
-    N = 2 fails).
+    N = 2 fails); max_N < 2 is a ParameterError.
 
     The condition is N (N-1)^2 <= K for one integer K (see
     transversality_check), and N (N-1)^2 increases with N.  With r =
     iroot(K, 3), r^3 <= K < (r+1)^3 puts the answer at r + 1 or r.
     """
-    K = _transversality_budget(epsilon, e_alpha, e_beta, max(2, max_N * (max_N - 1) ** 2))
-    if K < 2:
-        return 1
     if max_N < 2:
         raise ParameterError("N must be >= 2")
+    K = _transversality_budget(epsilon, e_alpha, e_beta, max_N * (max_N - 1) ** 2)
+    if K < 2:
+        return 1
     N = min(max_N, iroot(K, 3) + 1)
     while N * (N - 1) ** 2 > K:
         N -= 1

@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .exactnum import (
     QuadraticSurd,
     SurdSum,
@@ -365,9 +363,11 @@ SCAN_MAX_X = 2**32
 SCAN_CHUNK = 2**16
 
 
-def residual_bounds(alphas: Sequence[QuadraticSurd], xs: np.ndarray) -> list:
+def residual_bounds(alphas: Sequence[QuadraticSurd], xs) -> list:
     """Per alpha, uint64 arrays (lo, hi) with lo <= 2**64 * ||x*alpha|| <= hi
     exactly, for each x of the uint64 array xs (1 <= x <= SCAN_MAX_X)."""
+    import numpy as np  # here and in the scans below: only scans need numpy
+
     # A = floor(frac(alpha) * 2**64) is exact and frac(alpha) * 2**64 = A + d
     # with 0 <= d < 1, so x*alpha = (P + t) / 2**64 (mod 1), where the uint64
     # product P = x*A wraps mod 2**64 and 0 <= t = x*d < x.  D = min(P,
@@ -388,6 +388,8 @@ def residual_bounds(alphas: Sequence[QuadraticSurd], xs: np.ndarray) -> list:
 def residual_chunks(alphas: Sequence[QuadraticSurd], start: int, X: int):
     """(xs, residual_bounds(alphas, xs)) for consecutive chunks xs of
     [start, X]; X > SCAN_MAX_X raises ParameterError before any array exists."""
+    import numpy as np
+
     if X > SCAN_MAX_X:
         raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
     for lo in range(start, X + 1, SCAN_CHUNK):
@@ -427,6 +429,8 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
     """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
     X] where the value reaches a new strict minimum, exactly; ties keep the
     first.  `residuals` holds surd_residual(alpha * x) per alpha."""
+    import numpy as np
+
     exact = scan.combine == "max"
     if scan.bound is None:
         scan.bound = 2**64 - 1 if exact else math.inf
@@ -508,9 +512,10 @@ class BadProfile:
 
 def _observed_M(spec: CFSpec) -> int:
     """Sup of partial quotients a_j (j >= 1).  For periodic kinds the scan
-    covers preperiod plus period, so this is the true sup."""
+    covers preperiod plus period, so this is the true sup; a purely
+    periodic expansion (empty preperiod) repeats its a_0 as a later a_j."""
     pre, per = _cf_cycle(spec)
-    return max((pre + per)[1:], default=1)
+    return max(pre[1:] + per, default=1)
 
 
 def joint_bad_profile(alpha: CFSpec, beta: CFSpec, Q: int = 1000) -> BadProfile:

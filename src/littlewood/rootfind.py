@@ -10,8 +10,12 @@ enclosure excludes 0, and the exact SurdSum Horner with
 
 Roots are isolated by recursing on the derivative: between consecutive
 critical points the polynomial is strictly monotone and plain sign-change
-bisection applies.  Each critical point sits in a narrow sliver whose end
-signs may agree while the polynomial crosses a level twice inside it; a
+bisection applies.  The bisection counts its halvings once, from the
+width and tol, and indexes its brackets by integers: the probe at level j
+is lo + (hi - lo)(2m + 1) / 2**j, with m the index of the bracket at level
+j - 1, built as one Fraction from integers, so no Fraction arithmetic runs
+per probe.  Each critical point sits in a narrow sliver whose end signs
+may agree while the polynomial crosses a level twice inside it; a
 mean-value enclosure proves most slivers root-free, and exact Sturm counts
 over the SurdSum coefficients split the others until each root is
 bracketed.  A tangency at the level (a root of even multiplicity) comes
@@ -102,7 +106,16 @@ def root_magnitude_bound(coeffs: Coeffs) -> Fraction:
 def bisect_root(
     coeffs: Coeffs, lo: Fraction, hi: Fraction, tol: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink a bracketing interval (opposite endpoint signs) below tol."""
+    """Shrink a bracketing interval (opposite endpoint signs) below tol.
+
+    The k halvings that take the width w = hi - lo to at most tol are
+    counted once: k is the least integer with w <= tol * 2**k.  Level j
+    keeps only the integer index m of the current bracket [lo + w m / 2**j,
+    lo + w (m+1) / 2**j], so each probe is one Fraction built from
+    integers over the common denominator of lo and hi.  The probes and
+    the result are the rationals that halving [lo, hi] with Fraction
+    arithmetic visits and returns.
+    """
     s_lo = poly_sign_at(coeffs, lo)
     s_hi = poly_sign_at(coeffs, hi)
     if s_lo == 0:
@@ -111,16 +124,25 @@ def bisect_root(
         return hi, hi
     if s_lo == s_hi:
         raise ValueError("endpoints do not bracket a sign change")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        s_mid = poly_sign_at(coeffs, mid)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    # lo = P / D and hi - lo = W / D; k from the bit lengths of W * tol.den
+    # and tol.num * D, then one exact fix-up
+    D = lo.denominator * hi.denominator
+    P = lo.numerator * hi.denominator
+    W = hi.numerator * lo.denominator - P
+    a, b = W * tol.denominator, tol.numerator * D
+    k = max(0, a.bit_length() - b.bit_length())
+    if a > b << k:
+        k += 1
+    m = 0
+    for j in range(1, k + 1):
+        t = Fraction((P << j) + W * (2 * m + 1), D << j)
+        s_mid = poly_sign_at(coeffs, t)
         if s_mid == 0:
-            return mid, mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+            return t, t
+        m = 2 * m + (s_mid == s_lo)
+    return Fraction((P << k) + W * m, D << k), Fraction((P << k) + W * (m + 1), D << k)
 
 
 def _keeps_sign(coeffs: Coeffs, deriv: Coeffs, a: Fraction, b: Fraction, s: int) -> bool:

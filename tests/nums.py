@@ -100,6 +100,30 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
     raise AssertionError("no transversal configuration in 2000 draws")
 
 
+def bisect_root_halving(coeffs, lo: Fraction, hi: Fraction, tol: Fraction):
+    """Independent bisection oracle: halve [lo, hi] with Fraction
+    arithmetic while its width exceeds tol, keeping the end whose sign
+    differs from p(lo); an exact zero at a midpoint ends the search."""
+    s_lo = rootfind.poly_sign_at(coeffs, lo)
+    s_hi = rootfind.poly_sign_at(coeffs, hi)
+    if s_lo == 0:
+        return lo, lo
+    if s_hi == 0:
+        return hi, hi
+    if s_lo == s_hi:
+        raise ValueError("endpoints do not bracket a sign change")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        s_mid = rootfind.poly_sign_at(coeffs, mid)
+        if s_mid == 0:
+            return mid, mid
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def entry_time_bisected(line, params, tol):
     """Independent entry-time oracle: bisection on the exact membership
     predicate of gamma_n(t) along [0, x0 - 1], down to width tol.
@@ -167,6 +191,8 @@ def transversality_check_surd(N: int, epsilon, e_alpha, e_beta) -> bool:
 def transversality_ceiling_bisected(epsilon, e_alpha, e_beta, max_N: int) -> int:
     """Independent ceiling oracle: bisection on the oracle above for the
     largest N <= max_N that passes (1 when N = 2 fails)."""
+    if max_N < 2:
+        raise ParameterError("N must be >= 2")
     check = lambda N: transversality_check_surd(N, epsilon, e_alpha, e_beta)
     if not check(2):
         return 1

@@ -162,12 +162,12 @@ def test_transversality_ceiling_edges():
     assert transversality_ceiling(Fraction(1, 16) - Fraction(1, 10**30), e, e, 10**6) == 1
     # no error terms: no bound below max_N
     assert transversality_ceiling(Fraction(1, 100), Fraction(0), Fraction(0), 10**9) == 10**9
-    # max_N < 2 is an error when N = 2 passes, as in the oracle, and the
-    # answer 1 when it fails
+    # max_N < 2 is an error whether or not N = 2 passes, as in the oracle
     for ceiling in (transversality_ceiling, transversality_ceiling_bisected):
-        with pytest.raises(ParameterError, match="N must be >= 2"):
-            ceiling(Fraction(1, 16), e, e, 1)
-        assert ceiling(Fraction(1, 32), e, e, 1) == 1
+        for eps in (Fraction(1, 16), Fraction(1, 32)):
+            for max_N in (1, 0):
+                with pytest.raises(ParameterError, match="N must be >= 2"):
+                    ceiling(eps, e, e, max_N)
 
 
 def test_search_exhaustion_deep():

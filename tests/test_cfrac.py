@@ -27,6 +27,7 @@ from littlewood.cfrac import (
     levy_quotient,
     residual_bounds,
     LEVY_AE_LOG,
+    _observed_M,
 )
 from littlewood.exactnum import (
     QuadraticSurd,
@@ -35,6 +36,7 @@ from littlewood.exactnum import (
     certified_sign,
     surd_residual,
 )
+from littlewood.numspec import parse_number_spec
 
 from nums import GOLDENM1, SPEC_GOLDENM1, SPEC_SQRT2M1, SPEC_SQRT3M1, SQRT2M1
 
@@ -352,6 +354,27 @@ def test_lcm_time_bounds_hold():
         t = lcm_time(SPEC_SQRT2M1, SPEC_SQRT3M1, n)
         prof = joint_bad_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, Q=1)
         assert 2 ** (n - 1) <= t <= prof.lam ** (2 * n)
+
+
+# purely periodic without --frac (empty preperiod, a_0 recurs as a_1, a_2,
+# ...), and [0; period] with it; the true sup of a_j (j >= 1)
+PURELY_PERIODIC_M = [("quad:1,1,1,2", 2), ("quad:2,1,1,5", 4), ("quad:1,1,1,3", 2), ("quad:1,1,2,5", 1)]
+
+
+@pytest.mark.parametrize("frac", [False, True])
+@pytest.mark.parametrize("text, M", PURELY_PERIODIC_M)
+def test_observed_M_counts_a_purely_periodic_a0(text, M, frac):
+    assert _observed_M(parse_number_spec(text, frac)) == M
+
+
+def test_lcm_time_bounds_hold_on_purely_periodic_inputs():
+    specs = [parse_number_spec(text) for text, _ in PURELY_PERIODIC_M]
+    for a_spec in specs:
+        for b_spec in specs:
+            lam = (max(_observed_M(a_spec), _observed_M(b_spec)) + 1) ** 2
+            for n in range(1, 11):
+                t = lcm_time(a_spec, b_spec, n)
+                assert 2 ** (n - 1) <= t <= lam ** (2 * n)
 
 
 def test_lcm_growth_profile():

@@ -224,6 +224,16 @@ def test_b3_scan_run(tmp_path):
     assert "# certificates = 0" in text
 
 
+def test_b3_scan_refuses_a_purely_periodic_quotient_above_3(tmp_path, capsys):
+    # 2 + sqrt(5) = [4; 4, 4, ...]: its a_0 = 4 recurs, so the pair fails
+    # the bounded-quotient gate before any cell runs
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("quad:2,1,1,5 quad:2,1,1,5\n")
+    rc = _run(["b3-scan", "--pairs", str(pairs), "--epsilons", "1/100", "--u-points", "10"])
+    assert rc == 2
+    assert "partial quotient 4 > 3" in capsys.readouterr().err
+
+
 def test_cartan_run(tmp_path):
     out = tmp_path / "ca.csv"
     rc = _run([

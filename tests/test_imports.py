@@ -1,5 +1,6 @@
 """Lint: every name a library module imports is used in that module, and
-importing the command-line module loads no process-pool machinery.
+importing the command-line module loads no process-pool machinery and no
+numpy until a residual scan runs.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
@@ -82,15 +83,31 @@ def test_checker_flags_unused_and_accepts_used_names():
     assert unused_imports(source) == ["line 3: Fraction"]
 
 
+def _fresh_python(probe: str) -> str:
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+
+
 def test_cli_import_loads_no_process_pool():
     # every CLI call pays for what `import littlewood.cli` loads
     probe = (
         "import sys, littlewood.cli; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out == "[]\n"
+    assert _fresh_python(probe) == "[]\n"
+
+
+def test_numpy_loads_on_the_first_residual_scan():
+    # cone-check, cartan and levy never scan, so they never pay for numpy
+    probe = (
+        "import sys, littlewood, littlewood.cli; "
+        "print('numpy' in sys.modules); "
+        "littlewood.cli.main(['liminf', '--alpha', 'sqrt:2', '--frac', '--beta', 'sqrt:3', "
+        "'--frac', '--max-x', '100']); "
+        "print('numpy' in sys.modules)"
+    )
+    lines = _fresh_python(probe).splitlines()
+    assert lines[0] == "False" and lines[-1] == "True"

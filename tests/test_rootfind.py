@@ -10,7 +10,7 @@ from littlewood import rootfind
 from littlewood.exactnum import SurdSum, as_surdsum, certified_sign, fixed_enclosure
 from littlewood.rootfind import bisect_root, isolate_roots, poly_eval, poly_sign_at
 
-from nums import SURD_POOL
+from nums import SURD_POOL, bisect_root_halving
 
 SQRT2 = SurdSum.sqrt(2)
 TOL = Fraction(1, 10**11)
@@ -278,3 +278,58 @@ def test_tangency_next_to_a_simple_root_stays_disjoint():
             assert any(lo <= e <= hi for lo, hi in roots)
             (tangent,) = [r for r in roots if not r[0] <= e <= r[1]]
             _assert_tangency_enclosure(coeffs, tangent, c)
+
+
+def _surd_poly(rng, degree):
+    """Random polynomial with SurdSum coefficients; the leading one is an
+    irrational surd plus a rational, so it is never 0."""
+    def coeff():
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        return as_surdsum(rng.choice(SURD_POOL)) * k + Fraction(rng.randrange(-9, 10), rng.choice([1, 3, 7]))
+    return [coeff() for _ in range(degree + 1)]
+
+
+def _bisection_tols(lo, hi):
+    """Tolerances around the step-count boundary of [lo, hi]: exactly
+    width / 2**k, just above and below it, not a power-of-two fraction of
+    the width, and at least the width (no halving at all)."""
+    w = hi - lo
+    exact = w / 2**17
+    return [exact, exact * (1 + Fraction(1, 10**20)), exact * (1 - Fraction(1, 10**20)),
+            Fraction(1, 10**11), Fraction(1, 3 * 10**7), w, 2 * w]
+
+
+def test_integer_bisection_matches_fraction_halving():
+    rng = random.Random(1118)
+    orientations = set()
+    for degree in [3] * 12 + [4] * 12:
+        coeffs = _surd_poly(rng, degree)
+        R = rootfind.root_magnitude_bound(coeffs)
+        # -R, R and non-dyadic points between them; brackets are the
+        # consecutive pairs with opposite signs
+        pts = sorted({-R, R} | {R * Fraction(rng.randrange(-999, 1000), 1001) for _ in range(10)})
+        signs = [poly_sign_at(coeffs, t) for t in pts]
+        brackets = [(a, b) for a, b, sa, sb in zip(pts, pts[1:], signs, signs[1:]) if sa * sb < 0]
+        if signs[0] * signs[-1] < 0:
+            brackets.append((pts[0], pts[-1]))
+        for lo, hi in brackets:
+            orientations.add(poly_sign_at(coeffs, lo))
+            for tol in _bisection_tols(lo, hi):
+                expect = bisect_root_halving(coeffs, lo, hi, tol)
+                assert bisect_root(coeffs, lo, hi, tol) == expect
+                assert expect[1] - expect[0] <= tol
+    assert orientations == {-1, 1}
+
+
+@pytest.mark.parametrize("flip", [1, -1])
+def test_integer_bisection_stops_on_an_exact_rational_root(flip):
+    # on [-1/3, 2/3] the third probe is -1/3 + 3/8 = 1/24, the root
+    coeffs = [flip * c for c in _poly_mul([-Fraction(1, 24), 1], [SQRT2, 0, 1])]
+    lo, hi = Fraction(-1, 3), Fraction(2, 3)
+    for tol in (Fraction(1, 10**9), Fraction(1, 8)):
+        assert bisect_root(coeffs, lo, hi, tol) == bisect_root_halving(coeffs, lo, hi, tol)
+    assert bisect_root(coeffs, lo, hi, Fraction(1, 10**9)) == (Fraction(1, 24), Fraction(1, 24))
+    # with tol = 1/4 the loop stops after two halvings, above the root
+    assert bisect_root(coeffs, lo, hi, Fraction(1, 4)) == (Fraction(-1, 12), Fraction(1, 6))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        bisect_root(coeffs, lo, hi, Fraction(0))
