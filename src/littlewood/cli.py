@@ -29,7 +29,7 @@ from .cfrac import (
 )
 from .certificate import b3_infeasibility_scan, certificate_search
 from .cone import ConeParams, InclusionRun, sample_point_coordinates
-from .csvio import format_decimal, write_csv
+from .csvio import format_decimal, format_ratio, format_ratio_bounds, write_csv
 from .entrytime import approx_line, entry_time, transversality_check
 from .lattice import (
     ParameterError,
@@ -87,16 +87,13 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
 
     def rows():  # streamed into write_csv, which asks for the counts at the end
         for smp in run:
-            x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
-            f, margin = smp.f, smp.margin
+            _, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
             yield [
-                format_decimal(x),
-                format_decimal(y_iv.midpoint()),
-                format_decimal(z_iv.midpoint()),
-                format_decimal(margin, direction=-1),
-                format_decimal(margin, direction=1),
-                format_decimal(f, direction=-1),
-                format_decimal(f, direction=1),
+                format_ratio(*smp.x_ratio),
+                format_ratio(*y_iv.midpoint_ratio()),
+                format_ratio(*z_iv.midpoint_ratio()),
+                *format_ratio_bounds(*smp.margin_ratio),
+                *format_ratio_bounds(*smp.f_ratio),
                 "violation" if smp.violation else "ok",
             ]
 

@@ -12,9 +12,12 @@ radius at x = 1, which is what actually contains the cone).
 
 The sampler works on integers: every draw is k/2**53, so x, u, v, f and the
 margin are integer numerators over fixed denominators and every verdict is
-an integer comparison.  :class:`InclusionRun` streams its rows, and the
-reported coordinates of a row come from integer forms of their SurdSum
-terms, built once per (alpha, beta, params).
+an integer comparison.  :class:`InclusionRun` streams its rows.  A row is
+reported from those integers too: x, f and the margin as (numerator,
+denominator) pairs, and y and z as enclosures computed from integer forms
+of their SurdSum terms, which are built once per (alpha, beta, params) and
+found again by object identity while the same three are passed row after
+row.
 """
 
 from __future__ import annotations
@@ -141,8 +144,10 @@ class InclusionSample(NamedTuple):
 
     Held as integer numerators: x, u and v over 2**53, f over
     phi_den * 2**265 and the margin (u^2+v^2-1)*phi*(N-x)^2 over
-    phi_den * 2**212; the properties read them as exact Fractions.
-    ``violation`` is set when 0 < |f| <= eps or margin <= 0 fails.
+    phi_den * 2**212.  The ``*_ratio`` properties give x, f and the margin
+    as unreduced (numerator, denominator) pairs, the others read the values
+    as exact Fractions.  ``violation`` is set when 0 < |f| <= eps or
+    margin <= 0 fails.
     """
 
     x_num: int
@@ -154,8 +159,20 @@ class InclusionSample(NamedTuple):
     violation: bool
 
     @property
+    def x_ratio(self) -> tuple[int, int]:
+        return self.x_num, 1 << _UNIT_BITS
+
+    @property
+    def f_ratio(self) -> tuple[int, int]:
+        return self.f_num, self.phi_den << 5 * _UNIT_BITS
+
+    @property
+    def margin_ratio(self) -> tuple[int, int]:
+        return self.margin_num, self.phi_den << 4 * _UNIT_BITS
+
+    @property
     def x(self) -> Fraction:
-        return Fraction(self.x_num, 1 << _UNIT_BITS)
+        return Fraction(*self.x_ratio)
 
     @property
     def u(self) -> Fraction:
@@ -167,11 +184,11 @@ class InclusionSample(NamedTuple):
 
     @property
     def f(self) -> Fraction:
-        return Fraction(self.f_num, self.phi_den << 5 * _UNIT_BITS)
+        return Fraction(*self.f_ratio)
 
     @property
     def margin(self) -> Fraction:
-        return Fraction(self.margin_num, self.phi_den << 4 * _UNIT_BITS)
+        return Fraction(*self.margin_ratio)
 
 
 @dataclass(frozen=True)
@@ -329,14 +346,32 @@ def _coordinate_interval(
     return DyadicInterval.of_surd_terms(terms, bits)
 
 
+# (alpha, beta, params, forms) of the last _forms_of call, replaced as one
+# tuple so that a concurrent reader never pairs a key with another's forms
+_last_forms: tuple = (None, None, None, None)
+
+
+def _forms_of(alpha, beta, params: ConeParams):
+    """_coordinate_forms for the numbers and params as passed: a run passes
+    the same three objects for every row, so the forms are looked up (and
+    the Fractions in the key hashed) once, and each later row costs three
+    identity tests.  All three are immutable, so identity implies the same
+    forms."""
+    global _last_forms
+    last_alpha, last_beta, last_params, forms = _last_forms
+    if alpha is last_alpha and beta is last_beta and params is last_params:
+        return forms
+    forms = _coordinate_forms(as_quadratic_surd(alpha), as_quadratic_surd(beta), params)
+    _last_forms = (alpha, beta, params, forms)
+    return forms
+
+
 def sample_point_coordinates(
     alpha, beta, params: ConeParams, sample: InclusionSample, bits: int = 128
 ) -> tuple[Fraction, DyadicInterval, DyadicInterval]:
     """Cartesian coordinates of a sampled point for reporting: x exactly,
     y and z as the enclosures ``interval(bits)`` of their exact SurdSums."""
-    y_forms, z_forms = _coordinate_forms(
-        as_quadratic_surd(alpha), as_quadratic_surd(beta), params
-    )
+    y_forms, z_forms = _forms_of(alpha, beta, params)
     X = sample.x_num
     S = (params.N << _UNIT_BITS) - X
     return (

@@ -5,66 +5,70 @@ rounding (lower bounds down, upper bounds up) so the printed pair still
 encloses the exact value.  Every file ends with a comment block recording
 the full run configuration; nothing time- or path-dependent is written, so
 identical configurations produce byte-identical files.
+
+Cells are rendered from an integer numerator over a positive integer
+denominator; no Fraction is built.  One exponent search scales the value
+to ``sig`` digits, and its single ``divmod`` gives both directed roundings,
+so :func:`format_ratio_bounds` renders an enclosing (lo, hi) pair of one
+value from one search.  :func:`format_decimal` renders ints and Fractions
+through the same core.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-__all__ = ["format_decimal", "render_csv", "write_csv"]
+__all__ = ["format_decimal", "format_ratio", "format_ratio_bounds", "render_csv", "write_csv"]
 
 SIG_DIGITS = 15
 
 
-def _below_pow10(a: int, d: int, k: int) -> bool:
-    """a/d < 10**k for a, d > 0, by one integer comparison."""
-    return a < d * 10**k if k >= 0 else a * 10**-k < d
+def _check(den: int, sig: int, direction: int = 0) -> None:
+    if den <= 0:
+        raise ValueError(f"denominator must be positive, got {den}")
+    if sig < 1:
+        raise ValueError(f"sig must be >= 1, got {sig}")
+    if direction not in (-1, 0, 1):
+        raise ValueError(f"direction must be -1, 0 or 1, got {direction}")
 
 
-def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
-    """Decimal rendering of an exact rational at `sig` significant digits.
+def _scaled(a: int, den: int, sig: int) -> tuple[int, int, int, int]:
+    """(q, r, d, e10) for a, den > 0 with 10**e10 <= a/den < 10**(e10+1)
+    and q + r/d = (a/den) * 10**(sig-1-e10) in [10**(sig-1), 10**sig).
 
-    direction -1 rounds toward -inf, +1 toward +inf, 0 to nearest (half
-    away from zero).  The result is parseable by float() and by Fraction().
-    """
-    if isinstance(x, int):
-        num, den = x, 1
-    else:
-        if not isinstance(x, Fraction):
-            x = Fraction(x)
-        num, den = x.numerator, x.denominator
-    if num == 0:
-        return "0"
-    neg = num < 0
-    a = -num if neg else num
-    # 10**e10 <= a/den < 10**(e10+1): start from the binary exponent times
-    # log10(2) ~ 1233/4096 (off by at most a little) and correct exactly
-    e10 = ((a.bit_length() - den.bit_length()) * 1233) >> 12
-    while not _below_pow10(a, den, e10 + 1):
+    The exponent is estimated from logarithms and checked on the quotient
+    itself (both bounds are integers, so q alone decides them): a right
+    estimate costs one divmod."""
+    e10 = math.floor(math.log10(a) - math.log10(den))
+    top = 10**sig
+    while True:
+        shift = sig - 1 - e10
+        if shift >= 0:
+            d = den
+            q, r = divmod(a * 10**shift, d)
+        else:
+            d = den * 10**-shift
+            q, r = divmod(a, d)
+        if q >= top:
+            e10 += 1
+        elif q * 10 < top:
+            e10 -= 1
+        else:
+            return q, r, d, e10
+
+
+def _render(mag: int, e10: int, sig: int, neg: bool) -> str:
+    """The decimal text of sign * mag * 10**(e10 - sig + 1), with mag a
+    rounded magnitude in [10**(sig-1), 10**sig]: positional for
+    -4 <= e10 < sig, scientific otherwise."""
+    digits = str(mag)
+    if len(digits) > sig:  # rounded up to 10**sig: one digit fewer, one decade up
+        digits = digits[:sig]
         e10 += 1
-    while _below_pow10(a, den, e10):
-        e10 -= 1
-    shift = sig - 1 - e10
-    if shift >= 0:
-        a *= 10**shift
-    else:
-        den *= 10**-shift
-    # |x| * 10**shift = a/den lies in [10**(sig-1), 10**sig); round its
-    # magnitude to nearest (ties away from zero), up when the directed
-    # rounding points away from zero, down when it points toward zero
-    if direction == 0:
-        mag = (2 * a + den) // (2 * den)
-    elif (direction < 0) == neg:
-        mag = -(-a // den)
-    else:
-        mag = a // den
-    if mag >= 10**sig:
-        mag //= 10
-        e10 += 1
-    digits = str(mag).rjust(sig, "0")
     if -4 <= e10 < sig:
         if e10 >= 0:
             intpart, fracpart = digits[: e10 + 1], digits[e10 + 1 :]
@@ -73,9 +77,53 @@ def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
         fracpart = fracpart.rstrip("0")
         body = intpart + ("." + fracpart if fracpart else "")
     else:
-        mantissa = digits[0] + ("." + digits[1:].rstrip("0") if digits[1:].rstrip("0") else "")
-        body = f"{mantissa}e{e10:+03d}"
-    return ("-" if neg else "") + body
+        tail = digits[1:].rstrip("0")
+        body = f"{digits[0]}{'.' + tail if tail else ''}e{e10:+03d}"
+    return "-" + body if neg else body
+
+
+def format_ratio(num: int, den: int, sig: int = SIG_DIGITS, direction: int = 0) -> str:
+    """Decimal rendering of num/den (den > 0) at ``sig`` significant digits.
+
+    direction -1 rounds toward -inf, +1 toward +inf, 0 to nearest (half
+    away from zero).  The result is parseable by float() and by Fraction().
+    """
+    _check(den, sig, direction)
+    if num == 0:
+        return "0"
+    neg = num < 0
+    q, r, d, e10 = _scaled(-num if neg else num, den, sig)
+    # round the magnitude to nearest (ties away from zero), up when the
+    # directed rounding points away from zero, down when it points toward it
+    if direction == 0:
+        q += 2 * r >= d
+    elif (direction < 0) == neg:
+        q += r != 0
+    return _render(q, e10, sig, neg)
+
+
+def format_ratio_bounds(num: int, den: int, sig: int = SIG_DIGITS) -> tuple[str, str]:
+    """``(format_ratio(num, den, sig, -1), format_ratio(num, den, sig, 1))``
+    from one exponent search: the magnitude rounds down to q and up to
+    q + (r != 0), and a negative value swaps which end gets which."""
+    _check(den, sig)
+    if num == 0:
+        return "0", "0"
+    neg = num < 0
+    q, r, _, e10 = _scaled(-num if neg else num, den, sig)
+    down = _render(q, e10, sig, neg)
+    if not r:
+        return down, down
+    up = _render(q + 1, e10, sig, neg)
+    return (up, down) if neg else (down, up)
+
+
+def format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
+    """:func:`format_ratio` of an int or a Fraction (anything else is
+    converted with ``Fraction(x)`` first)."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return format_ratio(x.numerator, x.denominator, sig, direction)
 
 
 def render_csv(

@@ -210,8 +210,12 @@ class DyadicInterval:
     def width(self) -> Fraction:
         return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
 
+    def midpoint_ratio(self) -> tuple[int, int]:
+        """The midpoint as an unreduced (numerator, denominator) pair."""
+        return self.lo_m + self.hi_m, 1 << (self.exp + 1)
+
     def midpoint(self) -> Fraction:
-        return Fraction(self.lo_m + self.hi_m, 1 << (self.exp + 1))
+        return Fraction(*self.midpoint_ratio())
 
     def __float__(self) -> float:
         return (self.lo_m + self.hi_m) / (1 << (self.exp + 1))

@@ -6,7 +6,9 @@ Polynomials are coefficient lists (ascending powers) of SurdSum / Fraction
 interval-first: Horner's rule on integer fixed-point enclosures
 (:func:`~littlewood.exactnum.fixed_enclosure`) decides it whenever the
 enclosure excludes 0, and the exact SurdSum Horner with
-``certified_sign`` decides the rest, exact zeros included.
+``certified_sign`` decides the rest, exact zeros included.  The
+coefficient enclosures are taken once per polynomial and passed to every
+probe of it.
 
 Roots are isolated by recursing on the derivative: between consecutive
 critical points the polynomial is strictly monotone and plain sign-change
@@ -54,22 +56,33 @@ def poly_derivative(coeffs: Coeffs) -> list[SurdSum]:
     return [as_surdsum(c) * k for k, c in enumerate(coeffs) if k >= 1]
 
 
-def _fixed_horner(coeffs: Coeffs, t_lo: int, t_hi: int) -> tuple[int, int]:
+Fixed = list[tuple[int, int]]
+
+
+def _fixed_coeffs(coeffs: Coeffs) -> Fixed:
+    """The fixed-point enclosure of every coefficient, ascending."""
+    return [fixed_enclosure(c) for c in coeffs]
+
+
+def _fixed_horner(fixed: Fixed, t_lo: int, t_hi: int) -> tuple[int, int]:
     """Fixed-point enclosure (mantissas over 2**-FIXED_BITS) of the
-    polynomial on the argument enclosure [t_lo, t_hi]; a point when equal."""
+    polynomial with coefficient enclosures ``fixed`` on the argument
+    enclosure [t_lo, t_hi]; a point when equal."""
     lo = hi = 0
-    for c in reversed(coeffs):
+    for c_lo, c_hi in reversed(fixed):
         p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
-        c_lo, c_hi = fixed_enclosure(c)
         lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
         hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
     return lo, hi
 
 
-def poly_sign_at(coeffs: Coeffs, t: Fraction) -> int:
+def poly_sign_at(coeffs: Coeffs, t: Fraction, fixed: Fixed | None = None) -> int:
     """Certified sign at a rational point: the fixed-point Horner when its
-    enclosure excludes 0, the exact Horner otherwise."""
-    lo, hi = _fixed_horner(coeffs, *fixed_enclosure(t))
+    enclosure excludes 0, the exact Horner otherwise.  A caller that probes
+    one polynomial many times passes its ``_fixed_coeffs`` as ``fixed``."""
+    if fixed is None:
+        fixed = _fixed_coeffs(coeffs)
+    lo, hi = _fixed_horner(fixed, *fixed_enclosure(t))
     if lo > 0:
         return 1
     if hi < 0:
@@ -116,8 +129,9 @@ def bisect_root(
     the result are the rationals that halving [lo, hi] with Fraction
     arithmetic visits and returns.
     """
-    s_lo = poly_sign_at(coeffs, lo)
-    s_hi = poly_sign_at(coeffs, hi)
+    fixed = _fixed_coeffs(coeffs)
+    s_lo = poly_sign_at(coeffs, lo, fixed)
+    s_hi = poly_sign_at(coeffs, hi, fixed)
     if s_lo == 0:
         return lo, lo
     if s_hi == 0:
@@ -138,19 +152,20 @@ def bisect_root(
     m = 0
     for j in range(1, k + 1):
         t = Fraction((P << j) + W * (2 * m + 1), D << j)
-        s_mid = poly_sign_at(coeffs, t)
+        s_mid = poly_sign_at(coeffs, t, fixed)
         if s_mid == 0:
             return t, t
         m = 2 * m + (s_mid == s_lo)
     return Fraction((P << k) + W * m, D << k), Fraction((P << k) + W * (m + 1), D << k)
 
 
-def _keeps_sign(coeffs: Coeffs, deriv: Coeffs, a: Fraction, b: Fraction, s: int) -> bool:
+def _keeps_sign(fixed: Fixed, deriv_fixed: Fixed, a: Fraction, b: Fraction, s: int) -> bool:
     """Mean-value proof that p keeps the sign s of p(a) on all of [a, b]:
-    p(t) lies in p(a) + [0, b - a] * p'([a, b]), all in fixed point."""
+    p(t) lies in p(a) + [0, b - a] * p'([a, b]), all in fixed point, from
+    the coefficient enclosures of p and p'."""
     a_lo, a_hi = fixed_enclosure(a)
-    p_lo, p_hi = _fixed_horner(coeffs, a_lo, a_hi)
-    d_lo, d_hi = _fixed_horner(deriv, a_lo, fixed_enclosure(b)[1])
+    p_lo, p_hi = _fixed_horner(fixed, a_lo, a_hi)
+    d_lo, d_hi = _fixed_horner(deriv_fixed, a_lo, fixed_enclosure(b)[1])
     w = fixed_enclosure(b - a)[1]
     if s > 0:
         return p_lo + (min(0, w * d_lo) >> FIXED_BITS) > 0
@@ -198,14 +213,17 @@ def _sturm_chain(coeffs: list[SurdSum]) -> list[list[SurdSum]]:
     return chain
 
 
-def _sign_changes(chain: list[list[SurdSum]], t: Fraction) -> int:
-    signs = [s for s in (poly_sign_at(q, t) for q in chain) if s]
+def _sign_changes(chain: list[tuple[list[SurdSum], Fixed]], t: Fraction) -> int:
+    """Sign changes at t of a Sturm chain given as (polynomial, coefficient
+    enclosures) pairs."""
+    signs = [s for s in (poly_sign_at(q, t, fixed) for q, fixed in chain) if s]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _sliver_roots(
     coeffs: list[SurdSum],
-    deriv: Coeffs,
+    fixed: Fixed,
+    deriv_fixed: Fixed,
     a: Fraction,
     b: Fraction,
     sa: int,
@@ -213,7 +231,8 @@ def _sliver_roots(
     tol: Fraction,
 ) -> list[tuple[Fraction, Fraction]]:
     """Roots strictly inside a critical-point sliver [a, b], given the exact
-    signs sa, sb of p at its ends, which are not opposite.
+    signs sa, sb of p at its ends, which are not opposite; ``fixed`` and
+    ``deriv_fixed`` are the coefficient enclosures of p and p'.
 
     A mean-value enclosure proves most slivers root-free.  The rest are
     decided exactly by Sturm's theorem: with V(t) the sign changes of the
@@ -225,9 +244,9 @@ def _sliver_roots(
     a tangency at the level), enclosed by halving to width tol and away
     from the sliver ends.
     """
-    if sa and sa == sb and _keeps_sign(coeffs, deriv, a, b, sa):
+    if sa and sa == sb and _keeps_sign(fixed, deriv_fixed, a, b, sa):
         return []
-    chain = _sturm_chain(coeffs)
+    chain = [(q, _fixed_coeffs(q)) for q in _sturm_chain(coeffs)]
     sign = {a: sa, b: sb}
     changes = {a: _sign_changes(chain, a), b: _sign_changes(chain, b)}
     roots: list[tuple[Fraction, Fraction]] = []
@@ -244,7 +263,7 @@ def _sliver_roots(
             roots.append((u, v))
             continue
         m = (u + v) / 2
-        while (sm := poly_sign_at(coeffs, m)) == 0:
+        while (sm := poly_sign_at(coeffs, m, fixed)) == 0:
             m = (u + m) / 2  # split only where p != 0; the root stays counted
         sign[m], changes[m] = sm, _sign_changes(chain, m)
         pieces += [(u, m), (m, v)]
@@ -268,10 +287,11 @@ def isolate_roots(
     if len(trimmed) == 1:
         return []
     cuts: list[Fraction] = [lo, hi]
-    deriv: list[SurdSum] = []
+    deriv_fixed: Fixed = []
     slivers: dict[Fraction, Fraction] = {}  # critical-point enclosures
     if len(trimmed) > 2:
         deriv = poly_derivative(trimmed)
+        deriv_fixed = _fixed_coeffs(deriv)
         crit_tol = min(tol, (hi - lo) or tol) / 4
         for c_lo, c_hi in isolate_roots(deriv, lo, hi, crit_tol):
             cuts.extend((c_lo, c_hi))
@@ -279,7 +299,8 @@ def isolate_roots(
                 slivers[c_lo] = c_hi
     cuts = sorted(set(cuts))
     roots: list[tuple[Fraction, Fraction]] = []
-    signs = {t: poly_sign_at(trimmed, t) for t in cuts}
+    fixed = _fixed_coeffs(trimmed)
+    signs = {t: poly_sign_at(trimmed, t, fixed) for t in cuts}
     for a, b in zip(cuts, cuts[1:]):
         sa, sb = signs[a], signs[b]
         if sa == 0 and (not roots or roots[-1][1] < a):
@@ -287,7 +308,7 @@ def isolate_roots(
         if sa * sb < 0:
             roots.append(bisect_root(trimmed, a, b, tol))
         elif slivers.get(a) == b:
-            roots.extend(_sliver_roots(trimmed, deriv, a, b, sa, sb, tol))
+            roots.extend(_sliver_roots(trimmed, fixed, deriv_fixed, a, b, sa, sb, tol))
     if signs[hi] == 0 and (not roots or roots[-1][1] < hi):
         roots.append((hi, hi))
     return roots

@@ -1,13 +1,18 @@
-"""Shared test numbers, small generators, and the entry-time,
-Dirichlet-point and transversality oracles."""
+"""Shared test numbers, small generators, the CSV reader, and the
+entry-time, Dirichlet-point, transversality and cone-row oracles."""
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from littlewood import rootfind
 from littlewood.cfrac import CFSpec, residual_chunks
+from littlewood.cone import InclusionRun, sample_point_coordinates
+from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
 from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
 from littlewood.lattice import (
@@ -206,3 +211,48 @@ def transversality_ceiling_bisected(epsilon, e_alpha, e_beta, max_N: int) -> int
         else:
             hi = mid
     return lo
+
+
+class CsvTable(NamedTuple):
+    header: list[str]
+    rows: list[dict[str, str]]  # keyed by the header
+    metadata: dict[str, str]  # the trailing "# key = value" block, in order
+
+
+def read_csv(path) -> CsvTable:
+    """A CSV written by ``csvio.write_csv``: its rows and its metadata
+    block, split where the first "#" line starts; every line after it
+    must be a "# key = value" line."""
+    lines = Path(path).read_text().splitlines(keepends=True)
+    split = next((i for i, ln in enumerate(lines) if ln.startswith("#")), len(lines))
+    header, *rows = csv.reader(lines[:split])
+    metadata = {}
+    for ln in lines[split:]:
+        key, sep, value = ln.rstrip("\n").removeprefix("# ").partition(" = ")
+        assert ln.startswith("# ") and sep, f"not a metadata line: {ln!r}"
+        metadata[key] = value
+    return CsvTable(header, [dict(zip(header, row, strict=True)) for row in rows], metadata)
+
+
+CONE_HEADER = ["x", "y", "z", "margin_lo", "margin_hi", "f_lo", "f_hi", "verdict"]
+
+
+def cone_rows_fraction(alpha, beta, params, sample_count: int, seed: int) -> list[list[str]]:
+    """The cone-check rows as rendered before the integer cells: every cell
+    a normalised Fraction (the InclusionSample properties and the
+    DyadicInterval midpoints) through format_decimal, one call per cell."""
+    rows = []
+    for smp in InclusionRun(alpha, beta, params, sample_count, seed):
+        x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+        f, margin = smp.f, smp.margin
+        rows.append([
+            format_decimal(x),
+            format_decimal(y_iv.midpoint()),
+            format_decimal(z_iv.midpoint()),
+            format_decimal(margin, direction=-1),
+            format_decimal(margin, direction=1),
+            format_decimal(f, direction=-1),
+            format_decimal(f, direction=1),
+            "violation" if smp.violation else "ok",
+        ])
+    return rows

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from littlewood.cli import main
-from littlewood.csvio import format_decimal
+from littlewood.cone import ConeParams
+from littlewood.csvio import format_decimal, render_csv
 from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
 from littlewood.numspec import (
     NumberSpecError,
@@ -15,7 +16,7 @@ from littlewood.numspec import (
     parse_number_spec,
 )
 
-from nums import GOLDENM1, SQRT2M1
+from nums import CONE_HEADER, GOLDENM1, SQRT2M1, cone_rows_fraction, read_csv
 
 
 # -- number specs ------------------------------------------------------------
@@ -133,14 +134,14 @@ def test_liminf_csv_and_determinism(tmp_path):
             "--max-x", "2000"]
     assert _run(args + ["--out", str(out1)]) == 0
     assert _run(args + ["--out", str(out2)]) == 0
-    a, b = out1.read_text(), out2.read_text()
-    assert a.splitlines()[0] == "x,value_lo,value_hi"
-    assert [ln for ln in a.splitlines() if ln.startswith("#")]  # metadata block
+    a, b = read_csv(out1), read_csv(out2)
+    assert a.header == ["x", "value_lo", "value_hi"]
+    assert a.metadata["arg.out"] == str(out1)
     # outputs identical apart from the differing --out path line
-    strip = lambda t: [ln for ln in t.splitlines() if not ln.startswith("# arg.out")]
+    assert a.rows == b.rows
+    strip = lambda table: [kv for kv in table.metadata.items() if kv[0] != "arg.out"]
     assert strip(a) == strip(b)
-    rows = [ln for ln in a.splitlines() if ln and not ln.startswith("#")][1:]
-    assert rows[0].startswith("1,")
+    assert a.rows[0]["x"] == "1"
 
 
 def test_liminf_csv_encloses_the_exact_minima(tmp_path):
@@ -149,12 +150,11 @@ def test_liminf_csv_encloses_the_exact_minima(tmp_path):
                  "--max-x", "200000", "--out", str(out)]) == 0
     alpha = parse_number_spec("sqrt:2", frac=True).value()
     beta = parse_number_spec("sqrt:3").value()
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,value_lo,value_hi"
-    rows = [ln.split(",") for ln in lines[1:] if ln and not ln.startswith("#")]
-    assert [int(r[0]) for r in rows][-2:] == [41, 10864]
+    table = read_csv(out)
+    assert table.header == ["x", "value_lo", "value_hi"]
+    rows = [(int(r["x"]), r["value_lo"], r["value_hi"]) for r in table.rows]
+    assert [x for x, _, _ in rows][-2:] == [41, 10864]
     for x, lo, hi in rows:
-        x = int(x)
         value = x * surd_residual(alpha * x)[1].abs() * surd_residual(beta * x)[1].abs()
         assert certified_sign(value - Fraction(lo)) >= 0
         assert certified_sign(Fraction(hi) - value) >= 0
@@ -179,11 +179,36 @@ def test_cone_check_run(tmp_path):
         "--out", str(out),
     ])
     assert rc == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,z,margin_lo,margin_hi,f_lo,f_hi,verdict"
-    data = [ln for ln in lines[1:] if ln and not ln.startswith("#")]
-    assert len(data) == 300
-    assert all(ln.endswith(",ok") for ln in data)
+    table = read_csv(out)
+    assert table.header == CONE_HEADER
+    assert len(table.rows) == 300 and table.metadata["samples"] == "300"
+    assert all(r["verdict"] == "ok" for r in table.rows)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, N, eps, seed, samples",
+    [
+        ("sqrt:2", "sqrt:3", 10, "1/10", 3, 2 * 2048 + 301),
+        ("quad:1,1,2,5", "sqrt:7", 50, "3/10000", 11, 2048 + 301),
+        # 2*eps/N = 2: s = sqrt(2)*(N-x) shares the radicand of alpha = sqrt(2)/64,
+        # so the y form merges two terms in sqrt(2), the shape that can cancel
+        ("quad:0,1,64,2", "sqrt:3", 2, "2", 5, 2048 + 301),
+        ("rat:2/7", "sqrt:5", 37, "0.0004", 2**40, 2048 + 301),
+    ],
+)
+def test_cone_csv_matches_the_fraction_renderer(tmp_path, alpha, beta, N, eps, seed, samples):
+    """The whole cone-check CSV, rows past chunk boundaries included, is the
+    one the per-cell Fraction renderer gives for the same run."""
+    out = tmp_path / "cone.csv"
+    assert _run(["cone-check", "--alpha", alpha, "--beta", beta, "--frac", "--N", str(N),
+                 "--epsilon", eps, "--samples", str(samples), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert table.metadata["samples"] == str(samples) and table.metadata["violations"] == "0"
+    alpha_v, beta_v = (parse_number_spec(s, frac=True).value() for s in (alpha, beta))
+    params = ConeParams.make(N, parse_exact_fraction(eps))
+    rows = cone_rows_fraction(alpha_v, beta_v, params, samples, seed)
+    assert out.read_bytes() == render_csv(CONE_HEADER, rows, table.metadata).encode()
 
 
 def test_entry_time_run(tmp_path):
@@ -241,7 +266,8 @@ def test_cartan_run(tmp_path):
         "--y0", "1", "--z0", "1", "--epsilon", "0.001", "--out", str(out),
     ])
     assert rc == 0
-    assert "monic_measure_lo" in out.read_text()
+    table = read_csv(out)
+    assert "monic_measure_lo" in table.header and len(table.rows) == 1
 
 
 def test_cartan_with_a_tangency_at_the_level(tmp_path):
@@ -254,8 +280,8 @@ def test_cartan_with_a_tangency_at_the_level(tmp_path):
         "--z0", "3", "--epsilon", "4", "--out", str(out),
     ])
     assert rc == 0
-    row = out.read_text().splitlines()[1].split(",")
-    lo, hi = float(row[1]), float(row[2])
+    (row,) = read_csv(out).rows
+    lo, hi = float(row["monic_measure_lo"]), float(row["monic_measure_hi"])
     assert lo <= 4.355301397608 <= hi and hi - lo < 1e-9
 
 
@@ -268,8 +294,8 @@ def test_cartan_with_a_tiny_epsilon(tmp_path):
         "--z0", "3", "--epsilon", "1/10000000000000000000000000", "--out", str(out),
     ])
     assert rc == 0
-    row = out.read_text().splitlines()[1].split(",")
-    lo, hi = Fraction(row[1]), Fraction(row[2])
+    (row,) = read_csv(out).rows
+    lo, hi = Fraction(row["monic_measure_lo"]), Fraction(row["monic_measure_hi"])
     # measure 3.6514837167013296...e-13 (mpmath, 80 digits), nearly all of
     # it the 2 sqrt(eps/3) around the double root t = 3
     assert lo <= Fraction(36514837167013296, 10**29) <= hi

@@ -1,4 +1,5 @@
-"""format_decimal against the Fraction implementation it replaced, and the
+"""format_decimal against the Fraction implementation it replaced, the
+integer entry points against format_decimal, argument checks, and the
 streamed rows / deferred metadata of render_csv."""
 
 import random
@@ -6,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood.csvio import SIG_DIGITS, format_decimal, render_csv
+from littlewood.cone import ConeParams, cone_inclusion_sample
+from littlewood.csvio import (
+    SIG_DIGITS,
+    format_decimal,
+    format_ratio,
+    format_ratio_bounds,
+    render_csv,
+)
+
+from nums import SQRT2M1, SQRT3M1
 
 
 def fraction_format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
@@ -64,7 +74,13 @@ def test_random_rationals_match_the_fraction_oracle():
         num = rng.randrange(1, 10 ** rng.randrange(1, 61))
         den = rng.randrange(1, 10 ** rng.randrange(1, 61))
         x = Fraction(rng.choice((-1, 1)) * num, den)
-        _agree(x, rng.choice((SIG_DIGITS, SIG_DIGITS, rng.randrange(1, 21))))
+        sig = rng.choice((SIG_DIGITS, SIG_DIGITS, rng.randrange(1, 21)))
+        _agree(x, sig)
+        # the integer entry point takes the value unreduced
+        k = rng.randrange(1, 10**6)
+        direction = rng.choice(DIRECTIONS)
+        assert format_ratio(x.numerator * k, x.denominator * k, sig, direction) == (
+            format_decimal(x, sig, direction))
 
 
 def test_dyadic_rationals_match_the_fraction_oracle():
@@ -114,3 +130,92 @@ def test_streamed_rows_and_deferred_metadata():
     text = render_csv(["i", "q"], rows(), lambda: {"rows": len(seen)})
     assert text == "i,q\n0,0\n1,0.25\n2,0.5\n# rows = 3\n"
     assert render_csv(["i"], [[1]], {"a": 1}) == "i\n1\n# a = 1\n"
+
+
+# -- the paired renderer --------------------------------------------------
+
+
+def _bounds(num: int, den: int, sig: int = SIG_DIGITS) -> tuple[str, str]:
+    """format_ratio_bounds, checked against two format_decimal calls and
+    for enclosure of num/den."""
+    x = Fraction(num, den)
+    lo, hi = format_ratio_bounds(num, den, sig)
+    assert (lo, hi) == (format_decimal(x, sig, -1), format_decimal(x, sig, 1)), (num, den, sig)
+    assert Fraction(lo) <= x <= Fraction(hi)
+    return lo, hi
+
+
+def test_bounds_of_random_rationals():
+    rng = random.Random(12)
+    for _ in range(3000):
+        num = rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randrange(1, 41))
+        den = rng.randrange(1, 10 ** rng.randrange(1, 41))
+        _bounds(num, den, rng.randrange(1, 21))
+
+
+def test_bounds_of_dyadic_rationals_and_cone_cells():
+    rng = random.Random(7)
+    for _ in range(1000):
+        num = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 300)) + 1
+        _bounds(num, 1 << rng.randrange(0, 300))
+    # the margin and f cells of sampled cone rows, unreduced
+    params = ConeParams.make(30, Fraction(3, 10**4))
+    for smp in cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 200, seed=4).rows:
+        _bounds(*smp.margin_ratio)
+        _bounds(*smp.f_ratio)
+
+
+@pytest.mark.parametrize("sig", range(1, 21))
+def test_bounds_of_exact_decimals_carries_and_powers_of_ten(sig):
+    top = 10**sig
+    for k in range(-25, 26):
+        scale_num, scale_den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        for sign in (1, -1):
+            # exact powers of ten, and exact decimals of at most sig digits
+            for digits in (1, 7, top // 3, top - 1):
+                lo, hi = _bounds(sign * digits * scale_num, scale_den, sig)
+                assert lo == hi
+            # ...999.5 and ...999 + 1/3: the upper magnitude carries to 10**sig
+            for num, den in ((2 * top - 1, 2), (3 * top - 2, 3)):
+                lo, hi = _bounds(sign * num * scale_num, den * scale_den, sig)
+                carried = Fraction(sign * top * scale_num, scale_den)
+                assert Fraction(hi if sign > 0 else lo) == carried
+                assert Fraction(lo if sign > 0 else hi) == carried - sign * Fraction(scale_num, scale_den)
+
+
+def test_bounds_swap_ends_for_negative_values():
+    for num, den in ((7, 3), (1, 10**30 + 7), (10**40 + 1, 9), (2**200 + 1, 2**100)):
+        lo, hi = _bounds(num, den)
+        neg_lo, neg_hi = _bounds(-num, den)
+        assert lo != hi and (neg_lo, neg_hi) == ("-" + hi, "-" + lo)
+    assert format_ratio_bounds(0, 5) == ("0", "0")
+
+
+# -- argument checks ------------------------------------------------------
+
+
+@pytest.mark.parametrize("sig", [0, -1])
+def test_sig_below_one_is_rejected(sig):
+    with pytest.raises(ValueError, match="sig"):
+        format_decimal(Fraction(7, 3), sig, 1)
+    with pytest.raises(ValueError, match="sig"):
+        format_ratio(7, 3, sig)
+    with pytest.raises(ValueError, match="sig"):
+        format_ratio_bounds(7, 3, sig)
+
+
+@pytest.mark.parametrize("direction", [5, 2, -2])
+def test_unknown_direction_is_rejected(direction):
+    with pytest.raises(ValueError, match="direction"):
+        format_decimal(Fraction(7, 3), direction=direction)
+    with pytest.raises(ValueError, match="direction"):
+        format_ratio(7, 3, direction=direction)
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_nonpositive_denominator_is_rejected(den):
+    for num in (7, 0):
+        with pytest.raises(ValueError, match="denominator"):
+            format_ratio(num, den)
+        with pytest.raises(ValueError, match="denominator"):
+            format_ratio_bounds(num, den)

@@ -8,7 +8,6 @@ code before the integer-mantissa interval kernel; a change that keeps them
 identical keeps every printed enclosure and verdict.
 """
 
-import csv
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +20,8 @@ from littlewood.csvio import format_decimal
 from littlewood.entrytime import approx_line, entry_time
 from littlewood.lattice import cartan_measure, dirichlet_search
 from littlewood.numspec import parse_number_spec
+
+from nums import read_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,8 +56,7 @@ def test_readme_example_matches_golden(name, argv, code, tmp_path, monkeypatch, 
 
 
 def _tau_rows(path):
-    with open(path, newline="") as fh:
-        return [r for r in csv.DictReader(fh) if r["n"].isdigit() and r["tau_lo"]]
+    return [r for r in read_csv(path).rows if r["tau_lo"]]
 
 
 @pytest.mark.parametrize("name", ["entry", "cert"])
@@ -90,8 +90,7 @@ def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
     ((_, argv, code),) = [c for c in CASES if c[0] == "cone"]
     assert main([*argv, "--out", "cone.csv"]) == code
     capsys.readouterr()
-    with open(tmp_path / "cone.csv", newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if not r["x"].startswith("#")]
+    rows = read_csv(tmp_path / "cone.csv").rows
     # --frac applies to both numbers
     alpha, beta = (parse_number_spec(s, True).value() for s in ("sqrt:2", "sqrt:3"))
     params = ConeParams.make(int(argv[argv.index("--N") + 1]),
@@ -113,8 +112,7 @@ def test_cartan_csv_encloses_the_measures():
     bounds cartan_measure gives at a root tolerance of 1e-30, for the monic
     measure and for the f measure."""
     ((_, argv, _),) = [c for c in CASES if c[0] == "cartan"]
-    with open(GOLDEN / "cartan.csv", newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if not r["epsilon"].startswith("#")]
+    rows = read_csv(GOLDEN / "cartan.csv").rows
     assert len(rows) == 1
     alpha, beta = (parse_number_spec(s, True).value() for s in ("sqrt:2", "sqrt:3"))
     y0, z0 = (int(argv[argv.index(flag) + 1]) for flag in ("--y0", "--z0"))

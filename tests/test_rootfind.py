@@ -89,7 +89,7 @@ def test_fixed_horner_encloses_the_exact_value():
         else:
             coeffs = [rng.randrange(-9, 10) for _ in range(4)]
         t = Fraction(rng.randrange(-(10**7), 10**7), rng.choice([3, 7, 10**6 + 3]))
-        lo, hi = rootfind._fixed_horner(coeffs, *fixed_enclosure(t))
+        lo, hi = rootfind._fixed_horner(rootfind._fixed_coeffs(coeffs), *fixed_enclosure(t))
         exact = poly_eval(coeffs, t)
         assert certified_sign(exact - Fraction(lo, 2**64)) >= 0
         assert certified_sign(exact - Fraction(hi, 2**64)) <= 0
