@@ -58,7 +58,6 @@ from .entrytime import (  # noqa: E402
 from .certificate import (  # noqa: E402
     b3_infeasibility_scan,
     certificate_search,
-    psi_eval,
     theorem_check,
     verify_certificate,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "parallelepiped_contains", "phi",
     "approx_line", "angle", "cubic_entry_time", "entry_time", "line_gamma",
     "transversality_check",
-    "b3_infeasibility_scan", "certificate_search", "psi_eval",
+    "b3_infeasibility_scan", "certificate_search",
     "theorem_check", "verify_certificate",
     "parse_number_spec",
 ]

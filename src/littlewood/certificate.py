@@ -21,7 +21,8 @@ window prescribed by the degree-18 entry-time majorant is scanned, and the
 contradiction system
     a u^4 + b u^2 + c  <=  2^(7/4) X^(1/8) + 2^(57/8) X^(39/16) + 2^(27/4) X^(9/8),
     2^(-5/8) X^(-3/16) <= u <= (x0 - 1)^(1/4),     X = 2 eps,
-is refuted pointwise on a u-grid with certified interval arithmetic.
+is refuted with certified interval arithmetic.  The left side increases
+in u > 0, so the margin at the low end of the u-range decides it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Iterable, Sequence
 from .cfrac import (
     SCAN_MAX_X,
     CFSpec,
+    InternalInconsistencyError,
     ProfileViolationError,
     _observed_M,
     lcm_time,
@@ -65,14 +67,12 @@ from .lattice import (
 __all__ = [
     "TheoremCheck",
     "SearchOutcome",
-    "PsiEval",
     "B3PairReport",
     "B3ScanReport",
     "FAIL_REASONS",
     "theorem_check",
     "certificate_search",
     "verify_certificate",
-    "psi_eval",
     "infeasibility_grid_check",
     "b3_infeasibility_scan",
     "transversality_ceiling",
@@ -294,77 +294,7 @@ def certificate_search(
     return SearchOutcome(epsilon, n_max, strategy, tuple(cells), found, trivial)
 
 
-# -- the degree-18 entry-time majorant and the contradiction system --------
-
-
-@dataclass(frozen=True)
-class PsiEval:
-    """One evaluation of the entry-time majorant
-
-        psi(u) = a u^18 + b u^16 + c u^14 - d u^8 - e,
-        a = 2^17.5 (X^4/4 + 2),  b = 2^17.5 X^(5/2),  c = 4 sqrt(2) X,
-        d = 2^14 C / x0,         e = 2^15 (N - x0),
-
-    together with h(u) = psi(u) - u/2 (feasibility needs h(u) <= 0)."""
-
-    u: object
-    X: Fraction
-    a: SurdSum
-    b: SurdSum
-    c: SurdSum
-    d: Fraction
-    e: Fraction
-    value: DyadicInterval
-    h_value: DyadicInterval
-
-
-def _psi_coefficients(X: Fraction) -> tuple[SurdSum, SurdSum, SurdSum]:
-    a = SurdSum.sqrt(2, coeff=(1 << 17) * (X**4 / 4 + 2))
-    b = SurdSum.sqrt(2 * X, coeff=(1 << 17) * X**2)  # 2^17.5 X^2.5
-    c = SurdSum.sqrt(2, coeff=4 * X)
-    return a, b, c
-
-
-def psi_eval(u, X, x0: int, N: int, C, bits: int = 192) -> PsiEval:
-    """Certified interval value of psi and h at u (a rational or an
-    interval; fractional-power endpoints arrive as intervals)."""
-    X = Fraction(X)
-    C = Fraction(C)
-    if X <= 0:
-        raise ParameterError("X = 2*eps must be positive")
-    if x0 < 1 or N < x0:
-        raise ParameterError("need 1 <= x0 <= N")
-    a, b, c = _psi_coefficients(X)
-    d = Fraction((1 << 14) * C, x0)
-    e = Fraction((1 << 15) * (N - x0))
-    if isinstance(u, DyadicInterval):
-        u_iv = u
-        half_u = u_iv.scale(Fraction(1, 2))
-    else:
-        u = Fraction(u)
-        u_iv = DyadicInterval.point(u, bits)
-        half_u = DyadicInterval.point(u / 2, bits)
-    powers = {k: _iv_pow(u_iv, k) for k in (8, 14, 16, 18)}
-    val = (
-        a.interval(bits) * powers[18]
-        + b.interval(bits) * powers[16]
-        + c.interval(bits) * powers[14]
-        - DyadicInterval.point(d, bits) * powers[8]
-        - DyadicInterval.point(e, bits)
-    )
-    h = val - half_u
-    return PsiEval(u, X, a, b, c, d, e, val, h)
-
-
-def _iv_pow(iv: DyadicInterval, k: int) -> DyadicInterval:
-    out = DyadicInterval(1, 1, 0)
-    base = iv
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
+# -- the contradiction system of the degree-18 entry-time majorant --------
 
 
 @dataclass(frozen=True)
@@ -381,14 +311,24 @@ def infeasibility_grid_check(
     X: Fraction, x0: int | None, points: int = 1000, bits: int = 160
 ) -> GridCheckResult:
     """Refute  a u^4 + b u^2 + c <= 2^(7/4) X^(1/8) + 2^(57/8) X^(39/16)
-    + 2^(27/4) X^(9/8)  on a grid spanning the admissible u-range.
+    + 2^(27/4) X^(9/8)  on the admissible range u_lo <= u <= u_hi, with
+    a = 2^17.5 (X^4/4 + 2), b = 2^17.5 X^(5/2) and c = 4 sqrt(2) X.
 
-    The left side increases in u > 0, so a positive margin across the grid
-    (and at the certified endpoints) pins the contradiction; an empty
-    admissible range refutes the system outright.
+    The grid of the range is the enclosure u_lo, then (for x0 given and
+    points > 1) ``points`` equally spaced rationals from u_lo.hi to
+    u_hi.lo when that stretch is nonempty, then u_hi; ``points`` in the
+    result counts it.  The left side increases in u > 0, so the least
+    margin over the grid sits at one of three of its members, and only
+    those are evaluated: the cost does not grow with ``points``.  An
+    empty admissible range refutes the system outright.  points < 1 is a
+    ParameterError.
     """
+    if points < 1:
+        raise ParameterError(f"points must be >= 1, got {points}")
     X = Fraction(X)
-    a, b, c = _psi_coefficients(X)
+    a = SurdSum.sqrt(2, coeff=(1 << 17) * (X**4 / 4 + 2))
+    b = SurdSum.sqrt(2 * X, coeff=(1 << 17) * X**2)  # 2^17.5 X^2.5
+    c = SurdSum.sqrt(2, coeff=4 * X)
     rhs = (
         frac_pow_interval(2, 7, 4, bits) * frac_pow_interval(X, 1, 8, bits)
         + frac_pow_interval(2, 57, 8, bits) * frac_pow_interval(X, 39, 16, bits)
@@ -411,24 +351,33 @@ def infeasibility_grid_check(
         u4 = u2 * u2
         return a_iv * u4 + b_iv * u2 + c_iv
 
-    grid: list[DyadicInterval] = [u_lo]
+    # Lemma: the least margin over the grid is the least over `candidates`.
+    # Products and sums of DyadicIntervals are exact, so when a_iv, b_iv,
+    # c_iv and u_iv have positive lower ends, (lhs_at(u_iv) - rhs).lo is
+    # exactly F(u_iv.lo), F(t) = a.lo t^4 + b.lo t^2 + c.lo - rhs.hi, and F
+    # strictly increases for t > 0.  The interior grid members
+    # point(lo_r + j step, bits) have lower ends floor((lo_r + j step)
+    # 2^bits) 2^-bits, which do not decrease in j (floor is monotone), so
+    # among them j = 0 has the least.  The grid's least lower end is
+    # therefore that of u_lo, of point(lo_r, bits) or of u_hi (u_hi.lo may
+    # lie below u_lo.lo when the two enclosures overlap), and all lower
+    # ends are positive once these three are.
+    count = 1
+    candidates = [u_lo]
     if u_hi is not None and points > 1:
         lo_r, hi_r = u_lo.hi, u_hi.lo
         if hi_r > lo_r:
-            step = (hi_r - lo_r) / (points - 1)
-            grid.extend(
-                DyadicInterval.point(lo_r + j * step, bits) for j in range(points)
-            )
-        grid.append(u_hi)
-
-    ok = True
-    min_margin = math.inf
-    for u_iv in grid:
-        margin = (lhs_at(u_iv) - rhs).lo
-        min_margin = min(min_margin, float(margin))
-        if margin <= 0:
-            ok = False
-    return GridCheckResult(ok, len(grid), False, min_margin, u_lo, u_hi)
+            candidates.append(DyadicInterval.point(lo_r, bits))
+            count += points
+        candidates.append(u_hi)
+        count += 1
+    if min(iv.lo_m for iv in (a_iv, b_iv, c_iv, *candidates)) <= 0:
+        raise InternalInconsistencyError(
+            "grid refutation needs positive coefficients and u-range"
+        )
+    margin = min((lhs_at(u_iv) - rhs).lo for u_iv in candidates)
+    # float rounding is monotone, so this is the least float margin
+    return GridCheckResult(margin > 0, count, False, float(margin), u_lo, u_hi)
 
 
 @dataclass(frozen=True)
@@ -470,7 +419,10 @@ def b3_infeasibility_scan(
 ) -> B3ScanReport:
     """For bounded-quotient pairs (all partial quotients <= 3, lambda = 16),
     sweep the admissible (n, N) window for every eps and independently
-    refute the contradiction system on a u-grid."""
+    refute the contradiction system on the admissible u-range (u_points,
+    at least 1, sizes the grid that ``grid.points`` counts)."""
+    if u_points < 1:
+        raise ParameterError(f"u_points must be >= 1, got {u_points}")
     reports: list[B3PairReport] = []
     pairs = list(pairs)
     epsilons = [Fraction(eps) for eps in epsilons]

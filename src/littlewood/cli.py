@@ -87,7 +87,7 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
 
     def rows():  # streamed into write_csv, which asks for the counts at the end
         for smp in run:
-            _, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+            y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
             yield [
                 format_ratio(*smp.x_ratio),
                 format_ratio(*y_iv.midpoint_ratio()),

@@ -368,14 +368,14 @@ def _forms_of(alpha, beta, params: ConeParams):
 
 def sample_point_coordinates(
     alpha, beta, params: ConeParams, sample: InclusionSample, bits: int = 128
-) -> tuple[Fraction, DyadicInterval, DyadicInterval]:
-    """Cartesian coordinates of a sampled point for reporting: x exactly,
-    y and z as the enclosures ``interval(bits)`` of their exact SurdSums."""
+) -> tuple[DyadicInterval, DyadicInterval]:
+    """The y and z coordinates of a sampled point for reporting, as the
+    enclosures ``interval(bits)`` of their exact SurdSums (x is exact on
+    the sample: ``sample.x`` or ``sample.x_ratio``)."""
     y_forms, z_forms = _forms_of(alpha, beta, params)
     X = sample.x_num
     S = (params.N << _UNIT_BITS) - X
     return (
-        sample.x,
         _coordinate_interval(y_forms, X, sample.u_num * S, bits),
         _coordinate_interval(z_forms, X, sample.v_num * S, bits),
     )

@@ -1,5 +1,5 @@
 """Shared test numbers, small generators, the CSV reader, and the
-entry-time, Dirichlet-point, transversality and cone-row oracles."""
+entry-time, Dirichlet-point, transversality, cone-row and u-grid oracles."""
 
 import csv
 import math
@@ -10,11 +10,19 @@ from typing import NamedTuple
 import numpy as np
 
 from littlewood import rootfind
+from littlewood.certificate import GridCheckResult
 from littlewood.cfrac import CFSpec, residual_chunks
 from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
-from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
+from littlewood.exactnum import (
+    DyadicInterval,
+    QuadraticSurd,
+    SurdSum,
+    certified_sign,
+    frac_pow_interval,
+    surd_residual,
+)
 from littlewood.lattice import (
     DirichletPoint,
     LatticePoint,
@@ -243,10 +251,10 @@ def cone_rows_fraction(alpha, beta, params, sample_count: int, seed: int) -> lis
     DyadicInterval midpoints) through format_decimal, one call per cell."""
     rows = []
     for smp in InclusionRun(alpha, beta, params, sample_count, seed):
-        x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+        y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
         f, margin = smp.f, smp.margin
         rows.append([
-            format_decimal(x),
+            format_decimal(smp.x),
             format_decimal(y_iv.midpoint()),
             format_decimal(z_iv.midpoint()),
             format_decimal(margin, direction=-1),
@@ -256,3 +264,45 @@ def cone_rows_fraction(alpha, beta, params, sample_count: int, seed: int) -> lis
             "violation" if smp.violation else "ok",
         ])
     return rows
+
+
+def infeasibility_grid_loop(X, x0, points: int, bits: int = 160):
+    """The u-grid refutation evaluated at every grid member: the oracle of
+    certificate.infeasibility_grid_check, which evaluates only the members
+    that can hold the least margin.  Same grid, same fields."""
+    X = Fraction(X)
+    a = SurdSum.sqrt(2, coeff=(1 << 17) * (X**4 / 4 + 2))
+    b = SurdSum.sqrt(2 * X, coeff=(1 << 17) * X**2)
+    c = SurdSum.sqrt(2, coeff=4 * X)
+    rhs = (
+        frac_pow_interval(2, 7, 4, bits) * frac_pow_interval(X, 1, 8, bits)
+        + frac_pow_interval(2, 57, 8, bits) * frac_pow_interval(X, 39, 16, bits)
+        + frac_pow_interval(2, 27, 4, bits) * frac_pow_interval(X, 9, 8, bits)
+    )
+    u_lo = frac_pow_interval(2, -5, 8, bits) * frac_pow_interval(X, -3, 16, bits)
+    u_hi = None
+    if x0 is not None:
+        if x0 < 2:
+            return GridCheckResult(True, 0, True, math.inf, u_lo, None)
+        u_hi = frac_pow_interval(x0 - 1, 1, 4, bits)
+        if u_hi.hi < u_lo.lo:
+            return GridCheckResult(True, 0, True, math.inf, u_lo, u_hi)
+    a_iv, b_iv, c_iv = a.interval(bits), b.interval(bits), c.interval(bits)
+
+    grid = [u_lo]
+    if u_hi is not None and points > 1:
+        lo_r, hi_r = u_lo.hi, u_hi.lo
+        if hi_r > lo_r:
+            step = (hi_r - lo_r) / (points - 1)
+            grid.extend(DyadicInterval.point(lo_r + j * step, bits) for j in range(points))
+        grid.append(u_hi)
+    ok = True
+    min_margin = math.inf
+    for u_iv in grid:
+        u2 = u_iv * u_iv
+        u4 = u2 * u2
+        margin = (a_iv * u4 + b_iv * u2 + c_iv - rhs).lo
+        min_margin = min(min_margin, float(margin))
+        if margin <= 0:
+            ok = False
+    return GridCheckResult(ok, len(grid), False, min_margin, u_lo, u_hi)

@@ -1,19 +1,20 @@
-"""Theorem checker, search driver, certificate verification, the entry-time
-majorant, and the bounded-quotient infeasibility scan."""
+"""Theorem checker, search driver, certificate verification, the
+contradiction system of the entry-time majorant, and the bounded-quotient
+infeasibility scan."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from littlewood import certificate
-from littlewood.cfrac import CFSpec, ProfileViolationError, convergent
+from littlewood.cfrac import CFSpec, InternalInconsistencyError, ProfileViolationError, convergent
 from littlewood.certificate import (
     FAIL_REASONS,
     b3_infeasibility_scan,
     certificate_search,
     infeasibility_grid_check,
-    psi_eval,
     theorem_check,
     transversality_ceiling,
     verify_certificate,
@@ -32,6 +33,7 @@ from nums import (
     SQRT3M1,
     TRANSVERSALITY_EPSILONS,
     TRANSVERSALITY_PAIRS,
+    infeasibility_grid_loop,
     transversality_ceiling_bisected,
 )
 
@@ -198,33 +200,101 @@ def test_search_positive_control():
     assert all(c.reason == "x0-too-small" for c in out.cells[:-1])
 
 
-# -- majorant and the contradiction system -----------------------------------
+# -- the contradiction system ------------------------------------------------
 
 
-def test_psi_printed_coefficients():
-    X = Fraction(1, 50)
-    pe = psi_eval(Fraction(2), X, 10, 100, Fraction(1, 3))
-    # d = 2^14 C / x0 and e = 2^15 (N - x0), as printed
-    assert pe.d == Fraction(2**14, 3 * 10)
-    assert pe.e == 2**15 * 90
-    # a u^18 term dominates for large u: psi eventually positive
-    big = psi_eval(Fraction(1000), X, 10, 100, Fraction(1, 3))
-    assert big.value.lo > 0
-    assert (big.h_value - big.value).lo < 0  # h = psi - u/2 < psi for u > 0
+def _grid_cases() -> list[tuple]:
+    """(X, x0, points, bits) for the grid-loop oracle: X = k/10^j from
+    1e-8 to 1e6 against x0 in {None, 0, 1, 2} or up to 1e12; then X near
+    the value that puts u_lo at (x0 - 1)^(1/4), at low precision, where
+    the two enclosures overlap; then X >= 1 at low precision, where u_lo
+    is narrower than 2^-bits and the first interior point can lie below
+    it; then two overlaps at 160 bits, X = r^2/2 with r bisected to the
+    overlap."""
+    rng = random.Random(1729)
+    points = (1, 2, 3, 10, 1000)
+    cases = []
+    for _ in range(240):
+        X = rng.randrange(1, 1000) / Fraction(10) ** rng.randrange(-3, 9)
+        x0 = rng.choice([None, 0, 1, 2, int(10 ** rng.uniform(0.4, 12))])
+        cases.append((X, x0, rng.choice(points), 160))
+    for _ in range(80):
+        x0 = rng.randrange(3, 41)
+        target = 2 ** (-10 / 3) * (x0 - 1) ** (-4 / 3) * (1 + rng.uniform(-1e-3, 1e-3))
+        X = Fraction(target).limit_denominator(10**6)
+        cases.append((X, x0, rng.choice(points), rng.choice([12, 16])))
+    for _ in range(40):
+        X = rng.randrange(1, 1000) * Fraction(10) ** rng.randrange(0, 4)
+        x0 = int(10 ** rng.uniform(1, 12))
+        cases.append((X, x0, rng.choice(points[1:]), rng.choice([12, 16])))
+    r41 = 67291049768184229202791465204992493027097908396401515478755176695241953
+    r1000 = 1968915060357219867665389460538369940195776863204693683980535754176115
+    cases.append((Fraction(r41, 1 << 240) ** 2 / 2, 41, 1000, 160))
+    cases.append((Fraction(r1000, 1 << 238) ** 2 / 2, 1000, 10, 160))
+    return cases
 
 
-def test_psi_at_admissible_lower_endpoint():
-    # u = 2^(-5/8) X^(-3/16) ~ 1.35 for X = 1/50: the 2^17.5-scaled u^18
-    # term (~8.3e7) already dominates the -2^15 (N - x0) constant (~2.9e6),
-    # so psi and h are positive there (recorded from this evaluation)
-    from littlewood.exactnum import frac_pow_interval
+def test_grid_check_matches_the_grid_loop():
+    kinds = set()
+    for X, x0, points, bits in _grid_cases():
+        want = infeasibility_grid_loop(X, x0, points, bits)
+        got = infeasibility_grid_check(X, x0, points, bits)
+        assert got == want, (X, x0, points, bits)
+        if x0 is None:
+            kinds.add("no x0")
+        elif want.empty_range:
+            kinds.add("empty")
+        elif points == 1:
+            kinds.add("u_lo alone")
+        elif want.u_hi.lo <= want.u_lo.hi:
+            kinds.add("no interior")
+            if want.u_hi.lo < want.u_lo.lo:
+                kinds.add("u_hi lowest")
+                kinds.add(f"u_hi lowest at {bits} bits")
+        else:
+            kinds.add("interior")
+            if DyadicInterval.point(want.u_lo.hi, bits).lo < want.u_lo.lo:
+                kinds.add("interior lowest")
+    assert kinds >= {
+        "no x0", "empty", "u_lo alone", "no interior", "interior",
+        "u_hi lowest", "u_hi lowest at 160 bits", "interior lowest",
+    }
 
-    X = Fraction(1, 50)
-    u = frac_pow_interval(2, -5, 8, 160) * frac_pow_interval(X, -3, 16, 160)
-    pe = psi_eval(u, X, 10, 100, Fraction(1, 3))
-    assert pe.value.lo > 0
-    assert pe.h_value.lo > 0
-    assert float(pe.value.midpoint()) == pytest.approx(79553218.265, rel=1e-9)
+
+def test_grid_check_cost_does_not_grow_with_points(monkeypatch):
+    calls = []
+    mul = DyadicInterval.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(DyadicInterval, "__mul__", counted)
+    counts = []
+    for points in (2, 10**6):
+        calls.clear()
+        res = infeasibility_grid_check(Fraction(1, 100), 10**6, points=points)
+        assert res.ok and res.points == points + 2
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_grid_check_rejects_grids_below_one_point():
+    for points in (0, -5):
+        with pytest.raises(ParameterError):
+            infeasibility_grid_check(Fraction(1, 100), 41, points=points)
+        with pytest.raises(ParameterError):
+            b3_infeasibility_scan(
+                [(SPEC_SQRT2M1, SPEC_SQRT3M1)], [Fraction(1, 100)], u_points=points
+            )
+
+
+def test_grid_check_refuses_a_nonpositive_lower_end():
+    # at 1 bit u_lo = 2^(-5/8) X^(-3/16) ~ 0.049 rounds down to 0, where the
+    # least-point lemma does not apply
+    for x0 in (None, 5):
+        with pytest.raises(InternalInconsistencyError):
+            infeasibility_grid_check(Fraction(10**6), x0, points=10, bits=1)
 
 
 def test_grid_check_infeasible_small_X():

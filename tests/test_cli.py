@@ -326,6 +326,8 @@ def test_usage_errors_exit_2(tmp_path):
     [
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "0", "--u-points", "10"],
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons=-1/100", "--u-points", "10"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--u-points", "0"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--u-points=-5"],
         ["levy", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--n-max", "0"],
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
@@ -334,7 +336,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
          "--n-max", "1", "--max-N", "10000000000"],
     ],
-    ids=["b3-eps-0", "b3-eps-negative", "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
+    ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
+         "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
          "certificate-N-beyond-scan-range"],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):

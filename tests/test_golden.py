@@ -100,8 +100,8 @@ def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
     for row, smp in zip(rows, report.rows):
         for name, exact in (("margin", smp.margin), ("f", smp.f)):
             assert Fraction(row[f"{name}_lo"]) <= exact <= Fraction(row[f"{name}_hi"])
-        x, y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
-        assert row["x"] == format_decimal(x)
+        y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+        assert row["x"] == format_decimal(smp.x)
         assert row["y"] == format_decimal(y_iv.midpoint())
         assert row["z"] == format_decimal(z_iv.midpoint())
         assert row["verdict"] == "ok"
