@@ -358,43 +358,45 @@ def levy_quotient(spec: CFSpec, n: int) -> float:
 
 # Range of every residual scan: at x = 2**32 the slack x * 2**-64 of
 # residual_bounds reaches 1/x, the size of the residuals that
-# min q*||q*alpha|| looks at.  Chunks of SCAN_CHUNK x bound a scan's memory.
+# min q*||q*alpha|| looks at.  A scan runs in chunks of SCAN_CHUNK x on
+# working arrays allocated once per call, four of SCAN_CHUNK 8-byte words
+# and a mask (528 KiB), plus the upper bounds of the x its screen keeps:
+# that is its memory, whatever its range.
 SCAN_MAX_X = 2**32
-SCAN_CHUNK = 2**16
+SCAN_CHUNK = 2**14
 
 
-def residual_bounds(alphas: Sequence[QuadraticSurd], xs) -> list:
-    """Per alpha, uint64 arrays (lo, hi) with lo <= 2**64 * ||x*alpha|| <= hi
-    exactly, for each x of the uint64 array xs (1 <= x <= SCAN_MAX_X)."""
+def residual_multiplier(a: QuadraticSurd):
+    """floor(frac(a) * 2**64) as a numpy uint64: the A of residual_bounds."""
     import numpy as np  # here and in the scans below: only scans need numpy
+
+    return np.uint64(((a - a.floor()) * (1 << 64)).floor())
+
+
+def residual_bounds(A, xs, lo=None, hi=None) -> None:
+    """Write lo <= 2**64 * ||x*alpha|| <= hi, exactly, for each x of the
+    uint64 array xs (1 <= x <= SCAN_MAX_X) into the uint64 arrays lo and
+    hi of its shape; either may be omitted.  A is residual_multiplier(alpha).
+    Allocates nothing."""
+    import numpy as np
 
     # A = floor(frac(alpha) * 2**64) is exact and frac(alpha) * 2**64 = A + d
     # with 0 <= d < 1, so x*alpha = (P + t) / 2**64 (mod 1), where the uint64
     # product P = x*A wraps mod 2**64 and 0 <= t = x*d < x.  D = min(P,
     # 2**64 - P) is 2**64 * ||P / 2**64||, and ||.|| is 1-Lipschitz on R/Z,
     # so |2**64 * ||x*alpha|| - D| < x.  Integers only: D + x < 2**64.
-    bounds = []
-    for a in alphas:
-        A = np.uint64(((a - a.floor()) * (1 << 64)).floor())
-        D = xs * A  # P, then D and lo in place
-        np.minimum(D, -D, out=D)
-        hi = D + xs
-        np.maximum(D, xs, out=D)
-        D -= xs
-        bounds.append((D, hi))
-    return bounds
-
-
-def residual_chunks(alphas: Sequence[QuadraticSurd], start: int, X: int):
-    """(xs, residual_bounds(alphas, xs)) for consecutive chunks xs of
-    [start, X]; X > SCAN_MAX_X raises ParameterError before any array exists."""
-    import numpy as np
-
-    if X > SCAN_MAX_X:
-        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
-    for lo in range(start, X + 1, SCAN_CHUNK):
-        xs = np.arange(lo, min(lo + SCAN_CHUNK, X + 1), dtype=np.uint64)
-        yield xs, residual_bounds(alphas, xs)
+    D = hi if lo is None else lo
+    np.multiply(xs, A, out=D)
+    # D = |P| on the int64 view of P: below 2**63 P reads as itself; above,
+    # as P - 2**64, whose abs is 2**64 - P < 2**63; P = 2**63 reads as
+    # -2**63, whose abs wraps to -2**63, read back as uint64 2**63 = 2**64 - P.
+    signed = D.view(np.int64)
+    np.abs(signed, out=signed)
+    if hi is not None:
+        np.add(D, xs, out=hi)
+    if lo is not None:
+        np.maximum(D, xs, out=lo)
+        lo -= xs
 
 
 @dataclass
@@ -428,40 +430,74 @@ def _below(a: SurdSum, b: SurdSum) -> bool:
 def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list]]:
     """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
     X] where the value reaches a new strict minimum, exactly; ties keep the
-    first.  `residuals` holds surd_residual(alpha * x) per alpha."""
+    first.  `residuals` holds surd_residual(alpha * x) per alpha.  X >
+    SCAN_MAX_X raises ParameterError before any array exists."""
     import numpy as np
 
+    if X > SCAN_MAX_X:
+        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
     exact = scan.combine == "max"
     if scan.bound is None:
         scan.bound = 2**64 - 1 if exact else math.inf
     margin = 1 if exact else 1 + 2.0**-49
     records: list[tuple[int, SurdSum, list]] = []
+    if X <= scan.X:
+        return records
     best = scan.best
-    for xs, bounds in residual_chunks(scan.alphas, scan.X + 1, X):
+    multipliers = [residual_multiplier(a) for a in scan.alphas]
+    start, size = scan.X + 1, min(SCAN_CHUNK, X - scan.X)
+    # the working arrays; a chunk of n x uses their first n entries
+    xs_all = np.arange(start, start + size, dtype=np.uint64)
+    word_all = np.empty(size, np.uint64)  # one alpha's lower bounds
+    low_all = np.empty(size, np.uint64 if exact else np.float64)
+    conv_all = None if exact else np.empty(size, np.float64)
+    mask_all = np.empty(size, np.bool_)
+    for first in range(start, X + 1, SCAN_CHUNK):
+        if first > start:
+            xs_all += SCAN_CHUNK
+        n = min(SCAN_CHUNK, X + 1 - first)
+        xs, word, low, mask = xs_all[:n], word_all[:n], low_all[:n], mask_all[:n]
         # A record has lo(x) <= value < R(x) = min_{x' < x} hi(x') for any
         # enclosure [lo, hi] of its scaled value, so lo <= R * margin keeps
         # every record, provided the margin covers the rounding of lo and hi.
         if exact:
             # 2**64 m(x) lies in [lo, hi], uint64 integers: no rounding
-            (lo, hi), (b_lo, b_hi) = bounds
-            np.maximum(lo, b_lo, out=lo)
-            np.maximum(hi, b_hi, out=hi)
+            A, B = multipliers
+            residual_bounds(A, xs, lo=low)
+            residual_bounds(B, xs, lo=word)
+            np.maximum(low, word, out=low)
         else:
             # Unrounded, 2**(64k) v(x) lies in [lo, hi] (k factors).  In
             # float64 (u = 2**-53) lo and hi are k <= 2 conversions and k
             # products from exact, so a record has lo' < R' ((1 + u) / (1 -
             # u))**4 < R' (1 + 9u), and the rounded R' * (1 + 2**-49) is >=
             # R' (1 + 16u)(1 - u), larger.
-            lo = xs.astype(np.float64)
-            hi = lo.copy()
-            for b_lo, b_hi in bounds:
-                lo *= b_lo
-                hi *= b_hi
+            conv = conv_all[:n]
+            np.copyto(low, xs.view(np.int64), casting="unsafe")  # x <= 2**32
+            for A in multipliers:
+                residual_bounds(A, xs, lo=word)
+                np.copyto(conv, word.view(np.int64), casting="unsafe")  # lo < 2**63
+                low *= conv
         # R <= scan.bound, and rounding is monotone, so an x with lo above
         # scan.bound * margin is no record and its hi >= lo cannot lower R:
-        # the running minimum runs over the other x alone.
-        keep = np.flatnonzero(lo <= scan.bound * margin)
-        xs, lo, hi = xs[keep], lo[keep], hi[keep]
+        # the running minimum runs over the other x alone, and only they
+        # need an upper bound.
+        np.less_equal(low, scan.bound * margin, out=mask)
+        keep = np.flatnonzero(mask)
+        if not keep.size:
+            continue
+        xs, lo = xs[keep], low[keep]
+        word = np.empty_like(xs)
+        if exact:
+            hi = np.empty_like(xs)
+            residual_bounds(A, xs, hi=hi)
+            residual_bounds(B, xs, hi=word)
+            np.maximum(hi, word, out=hi)
+        else:
+            hi = xs.astype(np.float64)
+            for A in multipliers:
+                residual_bounds(A, xs, hi=word)
+                hi *= word
         runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
         scan.bound = runmin[-1].item()
         for x in xs[lo <= runmin[:-1] * margin].tolist():
@@ -474,14 +510,14 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
             if best is None or _below(val, best):
                 records.append((x, val, residuals))
                 best = val
-    scan.X, scan.best = max(scan.X, X), best
+    scan.X, scan.best = X, best
     return records
 
 
 def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     """Exact min of q*||q*alpha|| over 1 <= q <= Q and its (first) argmin."""
     if Q < 1:
-        raise ValueError("Q must be >= 1")
+        raise ParameterError("Q must be >= 1")
     value = spec.value()
     if isinstance(value, Fraction):
         value = QuadraticSurd.from_rational(value)

@@ -1,5 +1,6 @@
 """Shared test numbers, small generators, the CSV reader, and the
-entry-time, Dirichlet-point, transversality, cone-row and u-grid oracles."""
+entry-time, running-minimum, Dirichlet-point, transversality, cone-row and
+u-grid oracles."""
 
 import csv
 import math
@@ -11,7 +12,7 @@ import numpy as np
 
 from littlewood import rootfind
 from littlewood.certificate import GridCheckResult
-from littlewood.cfrac import CFSpec, residual_chunks
+from littlewood.cfrac import SCAN_CHUNK, SCAN_MAX_X, CFSpec, ResidualScan, _below
 from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
@@ -19,6 +20,7 @@ from littlewood.exactnum import (
     DyadicInterval,
     QuadraticSurd,
     SurdSum,
+    as_surdsum,
     certified_sign,
     frac_pow_interval,
     surd_residual,
@@ -159,6 +161,64 @@ def entry_time_bisected(line, params, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def residual_chunks(alphas, start: int, X: int):
+    """(xs, [(lo, hi) per alpha]) for consecutive chunks xs of [start, X]:
+    lo <= 2**64 * ||x*alpha|| <= hi for every x, from fresh arrays per
+    chunk by the integer argument of cfrac.residual_bounds (the uint64
+    product P = x * floor(frac(alpha) * 2**64), D = min(P, 2**64 - P),
+    lo = max(D - x, 0), hi = D + x)."""
+    if X > SCAN_MAX_X:
+        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
+    mults = [np.uint64(((a - a.floor()) * (1 << 64)).floor()) for a in alphas]
+    for first in range(start, X + 1, SCAN_CHUNK):
+        xs = np.arange(first, min(first + SCAN_CHUNK, X + 1), dtype=np.uint64)
+        bounds = []
+        for A in mults:
+            D = xs * A
+            np.minimum(D, -D, out=D)
+            bounds.append((np.maximum(D, xs) - xs, D + xs))
+        yield xs, bounds
+
+
+def residual_minima_full(scan: ResidualScan, X: int):
+    """Running-minimum oracle of cfrac.residual_minima, the same contract:
+    both bounds for every x of every chunk, the screen applied to the
+    chunk's arrays afterwards, the same float operations and margins."""
+    exact = scan.combine == "max"
+    if scan.bound is None:
+        scan.bound = 2**64 - 1 if exact else math.inf
+    margin = 1 if exact else 1 + 2.0**-49
+    records = []
+    best = scan.best
+    for xs, bounds in residual_chunks(scan.alphas, scan.X + 1, X):
+        if exact:
+            (lo, hi), (b_lo, b_hi) = bounds
+            np.maximum(lo, b_lo, out=lo)
+            np.maximum(hi, b_hi, out=hi)
+        else:
+            lo = xs.astype(np.float64)
+            hi = lo.copy()
+            for b_lo, b_hi in bounds:
+                lo *= b_lo
+                hi *= b_hi
+        keep = np.flatnonzero(lo <= scan.bound * margin)
+        xs, lo, hi = xs[keep], lo[keep], hi[keep]
+        runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
+        scan.bound = runmin[-1].item()
+        for x in xs[lo <= runmin[:-1] * margin].tolist():
+            residuals = [surd_residual(a * x) for a in scan.alphas]
+            mags = [u.abs() for _, u in residuals]
+            if exact:
+                val = mags[1] if _below(mags[0], mags[1]) else mags[0]
+            else:
+                val = math.prod(mags, start=as_surdsum(x))
+            if best is None or _below(val, best):
+                records.append((x, val, residuals))
+                best = val
+    scan.X, scan.best = max(scan.X, X), best
+    return records
 
 
 def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:

@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 from littlewood.cfrac import (
     CFSpec,
     InternalInconsistencyError,
+    ParameterError,
     ProfileViolationError,
+    SCAN_CHUNK,
     SCAN_MAX_X,
+    ResidualScan,
     bad_constant_scan,
     bad_constant_estimate,
     cf_expand,
@@ -26,6 +29,8 @@ from littlewood.cfrac import (
     lcm_time,
     levy_quotient,
     residual_bounds,
+    residual_minima,
+    residual_multiplier,
     LEVY_AE_LOG,
     _observed_M,
 )
@@ -38,7 +43,16 @@ from littlewood.exactnum import (
 )
 from littlewood.numspec import parse_number_spec
 
-from nums import GOLDENM1, SPEC_GOLDENM1, SPEC_SQRT2M1, SPEC_SQRT3M1, SQRT2M1
+from nums import (
+    GOLDENM1,
+    SPEC_GOLDENM1,
+    SPEC_SQRT2M1,
+    SPEC_SQRT3M1,
+    SQRT2M1,
+    SQRT3M1,
+    SURD_POOL,
+    residual_minima_full,
+)
 
 
 def eval_cf(quotients) -> Fraction:
@@ -299,12 +313,85 @@ def test_bad_constant_scan_matches_exact_oracle(spec, Q):
     assert best == want
 
 
+def test_bad_constant_scan_rejects_Q_below_one():
+    with pytest.raises(ParameterError, match="Q must be >= 1"):
+        bad_constant_scan(SPEC_SQRT2M1, 0)
+
+
+def _rat(p, q):
+    return QuadraticSurd.from_rational(Fraction(p, q))
+
+
+def residual_scan_cases():
+    """(alphas, combine, stops): ResidualScans advanced to each stop in
+    turn.  Fixed cases first: alpha = 1/2 (P = 2**63 at every odd x),
+    exact zeros (a rational alone, 1/3 with 2/3), alpha = beta, chunk
+    edges, resumes out of order.  Then seeded draws of surds, surds with
+    an integer part of 10**9 and rationals, with stops at the chunk edges
+    or anywhere below 2 * SCAN_CHUNK + 2, in random order."""
+    C = SCAN_CHUNK
+    half, third = _rat(1, 2), _rat(1, 3)
+    cases = [
+        ((half, SQRT3M1), "max", [C + 1, 2 * C]),
+        ((SQRT2M1, half), "product", [2, 3, 2000]),
+        ((half,), "product", [C - 1, C + 1]),
+        ((third, _rat(2, 3)), "max", [3, 2, 2000]),
+        ((third, _rat(2, 3)), "product", [1, 1500, 1499]),
+        ((_rat(355, 113),), "product", [2 * C]),
+        ((_rat(-3, 7),), "product", [5, 6, 7, 8]),
+        ((SQRT2M1, SQRT2M1), "max", [C - 1, C, C + 1]),
+        ((SQRT2M1, SQRT2M1), "product", [2 * C, C]),
+        ((GOLDENM1, GOLDENM1), "max", [2 * C]),
+        ((SQRT2M1, SQRT3M1), "product", [C, 2 * C, 2 * C + 1]),
+        ((SQRT2M1, SQRT3M1), "max", [7, 3, C + 1, C - 1, 2 * C]),
+        ((SQRT2M1 + 10**9,), "product", [C + 1]),
+        ((SQRT2M1,), "product", [0, 1, 1]),
+    ]
+    rng = random.Random(1414)
+    edges = [C - 1, C, C + 1, 2 * C, 2 * C + 1]
+
+    def draw():
+        roll = rng.random()
+        if roll < 0.6:
+            return rng.choice(SURD_POOL)
+        if roll < 0.75:
+            return rng.choice(SURD_POOL) + 10**9
+        return _rat(rng.randrange(-10**6, 10**6), rng.randrange(10**4, 10**6))
+
+    while len(cases) < 160:
+        combine = rng.choice(["product", "max"])
+        k = 2 if combine == "max" else rng.choice([1, 2])
+        alpha = draw()
+        alphas = (alpha, alpha if rng.random() < 0.1 else draw())[:k]
+        stops = [
+            rng.choice(edges) if rng.random() < 0.5 else rng.randrange(1, 2 * C + 2)
+            for _ in range(rng.randrange(1, 4))
+        ]
+        cases.append((alphas, combine, stops))
+    return cases
+
+
+def test_residual_minima_matches_the_full_bounds_oracle():
+    # the chunk loop screens on the lower bounds in reused arrays and
+    # takes upper bounds for the screen's survivors only; the oracle
+    # derives both bounds for every x on fresh arrays, then screens
+    for alphas, combine, stops in residual_scan_cases():
+        scan, full = ResidualScan(alphas, combine), ResidualScan(alphas, combine)
+        for X in stops:
+            case = (alphas, combine, stops, X)
+            assert residual_minima(scan, X) == residual_minima_full(full, X), case
+            assert (scan.X, scan.bound, scan.best) == (full.X, full.bound, full.best), case
+
+
 def test_residual_bounds_enclose_the_exact_residual():
     # lo <= 2**64 * ||x*alpha|| <= hi for x up to 2**32, integer parts up
-    # to 10**9, radicands up to 10**6, and rational alpha
+    # to 10**9, radicands up to 10**6, and rational alpha; alpha = 1/2
+    # makes P = 2**63 at every odd x
     rng = random.Random(20261018)
-    for trial in range(80):
-        if trial % 4 == 0:
+    for trial in range(81):
+        if trial == 80:
+            alpha = QuadraticSurd.from_rational(Fraction(1, 2))
+        elif trial % 4 == 0:
             alpha = QuadraticSurd.from_rational(
                 Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**6))
             )
@@ -318,7 +405,14 @@ def test_residual_bounds_enclose_the_exact_residual():
         xs = [1, 2, SCAN_MAX_X - 1, SCAN_MAX_X]
         xs += [rng.randrange(1, SCAN_MAX_X + 1) for _ in range(6)]
         xs += [rng.randrange(1, 10**6) for _ in range(2)]
-        ((lo, hi),) = residual_bounds((alpha,), np.array(xs, dtype=np.uint64))
+        xs_arr = np.array(xs, dtype=np.uint64)
+        lo, hi = np.empty_like(xs_arr), np.empty_like(xs_arr)
+        residual_bounds(residual_multiplier(alpha), xs_arr, lo=lo, hi=hi)
+        # either bound alone is the same
+        lo_only, hi_only = np.empty_like(xs_arr), np.empty_like(xs_arr)
+        residual_bounds(residual_multiplier(alpha), xs_arr, lo=lo_only)
+        residual_bounds(residual_multiplier(alpha), xs_arr, hi=hi_only)
+        assert lo_only.tolist() == lo.tolist() and hi_only.tolist() == hi.tolist()
         for x, lo_x, hi_x in zip(xs, lo.tolist(), hi.tolist()):
             scaled = surd_residual(alpha * x)[1].abs() * 2**64
             assert certified_sign(scaled - lo_x) >= 0, (alpha, x)

@@ -3,13 +3,14 @@ brute-force minima, and the cubic sublevel measure."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood import cfrac
+from littlewood import lattice
 from littlewood.cfrac import SCAN_CHUNK, bad_constant_estimate, bad_constant_scan
 from littlewood.exactnum import (
     QuadraticSurd,
@@ -213,15 +214,16 @@ def test_dirichlet_lookup_matches_the_oracle_on_special_pairs(alpha, beta, Ns):
 
 
 def test_dirichlet_lookup_beyond_the_first_chunks():
-    # the answer for N = 500001 is x = 192070, in the third kernel chunk
+    # the answer for N = 500001 is x = 192070, past the first kernel chunks
     N = 500001
     expected = dirichlet_search_chunked(SQRT2M1, SQRT3M1, N)
-    assert 2 * SCAN_CHUNK < expected.x <= 3 * SCAN_CHUNK
+    chunk = -(-expected.x // SCAN_CHUNK)  # the 1-based chunk holding x
+    assert chunk >= 3
     _best_approximations.cache_clear()
     assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
     # a cold query scans no further than the chunk holding its answer
     scan, _, _ = _best_approximations(SQRT2M1, SQRT3M1)
-    assert scan.X == 3 * SCAN_CHUNK
+    assert scan.X == chunk * SCAN_CHUNK
     _best_approximations.cache_clear()
     for small in range(2, 300):
         dirichlet_search(SQRT2M1, SQRT3M1, small)
@@ -250,13 +252,13 @@ def test_inverse_square_floor_is_exact(m, key):
 
 def test_dirichlet_sweep_extends_the_scan_logarithmically(monkeypatch):
     calls = []
-    chunks = cfrac.residual_chunks
+    minima = lattice.residual_minima
 
-    def counting(alphas, start, X):
-        calls.append((start, X))
-        return chunks(alphas, start, X)
+    def counting(scan, X):
+        calls.append((scan.X + 1, X))
+        return minima(scan, X)
 
-    monkeypatch.setattr(cfrac, "residual_chunks", counting)
+    monkeypatch.setattr(lattice, "residual_minima", counting)
     for alpha, beta in ((SQRT2M1, SQRT3M1), (GOLDENM1, SQRT2M1), (SURD_POOL[4], SURD_POOL[7])):
         _best_approximations.cache_clear()
         calls.clear()
@@ -305,10 +307,26 @@ def test_brute_min_final_record_at_ten_thousand():
 
 
 def test_brute_min_record_beyond_the_first_chunks():
-    # the last record lies in chunk 71 of the kernel's 2**16-x chunks, so
+    # the last record lies in chunk 283 of the kernel's 2**14-x chunks, so
     # the running minimum must carry across chunk boundaries
     recs = brute_min_scan(SQRT2M1, SQRT3M1, 5 * 10**6)
     assert [r.x for r in recs][-3:] == [41, 10864, 4628523]
+
+
+def test_brute_min_scan_memory_does_not_grow_with_X():
+    # the scan reuses its chunk arrays: its traced peak stays far below one
+    # 8-byte word per x and the same at four times the range
+    brute_min_scan(SQRT2M1, SQRT3M1, 1000)  # imports and caches
+    peaks = []
+    for X in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            brute_min_scan(SQRT2M1, SQRT3M1, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 3 * 2**20, peaks
+    assert peaks[1] <= peaks[0] + 2**16, peaks
 
 
 def test_brute_min_matches_plain_float_oracle():
