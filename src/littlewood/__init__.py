@@ -44,13 +44,10 @@ from .cone import (  # noqa: E402
     base_tangency,
     cone_contains,
     cone_inclusion_sample,
-    parallelepiped_contains,
     phi,
 )
 from .entrytime import (  # noqa: E402
     approx_line,
-    angle,
-    cubic_entry_time,
     entry_time,
     line_gamma,
     transversality_check,
@@ -69,10 +66,8 @@ __all__ = [
     "levy_quotient",
     "LatticePoint", "brute_min_scan", "cartan_measure", "dirichlet_search",
     "f_eval", "m_transform",
-    "ConeParams", "base_tangency", "cone_contains", "cone_inclusion_sample",
-    "parallelepiped_contains", "phi",
-    "approx_line", "angle", "cubic_entry_time", "entry_time", "line_gamma",
-    "transversality_check",
+    "ConeParams", "base_tangency", "cone_contains", "cone_inclusion_sample", "phi",
+    "approx_line", "entry_time", "line_gamma", "transversality_check",
     "b3_infeasibility_scan", "certificate_search",
     "theorem_check", "verify_certificate",
     "parse_number_spec",

@@ -78,15 +78,12 @@ __all__ = [
     "transversality_ceiling",
 ]
 
-# "dirichlet-gap" names the precondition whose breach theorem_check raises
-# as a ParameterError, and "lcm-too-large" the chain link 2^(n-1) <
-# lambda^(2n), which always holds; no cell carries either.  bench/tracer.py
-# spells out the same tuple
+# the reasons a cell can carry, one per failing link of theorem_check; a
+# breach of the Dirichlet precondition N > 1/(2 eps) is a ParameterError,
+# and the link 2^(n-1) < lambda^(2n) always holds, so neither has a reason
 FAIL_REASONS = (
-    "dirichlet-gap",
     "transversality-fail",
     "tau-too-large",
-    "lcm-too-large",
     "x0-too-small",
     "verify-fail",
 )

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .exactnum import (
+    ParameterError,
     QuadraticSurd,
     SurdSum,
     as_surdsum,
@@ -68,10 +69,6 @@ FINITE_RATIONAL = "finite-rational"
 
 # Almost-every-alpha limit of log(q_n)/n (Levy); comparison line only.
 LEVY_AE_LOG = math.pi**2 / (12 * math.log(2))
-
-
-class ParameterError(ValueError):
-    """Caller-supplied parameter outside the documented domain."""
 
 
 class CFError(Exception):

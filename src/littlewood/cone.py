@@ -6,9 +6,7 @@
 
 which is contained in the sublevel body {0 < |f| <= eps}.  This module
 gives exact membership verdicts, the base-circle tangency data against the
-hyperbola y*z = eps, a seeded sampler that stress-tests the inclusion, and
-the enclosing parallelepiped (with bound sqrt(2*eps/N), the cross-section
-radius at x = 1, which is what actually contains the cone).
+hyperbola y*z = eps, and a seeded sampler that stress-tests the inclusion.
 
 The sampler works on integers: every draw is k/2**53, so x, u, v, f and the
 margin are integer numerators over fixed denominators and every verdict is
@@ -48,12 +46,12 @@ __all__ = [
     "cone_contains",
     "base_tangency",
     "cone_inclusion_sample",
-    "parallelepiped_contains",
 ]
 
 _CHUNK = 2048  # samples per seeded generator; the rows depend on it, so it is fixed
 _CROSSCHECKS = 32  # a run re-verifies every (sample_count // 32)-th row through the surds
 _UNIT_BITS = 53  # every draw is k / 2**53, k < 2**53
+_COORDINATE_BITS = 128  # precision of the reported y and z enclosures
 
 
 def _sqrt_phi(params: "ConeParams", scale: Fraction) -> SurdSum:
@@ -336,14 +334,14 @@ def _coordinate_forms(
 
 
 def _coordinate_interval(
-    forms: tuple[tuple[int, int, int, int], ...], X: int, W: int, bits: int
+    forms: tuple[tuple[int, int, int, int], ...], X: int, W: int
 ) -> DyadicInterval:
     terms = []
     for rad, a, b, den in forms:
         p = a * X + b * W
         if p:
             terms.append((rad, p, den))
-    return DyadicInterval.of_surd_terms(terms, bits)
+    return DyadicInterval.of_surd_terms(terms, _COORDINATE_BITS)
 
 
 # (alpha, beta, params, forms) of the last _forms_of call, replaced as one
@@ -367,28 +365,15 @@ def _forms_of(alpha, beta, params: ConeParams):
 
 
 def sample_point_coordinates(
-    alpha, beta, params: ConeParams, sample: InclusionSample, bits: int = 128
+    alpha, beta, params: ConeParams, sample: InclusionSample
 ) -> tuple[DyadicInterval, DyadicInterval]:
     """The y and z coordinates of a sampled point for reporting, as the
-    enclosures ``interval(bits)`` of their exact SurdSums (x is exact on
+    enclosures ``interval(128)`` of their exact SurdSums (x is exact on
     the sample: ``sample.x`` or ``sample.x_ratio``)."""
     y_forms, z_forms = _forms_of(alpha, beta, params)
     X = sample.x_num
     S = (params.N << _UNIT_BITS) - X
     return (
-        _coordinate_interval(y_forms, X, sample.u_num * S, bits),
-        _coordinate_interval(z_forms, X, sample.v_num * S, bits),
-    )
-
-
-def parallelepiped_contains(alpha, beta, p: Sequence, params: ConeParams) -> bool:
-    """Membership in the box 1 <= x <= N, |alpha*x - y| <= sqrt(2*eps/N),
-    |beta*x - z| <= sqrt(2*eps/N), decided exactly on squares."""
-    x, ra, rb = m_transform(alpha, beta, p)
-    if certified_sign(x - 1) < 0 or certified_sign(params.N - x) < 0:
-        return False
-    bound = Fraction(2 * params.epsilon, params.N)
-    return (
-        certified_sign(ra * ra - bound) <= 0
-        and certified_sign(rb * rb - bound) <= 0
+        _coordinate_interval(y_forms, X, sample.u_num * S),
+        _coordinate_interval(z_forms, X, sample.v_num * S),
     )

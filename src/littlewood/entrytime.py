@@ -21,19 +21,13 @@ e = max(e_a, e_b), A is positive and the discriminant D_n = 4 (B^2 - A C)
 is positive, so the first entry time is the root tau_n = (-2B + sqrt(D_n))
 / (2A).  Everything is decided exactly; tau itself is reported as a
 certified interval.
-
-The cubic variant drops the cone and asks for first entry of the line into
-the full body {|f| <= eps}, which means locating roots of the cubic
-(x0 - t)(U0 - e_a t)(V0 - e_b t) = +-eps by certified bisection.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rootfind
 from .cfrac import CFSpec, Convergent, ErrorTerm, _below, convergents, cf_expand, error_term
 from .cone import ConeParams
 from .exactnum import (
@@ -52,16 +46,14 @@ __all__ = [
     "NonpositiveDenominatorError",
     "ApproxLine",
     "EntryTimeReport",
-    "AngleReport",
-    "CubicEntryReport",
     "approx_line",
     "line_gamma",
     "transversality_check",
     "discriminant",
     "entry_time",
-    "angle",
-    "cubic_entry_time",
 ]
+
+_TAU_REL_TOL = Fraction(1, 10**12)  # relative width of every entry-time interval
 
 
 class NontransversalConfigurationError(RuntimeError):
@@ -201,35 +193,41 @@ class EntryTimeReport:
     """First entry of the line into the cone.
 
     tau is a certified interval (degenerate [0,0] when P0 is already
-    inside); d_n = 4 (B^2 - AC), denominator = A and B keep their exact
-    handles so chain comparisons downstream (:meth:`tau_vs`) stay exact.
+    inside); denominator = A, B and C keep their exact handles so chain
+    comparisons downstream (:meth:`tau_vs`) stay exact.
     """
 
     n: int
     N: int
     already_inside: bool
-    d_n: SurdSum
     d_n_sign: int
     denominator: SurdSum
     t_minus: DyadicInterval | None
     t_plus: DyadicInterval | None
     tau: DyadicInterval
     _B: SurdSum
+    _C: SurdSum
 
     def tau_vs(self, k, strict: bool = False) -> bool:
-        """Exact comparison tau <= k (or < k): sqrt(d_n) vs 2 (A k + B)."""
+        """Exact comparison tau <= k (or < k).
+
+        tau <= k means sqrt(D) <= 2 (A k + B).  Since A > 0,
+        D - 4 (A k + B)^2 = -4 A (A k^2 + 2 B k + C), so it holds iff
+        A k + B >= 0 and (A k + 2 B) k + C >= 0 (> 0 for tau < k), and
+        no SurdSum is squared.
+        """
         k = Fraction(k)
         if self.already_inside:
             return 0 < k if strict else 0 <= k
-        rhs = self.denominator * k + self._B
-        if certified_sign(rhs) < 0:
+        slope = self.denominator * k + self._B
+        if certified_sign(slope) < 0:
             return False
-        cmp = certified_sign(self.d_n - 4 * (rhs * rhs))
-        return cmp < 0 if strict else cmp <= 0
+        cmp = certified_sign((slope + self._B) * k + self._C)
+        return cmp > 0 if strict else cmp >= 0
 
 
-def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fraction(1, 10**12)) -> EntryTimeReport:
-    """Entry time tau_n as a certified interval of relative width <= rel_tol.
+def entry_time(line: ApproxLine, params: ConeParams) -> EntryTimeReport:
+    """Entry time tau_n as a certified interval of relative width <= 1e-12.
 
     Requires the transversality condition; with it the denominator is
     provably positive.  If P0 already satisfies the membership inequality
@@ -249,19 +247,19 @@ def entry_time(line: ApproxLine, params: ConeParams, rel_tol: Fraction = Fractio
     already_inside = c_sign >= 0
     t_minus = t_plus = None
     if d_sign > 0:
-        t_minus, t_plus = _root_intervals(A, B, D, rel_tol)
+        t_minus, t_plus = _root_intervals(A, B, D)
     if already_inside:
         tau = DyadicInterval(0, 0, 0)
     else:
         # C < 0 forces D = 4(B^2 - AC) > 0, so t_plus exists
         tau = t_plus
     return EntryTimeReport(
-        line.n, params.N, already_inside, D, d_sign, A, t_minus, t_plus, tau, B,
+        line.n, params.N, already_inside, d_sign, A, t_minus, t_plus, tau, B, C,
     )
 
 
 def _root_intervals(
-    A: SurdSum, B: SurdSum, D: SurdSum, rel_tol: Fraction
+    A: SurdSum, B: SurdSum, D: SurdSum
 ) -> tuple[DyadicInterval, DyadicInterval]:
     """Certified intervals for both roots (-2B -+ sqrt(D)) / (2A)."""
     bits = 128
@@ -277,119 +275,10 @@ def _root_intervals(
         tm = (minus2b - sq).divide(den, bits)
         tp = (minus2b + sq).divide(den, bits)
         scale = max(abs(tp.lo), abs(tp.hi), Fraction(1, 10**6))
-        if tp.width <= rel_tol * scale and tm.width <= rel_tol * max(
+        if tp.width <= _TAU_REL_TOL * scale and tm.width <= _TAU_REL_TOL * max(
             abs(tm.lo), abs(tm.hi), Fraction(1, 10**6)
         ):
             return tm, tp
         if bits > 1 << 16:
             raise ParameterError("entry time interval failed to converge")
         bits *= 2
-
-
-@dataclass(frozen=True)
-class AngleReport:
-    """Angle between the approximation line and the irrational axis."""
-
-    theta_lo: float
-    theta_hi: float
-    cos_interval: DyadicInterval
-    cos_at_most_one: bool
-
-    @property
-    def theta(self) -> float:
-        return (self.theta_lo + self.theta_hi) / 2
-
-
-def angle(line: ApproxLine, bits: int = 192) -> AngleReport:
-    """theta_n = arccos((1 + a*c_a + b*c_b) / (|(1,a,b)| |(1,c_a,c_b)|))."""
-    a = as_surdsum(line.alpha)
-    b = as_surdsum(line.beta)
-    ca, cb = line.c_alpha, line.c_beta
-    num = 1 + a * line.c_alpha + b * line.c_beta
-    den_sq_axis = 1 + a * a + b * b
-    den_sq_dir = as_surdsum(1 + ca * ca + cb * cb)
-    cauchy_schwarz = certified_sign(num * num - den_sq_axis * den_sq_dir) <= 0
-    den_iv = den_sq_axis.interval(bits).sqrt(bits) * den_sq_dir.interval(bits).sqrt(bits)
-    cos_iv = num.interval(bits).divide(den_iv, bits)
-    c_lo = min(1.0, max(-1.0, float(cos_iv.lo)))
-    c_hi = min(1.0, max(-1.0, float(cos_iv.hi)))
-    theta_lo = math.acos(c_hi)
-    theta_hi = math.acos(c_lo)
-    for _ in range(4):  # pad float endpoints outward
-        theta_lo = math.nextafter(theta_lo, -math.inf)
-        theta_hi = math.nextafter(theta_hi, math.inf)
-    return AngleReport(max(0.0, theta_lo), theta_hi, cos_iv, cauchy_schwarz)
-
-
-@dataclass(frozen=True)
-class CubicEntryReport:
-    """First entry of the line into the full body {|f| <= eps}."""
-
-    epsilon: Fraction
-    tau_cubic: tuple[Fraction, Fraction] | None
-    entered_at_zero: bool
-    boundary_roots: tuple[tuple[Fraction, Fraction, int], ...]  # (lo, hi, level sign)
-    no_entry: bool
-    at_most_tau_cone: bool | None
-
-
-def cubic_entry_time(
-    line: ApproxLine,
-    epsilon,
-    cone_report: EntryTimeReport | None = None,
-    tol: Fraction = Fraction(1, 10**12),
-) -> CubicEntryReport:
-    """Smallest t in [0, x0-1] with |f(gamma_n(t))| <= eps.
-
-    Along the line, f(gamma_n(t)) = (x0 - t)(U0 - e_a t)(V0 - e_b t); the
-    boundary crossings are roots of that cubic at levels +-eps, isolated by
-    certified sign-change bisection.  Absence of an entry inside the
-    segment is a reported outcome, not an error.
-    """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be positive")
-    ea = line.e_alpha.value
-    eb = line.e_beta.value
-    U0, V0 = line.P0.U0, line.P0.V0
-    x0 = line.x0
-    # (x0 - t) * (U0 - ea t) * (V0 - eb t), ascending coefficients
-    g = _poly_mul(_poly_mul([as_surdsum(x0), as_surdsum(-1)], [U0, -ea]), [V0, -eb])
-
-    g0 = rootfind.poly_eval(g, Fraction(0))
-    if certified_sign(g0 * g0 - epsilon * epsilon) <= 0:
-        verdict = _leq_verdict((Fraction(0), Fraction(0)), cone_report)
-        return CubicEntryReport(epsilon, (Fraction(0), Fraction(0)), True, (), False, verdict)
-
-    hi = Fraction(x0 - 1)
-    upper = list(g)
-    upper[0] = upper[0] - epsilon
-    lower = list(g)
-    lower[0] = lower[0] + epsilon
-    roots: list[tuple[Fraction, Fraction, int]] = []
-    for coeffs, level in ((upper, 1), (lower, -1)):
-        for lo_r, hi_r in rootfind.isolate_roots(coeffs, Fraction(0), hi, tol):
-            roots.append((lo_r, hi_r, level))
-    roots.sort(key=lambda r: r[0])
-    if not roots:
-        return CubicEntryReport(epsilon, None, False, (), True, None)
-    first = (roots[0][0], roots[0][1])
-    verdict = _leq_verdict(first, cone_report)
-    return CubicEntryReport(epsilon, first, False, tuple(roots), False, verdict)
-
-
-def _poly_mul(p: list[SurdSum], q: list[SurdSum]) -> list[SurdSum]:
-    out = [as_surdsum(0)] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        for j, cj in enumerate(q):
-            out[i + j] = out[i + j] + as_surdsum(ci) * as_surdsum(cj)
-    return out
-
-
-def _leq_verdict(
-    tau_cubic: tuple[Fraction, Fraction], cone_report: EntryTimeReport | None
-) -> bool | None:
-    """tau_cubic <= tau_cone within 1e-9, on the certified intervals."""
-    if cone_report is None:
-        return None
-    return tau_cubic[1] <= cone_report.tau.hi + Fraction(1, 10**9)

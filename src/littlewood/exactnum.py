@@ -37,6 +37,7 @@ from typing import Mapping, Sequence, Union
 __all__ = [
     "ExactArithmeticError",
     "MalformedSurdError",
+    "ParameterError",
     "SIGN_BITS_START",
     "SIGN_BITS_CAP",
     "squarefree_decompose",
@@ -80,13 +81,17 @@ class MalformedSurdError(ExactArithmeticError):
     """Quadratic surd with zero denominator or negative radicand."""
 
 
+class ParameterError(ValueError):
+    """Caller-supplied parameter outside the documented domain."""
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write ``n = s*s*r`` with ``r`` squarefree; return ``(s, r)``.
 
     Trial division runs to ``_TRIAL_LIMIT`` and, for a non-square cofactor
     above ``_TRIAL_LIMIT**3`` (1e15), on to its cube root.  A cofactor
-    whose cube root exceeds ``10 * _TRIAL_LIMIT`` raises rather than risk
-    an uncertified decomposition.
+    whose cube root exceeds ``10 * _TRIAL_LIMIT`` raises ParameterError
+    rather than risk an uncertified decomposition.
     """
     if n < 0:
         raise ValueError("radicand must be nonnegative")
@@ -103,7 +108,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
                 break
             limit = iroot(rest, 3) + 1
             if limit > 10 * _TRIAL_LIMIT:
-                raise ValueError(f"cannot certify squarefree part of {n}")
+                raise ParameterError(f"cannot certify squarefree part of {n}")
         if rest % p == 0:
             e = 0
             while rest % p == 0:

@@ -54,6 +54,9 @@ __all__ = [
     "cartan_measure",
 ]
 
+_MAGNITUDE_BITS = 128  # precision of the |f| enclosure in an FEval
+
+
 class TheoremViolationError(RuntimeError):
     """A pigeonhole-guaranteed search came back empty (indicates a bug)."""
 
@@ -113,9 +116,7 @@ def f_exact(alpha, beta, x, y, z) -> SurdSum:
     return x * ra * rb
 
 
-def f_eval(
-    alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction, bits: int = 128
-) -> FEval:
+def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
     """Certified sign of f(p) and exact trichotomy of |f(p)| against eps,
     decided on squares (sign of f^2 - eps^2) to avoid square roots."""
     epsilon = Fraction(epsilon)
@@ -126,7 +127,7 @@ def f_eval(
     sign = certified_sign(fx)
     cmp_eps = certified_sign(fx * fx - epsilon * epsilon)
     vs = "below" if cmp_eps < 0 else ("equal" if cmp_eps == 0 else "above")
-    return FEval(sign, fx.interval(bits).abs(), fx, vs)
+    return FEval(sign, fx.interval(_MAGNITUDE_BITS).abs(), fx, vs)
 
 
 def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdSum, SurdSum]:

@@ -125,8 +125,9 @@ def _parse_cf(text: str, body: str, offset: int) -> CFSpec:
     )
     if period:
         return CFSpec.from_periodic((a0,) + pre, period)
-    quots = [a0, *pre]
-    value = convergents(quots)[-1].as_fraction()
+    if any(a < 1 for a in pre):
+        raise NumberSpecError(text, offset, "partial quotients a_j must be >= 1 for j >= 1")
+    value = convergents([a0, *pre])[-1].as_fraction()
     return CFSpec.from_rational(value)
 
 

@@ -1,6 +1,6 @@
 """Shared test numbers, small generators, the CSV reader, and the
-entry-time, running-minimum, Dirichlet-point, transversality, cone-row and
-u-grid oracles."""
+entry-time, entry-time comparator, running-minimum, Dirichlet-point,
+transversality, cone-row and u-grid oracles."""
 
 import csv
 import math
@@ -161,6 +161,21 @@ def entry_time_bisected(line, params, tol):
         else:
             lo = mid
     return lo, hi
+
+
+def tau_vs_squared(line, params, k, strict: bool = False) -> bool:
+    """The entry-time comparator tau <= k (or < k) by squaring: with
+    D = 4 (B^2 - A C) and tau = (-2B + sqrt(D)) / (2A), tau <= k iff
+    A k + B >= 0 and D - 4 (A k + B)^2 <= 0; tau = 0 when C >= 0."""
+    A, B, C = _membership_coeffs(line, params)
+    k = Fraction(k)
+    if certified_sign(C) >= 0:
+        return 0 < k if strict else 0 <= k
+    rhs = A * k + B
+    if certified_sign(rhs) < 0:
+        return False
+    cmp = certified_sign(4 * (B * B - A * C) - 4 * (rhs * rhs))
+    return cmp < 0 if strict else cmp <= 0
 
 
 def residual_chunks(alphas, start: int, X: int):

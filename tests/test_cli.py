@@ -1,11 +1,14 @@
 """CLI: number-spec parsing, exact rationals, CSV shape, determinism and
 exit codes."""
 
+import math
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from littlewood.cfrac import cf_expand
 from littlewood.cli import main
 from littlewood.cone import ConeParams
 from littlewood.csvio import format_decimal, render_csv
@@ -311,6 +314,38 @@ def test_levy_run(tmp_path):
     assert "# levy_ae_reference = 1.186569110416" in out.read_text()
 
 
+def test_levy_golden_csv_matches_mpmath_logs():
+    # every cell of the golden levy.csv, re-parsed, against log(q_n)/n and
+    # log(t_n)/n at 50 digits, t_n = lcm(q_2n(alpha), q_2n(beta)); the
+    # denominators come from the exact partial quotients by the recurrence
+    # q_n = a_n q_(n-1) + q_(n-2)
+    import mpmath
+
+    table = read_csv(Path(__file__).parent / "golden" / "levy.csv")
+    meta = table.metadata
+    n_max = int(meta["arg.n_max"])
+    frac = meta["arg.frac"] == "True"
+    qs = []
+    for name in ("arg.alpha", "arg.beta"):
+        quotients = cf_expand(parse_number_spec(meta[name], frac), 2 * n_max + 1)
+        q = [1, quotients[1]]
+        for a in quotients[2:]:
+            q.append(a * q[-1] + q[-2])
+        qs.append(q)
+    qa, qb = qs
+    assert [int(r["n"]) for r in table.rows] == list(range(1, n_max + 1))
+    with mpmath.workdps(50):
+        for row in table.rows:
+            n = int(row["n"])
+            t_n = math.lcm(qa[2 * n], qb[2 * n])
+            for column, exact in (
+                ("levy_alpha", mpmath.log(qa[n]) / n),
+                ("levy_beta", mpmath.log(qb[n]) / n),
+                ("log_tn_over_n", mpmath.log(t_n) / n),
+            ):
+                assert abs(mpmath.mpf(row[column]) - exact) <= mpmath.mpf(10) ** -12, (n, column)
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert _run(["liminf", "--alpha", "nope:1", "--beta", "sqrt:3",
                  "--max-x", "10"]) == 2
@@ -335,16 +370,29 @@ def test_usage_errors_exit_2(tmp_path):
         # --max-N above 2**32, the scan range, is refused before the first cell
         ["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
          "--n-max", "1", "--max-N", "10000000000"],
+        # finite continued fractions with a quotient below 1 after a0
+        ["levy", "--alpha", "cf:[0;0]"],
+        ["levy", "--alpha", "cf:[0;-1,2]"],
+        # square roots of 2 eps / N and of 2 eps whose radicands have a
+        # cofactor too large to certify squarefree
+        ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "10",
+         "--epsilon", "1/1000000000000000000000000000057"],
+        ["b3-scan", "--pairs", "CF_PAIRS", "--frac",
+         "--epsilons", "1000000000000000000057/100000000000000000000117"],
     ],
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
-         "certificate-N-beyond-scan-range"],
+         "certificate-N-beyond-scan-range", "cf-quotient-0", "cf-quotient-negative",
+         "cone-radicand-uncertified", "b3-radicand-uncertified"],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("sqrt:2 sqrt:3\n")
+    cf_pairs = tmp_path / "cf_pairs.txt"
+    cf_pairs.write_text("cf:[0;(1,2)] cf:[0;(2,3)]\n")
+    files = {"PAIRS": str(pairs), "CF_PAIRS": str(cf_pairs)}
     out = tmp_path / "out.csv"
-    argv = [str(pairs) if a == "PAIRS" else a for a in argv] + ["--out", str(out)]
+    argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
     assert _run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -1,11 +1,10 @@
 """Cone membership, tangency identities, inclusion sampling, and the
-enclosing box."""
+reported coordinates of sampled points."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from littlewood.cone import (
     _CHUNK,
@@ -16,16 +15,15 @@ from littlewood.cone import (
     base_tangency,
     cone_contains,
     cone_inclusion_sample,
-    parallelepiped_contains,
     phi,
     sample_point_coordinates,
     _sample_chunk,
     _sqrt_phi,
 )
-from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
-from littlewood.lattice import LatticePoint, ParameterError, dirichlet_search, f_eval
+from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum
+from littlewood.lattice import LatticePoint, ParameterError, f_eval
 
-from nums import SQRT2M1, SQRT3M1, SURD_POOL
+from nums import SQRT2M1, SQRT3M1
 
 
 AV, BV = as_surdsum(SQRT2M1), as_surdsum(SQRT3M1)
@@ -128,24 +126,6 @@ def test_sampled_lattice_like_points_satisfy_f_bound():
     rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 200, seed=4)
     for smp in rep.rows[::17]:
         assert 0 < abs(smp.f) <= params.epsilon
-
-
-def test_cone_samples_inside_parallelepiped():
-    params = ConeParams.make(11, Fraction(1, 6))
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 300, seed=8)
-    for smp in rep.rows[::7]:
-        s = _sqrt_phi(params, params.N - smp.x)
-        p = (smp.x, AV * smp.x - smp.u * s, BV * smp.x - smp.v * s)
-        assert parallelepiped_contains(SQRT2M1, SQRT3M1, p, params)
-
-
-def test_dirichlet_point_in_parallelepiped():
-    # the box bound sqrt(2 eps / N) dominates the Dirichlet bound 1/sqrt(N)
-    # exactly when eps >= 1/2, so membership there is guaranteed
-    for eps, N in ((Fraction(1, 2), 40), (Fraction(3), 17), (Fraction(1, 2), 9)):
-        params = ConeParams.make(N, eps)
-        dp = dirichlet_search(SQRT2M1, SQRT3M1, N)
-        assert parallelepiped_contains(SQRT2M1, SQRT3M1, tuple(dp.point), params)
 
 
 def test_lattice_points_in_cone_satisfy_f_bound():
@@ -274,7 +254,7 @@ def test_inclusion_run_streams_the_report():
 
 
 def test_sample_point_coordinates_match_the_surd_route():
-    # the coordinates are the interval(bits) enclosures of the exact SurdSums
+    # the coordinates are the interval(128) enclosures of the exact SurdSums
     # alpha*x - u*s and beta*x - v*s, term for term, with s = sqrt(phi)*(N-x)
     # = k*sqrt(2*eps/N)*(N-x)
     alpha2 = QuadraticSurd.make(3, 5, 7, 2)  # (3 + 5 sqrt 2)/7
@@ -294,10 +274,9 @@ def test_sample_point_coordinates_match_the_surd_route():
             s = _sqrt_phi(params, params.N - smp.x)
             y = as_surdsum(alpha) * smp.x - smp.u * s
             z = as_surdsum(beta) * smp.x - smp.v * s
-            for bits in (64, 128):
-                y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp, bits)
-                assert y_iv == y.interval(bits) and z_iv == z.interval(bits)
-                assert y_iv.exp == y.interval(bits).exp
+            y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+            assert y_iv == y.interval(128) and z_iv == z.interval(128)
+            assert y_iv.exp == y.interval(128).exp
 
 
 def test_sample_point_coordinates_when_a_term_cancels():

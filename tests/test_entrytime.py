@@ -1,29 +1,27 @@
 """Entry times: the membership quadratic, its discriminant, the certified
-root against a bisection oracle, angles, and the cubic variant."""
+root against a bisection oracle, and the exact comparator tau_vs against
+the squaring oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from littlewood.cfrac import CFSpec, ErrorTerm, lcm_time
+from littlewood.cfrac import ErrorTerm, lcm_time
 from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import (
     ApproxLine,
     NontransversalConfigurationError,
-    angle,
     approx_line,
-    cubic_entry_time,
     discriminant,
     entry_time,
     line_gamma,
     transversality_check,
 )
-from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum, certified_sign
-from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search, f_exact
+from littlewood.exactnum import SurdSum, as_surdsum, certified_sign
+from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search
 
 from nums import (
-    SPEC_GOLDENM1,
     SPEC_SQRT2M1,
     SPEC_SQRT3M1,
     SQRT2M1,
@@ -32,6 +30,7 @@ from nums import (
     TRANSVERSALITY_EPSILONS,
     TRANSVERSALITY_PAIRS,
     entry_time_bisected,
+    tau_vs_squared,
     transversal_config,
     transversality_ceiling_bisected,
     transversality_check_surd,
@@ -227,6 +226,47 @@ def test_tau_monotone_in_epsilon():
         assert rep_big.tau_vs(rep.tau.hi)
 
 
+def test_tau_vs_matches_the_squaring_oracle():
+    # tau_vs decides tau <= k from the signs of A k + B and (A k + 2B) k + C;
+    # the oracle squares sqrt(D) <= 2 (A k + B) as one SurdSum sign.  k runs
+    # over 0, the ends and midpoint of tau, x0 and a negative value, and the
+    # configurations include P0 already inside (eps scaled up 10^6 times)
+    rng = random.Random(23)
+    compared = 0
+    for i in range(16):
+        _, _, line, params, rep = transversal_config(rng, require_segment=i % 2 == 0)
+        if i % 4 == 3:
+            params = ConeParams.make(params.N, params.epsilon * 10**6)
+            rep = entry_time(line, params)
+            assert rep.already_inside
+        tau = rep.tau
+        for k in (0, tau.lo, tau.hi, tau.midpoint(), line.x0, -tau.hi - 1):
+            for strict in (False, True):
+                expected = tau_vs_squared(line, params, k, strict)
+                assert rep.tau_vs(k, strict) == expected, (i, k, strict)
+                compared += 1
+    assert compared == 16 * 6 * 2
+
+
+def test_tau_vs_at_a_rational_entry_time():
+    # zero error terms, N = 2, eps = 1/4: phi = 1/4, x0 = N and
+    # U0^2 + V0^2 = 1/4, so A t^2 + 2 B t + C = (t^2 - 1) / 4 and tau = 1
+    zero = SurdSum()
+    p0 = DirichletPoint(
+        LatticePoint(2, 1, 1), 2, as_surdsum(Fraction(3, 10)), as_surdsum(Fraction(4, 10))
+    )
+    e0 = ErrorTerm(4, zero, 0, 1, 1)
+    line = ApproxLine(
+        2, p0, SQRT2M1, SQRT3M1, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
+    )
+    params = ConeParams.make(2, Fraction(1, 4))
+    rep = entry_time(line, params)
+    assert not rep.already_inside and rep.tau.lo <= 1 <= rep.tau.hi
+    for k, strict, expected in ((1, False, True), (1, True, False), (-1, False, False)):
+        assert rep.tau_vs(k, strict) is expected
+        assert tau_vs_squared(line, params, k, strict) is expected
+
+
 def test_quadratic_formula_consistency():
     # evaluating A t^2 + 2 B t + C over the certified t- and t+ intervals
     # (interval arithmetic end to end) must bracket zero
@@ -250,88 +290,3 @@ def test_substitute_back_on_boundary():
         point = line_gamma(line, rep.tau.midpoint())
         v = cone_contains(a_spec.value(), b_spec.value(), point, params, bits=256)
         assert v.margin.contains_zero() or abs(float(v.margin.midpoint())) < 1e-10
-
-
-# -- angle -------------------------------------------------------------------
-
-
-def test_angle_decreases_and_cauchy_schwarz():
-    p0 = dirichlet_search(SQRT2M1, SQRT3M1, 10)
-    thetas = []
-    for n in (1, 3, 5):
-        rep = angle(approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, p0))
-        assert rep.cos_at_most_one
-        assert rep.theta_lo >= 0
-        thetas.append(rep.theta)
-    assert thetas[2] < thetas[0]
-    assert thetas[2] < 1e-4  # convergents close: the angle collapses
-
-
-def test_angle_exact_direction_is_zero():
-    # direction equal to (1, alpha, beta) itself: cos = 1, theta = 0
-    zero = SurdSum()
-    p0 = DirichletPoint(LatticePoint(3, 1, 2), 10, zero, zero)
-    e0 = ErrorTerm(2, zero, 0, 1, 1)
-    line = ApproxLine(
-        1, p0, QuadraticSurd.from_rational(Fraction(1, 3)),
-        QuadraticSurd.from_rational(Fraction(2, 7)),
-        Fraction(1, 3), Fraction(2, 7), 3, 7, 1, 2, e0, e0,
-    )
-    rep = angle(line)
-    assert rep.theta_lo == 0.0 and rep.theta_hi < 1e-14
-
-
-# -- cubic variant -----------------------------------------------------------
-
-
-def test_cubic_entry_zero_when_eps_dominates():
-    line = _line()
-    rep = cubic_entry_time(line, Fraction(10))
-    assert rep.entered_at_zero and rep.tau_cubic == (Fraction(0), Fraction(0))
-
-
-def test_cubic_entry_at_most_cone_entry():
-    rng = random.Random(19)
-    hit = 0
-    for _ in range(10):
-        a_spec, b_spec, line, params, rep = transversal_config(rng)
-        cub = cubic_entry_time(line, params.epsilon, rep)
-        if cub.tau_cubic is None:
-            continue  # the segment may end before |f| <= eps is reached
-        hit += 1
-        assert cub.at_most_tau_cone
-    assert hit >= 3
-
-
-def test_cubic_no_entry_notice():
-    # tiny eps on a segment that never reaches |f| <= eps
-    line = _line(n=2, N=10)
-    rep = cubic_entry_time(line, Fraction(1, 10**12))
-    assert rep.no_entry and rep.tau_cubic is None
-
-
-def test_cubic_entry_strictly_inside_the_segment():
-    # P0 = (3, 1, 2) at N = 10: |f(P0)| = 3 |U0 V0| ~ 0.2 and |f| ~ |U0 V0|
-    # near t = x0 - 1 = 2, so eps = 0.12 is first reached strictly inside
-    line = _line(n=2, N=10)
-    eps = Fraction(12, 100)
-    rep = cubic_entry_time(line, eps)
-    assert not rep.entered_at_zero and not rep.no_entry
-    lo, hi = rep.tau_cubic
-    assert 0 < lo < hi <= line.x0 - 1
-
-    def excess(t):  # f(gamma(t))^2 - eps^2, evaluated from the form f
-        fx = f_exact(SQRT2M1, SQRT3M1, *line_gamma(line, t))
-        return certified_sign(fx * fx - eps * eps)
-
-    assert excess(Fraction(0)) > 0
-    assert excess(lo) > 0 and excess(hi) < 0
-
-
-def test_cubic_roots_certified():
-    rng = random.Random(21)
-    _, _, line, params, rep = transversal_config(rng)
-    cub = cubic_entry_time(line, params.epsilon, rep)
-    for lo, hi, level in cub.boundary_roots:
-        assert hi - lo <= Fraction(1, 10**12)
-        assert level in (-1, 1)
