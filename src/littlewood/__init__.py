@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .exactnum import (  # noqa: E402
     DyadicInterval,
-    QuadraticSurd,
     SurdSum,
     certified_sign,
 )
@@ -61,7 +60,7 @@ from .certificate import (  # noqa: E402
 from .numspec import parse_number_spec  # noqa: E402
 
 __all__ = [
-    "DyadicInterval", "QuadraticSurd", "SurdSum", "certified_sign",
+    "DyadicInterval", "SurdSum", "certified_sign",
     "CFSpec", "cf_expand", "convergents", "error_term", "lcm_time",
     "levy_quotient",
     "LatticePoint", "brute_min_scan", "cartan_measure", "dirichlet_search",

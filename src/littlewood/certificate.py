@@ -54,14 +54,13 @@ from .exactnum import (
     certified_sign,
     frac_pow_interval,
     iroot,
-    surd_residual,
 )
 from .lattice import (
     LatticePoint,
     ParameterError,
-    as_quadratic_surd,
     dirichlet_search,
     f_eval,
+    surdsum_of,
 )
 
 __all__ = [
@@ -258,8 +257,8 @@ def certificate_search(
             f"Dirichlet floor {N0} exceeds max_N={max_N}; raise max_N"
         )
 
-    ya, ua = surd_residual(as_quadratic_surd(alpha))
-    yb, ub = surd_residual(as_quadratic_surd(beta))
+    ya, ua = surdsum_of(alpha).nearest()
+    yb, ub = surdsum_of(beta).nearest()
     trivial = None
     if certified_sign(ua.abs() * ub.abs() - epsilon) <= 0:
         trivial = LatticePoint(1, ya, yb)

@@ -5,10 +5,11 @@ whose uint64 bounds only nominate.  It scans x * prod ||x*alpha|| for the
 minima and the bad-approximability constant, and max(||x*alpha||,
 ||x*beta||) for the Dirichlet points, and resumes from plain-data state.
 
-Quadratic irrationals are expanded by the integer-only floor/invert/
-normalize recurrence, which detects its own period, so partial quotients
-of any order cost O(period).  Convergents p_n/q_n follow the standard
-two-term recurrence
+Quadratic irrationals are expanded by the PQa recurrence on the integer
+state (P + sqrt(D))/Q with Q | D - P**2 (Perron, *Die Lehre von den
+Kettenbruechen*), which detects its own period on a repeated (P, Q), so
+partial quotients of any order cost O(period).  Convergents p_n/q_n follow
+the standard two-term recurrence
 
     p_n = a_n * p_{n-1} + p_{n-2},     q_n = a_n * q_{n-1} + q_{n-2}
 
@@ -29,13 +30,10 @@ from typing import Iterable, Sequence
 
 from .exactnum import (
     ParameterError,
-    QuadraticSurd,
     SurdSum,
     as_surdsum,
     certified_sign,
     fixed_enclosure,
-    surd_normalize,
-    surd_residual,
 )
 
 __all__ = [
@@ -88,22 +86,23 @@ class CFSpec:
     """Description of a real number by its continued fraction.
 
     kind is one of:
-      * "quadratic-surd": payload `surd`, an irrational QuadraticSurd;
+      * "quadratic-surd": payload `surd`, an irrational SurdSum q0 + q1*sqrt(d)
+        (one irrational term);
       * "explicit-periodic": payload `preperiod` (starts with a_0 >= 0) and
         nonempty `period`, all later quotients >= 1;
       * "finite-rational": payload `rational`.
     """
 
     kind: str
-    surd: QuadraticSurd | None = None
+    surd: SurdSum | None = None
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] = ()
     rational: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.kind == QUADRATIC_SURD:
-            if self.surd is None or self.surd.is_rational:
-                raise CFError("quadratic-surd spec needs an irrational surd")
+            if self.surd is None or sum(rad != 1 for rad, _ in self.surd.terms()) != 1:
+                raise CFError("quadratic-surd spec needs one irrational term q1*sqrt(d)")
         elif self.kind == EXPLICIT_PERIODIC:
             if not self.preperiod:
                 raise CFError("explicit-periodic spec needs a_0")
@@ -122,10 +121,9 @@ class CFSpec:
             raise CFError(f"unknown CF kind {self.kind!r}")
 
     @classmethod
-    def from_surd(cls, surd: QuadraticSurd) -> "CFSpec":
-        surd = surd_normalize(surd)
-        if surd.is_rational:
-            return cls(FINITE_RATIONAL, rational=surd.as_fraction())
+    def from_surd(cls, surd: SurdSum) -> "CFSpec":
+        if surd.is_rational():
+            return cls(FINITE_RATIONAL, rational=surd.rational_part())
         return cls(QUADRATIC_SURD, surd=surd)
 
     @classmethod
@@ -140,7 +138,7 @@ class CFSpec:
 
     # -- exact value ---------------------------------------------------------
 
-    def value(self) -> QuadraticSurd | Fraction:
+    def value(self) -> SurdSum | Fraction:
         """The exact real number this spec describes."""
         if self.kind == FINITE_RATIONAL:
             return self.rational
@@ -156,37 +154,35 @@ class CFSpec:
 
 
 @lru_cache(maxsize=512)
-def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> QuadraticSurd:
+def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> SurdSum:
     """Exact value of an eventually periodic continued fraction.
 
     The purely periodic tail y = [period; period; ...] is the positive
     fixed point of the Mobius map given by the period's convergent matrix,
     hence the positive root of  C y^2 + (D - A) y - B = 0; the preperiod is
-    then folded back by a_k + 1/x.
+    then folded back by a_k + 1/x on the integer state of :func:`_cf_cycle`.
     """
     A, B, C, D = 1, 0, 0, 1  # identity; columns track (p_n p_{n-1}; q_n q_{n-1})
     for a in period:
         A, B, C, D = a * A + B, A, a * C + D, C
-    # y = (A y + B) / (C y + D)  =>  C y^2 + (D - A) y - B = 0
-    if C == 0:
-        raise CFError("degenerate period")
+    # y = (A y + B) / (C y + D)  =>  C y^2 + (D - A) y - B = 0.  A nonempty
+    # period of quotients >= 1 makes C >= 1 and B >= 1, so disc = (D - A)^2
+    # + 4CB > (D - A)^2: the root (A - D + sqrt(disc)) / (2C) is positive
+    # and the other negative.  Q = 2C divides disc - P^2 = 4CB.
     disc = (D - A) * (D - A) + 4 * C * B
-    y = QuadraticSurd.make(A - D, 1, 2 * C, disc)
-    if certified_sign(as_surdsum(y)) <= 0:
-        y = QuadraticSurd.make(A - D, -1, 2 * C, disc)
-    x = y
-    for a in reversed(preperiod):
-        x = x.reciprocal() + a
-    # fold order: innermost first; preperiod[-1] applied first
-    return surd_normalize(x)
+    P, Q = A - D, 2 * C
+    for a in reversed(preperiod):  # innermost first
+        # a + 1/x = (a Q' - P + sqrt(disc)) / Q' with Q' = (disc - P^2) / Q
+        Q = (disc - P * P) // Q
+        P = a * Q - P
+    return SurdSum({1: Fraction(P, Q), disc: Fraction(1, Q)})
 
 
 @lru_cache(maxsize=512)
 def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Preperiod and period of the expansion of any spec.  A rational has
     its canonical (Euclid) quotients as preperiod and an empty period; a
-    quadratic surd runs the floor / invert / normalize recurrence with state
-    cycle detection."""
+    quadratic surd runs the PQa recurrence and stops at a repeated state."""
     if spec.kind == EXPLICIT_PERIODIC:
         return spec.preperiod, spec.period
     quots: list[int] = []
@@ -197,17 +193,33 @@ def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
             quots.append(a)
             p, q = q, rem
         return tuple(quots), ()
-    x = surd_normalize(spec.surd)
-    seen: dict[tuple[int, int, int, int], int] = {}
-    while True:
-        key = (x.a, x.b, x.c, x.d)
-        if key in seen:
-            i = seen[key]
-            return tuple(quots[:i]), tuple(quots[i:])
-        seen[key] = len(quots)
-        a = x.floor()
+    # x = (a + b sqrt(d)) / c over integers, c > 0 and d squarefree, is
+    # (P + sqrt(D)) / Q with D = (bc)^2 d, P = ac sgn(b), Q = c^2 sgn(b),
+    # and Q divides D - P^2 = c^2 (b^2 d - a^2).  Each complete quotient
+    # keeps D, so equal values have equal (P, Q): the first repeated pair
+    # closes the period.
+    terms = dict(spec.surd.terms())
+    r0 = terms.pop(1, Fraction(0))
+    ((d, r1),) = terms.items()
+    c = math.lcm(r0.denominator, r1.denominator)
+    a, b = int(r0 * c), int(r1 * c)
+    sgn = 1 if b > 0 else -1
+    D, P, Q = b * b * c * c * d, a * c * sgn, c * c * sgn
+    root = math.isqrt(D)  # sqrt(D) lies in (root, root + 1)
+    seen: dict[tuple[int, int], int] = {}
+    while (P, Q) not in seen:
+        seen[P, Q] = len(quots)
+        # (P + sqrt(D)) / Q lies strictly between (P + root) / Q and (P +
+        # root + 1) / Q, adjacent fractions over |Q| with no integer
+        # strictly between them, so its floor is that of the lower one
+        a = (P + root + (Q < 0)) // Q
         quots.append(a)
-        x = (x - a).reciprocal()
+        # 1 / ((P + sqrt(D)) / Q - a) = (P' + sqrt(D)) / Q' with P' = aQ - P
+        # and Q' = (D - P'^2) / Q, an integer: D - P'^2 = D - P^2 mod Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    i = seen[P, Q]
+    return tuple(quots[:i]), tuple(quots[i:])
 
 
 def cf_expand(spec: CFSpec, count: int) -> list[int]:
@@ -363,11 +375,12 @@ SCAN_MAX_X = 2**32
 SCAN_CHUNK = 2**14
 
 
-def residual_multiplier(a: QuadraticSurd):
-    """floor(frac(a) * 2**64) as a numpy uint64: the A of residual_bounds."""
+def residual_multiplier(a: SurdSum):
+    """floor(frac(a) * 2**64) as a numpy uint64: the A of residual_bounds.
+    It is floor(a * 2**64) mod 2**64, as floor(a) * 2**64 is an integer."""
     import numpy as np  # here and in the scans below: only scans need numpy
 
-    return np.uint64(((a - a.floor()) * (1 << 64)).floor())
+    return np.uint64((a * (1 << 64)).floor() % (1 << 64))
 
 
 def residual_bounds(A, xs, lo=None, hi=None) -> None:
@@ -407,7 +420,7 @@ class ResidualScan:
     (combine "product", one or two alphas) or m(x) = max(||x*alpha||,
     ||x*beta||) (combine "max", two alphas)."""
 
-    alphas: tuple[QuadraticSurd, ...]
+    alphas: tuple[SurdSum, ...]
     combine: str = "product"
     X: int = 0
     bound: float | int | None = None
@@ -427,7 +440,7 @@ def _below(a: SurdSum, b: SurdSum) -> bool:
 def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list]]:
     """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
     X] where the value reaches a new strict minimum, exactly; ties keep the
-    first.  `residuals` holds surd_residual(alpha * x) per alpha.  X >
+    first.  `residuals` holds (alpha * x).nearest() per alpha.  X >
     SCAN_MAX_X raises ParameterError before any array exists."""
     import numpy as np
 
@@ -498,7 +511,7 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
         runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
         scan.bound = runmin[-1].item()
         for x in xs[lo <= runmin[:-1] * margin].tolist():
-            residuals = [surd_residual(a * x) for a in scan.alphas]
+            residuals = [(a * x).nearest() for a in scan.alphas]
             mags = [u.abs() for _, u in residuals]
             if exact:
                 val = mags[1] if _below(mags[0], mags[1]) else mags[0]
@@ -515,10 +528,7 @@ def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     """Exact min of q*||q*alpha|| over 1 <= q <= Q and its (first) argmin."""
     if Q < 1:
         raise ParameterError("Q must be >= 1")
-    value = spec.value()
-    if isinstance(value, Fraction):
-        value = QuadraticSurd.from_rational(value)
-    q, best, _ = residual_minima(ResidualScan((value,)), Q)[-1]
+    q, best, _ = residual_minima(ResidualScan((spec.value_surdsum(),)), Q)[-1]
     return best, q
 
 

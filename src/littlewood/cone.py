@@ -28,12 +28,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import (
     DyadicInterval,
-    QuadraticSurd,
     SurdSum,
-    as_surdsum,
     certified_sign,
 )
-from .lattice import ParameterError, as_quadratic_surd, f_exact, m_transform
+from .lattice import ParameterError, f_exact, m_transform, surdsum_of
 
 __all__ = [
     "ConeParams",
@@ -52,6 +50,7 @@ _CHUNK = 2048  # samples per seeded generator; the rows depend on it, so it is f
 _CROSSCHECKS = 32  # a run re-verifies every (sample_count // 32)-th row through the surds
 _UNIT_BITS = 53  # every draw is k / 2**53, k < 2**53
 _COORDINATE_BITS = 128  # precision of the reported y and z enclosures
+_MARGIN_BITS = 128  # precision of the margin enclosure in a membership verdict
 
 
 def _sqrt_phi(params: "ConeParams", scale: Fraction) -> SurdSum:
@@ -93,7 +92,7 @@ class ConeMembershipVerdict:
     x_in_range: bool
 
 
-def cone_contains(alpha, beta, p: Sequence, params: ConeParams, bits: int = 128) -> ConeMembershipVerdict:
+def cone_contains(alpha, beta, p: Sequence, params: ConeParams) -> ConeMembershipVerdict:
     """Certified membership of an exact point (lattice or real with exact
     coordinates); the boundary counts as inside (closed cone)."""
     x, ra, rb = m_transform(alpha, beta, p)
@@ -105,7 +104,7 @@ def cone_contains(alpha, beta, p: Sequence, params: ConeParams, bits: int = 128)
     sign = certified_sign(margin)
     return ConeMembershipVerdict(
         inside=x_in_range and sign <= 0,
-        margin=margin.interval(bits),
+        margin=margin.interval(_MARGIN_BITS),
         margin_sign=sign,
         x_in_range=x_in_range,
     )
@@ -253,8 +252,8 @@ class InclusionRun:
     ) -> None:
         if sample_count < 1:
             raise ParameterError("sample_count must be >= 1")
-        self.alpha = as_quadratic_surd(alpha)
-        self.beta = as_quadratic_surd(beta)
+        self.alpha = surdsum_of(alpha)
+        self.beta = surdsum_of(beta)
         self.params = params
         self.sample_count = sample_count
         self.seed = seed
@@ -277,8 +276,8 @@ class InclusionRun:
     def _crosscheck(self, sample: InclusionSample) -> None:
         x = sample.x
         s = _sqrt_phi(self.params, self.params.N - x)
-        y = as_surdsum(self.alpha) * x - sample.u * s
-        z = as_surdsum(self.beta) * x - sample.v * s
+        y = self.alpha * x - sample.u * s
+        z = self.beta * x - sample.v * s
         through_surds = f_exact(self.alpha, self.beta, x, y, z)
         if certified_sign(through_surds - sample.f) != 0:
             raise AssertionError("scaled-coordinate f disagrees with the surd evaluation")
@@ -305,7 +304,7 @@ def cone_inclusion_sample(
 
 @lru_cache(maxsize=64)
 def _coordinate_forms(
-    alpha: QuadraticSurd, beta: QuadraticSurd, params: ConeParams
+    alpha: SurdSum, beta: SurdSum, params: ConeParams
 ) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """y = alpha*x - u*s and z = beta*x - v*s as integer forms in a
     sample's numerators, one tuple per coordinate.
@@ -318,7 +317,7 @@ def _coordinate_forms(
     zero = Fraction(0)
     forms = []
     for axis in (alpha, beta):
-        coefs = dict(as_surdsum(axis).terms())
+        coefs = dict(axis.terms())
         form = []
         for rad in coefs.keys() | {r}:
             # c*X/2**53 - e*W/2**106 over one denominator
@@ -359,7 +358,7 @@ def _forms_of(alpha, beta, params: ConeParams):
     last_alpha, last_beta, last_params, forms = _last_forms
     if alpha is last_alpha and beta is last_beta and params is last_params:
         return forms
-    forms = _coordinate_forms(as_quadratic_surd(alpha), as_quadratic_surd(beta), params)
+    forms = _coordinate_forms(surdsum_of(alpha), surdsum_of(beta), params)
     _last_forms = (alpha, beta, params, forms)
     return forms
 

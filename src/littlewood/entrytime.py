@@ -32,14 +32,13 @@ from .cfrac import CFSpec, Convergent, ErrorTerm, _below, convergents, cf_expand
 from .cone import ConeParams
 from .exactnum import (
     DyadicInterval,
-    QuadraticSurd,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
     certified_sign,
     fixed_enclosure,
 )
-from .lattice import DirichletPoint, ParameterError, as_quadratic_surd
+from .lattice import DirichletPoint, ParameterError, surdsum_of
 
 __all__ = [
     "NontransversalConfigurationError",
@@ -70,8 +69,8 @@ class ApproxLine:
 
     n: int
     P0: DirichletPoint | None
-    alpha: QuadraticSurd
-    beta: QuadraticSurd
+    alpha: SurdSum
+    beta: SurdSum
     c_alpha: Fraction
     c_beta: Fraction
     q2n_alpha: int
@@ -115,8 +114,8 @@ def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoin
     return ApproxLine(
         n,
         P0,
-        as_quadratic_surd(alpha_spec),
-        as_quadratic_surd(beta_spec),
+        surdsum_of(alpha_spec),
+        surdsum_of(beta_spec),
         ca.as_fraction(),
         cb.as_fraction(),
         ca.q,

@@ -1,18 +1,14 @@
-"""Exact number foundation: quadratic surds, sums of square roots, and
-dyadic interval arithmetic with certified sign determination.
+"""Exact number foundation: sums of square roots and dyadic interval
+arithmetic with certified sign determination.
 
-Three layers:
+Two layers:
 
-* ``QuadraticSurd`` -- a single number (a + b*sqrt(d))/c over arbitrary
-  precision integers: the input representation for alpha and beta and the
-  state of the continued-fraction recurrence.  It has only that
-  recurrence's integer steps (x + k, x - k, k*x, 1/x), an exact floor and
-  an exact comparison with a rational.
 * ``SurdSum`` -- a finite rational combination  q0 + q1*sqrt(d1) + ... of
   square roots of distinct squarefree integers.  Sums, differences and
   products stay in this class, and its sign is exactly decidable, so it is
-  the one arithmetic type: every field operation, interval enclosure and
-  certified comparison in the package goes through it.
+  the one arithmetic type: every exact number of the package (alpha and
+  beta included), every field operation, interval enclosure, floor and
+  certified comparison goes through it.
 * ``DyadicInterval`` -- the one interval representation: integer
   mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
   irrational sign is decided.  Sums and products are exact integer
@@ -29,14 +25,11 @@ from zero (a root-separation bound; see ``SurdSum._sign_exact``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 __all__ = [
-    "ExactArithmeticError",
-    "MalformedSurdError",
     "ParameterError",
     "SIGN_BITS_START",
     "SIGN_BITS_CAP",
@@ -47,11 +40,6 @@ __all__ = [
     "DyadicInterval",
     "FIXED_BITS",
     "fixed_enclosure",
-    "QuadraticSurd",
-    "surd_normalize",
-    "surd_compare",
-    "surd_nearest_int",
-    "surd_residual",
     "SurdSum",
     "as_surdsum",
     "certified_sign",
@@ -71,14 +59,6 @@ FIXED_BITS = 64
 # by everything <= _TRIAL_LIMIT, a cofactor <= _TRIAL_LIMIT**3 is 1, prime,
 # a prime square, or a product of two distinct primes.
 _TRIAL_LIMIT = 100_000
-
-
-class ExactArithmeticError(Exception):
-    """Base class for errors raised by the exact-arithmetic layer."""
-
-
-class MalformedSurdError(ExactArithmeticError):
-    """Quadratic surd with zero denominator or negative radicand."""
 
 
 class ParameterError(ValueError):
@@ -341,201 +321,6 @@ def _sqrt_floor(d: int, bits: int) -> int:
     return math.isqrt(d << (2 * bits))
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
-    """Exact real of the form (a + b*sqrt(d)) / c over integers.
-
-    Canonical form (after :func:`surd_normalize`): d squarefree, c > 0,
-    gcd(a, b, c) = 1, and the rational case collapses to b = d = 0.  The
-    dataclass itself only validates; use :meth:`make` or `surd_normalize`
-    to canonicalise, and note that ``==`` is structural.  Canonical results
-    carry ``canonical = True`` (ignored by ``==`` and ``hash``, and not a
-    constructor argument: only this module sets it), so normalising them
-    again factors nothing.
-
-    Arithmetic takes ``int`` operands only; anything else goes through
-    :meth:`to_surdsum`.  The integer steps and :meth:`reciprocal` keep the
-    radicand of a canonical surd, so their results are reduced by gcds
-    alone; only :meth:`make` on outside input factors d.
-    """
-
-    a: int
-    b: int
-    c: int = 1
-    d: int = 0
-    canonical: bool = field(default=False, init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.c == 0:
-            raise MalformedSurdError("denominator c must be nonzero")
-        if self.d < 0:
-            raise MalformedSurdError("radicand d must be nonnegative")
-
-    @classmethod
-    def make(cls, a: int, b: int = 0, c: int = 1, d: int = 0) -> "QuadraticSurd":
-        return surd_normalize(cls(a, b, c, d))
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "QuadraticSurd":
-        x = Fraction(x)
-        return _canonical(x.numerator, 0, x.denominator, 0)
-
-    @classmethod
-    def sqrt_of(cls, n: int) -> "QuadraticSurd":
-        return cls.make(0, 1, 1, n)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0 or self.d in (0, 1)
-
-    def as_fraction(self) -> Fraction:
-        s = surd_normalize(self)
-        if not s.is_rational:
-            raise ValueError(f"{self!r} is irrational")
-        return Fraction(s.a, s.c)
-
-    def to_surdsum(self) -> "SurdSum":
-        s = surd_normalize(self)
-        terms = {1: Fraction(s.a, s.c)} if s.a else {}
-        if s.b:
-            terms[s.d] = Fraction(s.b, s.c)
-        return SurdSum._from_squarefree(terms)
-
-    # -- continued-fraction steps (integer operands only) ------------------
-
-    def __add__(self, k) -> "QuadraticSurd":
-        if not isinstance(k, int):
-            return NotImplemented
-        s = surd_normalize(self)
-        return _reduce_squarefree(s.a + k * s.c, s.b, s.c, s.d)
-
-    def __sub__(self, k) -> "QuadraticSurd":
-        if not isinstance(k, int):
-            return NotImplemented
-        s = surd_normalize(self)
-        return _reduce_squarefree(s.a - k * s.c, s.b, s.c, s.d)
-
-    def __mul__(self, k) -> "QuadraticSurd":
-        if not isinstance(k, int):
-            return NotImplemented
-        s = surd_normalize(self)
-        return _reduce_squarefree(s.a * k, s.b * k, s.c, s.d)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "QuadraticSurd":
-        s = surd_normalize(self)
-        if s.is_rational:
-            if s.a == 0:
-                raise ZeroDivisionError("reciprocal of zero")
-            return _reduce_squarefree(s.c, 0, s.a, 0)
-        norm = s.a * s.a - s.b * s.b * s.d  # nonzero: value is irrational
-        return _reduce_squarefree(s.c * s.a, -s.c * s.b, norm, s.d)
-
-    # -- exact decisions ---------------------------------------------------
-
-    def compare_rational(self, r: RationalLike) -> int:
-        return surd_compare(self, Fraction(r))
-
-    def floor(self) -> int:
-        """Exact floor, by integer square roots plus one exact comparison."""
-        s = surd_normalize(self)
-        if s.is_rational:
-            return s.a // s.c
-        m = math.isqrt(s.b * s.b * s.d)
-        # b*sqrt(d) lies strictly between t and t+1 (value is irrational)
-        t = m if s.b > 0 else -m - 1
-        k1 = (s.a + t) // s.c
-        k2 = (s.a + t + 1) // s.c
-        if k1 == k2:
-            return k1
-        return k2 if surd_compare(s, Fraction(k2)) >= 0 else k1
-
-    def __repr__(self) -> str:
-        if self.is_rational:
-            return f"({self.a}/{self.c})"
-        return f"(({self.a} + {self.b}*sqrt({self.d}))/{self.c})"
-
-
-def surd_nearest_int(s: QuadraticSurd) -> int:
-    """Nearest integer to an exact surd (rational ties round up)."""
-    return (2 * s + 1).floor() // 2
-
-
-def surd_residual(s: QuadraticSurd) -> tuple[int, "SurdSum"]:
-    """Nearest integer m to s and the signed residual s - m, exactly."""
-    m = surd_nearest_int(s)
-    return m, (s - m).to_surdsum()
-
-
-def surd_normalize(s: QuadraticSurd) -> QuadraticSurd:
-    """Canonical form: d squarefree, c > 0, gcd(a, b, c) = 1; rationals
-    collapse to b = d = 0.  Value preserving and idempotent; a surd that
-    is already canonical is returned as it is."""
-    if s.canonical:
-        return s
-    a, b, c, d = s.a, s.b, s.c, s.d
-    if c == 0:
-        raise MalformedSurdError("denominator c must be nonzero")
-    if d > 1 and b != 0:
-        square, free = squarefree_decompose(d)
-        b *= square
-        d = free
-    return _reduce_squarefree(a, b, c, d)
-
-
-def _reduce_squarefree(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    """Canonical form of (a + b*sqrt(d))/c for a d that is already
-    squarefree (or 0): collapse, sign and gcd only, no factoring."""
-    if c == 0:
-        raise MalformedSurdError("denominator c must be nonzero")
-    if d == 1:
-        a += b
-        b = 0
-    if b == 0 or d == 0:
-        b, d = 0, 0
-    if c < 0:
-        a, b, c = -a, -b, -c
-    g = math.gcd(a, b, c)
-    if g > 1:
-        a, b, c = a // g, b // g, c // g
-    return _canonical(a, b, c, d)
-
-
-def _canonical(a: int, b: int, c: int, d: int) -> QuadraticSurd:
-    """A QuadraticSurd marked canonical; the caller guarantees the form."""
-    s = QuadraticSurd(a, b, c, d)
-    object.__setattr__(s, "canonical", True)
-    return s
-
-
-def surd_compare(s: QuadraticSurd, r: RationalLike) -> int:
-    """Exact ordering of a quadratic surd against a rational: -1, 0, +1.
-
-    Decided purely in integer arithmetic: move terms to one side, fix the
-    sign pattern, square once.
-    """
-    s = surd_normalize(s)
-    r = Fraction(r)
-    # s - r = (A + B*sqrt(d)) / (c * r.den), with c*r.den > 0
-    A = s.a * r.denominator - r.numerator * s.c
-    B = s.b * r.denominator
-    if B == 0:
-        return (A > 0) - (A < 0)
-    if B > 0:
-        if A >= 0:
-            return 1
-        # sign of B*sqrt(d) - |A|
-        lhs, rhs = B * B * s.d, A * A
-        return (lhs > rhs) - (lhs < rhs)
-    if A <= 0:
-        return -1
-    lhs, rhs = A * A, B * B * s.d
-    return (lhs > rhs) - (lhs < rhs)
-
-
 class SurdSum:
     """Exact finite sum  q0 + q1*sqrt(d1) + q2*sqrt(d2) + ...  with rational
     coefficients and distinct squarefree radicands (key 1 = rational part).
@@ -547,9 +332,11 @@ class SurdSum:
     evaluation at a precision computed from the terms.
     """
 
-    # _fixed: the memoised fixed_enclosure, set on first use only; _terms
-    # is never changed after construction, so the memo stays valid
-    __slots__ = ("_terms", "_fixed")
+    # _fixed and _hash: the memoised fixed_enclosure and hash, set on first
+    # use only; _terms is never changed after construction, so the memos
+    # stay valid.  alpha and beta key the lru caches of the scans, and a
+    # Fraction hash costs a modular inverse.
+    __slots__ = ("_terms", "_fixed", "_hash")
 
     def __init__(self, terms: Mapping[int, RationalLike] | None = None):
         clean: dict[int, Fraction] = {}
@@ -614,12 +401,15 @@ class SurdSum:
         return self.rational_part()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (SurdSum, int, Fraction, QuadraticSurd)):
+        if not isinstance(other, (SurdSum, int, Fraction)):
             return NotImplemented
         return self._terms == as_surdsum(other)._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = hash(frozenset(self._terms.items()))
+        return h
 
     # -- ring operations ---------------------------------------------------
 
@@ -642,6 +432,11 @@ class SurdSum:
         return as_surdsum(other) + (-self)
 
     def __mul__(self, other) -> "SurdSum":
+        if isinstance(other, (int, Fraction)):
+            # a rational factor scales the coefficients; radicands stay
+            return SurdSum._from_squarefree(
+                {rad: c * other for rad, c in self._terms.items()} if other else {}
+            )
         other = as_surdsum(other)
         out: dict[int, Fraction] = {}
         for d1, c1 in self._terms.items():
@@ -716,6 +511,43 @@ class SurdSum:
     def abs(self) -> "SurdSum":
         return -self if self.sign() < 0 else self
 
+    # -- floor and nearest integer (exact) --------------------------------
+
+    def floor(self) -> int:
+        """Exact floor."""
+        return self._floor_plus_half(0)
+
+    def nearest(self) -> tuple[int, "SurdSum"]:
+        """The nearest integer m (rational ties round up) and the signed
+        residual self - m, exactly."""
+        m = self._floor_plus_half(1)
+        terms = dict(self._terms)
+        rest = terms.pop(1, Fraction(0)) - m
+        if rest:
+            terms[1] = rest
+        return m, SurdSum._from_squarefree(terms)
+
+    def _floor_plus_half(self, half: int) -> int:
+        """floor(self + half/2) for half 0 or 1, read from the memoised
+        fixed_enclosure.  A certified sign is needed only when the
+        enclosure straddles an integer; a wider one (coefficients near
+        2**64) is first narrowed at doubling precision."""
+        lo, hi = fixed_enclosure(self)
+        exp = bits = FIXED_BITS
+        while True:
+            shift = half << (exp - 1)
+            k, k_hi = (lo + shift) >> exp, (hi + shift) >> exp
+            if k_hi - k <= 1:
+                break
+            bits *= 2
+            iv = self.interval(bits)
+            lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
+        if k == k_hi:
+            return k
+        # self + half/2 lies in [k, k + 2) and reaches k + 1 iff self does
+        # reach k + 1 - half/2
+        return k_hi if certified_sign(self - Fraction(2 * k_hi - half, 2)) >= 0 else k
+
     def __float__(self) -> float:
         return float(self.interval(64))
 
@@ -729,13 +561,11 @@ class SurdSum:
 
 
 def as_surdsum(x) -> SurdSum:
-    """Coerce ints, Fractions and quadratic surds into SurdSum."""
+    """Coerce ints and Fractions into SurdSum."""
     if isinstance(x, SurdSum):
         return x
     if isinstance(x, (int, Fraction)):
         return SurdSum.from_rational(x)
-    if isinstance(x, QuadraticSurd):
-        return x.to_surdsum()
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
 
 

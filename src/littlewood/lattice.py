@@ -30,7 +30,6 @@ from .cfrac import (
 )
 from .exactnum import (
     DyadicInterval,
-    QuadraticSurd,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
@@ -46,7 +45,7 @@ __all__ = [
     "FEval",
     "MinRecord",
     "CartanReport",
-    "as_quadratic_surd",
+    "surdsum_of",
     "f_eval",
     "m_transform",
     "dirichlet_search",
@@ -97,16 +96,10 @@ class FEval:
     vs_epsilon: str  # 'below' | 'equal' | 'above'
 
 
-def as_quadratic_surd(x) -> QuadraticSurd:
-    """Coerce CFSpec / Fraction / int input into a QuadraticSurd."""
-    if isinstance(x, QuadraticSurd):
-        return x
-    if isinstance(x, CFSpec):
-        v = x.value()
-        return v if isinstance(v, QuadraticSurd) else QuadraticSurd.from_rational(v)
-    if isinstance(x, (int, Fraction)):
-        return QuadraticSurd.from_rational(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
+def surdsum_of(x) -> SurdSum:
+    """The SurdSum of an alpha or beta given as CFSpec, SurdSum, Fraction
+    or int: the one coercion of those arguments."""
+    return as_surdsum(x.value() if isinstance(x, CFSpec) else x)
 
 
 def f_exact(alpha, beta, x, y, z) -> SurdSum:
@@ -133,14 +126,13 @@ def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
 def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdSum, SurdSum]:
     """(x, alpha*x - y, beta*x - z): the unimodular shear under which
     f(x,y,z) = x' * y' * z' of the image."""
-    alpha_s = as_surdsum(as_quadratic_surd(alpha))
-    beta_s = as_surdsum(as_quadratic_surd(beta))
+    alpha_s, beta_s = surdsum_of(alpha), surdsum_of(beta)
     x, y, z = (as_surdsum(c) for c in tuple(p))
     return x, alpha_s * x - y, beta_s * x - z
 
 
 @lru_cache(maxsize=32)
-def _best_approximations(alpha: QuadraticSurd, beta: QuadraticSurd):
+def _best_approximations(alpha: SurdSum, beta: SurdSum):
     """(scan, keys, points) for the running-minimum records of m(x) =
     max(||x*alpha||, ||x*beta||) over the scanned [1, scan.X], Lagarias's
     best simultaneous approximations: per record the key min(floor(1/m**2),
@@ -167,7 +159,7 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
         raise ParameterError("N must be >= 2")
     if N > SCAN_MAX_X:
         raise ParameterError(f"scan range {N} exceeds 2**32, the residual kernel's range")
-    alpha, beta = as_quadratic_surd(alpha), as_quadratic_surd(beta)
+    alpha, beta = surdsum_of(alpha), surdsum_of(beta)
     scan, keys, points = _best_approximations(alpha, beta)
     target = min(max(N, 2 * scan.X), SCAN_MAX_X)
     i = bisect_left(keys, N)
@@ -203,10 +195,8 @@ def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
     """
     if X < 1:
         raise ParameterError("X must be >= 1")
-    alpha = as_quadratic_surd(alpha)
-    beta = as_quadratic_surd(beta)
     records: list[MinRecord] = []
-    for x, val, _ in residual_minima(ResidualScan((alpha, beta)), X):
+    for x, val, _ in residual_minima(ResidualScan((surdsum_of(alpha), surdsum_of(beta))), X):
         iv = val.interval(bits)
         records.append(MinRecord(x, iv.lo, iv.hi, val))
     return records
@@ -295,8 +285,7 @@ def cartan_measure(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    alpha_s = as_surdsum(as_quadratic_surd(alpha))
-    beta_s = as_surdsum(as_quadratic_surd(beta))
+    alpha_s, beta_s = surdsum_of(alpha), surdsum_of(beta)
     ab = alpha_s * beta_s
     if certified_sign(ab) <= 0:
         raise ParameterError("alpha*beta must be positive")

@@ -17,7 +17,7 @@ import logging
 from fractions import Fraction
 
 from .cfrac import CFSpec, convergents
-from .exactnum import QuadraticSurd, squarefree_decompose
+from .exactnum import SurdSum, squarefree_decompose
 
 __all__ = ["NumberSpecError", "parse_number_spec", "parse_exact_fraction"]
 
@@ -62,7 +62,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         square, free = _squarefree_at(text, d, offset)
         if square != 1 and free > 1:
             log.info("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
-        spec = CFSpec.from_surd(QuadraticSurd.make(0, 1, 1, d))
+        spec = CFSpec.from_surd(SurdSum.sqrt(d))
     elif head == "quad":
         parts = body.split(",")
         if len(parts) != 4:
@@ -76,7 +76,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
             _, free = _squarefree_at(text, d, offset)
             if free != d:
                 log.info("quad radicand %d normalized to squarefree %d", d, free)
-        spec = CFSpec.from_surd(QuadraticSurd.make(a, b, c, d))
+        spec = CFSpec.from_surd(SurdSum.sqrt(d, Fraction(b, c)) + Fraction(a, c))
     elif head == "cf":
         spec = _parse_cf(text, body, offset)
     elif head == "rat":

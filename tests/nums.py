@@ -1,6 +1,7 @@
 """Shared test numbers, small generators, the CSV reader, and the
-entry-time, entry-time comparator, running-minimum, Dirichlet-point,
-transversality, cone-row and u-grid oracles."""
+continued-fraction cycle, entry-time, entry-time comparator,
+running-minimum, Dirichlet-point, transversality, cone-row and u-grid
+oracles."""
 
 import csv
 import math
@@ -18,24 +19,33 @@ from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
 from littlewood.exactnum import (
     DyadicInterval,
-    QuadraticSurd,
     SurdSum,
     as_surdsum,
     certified_sign,
     frac_pow_interval,
-    surd_residual,
 )
 from littlewood.lattice import (
     DirichletPoint,
     LatticePoint,
     ParameterError,
     TheoremViolationError,
-    as_quadratic_surd,
+    surdsum_of,
 )
 
-SQRT2M1 = QuadraticSurd.make(-1, 1, 1, 2)  # sqrt(2) - 1 = [0; 2, 2, ...]
-SQRT3M1 = QuadraticSurd.make(-1, 1, 1, 3)  # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]
-GOLDENM1 = QuadraticSurd.make(-1, 1, 2, 5)  # (sqrt(5) - 1)/2 = [0; 1, 1, ...]
+
+def quad(a: int, b: int = 0, c: int = 1, d: int = 0) -> SurdSum:
+    """(a + b*sqrt(d)) / c as a SurdSum."""
+    return SurdSum.sqrt(d, Fraction(b, c)) + Fraction(a, c)
+
+
+def surd_nearest_int(s) -> int:
+    """Nearest integer to an exact number (rational ties round up)."""
+    return as_surdsum(s).nearest()[0]
+
+
+SQRT2M1 = quad(-1, 1, 1, 2)  # sqrt(2) - 1 = [0; 2, 2, ...]
+SQRT3M1 = quad(-1, 1, 1, 3)  # sqrt(3) - 1 = [0; 1, 2, 1, 2, ...]
+GOLDENM1 = quad(-1, 1, 2, 5)  # (sqrt(5) - 1)/2 = [0; 1, 1, ...]
 
 SPEC_SQRT2M1 = CFSpec.from_surd(SQRT2M1)
 SPEC_SQRT3M1 = CFSpec.from_surd(SQRT3M1)
@@ -59,16 +69,54 @@ TRANSVERSALITY_EPSILONS = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000),
 
 # unit-interval quadratic irrationals with small radicands, for random picks
 SURD_POOL = [
-    QuadraticSurd.make(-1, 1, 1, 2),
-    QuadraticSurd.make(-1, 1, 1, 3),
-    QuadraticSurd.make(-2, 1, 1, 5),
-    QuadraticSurd.make(-2, 1, 1, 6),
-    QuadraticSurd.make(-2, 1, 1, 7),
-    QuadraticSurd.make(-3, 1, 1, 10),
-    QuadraticSurd.make(-1, 1, 2, 5),
-    QuadraticSurd.make(-1, 1, 2, 7),
-    QuadraticSurd.make(-3, 1, 2, 13),
+    quad(-1, 1, 1, 2),
+    quad(-1, 1, 1, 3),
+    quad(-2, 1, 1, 5),
+    quad(-2, 1, 1, 6),
+    quad(-2, 1, 1, 7),
+    quad(-3, 1, 1, 10),
+    quad(-1, 1, 2, 5),
+    quad(-1, 1, 2, 7),
+    quad(-3, 1, 2, 13),
 ]
+
+
+def cf_cycle_floor_invert(x: SurdSum) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Oracle of cfrac._cf_cycle for a quadratic irrational x: the floor /
+    invert / normalize recurrence on the canonical integer state (a, b, c)
+    of (a + b*sqrt(d)) / c (d squarefree, c > 0, gcd(a, b, c) = 1), whose
+    first repeated state closes the period."""
+    terms = dict(x.terms())
+    r0 = terms.pop(1, Fraction(0))
+    ((d, r1),) = terms.items()
+    c = math.lcm(r0.denominator, r1.denominator)
+    a, b = int(r0 * c), int(r1 * c)
+
+    def sign(A: int, B: int) -> int:  # of A + B*sqrt(d), by one squaring
+        sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+        if sa == sb or sa == 0 or sb == 0:
+            return sa or sb
+        return sb if B * B * d > A * A else sa
+
+    quots: list[int] = []
+    seen: dict[tuple[int, int, int], int] = {}
+    while (a, b, c) not in seen:
+        seen[a, b, c] = len(quots)
+        m = math.isqrt(b * b * d)
+        t = m if b > 0 else -m - 1  # b*sqrt(d) lies in (t, t + 1)
+        k = (a + t) // c
+        if (a + t + 1) // c > k and sign(a - (k + 1) * c, b) >= 0:
+            k += 1
+        quots.append(k)
+        # 1 / (x - k) = c (A - b sqrt(d)) / (A^2 - b^2 d) with A = a - k c
+        A = a - k * c
+        a, b, c = c * A, -c * b, A * A - b * b * d
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = math.gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+    i = seen[a, b, c]
+    return tuple(quots[:i]), tuple(quots[i:])
 
 
 def rational_in_unit(rng, den_bits: int = 20) -> Fraction:
@@ -223,7 +271,7 @@ def residual_minima_full(scan: ResidualScan, X: int):
         runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
         scan.bound = runmin[-1].item()
         for x in xs[lo <= runmin[:-1] * margin].tolist():
-            residuals = [surd_residual(a * x) for a in scan.alphas]
+            residuals = [(a * x).nearest() for a in scan.alphas]
             mags = [u.abs() for _, u in residuals]
             if exact:
                 val = mags[1] if _below(mags[0], mags[1]) else mags[0]
@@ -243,17 +291,16 @@ def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:
     residuals are both <= 1/N exactly."""
     if N < 2:
         raise ParameterError("N must be >= 2")
-    alpha = as_quadratic_surd(alpha)
-    beta = as_quadratic_surd(beta)
+    alpha, beta = surdsum_of(alpha), surdsum_of(beta)
     bound = Fraction(1, N)
     # lo <= 2**64 / sqrt(N) is lo <= isqrt(2**128 // N) for an integer lo
     cap = np.uint64(math.isqrt((1 << 128) // N))
     for xs, ((a_lo, _), (b_lo, _)) in residual_chunks((alpha, beta), 1, N):
         for x in xs[(a_lo <= cap) & (b_lo <= cap)].tolist():
-            ya, ua = surd_residual(alpha * x)
+            ya, ua = (alpha * x).nearest()
             if certified_sign(ua * ua - bound) > 0:
                 continue
-            yb, ub = surd_residual(beta * x)
+            yb, ub = (beta * x).nearest()
             if certified_sign(ub * ub - bound) > 0:
                 continue
             return DirichletPoint(LatticePoint(x, ya, yb), N, ua, ub)

@@ -54,7 +54,7 @@ from littlewood.entrytime import (
     approx_line,
     line_gamma,
 )
-from littlewood.exactnum import QuadraticSurd, as_surdsum, certified_sign, surd_nearest_int
+from littlewood.exactnum import as_surdsum, certified_sign
 from littlewood.lattice import (
     LatticePoint,
     brute_min_scan,
@@ -68,6 +68,7 @@ from nums import (
     SPEC_SQRT3M1,
     SQRT2M1,
     SQRT3M1,
+    surd_nearest_int,
     SURD_POOL,
     TEST_PAIRS,
     entry_time_bisected,

@@ -20,7 +20,7 @@ from littlewood.certificate import (
     verify_certificate,
 )
 from littlewood.entrytime import approx_line, transversality_check
-from littlewood.exactnum import DyadicInterval, QuadraticSurd, certified_sign
+from littlewood.exactnum import DyadicInterval, certified_sign
 from littlewood.lattice import LatticePoint, ParameterError, brute_min_scan
 from littlewood.numspec import parse_number_spec
 

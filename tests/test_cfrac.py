@@ -32,14 +32,13 @@ from littlewood.cfrac import (
     residual_minima,
     residual_multiplier,
     LEVY_AE_LOG,
+    _cf_cycle,
     _observed_M,
 )
 from littlewood.exactnum import (
-    QuadraticSurd,
     SurdSum,
     as_surdsum,
     certified_sign,
-    surd_residual,
 )
 from littlewood.numspec import parse_number_spec
 
@@ -51,6 +50,9 @@ from nums import (
     SQRT2M1,
     SQRT3M1,
     SURD_POOL,
+    TEST_PAIRS,
+    cf_cycle_floor_invert,
+    quad,
     residual_minima_full,
 )
 
@@ -67,12 +69,12 @@ def eval_cf(quotients) -> Fraction:
 
 
 def test_expand_sqrt2():
-    spec = CFSpec.from_surd(QuadraticSurd.sqrt_of(2))
+    spec = CFSpec.from_surd(SurdSum.sqrt(2))
     assert cf_expand(spec, 5) == [1, 2, 2, 2, 2]
 
 
 def test_expand_golden():
-    spec = CFSpec.from_surd(QuadraticSurd.make(1, 1, 2, 5))
+    spec = CFSpec.from_surd(quad(1, 1, 2, 5))
     assert cf_expand(spec, 4) == [1, 1, 1, 1]
 
 
@@ -89,7 +91,7 @@ def test_periodic_roundtrip_values():
     # cf:[0;(2)] is sqrt(2) - 1; checked as exact surd equality
     assert CFSpec.from_periodic([0], [2]).value() == SQRT2M1
     assert CFSpec.from_periodic([0], [1]).value() == GOLDENM1
-    assert CFSpec.from_periodic([0], [1, 2]).value() == QuadraticSurd.make(-1, 1, 1, 3)
+    assert CFSpec.from_periodic([0], [1, 2]).value() == quad(-1, 1, 1, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,7 +115,7 @@ def test_surd_expansion_matches_float_oracle(a, b, c, d):
     import mpmath
 
     mpmath.mp.dps = 50
-    spec = CFSpec.from_surd(QuadraticSurd.make(a, b, c, d))
+    spec = CFSpec.from_surd(quad(a, b, c, d))
     got = cf_expand(spec, 10)
     x = (mpmath.mpf(a) + b * mpmath.sqrt(d)) / c
     want = []
@@ -122,6 +124,42 @@ def test_surd_expansion_matches_float_oracle(a, b, c, d):
         want.append(int(fl))
         x = 1 / (x - fl)
     assert got == want
+
+
+def random_quad_specs(rng, count):
+    """Seeded ``quad:a,b,c,d`` texts with b and c of either sign and
+    non-square radicands below 3000."""
+    out = []
+    while len(out) < count:
+        d = rng.randrange(2, 3000)
+        if math.isqrt(d) ** 2 != d:
+            b = rng.choice((-1, 1)) * rng.randrange(1, 4)
+            c = rng.choice((-1, 1)) * rng.randrange(1, 8)
+            out.append(f"quad:{rng.randrange(-20, 21)},{b},{c},{d}")
+    return out
+
+
+def test_cf_cycle_matches_the_floor_invert_oracle_on_the_test_pool():
+    periodic = [spec for pair in TEST_PAIRS for spec in pair] + [
+        CFSpec.from_periodic([0], [1, 3, 2]),
+        CFSpec.from_periodic([0, 2], [3, 1]),
+        CFSpec.from_periodic([0, 50], [1, 40]),
+        CFSpec.from_periodic([3], [1, 7, 2]),
+    ]
+    values = SURD_POOL + [quad(10**9, 1, 7, 999983), quad(3, -2, -7, 13)]
+    values += [spec.value() for spec in periodic]  # through _periodic_value
+    for x in values:
+        assert _cf_cycle(CFSpec.from_surd(x)) == cf_cycle_floor_invert(x), x
+
+
+def test_cf_cycle_matches_the_floor_invert_oracle_on_random_quad_specs():
+    rng = random.Random(16)
+    texts = random_quad_specs(rng, 2400)
+    assert sum(t.split(",")[1].startswith("-") for t in texts) > 1000  # b < 0
+    assert sum(t.split(",")[2].startswith("-") for t in texts) > 1000  # c < 0
+    for i, text in enumerate(texts):
+        spec = parse_number_spec(text, frac=i % 2 == 1)
+        assert _cf_cycle(spec) == cf_cycle_floor_invert(spec.value()), text
 
 
 # -- convergents -------------------------------------------------------------
@@ -176,9 +214,9 @@ def test_even_odd_interleaving():
     for a, b in zip(odds, odds[1:]):
         assert a.as_fraction() > b.as_fraction()
     for c in evens:
-        assert value.compare_rational(c.as_fraction()) == 1
+        assert certified_sign(value - c.as_fraction()) == 1
     for c in odds:
-        assert value.compare_rational(c.as_fraction()) == -1
+        assert certified_sign(value - c.as_fraction()) == -1
 
 
 def test_q_monotone_bounded_by_quotient_bound():
@@ -282,12 +320,10 @@ def test_bad_constant_positive_lower_bound():
 def exact_bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     """Oracle: exact min of q*||q*alpha|| and its first argmin, with one
     exact residual and one exact comparison per q and no screen."""
-    value = spec.value()
-    if isinstance(value, Fraction):
-        value = QuadraticSurd.from_rational(value)
+    value = spec.value_surdsum()
     best, best_q = None, 1
     for q in range(1, Q + 1):
-        val = q * surd_residual(value * q)[1].abs()
+        val = q * (value * q).nearest()[1].abs()
         if best is None or certified_sign(val - best) < 0:
             best, best_q = val, q
     return best, best_q
@@ -301,7 +337,7 @@ def exact_bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
         (SPEC_GOLDENM1, 377),
         (CFSpec.from_periodic([0, 50], [1, 40]), 500),
         (CFSpec.from_periodic([3], [1, 7, 2]), 433),
-        (CFSpec.from_surd(QuadraticSurd.make(10**9, 1, 7, 999983)), 500),
+        (CFSpec.from_surd(quad(10**9, 1, 7, 999983)), 500),
         (CFSpec.from_rational(Fraction(355, 113)), 500),  # exact zero at 113
         (CFSpec.from_rational(Fraction(-3, 7)), 5),
     ],
@@ -319,7 +355,7 @@ def test_bad_constant_scan_rejects_Q_below_one():
 
 
 def _rat(p, q):
-    return QuadraticSurd.from_rational(Fraction(p, q))
+    return SurdSum.from_rational(Fraction(p, q))
 
 
 def residual_scan_cases():
@@ -390,13 +426,13 @@ def test_residual_bounds_enclose_the_exact_residual():
     rng = random.Random(20261018)
     for trial in range(81):
         if trial == 80:
-            alpha = QuadraticSurd.from_rational(Fraction(1, 2))
+            alpha = SurdSum.from_rational(Fraction(1, 2))
         elif trial % 4 == 0:
-            alpha = QuadraticSurd.from_rational(
+            alpha = SurdSum.from_rational(
                 Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**6))
             )
         else:
-            alpha = QuadraticSurd.make(
+            alpha = quad(
                 rng.randrange(-999, 1000),
                 rng.choice((-1, 1)) * rng.randrange(1, 1000),
                 rng.randrange(1, 1000),
@@ -407,6 +443,7 @@ def test_residual_bounds_enclose_the_exact_residual():
         xs += [rng.randrange(1, 10**6) for _ in range(2)]
         xs_arr = np.array(xs, dtype=np.uint64)
         lo, hi = np.empty_like(xs_arr), np.empty_like(xs_arr)
+        assert residual_multiplier(alpha) == np.uint64(((alpha - alpha.floor()) * 2**64).floor())
         residual_bounds(residual_multiplier(alpha), xs_arr, lo=lo, hi=hi)
         # either bound alone is the same
         lo_only, hi_only = np.empty_like(xs_arr), np.empty_like(xs_arr)
@@ -414,7 +451,7 @@ def test_residual_bounds_enclose_the_exact_residual():
         residual_bounds(residual_multiplier(alpha), xs_arr, hi=hi_only)
         assert lo_only.tolist() == lo.tolist() and hi_only.tolist() == hi.tolist()
         for x, lo_x, hi_x in zip(xs, lo.tolist(), hi.tolist()):
-            scaled = surd_residual(alpha * x)[1].abs() * 2**64
+            scaled = (alpha * x).nearest()[1].abs() * 2**64
             assert certified_sign(scaled - lo_x) >= 0, (alpha, x)
             assert certified_sign(hi_x - scaled) >= 0, (alpha, x)
 

@@ -12,7 +12,7 @@ from littlewood.cfrac import cf_expand
 from littlewood.cli import main
 from littlewood.cone import ConeParams
 from littlewood.csvio import format_decimal, render_csv
-from littlewood.exactnum import QuadraticSurd, certified_sign, surd_residual
+from littlewood.exactnum import certified_sign
 from littlewood.numspec import (
     NumberSpecError,
     parse_exact_fraction,
@@ -83,7 +83,7 @@ def test_parse_errors_carry_position():
 def test_nonsquarefree_radicand_normalized():
     spec = parse_number_spec("sqrt:8")
     v = spec.value()
-    assert (v.a, v.b, v.c, v.d) == (0, 2, 1, 2)  # 2*sqrt(2)
+    assert v.terms() == ((2, 2),)  # 2*sqrt(2)
 
 
 def test_exact_fraction_parsing():
@@ -158,7 +158,7 @@ def test_liminf_csv_encloses_the_exact_minima(tmp_path):
     rows = [(int(r["x"]), r["value_lo"], r["value_hi"]) for r in table.rows]
     assert [x for x, _, _ in rows][-2:] == [41, 10864]
     for x, lo, hi in rows:
-        value = x * surd_residual(alpha * x)[1].abs() * surd_residual(beta * x)[1].abs()
+        value = x * (alpha * x).nearest()[1].abs() * (beta * x).nearest()[1].abs()
         assert certified_sign(value - Fraction(lo)) >= 0
         assert certified_sign(Fraction(hi) - value) >= 0
 
@@ -373,6 +373,9 @@ def test_usage_errors_exit_2(tmp_path):
         # finite continued fractions with a quotient below 1 after a0
         ["levy", "--alpha", "cf:[0;0]"],
         ["levy", "--alpha", "cf:[0;-1,2]"],
+        # a quad spec with a zero denominator or a negative radicand
+        ["levy", "--alpha", "quad:1,1,0,2"],
+        ["levy", "--alpha", "quad:1,1,1,-2"],
         # square roots of 2 eps / N and of 2 eps whose radicands have a
         # cofactor too large to certify squarefree
         ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "10",
@@ -383,6 +386,7 @@ def test_usage_errors_exit_2(tmp_path):
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
          "certificate-N-beyond-scan-range", "cf-quotient-0", "cf-quotient-negative",
+         "quad-denominator-0", "quad-radicand-negative",
          "cone-radicand-uncertified", "b3-radicand-uncertified"],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):

@@ -20,10 +20,10 @@ from littlewood.cone import (
     _sample_chunk,
     _sqrt_phi,
 )
-from littlewood.exactnum import QuadraticSurd, SurdSum, as_surdsum
+from littlewood.exactnum import SurdSum, as_surdsum
 from littlewood.lattice import LatticePoint, ParameterError, f_eval
 
-from nums import SQRT2M1, SQRT3M1
+from nums import SQRT2M1, SQRT3M1, quad
 
 
 AV, BV = as_surdsum(SQRT2M1), as_surdsum(SQRT3M1)
@@ -257,7 +257,7 @@ def test_sample_point_coordinates_match_the_surd_route():
     # the coordinates are the interval(128) enclosures of the exact SurdSums
     # alpha*x - u*s and beta*x - v*s, term for term, with s = sqrt(phi)*(N-x)
     # = k*sqrt(2*eps/N)*(N-x)
-    alpha2 = QuadraticSurd.make(3, 5, 7, 2)  # (3 + 5 sqrt 2)/7
+    alpha2 = quad(3, 5, 7, 2)  # (3 + 5 sqrt 2)/7
     cases = [
         # 2*eps/N = 1/50: the radicand 2 of s merges with alpha's
         (SQRT2M1, SQRT3M1, ConeParams.make(10, Fraction(1, 10))),
@@ -266,7 +266,7 @@ def test_sample_point_coordinates_match_the_surd_route():
         # 2*eps/N = 1/9 and a rational beta: z has one rational term
         (alpha2, Fraction(5, 3), ConeParams.make(6, Fraction(1, 3))),
         # 2*eps/N = 9/40: s brings a third radicand, 10
-        (QuadraticSurd.sqrt_of(5), QuadraticSurd.sqrt_of(7), ConeParams.make(40, Fraction(9, 2))),
+        (SurdSum.sqrt(5), SurdSum.sqrt(7), ConeParams.make(40, Fraction(9, 2))),
     ]
     for alpha, beta, params in cases:
         rep = cone_inclusion_sample(alpha, beta, params, 60, seed=1)
@@ -286,7 +286,7 @@ def test_sample_point_coordinates_when_a_term_cancels():
     params = ConeParams.make(2, Fraction(2))
     one = 1 << 53
     smp = InclusionSample(one, one >> 6, one >> 1, 0, 0, params.phi.denominator, False)
-    for alpha in (QuadraticSurd.make(0, 1, 64, 2), QuadraticSurd.make(1, 1, 64, 2)):
+    for alpha in (quad(0, 1, 64, 2), quad(1, 1, 64, 2)):
         s = _sqrt_phi(params, params.N - smp.x)
         y = as_surdsum(alpha) * smp.x - smp.u * s
         z = as_surdsum(SQRT3M1) * smp.x - smp.v * s

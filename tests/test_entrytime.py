@@ -288,5 +288,5 @@ def test_substitute_back_on_boundary():
     for _ in range(6):
         a_spec, b_spec, line, params, rep = transversal_config(rng)
         point = line_gamma(line, rep.tau.midpoint())
-        v = cone_contains(a_spec.value(), b_spec.value(), point, params, bits=256)
+        v = cone_contains(a_spec.value(), b_spec.value(), point, params)
         assert v.margin.contains_zero() or abs(float(v.margin.midpoint())) < 1e-10

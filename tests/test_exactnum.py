@@ -1,5 +1,6 @@
-"""Exact-number layer: canonical forms, exact comparisons, certified signs,
-and conservativeness of the interval arithmetic."""
+"""Exact-number layer: canonical forms, exact comparisons, floors and
+nearest integers, certified signs, and conservativeness of the interval
+arithmetic."""
 
 import math
 import random
@@ -11,9 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from littlewood import exactnum
 from littlewood.exactnum import (
-    DyadicInterval,
-    MalformedSurdError,
-    QuadraticSurd,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
@@ -21,11 +19,10 @@ from littlewood.exactnum import (
     iroot,
     root_interval,
     squarefree_decompose,
-    surd_compare,
-    surd_nearest_int,
-    surd_normalize,
-    surd_residual,
 )
+from littlewood.numspec import NumberSpecError, parse_number_spec
+
+from nums import quad
 
 mpmath.mp.dps = 60
 
@@ -34,24 +31,26 @@ mpmath.mp.dps = 60
 
 
 def test_normalize_extracts_square_factor():
-    # (2 + 2*sqrt(8))/4 = (1 + 2*sqrt(2))/2
-    s = surd_normalize(QuadraticSurd(2, 2, 4, 8))
-    assert (s.a, s.b, s.c, s.d) == (1, 2, 2, 2)
+    # (2 + 2*sqrt(8))/4 = 1/2 + sqrt(2)
+    s = SurdSum({1: Fraction(2, 4), 8: Fraction(2, 4)})
+    assert dict(s.terms()) == {1: Fraction(1, 2), 2: Fraction(1)}
 
 
 def test_normalize_collapses_rational():
-    s = surd_normalize(QuadraticSurd(3, 0, 3, 7))
-    assert (s.a, s.b, s.c, s.d) == (1, 0, 1, 0)
+    assert quad(3, 0, 3, 7).terms() == ((1, Fraction(1)),)
+    assert SurdSum({4: 3, 1: -6}).is_zero()  # 3*sqrt(4) - 6
 
 
 def test_normalize_canonical_is_fixed():
-    s = QuadraticSurd(0, 1, 1, 2)
-    assert surd_normalize(s) == s
+    s = SurdSum.sqrt(2)
+    assert SurdSum(dict(s.terms())) == s
+    assert SurdSum(dict(s.terms())).terms() == s.terms()
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(MalformedSurdError):
-        QuadraticSurd(1, 1, 0, 2)
+    for text in ("quad:1,1,0,2", "quad:1,1,1,-2"):
+        with pytest.raises(NumberSpecError):
+            parse_number_spec(text)
 
 
 raw_surds = st.tuples(
@@ -65,67 +64,72 @@ raw_surds = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(raw_surds)
 def test_normalize_idempotent(raw):
-    s = surd_normalize(QuadraticSurd(*raw))
-    assert surd_normalize(s) == s
+    s = quad(*raw)
+    assert SurdSum(dict(s.terms())) == s
+    assert all(squarefree_decompose(rad)[0] == 1 for rad, _ in s.terms())
 
 
 @settings(max_examples=100, deadline=None)
 @given(raw_surds)
 def test_normalize_preserves_value(raw):
-    s = QuadraticSurd(*raw)
-    n = surd_normalize(s)
-    # same value: difference of the surd-sum forms is exactly zero
-    assert (s.to_surdsum() - n.to_surdsum()).is_zero()
+    a, b, c, d = raw
+    # (c*s - a)**2 = b**2 * d exactly
+    t = quad(*raw) * c - a
+    assert (t * t - b * b * d).is_zero()
 
 
 # -- exact comparison --------------------------------------------------------
 
 
 def test_compare_examples():
-    assert surd_compare(QuadraticSurd.sqrt_of(2), Fraction(3, 2)) == -1  # 2 < 9/4
-    assert surd_compare(QuadraticSurd.make(1, 1, 2, 5), Fraction(1)) == 1
+    assert certified_sign(SurdSum.sqrt(2) - Fraction(3, 2)) == -1  # 2 < 9/4
+    assert certified_sign(quad(1, 1, 2, 5) - 1) == 1
     # oracle: (2/5 + 1)^2 = 49/25 < 2, so sqrt(2) - 1 > 2/5
     assert Fraction(7, 5) ** 2 < 2
-    assert surd_compare(QuadraticSurd.make(-1, 1, 1, 2), Fraction(2, 5)) == 1
+    assert certified_sign(quad(-1, 1, 1, 2) - Fraction(2, 5)) == 1
 
 
 def test_compare_equality():
-    assert surd_compare(QuadraticSurd.make(3, 0, 2, 0), Fraction(3, 2)) == 0
+    assert certified_sign(quad(3, 0, 2, 0) - Fraction(3, 2)) == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(raw_surds, st.fractions(min_value=-100, max_value=100))
 def test_compare_agrees_with_interval(raw, r):
-    s = surd_normalize(QuadraticSurd(*raw))
-    iv = as_surdsum(s).interval(128)
+    s = quad(*raw)
+    iv = s.interval(128)
     if iv.hi < r:
-        assert surd_compare(s, r) == -1
+        assert certified_sign(s - r) == -1
     elif iv.lo > r:
-        assert surd_compare(s, r) == 1
+        assert certified_sign(s - r) == 1
     # interval containing r decides nothing; exactness checked elsewhere
 
 
+# -- floor and nearest integer -----------------------------------------------
+
+
 def test_floor_and_nearest():
-    assert QuadraticSurd.sqrt_of(2).floor() == 1
-    assert QuadraticSurd.make(0, -1, 1, 2).floor() == -2
-    assert QuadraticSurd.make(1, 1, 2, 5).floor() == 1
-    assert surd_nearest_int(QuadraticSurd.make(-1, 1, 1, 2)) == 0
-    assert surd_nearest_int(QuadraticSurd.make(0, 3, 1, 2)) == 4  # 4.24
+    assert SurdSum.sqrt(2).floor() == 1
+    assert quad(0, -1, 1, 2).floor() == -2
+    assert quad(1, 1, 2, 5).floor() == 1
+    assert quad(-1, 1, 1, 2).nearest()[0] == 0
+    assert quad(0, 3, 1, 2).nearest()[0] == 4  # 4.24
 
 
 def test_nearest_int_rounds_rational_ties_up():
-    assert surd_nearest_int(QuadraticSurd.from_rational(Fraction(1, 2))) == 1
-    assert surd_nearest_int(QuadraticSurd.from_rational(Fraction(-1, 2))) == 0
+    assert SurdSum.from_rational(Fraction(1, 2)).nearest()[0] == 1
+    assert SurdSum.from_rational(Fraction(-1, 2)).nearest()[0] == 0
+    assert SurdSum.from_rational(Fraction(-3)).nearest() == (-3, SurdSum())
 
 
 def test_residual_is_signed():
-    m, r = surd_residual(QuadraticSurd.make(-1, 1, 1, 2) * 5)
+    m, r = (quad(-1, 1, 1, 2) * 5).nearest()
     assert m == 2
     assert r == SurdSum({1: -7, 2: 5})  # 5*sqrt(2) - 7
 
 
 def test_residual_of_canonical_surd_factors_nothing(monkeypatch):
-    alphas = [QuadraticSurd.make(-1, 1, 1, 2), QuadraticSurd.make(3, -2, 7, 999983)]
+    alphas = [quad(-1, 1, 1, 2), quad(3, -2, 7, 999983)]
     calls = []
     real = exactnum.squarefree_decompose
     monkeypatch.setattr(
@@ -133,59 +137,64 @@ def test_residual_of_canonical_surd_factors_nothing(monkeypatch):
     )
     for alpha in alphas:
         for x in (1, 5, 12345):
-            m, r = surd_residual(alpha * x)
+            m, r = (alpha * x).nearest()
             assert calls == []
-            assert r == as_surdsum(alpha) * x - m
+            assert r == alpha * x - m
             assert certified_sign(r - Fraction(1, 2)) <= 0
             assert certified_sign(r + Fraction(1, 2)) >= 0
 
 
-def test_integer_steps_normalize_a_raw_surd():
-    raw = QuadraticSurd(2, 2, -4, 8)  # -(1 + 2*sqrt(2))/2
-    assert raw + 1 == QuadraticSurd.make(1, -2, 2, 2)
-    assert raw * 2 == QuadraticSurd.make(-1, -2, 1, 2)
-    assert raw.reciprocal().to_surdsum() * raw.to_surdsum() == 1
+@pytest.mark.parametrize("n", [1, 2, 40, 41, 200, 201])
+def test_floor_and_nearest_next_to_an_integer(n):
+    # (1 + sqrt 2)**n = L - (1 - sqrt 2)**n with L an integer, so it lies
+    # within 2.4**-n of L: below at even n, above at odd n, and for n >= 40
+    # its coefficients are past 2**50
+    s = (1 + SurdSum.sqrt(2)) ** n
+    conj = (1 - SurdSum.sqrt(2)) ** n
+    L = (s + conj).as_fraction()
+    assert L.denominator == 1
+    assert s.floor() == (L - 1 if n % 2 == 0 else L)
+    assert s.nearest() == (L, -conj)
+    assert (-s).floor() == (-L if n % 2 == 0 else -L - 1)
 
 
-def test_canonical_flag_is_not_a_constructor_argument():
-    for make_raw in (
-        lambda: QuadraticSurd(0, 1, 1, 8, True),
-        lambda: QuadraticSurd(0, 1, 1, 8, canonical=True),
-    ):
-        with pytest.raises(TypeError):
-            make_raw()
-    raw = QuadraticSurd(0, 1, 1, 8)  # sqrt(8), radicand not squarefree
-    assert not raw.canonical
-    assert raw.to_surdsum() == SurdSum({2: 2})
-    assert QuadraticSurd.make(0, 1, 1, 8).canonical
+def test_floor_matches_integer_square_roots():
+    # floor((a + b sqrt d) / c) = floor((a + isqrt(b^2 d)) / c) for b, c > 0
+    rng = random.Random(31)
+    for _ in range(2000):
+        a, b = rng.randrange(-10**30, 10**30), rng.randrange(1, 10**25)
+        c, d = rng.randrange(1, 10**6), rng.randrange(2, 10**4)
+        if math.isqrt(d) ** 2 == d:
+            continue
+        assert quad(a, b, c, d).floor() == (a + math.isqrt(b * b * d)) // c
 
 
-def test_surd_arithmetic_takes_only_ints():
-    s = QuadraticSurd.sqrt_of(2)
-    assert s + 1 == QuadraticSurd.make(1, 1, 1, 2)
-    with pytest.raises(TypeError):
-        s + s
-    with pytest.raises(TypeError):
-        s * Fraction(1, 2)
+def test_rational_factor_scales_the_coefficients(monkeypatch):
+    s = quad(2, -3, 7, 12)  # (2 - 6 sqrt 3) / 7
+    monkeypatch.setattr(exactnum, "squarefree_decompose", None)  # nothing is factored
+    assert dict((s * 7).terms()) == {1: 2, 3: -6}
+    assert dict((Fraction(7, 2) * s).terms()) == {1: 1, 3: -3}
+    assert (s * 0).is_zero() and (0 * s).is_zero()
+    assert s * 7 == s * as_surdsum(7)
 
 
 # -- intervals ---------------------------------------------------------------
 
 
 def test_interval_sqrt2():
-    iv = as_surdsum(QuadraticSurd.sqrt_of(2)).interval(10)
+    iv = SurdSum.sqrt(2).interval(10)
     # oracle: integer square-root refinement
     assert iv.lo <= Fraction(14142135623730951, 10**16) <= iv.hi
     assert iv.width <= Fraction(1, 1 << 10) * 2
 
 
 def test_interval_dyadic_rational_exact():
-    iv = as_surdsum(QuadraticSurd.from_rational(Fraction(1, 2))).interval(5)
+    iv = SurdSum.from_rational(Fraction(1, 2)).interval(5)
     assert iv.lo == iv.hi == Fraction(1, 2)
 
 
 def test_interval_golden():
-    iv = as_surdsum(QuadraticSurd.make(1, 1, 2, 5)).interval(20)
+    iv = quad(1, 1, 2, 5).interval(20)
     golden = Fraction(16180339887498949, 10**16)
     assert iv.lo <= golden <= iv.hi
     assert iv.width <= Fraction(2, 1 << 20)
@@ -193,7 +202,7 @@ def test_interval_golden():
 
 def test_interval_width_contract_random():
     for bits in (8, 16, 53, 200):
-        iv = as_surdsum(QuadraticSurd.make(123, 45, 7, 31)).interval(bits)
+        iv = quad(123, 45, 7, 31).interval(bits)
         value_hi = max(abs(iv.lo), abs(iv.hi))
         assert iv.width <= Fraction(1, 1 << bits) * max(1, value_hi)
 

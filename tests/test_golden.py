@@ -8,12 +8,15 @@ code before the integer-mantissa interval kernel; a change that keeps them
 identical keeps every printed enclosure and verdict.
 """
 
+import math
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from littlewood.cfrac import cf_expand, convergent, error_term
 from littlewood.cli import main
 from littlewood.cone import ConeParams, cone_inclusion_sample, sample_point_coordinates
 from littlewood.csvio import format_decimal
@@ -21,7 +24,13 @@ from littlewood.entrytime import approx_line, entry_time
 from littlewood.lattice import cartan_measure, dirichlet_search
 from littlewood.numspec import parse_number_spec
 
-from nums import read_csv
+from nums import (
+    dirichlet_search_chunked,
+    infeasibility_grid_loop,
+    read_csv,
+    tau_vs_squared,
+    transversality_check_surd,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,3 +131,72 @@ def test_cartan_csv_encloses_the_measures():
         for name in ("monic_measure", "f_measure"):
             assert Fraction(row[f"{name}_lo"]) <= getattr(rep, f"{name}_lo")
             assert getattr(rep, f"{name}_hi") <= Fraction(row[f"{name}_hi"])
+
+
+def _expected_cell(alpha, beta, epsilon, n, N):
+    """(x0, transversal, t_n, lambda, chain_ok, direct_ok, reason) of one
+    (n, N) cell from the oracles: the SurdSum transversality check, the
+    chunked Dirichlet scan, convergent denominators and the squared
+    entry-time comparator."""
+    M = max(max(cf_expand(spec, 40)[1:]) for spec in (alpha, beta))
+    lam = (M + 1) ** 2
+    e_a, e_b = error_term(alpha, 2 * n), error_term(beta, 2 * n)
+    if not transversality_check_surd(N, epsilon, e_a, e_b):
+        return None, False, None, lam, False, None, "transversality-fail"
+    p0 = dirichlet_search_chunked(alpha.value(), beta.value(), N)
+    t_n = math.lcm(convergent(alpha, 2 * n).q, convergent(beta, 2 * n).q)
+    line = approx_line(alpha, beta, n, p0)
+    params = ConeParams.make(N, epsilon)
+    direct_ok = tau_vs_squared(line, params, t_n) and t_n < p0.x
+    if not tau_vs_squared(line, params, 1 << (n - 1)):
+        return p0.x, True, t_n, lam, False, direct_ok, "tau-too-large"
+    if lam ** (2 * n) > p0.x - 2:
+        return p0.x, True, t_n, lam, False, direct_ok, "x0-too-small"
+    raise AssertionError("a golden cell passes the chain")
+
+
+def _cell(x):
+    return None if x == "" else (x == "True") if x in ("True", "False") else int(x)
+
+
+def test_certificate_csv_columns_match_the_oracles():
+    """The certificate CSV has no lo/hi pair besides tau (checked above);
+    every other column of every row is recomputed independently."""
+    ((_, argv, _),) = [c for c in CASES if c[0] == "cert"]
+    alpha, beta = parse_number_spec("sqrt:2", True), parse_number_spec("sqrt:3", True)
+    epsilon = Fraction(argv[argv.index("--epsilon") + 1])
+    rows = read_csv(GOLDEN / "cert.csv").rows
+    assert len(rows) == 10
+    for row in rows:
+        got = tuple(_cell(row[k]) for k in ("x0", "transversal", "t_n", "lambda",
+                                              "chain_ok", "direct_ok"))
+        want = _expected_cell(alpha, beta, epsilon, int(row["n"]), int(row["N"]))
+        assert got + (row["reason"], row["verified"]) == want + ("",), row
+
+
+def test_b3_rows_and_margins_match_the_oracles():
+    """The b3 CSV has no lo/hi pair: each row's x0 and reason are
+    recomputed independently, and each printed min margin is the least
+    grid margin re-evaluated at 256 bits."""
+    ((_, argv, _),) = [c for c in CASES if c[0] == "b3"]
+    u_points = int(argv[argv.index("--u-points") + 1])
+    alpha, beta = parse_number_spec("sqrt:2", True), parse_number_spec("sqrt:3", True)
+    table = read_csv(GOLDEN / "b3.csv")
+    assert len(table.rows) == 11
+    x0_ref = {}
+    for row in table.rows:
+        assert (row["alpha"], row["beta"]) == ("sqrt:2", "sqrt:3")
+        eps = Fraction(row["epsilon"])
+        x0, *_, reason = _expected_cell(alpha, beta, eps, int(row["n"]), int(row["N"]))
+        assert (_cell(row["x0"]), row["reason"]) == (x0, reason), row
+        if x0 is not None:
+            x0_ref[eps] = max(x0_ref.get(eps, 0), x0)
+    stdout = (GOLDEN / "b3.stdout").read_text()
+    margins = re.findall(r"eps=(\S+):.*\(min margin (\S+)\)", stdout)
+    assert len(margins) == 3
+    for eps_text, printed in margins:
+        eps = Fraction(eps_text)
+        x0 = x0_ref.get(eps) or dirichlet_search_chunked(
+            alpha.value(), beta.value(), int(1 / (2 * eps)) + 1).x
+        grid = infeasibility_grid_loop(2 * eps, x0, u_points, bits=256)
+        assert grid.ok and f"{grid.min_margin:.3g}" == printed

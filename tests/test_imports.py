@@ -1,12 +1,14 @@
-"""Lint: every name a library module imports is used in that module, and
-importing the command-line module loads no process-pool machinery and no
-numpy until a residual scan runs.
+"""Lint: every name a library module imports is used in that module,
+every name in an ``__all__`` resolves, and importing the command-line
+module loads no process-pool machinery and no numpy until a residual scan
+runs.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -81,6 +83,15 @@ def test_checker_flags_unused_and_accepts_used_names():
         "    return math.floor(x)\n"
     )
     assert unused_imports(source) == ["line 3: Fraction"]
+
+
+def test_every_name_in_all_resolves():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "littlewood" if path.stem == "__init__" else f"littlewood.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
 
 
 def _fresh_python(probe: str) -> str:

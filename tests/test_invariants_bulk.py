@@ -6,20 +6,17 @@ import random
 from fractions import Fraction
 
 from littlewood.exactnum import (
-    QuadraticSurd,
     SurdSum,
-    as_surdsum,
     certified_sign,
-    surd_compare,
-    surd_normalize,
+    squarefree_decompose,
 )
 from littlewood.lattice import LatticePoint, f_exact, m_transform
 
-from nums import SQRT2M1, SQRT3M1
+from nums import SQRT2M1, SQRT3M1, quad
 
 
 def _random_raw_surd(rng):
-    return QuadraticSurd(
+    return quad(
         rng.randrange(-200, 201),
         rng.randrange(-200, 201),
         rng.choice([c for c in range(-40, 41) if c]),
@@ -30,23 +27,24 @@ def _random_raw_surd(rng):
 def test_normalize_idempotent_bulk():
     rng = random.Random(101)
     for _ in range(10_000):
-        s = surd_normalize(_random_raw_surd(rng))
-        assert surd_normalize(s) == s
+        s = _random_raw_surd(rng)
+        assert SurdSum(dict(s.terms())) == s
+        assert all(squarefree_decompose(rad)[0] == 1 for rad, _ in s.terms())
 
 
 def test_compare_agrees_with_interval_bulk():
     rng = random.Random(102)
     for _ in range(10_000):
-        s = surd_normalize(_random_raw_surd(rng))
+        s = _random_raw_surd(rng)
         r = Fraction(rng.randrange(-500, 501), rng.randrange(1, 100))
-        iv = as_surdsum(s).interval(128)
+        iv = s.interval(128)
         if iv.hi < r:
-            assert surd_compare(s, r) == -1
+            assert certified_sign(s - r) == -1
         elif iv.lo > r:
-            assert surd_compare(s, r) == 1
+            assert certified_sign(s - r) == 1
         else:
             # interval straddles r only if the values actually tie
-            assert surd_compare(s, r) == 0
+            assert certified_sign(s - r) == 0
 
 
 def test_linear_form_nonzero_bulk():

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from littlewood import lattice
 from littlewood.cfrac import SCAN_CHUNK, bad_constant_estimate, bad_constant_scan
 from littlewood.exactnum import (
-    QuadraticSurd,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
@@ -40,6 +39,7 @@ from nums import (
     SQRT3M1,
     SURD_POOL,
     dirichlet_search_chunked,
+    surd_nearest_int,
 )
 
 mpmath.mp.dps = 50
@@ -138,7 +138,7 @@ def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
 def test_scans_ignore_integer_part_of_alpha():
     # float64 keeps too few fraction bits of alpha + 10^9 to find the
     # record at x = 10864, so the screens must work on frac(alpha)
-    beta = QuadraticSurd.sqrt_of(3)
+    beta = SurdSum.sqrt(3)
     shifted = SQRT2M1 + 10**9
     X = 2 * 10**5
     recs = [r.x for r in brute_min_scan(SQRT2M1, beta, X)]
@@ -158,8 +158,6 @@ def test_dirichlet_smallest_x_and_bad_lower_bound():
         dp = dirichlet_search(SQRT2M1, SQRT3M1, N)
         x0 = dp.point.x
         # minimality: no smaller x satisfies both residual bounds
-        from littlewood.exactnum import surd_nearest_int
-
         for x in range(1, x0):
             va = SQRT2M1 * x
             ua = as_surdsum(va) - surd_nearest_int(va)
