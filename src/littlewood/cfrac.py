@@ -1,9 +1,11 @@
 """Continued fractions: expansion of quadratic irrationals, convergents,
 exact error terms, growth / approximation-quality metrics, and the one
 certified running-minimum scan of x*alpha mod 1 (:func:`residual_minima`),
-whose uint64 bounds only nominate.  It scans x * prod ||x*alpha|| for the
+whose integer bounds only nominate.  It scans x * prod ||x*alpha|| for the
 minima and the bad-approximability constant, and max(||x*alpha||,
 ||x*beta||) for the Dirichlet points, and resumes from plain-data state.
+It visits only the x of the thin sets {x : ||x*alpha|| small} that can
+hold a record, listed by 2-D lattice reduction (:func:`_thin_set`).
 
 Quadratic irrationals are expanded by the PQa recurrence on the integer
 state (P + sqrt(D))/Q with Q | D - P**2 (Perron, *Die Lehre von den
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .exactnum import (
@@ -34,6 +37,7 @@ from .exactnum import (
     as_surdsum,
     certified_sign,
     fixed_enclosure,
+    iroot,
 )
 
 __all__ = [
@@ -365,65 +369,99 @@ def levy_quotient(spec: CFSpec, n: int) -> float:
 
 # -- certified residual scans ---------------------------------------------------
 
-# Range of every residual scan: at x = 2**32 the slack x * 2**-64 of
-# residual_bounds reaches 1/x, the size of the residuals that
-# min q*||q*alpha|| looks at.  A scan runs in chunks of SCAN_CHUNK x on
-# working arrays allocated once per call, four of SCAN_CHUNK 8-byte words
-# and a mask (528 KiB), plus the upper bounds of the x its screen keeps:
-# that is its memory, whatever its range.
+# Range of every residual scan: at x = 2**32 the slack x * 2**-64 of the
+# integer residual bounds reaches 1/x, the size of the residuals that
+# min q*||q*alpha|| looks at.
 SCAN_MAX_X = 2**32
-SCAN_CHUNK = 2**14
+_ONE = 1 << 64  # the fixed-point scale of the residual kernel
+_MASK = _ONE - 1
 
 
-def residual_multiplier(a: SurdSum):
-    """floor(frac(a) * 2**64) as a numpy uint64: the A of residual_bounds.
-    It is floor(a * 2**64) mod 2**64, as floor(a) * 2**64 is an integer."""
-    import numpy as np  # here and in the scans below: only scans need numpy
+def _distances(A: int, xs: Sequence[int]) -> list[int]:
+    """D(x) = |x*A mod+- 2**64| for each x of xs.  With A = floor(frac(alpha)
+    * 2**64), D(x) - x < 2**64 * ||x*alpha|| < D(x) + x for every x >= 1."""
+    # frac(alpha) * 2**64 = A + d with 0 <= d < 1, so x*alpha = (x*A + t) /
+    # 2**64 (mod 1) with 0 <= t = x*d < x.  D(x) = 2**64 * ||x*A / 2**64||,
+    # and ||.|| is 1-Lipschitz on R/Z, so |2**64 * ||x*alpha|| - D(x)| < x.
+    return [P if P >> 63 == 0 else _ONE - P for P in [x * A & _MASK for x in xs]]
 
-    return np.uint64((a * (1 << 64)).floor() % (1 << 64))
+
+def _thin_set(A: int, T: int, a: int, b: int) -> list[range]:
+    """The x in [a, b] (1 <= a <= b) with |x*A mod+- 2**64| <= T, as ranges
+    that hold each such x once.
+
+    They are the points (x, y) of the lattice y = x*A (mod 2**64) in the box
+    [a, b] x [-T, T], one per x while 2T + 1 < 2**64 (two y of one x differ
+    by a multiple of 2**64).  A Lagrange-Gauss reduced basis (u, v) for the
+    norm (x (2T + 1))**2 + (y W)**2, W = b - a + 1, under which the box is
+    a square, meets the box in O(1 + sqrt(points)) lines p = c1 u + c2 v of
+    fixed c2, and each line in one interval of c1: an arithmetic
+    progression of x.
+    """
+    if 2 * T + 1 >= _ONE:
+        return [range(a, b + 1)]
+    sx, sy = (2 * T + 1) ** 2, (b - a + 1) ** 2
+    ux, uy, vx, vy = 1, A, 0, _ONE
+    nu, nv = sx + A * A * sy, _ONE * _ONE * sy
+    while True:
+        if nv < nu:
+            ux, uy, vx, vy, nu, nv = vx, vy, ux, uy, nv, nu
+        # v -= round(<u, v> / <u, u>) u; stop once v stays the longer
+        k = (2 * (ux * vx * sx + uy * vy * sy) + nu) // (2 * nu)
+        if k == 0:
+            break
+        vx, vy = vx - k * ux, vy - k * uy
+        nv = vx * vx * sx + vy * vy * sy
+    if ux < 0 or (ux == 0 and uy < 0):
+        ux, uy = -ux, -uy
+    if ux * vy - uy * vx < 0:
+        vx, vy = -vx, -vy
+    # now ux*vy - uy*vx = 2**64, and (x, y) = c1 u + c2 v has c2 = (ux*y -
+    # uy*x) / 2**64: linear, so its extremes over the box are at corners
+    c2_lo = -((ux * T + max(uy * a, uy * b)) // _ONE)
+    c2_hi = (ux * T - min(uy * a, uy * b)) // _ONE
+    out = []
+    for c2 in range(c2_lo, c2_hi + 1):
+        x0, y0 = c2 * vx, c2 * vy
+        lo, hi = _span(ux, x0, a, b)
+        y_lo, y_hi = _span(uy, y0, -T, T)
+        lo, hi = max(lo, y_lo), min(hi, y_hi)
+        if lo > hi:
+            continue
+        if ux:
+            out.append(range(x0 + lo * ux, x0 + hi * ux + 1, ux))
+        else:  # u = (0, 2**64): one c1 at most, as 2T < 2**64
+            out.append(range(x0, x0 + 1))
+    return out
 
 
-def residual_bounds(A, xs, lo=None, hi=None) -> None:
-    """Write lo <= 2**64 * ||x*alpha|| <= hi, exactly, for each x of the
-    uint64 array xs (1 <= x <= SCAN_MAX_X) into the uint64 arrays lo and
-    hi of its shape; either may be omitted.  A is residual_multiplier(alpha).
-    Allocates nothing."""
-    import numpy as np
-
-    # A = floor(frac(alpha) * 2**64) is exact and frac(alpha) * 2**64 = A + d
-    # with 0 <= d < 1, so x*alpha = (P + t) / 2**64 (mod 1), where the uint64
-    # product P = x*A wraps mod 2**64 and 0 <= t = x*d < x.  D = min(P,
-    # 2**64 - P) is 2**64 * ||P / 2**64||, and ||.|| is 1-Lipschitz on R/Z,
-    # so |2**64 * ||x*alpha|| - D| < x.  Integers only: D + x < 2**64.
-    D = hi if lo is None else lo
-    np.multiply(xs, A, out=D)
-    # D = |P| on the int64 view of P: below 2**63 P reads as itself; above,
-    # as P - 2**64, whose abs is 2**64 - P < 2**63; P = 2**63 reads as
-    # -2**63, whose abs wraps to -2**63, read back as uint64 2**63 = 2**64 - P.
-    signed = D.view(np.int64)
-    np.abs(signed, out=signed)
-    if hi is not None:
-        np.add(D, xs, out=hi)
-    if lo is not None:
-        np.maximum(D, xs, out=lo)
-        lo -= xs
+def _span(k: int, base: int, lo: int, hi: int) -> tuple[float | int, float | int]:
+    """The least and greatest integer c with lo <= k*c + base <= hi; an
+    unbounded pair when k = 0 and base lies in [lo, hi], an empty one when
+    it does not."""
+    if k == 0:
+        return (-math.inf, math.inf) if lo <= base <= hi else (1, 0)
+    if k < 0:
+        k, base, lo, hi = -k, -base, -hi, -lo
+    return -((base - lo) // k), (hi - base) // k
 
 
 @dataclass
 class ResidualScan:
     """Where a running-minimum scan stands: [1, X] is scanned, `bound` is
-    the least screen upper bound met so far (None before the first x) and
-    `best` the last record's value.  Plain data, so :func:`residual_minima`
-    resumes it at X + 1.
+    the least integer upper bound on the scaled value met so far (None
+    before the first x) and `best` the last record's value.  Plain data, so
+    :func:`residual_minima` resumes it at X + 1.
 
     The scanned quantity is v(x) = x * prod ||x*alpha|| over the alphas
     (combine "product", one or two alphas) or m(x) = max(||x*alpha||,
-    ||x*beta||) (combine "max", two alphas)."""
+    ||x*beta||) (combine "max", two alphas); it is scaled by 2**64 per
+    residual."""
 
     alphas: tuple[SurdSum, ...]
     combine: str = "product"
     X: int = 0
-    bound: float | int | None = None
+    bound: int | None = None
     best: SurdSum | None = None
 
 
@@ -437,90 +475,86 @@ def _below(a: SurdSum, b: SurdSum) -> bool:
     return certified_sign(a - b) < 0
 
 
+def _candidates(mults: list[int], is_max: bool, bound: int, a: int, b: int) -> list[int]:
+    """The x in [a, b], sorted, that can hold a record of a scan whose
+    bound is `bound`: for every record, D(x) < 2**64 ||x*alpha|| + x <=
+    2**64 ||x*alpha|| + b of some alpha, so its residuals put x in the thin
+    set of that alpha at threshold T."""
+    if is_max:
+        # 2**64 m(x) < bound: every residual is below bound / 2**64, so x
+        # is in the thin set of the first alpha and D(x) <= T for the rest
+        T = bound + b - 1
+        return sorted(
+            x
+            for x in chain.from_iterable(_thin_set(mults[0], T, a, b))
+            if all((x * B + T) & _MASK <= 2 * T for B in mults[1:])
+        )
+    # 2**(64k) x prod ||x*alpha|| < bound and x >= a: the least scaled
+    # residual is below (bound / a)**(1/k) <= iroot(ceil(bound / a), k) + 1
+    T = iroot(-(-bound // a), len(mults)) + b
+    return sorted(set().union(*(chain.from_iterable(_thin_set(A, T, a, b)) for A in mults)))
+
+
 def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list]]:
     """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
     X] where the value reaches a new strict minimum, exactly; ties keep the
     first.  `residuals` holds (alpha * x).nearest() per alpha.  X >
-    SCAN_MAX_X raises ParameterError before any array exists."""
-    import numpy as np
+    SCAN_MAX_X raises ParameterError before anything is scanned.
 
+    The range runs in blocks [a, 2a - 1].  Each block lists only the x that
+    the bound at its start admits (:func:`_candidates`), screens them on
+    exact integer bounds of their scaled values and confirms the survivors
+    in exact arithmetic.  A scan whose best value is 0 has no further
+    record and only advances X."""
     if X > SCAN_MAX_X:
         raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
-    exact = scan.combine == "max"
-    if scan.bound is None:
-        scan.bound = 2**64 - 1 if exact else math.inf
-    margin = 1 if exact else 1 + 2.0**-49
     records: list[tuple[int, SurdSum, list]] = []
-    if X <= scan.X:
-        return records
-    best = scan.best
-    multipliers = [residual_multiplier(a) for a in scan.alphas]
-    start, size = scan.X + 1, min(SCAN_CHUNK, X - scan.X)
-    # the working arrays; a chunk of n x uses their first n entries
-    xs_all = np.arange(start, start + size, dtype=np.uint64)
-    word_all = np.empty(size, np.uint64)  # one alpha's lower bounds
-    low_all = np.empty(size, np.uint64 if exact else np.float64)
-    conv_all = None if exact else np.empty(size, np.float64)
-    mask_all = np.empty(size, np.bool_)
-    for first in range(start, X + 1, SCAN_CHUNK):
-        if first > start:
-            xs_all += SCAN_CHUNK
-        n = min(SCAN_CHUNK, X + 1 - first)
-        xs, word, low, mask = xs_all[:n], word_all[:n], low_all[:n], mask_all[:n]
-        # A record has lo(x) <= value < R(x) = min_{x' < x} hi(x') for any
-        # enclosure [lo, hi] of its scaled value, so lo <= R * margin keeps
-        # every record, provided the margin covers the rounding of lo and hi.
-        if exact:
-            # 2**64 m(x) lies in [lo, hi], uint64 integers: no rounding
-            A, B = multipliers
-            residual_bounds(A, xs, lo=low)
-            residual_bounds(B, xs, lo=word)
-            np.maximum(low, word, out=low)
+    is_max = scan.combine == "max"
+    best, bound = scan.best, scan.bound
+    mults = [(alpha * _ONE).floor() % _ONE for alpha in scan.alphas]
+    a = scan.X + 1
+    while a <= X and not (best is not None and best.is_zero()):
+        b = min(2 * a - 1, X)
+        xs = list(range(a, b + 1)) if bound is None else _candidates(mults, is_max, bound, a, b)
+        dists = [_distances(A, xs) for A in mults]
+        # integer bounds lo <= S value(x) <= hi, with the scale S = 2**64
+        # for the max and 2**(64k) for a product of k residuals
+        if is_max:
+            d_max = [max(ds) for ds in zip(*dists)]
+            lows = [t - x if t > x else 0 for t, x in zip(d_max, xs)]
         else:
-            # Unrounded, 2**(64k) v(x) lies in [lo, hi] (k factors).  In
-            # float64 (u = 2**-53) lo and hi are k <= 2 conversions and k
-            # products from exact, so a record has lo' < R' ((1 + u) / (1 -
-            # u))**4 < R' (1 + 9u), and the rounded R' * (1 + 2**-49) is >=
-            # R' (1 + 16u)(1 - u), larger.
-            conv = conv_all[:n]
-            np.copyto(low, xs.view(np.int64), casting="unsafe")  # x <= 2**32
-            for A in multipliers:
-                residual_bounds(A, xs, lo=word)
-                np.copyto(conv, word.view(np.int64), casting="unsafe")  # lo < 2**63
-                low *= conv
-        # R <= scan.bound, and rounding is monotone, so an x with lo above
-        # scan.bound * margin is no record and its hi >= lo cannot lower R:
-        # the running minimum runs over the other x alone, and only they
-        # need an upper bound.
-        np.less_equal(low, scan.bound * margin, out=mask)
-        keep = np.flatnonzero(mask)
-        if not keep.size:
-            continue
-        xs, lo = xs[keep], low[keep]
-        word = np.empty_like(xs)
-        if exact:
-            hi = np.empty_like(xs)
-            residual_bounds(A, xs, hi=hi)
-            residual_bounds(B, xs, hi=word)
-            np.maximum(hi, word, out=hi)
-        else:
-            hi = xs.astype(np.float64)
-            for A in multipliers:
-                residual_bounds(A, xs, hi=word)
-                hi *= word
-        runmin = np.minimum.accumulate(np.concatenate((np.array([scan.bound], hi.dtype), hi)))
-        scan.bound = runmin[-1].item()
-        for x in xs[lo <= runmin[:-1] * margin].tolist():
-            residuals = [(a * x).nearest() for a in scan.alphas]
+            lows = xs
+            for ds in dists:
+                lows = [lo * (d - x) if d > x else 0 for lo, d, x in zip(lows, ds, xs)]
+        # A record has lo <= S value < S best <= hi(x') for every x'
+        # scanned before it, so lo < the running minimum of hi.
+        # An x with lo at or above it is no record and its hi >= lo cannot
+        # lower that minimum, so only the others need an upper bound.
+        limit = math.inf if bound is None else bound
+        for i in [i for i, lo in enumerate(lows) if lo < limit]:
+            if lows[i] >= limit:
+                continue
+            x = xs[i]
+            if is_max:
+                hi = d_max[i] + x
+            else:
+                hi = x
+                for ds in dists:
+                    hi *= ds[i] + x
+            limit = bound = min(limit, hi)
+            residuals = [(alpha * x).nearest() for alpha in scan.alphas]
             mags = [u.abs() for _, u in residuals]
-            if exact:
+            if is_max:
                 val = mags[1] if _below(mags[0], mags[1]) else mags[0]
             else:
                 val = math.prod(mags, start=as_surdsum(x))
             if best is None or _below(val, best):
                 records.append((x, val, residuals))
                 best = val
-    scan.X, scan.best = X, best
+                if val.is_zero():
+                    break
+        a = b + 1
+    scan.X, scan.bound, scan.best = max(scan.X, X), bound, best
     return records
 
 

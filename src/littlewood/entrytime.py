@@ -38,7 +38,7 @@ from .exactnum import (
     certified_sign,
     fixed_enclosure,
 )
-from .lattice import DirichletPoint, ParameterError, surdsum_of
+from .lattice import DirichletPoint, ParameterError
 
 __all__ = [
     "NontransversalConfigurationError",
@@ -69,8 +69,6 @@ class ApproxLine:
 
     n: int
     P0: DirichletPoint | None
-    alpha: SurdSum
-    beta: SurdSum
     c_alpha: Fraction
     c_beta: Fraction
     q2n_alpha: int
@@ -114,8 +112,6 @@ def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoin
     return ApproxLine(
         n,
         P0,
-        surdsum_of(alpha_spec),
-        surdsum_of(beta_spec),
         ca.as_fraction(),
         cb.as_fraction(),
         ca.q,

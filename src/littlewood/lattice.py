@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cfrac import (
-    SCAN_CHUNK,
     SCAN_MAX_X,
     CFSpec,
     ParameterError,
@@ -149,11 +148,12 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     Every earlier x has a larger m(x) = max(||x*alpha||, ||x*beta||), so the
     answer is the first running-minimum record of m with m(x)**2 <= 1/N,
     that is with N <= floor(1/m(x)**2).  The records of each (alpha, beta)
-    are cached; a query that none of them answers extends the scan, a chunk
-    at a time, toward max(N, 2 * X) from the scanned X, and stops at the
-    first record that answers it.  Existence for N >= 2 is a
-    Minkowski/pigeonhole guarantee, so an empty result raises
-    TheoremViolationError, and N > 2**32 raises ParameterError.
+    are cached; a query that none of them answers extends the scan, one
+    dyadic block [X + 1, 2X + 1] at a time, toward max(N, 2 * X) from the
+    scanned X, and stops at the first block with a record that answers it.
+    Existence for N >= 2 is a Minkowski/pigeonhole guarantee, so an empty
+    result raises TheoremViolationError, and N > 2**32 raises
+    ParameterError.
     """
     if N < 2:
         raise ParameterError("N must be >= 2")
@@ -164,9 +164,7 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     target = min(max(N, 2 * scan.X), SCAN_MAX_X)
     i = bisect_left(keys, N)
     while i == len(keys) and scan.X < target:
-        for x, m, ((ya, ua), (yb, ub)) in residual_minima(
-            scan, min(scan.X + SCAN_CHUNK, target)
-        ):
+        for x, m, ((ya, ua), (yb, ub)) in residual_minima(scan, min(2 * scan.X + 1, target)):
             keys.append(_inverse_square_floor(m, 1, SCAN_MAX_X))
             points.append((LatticePoint(x, ya, yb), ua, ub))
         i = bisect_left(keys, N, i)

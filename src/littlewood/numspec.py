@@ -48,6 +48,13 @@ def _squarefree_at(text: str, d: int, offset: int) -> tuple[int, int]:
         ) from None
 
 
+def _root_term(square: int, free: int, coeff: Fraction) -> SurdSum:
+    """coeff * sqrt(square**2 * free) from the decomposition already made,
+    so the radicand is factored once per spec."""
+    coeff *= square
+    return SurdSum._from_squarefree({free: coeff} if free and coeff else {})
+
+
 def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
     """Parse the grammar above into a CF spec; `frac` maps the value to its
     fractional part (the unit-interval normalization alpha - floor(alpha))."""
@@ -62,7 +69,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         square, free = _squarefree_at(text, d, offset)
         if square != 1 and free > 1:
             log.info("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
-        spec = CFSpec.from_surd(SurdSum.sqrt(d))
+        spec = CFSpec.from_surd(_root_term(square, free, Fraction(1)))
     elif head == "quad":
         parts = body.split(",")
         if len(parts) != 4:
@@ -72,11 +79,10 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
             raise NumberSpecError(text, offset, "denominator c must be nonzero")
         if d < 0:
             raise NumberSpecError(text, offset, "radicand d must be nonnegative")
-        if d > 1:
-            _, free = _squarefree_at(text, d, offset)
-            if free != d:
-                log.info("quad radicand %d normalized to squarefree %d", d, free)
-        spec = CFSpec.from_surd(SurdSum.sqrt(d, Fraction(b, c)) + Fraction(a, c))
+        square, free = _squarefree_at(text, d, offset)
+        if free != d:
+            log.info("quad radicand %d normalized to squarefree %d", d, free)
+        spec = CFSpec.from_surd(_root_term(square, free, Fraction(b, c)) + Fraction(a, c))
     elif head == "cf":
         spec = _parse_cf(text, body, offset)
     elif head == "rat":

@@ -13,7 +13,7 @@ import numpy as np
 
 from littlewood import rootfind
 from littlewood.certificate import GridCheckResult
-from littlewood.cfrac import SCAN_CHUNK, SCAN_MAX_X, CFSpec, ResidualScan, _below
+from littlewood.cfrac import SCAN_MAX_X, CFSpec, ResidualScan, _below
 from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
@@ -226,17 +226,20 @@ def tau_vs_squared(line, params, k, strict: bool = False) -> bool:
     return cmp < 0 if strict else cmp <= 0
 
 
+ORACLE_CHUNK = 2**14  # x per numpy array of the oracles below
+
+
 def residual_chunks(alphas, start: int, X: int):
     """(xs, [(lo, hi) per alpha]) for consecutive chunks xs of [start, X]:
     lo <= 2**64 * ||x*alpha|| <= hi for every x, from fresh arrays per
-    chunk by the integer argument of cfrac.residual_bounds (the uint64
+    chunk by the integer argument beside cfrac._distances (the uint64
     product P = x * floor(frac(alpha) * 2**64), D = min(P, 2**64 - P),
     lo = max(D - x, 0), hi = D + x)."""
     if X > SCAN_MAX_X:
         raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
     mults = [np.uint64(((a - a.floor()) * (1 << 64)).floor()) for a in alphas]
-    for first in range(start, X + 1, SCAN_CHUNK):
-        xs = np.arange(first, min(first + SCAN_CHUNK, X + 1), dtype=np.uint64)
+    for first in range(start, X + 1, ORACLE_CHUNK):
+        xs = np.arange(first, min(first + ORACLE_CHUNK, X + 1), dtype=np.uint64)
         bounds = []
         for A in mults:
             D = xs * A
@@ -246,9 +249,11 @@ def residual_chunks(alphas, start: int, X: int):
 
 
 def residual_minima_full(scan: ResidualScan, X: int):
-    """Running-minimum oracle of cfrac.residual_minima, the same contract:
-    both bounds for every x of every chunk, the screen applied to the
-    chunk's arrays afterwards, the same float operations and margins."""
+    """Running-minimum oracle of cfrac.residual_minima, the same contract
+    by a linear scan: both bounds for every x of every numpy chunk, a
+    float64 screen under an outward margin (1 + 2**-49 covers its
+    rounding), then the same exact confirmation.  `scan.bound` holds its
+    own float or uint64 screen bound."""
     exact = scan.combine == "max"
     if scan.bound is None:
         scan.bound = 2**64 - 1 if exact else math.inf
@@ -285,10 +290,10 @@ def residual_minima_full(scan: ResidualScan, X: int):
 
 
 def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:
-    """Independent Dirichlet-point oracle: scan x = 1..N in the residual
-    kernel's chunks, nominate every x whose two integer lower bounds are at
-    most 2**64 / sqrt(N), and return the first nominee whose squared
-    residuals are both <= 1/N exactly."""
+    """Independent Dirichlet-point oracle: scan x = 1..N in numpy chunks,
+    nominate every x whose two integer lower bounds are at most 2**64 /
+    sqrt(N), and return the first nominee whose squared residuals are both
+    <= 1/N exactly."""
     if N < 2:
         raise ParameterError("N must be >= 2")
     alpha, beta = surdsum_of(alpha), surdsum_of(beta)

@@ -5,7 +5,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +13,6 @@ from littlewood.cfrac import (
     InternalInconsistencyError,
     ParameterError,
     ProfileViolationError,
-    SCAN_CHUNK,
     SCAN_MAX_X,
     ResidualScan,
     bad_constant_scan,
@@ -28,12 +26,13 @@ from littlewood.cfrac import (
     lcm_growth_profile,
     lcm_time,
     levy_quotient,
-    residual_bounds,
     residual_minima,
-    residual_multiplier,
     LEVY_AE_LOG,
+    _candidates,
     _cf_cycle,
+    _distances,
     _observed_M,
+    _thin_set,
 )
 from littlewood.exactnum import (
     SurdSum,
@@ -304,8 +303,9 @@ def test_bad_constant_q1():
 
 
 def test_bad_constant_near_tie_reaches_float_margin():
-    # q = 2 beats q = 1 by about 1e-13 relative, so the float screen of
-    # residual_minima only nominates it through its outward margin
+    # q = 2 beats q = 1 by about 1e-13 relative: the integer screen of
+    # residual_minima must keep it, and the float screen of the oracle
+    # residual_minima_full only nominates it through its outward margin
     spec = CFSpec.from_rational(Fraction(2, 5) + Fraction(1, 2**45))
     best, argq = bad_constant_scan(spec, 3)
     assert argq == 2
@@ -361,11 +361,14 @@ def _rat(p, q):
 def residual_scan_cases():
     """(alphas, combine, stops): ResidualScans advanced to each stop in
     turn.  Fixed cases first: alpha = 1/2 (P = 2**63 at every odd x),
-    exact zeros (a rational alone, 1/3 with 2/3), alpha = beta, chunk
-    edges, resumes out of order.  Then seeded draws of surds, surds with
-    an integer part of 10**9 and rationals, with stops at the chunk edges
-    or anywhere below 2 * SCAN_CHUNK + 2, in random order."""
-    C = SCAN_CHUNK
+    exact zeros (a rational alone, 1/3 with 2/3), alpha = beta, dyadic
+    block edges, resumes out of order.  Then seeded draws of surds, surds
+    with an integer part of 10**9 and rationals, with stops at the block
+    edges or anywhere below 2 * C + 2, in random order."""
+    # a fresh scan runs in the blocks [2**k, 2**(k+1) - 1], so C - 1 ends
+    # one block, C starts the next and C + 1 lies inside it; a resumed
+    # scan's blocks start at its stop + 1
+    C = 2**14
     half, third = _rat(1, 2), _rat(1, 3)
     cases = [
         ((half, SQRT3M1), "max", [C + 1, 2 * C]),
@@ -408,21 +411,91 @@ def residual_scan_cases():
 
 
 def test_residual_minima_matches_the_full_bounds_oracle():
-    # the chunk loop screens on the lower bounds in reused arrays and
-    # takes upper bounds for the screen's survivors only; the oracle
-    # derives both bounds for every x on fresh arrays, then screens
+    # the kernel lists the candidates of each dyadic block and screens them
+    # on integer bounds; the oracle derives float or uint64 bounds for
+    # every x on numpy arrays, then screens.  Their internal bounds differ
+    # in type and in the x they run over, so only the records, X and the
+    # best value are compared.
     for alphas, combine, stops in residual_scan_cases():
         scan, full = ResidualScan(alphas, combine), ResidualScan(alphas, combine)
         for X in stops:
             case = (alphas, combine, stops, X)
             assert residual_minima(scan, X) == residual_minima_full(full, X), case
-            assert (scan.X, scan.bound, scan.best) == (full.X, full.bound, full.best), case
+            assert (scan.X, scan.best) == (full.X, full.best), case
 
 
-def test_residual_bounds_enclose_the_exact_residual():
-    # lo <= 2**64 * ||x*alpha|| <= hi for x up to 2**32, integer parts up
-    # to 10**9, radicands up to 10**6, and rational alpha; alpha = 1/2
-    # makes P = 2**63 at every odd x
+def test_residual_minima_matches_the_oracle_at_large_resumed_stops():
+    # each mode, two numbers and one: seeded pool surds (one with an
+    # integer part of 10**9), resumed at random stops up to 2.5*10**6
+    rng = random.Random(20261019)
+    for combine, k in (("max", 2), ("product", 2), ("product", 1)) * 2:
+        alphas = tuple(rng.choice(SURD_POOL) + rng.choice((0, 10**9)) for _ in range(k))
+        scan, full = ResidualScan(alphas, combine), ResidualScan(alphas, combine)
+        for X in sorted(rng.randrange(1, 2_500_001) for _ in range(3)):
+            case = (alphas, combine, X)
+            assert residual_minima(scan, X) == residual_minima_full(full, X), case
+            assert (scan.X, scan.best) == (full.X, full.best), case
+
+
+def thin_set_brute(A: int, T: int, a: int, b: int) -> list[int]:
+    """Oracle: every x in [a, b] with |x*A mod+- 2**64| <= T, one by one."""
+    M = 1 << 64
+    return [x for x in range(a, b + 1) if min(x * A % M, -x * A % M) <= T]
+
+
+def test_thin_set_matches_brute_force():
+    # each x of the thin set once, inside [a, b], none missing: A = 0,
+    # 2**63 (D = 2**63 at every odd x), small, near 2**64 and random;
+    # ranges with a = b, a = 1, and ends at block edges 2**k +- 1; T = 0,
+    # small, near the lattice spacing, 2**63 - 1 (all but D = 2**63) and
+    # >= 2**63 (the whole range)
+    M = 1 << 64
+    rng = random.Random(64)
+    for trial in range(600):
+        A = rng.choice([0, 2**63, rng.randrange(1, 50), M - rng.randrange(1, 50), rng.randrange(M)])
+        k = rng.randrange(1, 12)
+        a = rng.choice([1, rng.randrange(1, 3000), 2**k - 1, 2**k, 2**k + 1])
+        b = rng.choice([a, a + rng.randrange(2000), 2 * a - 1, 2**(k + 1) - 1, 2**(k + 1) + 1])
+        b = max(a, b)
+        T = rng.choice([0, rng.randrange(1, 20), rng.randrange(M // (b - a + 1)), 2**63 - 1,
+                        2**63, M + rng.randrange(M)])
+        got = [x for r in _thin_set(A, T, a, b) for x in r]
+        case = (A, T, a, b)
+        assert len(got) == len(set(got)), case
+        assert sorted(got) == thin_set_brute(A, T, a, b), case
+
+
+def test_candidates_hold_every_x_the_screen_admits():
+    # a record has lo(x) < bound, so _candidates must list every x of the
+    # block with lo(x) < bound (computed here for every x).  Each bound is
+    # lo + 1 at a random x and at the block end b, where D(x) = T is
+    # reached: a threshold T one too small drops that x
+    M = 1 << 64
+    rng = random.Random(4711)
+    for trial in range(300):
+        is_max, k = rng.choice([(True, 2), (False, 2), (False, 1)])
+        mults = [rng.choice([0, 2**63, rng.randrange(1, 50), rng.randrange(M)]) for _ in range(k)]
+        a = rng.choice([1, 2, rng.randrange(1, 3000), 2 ** rng.randrange(1, 12)])
+        b = rng.choice([a, min(2 * a - 1, a + rng.randrange(3000)), 2 * a - 1])
+        xs = list(range(a, b + 1))
+        dists = [_distances(A, xs) for A in mults]
+        if is_max:
+            lows = [max(max(ds) - x, 0) for x, ds in zip(xs, zip(*dists))]
+        else:
+            lows = [x * math.prod(max(d - x, 0) for d in ds) for x, ds in zip(xs, zip(*dists))]
+        for i in (rng.randrange(len(xs)), len(xs) - 1):
+            bound = lows[i] + 1
+            got = _candidates(mults, is_max, bound, a, b)
+            case = (is_max, mults, a, b, bound)
+            assert got == sorted(set(got)) and all(a <= x <= b for x in got), case
+            assert {x for x, lo in zip(xs, lows) if lo < bound} <= set(got), case
+
+
+def test_integer_residual_bounds_enclose_the_exact_residual():
+    # D - x < 2**64 * ||x*alpha|| < D + x for the kernel's D = |x*A mod+-
+    # 2**64|, A = floor(frac(alpha) * 2**64), for x up to 2**32, integer
+    # parts up to 10**9, radicands up to 10**6, and rational alpha; alpha
+    # = 1/2 makes D = 2**63 at every odd x
     rng = random.Random(20261018)
     for trial in range(81):
         if trial == 80:
@@ -441,19 +514,11 @@ def test_residual_bounds_enclose_the_exact_residual():
         xs = [1, 2, SCAN_MAX_X - 1, SCAN_MAX_X]
         xs += [rng.randrange(1, SCAN_MAX_X + 1) for _ in range(6)]
         xs += [rng.randrange(1, 10**6) for _ in range(2)]
-        xs_arr = np.array(xs, dtype=np.uint64)
-        lo, hi = np.empty_like(xs_arr), np.empty_like(xs_arr)
-        assert residual_multiplier(alpha) == np.uint64(((alpha - alpha.floor()) * 2**64).floor())
-        residual_bounds(residual_multiplier(alpha), xs_arr, lo=lo, hi=hi)
-        # either bound alone is the same
-        lo_only, hi_only = np.empty_like(xs_arr), np.empty_like(xs_arr)
-        residual_bounds(residual_multiplier(alpha), xs_arr, lo=lo_only)
-        residual_bounds(residual_multiplier(alpha), xs_arr, hi=hi_only)
-        assert lo_only.tolist() == lo.tolist() and hi_only.tolist() == hi.tolist()
-        for x, lo_x, hi_x in zip(xs, lo.tolist(), hi.tolist()):
+        A = ((alpha - alpha.floor()) * 2**64).floor()
+        for x, D in zip(xs, _distances(A, xs)):
             scaled = (alpha * x).nearest()[1].abs() * 2**64
-            assert certified_sign(scaled - lo_x) >= 0, (alpha, x)
-            assert certified_sign(hi_x - scaled) >= 0, (alpha, x)
+            assert certified_sign(scaled - (D - x)) > 0, (alpha, x)
+            assert certified_sign(D + x - scaled) > 0, (alpha, x)
 
 
 # -- lcm times ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from littlewood.cfrac import cf_expand
 from littlewood.cli import main
 from littlewood.cone import ConeParams
 from littlewood.csvio import format_decimal, render_csv
-from littlewood.exactnum import certified_sign
+from littlewood.exactnum import SurdSum, certified_sign
 from littlewood.numspec import (
     NumberSpecError,
     parse_exact_fraction,
@@ -38,6 +38,38 @@ def test_parse_periodic_cf():
 def test_parse_quad_golden():
     spec = parse_number_spec("quad:1,1,2,5", frac=True)
     assert spec.value() == GOLDENM1
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("sqrt:999983", SurdSum.sqrt(999983)),
+        ("sqrt:12", SurdSum.sqrt(12)),
+        ("sqrt:49", SurdSum.sqrt(49)),
+        ("sqrt:0", SurdSum()),
+        ("quad:1,1,2,12", SurdSum.sqrt(12, Fraction(1, 2)) + Fraction(1, 2)),
+        ("quad:3,-2,7,999983", SurdSum.sqrt(999983, Fraction(-2, 7)) + Fraction(3, 7)),
+        ("quad:1,1,1,4", SurdSum.from_rational(3)),
+        ("quad:5,0,3,2", SurdSum.from_rational(Fraction(5, 3))),
+        ("quad:2,7,1,0", SurdSum.from_rational(2)),
+    ],
+)
+def test_parse_factors_each_radicand_once(monkeypatch, text, value):
+    import littlewood.exactnum as exactnum
+    import littlewood.numspec as numspec
+
+    calls = []
+    real = exactnum.squarefree_decompose
+
+    def spy(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exactnum, "squarefree_decompose", spy)
+    monkeypatch.setattr(numspec, "squarefree_decompose", spy)
+    spec = parse_number_spec(text)
+    assert len(calls) == 1, calls
+    assert (spec.value() - value).is_zero()
 
 
 def test_parse_rational_and_finite_cf():

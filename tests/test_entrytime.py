@@ -131,7 +131,7 @@ def test_discriminant_axis_degenerate_is_zero():
     p0 = DirichletPoint(LatticePoint(3, 1, 2), 10, zero, zero)
     e0 = ErrorTerm(4, zero, 0, 1, 1)
     line = ApproxLine(
-        2, p0, SQRT2M1, SQRT3M1, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
+        2, p0, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
     )
     params = ConeParams.make(10, Fraction(1, 10))
     assert certified_sign(discriminant(line, params)) == 0
@@ -257,7 +257,7 @@ def test_tau_vs_at_a_rational_entry_time():
     )
     e0 = ErrorTerm(4, zero, 0, 1, 1)
     line = ApproxLine(
-        2, p0, SQRT2M1, SQRT3M1, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
+        2, p0, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
     )
     params = ConeParams.make(2, Fraction(1, 4))
     rep = entry_time(line, params)

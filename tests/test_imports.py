@@ -1,7 +1,6 @@
 """Lint: every name a library module imports is used in that module,
 every name in an ``__all__`` resolves, and importing the command-line
-module loads no process-pool machinery and no numpy until a residual scan
-runs.
+module loads no process-pool machinery, and no command loads numpy.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
@@ -111,14 +110,23 @@ def test_cli_import_loads_no_process_pool():
     assert _fresh_python(probe) == "[]\n"
 
 
-def test_numpy_loads_on_the_first_residual_scan():
-    # cone-check, cartan and levy never scan, so they never pay for numpy
+def test_commands_never_load_numpy(tmp_path):
+    # the residual scans run on Python integers: liminf, cone-check and
+    # b3-scan (a Dirichlet search per cell) load no numpy, which only the
+    # test oracles use
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("sqrt:2 sqrt:3\n")
+    argvs = [
+        ["liminf", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--frac",
+         "--max-x", "100000", "--out", str(tmp_path / "minima.csv")],
+        ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "10",
+         "--epsilon", "1/10", "--samples", "100", "--out", str(tmp_path / "cone.csv")],
+        ["b3-scan", "--pairs", str(pairs), "--frac", "--epsilons", "1/100",
+         "--out", str(tmp_path / "b3.csv")],
+    ]
     probe = (
-        "import sys, littlewood, littlewood.cli; "
-        "print('numpy' in sys.modules); "
-        "littlewood.cli.main(['liminf', '--alpha', 'sqrt:2', '--frac', '--beta', 'sqrt:3', "
-        "'--frac', '--max-x', '100']); "
-        "print('numpy' in sys.modules)"
+        "import sys, littlewood.cli; "
+        f"codes = [littlewood.cli.main(argv) for argv in {argvs!r}]; "
+        "print(codes, 'numpy' in sys.modules)"
     )
-    lines = _fresh_python(probe).splitlines()
-    assert lines[0] == "False" and lines[-1] == "True"
+    assert _fresh_python(probe).splitlines()[-1] == "[0, 0, 0] False"

@@ -10,8 +10,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood import lattice
-from littlewood.cfrac import SCAN_CHUNK, bad_constant_estimate, bad_constant_scan
+from littlewood import cfrac, lattice
+from littlewood.cfrac import bad_constant_estimate, bad_constant_scan
 from littlewood.exactnum import (
     SurdSum,
     _inverse_square_floor,
@@ -122,10 +122,11 @@ def test_dirichlet_rejects_small_N():
 
 
 def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
-    def no_arrays(*args, **kwargs):
-        raise AssertionError("allocated the screen arrays")
+    def no_candidates(*args, **kwargs):
+        raise AssertionError("listed candidates")
 
-    monkeypatch.setattr("numpy.arange", no_arrays)
+    monkeypatch.setattr(cfrac, "_thin_set", no_candidates)
+    monkeypatch.setattr(cfrac, "_distances", no_candidates)
     with pytest.raises(ParameterError):
         dirichlet_search(SQRT2M1, SQRT3M1, 5 * 10**9)
     # the same range bound holds for the other two residual scans
@@ -212,16 +213,16 @@ def test_dirichlet_lookup_matches_the_oracle_on_special_pairs(alpha, beta, Ns):
 
 
 def test_dirichlet_lookup_beyond_the_first_chunks():
-    # the answer for N = 500001 is x = 192070, past the first kernel chunks
+    # the answer for N = 500001 is x = 192070, in the 18th dyadic block
+    # [2**17, 2**18 - 1] of a cold scan
     N = 500001
     expected = dirichlet_search_chunked(SQRT2M1, SQRT3M1, N)
-    chunk = -(-expected.x // SCAN_CHUNK)  # the 1-based chunk holding x
-    assert chunk >= 3
+    assert expected.x.bit_length() == 18
     _best_approximations.cache_clear()
     assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
-    # a cold query scans no further than the chunk holding its answer
+    # a cold query scans no further than the block holding its answer
     scan, _, _ = _best_approximations(SQRT2M1, SQRT3M1)
-    assert scan.X == chunk * SCAN_CHUNK
+    assert scan.X == 2 ** expected.x.bit_length() - 1
     _best_approximations.cache_clear()
     for small in range(2, 300):
         dirichlet_search(SQRT2M1, SQRT3M1, small)
@@ -305,15 +306,16 @@ def test_brute_min_final_record_at_ten_thousand():
 
 
 def test_brute_min_record_beyond_the_first_chunks():
-    # the last record lies in chunk 283 of the kernel's 2**14-x chunks, so
-    # the running minimum must carry across chunk boundaries
+    # the last record lies in the 23rd dyadic block of the scan, so the
+    # running minimum must carry across block boundaries
     recs = brute_min_scan(SQRT2M1, SQRT3M1, 5 * 10**6)
     assert [r.x for r in recs][-3:] == [41, 10864, 4628523]
 
 
 def test_brute_min_scan_memory_does_not_grow_with_X():
-    # the scan reuses its chunk arrays: its traced peak stays far below one
-    # 8-byte word per x and the same at four times the range
+    # the scan holds the candidates of one dyadic block, O(sqrt(X)) of
+    # them: its traced peak stays far below one 8-byte word per x and
+    # grows by less than 64 KiB from X = 10**6 to four times that range
     brute_min_scan(SQRT2M1, SQRT3M1, 1000)  # imports and caches
     peaks = []
     for X in (10**6, 4 * 10**6):
