@@ -419,6 +419,8 @@ def b3_infeasibility_scan(
     at least 1, sizes the grid that ``grid.points`` counts)."""
     if u_points < 1:
         raise ParameterError(f"u_points must be >= 1, got {u_points}")
+    if max_N < 1:
+        raise ParameterError(f"max_N must be >= 1, got {max_N}")
     reports: list[B3PairReport] = []
     pairs = list(pairs)
     epsilons = [Fraction(eps) for eps in epsilons]
@@ -432,7 +434,7 @@ def b3_infeasibility_scan(
         for eps in epsilons:
             X = 2 * eps
             n_lo = _admissible_n_lo(X)
-            n_hi = max(n_lo, int(math.log2(max_N)) // 4)
+            n_hi = max(n_lo, (max_N.bit_length() - 1) // 4)  # floor(log2 max_N) // 4
             outcome = certificate_search(
                 alpha, beta, eps, n_max=n_hi, n_min=n_lo, max_N=max_N
             )

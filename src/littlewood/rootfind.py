@@ -8,7 +8,11 @@ interval-first: Horner's rule on integer fixed-point enclosures
 enclosure excludes 0, and the exact SurdSum Horner with
 ``certified_sign`` decides the rest, exact zeros included.  The
 coefficient enclosures are taken once per polynomial and passed to every
-probe of it.
+probe of it; the probe's own enclosure comes from its numerator and
+denominator by one floor division.  When the probe enclosure lies on one
+side of 0, each Horner step picks its lower and upper product from the
+signs of the running bounds (two products, not four), with a result
+bit-identical to the four-product step.
 
 Roots are isolated by recursing on the derivative: between consecutive
 critical points the polynomial is strictly monotone and plain sign-change
@@ -68,11 +72,29 @@ def _fixed_horner(fixed: Fixed, t_lo: int, t_hi: int) -> tuple[int, int]:
     """Fixed-point enclosure (mantissas over 2**-FIXED_BITS) of the
     polynomial with coefficient enclosures ``fixed`` on the argument
     enclosure [t_lo, t_hi]; a point when equal."""
+    # Each step takes the least and the greatest of the corner products
+    # x*t, x in {lo, hi}, t in {t_lo, t_hi}.  When t keeps one sign, x*t is
+    # monotone in x, so the least product has x = lo for t >= 0 (x = hi for
+    # t <= 0), and with that x fixed it is monotone in t, so the sign of x
+    # picks the end of t.  The chosen product is one of the four corners
+    # and no corner is smaller (greater), so it is their min (max) exactly
+    # and the result is bit-identical to the four-product step.
     lo = hi = 0
-    for c_lo, c_hi in reversed(fixed):
-        p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
-        lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
-        hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
+    if t_lo >= 0:
+        for c_lo, c_hi in reversed(fixed):
+            lo = (lo * (t_lo if lo >= 0 else t_hi) >> FIXED_BITS) + c_lo
+            hi = -(-hi * (t_hi if hi >= 0 else t_lo) >> FIXED_BITS) + c_hi
+    elif t_hi <= 0:
+        for c_lo, c_hi in reversed(fixed):
+            lo, hi = (
+                (hi * (t_lo if hi >= 0 else t_hi) >> FIXED_BITS) + c_lo,
+                -(-lo * (t_hi if lo >= 0 else t_lo) >> FIXED_BITS) + c_hi,
+            )
+    else:
+        for c_lo, c_hi in reversed(fixed):
+            p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
+            lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
+            hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
     return lo, hi
 
 
@@ -82,7 +104,9 @@ def poly_sign_at(coeffs: Coeffs, t: Fraction, fixed: Fixed | None = None) -> int
     one polynomial many times passes its ``_fixed_coeffs`` as ``fixed``."""
     if fixed is None:
         fixed = _fixed_coeffs(coeffs)
-    lo, hi = _fixed_horner(fixed, *fixed_enclosure(t))
+    # fixed_enclosure(t), straight from the integers of t
+    t_lo, rem = divmod(t.numerator << FIXED_BITS, t.denominator)
+    lo, hi = _fixed_horner(fixed, t_lo, t_lo + (rem > 0))
     if lo > 0:
         return 1
     if hi < 0:
@@ -286,9 +310,11 @@ def isolate_roots(
         raise ValueError("zero polynomial has no isolated roots")
     if len(trimmed) == 1:
         return []
+    # Cuts, their signs and the slivers live in lists: hashing a Fraction
+    # costs a modular inverse
     cuts: list[Fraction] = [lo, hi]
     deriv_fixed: Fixed = []
-    slivers: dict[Fraction, Fraction] = {}  # critical-point enclosures
+    slivers: list[tuple[Fraction, Fraction]] = []  # critical-point enclosures
     if len(trimmed) > 2:
         deriv = poly_derivative(trimmed)
         deriv_fixed = _fixed_coeffs(deriv)
@@ -296,19 +322,19 @@ def isolate_roots(
         for c_lo, c_hi in isolate_roots(deriv, lo, hi, crit_tol):
             cuts.extend((c_lo, c_hi))
             if c_lo < c_hi:
-                slivers[c_lo] = c_hi
-    cuts = sorted(set(cuts))
+                slivers.append((c_lo, c_hi))
+    cuts.sort()
+    cuts = [t for i, t in enumerate(cuts) if i == 0 or t != cuts[i - 1]]
     roots: list[tuple[Fraction, Fraction]] = []
     fixed = _fixed_coeffs(trimmed)
-    signs = {t: poly_sign_at(trimmed, t, fixed) for t in cuts}
-    for a, b in zip(cuts, cuts[1:]):
-        sa, sb = signs[a], signs[b]
+    signs = [poly_sign_at(trimmed, t, fixed) for t in cuts]
+    for a, b, sa, sb in zip(cuts, cuts[1:], signs, signs[1:]):
         if sa == 0 and (not roots or roots[-1][1] < a):
             roots.append((a, a))
         if sa * sb < 0:
             roots.append(bisect_root(trimmed, a, b, tol))
-        elif slivers.get(a) == b:
+        elif (a, b) in slivers:
             roots.extend(_sliver_roots(trimmed, fixed, deriv_fixed, a, b, sa, sb, tol))
-    if signs[hi] == 0 and (not roots or roots[-1][1] < hi):
+    if signs[-1] == 0 and (not roots or roots[-1][1] < hi):
         roots.append((hi, hi))
     return roots

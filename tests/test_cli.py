@@ -395,6 +395,8 @@ def test_usage_errors_exit_2(tmp_path):
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons=-1/100", "--u-points", "10"],
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--u-points", "0"],
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--u-points=-5"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--max-N", "0"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--max-N=-4"],
         ["levy", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--n-max", "0"],
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
@@ -416,6 +418,7 @@ def test_usage_errors_exit_2(tmp_path):
          "--epsilons", "1000000000000000000057/100000000000000000000117"],
     ],
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
+         "b3-max-N-0", "b3-max-N-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
          "certificate-N-beyond-scan-range", "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",

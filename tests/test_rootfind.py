@@ -8,9 +8,11 @@ import pytest
 
 from littlewood import rootfind
 from littlewood.exactnum import SurdSum, as_surdsum, certified_sign, fixed_enclosure
+from littlewood.lattice import cartan_measure
+from littlewood.numspec import parse_number_spec
 from littlewood.rootfind import bisect_root, isolate_roots, poly_eval, poly_sign_at
 
-from nums import SURD_POOL, bisect_root_halving
+from nums import SURD_POOL, bisect_root_halving, fixed_horner_minmax
 
 SQRT2 = SurdSum.sqrt(2)
 TOL = Fraction(1, 10**11)
@@ -114,6 +116,60 @@ def test_fixed_enclosure_is_outward_and_kept():
     assert fixed_enclosure(s) is fixed_enclosure(s)
     assert fixed_enclosure(Fraction(-1, 3)) == (-(2**64) // 3, -((2**64) // 3))
     assert fixed_enclosure(Fraction(5, 4)) == (5 * 2**62, 5 * 2**62)
+
+
+def _mantissa(rng, sign):
+    """A mantissa of up to 200 bits with the given sign (0: either)."""
+    m = rng.getrandbits(rng.choice([1, 8, 64, 65, 130, 200]))
+    return -m if sign < 0 or (sign == 0 and rng.random() < 0.5) else m
+
+
+def _enclosure(rng, kind):
+    """(lo, hi) that is >= 0, <= 0, straddles 0, a point, or 0."""
+    if kind == "zero":
+        return 0, 0
+    if kind == "point":
+        m = _mantissa(rng, 0)
+        return m, m
+    if kind == "straddle":
+        return -_mantissa(rng, 1) - 1, _mantissa(rng, 1) + 1
+    sign = 1 if kind == "pos" else -1
+    return tuple(sorted((_mantissa(rng, sign), _mantissa(rng, sign))))
+
+
+def test_sign_split_horner_matches_the_four_product_oracle():
+    rng = random.Random(20261019)
+    kinds = ["pos", "neg", "straddle", "point", "zero"]
+    for i in range(2000):
+        t_lo, t_hi = _enclosure(rng, kinds[i % 5])
+        degree = (i // 5) % 5
+        fixed = [_enclosure(rng, rng.choice(kinds[:3])) for _ in range(degree + 1)]
+        assert rootfind._fixed_horner(fixed, t_lo, t_hi) == fixed_horner_minmax(fixed, t_lo, t_hi)
+    # and on the coefficient enclosures of cartan cubics at real probe points
+    for _ in range(200):
+        coeffs = _cartan_cubic(rng)
+        fixed = rootfind._fixed_coeffs(coeffs)
+        for t in _points(rng, coeffs, False):
+            t_lo, t_hi = fixed_enclosure(t)
+            assert rootfind._fixed_horner(fixed, t_lo, t_hi) == fixed_horner_minmax(fixed, t_lo, t_hi)
+
+
+def test_probe_enclosure_from_integers_matches_fixed_enclosure(monkeypatch):
+    seen = []
+    horner = rootfind._fixed_horner
+    monkeypatch.setattr(
+        rootfind, "_fixed_horner", lambda f, lo, hi: seen.append((lo, hi)) or horner(f, lo, hi)
+    )
+    rng = random.Random(7)
+    pts = [0, 1, -1, 5, -(2**70), Fraction(0), Fraction(-5, 4), Fraction(3, 2**70)]
+    pts += [Fraction(rng.randrange(-(10**9), 10**9), rng.choice([3, 7, 2**64 + 1, 10**6 + 3]))
+            for _ in range(200)]
+    pts += [Fraction(rng.getrandbits(260) - 2**259, rng.getrandbits(250) | 2**240 | 1)
+            for _ in range(200)]
+    for t in pts:
+        seen.clear()
+        poly_sign_at([SQRT2, 1], t)
+        assert seen == [fixed_enclosure(t)], t
 
 
 # -- critical-point slivers ----------------------------------------------------
@@ -333,3 +389,42 @@ def test_integer_bisection_stops_on_an_exact_rational_root(flip):
     assert bisect_root(coeffs, lo, hi, Fraction(1, 4)) == (Fraction(-1, 12), Fraction(1, 6))
     with pytest.raises(ValueError, match="tol must be positive"):
         bisect_root(coeffs, lo, hi, Fraction(0))
+
+
+def test_bisection_probes_the_points_of_fraction_halving(monkeypatch):
+    """The integer-indexed bisection makes the probes of the halving oracle,
+    in the same order, on every call of the two tests above."""
+    probes, checked = [], []
+    sign_at = rootfind.poly_sign_at
+    monkeypatch.setattr(
+        rootfind, "poly_sign_at", lambda c, t, f=None: probes.append(t) or sign_at(c, t, f)
+    )
+
+    def checked_bisect_root(coeffs, lo, hi, tol):
+        probes.clear()
+        result = rootfind.bisect_root(coeffs, lo, hi, tol)
+        ours = list(probes)
+        probes.clear()
+        bisect_root_halving(coeffs, lo, hi, tol)
+        assert ours == probes
+        checked.append(len(ours))
+        return result
+
+    monkeypatch.setitem(globals(), "bisect_root", checked_bisect_root)
+    test_integer_bisection_matches_fraction_halving()
+    for flip in (1, -1):
+        test_integer_bisection_stops_on_an_exact_rational_root(flip)
+    assert len(checked) > 100 and max(checked) > 20
+
+
+def test_cartan_probe_count_is_the_benchmark_pin(monkeypatch):
+    # bench/selftest.py pins 1,098 probes on this configuration
+    calls = []
+    sign_at = rootfind.poly_sign_at
+    monkeypatch.setattr(
+        rootfind, "poly_sign_at", lambda *args: calls.append(args[1]) or sign_at(*args)
+    )
+    alpha = parse_number_spec("quad:-1,1,1,2", frac=True).value()
+    beta = parse_number_spec("quad:-1,1,1,3", frac=True).value()
+    assert cartan_measure(alpha, beta, 1, 2, Fraction(1, 1000)).monic_within_bound
+    assert len(calls) == 1098
