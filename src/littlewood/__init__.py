@@ -40,9 +40,9 @@ from .lattice import (  # noqa: E402
 )
 from .cone import (  # noqa: E402
     ConeParams,
+    InclusionRun,
     base_tangency,
     cone_contains,
-    cone_inclusion_sample,
     phi,
 )
 from .entrytime import (  # noqa: E402
@@ -65,7 +65,7 @@ __all__ = [
     "levy_quotient",
     "LatticePoint", "brute_min_scan", "cartan_measure", "dirichlet_search",
     "f_eval", "m_transform",
-    "ConeParams", "base_tangency", "cone_contains", "cone_inclusion_sample", "phi",
+    "ConeParams", "InclusionRun", "base_tangency", "cone_contains", "phi",
     "approx_line", "entry_time", "line_gamma", "transversality_check",
     "b3_infeasibility_scan", "certificate_search",
     "theorem_check", "verify_certificate",

@@ -87,6 +87,9 @@ FAIL_REASONS = (
     "verify-fail",
 )
 
+# the most cells one n of a full grid may hold; a larger one is refused
+MAX_FULL_GRID_CELLS = 20000
+
 
 @dataclass(frozen=True)
 class TheoremCheck:
@@ -233,14 +236,14 @@ def certificate_search(
     n_max: int,
     strategy: str = "geometric",
     max_N: int = 10**6,
-    max_cells: int = 20000,
     n_min: int = 1,
 ) -> SearchOutcome:
     """Sweep n = n_min..n_max with, per n, N running from the Dirichlet
     floor up to the transversality ceiling (geometric doubling by default,
-    every integer with strategy='full').  Deterministic; exhaustion is an
-    outcome, not an error.  max_N > 2**32 raises ParameterError before the
-    first cell: no Dirichlet point beyond the scan range can be found."""
+    every integer with strategy='full', refused past MAX_FULL_GRID_CELLS
+    cells for one n).  Deterministic; exhaustion is an outcome, not an
+    error.  max_N > 2**32 raises ParameterError before the first cell: no
+    Dirichlet point beyond the scan range can be found."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -273,10 +276,10 @@ def certificate_search(
         elif strategy == "geometric":
             grid = _geometric_grid(N0, ceiling)
         else:
-            if ceiling - N0 + 1 > max_cells:
+            if ceiling - N0 + 1 > MAX_FULL_GRID_CELLS:
                 raise ParameterError(
-                    f"full grid for n={n} has {ceiling - N0 + 1} cells; "
-                    f"use geometric or raise max_cells"
+                    f"full grid for n={n} has {ceiling - N0 + 1} cells, over "
+                    f"{MAX_FULL_GRID_CELLS}; use --grid geometric or a smaller --max-N"
                 )
             grid = list(range(N0, ceiling + 1))
         for N in grid:
@@ -372,8 +375,13 @@ def infeasibility_grid_check(
             "grid refutation needs positive coefficients and u-range"
         )
     margin = min((lhs_at(u_iv) - rhs).lo for u_iv in candidates)
-    # float rounding is monotone, so this is the least float margin
-    return GridCheckResult(margin > 0, count, False, float(margin), u_lo, u_hi)
+    # float rounding is monotone, so this is the least float margin; one past
+    # the float range shows as an infinity (the verdict is margin > 0, exact)
+    try:
+        shown = float(margin)
+    except OverflowError:
+        shown = math.inf if margin > 0 else -math.inf
+    return GridCheckResult(margin > 0, count, False, shown, u_lo, u_hi)
 
 
 @dataclass(frozen=True)

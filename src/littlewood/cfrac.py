@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -148,7 +148,17 @@ class CFSpec:
             return self.rational
         if self.kind == QUADRATIC_SURD:
             return self.surd
+        return self._value
+
+    # The spec's own memos, computed on first use: the fields never change,
+    # so they stay valid, and they go when the spec goes.
+    @cached_property
+    def _value(self) -> SurdSum:
         return _periodic_value(self.preperiod, self.period)
+
+    @cached_property
+    def _cycle(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _cf_cycle(self)
 
     def value_surdsum(self) -> SurdSum:
         return as_surdsum(self.value())
@@ -157,7 +167,6 @@ class CFSpec:
         return self.kind != FINITE_RATIONAL
 
 
-@lru_cache(maxsize=512)
 def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> SurdSum:
     """Exact value of an eventually periodic continued fraction.
 
@@ -182,7 +191,6 @@ def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> Surd
     return SurdSum({1: Fraction(P, Q), disc: Fraction(1, Q)})
 
 
-@lru_cache(maxsize=512)
 def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Preperiod and period of the expansion of any spec.  A rational has
     its canonical (Euclid) quotients as preperiod and an empty period; a
@@ -234,7 +242,7 @@ def cf_expand(spec: CFSpec, count: int) -> list[int]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    pre, per = _cf_cycle(spec)
+    pre, per = spec._cycle
     out = list(pre[:count])
     if per:
         out += (per[i % len(per)] for i in range(count - len(out)))
@@ -591,7 +599,7 @@ def _observed_M(spec: CFSpec) -> int:
     """Sup of partial quotients a_j (j >= 1).  For periodic kinds the scan
     covers preperiod plus period, so this is the true sup; a purely
     periodic expansion (empty preperiod) repeats its a_0 as a later a_j."""
-    pre, per = _cf_cycle(spec)
+    pre, per = spec._cycle
     return max(pre[1:] + per, default=1)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 from . import __version__
@@ -87,7 +86,7 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
 
     def rows():  # streamed into write_csv, which asks for the counts at the end
         for smp in run:
-            y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+            y_iv, z_iv = sample_point_coordinates(run, smp)
             yield [
                 format_ratio(*smp.x_ratio),
                 format_ratio(*y_iv.midpoint_ratio()),
@@ -315,18 +314,18 @@ def _cmd_levy(ns: argparse.Namespace) -> int:
     alpha = parse_number_spec(ns.alpha, ns.frac)
     beta = parse_number_spec(ns.beta, ns.frac) if ns.beta else None
     header = ["n", "levy_alpha"]
+    extra = {"levy_ae_reference": f"{LEVY_AE_LOG:.12f}"}
     if beta is not None:
         header += ["levy_beta", "log_tn_over_n"]
+        profile = lcm_growth_profile(alpha, beta, ns.n_max)
     rows = []
     for n in range(1, ns.n_max + 1):
         row = [n, f"{levy_quotient(alpha, n):.12f}"]
         if beta is not None:
             row.append(f"{levy_quotient(beta, n):.12f}")
-            row.append(f"{math.log(lcm_time(alpha, beta, n)) / n:.12f}")
+            row.append(f"{profile.quotients[n - 1]:.12f}")
         rows.append(row)
-    extra = {"levy_ae_reference": f"{LEVY_AE_LOG:.12f}"}
     if beta is not None:
-        profile = lcm_growth_profile(alpha, beta, ns.n_max)
         extra["log_tn_over_n_liminf_estimate"] = f"{profile.liminf_estimate:.12f}"
         extra["log_tn_over_n_limsup_estimate"] = f"{profile.limsup_estimate:.12f}"
     write_csv(ns.out, header, rows, _metadata(ns, **extra))

@@ -8,14 +8,13 @@ which is contained in the sublevel body {0 < |f| <= eps}.  This module
 gives exact membership verdicts, the base-circle tangency data against the
 hyperbola y*z = eps, and a seeded sampler that stress-tests the inclusion.
 
-The sampler works on integers: every draw is k/2**53, so x, u, v, f and the
-margin are integer numerators over fixed denominators and every verdict is
-an integer comparison.  :class:`InclusionRun` streams its rows.  A row is
-reported from those integers too: x, f and the margin as (numerator,
-denominator) pairs, and y and z as enclosures computed from integer forms
-of their SurdSum terms, which are built once per (alpha, beta, params) and
-found again by object identity while the same three are passed row after
-row.
+The sampler, :class:`InclusionRun`, works on integers: every draw is
+k/2**53, so x, u, v, f and the margin are integer numerators over fixed
+denominators and every verdict is an integer comparison.  It streams its
+rows.  A row is reported from those integers too: x, f and the margin as
+(numerator, denominator) pairs, and y and z as enclosures computed from
+integer forms of their SurdSum terms, which the run builds once, with
+sqrt(phi), when it is made.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import (
@@ -38,12 +36,10 @@ __all__ = [
     "ConeMembershipVerdict",
     "TangencyData",
     "InclusionSample",
-    "InclusionReport",
     "InclusionRun",
     "phi",
     "cone_contains",
     "base_tangency",
-    "cone_inclusion_sample",
 ]
 
 _CHUNK = 2048  # samples per seeded generator; the rows depend on it, so it is fixed
@@ -51,15 +47,6 @@ _CROSSCHECKS = 32  # a run re-verifies every (sample_count // 32)-th row through
 _UNIT_BITS = 53  # every draw is k / 2**53, k < 2**53
 _COORDINATE_BITS = 128  # precision of the reported y and z enclosures
 _MARGIN_BITS = 128  # precision of the margin enclosure in a membership verdict
-
-
-def _sqrt_phi(params: "ConeParams", scale: Fraction) -> SurdSum:
-    """scale * sqrt(phi), with the perfect square (N-1)^2 pulled out of the
-    radicand first so even desk-scale N keeps the radicand factorable:
-    sqrt(phi) = sqrt(2*eps/N) / (N-1)."""
-    return SurdSum.sqrt(
-        Fraction(2 * params.epsilon, params.N), coeff=Fraction(scale, params.N - 1)
-    )
 
 
 def phi(N: int, epsilon: Fraction) -> Fraction:
@@ -188,19 +175,6 @@ class InclusionSample(NamedTuple):
         return Fraction(*self.margin_ratio)
 
 
-@dataclass(frozen=True)
-class InclusionReport:
-    params: ConeParams
-    samples: int
-    violations: tuple[InclusionSample, ...]
-    rows: tuple[InclusionSample, ...]
-    crosschecked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _sample_chunk(
     N: int, epsilon: Fraction, phi_val: Fraction, seed: int, chunk_index: int, count: int
 ) -> list[InclusionSample]:
@@ -236,7 +210,10 @@ def _sample_chunk(
 
 
 class InclusionRun:
-    """One seeded sampling run of the open cone, streamed.
+    """One seeded sampling run of the open cone, streamed: points drawn
+    uniformly from the cone (uniform in x, uniform in the open
+    cross-section disk minus the axes, where f would vanish), each with the
+    certified verdict 0 < |f| <= eps.
 
     Iterating yields the rows in order, chunk by chunk: chunk i holds
     _CHUNK rows (the last may hold fewer) from a generator seeded with
@@ -245,6 +222,11 @@ class InclusionRun:
     violating rows are recorded.  Iterate a run once: when the iteration
     has ended, ``samples``, ``violations`` and ``crosschecked`` hold its
     tallies.
+
+    ``sqrt_phi`` is sqrt(phi) = sqrt(2*eps/N) / (N-1), the perfect square
+    (N-1)^2 pulled out of the radicand so that even desk-scale N keeps it
+    factorable, and ``forms`` are the integer forms of y and z that
+    :func:`sample_point_coordinates` reads.
     """
 
     def __init__(
@@ -258,6 +240,10 @@ class InclusionRun:
         self.sample_count = sample_count
         self.seed = seed
         self.step = max(1, sample_count // _CROSSCHECKS)
+        self.sqrt_phi = SurdSum.sqrt(
+            Fraction(2 * params.epsilon, params.N), coeff=Fraction(1, params.N - 1)
+        )
+        self.forms = _coordinate_forms(self.alpha, self.beta, self.sqrt_phi)
         self.samples = self.crosschecked = 0
         self.violations: list[InclusionSample] = []
 
@@ -275,7 +261,7 @@ class InclusionRun:
 
     def _crosscheck(self, sample: InclusionSample) -> None:
         x = sample.x
-        s = _sqrt_phi(self.params, self.params.N - x)
+        s = self.sqrt_phi * (self.params.N - x)
         y = self.alpha * x - sample.u * s
         z = self.beta * x - sample.v * s
         through_surds = f_exact(self.alpha, self.beta, x, y, z)
@@ -284,36 +270,17 @@ class InclusionRun:
         self.crosschecked += 1
 
 
-def cone_inclusion_sample(
-    alpha, beta, params: ConeParams, sample_count: int, seed: int = 0
-) -> InclusionReport:
-    """Draw points uniformly from the open cone (uniform in x, uniform in
-    the open cross-section disk minus the axes, where f would vanish) and
-    certify 0 < |f| <= eps for each.
-
-    In scaled coordinates every check is an exact rational comparison;
-    every ``max(1, sample_count // 32)``-th row is additionally pushed
-    through the full surd evaluation of f to confirm the two routes agree
-    exactly.  This collects the rows of one :class:`InclusionRun`;
-    iterate a run directly to stream them.
-    """
-    run = InclusionRun(alpha, beta, params, sample_count, seed)
-    rows = tuple(run)
-    return InclusionReport(params, run.samples, tuple(run.violations), rows, run.crosschecked)
-
-
-@lru_cache(maxsize=64)
 def _coordinate_forms(
-    alpha: SurdSum, beta: SurdSum, params: ConeParams
+    alpha: SurdSum, beta: SurdSum, sqrt_phi: SurdSum
 ) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
     """y = alpha*x - u*s and z = beta*x - v*s as integer forms in a
     sample's numerators, one tuple per coordinate.
 
-    With s = k*sqrt(r)*(N-x) built as _sqrt_phi builds it, x = X/2**53 and
+    With s = sqrt_phi*(N-x), sqrt_phi = k*sqrt(r), x = X/2**53 and
     u*(N-x) = W/2**106 (W = U*S for y, V*S for z), the coefficient of
     sqrt(rad) in the coordinate's SurdSum is (a*X + b*W)/den for each
     (rad, a, b, den) of its form."""
-    ((r, k),) = _sqrt_phi(params, 1).terms()
+    ((r, k),) = sqrt_phi.terms()
     zero = Fraction(0)
     forms = []
     for axis in (alpha, beta):
@@ -343,35 +310,15 @@ def _coordinate_interval(
     return DyadicInterval.of_surd_terms(terms, _COORDINATE_BITS)
 
 
-# (alpha, beta, params, forms) of the last _forms_of call, replaced as one
-# tuple so that a concurrent reader never pairs a key with another's forms
-_last_forms: tuple = (None, None, None, None)
-
-
-def _forms_of(alpha, beta, params: ConeParams):
-    """_coordinate_forms for the numbers and params as passed: a run passes
-    the same three objects for every row, so the forms are looked up (and
-    the Fractions in the key hashed) once, and each later row costs three
-    identity tests.  All three are immutable, so identity implies the same
-    forms."""
-    global _last_forms
-    last_alpha, last_beta, last_params, forms = _last_forms
-    if alpha is last_alpha and beta is last_beta and params is last_params:
-        return forms
-    forms = _coordinate_forms(surdsum_of(alpha), surdsum_of(beta), params)
-    _last_forms = (alpha, beta, params, forms)
-    return forms
-
-
 def sample_point_coordinates(
-    alpha, beta, params: ConeParams, sample: InclusionSample
+    run: InclusionRun, sample: InclusionSample
 ) -> tuple[DyadicInterval, DyadicInterval]:
-    """The y and z coordinates of a sampled point for reporting, as the
+    """The y and z coordinates of a sample of ``run`` for reporting, as the
     enclosures ``interval(128)`` of their exact SurdSums (x is exact on
     the sample: ``sample.x`` or ``sample.x_ratio``)."""
-    y_forms, z_forms = _forms_of(alpha, beta, params)
+    y_forms, z_forms = run.forms
     X = sample.x_num
-    S = (params.N << _UNIT_BITS) - X
+    S = (run.params.N << _UNIT_BITS) - X
     return (
         _coordinate_interval(y_forms, X, sample.u_num * S),
         _coordinate_interval(z_forms, X, sample.v_num * S),

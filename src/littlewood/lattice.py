@@ -303,10 +303,24 @@ def cartan_measure(
         monic_hi,
         f_lo,
         f_hi,
-        2 * math.e * float(epsilon) ** (1 / 3),
+        _display_bound(epsilon),
         _within_2e_cbrt(monic_hi, epsilon),
         _within_2e_cbrt(f_hi, epsilon),
     )
+
+
+def _display_bound(epsilon: Fraction) -> float:
+    """2e * eps^(1/3) as a float, for display.  An eps past the float range
+    goes through logarithms (its bound may still fit), and a bound past it
+    is an infinity."""
+    try:
+        return 2 * math.e * float(epsilon) ** (1 / 3)
+    except OverflowError:
+        log_eps = math.log(epsilon.numerator) - math.log(epsilon.denominator)
+        try:
+            return math.exp(math.log(2) + 1 + log_eps / 3)
+        except OverflowError:
+            return math.inf
 
 
 def _within_2e_cbrt(x: Fraction, epsilon: Fraction) -> bool:

@@ -389,8 +389,9 @@ def cone_rows_fraction(alpha, beta, params, sample_count: int, seed: int) -> lis
     a normalised Fraction (the InclusionSample properties and the
     DyadicInterval midpoints) through format_decimal, one call per cell."""
     rows = []
-    for smp in InclusionRun(alpha, beta, params, sample_count, seed):
-        y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+    run = InclusionRun(alpha, beta, params, sample_count, seed)
+    for smp in run:
+        y_iv, z_iv = sample_point_coordinates(run, smp)
         f, margin = smp.f, smp.margin
         rows.append([
             format_decimal(smp.x),

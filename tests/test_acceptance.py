@@ -49,7 +49,7 @@ from littlewood.certificate import (
     b3_infeasibility_scan,
     verify_certificate,
 )
-from littlewood.cone import ConeParams, base_tangency, cone_inclusion_sample
+from littlewood.cone import ConeParams, InclusionRun, base_tangency
 from littlewood.entrytime import (
     approx_line,
     line_gamma,
@@ -151,11 +151,11 @@ def test_criterion_05_cone_inclusion():
         floor_n = int(1 / (2 * eps)) + 1
         N = max(2, floor_n) + rng.randrange(1, 120)
         params = ConeParams.make(N, eps)
-        rep = cone_inclusion_sample(
-            SQRT2M1, SQRT3M1, params, 10_000, seed=rng.randrange(2**30)
-        )
-        violations += len(rep.violations)
-        total += rep.samples
+        run = InclusionRun(SQRT2M1, SQRT3M1, params, 10_000, seed=rng.randrange(2**30))
+        for _ in run:
+            pass
+        violations += len(run.violations)
+        total += run.samples
     elapsed = time.time() - t0
     _report(
         5,

@@ -110,11 +110,11 @@ def test_search_trivial_witness():
     assert verify_certificate(SQRT2M1, SQRT3M1, Fraction(1, 2), out.trivial_witness)
 
 
-def test_search_full_grid_guard():
-    with pytest.raises(ParameterError):
+def test_search_full_grid_guard(monkeypatch):
+    monkeypatch.setattr(certificate, "MAX_FULL_GRID_CELLS", 10)
+    with pytest.raises(ParameterError, match="--grid geometric or a smaller --max-N"):
         certificate_search(
-            SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=9,
-            strategy="full", max_cells=10,
+            SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=9, strategy="full",
         )
 
 

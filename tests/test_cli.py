@@ -404,6 +404,9 @@ def test_usage_errors_exit_2(tmp_path):
         # --max-N above 2**32, the scan range, is refused before the first cell
         ["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
          "--n-max", "1", "--max-N", "10000000000"],
+        # a full grid of more cells than the search takes for one n
+        ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1e30",
+         "--n-max", "1", "--grid", "full", "--max-N", "10000000"],
         # finite continued fractions with a quotient below 1 after a0
         ["levy", "--alpha", "cf:[0;0]"],
         ["levy", "--alpha", "cf:[0;-1,2]"],
@@ -420,7 +423,8 @@ def test_usage_errors_exit_2(tmp_path):
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "b3-max-N-0", "b3-max-N-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
-         "certificate-N-beyond-scan-range", "cf-quotient-0", "cf-quotient-negative",
+         "certificate-N-beyond-scan-range", "certificate-full-grid-too-large",
+         "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",
          "cone-radicand-uncertified", "b3-radicand-uncertified"],
 )
@@ -436,6 +440,23 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_huge_epsilon_ends_in_the_exact_verdict(tmp_path, capsys):
+    # float(eps) overflows at both epsilons; the verdicts are exact and the
+    # displayed floats fall back to logarithms (cartan) or an infinity (b3)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("sqrt:2 sqrt:3\n")
+    cartan_csv, b3_csv = tmp_path / "cartan.csv", tmp_path / "b3.csv"
+    assert _run(["cartan", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--y0", "1",
+                 "--z0", "1", "--epsilon", "1e400", "--out", str(cartan_csv)]) == 0
+    ((row,),) = [read_csv(cartan_csv).rows]
+    assert row["monic_within_bound"] == "True"
+    assert math.isclose(float(row["bound_2e_eps13"]), 2 * math.e * 10 ** (400 / 3))
+    assert _run(["b3-scan", "--pairs", str(pairs), "--frac", "--epsilons", "1e100",
+                 "--out", str(b3_csv)]) == 0
+    out, err = capsys.readouterr()
+    assert "(min margin inf)" in out and not err
 
 
 def test_uncertifiable_radicand_exits_2(capsys):

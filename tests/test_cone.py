@@ -1,7 +1,9 @@
 """Cone membership, tangency identities, inclusion sampling, and the
 reported coordinates of sampled points."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,14 +16,14 @@ from littlewood.cone import (
     InclusionSample,
     base_tangency,
     cone_contains,
-    cone_inclusion_sample,
     phi,
     sample_point_coordinates,
     _sample_chunk,
-    _sqrt_phi,
 )
-from littlewood.exactnum import SurdSum, as_surdsum
+from littlewood.cfrac import cf_expand
+from littlewood.exactnum import SurdSum, as_surdsum, squarefree_decompose
 from littlewood.lattice import LatticePoint, ParameterError, f_eval
+from littlewood.numspec import parse_number_spec
 
 from nums import SQRT2M1, SQRT3M1, quad
 
@@ -60,7 +62,7 @@ def test_vertex_margin_exactly_zero():
 def test_base_circle_margin_exactly_zero():
     # boundary point at x = 1 via the rational unit vector (3/5, 4/5)
     params = ConeParams.make(10, Fraction(1, 10))
-    s = _sqrt_phi(params, params.N - 1)
+    s = SurdSum.sqrt(params.phi) * (params.N - 1)
     p = (Fraction(1), AV - Fraction(3, 5) * s, BV - Fraction(4, 5) * s)
     v = cone_contains(SQRT2M1, SQRT3M1, p, params)
     assert v.inside and v.margin_sign == 0
@@ -85,7 +87,7 @@ def test_membership_monotone_in_epsilon():
         x = 1 + Fraction(rng.getrandbits(20), 1 << 20) * 9
         u = Fraction(rng.getrandbits(20), 1 << 20) * 2 - 1
         v = Fraction(rng.getrandbits(20), 1 << 20) * 2 - 1
-        s = _sqrt_phi(small, small.N - x)
+        s = SurdSum.sqrt(small.phi) * (small.N - x)
         p = (x, AV * x - u * s, BV * x - v * s)
         in_small = cone_contains(SQRT2M1, SQRT3M1, p, small).inside
         if in_small:
@@ -114,17 +116,19 @@ def test_tangency_random_rationals():
 
 def test_inclusion_sampling_no_violations():
     params = ConeParams.make(12, Fraction(1, 8))
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 3000, seed=11)
-    assert rep.ok and rep.samples == 3000
-    assert rep.crosschecked > 0
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, 3000, seed=11)
+    for _ in run:
+        pass
+    assert not run.violations and run.samples == 3000
+    assert run.crosschecked > 0
 
 
 def test_sampled_lattice_like_points_satisfy_f_bound():
     # every sampled point's f, recomputed through f_eval coordinates, obeys
     # 0 < |f| <= eps
     params = ConeParams.make(8, Fraction(1, 9))
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 200, seed=4)
-    for smp in rep.rows[::17]:
+    rows = list(InclusionRun(SQRT2M1, SQRT3M1, params, 200, seed=4))
+    for smp in rows[::17]:
         assert 0 < abs(smp.f) <= params.epsilon
 
 
@@ -147,9 +151,9 @@ def test_lattice_points_in_cone_satisfy_f_bound():
 
 def test_sample_point_coordinates_consistent():
     params = ConeParams.make(7, Fraction(1, 5))
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 50, seed=2)
-    smp = rep.rows[0]
-    y_iv, z_iv = sample_point_coordinates(SQRT2M1, SQRT3M1, params, smp)
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, 50, seed=2)
+    smp = next(iter(run))
+    y_iv, z_iv = sample_point_coordinates(run, smp)
     assert y_iv.width < Fraction(1, 10**20) and z_iv.width < Fraction(1, 10**20)
 
 
@@ -204,10 +208,11 @@ def fraction_inclusion_rows(params, sample_count, seed):
 )
 def test_integer_sampler_matches_fraction_oracle(N, eps, seed, count):
     params = ConeParams.make(N, eps)
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, count, seed=seed)
-    assert [_fractions(s) for s in rep.rows] == fraction_inclusion_rows(params, count, seed)
-    assert rep.samples == count and rep.ok
-    assert rep.crosschecked == len(rep.rows[:: max(1, count // 32)])
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, count, seed=seed)
+    rows = list(run)
+    assert [_fractions(s) for s in rows] == fraction_inclusion_rows(params, count, seed)
+    assert run.samples == count and not run.violations
+    assert run.crosschecked == len(rows[:: max(1, count // 32)])
 
 
 @pytest.mark.parametrize(
@@ -246,9 +251,10 @@ def test_inclusion_run_streams_the_report():
     for sample in run:
         rows.append(sample)
         assert run.samples == len(rows)
-    rep = cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 700, seed=3)
-    assert tuple(rows) == rep.rows and run.violations == list(rep.violations) == []
-    assert run.crosschecked == rep.crosschecked == len(rows[:: 700 // _CROSSCHECKS]) == 34
+    again = InclusionRun(SQRT2M1, SQRT3M1, params, 700, seed=3)
+    assert rows == list(again) and run.violations == again.violations == []
+    assert [_fractions(s) for s in rows] == fraction_inclusion_rows(params, 700, 3)
+    assert run.crosschecked == again.crosschecked == len(rows[:: 700 // _CROSSCHECKS]) == 34
     with pytest.raises(ParameterError):
         InclusionRun(SQRT2M1, SQRT3M1, params, 0)
 
@@ -269,12 +275,13 @@ def test_sample_point_coordinates_match_the_surd_route():
         (SurdSum.sqrt(5), SurdSum.sqrt(7), ConeParams.make(40, Fraction(9, 2))),
     ]
     for alpha, beta, params in cases:
-        rep = cone_inclusion_sample(alpha, beta, params, 60, seed=1)
-        for smp in rep.rows:
-            s = _sqrt_phi(params, params.N - smp.x)
+        run = InclusionRun(alpha, beta, params, 60, seed=1)
+        assert run.sqrt_phi == SurdSum.sqrt(params.phi)
+        for smp in run:
+            s = SurdSum.sqrt(params.phi) * (params.N - smp.x)
             y = as_surdsum(alpha) * smp.x - smp.u * s
             z = as_surdsum(beta) * smp.x - smp.v * s
-            y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+            y_iv, z_iv = sample_point_coordinates(run, smp)
             assert y_iv == y.interval(128) and z_iv == z.interval(128)
             assert y_iv.exp == y.interval(128).exp
 
@@ -287,10 +294,41 @@ def test_sample_point_coordinates_when_a_term_cancels():
     one = 1 << 53
     smp = InclusionSample(one, one >> 6, one >> 1, 0, 0, params.phi.denominator, False)
     for alpha in (quad(0, 1, 64, 2), quad(1, 1, 64, 2)):
-        s = _sqrt_phi(params, params.N - smp.x)
+        s = SurdSum.sqrt(params.phi) * (params.N - smp.x)
         y = as_surdsum(alpha) * smp.x - smp.u * s
         z = as_surdsum(SQRT3M1) * smp.x - smp.v * s
         assert len(y.terms()) == len(as_surdsum(alpha).terms()) - 1
-        y_iv, z_iv = sample_point_coordinates(alpha, SQRT3M1, params, smp)
+        run = InclusionRun(alpha, SQRT3M1, params, 1)
+        y_iv, z_iv = sample_point_coordinates(run, smp)
         assert y_iv == y.interval(128) and y_iv.exp == y.interval(128).exp
         assert z_iv == z.interval(128) and z_iv.exp == z.interval(128).exp
+
+
+def _sample_a_fresh_number(i, d, params):
+    spec = parse_number_spec(f"quad:{i % 7},1,{1 + i % 5},{d}", frac=True)
+    cf_expand(spec, 20)
+    run = InclusionRun(spec.value(), SQRT3M1, params, 8, seed=i)
+    for smp in run:
+        sample_point_coordinates(run, smp)
+
+
+def test_fresh_numbers_leave_no_state_behind():
+    # what is built for one number lives on its spec or its run, or in a
+    # cache of fixed size, so once those caches are warm the traced memory
+    # stays flat however many fresh numbers follow (squarefree radicands,
+    # so that parsing logs nothing)
+    params = ConeParams.make(12, Fraction(1, 8))
+    radicands = [d for d in range(2, 1000) if squarefree_decompose(d)[0] == 1][:300]
+    tracemalloc.start()
+    try:
+        for i, d in enumerate(radicands, 1):
+            _sample_a_fresh_number(i, d, params)
+            if i == 30:
+                gc.collect()  # a full collection also empties the free lists
+                warm = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - warm
+    finally:
+        tracemalloc.stop()
+    assert len(radicands) == 300
+    assert grown < 16 * 1024, f"{grown} bytes kept by 270 fresh numbers"

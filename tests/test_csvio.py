@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood.cone import ConeParams, cone_inclusion_sample
+from littlewood.cone import ConeParams, InclusionRun
 from littlewood.csvio import (
     SIG_DIGITS,
     format_decimal,
@@ -160,7 +160,7 @@ def test_bounds_of_dyadic_rationals_and_cone_cells():
         _bounds(num, 1 << rng.randrange(0, 300))
     # the margin and f cells of sampled cone rows, unreduced
     params = ConeParams.make(30, Fraction(3, 10**4))
-    for smp in cone_inclusion_sample(SQRT2M1, SQRT3M1, params, 200, seed=4).rows:
+    for smp in InclusionRun(SQRT2M1, SQRT3M1, params, 200, seed=4):
         _bounds(*smp.margin_ratio)
         _bounds(*smp.f_ratio)
 

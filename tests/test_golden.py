@@ -18,7 +18,7 @@ import pytest
 
 from littlewood.cfrac import cf_expand, convergent, error_term
 from littlewood.cli import main
-from littlewood.cone import ConeParams, cone_inclusion_sample, sample_point_coordinates
+from littlewood.cone import ConeParams, InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import approx_line, entry_time
 from littlewood.lattice import cartan_measure, dirichlet_search
@@ -92,9 +92,8 @@ def test_printed_tau_encloses_exact_entry_time(name, tmp_path, monkeypatch, caps
 
 def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
     """Each printed (margin_lo, margin_hi) and (f_lo, f_hi) pair of the cone
-    CSV encloses the exact margin and f of the same row of
-    cone_inclusion_sample with the same seed, and x, y, z are the rendered
-    sample coordinates."""
+    CSV encloses the exact margin and f of the same row of an InclusionRun
+    with the same seed, and x, y, z are the rendered sample coordinates."""
     monkeypatch.chdir(tmp_path)
     ((_, argv, code),) = [c for c in CASES if c[0] == "cone"]
     assert main([*argv, "--out", "cone.csv"]) == code
@@ -104,12 +103,13 @@ def test_cone_csv_encloses_the_exact_rows(tmp_path, monkeypatch, capsys):
     alpha, beta = (parse_number_spec(s, True).value() for s in ("sqrt:2", "sqrt:3"))
     params = ConeParams.make(int(argv[argv.index("--N") + 1]),
                              Fraction(argv[argv.index("--epsilon") + 1]))
-    report = cone_inclusion_sample(alpha, beta, params, int(argv[argv.index("--samples") + 1]))
-    assert len(rows) == len(report.rows) == 300
-    for row, smp in zip(rows, report.rows):
+    run = InclusionRun(alpha, beta, params, int(argv[argv.index("--samples") + 1]))
+    samples = list(run)
+    assert len(rows) == len(samples) == 300
+    for row, smp in zip(rows, samples):
         for name, exact in (("margin", smp.margin), ("f", smp.f)):
             assert Fraction(row[f"{name}_lo"]) <= exact <= Fraction(row[f"{name}_hi"])
-        y_iv, z_iv = sample_point_coordinates(alpha, beta, params, smp)
+        y_iv, z_iv = sample_point_coordinates(run, smp)
         assert row["x"] == format_decimal(smp.x)
         assert row["y"] == format_decimal(y_iv.midpoint())
         assert row["z"] == format_decimal(z_iv.midpoint())
