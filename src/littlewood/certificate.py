@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cfrac import (
-    SCAN_MAX_X,
     CFSpec,
     InternalInconsistencyError,
     ProfileViolationError,
@@ -242,8 +241,7 @@ def certificate_search(
     floor up to the transversality ceiling (geometric doubling by default,
     every integer with strategy='full', refused past MAX_FULL_GRID_CELLS
     cells for one n).  Deterministic; exhaustion is an outcome, not an
-    error.  max_N > 2**32 raises ParameterError before the first cell: no
-    Dirichlet point beyond the scan range can be found."""
+    error."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -251,8 +249,6 @@ def certificate_search(
         raise ParameterError("n_max must be >= n_min")
     if strategy not in ("geometric", "full"):
         raise ParameterError("strategy must be 'geometric' or 'full'")
-    if max_N > SCAN_MAX_X:
-        raise ParameterError(f"max_N={max_N} exceeds 2**32, the residual kernel's range")
 
     N0 = max(2, int(1 / (2 * epsilon)) + 1)
     if N0 > max_N:

@@ -62,7 +62,6 @@ __all__ = [
     "bad_constant_scan",
     "lcm_time",
     "lcm_growth_profile",
-    "joint_bad_profile",
 ]
 
 QUADRATIC_SURD = "quadratic-surd"
@@ -377,40 +376,35 @@ def levy_quotient(spec: CFSpec, n: int) -> float:
 
 # -- certified residual scans ---------------------------------------------------
 
-# Range of every residual scan: at x = 2**32 the slack x * 2**-64 of the
-# integer residual bounds reaches 1/x, the size of the residuals that
-# min q*||q*alpha|| looks at.
-SCAN_MAX_X = 2**32
-_ONE = 1 << 64  # the fixed-point scale of the residual kernel
-_MASK = _ONE - 1
+
+def _distances(A: int, xs: Sequence[int], S: int) -> list[int]:
+    """D(x) = |x*A mod+- S| for each x of xs, S a power of two.  With A =
+    floor(frac(alpha) * S), D(x) - x < S * ||x*alpha|| < D(x) + x for every
+    x >= 1."""
+    # frac(alpha) * S = A + d with 0 <= d < 1, so x*alpha = (x*A + t) / S
+    # (mod 1) with 0 <= t = x*d < x.  D(x) = S * ||x*A / S||, and ||.|| is
+    # 1-Lipschitz on R/Z, so |S * ||x*alpha|| - D(x)| < x.
+    mask, half = S - 1, S >> 1
+    return [P if P < half else S - P for P in [x * A & mask for x in xs]]
 
 
-def _distances(A: int, xs: Sequence[int]) -> list[int]:
-    """D(x) = |x*A mod+- 2**64| for each x of xs.  With A = floor(frac(alpha)
-    * 2**64), D(x) - x < 2**64 * ||x*alpha|| < D(x) + x for every x >= 1."""
-    # frac(alpha) * 2**64 = A + d with 0 <= d < 1, so x*alpha = (x*A + t) /
-    # 2**64 (mod 1) with 0 <= t = x*d < x.  D(x) = 2**64 * ||x*A / 2**64||,
-    # and ||.|| is 1-Lipschitz on R/Z, so |2**64 * ||x*alpha|| - D(x)| < x.
-    return [P if P >> 63 == 0 else _ONE - P for P in [x * A & _MASK for x in xs]]
-
-
-def _thin_set(A: int, T: int, a: int, b: int) -> list[range]:
-    """The x in [a, b] (1 <= a <= b) with |x*A mod+- 2**64| <= T, as ranges
+def _thin_set(A: int, T: int, a: int, b: int, S: int) -> list[range]:
+    """The x in [a, b] (1 <= a <= b) with |x*A mod+- S| <= T, as ranges
     that hold each such x once.
 
-    They are the points (x, y) of the lattice y = x*A (mod 2**64) in the box
-    [a, b] x [-T, T], one per x while 2T + 1 < 2**64 (two y of one x differ
-    by a multiple of 2**64).  A Lagrange-Gauss reduced basis (u, v) for the
-    norm (x (2T + 1))**2 + (y W)**2, W = b - a + 1, under which the box is
-    a square, meets the box in O(1 + sqrt(points)) lines p = c1 u + c2 v of
+    They are the points (x, y) of the lattice y = x*A (mod S) in the box
+    [a, b] x [-T, T], one per x while 2T + 1 < S (two y of one x differ by
+    a multiple of S).  A Lagrange-Gauss reduced basis (u, v) for the norm
+    (x (2T + 1))**2 + (y W)**2, W = b - a + 1, under which the box is a
+    square, meets the box in O(1 + sqrt(points)) lines p = c1 u + c2 v of
     fixed c2, and each line in one interval of c1: an arithmetic
     progression of x.
     """
-    if 2 * T + 1 >= _ONE:
+    if 2 * T + 1 >= S:
         return [range(a, b + 1)]
     sx, sy = (2 * T + 1) ** 2, (b - a + 1) ** 2
-    ux, uy, vx, vy = 1, A, 0, _ONE
-    nu, nv = sx + A * A * sy, _ONE * _ONE * sy
+    ux, uy, vx, vy = 1, A, 0, S
+    nu, nv = sx + A * A * sy, S * S * sy
     while True:
         if nv < nu:
             ux, uy, vx, vy, nu, nv = vx, vy, ux, uy, nv, nu
@@ -424,10 +418,10 @@ def _thin_set(A: int, T: int, a: int, b: int) -> list[range]:
         ux, uy = -ux, -uy
     if ux * vy - uy * vx < 0:
         vx, vy = -vx, -vy
-    # now ux*vy - uy*vx = 2**64, and (x, y) = c1 u + c2 v has c2 = (ux*y -
-    # uy*x) / 2**64: linear, so its extremes over the box are at corners
-    c2_lo = -((ux * T + max(uy * a, uy * b)) // _ONE)
-    c2_hi = (ux * T - min(uy * a, uy * b)) // _ONE
+    # now ux*vy - uy*vx = S, and (x, y) = c1 u + c2 v has c2 = (ux*y -
+    # uy*x) / S: linear, so its extremes over the box are at corners
+    c2_lo = -((ux * T + max(uy * a, uy * b)) // S)
+    c2_hi = (ux * T - min(uy * a, uy * b)) // S
     out = []
     for c2 in range(c2_lo, c2_hi + 1):
         x0, y0 = c2 * vx, c2 * vy
@@ -438,7 +432,7 @@ def _thin_set(A: int, T: int, a: int, b: int) -> list[range]:
             continue
         if ux:
             out.append(range(x0 + lo * ux, x0 + hi * ux + 1, ux))
-        else:  # u = (0, 2**64): one c1 at most, as 2T < 2**64
+        else:  # u = (0, S): one c1 at most, as 2T < S
             out.append(range(x0, x0 + 1))
     return out
 
@@ -463,14 +457,17 @@ class ResidualScan:
 
     The scanned quantity is v(x) = x * prod ||x*alpha|| over the alphas
     (combine "product", one or two alphas) or m(x) = max(||x*alpha||,
-    ||x*beta||) (combine "max", two alphas); it is scaled by 2**64 per
-    residual."""
+    ||x*beta||) (combine "max", two alphas); it is scaled by S = 2**bits
+    per residual.  The scan sets S from its range X: 2**64, or the least
+    even power of two at or above X**2 once that is larger, so the slack x
+    of the integer residual bounds stays at most S/x."""
 
     alphas: tuple[SurdSum, ...]
     combine: str = "product"
     X: int = 0
     bound: int | None = None
     best: SurdSum | None = None
+    bits: int = 64
 
 
 def _below(a: SurdSum, b: SurdSum) -> bool:
@@ -483,50 +480,54 @@ def _below(a: SurdSum, b: SurdSum) -> bool:
     return certified_sign(a - b) < 0
 
 
-def _candidates(mults: list[int], is_max: bool, bound: int, a: int, b: int) -> list[int]:
+def _candidates(mults: list[int], is_max: bool, bound: int, a: int, b: int, S: int) -> list[int]:
     """The x in [a, b], sorted, that can hold a record of a scan whose
-    bound is `bound`: for every record, D(x) < 2**64 ||x*alpha|| + x <=
-    2**64 ||x*alpha|| + b of some alpha, so its residuals put x in the thin
+    bound is `bound` at scale S: for every record, D(x) < S ||x*alpha|| + x
+    <= S ||x*alpha|| + b of some alpha, so its residuals put x in the thin
     set of that alpha at threshold T."""
     if is_max:
-        # 2**64 m(x) < bound: every residual is below bound / 2**64, so x
-        # is in the thin set of the first alpha and D(x) <= T for the rest
+        # S m(x) < bound: every residual is below bound / S, so x is in
+        # the thin set of the first alpha and D(x) <= T for the rest
         T = bound + b - 1
+        mask = S - 1
         return sorted(
             x
-            for x in chain.from_iterable(_thin_set(mults[0], T, a, b))
-            if all((x * B + T) & _MASK <= 2 * T for B in mults[1:])
+            for x in chain.from_iterable(_thin_set(mults[0], T, a, b, S))
+            if all((x * B + T) & mask <= 2 * T for B in mults[1:])
         )
-    # 2**(64k) x prod ||x*alpha|| < bound and x >= a: the least scaled
-    # residual is below (bound / a)**(1/k) <= iroot(ceil(bound / a), k) + 1
+    # S**k x prod ||x*alpha|| < bound and x >= a: the least scaled residual
+    # is below (bound / a)**(1/k) <= iroot(ceil(bound / a), k) + 1
     T = iroot(-(-bound // a), len(mults)) + b
-    return sorted(set().union(*(chain.from_iterable(_thin_set(A, T, a, b)) for A in mults)))
+    return sorted(set().union(*(chain.from_iterable(_thin_set(A, T, a, b, S)) for A in mults)))
 
 
 def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list]]:
     """Advance `scan` to X and return the (x, value, residuals) in (scan.X,
     X] where the value reaches a new strict minimum, exactly; ties keep the
-    first.  `residuals` holds (alpha * x).nearest() per alpha.  X >
-    SCAN_MAX_X raises ParameterError before anything is scanned.
+    first.  `residuals` holds (alpha * x).nearest() per alpha.
 
     The range runs in blocks [a, 2a - 1].  Each block lists only the x that
     the bound at its start admits (:func:`_candidates`), screens them on
     exact integer bounds of their scaled values and confirms the survivors
     in exact arithmetic.  A scan whose best value is 0 has no further
     record and only advances X."""
-    if X > SCAN_MAX_X:
-        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
     records: list[tuple[int, SurdSum, list]] = []
     is_max = scan.combine == "max"
     best, bound = scan.best, scan.bound
-    mults = [(alpha * _ONE).floor() % _ONE for alpha in scan.alphas]
+    # S = 2**bits >= X**2; a scale grown by g bits multiplies the scaled
+    # value, and so its upper bound, by 2**g per residual factor
+    bits = max(scan.bits, 2 * (X - 1).bit_length())
+    if bound is not None:
+        bound <<= (bits - scan.bits) * (1 if is_max else len(scan.alphas))
+    S = 1 << bits
+    mults = [(alpha * S).floor() % S for alpha in scan.alphas]
     a = scan.X + 1
     while a <= X and not (best is not None and best.is_zero()):
         b = min(2 * a - 1, X)
-        xs = list(range(a, b + 1)) if bound is None else _candidates(mults, is_max, bound, a, b)
-        dists = [_distances(A, xs) for A in mults]
-        # integer bounds lo <= S value(x) <= hi, with the scale S = 2**64
-        # for the max and 2**(64k) for a product of k residuals
+        xs = list(range(a, b + 1)) if bound is None else _candidates(mults, is_max, bound, a, b, S)
+        dists = [_distances(A, xs, S) for A in mults]
+        # integer bounds lo <= S value(x) <= hi for the max, and lo <=
+        # S**k value(x) <= hi for a product of k residuals
         if is_max:
             d_max = [max(ds) for ds in zip(*dists)]
             lows = [t - x if t > x else 0 for t, x in zip(d_max, xs)]
@@ -534,8 +535,8 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
             lows = xs
             for ds in dists:
                 lows = [lo * (d - x) if d > x else 0 for lo, d, x in zip(lows, ds, xs)]
-        # A record has lo <= S value < S best <= hi(x') for every x'
-        # scanned before it, so lo < the running minimum of hi.
+        # A record has lo <= its scaled value < the scaled best <= hi(x')
+        # for every x' scanned before it, so lo < the running minimum of hi.
         # An x with lo at or above it is no record and its hi >= lo cannot
         # lower that minimum, so only the others need an upper bound.
         limit = math.inf if bound is None else bound
@@ -562,7 +563,7 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
                 if val.is_zero():
                     break
         a = b + 1
-    scan.X, scan.bound, scan.best = max(scan.X, X), bound, best
+    scan.X, scan.bound, scan.best, scan.bits = max(scan.X, X), bound, best, bits
     return records
 
 
@@ -603,17 +604,10 @@ def _observed_M(spec: CFSpec) -> int:
     return max(pre[1:] + per, default=1)
 
 
-def joint_bad_profile(alpha: CFSpec, beta: CFSpec, Q: int = 1000) -> BadProfile:
-    """Joint profile of a pair: M is the max over both expansions and the
-    constant estimate is the max of the two single scans."""
-    M = max(_observed_M(alpha), _observed_M(beta))
-    C = max(bad_constant_estimate(alpha, Q), bad_constant_estimate(beta, Q))
-    return BadProfile(M, (M + 1) ** 2, C)
-
-
 def lcm_time(alpha: CFSpec, beta: CFSpec, n: int) -> int:
     """t_n = lcm(q_{2n}(alpha), q_{2n}(beta)), with the proven sandwich
-    2^(n-1) <= t_n <= lambda^(2n) asserted (lambda from the joint profile)."""
+    2^(n-1) <= t_n <= lambda^(2n) asserted (lambda = (M+1)^2, M the larger
+    partial-quotient bound of the two expansions)."""
     if n < 0:
         raise ValueError("n must be >= 0")
     qa = convergent(alpha, 2 * n).q

@@ -591,9 +591,9 @@ def fixed_enclosure(x) -> tuple[int, int]:
     return fixed_enclosure(as_surdsum(x))
 
 
-def _inverse_square_floor(m: SurdSum, c: RationalLike, cap: int) -> int:
+def _inverse_square_floor(m: SurdSum, c: RationalLike, cap: int | float) -> int | float:
     """min(floor(c / m**2), cap) for m >= 0 and a rational c > 0, exactly
-    (m = 0 gives the cap)."""
+    (m = 0 gives the cap, which may be math.inf)."""
     if m.is_zero():
         return cap
     c = Fraction(c)

@@ -20,13 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cfrac import (
-    SCAN_MAX_X,
-    CFSpec,
-    ParameterError,
-    ResidualScan,
-    residual_minima,
-)
+from .cfrac import CFSpec, ParameterError, ResidualScan, residual_minima
 from .exactnum import (
     DyadicInterval,
     SurdSum,
@@ -52,7 +46,7 @@ __all__ = [
     "cartan_measure",
 ]
 
-_MAGNITUDE_BITS = 128  # precision of the |f| enclosure in an FEval
+_ENCLOSURE_BITS = 128  # precision of the enclosures in an FEval and a MinRecord
 
 
 class TheoremViolationError(RuntimeError):
@@ -119,7 +113,7 @@ def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
     sign = certified_sign(fx)
     cmp_eps = certified_sign(fx * fx - epsilon * epsilon)
     vs = "below" if cmp_eps < 0 else ("equal" if cmp_eps == 0 else "above")
-    return FEval(sign, fx.interval(_MAGNITUDE_BITS).abs(), fx, vs)
+    return FEval(sign, fx.interval(_ENCLOSURE_BITS).abs(), fx, vs)
 
 
 def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdSum, SurdSum]:
@@ -134,9 +128,10 @@ def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdS
 def _best_approximations(alpha: SurdSum, beta: SurdSum):
     """(scan, keys, points) for the running-minimum records of m(x) =
     max(||x*alpha||, ||x*beta||) over the scanned [1, scan.X], Lagarias's
-    best simultaneous approximations: per record the key min(floor(1/m**2),
-    SCAN_MAX_X), which never decreases along the list, and the lattice
-    point with its two residuals.  dirichlet_search grows the lists."""
+    best simultaneous approximations: per record the key floor(1/m**2)
+    (infinite at m = 0, a rational pair), which never decreases along the
+    list, and the lattice point with its two residuals.  dirichlet_search
+    grows the lists."""
     return ResidualScan((alpha, beta), "max"), [], []
 
 
@@ -152,20 +147,17 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     dyadic block [X + 1, 2X + 1] at a time, toward max(N, 2 * X) from the
     scanned X, and stops at the first block with a record that answers it.
     Existence for N >= 2 is a Minkowski/pigeonhole guarantee, so an empty
-    result raises TheoremViolationError, and N > 2**32 raises
-    ParameterError.
+    result raises TheoremViolationError.
     """
     if N < 2:
         raise ParameterError("N must be >= 2")
-    if N > SCAN_MAX_X:
-        raise ParameterError(f"scan range {N} exceeds 2**32, the residual kernel's range")
     alpha, beta = surdsum_of(alpha), surdsum_of(beta)
     scan, keys, points = _best_approximations(alpha, beta)
-    target = min(max(N, 2 * scan.X), SCAN_MAX_X)
+    target = max(N, 2 * scan.X)
     i = bisect_left(keys, N)
     while i == len(keys) and scan.X < target:
         for x, m, ((ya, ua), (yb, ub)) in residual_minima(scan, min(2 * scan.X + 1, target)):
-            keys.append(_inverse_square_floor(m, 1, SCAN_MAX_X))
+            keys.append(_inverse_square_floor(m, 1, math.inf))
             points.append((LatticePoint(x, ya, yb), ua, ub))
         i = bisect_left(keys, N, i)
     if i == len(keys) or points[i][0].x > N:
@@ -184,18 +176,18 @@ class MinRecord:
     value: SurdSum
 
 
-def brute_min_scan(alpha, beta, X: int, bits: int = 128) -> list[MinRecord]:
+def brute_min_scan(alpha, beta, X: int) -> list[MinRecord]:
     """Every x in [1, X] where x*||x*alpha||*||x*beta|| reaches a new
     minimum, with certified value enclosures.
 
     Candidates come from cfrac.residual_minima, whose screen provably keeps
-    every record, and are settled exactly.  X > 2**32 raises ParameterError.
+    every record, and are settled exactly.
     """
     if X < 1:
         raise ParameterError("X must be >= 1")
     records: list[MinRecord] = []
     for x, val, _ in residual_minima(ResidualScan((surdsum_of(alpha), surdsum_of(beta))), X):
-        iv = val.interval(bits)
+        iv = val.interval(_ENCLOSURE_BITS)
         records.append(MinRecord(x, iv.lo, iv.hi, val))
     return records
 

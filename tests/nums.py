@@ -1,7 +1,7 @@
 """Shared test numbers, small generators, the CSV reader, and the
 continued-fraction cycle, entry-time, entry-time comparator,
-running-minimum, Dirichlet-point, transversality, cone-row, u-grid and
-fixed-point Horner oracles."""
+running-minimum (numpy and convergent), Dirichlet-point, transversality,
+cone-row, u-grid and fixed-point Horner oracles."""
 
 import csv
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from littlewood import rootfind
 from littlewood.certificate import GridCheckResult
-from littlewood.cfrac import SCAN_MAX_X, CFSpec, ResidualScan, _below
+from littlewood.cfrac import CFSpec, ResidualScan, _below, cf_expand, convergents
 from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
@@ -239,6 +239,9 @@ def tau_vs_squared(line, params, k, strict: bool = False) -> bool:
 
 
 ORACLE_CHUNK = 2**14  # x per numpy array of the oracles below
+# The uint64 bounds below need x * 2**-64 < 1/x, the size of the residuals
+# min q*||q*alpha|| looks at, so the numpy oracles stop at 2**32.
+ORACLE_MAX_X = 2**32
 
 
 def residual_chunks(alphas, start: int, X: int):
@@ -247,8 +250,8 @@ def residual_chunks(alphas, start: int, X: int):
     chunk by the integer argument beside cfrac._distances (the uint64
     product P = x * floor(frac(alpha) * 2**64), D = min(P, 2**64 - P),
     lo = max(D - x, 0), hi = D + x)."""
-    if X > SCAN_MAX_X:
-        raise ParameterError(f"scan range {X} exceeds 2**32, the residual kernel's range")
+    if X > ORACLE_MAX_X:
+        raise ParameterError(f"oracle range {X} exceeds 2**32, the uint64 bounds' range")
     mults = [np.uint64(((a - a.floor()) * (1 << 64)).floor()) for a in alphas]
     for first in range(start, X + 1, ORACLE_CHUNK):
         xs = np.arange(first, min(first + ORACLE_CHUNK, X + 1), dtype=np.uint64)
@@ -298,6 +301,27 @@ def residual_minima_full(scan: ResidualScan, X: int):
                 records.append((x, val, residuals))
                 best = val
     scan.X, scan.best = max(scan.X, X), best
+    return records
+
+
+def convergent_minima(spec: CFSpec, Q: int):
+    """One-alpha running-minimum oracle at any Q, for an irrational alpha:
+    the (q, q*||q*alpha||, [(alpha * q).nearest()]) records of
+    cfrac.residual_minima over 1 <= q <= Q, read off the convergent
+    denominators.  q = 1 = q_0 gives ||alpha|| < 1/2, and by Legendre a q
+    with q*||q*alpha|| < 1/2 has alpha within 1/(2 q**2) of p/q, so p/q is
+    a convergent p_n/q_n with q = k q_n and value k**2 times that of q_n:
+    every record is a convergent denominator."""
+    alpha = spec.value_surdsum()
+    # q_n >= F_(n+1) > 1.6**(n-1), so 2 * bitlen(Q) + 2 quotients pass Q
+    dens = sorted({c.q for c in convergents(cf_expand(spec, 2 * Q.bit_length() + 2)) if c.q <= Q})
+    records, best = [], None
+    for q in dens:
+        y, u = (alpha * q).nearest()
+        val = q * u.abs()
+        if best is None or certified_sign(val - best) < 0:
+            records.append((q, val, [(y, u)]))
+            best = val
     return records
 
 

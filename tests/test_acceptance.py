@@ -39,7 +39,6 @@ from littlewood.cfrac import (
     convergents,
     error_term,
     growth_bounds_check,
-    joint_bad_profile,
     lcm_time,
     levy_quotient,
     _observed_M,
@@ -352,7 +351,7 @@ def test_criterion_12_soundness():
 
 def test_criterion_13_liminf_scan():
     t0 = time.time()
-    records = brute_min_scan(SQRT2M1, SQRT3M1, 10**6, bits=128)
+    records = brute_min_scan(SQRT2M1, SQRT3M1, 10**6)
     ok = records[0].x == 1
     for a, b in zip(records, records[1:]):
         ok = ok and certified_sign(b.value - a.value) < 0

@@ -118,20 +118,21 @@ def test_search_full_grid_guard(monkeypatch):
         )
 
 
-def test_search_refuses_max_N_beyond_the_scan_range_before_any_cell(monkeypatch):
-    # this pair's transversality ceiling passes 2**32, where no Dirichlet
-    # point can be found; the search must refuse before the first cell
-    calls = []
-    real = certificate.theorem_check
-    monkeypatch.setattr(
-        certificate, "theorem_check", lambda *args: calls.append(args) or real(*args)
-    )
+def test_search_runs_past_2_to_the_32():
+    # e = 0 for a rational pair, so the transversality ceiling is max_N and
+    # the geometric grid doubles from the Dirichlet floor 6 up to 10**10;
+    # each cell's x0 is checked exactly to be the least x whose residuals
+    # both have square at most 1/N
     alpha, beta = parse_number_spec("rat:3/7"), parse_number_spec("rat:2/7")
-    with pytest.raises(ParameterError, match=r"2\*\*32"):
-        certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=2**32 + 1)
-    assert calls == []
-    out = certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=2**32)
-    assert len(calls) == len(out.cells) == 31 and out.cells[-1].N == 2**32
+    out = certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=10**10)
+    assert [c.N for c in out.cells] == [6 * 2**k for k in range(31)] + [10**10]
+    values = (alpha.value_surdsum(), beta.value_surdsum())
+    for cell in out.cells:
+        for x in range(1, cell.x0 + 1):
+            residuals = [(v * x).nearest()[1] for v in values]
+            near = all(certified_sign(u * u * cell.N - 1) <= 0 for u in residuals)
+            assert near == (x == cell.x0), (cell.N, x)
+    assert {c.x0 for c in out.cells} == {3, 7} and out.found is None
 
 
 def test_transversality_ceiling_monotone():

@@ -13,7 +13,6 @@ from littlewood.cfrac import (
     InternalInconsistencyError,
     ParameterError,
     ProfileViolationError,
-    SCAN_MAX_X,
     ResidualScan,
     bad_constant_scan,
     bad_constant_estimate,
@@ -22,7 +21,6 @@ from littlewood.cfrac import (
     convergents,
     error_term,
     growth_bounds_check,
-    joint_bad_profile,
     lcm_growth_profile,
     lcm_time,
     levy_quotient,
@@ -51,6 +49,7 @@ from nums import (
     SURD_POOL,
     TEST_PAIRS,
     cf_cycle_floor_invert,
+    convergent_minima,
     quad,
     residual_minima_full,
 )
@@ -349,6 +348,16 @@ def test_bad_constant_scan_matches_exact_oracle(spec, Q):
     assert best == want
 
 
+@pytest.mark.parametrize("text", ["sqrt:2", "sqrt:7", "quad:1,1,2,5"])
+def test_one_alpha_scans_match_the_convergent_oracle_to_1e30(text):
+    # far past the numpy oracles' uint64 range: every record of
+    # q*||q*alpha|| is a convergent denominator (Legendre)
+    spec = parse_number_spec(text, True)
+    want = convergent_minima(spec, 10**30)
+    assert residual_minima(ResidualScan((spec.value_surdsum(),)), 10**30) == want
+    assert bad_constant_scan(spec, 10**30) == (want[-1][1], want[-1][0])
+
+
 def test_bad_constant_scan_rejects_Q_below_one():
     with pytest.raises(ParameterError, match="Q must be >= 1"):
         bad_constant_scan(SPEC_SQRT2M1, 0)
@@ -437,32 +446,85 @@ def test_residual_minima_matches_the_oracle_at_large_resumed_stops():
             assert (scan.X, scan.best) == (full.X, full.best), case
 
 
-def thin_set_brute(A: int, T: int, a: int, b: int) -> list[int]:
-    """Oracle: every x in [a, b] with |x*A mod+- 2**64| <= T, one by one."""
-    M = 1 << 64
-    return [x for x in range(a, b + 1) if min(x * A % M, -x * A % M) <= T]
+TWO_ALPHA_PAIRS = [(SQRT2M1, SQRT3M1), (quad(-2, 1, 1, 7), quad(-3, 1, 1, 13))]
+
+
+@pytest.mark.parametrize("combine", ["product", "max"])
+def test_two_alpha_records_do_not_depend_on_the_scale(combine):
+    # the scale only sets how tight the integer screen is: 32 more bits
+    # give the same records, at stops inside 2**32 and past it
+    for alphas in TWO_ALPHA_PAIRS:
+        for X in (10**6, 2**32, 2**36):
+            scan = ResidualScan(alphas, combine)
+            records = residual_minima(scan, X)
+            wider = ResidualScan(alphas, combine, bits=scan.bits + 32)
+            assert residual_minima(wider, X) == records, (alphas, X)
+
+
+def _rational_with_a_late_record() -> SurdSum:
+    """[0; 2 (25 times), 1, 5, 2, 2]: q*||q*alpha|| has a record at q_26 =
+    4,478,554,083, just past 2**32, where the quotient 5 follows; there
+    the integer lower bound of the record is positive."""
+    c = convergents([0] + [2] * 25 + [1, 5, 2, 2])[-1]
+    return _rat(c.p, c.q)
+
+
+@pytest.mark.parametrize(
+    "alphas, combine",
+    [
+        # sqrt(5) - 2 and (sqrt(5) - 1)/2 are dependent over Q: the product
+        # has records at Fibonacci x, three of them in (2**32, 3 * 2**32]
+        ((quad(-2, 1, 1, 5), quad(-1, 1, 2, 5)), "product"),
+        ((SQRT2M1, SQRT3M1), "max"),
+        ((_rational_with_a_late_record(),), "product"),
+    ],
+    ids=["product-2", "max-2", "product-1"],
+)
+def test_scan_resumed_across_2_to_the_32_matches_one_shot(alphas, combine):
+    # each resume past 2**32 grows the scale and shifts the carried bound;
+    # a bound shifted too little would drop the records past 2**32
+    whole = residual_minima(ResidualScan(alphas, combine), 3 * 2**32)
+    assert whole[-1][0] > 2**32 + 7
+    scan, pieces = ResidualScan(alphas, combine), []
+    for X in (10**6, 2**32 - 5, 2**32 + 7, 3 * 2**32):
+        pieces += residual_minima(scan, X)
+    assert pieces == whole
+    assert scan.X == 3 * 2**32 and scan.bits == 68
+
+
+def thin_set_brute(A: int, T: int, a: int, b: int, S: int) -> list[int]:
+    """Oracle: every x in [a, b] with |x*A mod+- S| <= T, one by one."""
+    return [x for x in range(a, b + 1) if min(x * A % S, -x * A % S) <= T]
+
+
+def check_thin_set(S: int, k_max: int) -> None:
+    """Each x of the thin set once, inside [a, b], none missing: A = 0, S/2
+    (D = S/2 at every odd x), small, near S and random; ranges with a = b,
+    a = 1, and ends at block edges 2**k +- 1 for k < k_max, at most 2**13
+    long; T = 0, small, near the lattice spacing, S/2 - 1 (all but D = S/2)
+    and >= S/2 (the whole range)."""
+    rng = random.Random(64)
+    for trial in range(600):
+        A = rng.choice([0, S // 2, rng.randrange(1, 50), S - rng.randrange(1, 50), rng.randrange(S)])
+        k = rng.randrange(1, k_max)
+        a = rng.choice([1, rng.randrange(1, 3000), 2**k - 1, 2**k, 2**k + 1])
+        b = rng.choice([a, a + rng.randrange(2000), 2 * a - 1, 2**(k + 1) - 1, 2**(k + 1) + 1])
+        b = min(max(a, b), a + 2**13)
+        T = rng.choice([0, rng.randrange(1, 20), rng.randrange(S // (b - a + 1)), S // 2 - 1,
+                        S // 2, S + rng.randrange(S)])
+        got = [x for r in _thin_set(A, T, a, b, S) for x in r]
+        case = (A, T, a, b, S)
+        assert len(got) == len(set(got)), case
+        assert sorted(got) == thin_set_brute(A, T, a, b, S), case
 
 
 def test_thin_set_matches_brute_force():
-    # each x of the thin set once, inside [a, b], none missing: A = 0,
-    # 2**63 (D = 2**63 at every odd x), small, near 2**64 and random;
-    # ranges with a = b, a = 1, and ends at block edges 2**k +- 1; T = 0,
-    # small, near the lattice spacing, 2**63 - 1 (all but D = 2**63) and
-    # >= 2**63 (the whole range)
-    M = 1 << 64
-    rng = random.Random(64)
-    for trial in range(600):
-        A = rng.choice([0, 2**63, rng.randrange(1, 50), M - rng.randrange(1, 50), rng.randrange(M)])
-        k = rng.randrange(1, 12)
-        a = rng.choice([1, rng.randrange(1, 3000), 2**k - 1, 2**k, 2**k + 1])
-        b = rng.choice([a, a + rng.randrange(2000), 2 * a - 1, 2**(k + 1) - 1, 2**(k + 1) + 1])
-        b = max(a, b)
-        T = rng.choice([0, rng.randrange(1, 20), rng.randrange(M // (b - a + 1)), 2**63 - 1,
-                        2**63, M + rng.randrange(M)])
-        got = [x for r in _thin_set(A, T, a, b) for x in r]
-        case = (A, T, a, b)
-        assert len(got) == len(set(got)), case
-        assert sorted(got) == thin_set_brute(A, T, a, b), case
+    check_thin_set(2**64, 12)
+
+
+def test_thin_set_matches_brute_force_at_scale_2_96():
+    # the scale of a scan past 2**48; blocks up to 2**40
+    check_thin_set(2**96, 40)
 
 
 def test_candidates_hold_every_x_the_screen_admits():
@@ -478,24 +540,24 @@ def test_candidates_hold_every_x_the_screen_admits():
         a = rng.choice([1, 2, rng.randrange(1, 3000), 2 ** rng.randrange(1, 12)])
         b = rng.choice([a, min(2 * a - 1, a + rng.randrange(3000)), 2 * a - 1])
         xs = list(range(a, b + 1))
-        dists = [_distances(A, xs) for A in mults]
+        dists = [_distances(A, xs, M) for A in mults]
         if is_max:
             lows = [max(max(ds) - x, 0) for x, ds in zip(xs, zip(*dists))]
         else:
             lows = [x * math.prod(max(d - x, 0) for d in ds) for x, ds in zip(xs, zip(*dists))]
         for i in (rng.randrange(len(xs)), len(xs) - 1):
             bound = lows[i] + 1
-            got = _candidates(mults, is_max, bound, a, b)
+            got = _candidates(mults, is_max, bound, a, b, M)
             case = (is_max, mults, a, b, bound)
             assert got == sorted(set(got)) and all(a <= x <= b for x in got), case
             assert {x for x, lo in zip(xs, lows) if lo < bound} <= set(got), case
 
 
-def test_integer_residual_bounds_enclose_the_exact_residual():
-    # D - x < 2**64 * ||x*alpha|| < D + x for the kernel's D = |x*A mod+-
-    # 2**64|, A = floor(frac(alpha) * 2**64), for x up to 2**32, integer
-    # parts up to 10**9, radicands up to 10**6, and rational alpha; alpha
-    # = 1/2 makes D = 2**63 at every odd x
+def check_residual_bounds(S: int, x_max: int) -> None:
+    """D - x < S * ||x*alpha|| < D + x for the kernel's D = |x*A mod+- S|,
+    A = floor(frac(alpha) * S), for x up to x_max, integer parts up to
+    10**9, radicands up to 10**6, and rational alpha; alpha = 1/2 makes
+    D = S/2 at every odd x."""
     rng = random.Random(20261018)
     for trial in range(81):
         if trial == 80:
@@ -511,14 +573,22 @@ def test_integer_residual_bounds_enclose_the_exact_residual():
                 rng.randrange(1, 1000),
                 rng.randrange(2, 10**6 + 1),
             ) + rng.randrange(-10**9, 10**9 + 1)
-        xs = [1, 2, SCAN_MAX_X - 1, SCAN_MAX_X]
-        xs += [rng.randrange(1, SCAN_MAX_X + 1) for _ in range(6)]
+        xs = [1, 2, x_max - 1, x_max]
+        xs += [rng.randrange(1, x_max + 1) for _ in range(6)]
         xs += [rng.randrange(1, 10**6) for _ in range(2)]
-        A = ((alpha - alpha.floor()) * 2**64).floor()
-        for x, D in zip(xs, _distances(A, xs)):
-            scaled = (alpha * x).nearest()[1].abs() * 2**64
+        A = ((alpha - alpha.floor()) * S).floor()
+        for x, D in zip(xs, _distances(A, xs, S)):
+            scaled = (alpha * x).nearest()[1].abs() * S
             assert certified_sign(scaled - (D - x)) > 0, (alpha, x)
             assert certified_sign(D + x - scaled) > 0, (alpha, x)
+
+
+def test_integer_residual_bounds_enclose_the_exact_residual():
+    check_residual_bounds(2**64, 2**32)
+
+
+def test_integer_residual_bounds_enclose_the_exact_residual_at_scale_2_96():
+    check_residual_bounds(2**96, 2**40)
 
 
 # -- lcm times ---------------------------------------------------------------
@@ -546,10 +616,11 @@ def test_lcm_time_equal_and_coprime():
 
 
 def test_lcm_time_bounds_hold():
+    lam = (max(_observed_M(SPEC_SQRT2M1), _observed_M(SPEC_SQRT3M1)) + 1) ** 2
+    assert lam == 9
     for n in range(1, 15):
         t = lcm_time(SPEC_SQRT2M1, SPEC_SQRT3M1, n)
-        prof = joint_bad_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, Q=1)
-        assert 2 ** (n - 1) <= t <= prof.lam ** (2 * n)
+        assert 2 ** (n - 1) <= t <= lam ** (2 * n)
 
 
 # purely periodic without --frac (empty preperiod, a_0 recurs as a_1, a_2,
@@ -577,9 +648,3 @@ def test_lcm_growth_profile():
     prof = lcm_growth_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, 16)
     assert 0 < prof.liminf_estimate <= prof.limsup_estimate
     assert len(prof.quotients) == 16
-
-
-def test_joint_profile():
-    prof = joint_bad_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, Q=100)
-    assert prof.M == 2 and prof.lam == 9
-    assert prof.C_estimate > 0

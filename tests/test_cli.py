@@ -401,9 +401,6 @@ def test_usage_errors_exit_2(tmp_path):
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
          "--epsilon", "0.01", "--n-max", "0"],
-        # --max-N above 2**32, the scan range, is refused before the first cell
-        ["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
-         "--n-max", "1", "--max-N", "10000000000"],
         # a full grid of more cells than the search takes for one n
         ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1e30",
          "--n-max", "1", "--grid", "full", "--max-N", "10000000"],
@@ -423,7 +420,7 @@ def test_usage_errors_exit_2(tmp_path):
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "b3-max-N-0", "b3-max-N-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
-         "certificate-N-beyond-scan-range", "certificate-full-grid-too-large",
+         "certificate-full-grid-too-large",
          "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",
          "cone-radicand-uncertified", "b3-radicand-uncertified"],
@@ -440,6 +437,19 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_certificate_max_N_past_2_to_the_32(tmp_path, capsys):
+    # a rational pair is transversal at every N, so the geometric grid runs
+    # to max_N = 10**10; each cell's Dirichlet point is exact (x0 = 3 or 7)
+    out = tmp_path / "cert.csv"
+    assert _run(["certificate", "--alpha", "rat:3/7", "--beta", "rat:2/7", "--epsilon", "1/10",
+                 "--n-max", "1", "--max-N", "10000000000", "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "" and "searched 32 (n, N) cells" in printed.out
+    rows = read_csv(out).rows
+    assert len(rows) == 32 and rows[-1]["N"] == "10000000000"
+    assert {row["x0"] for row in rows} == {"3", "7"}
 
 
 def test_huge_epsilon_ends_in_the_exact_verdict(tmp_path, capsys):

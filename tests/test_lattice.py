@@ -10,8 +10,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from littlewood import cfrac, lattice
-from littlewood.cfrac import bad_constant_estimate, bad_constant_scan
+from littlewood import lattice
+from littlewood.cfrac import ResidualScan, bad_constant_estimate, bad_constant_scan, residual_minima
 from littlewood.exactnum import (
     SurdSum,
     _inverse_square_floor,
@@ -38,6 +38,7 @@ from nums import (
     SQRT2M1,
     SQRT3M1,
     SURD_POOL,
+    convergent_minima,
     dirichlet_search_chunked,
     surd_nearest_int,
 )
@@ -121,19 +122,30 @@ def test_dirichlet_rejects_small_N():
         dirichlet_search(SQRT2M1, SQRT3M1, 1)
 
 
-def test_dirichlet_rejects_N_beyond_screen_bound(monkeypatch):
-    def no_candidates(*args, **kwargs):
-        raise AssertionError("listed candidates")
+def test_scans_answer_past_2_to_the_32():
+    # the scan's scale grows with its range, so all three residual scans
+    # answer at 5*10**9; each answer is checked in exact arithmetic
+    N = 5 * 10**9
+    dp = dirichlet_search(SQRT2M1, SQRT3M1, N)
+    x, y, z = dp.point
+    assert (dp.U0, dp.V0) == (SQRT2M1 * x - y, SQRT3M1 * x - z)
+    assert certified_sign(dp.U0 * dp.U0 * N - 1) <= 0
+    assert certified_sign(dp.V0 * dp.V0 * N - 1) <= 0
+    # every x' < x has m(x') >= m of a record before x: all of them fail
+    records = residual_minima(ResidualScan((SQRT2M1, SQRT3M1), "max", bits=128), x)
+    assert records[-1][0] == x
+    assert all(certified_sign(m * m * N - 1) > 0 for _, m, _ in records[:-1])
 
-    monkeypatch.setattr(cfrac, "_thin_set", no_candidates)
-    monkeypatch.setattr(cfrac, "_distances", no_candidates)
-    with pytest.raises(ParameterError):
-        dirichlet_search(SQRT2M1, SQRT3M1, 5 * 10**9)
-    # the same range bound holds for the other two residual scans
-    with pytest.raises(ParameterError):
-        brute_min_scan(SQRT2M1, SQRT3M1, 5 * 10**9)
-    with pytest.raises(ParameterError):
-        bad_constant_scan(SPEC_SQRT2M1, 5 * 10**9)
+    recs = brute_min_scan(SQRT2M1, SQRT3M1, N)
+    for r in recs:
+        ua = SQRT2M1 * r.x - surd_nearest_int(SQRT2M1 * r.x)
+        ub = SQRT3M1 * r.x - surd_nearest_int(SQRT3M1 * r.x)
+        assert r.value == r.x * ua.abs() * ub.abs()
+        assert r.lo <= r.value.interval(256).lo and r.value.interval(256).hi <= r.hi
+    assert all(certified_sign(b.value - a.value) < 0 for a, b in zip(recs, recs[1:]))
+
+    q, best, _ = convergent_minima(SPEC_SQRT2M1, N)[-1]
+    assert bad_constant_scan(SPEC_SQRT2M1, N) == (best, q)
 
 
 def test_scans_ignore_integer_part_of_alpha():
@@ -242,11 +254,19 @@ def test_dirichlet_lookup_beyond_the_first_chunks():
         (SurdSum.sqrt(2, 2**30) - Fraction(math.isqrt(2 * 4**90), 2**60)
          + Fraction(1, 2**15), 2**30 - 1),
         (Fraction(0), 2**32),
-        (Fraction(1, 2**20), 2**32),  # capped at the scan range
+        (Fraction(1, 2**20), 2**32),  # capped
     ],
 )
 def test_inverse_square_floor_is_exact(m, key):
     assert _inverse_square_floor(as_surdsum(m), 1, 2**32) == key
+
+
+def test_dirichlet_keys_are_uncapped():
+    # the Dirichlet keys pass no cap: m = 0 (a rational pair) answers every N
+    assert _inverse_square_floor(as_surdsum(0), 1, math.inf) == math.inf
+    assert _inverse_square_floor(as_surdsum(Fraction(1, 2**40)), 1, math.inf) == 2**80
+    dp = dirichlet_search(Fraction(3, 7), Fraction(2, 7), 10**30)
+    assert dp.point == LatticePoint(7, 3, 2) and dp.U0.is_zero() and dp.V0.is_zero()
 
 
 def test_dirichlet_sweep_extends_the_scan_logarithmically(monkeypatch):
@@ -313,12 +333,13 @@ def test_brute_min_record_beyond_the_first_chunks():
 
 
 def test_brute_min_scan_memory_does_not_grow_with_X():
-    # the scan holds the candidates of one dyadic block, O(sqrt(X)) of
-    # them: its traced peak stays far below one 8-byte word per x and
-    # grows by less than 64 KiB from X = 10**6 to four times that range
+    # the scan holds the candidates of one dyadic block, about sqrt(R*X) of
+    # them: its traced peak stays far below one 8-byte word per x, and from
+    # X = 10**6 to 16 times that range it grows at most sqrt(16) = 4 times,
+    # where memory linear in X would grow 16 times
     brute_min_scan(SQRT2M1, SQRT3M1, 1000)  # imports and caches
     peaks = []
-    for X in (10**6, 4 * 10**6):
+    for X in (10**6, 16 * 10**6):
         tracemalloc.start()
         try:
             brute_min_scan(SQRT2M1, SQRT3M1, X)
@@ -326,7 +347,7 @@ def test_brute_min_scan_memory_does_not_grow_with_X():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 3 * 2**20, peaks
-    assert peaks[1] <= peaks[0] + 2**16, peaks
+    assert peaks[1] <= 4 * peaks[0], peaks
 
 
 def test_brute_min_matches_plain_float_oracle():
