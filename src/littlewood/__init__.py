@@ -11,8 +11,10 @@ sufficient condition that would make the strategy fire, with brute-force
 oracles alongside every step.
 
 All number-theoretic decisions (signs, comparisons, memberships) are made
-in exact arithmetic; floating point appears only in a screen with a proven
-margin, whose nominations are always confirmed exactly.
+in exact arithmetic.  Floating point appears only in displayed values
+(Levy quotients, the cartan bound_2e_eps13 column, the grid check's
+min_margin) and in the CSV writer's log10 guess of a decimal exponent,
+which integer arithmetic then checks.
 """
 
 __version__ = "0.1.0"

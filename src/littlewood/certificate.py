@@ -42,9 +42,9 @@ from .cfrac import (
 from .cone import ConeParams, cone_contains
 from .entrytime import (
     ApproxLine,
-    _transversality_budget,
     approx_line,
     entry_time,
+    transversality_ceiling,
     transversality_check,
 )
 from .exactnum import (
@@ -52,7 +52,6 @@ from .exactnum import (
     SurdSum,
     certified_sign,
     frac_pow_interval,
-    iroot,
 )
 from .lattice import (
     LatticePoint,
@@ -73,7 +72,6 @@ __all__ = [
     "verify_certificate",
     "infeasibility_grid_check",
     "b3_infeasibility_scan",
-    "transversality_ceiling",
 ]
 
 # the reasons a cell can carry, one per failing link of theorem_check; a
@@ -104,7 +102,6 @@ class TheoremCheck:
     t_n: int | None = None
     chain_ok: bool = False
     direct_ok: bool | None = None  # tau <= t_n < x0
-    tn_below_x0: bool | None = None  # the looser t_n < x0 alone
     reason: str | None = None
     candidate: LatticePoint | None = None
     verified: bool | None = None
@@ -116,35 +113,15 @@ def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool
     return fe.sign != 0 and fe.vs_epsilon in ("below", "equal")
 
 
-def transversality_ceiling(epsilon, e_alpha, e_beta, max_N: int) -> int:
-    """Largest N <= max_N passing the transversality condition (1 when even
-    N = 2 fails); max_N < 2 is a ParameterError.
-
-    The condition is N (N-1)^2 <= K for one integer K (see
-    transversality_check), and N (N-1)^2 increases with N.  With r =
-    iroot(K, 3), r^3 <= K < (r+1)^3 puts the answer at r + 1 or r.
-    """
-    if max_N < 2:
-        raise ParameterError("N must be >= 2")
-    K = _transversality_budget(epsilon, e_alpha, e_beta, max_N * (max_N - 1) ** 2)
-    if K < 2:
-        return 1
-    N = min(max_N, iroot(K, 3) + 1)
-    while N * (N - 1) ** 2 > K:
-        N -= 1
-    return N
-
-
 def _gamma_lattice_point(line: ApproxLine, t_n: int) -> LatticePoint:
     """gamma_n(t_n) with exact integer coordinates (t_n is a multiple of
     both convergent denominators)."""
     x0, y0, z0 = tuple(line.P0.point)
-    if t_n % line.q2n_alpha or t_n % line.q2n_beta:
+    ea, eb = line.e_alpha, line.e_beta
+    if t_n % ea.q_n or t_n % eb.q_n:
         raise ParameterError("t_n must be a common multiple of q_2n's")
     return LatticePoint(
-        x0 - t_n,
-        y0 - (t_n // line.q2n_alpha) * line.p2n_alpha,
-        z0 - (t_n // line.q2n_beta) * line.p2n_beta,
+        x0 - t_n, y0 - (t_n // ea.q_n) * ea.p_n, z0 - (t_n // eb.q_n) * eb.p_n
     )
 
 
@@ -183,7 +160,7 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
 
     base = dict(
         n=n, N=N, epsilon=epsilon, lam=lam, transversal=True, x0=x0, tau=rep.tau,
-        t_n=t_n, direct_ok=rep.tau_vs(t_n) and t_n < x0, tn_below_x0=t_n < x0,
+        t_n=t_n, direct_ok=rep.tau_vs(t_n) and t_n < x0,
     )
     # the chain tau_n <= 2^(n-1) < lambda^(2n) <= x0 - 2; its middle link
     # always holds: M >= 1, so lambda = (M+1)^2 >= 4 and lambda^(2n) >= 2^(4n)

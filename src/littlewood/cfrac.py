@@ -64,10 +64,6 @@ __all__ = [
     "lcm_growth_profile",
 ]
 
-QUADRATIC_SURD = "quadratic-surd"
-EXPLICIT_PERIODIC = "explicit-periodic"
-FINITE_RATIONAL = "finite-rational"
-
 # Almost-every-alpha limit of log(q_n)/n (Levy); comparison line only.
 LEVY_AE_LOG = math.pi**2 / (12 * math.log(2))
 
@@ -86,84 +82,52 @@ class InternalInconsistencyError(CFError):
 
 @dataclass(frozen=True)
 class CFSpec:
-    """Description of a real number by its continued fraction.
+    """A real number, given by its exact value or by its continued fraction.
 
-    kind is one of:
-      * "quadratic-surd": payload `surd`, an irrational SurdSum q0 + q1*sqrt(d)
-        (one irrational term);
-      * "explicit-periodic": payload `preperiod` (starts with a_0 >= 0) and
-        nonempty `period`, all later quotients >= 1;
-      * "finite-rational": payload `rational`.
+    Either `surd` holds the value, a SurdSum that is rational or has one
+    irrational term q1*sqrt(d), or `preperiod` (a_0 >= 0 first) and a
+    nonempty `period`, all later quotients >= 1, hold the quotients of an
+    eventually periodic expansion.  The form not given is computed on first
+    use, so the quotients of a periodic spec never need its value.
     """
 
-    kind: str
     surd: SurdSum | None = None
     preperiod: tuple[int, ...] = ()
     period: tuple[int, ...] = ()
-    rational: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == QUADRATIC_SURD:
-            if self.surd is None or sum(rad != 1 for rad, _ in self.surd.terms()) != 1:
-                raise CFError("quadratic-surd spec needs one irrational term q1*sqrt(d)")
-        elif self.kind == EXPLICIT_PERIODIC:
-            if not self.preperiod:
-                raise CFError("explicit-periodic spec needs a_0")
-            if not self.period:
-                raise CFError("explicit-periodic spec needs a nonempty period")
-            if self.preperiod[0] < 0:
-                raise CFError("a_0 must be >= 0")
-            if any(a < 1 for a in self.preperiod[1:]) or any(
-                a < 1 for a in self.period
-            ):
-                raise CFError("partial quotients a_j must be >= 1 for j >= 1")
-        elif self.kind == FINITE_RATIONAL:
-            if self.rational is None:
-                raise CFError("finite-rational spec needs a rational payload")
-        else:
-            raise CFError(f"unknown CF kind {self.kind!r}")
+        if self.surd is None:
+            ok = self.period and self.preperiod and self.preperiod[0] >= 0
+            if not (ok and min(self.preperiod[1:] + self.period) >= 1):
+                raise CFError("a periodic spec needs a_0 >= 0, a nonempty period "
+                              "and partial quotients a_j >= 1 for j >= 1")
+        elif sum(rad != 1 for rad, _ in self.surd.terms()) > 1:
+            raise CFError("a spec value has at most one irrational term q1*sqrt(d)")
 
     @classmethod
-    def from_surd(cls, surd: SurdSum) -> "CFSpec":
-        if surd.is_rational():
-            return cls(FINITE_RATIONAL, rational=surd.rational_part())
-        return cls(QUADRATIC_SURD, surd=surd)
+    def from_surd(cls, x: SurdSum | Fraction | int) -> "CFSpec":
+        return cls(as_surdsum(x))
 
     @classmethod
     def from_periodic(cls, preperiod: Iterable[int], period: Iterable[int]) -> "CFSpec":
-        return cls(
-            EXPLICIT_PERIODIC, preperiod=tuple(preperiod), period=tuple(period)
-        )
-
-    @classmethod
-    def from_rational(cls, x) -> "CFSpec":
-        return cls(FINITE_RATIONAL, rational=Fraction(x))
-
-    # -- exact value ---------------------------------------------------------
+        return cls(None, tuple(preperiod), tuple(period))
 
     def value(self) -> SurdSum | Fraction:
-        """The exact real number this spec describes."""
-        if self.kind == FINITE_RATIONAL:
-            return self.rational
-        if self.kind == QUADRATIC_SURD:
-            return self.surd
+        """The exact real number this spec describes, a Fraction when it is
+        rational."""
         return self._value
 
     # The spec's own memos, computed on first use: the fields never change,
     # so they stay valid, and they go when the spec goes.
     @cached_property
-    def _value(self) -> SurdSum:
-        return _periodic_value(self.preperiod, self.period)
+    def _value(self) -> SurdSum | Fraction:
+        if self.surd is None:
+            return _periodic_value(self.preperiod, self.period)
+        return self.surd.rational_part() if self.surd.is_rational() else self.surd
 
     @cached_property
     def _cycle(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return _cf_cycle(self)
-
-    def value_surdsum(self) -> SurdSum:
-        return as_surdsum(self.value())
-
-    def is_irrational(self) -> bool:
-        return self.kind != FINITE_RATIONAL
 
 
 def _periodic_value(preperiod: tuple[int, ...], period: tuple[int, ...]) -> SurdSum:
@@ -194,11 +158,13 @@ def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Preperiod and period of the expansion of any spec.  A rational has
     its canonical (Euclid) quotients as preperiod and an empty period; a
     quadratic surd runs the PQa recurrence and stops at a repeated state."""
-    if spec.kind == EXPLICIT_PERIODIC:
+    if spec.surd is None:
         return spec.preperiod, spec.period
     quots: list[int] = []
-    if spec.kind == FINITE_RATIONAL:
-        p, q = spec.rational.numerator, spec.rational.denominator
+    terms = dict(spec.surd.terms())
+    r0 = terms.pop(1, Fraction(0))
+    if not terms:
+        p, q = r0.numerator, r0.denominator
         while q:
             a, rem = divmod(p, q)
             quots.append(a)
@@ -209,8 +175,6 @@ def _cf_cycle(spec: CFSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # and Q divides D - P^2 = c^2 (b^2 d - a^2).  Each complete quotient
     # keeps D, so equal values have equal (P, Q): the first repeated pair
     # closes the period.
-    terms = dict(spec.surd.terms())
-    r0 = terms.pop(1, Fraction(0))
     ((d, r1),) = terms.items()
     c = math.lcm(r0.denominator, r1.denominator)
     a, b = int(r0 * c), int(r1 * c)
@@ -290,7 +254,9 @@ def convergent(spec: CFSpec, n: int) -> Convergent:
 
 @dataclass(frozen=True)
 class ErrorTerm:
-    """Exact error e_n = alpha - p_n/q_n with certified sign.
+    """The convergent p_n/q_n of order n and its exact error e_n = alpha -
+    p_n/q_n, with certified sign and the next denominator q_{n+1} (None
+    when a rational expansion ends at n).
 
     Sign alternates: positive at even n, negative at odd n (zero only when
     a finite rational expansion terminates exactly at n).
@@ -299,11 +265,9 @@ class ErrorTerm:
     n: int
     value: SurdSum
     sign: int
+    p_n: int
     q_n: int
     q_next: int | None
-
-    def interval(self, bits: int):
-        return self.value.interval(bits)
 
     def magnitude(self) -> SurdSum:
         return self.value if self.sign >= 0 else -self.value
@@ -325,14 +289,15 @@ def error_term(spec: CFSpec, n: int) -> ErrorTerm:
         raise CFError(f"expansion has only {len(quots)} quotients; need n={n}")
     convs = convergents(quots)
     c = convs[n]
-    value = spec.value_surdsum() - Fraction(c.p, c.q)
+    value = as_surdsum(spec.value()) - Fraction(c.p, c.q)
     sign = certified_sign(value)
-    if spec.is_irrational() and sign != (1 if n % 2 == 0 else -1):
+    # only a rational's last convergent has e_n = 0
+    if sign not in (0, 1 if n % 2 == 0 else -1):
         raise InternalInconsistencyError(
             f"error term sign {sign} breaks the (-1)^n alternation at n={n}"
         )
     q_next = convs[n + 1].q if len(convs) > n + 1 else None
-    return ErrorTerm(n, value, sign, c.q, q_next)
+    return ErrorTerm(n, value, sign, c.p, c.q, q_next)
 
 
 @dataclass(frozen=True)
@@ -571,7 +536,7 @@ def bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     """Exact min of q*||q*alpha|| over 1 <= q <= Q and its (first) argmin."""
     if Q < 1:
         raise ParameterError("Q must be >= 1")
-    q, best, _ = residual_minima(ResidualScan((spec.value_surdsum(),)), Q)[-1]
+    q, best, _ = residual_minima(ResidualScan((as_surdsum(spec.value()),)), Q)[-1]
     return best, q
 
 
@@ -597,9 +562,9 @@ class BadProfile:
 
 
 def _observed_M(spec: CFSpec) -> int:
-    """Sup of partial quotients a_j (j >= 1).  For periodic kinds the scan
-    covers preperiod plus period, so this is the true sup; a purely
-    periodic expansion (empty preperiod) repeats its a_0 as a later a_j."""
+    """Sup of partial quotients a_j (j >= 1).  The scan covers preperiod
+    plus period, so this is the true sup; a purely periodic expansion
+    (empty preperiod) repeats its a_0 as a later a_j."""
     pre, per = spec._cycle
     return max(pre[1:] + per, default=1)
 

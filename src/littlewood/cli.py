@@ -124,7 +124,7 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
         t_n = lcm_time(alpha, beta, n)
         transversal = transversality_check(ns.N, epsilon, line.e_alpha, line.e_beta)
         if not transversal:
-            rows.append([n, line.q2n_alpha, line.q2n_beta, t_n, "", "", False, "nontransversal"])
+            rows.append([n, line.e_alpha.q_n, line.e_beta.q_n, t_n, "", "", False, "nontransversal"])
             continue
         rep = entry_time(line, params)
         if not rep.tau_vs(t_n):
@@ -136,8 +136,8 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
         rows.append(
             [
                 n,
-                line.q2n_alpha,
-                line.q2n_beta,
+                line.e_alpha.q_n,
+                line.e_beta.q_n,
                 t_n,
                 format_decimal(rep.tau.lo, direction=-1),
                 format_decimal(rep.tau.hi, direction=1),

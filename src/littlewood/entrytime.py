@@ -3,8 +3,8 @@ into the cone.
 
 The line through P0 = (x0, y0, z0) with the order-2n convergent direction
 is gamma_n(t) = (x0 - t, y0 - t*c_2n(alpha), z0 - t*c_2n(beta)), t in
-[0, x0-1].  Membership of gamma_n(t) in the cone is the quadratic
-inequality
+[0, x0-1], with c_2n = p_2n/q_2n.  Membership of gamma_n(t) in the cone
+is the quadratic inequality
 
     A t^2 + 2 B t + C >= 0,
     A = phi - e_a^2 - e_b^2,
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import CFSpec, Convergent, ErrorTerm, _below, convergents, cf_expand, error_term
+from .cfrac import CFSpec, ErrorTerm, _below, cf_expand, error_term
 from .cone import ConeParams
 from .exactnum import (
     DyadicInterval,
@@ -37,6 +37,7 @@ from .exactnum import (
     as_surdsum,
     certified_sign,
     fixed_enclosure,
+    iroot,
 )
 from .lattice import DirichletPoint, ParameterError
 
@@ -48,6 +49,7 @@ __all__ = [
     "approx_line",
     "line_gamma",
     "transversality_check",
+    "transversality_ceiling",
     "discriminant",
     "entry_time",
 ]
@@ -65,33 +67,17 @@ class NonpositiveDenominatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class ApproxLine:
-    """Line through a Dirichlet point with an order-2n convergent direction."""
+    """Line through a Dirichlet point P0 whose direction is the pair of
+    order-2n convergents, read with their errors from e_alpha and e_beta."""
 
     n: int
     P0: DirichletPoint | None
-    c_alpha: Fraction
-    c_beta: Fraction
-    q2n_alpha: int
-    q2n_beta: int
-    p2n_alpha: int
-    p2n_beta: int
     e_alpha: ErrorTerm
     e_beta: ErrorTerm
 
     @property
     def x0(self) -> int:
         return self.P0.point.x
-
-
-def _convergent_2n(spec: CFSpec, n: int, name: str) -> Convergent:
-    """Convergent of order 2n; a rational whose expansion is shorter has none."""
-    quotients = cf_expand(spec, 2 * n + 1)
-    if len(quotients) <= 2 * n:
-        raise ParameterError(
-            f"{name} = {spec.value()} is rational with {len(quotients)} partial "
-            f"quotients: it has no convergent of order 2n = {2 * n}"
-        )
-    return convergents(quotients)[2 * n]
 
 
 def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint | None) -> ApproxLine:
@@ -103,24 +89,18 @@ def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoin
     """
     if n < 0:
         raise ParameterError("n must be >= 0")
-    ca = _convergent_2n(alpha_spec, n, "alpha")
-    cb = _convergent_2n(beta_spec, n, "beta")
+    for name, spec in (("alpha", alpha_spec), ("beta", beta_spec)):
+        quotients = cf_expand(spec, 2 * n + 1)
+        if len(quotients) <= 2 * n:
+            raise ParameterError(
+                f"{name} = {spec.value()} is rational with {len(quotients)} partial "
+                f"quotients: it has no convergent of order 2n = {2 * n}"
+            )
     ea = error_term(alpha_spec, 2 * n)
     eb = error_term(beta_spec, 2 * n)
     if ea.sign < 0 or eb.sign < 0:
         raise ParameterError("even-order error terms must be nonnegative")
-    return ApproxLine(
-        n,
-        P0,
-        ca.as_fraction(),
-        cb.as_fraction(),
-        ca.q,
-        cb.q,
-        ca.p,
-        cb.p,
-        ea,
-        eb,
-    )
+    return ApproxLine(n, P0, ea, eb)
 
 
 def line_gamma(line: ApproxLine, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -128,7 +108,8 @@ def line_gamma(line: ApproxLine, t: Fraction) -> tuple[Fraction, Fraction, Fract
     diagnostics; the segment semantics live in the membership checks."""
     t = Fraction(t)
     x0, y0, z0 = tuple(line.P0.point)
-    return (x0 - t, y0 - t * line.c_alpha, z0 - t * line.c_beta)
+    ea, eb = line.e_alpha, line.e_beta
+    return (x0 - t, y0 - t * Fraction(ea.p_n, ea.q_n), z0 - t * Fraction(eb.p_n, eb.q_n))
 
 
 def _error_value(e) -> SurdSum:
@@ -164,6 +145,25 @@ def transversality_check(N: int, epsilon, e_alpha, e_beta) -> bool:
         raise ParameterError("N must be >= 2")
     v = N * (N - 1) ** 2
     return v <= _transversality_budget(epsilon, e_alpha, e_beta, v)
+
+
+def transversality_ceiling(epsilon, e_alpha, e_beta, max_N: int) -> int:
+    """Largest N <= max_N passing the transversality condition (1 when even
+    N = 2 fails); max_N < 2 is a ParameterError.
+
+    The condition is N (N-1)^2 <= K for one integer K (see
+    transversality_check), and N (N-1)^2 increases with N.  With r =
+    iroot(K, 3), r^3 <= K < (r+1)^3 puts the answer at r + 1 or r.
+    """
+    if max_N < 2:
+        raise ParameterError("N must be >= 2")
+    K = _transversality_budget(epsilon, e_alpha, e_beta, max_N * (max_N - 1) ** 2)
+    if K < 2:
+        return 1
+    N = min(max_N, iroot(K, 3) + 1)
+    while N * (N - 1) ** 2 > K:
+        N -= 1
+    return N
 
 
 def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, SurdSum, SurdSum]:

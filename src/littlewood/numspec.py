@@ -91,7 +91,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         q = _int_at(text, den, offset + len(num) + 1) if slash else 1
         if q == 0:
             raise NumberSpecError(text, offset, "zero denominator")
-        spec = CFSpec.from_rational(Fraction(p, q))
+        spec = CFSpec.from_surd(Fraction(p, q))
     else:
         raise NumberSpecError(text, 0, f"unknown kind {head!r}")
     if frac:
@@ -108,7 +108,7 @@ def _parse_cf(text: str, body: str, offset: int) -> CFSpec:
     if a0 < 0:
         raise NumberSpecError(text, offset + 1, "a0 must be >= 0")
     if not sep or not rest.strip():
-        return CFSpec.from_rational(Fraction(a0))
+        return CFSpec.from_surd(a0)
     rest = rest.strip()
     period: tuple[int, ...] = ()
     if "(" in rest:
@@ -129,22 +129,17 @@ def _parse_cf(text: str, body: str, offset: int) -> CFSpec:
     pre = tuple(
         _int_at(text, tok.strip(), offset) for tok in pre_str.split(",") if tok.strip()
     )
+    if any(a < 1 for a in pre + period):
+        raise NumberSpecError(text, offset, "partial quotients a_j must be >= 1 for j >= 1")
     if period:
         return CFSpec.from_periodic((a0,) + pre, period)
-    if any(a < 1 for a in pre):
-        raise NumberSpecError(text, offset, "partial quotients a_j must be >= 1 for j >= 1")
-    value = convergents([a0, *pre])[-1].as_fraction()
-    return CFSpec.from_rational(value)
+    return CFSpec.from_surd(convergents([a0, *pre])[-1].as_fraction())
 
 
 def _fractional_part(spec: CFSpec) -> CFSpec:
-    if spec.kind == "finite-rational":
-        v = spec.rational
-        return CFSpec.from_rational(v - (v.numerator // v.denominator))
-    if spec.kind == "explicit-periodic":
+    if spec.surd is None:
         return CFSpec.from_periodic((0,) + spec.preperiod[1:], spec.period)
-    surd = spec.surd
-    return CFSpec.from_surd(surd - surd.floor())
+    return CFSpec.from_surd(spec.surd - spec.surd.floor())
 
 
 def parse_exact_fraction(text: str) -> Fraction:

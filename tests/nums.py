@@ -312,7 +312,7 @@ def convergent_minima(spec: CFSpec, Q: int):
     with q*||q*alpha|| < 1/2 has alpha within 1/(2 q**2) of p/q, so p/q is
     a convergent p_n/q_n with q = k q_n and value k**2 times that of q_n:
     every record is a convergent denominator."""
-    alpha = spec.value_surdsum()
+    alpha = as_surdsum(spec.value())
     # q_n >= F_(n+1) > 1.6**(n-1), so 2 * bitlen(Q) + 2 quotients pass Q
     dens = sorted({c.q for c in convergents(cf_expand(spec, 2 * Q.bit_length() + 2)) if c.q <= Q})
     records, best = [], None

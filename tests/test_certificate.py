@@ -16,11 +16,10 @@ from littlewood.certificate import (
     certificate_search,
     infeasibility_grid_check,
     theorem_check,
-    transversality_ceiling,
     verify_certificate,
 )
-from littlewood.entrytime import approx_line, transversality_check
-from littlewood.exactnum import DyadicInterval, certified_sign
+from littlewood.entrytime import approx_line, transversality_ceiling, transversality_check
+from littlewood.exactnum import DyadicInterval, as_surdsum, certified_sign
 from littlewood.lattice import LatticePoint, ParameterError, brute_min_scan
 from littlewood.numspec import parse_number_spec
 
@@ -57,7 +56,7 @@ def test_theorem_check_transversal_cell_diagnostics():
     assert tc.t_n == 150705
     assert tc.lam == 9
     assert tc.reason == "tau-too-large"
-    assert tc.direct_ok is False and tc.tn_below_x0 is False
+    assert tc.direct_ok is False
 
 
 def test_theorem_check_precondition():
@@ -118,6 +117,25 @@ def test_search_full_grid_guard(monkeypatch):
         )
 
 
+def test_search_full_grid_runs_every_N_and_holds_the_geometric_cells():
+    # per n, the full grid runs from the Dirichlet floor N0 = 6 to the
+    # transversality ceiling (the floor alone when the ceiling is below
+    # it), and the geometric grid's cells are among its cells, unchanged
+    eps, max_N = Fraction(1, 10), 400
+    full = certificate_search(
+        SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, strategy="full", max_N=max_N
+    )
+    geo = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, max_N=max_N)
+    assert full.found is None and geo.found is None
+    assert (len(full.cells), len(geo.cells)) == (79, 9)
+    for n in (1, 2, 3):
+        line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, None)
+        ceiling = transversality_ceiling(eps, line.e_alpha, line.e_beta, max_N)
+        assert [c.N for c in full.cells if c.n == n] == list(range(6, max(ceiling, 6) + 1))
+    by_cell = {(c.n, c.N): c for c in full.cells}
+    assert all(by_cell[c.n, c.N] == c for c in geo.cells)
+
+
 def test_search_runs_past_2_to_the_32():
     # e = 0 for a rational pair, so the transversality ceiling is max_N and
     # the geometric grid doubles from the Dirichlet floor 6 up to 10**10;
@@ -126,7 +144,7 @@ def test_search_runs_past_2_to_the_32():
     alpha, beta = parse_number_spec("rat:3/7"), parse_number_spec("rat:2/7")
     out = certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=10**10)
     assert [c.N for c in out.cells] == [6 * 2**k for k in range(31)] + [10**10]
-    values = (alpha.value_surdsum(), beta.value_surdsum())
+    values = (as_surdsum(alpha.value()), as_surdsum(beta.value()))
     for cell in out.cells:
         for x in range(1, cell.x0 + 1):
             residuals = [(v * x).nearest()[1] for v in values]

@@ -77,7 +77,7 @@ def test_expand_golden():
 
 
 def test_expand_rational_truncates():
-    spec = CFSpec.from_rational(Fraction(7, 5))
+    spec = CFSpec.from_surd(Fraction(7, 5))
     assert cf_expand(spec, 10) == [1, 2, 2]  # Euclidean algorithm, canonical
 
 
@@ -98,6 +98,43 @@ def test_periodic_value_expands_back(a0, period):
     spec = CFSpec.from_periodic([a0], period)
     want = ([a0] + period * 4)[: 4 * len(period)]
     assert cf_expand(spec, len(want)) == want
+
+
+def test_periodic_spec_never_needs_its_value():
+    # seeded specs given by quotients, non-minimal periods among them: the
+    # expansion and the quotient bound read the quotients alone, and the
+    # value, once asked for, expands back to the same quotients
+    rng = random.Random(22)
+    specs = [([0], [1, 1]), ([1, 4], [2, 3, 2, 3]), ([0], [5, 5, 5])]
+    for _ in range(40):
+        pre = [rng.randrange(0, 10)] + [rng.randrange(1, 10) for _ in range(rng.randrange(4))]
+        specs.append((pre, [rng.randrange(1, 10) for _ in range(rng.randrange(1, 5))]))
+    for pre, period in specs:
+        spec = CFSpec.from_periodic(pre, period)
+        want = pre + period * 3
+        assert cf_expand(spec, len(want)) == want
+        assert _observed_M(spec) == max(pre[1:] + period)
+        assert "_value" not in vars(spec)
+        assert cf_expand(CFSpec.from_surd(spec.value()), len(want)) == want
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CFSpec.from_periodic([0], []),
+        lambda: CFSpec.from_periodic([], [1]),
+        lambda: CFSpec.from_periodic([-1], [2]),
+        lambda: CFSpec.from_periodic([0, 0], [2]),
+        lambda: CFSpec.from_periodic([0], [1, 0]),
+        lambda: CFSpec.from_surd(SurdSum.sqrt(2) + SurdSum.sqrt(3)),
+    ],
+    ids=["empty-period", "no-a0", "a0-negative", "preperiod-0", "period-0", "two-surds"],
+)
+def test_spec_refuses_what_it_cannot_expand(make):
+    from littlewood.cfrac import CFError
+
+    with pytest.raises(CFError):
+        make()
 
 
 @settings(max_examples=120, deadline=None)
@@ -305,7 +342,7 @@ def test_bad_constant_near_tie_reaches_float_margin():
     # q = 2 beats q = 1 by about 1e-13 relative: the integer screen of
     # residual_minima must keep it, and the float screen of the oracle
     # residual_minima_full only nominates it through its outward margin
-    spec = CFSpec.from_rational(Fraction(2, 5) + Fraction(1, 2**45))
+    spec = CFSpec.from_surd(Fraction(2, 5) + Fraction(1, 2**45))
     best, argq = bad_constant_scan(spec, 3)
     assert argq == 2
     assert best == Fraction(2, 5) - Fraction(1, 2**43)
@@ -319,7 +356,7 @@ def test_bad_constant_positive_lower_bound():
 def exact_bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
     """Oracle: exact min of q*||q*alpha|| and its first argmin, with one
     exact residual and one exact comparison per q and no screen."""
-    value = spec.value_surdsum()
+    value = as_surdsum(spec.value())
     best, best_q = None, 1
     for q in range(1, Q + 1):
         val = q * (value * q).nearest()[1].abs()
@@ -337,8 +374,8 @@ def exact_bad_constant_scan(spec: CFSpec, Q: int) -> tuple[SurdSum, int]:
         (CFSpec.from_periodic([0, 50], [1, 40]), 500),
         (CFSpec.from_periodic([3], [1, 7, 2]), 433),
         (CFSpec.from_surd(quad(10**9, 1, 7, 999983)), 500),
-        (CFSpec.from_rational(Fraction(355, 113)), 500),  # exact zero at 113
-        (CFSpec.from_rational(Fraction(-3, 7)), 5),
+        (CFSpec.from_surd(Fraction(355, 113)), 500),  # exact zero at 113
+        (CFSpec.from_surd(Fraction(-3, 7)), 5),
     ],
 )
 def test_bad_constant_scan_matches_exact_oracle(spec, Q):
@@ -354,7 +391,7 @@ def test_one_alpha_scans_match_the_convergent_oracle_to_1e30(text):
     # q*||q*alpha|| is a convergent denominator (Legendre)
     spec = parse_number_spec(text, True)
     want = convergent_minima(spec, 10**30)
-    assert residual_minima(ResidualScan((spec.value_surdsum(),)), 10**30) == want
+    assert residual_minima(ResidualScan((as_surdsum(spec.value()),)), 10**30) == want
     assert bad_constant_scan(spec, 10**30) == (want[-1][1], want[-1][0])
 
 
@@ -598,7 +635,7 @@ def test_convergent_beyond_rational_expansion():
     from littlewood.cfrac import CFError
 
     with pytest.raises(CFError):
-        convergent(CFSpec.from_rational(Fraction(7, 5)), 10)
+        convergent(CFSpec.from_surd(Fraction(7, 5)), 10)
 
 
 def test_lcm_time_example():

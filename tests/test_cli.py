@@ -76,7 +76,7 @@ def test_parse_rational_and_finite_cf():
     assert parse_number_spec("rat:7/5").value() == Fraction(7, 5)
     assert parse_number_spec("rat:3").value() == Fraction(3)
     assert parse_number_spec("cf:[1;2,2]").value() == Fraction(7, 5)
-    assert parse_number_spec("cf:[1;2,3(4,5)]").kind == "explicit-periodic"
+    assert parse_number_spec("cf:[1;2,3(4,5)]").period == (4, 5)
 
 
 def test_parse_mixed_preperiod_period_value():
@@ -93,7 +93,7 @@ def test_parse_fractional_part_of_periodic_and_rational():
 
     whole = parse_number_spec("cf:[2;1,(3,1)]")
     frac = parse_number_spec("cf:[2;1,(3,1)]", frac=True)
-    assert frac.kind == "explicit-periodic"
+    assert frac.surd is None
     assert frac.value() == whole.value() - 2
     assert cf_expand(frac, 12) == [0] + cf_expand(whole, 12)[1:]
     assert parse_number_spec("rat:7/3", frac=True).value() == Fraction(1, 3)
@@ -437,6 +437,30 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cf:[0;(0)]", "cf:[0;1,0,(2)]", "cf:[0;()]", "cf:[-1;(2)]", "cf:0;1", "rat:1/0",
+     "quad:1,2,3", "sqrt:-4", "nope"],
+)
+def test_malformed_number_spec_exits_2_naming_it(capsys, text):
+    # each is refused by the spec parser, which names the spec and a position
+    assert _run(["levy", "--alpha", text, "--n-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"in {text!r})" in err
+
+
+def test_levy_never_needs_the_value_of_a_periodic_spec(tmp_path, capsys):
+    # the value of this spec has the radicand 8516351466201618691560004,
+    # which cannot be certified squarefree; the expansion does not need it
+    period = ",".join(str(a) for a in range(1, 16))
+    out = tmp_path / "levy.csv"
+    assert _run(["levy", "--alpha", f"cf:[0;({period})]", "--n-max", "5",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv(out).rows) == 5
 
 
 def test_certificate_max_N_past_2_to_the_32(tmp_path, capsys):

@@ -129,10 +129,8 @@ def test_transversality_eventually_passes_in_n():
 def test_discriminant_axis_degenerate_is_zero():
     zero = SurdSum()
     p0 = DirichletPoint(LatticePoint(3, 1, 2), 10, zero, zero)
-    e0 = ErrorTerm(4, zero, 0, 1, 1)
-    line = ApproxLine(
-        2, p0, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
-    )
+    e0 = ErrorTerm(4, zero, 0, 0, 1, 1)
+    line = ApproxLine(2, p0, e0, e0)
     params = ConeParams.make(10, Fraction(1, 10))
     assert certified_sign(discriminant(line, params)) == 0
     rep = entry_time(line, params)
@@ -255,10 +253,8 @@ def test_tau_vs_at_a_rational_entry_time():
     p0 = DirichletPoint(
         LatticePoint(2, 1, 1), 2, as_surdsum(Fraction(3, 10)), as_surdsum(Fraction(4, 10))
     )
-    e0 = ErrorTerm(4, zero, 0, 1, 1)
-    line = ApproxLine(
-        2, p0, Fraction(1, 3), Fraction(2, 3), 3, 3, 1, 2, e0, e0
-    )
+    e0 = ErrorTerm(4, zero, 0, 0, 1, 1)
+    line = ApproxLine(2, p0, e0, e0)
     params = ConeParams.make(2, Fraction(1, 4))
     rep = entry_time(line, params)
     assert not rep.already_inside and rep.tau.lo <= 1 <= rep.tau.hi
