@@ -28,6 +28,7 @@ in u > 0, so the margin at the low end of the u-range decides it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -125,17 +126,20 @@ def _gamma_lattice_point(line: ApproxLine, t_n: int) -> LatticePoint:
     )
 
 
-def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> TheoremCheck:
-    """Run the full pipeline for one (n, N) and record what binds.
+def theorem_check(
+    alpha: CFSpec, beta: CFSpec, epsilon, line: ApproxLine, N: int
+) -> TheoremCheck:
+    """Run the full pipeline for the cell (line.n, N) and record what binds.
 
-    Precondition N > 1/(2 eps) (the Dirichlet condition); violating it is a
-    parameter error.  The order-2n line is built once, without a point,
-    for the transversality comparison; the Dirichlet point is searched
-    only for a transversal cell and then attached to it.  The recorded
-    reason is the first failing link, so an exhaustion report shows which
-    constraint binds where.
+    ``line`` is ``approx_line(alpha, beta, n, None)``, shared by every cell
+    of one n.  Precondition N > 1/(2 eps) (the Dirichlet condition);
+    violating it is a parameter error.  The Dirichlet point is searched
+    only for a transversal cell and then attached to the line.  The
+    recorded reason is the first failing link, so an exhaustion report
+    shows which constraint binds where.
     """
     epsilon = Fraction(epsilon)
+    n = line.n
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     if n < 1:
@@ -147,7 +151,6 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
     M = max(_observed_M(alpha), _observed_M(beta))
     lam = (M + 1) ** 2
 
-    line = approx_line(alpha, beta, n, None)
     if not transversality_check(N, epsilon, line.e_alpha, line.e_beta):
         return TheoremCheck(n, N, epsilon, lam, False, reason="transversality-fail")
 
@@ -182,9 +185,8 @@ def theorem_check(alpha: CFSpec, beta: CFSpec, epsilon, n: int, N: int) -> Theor
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    epsilon: Fraction
-    n_max: int
-    strategy: str
+    """Cells in the order run, the verified cell if any, and an x = 1 witness."""
+
     cells: tuple[TheoremCheck, ...]
     found: TheoremCheck | None
     trivial_witness: LatticePoint | None
@@ -217,13 +219,14 @@ def certificate_search(
     """Sweep n = n_min..n_max with, per n, N running from the Dirichlet
     floor up to the transversality ceiling (geometric doubling by default,
     every integer with strategy='full', refused past MAX_FULL_GRID_CELLS
-    cells for one n).  Deterministic; exhaustion is an outcome, not an
-    error."""
+    cells for one n).  The order-2n line is built once per n, sets the
+    ceiling and is shared by every cell of that n.  Deterministic;
+    exhaustion is an outcome, not an error."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     if n_max < n_min:
-        raise ParameterError("n_max must be >= n_min")
+        raise ParameterError(f"n_max must be >= n_min = {n_min}")
     if strategy not in ("geometric", "full"):
         raise ParameterError("strategy must be 'geometric' or 'full'")
 
@@ -256,14 +259,14 @@ def certificate_search(
                 )
             grid = list(range(N0, ceiling + 1))
         for N in grid:
-            cell = theorem_check(alpha, beta, epsilon, n, N)
+            cell = theorem_check(alpha, beta, epsilon, line, N)
             cells.append(cell)
             if cell.verified:
                 found = cell
                 break
         if found:
             break
-    return SearchOutcome(epsilon, n_max, strategy, tuple(cells), found, trivial)
+    return SearchOutcome(tuple(cells), found, trivial)
 
 
 # -- the contradiction system of the degree-18 entry-time majorant --------
@@ -427,10 +430,7 @@ def b3_infeasibility_scan(
                     alpha, beta, max(2, int(1 / (2 * eps)) + 1)
                 ).x
             grid = infeasibility_grid_check(X, x0_ref, points=u_points)
-            counts: dict[str, int] = {}
-            for cell in outcome.cells:
-                if cell.reason:
-                    counts[cell.reason] = counts.get(cell.reason, 0) + 1
+            counts = dict(Counter(c.reason for c in outcome.cells if c.reason))
             certs = tuple(c for c in outcome.cells if c.verified)
             reports.append(
                 B3PairReport(

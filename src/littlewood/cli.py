@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 
 from . import __version__
 from .cfrac import (
@@ -192,10 +193,7 @@ def _cmd_certificate(ns: argparse.Namespace) -> int:
         rows,
         md,
     )
-    counts: dict[str, int] = {}
-    for c in outcome.cells:
-        key = c.reason or "certificate"
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(c.reason or "certificate" for c in outcome.cells)
     print(f"searched {len(outcome.cells)} (n, N) cells for eps = {ns.epsilon}:")
     for key in sorted(counts):
         print(f"  {key}: {counts[key]}")

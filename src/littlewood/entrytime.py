@@ -50,7 +50,6 @@ __all__ = [
     "line_gamma",
     "transversality_check",
     "transversality_ceiling",
-    "discriminant",
     "entry_time",
 ]
 
@@ -175,12 +174,6 @@ def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, S
     B = as_surdsum(params.phi * slack) + ea * U0 + eb * V0
     C = as_surdsum(params.phi * slack * slack) - U0 * U0 - V0 * V0
     return A, B, C
-
-
-def discriminant(line: ApproxLine, params: ConeParams) -> SurdSum:
-    """D_n = 4 (B^2 - A C), exactly."""
-    A, B, C = _membership_coeffs(line, params)
-    return 4 * (B * B - A * C)
 
 
 @dataclass(frozen=True)

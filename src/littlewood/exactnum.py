@@ -332,7 +332,8 @@ class SurdSum:
     A sum with a term is nonzero (square roots of distinct squarefree
     integers are linearly independent over Q), and a root-separation bound
     says how far from zero it is, so its sign is decided by one interval
-    evaluation at a precision computed from the terms.
+    evaluation at a precision computed from the terms.  It has no order
+    operators: compare u and v through ``certified_sign(u - v)``.
     """
 
     # _fixed and _hash: the memoised fixed_enclosure and hash, set on first
@@ -482,11 +483,6 @@ class SurdSum:
             [(rad, c.numerator, c.denominator) for rad, c in self._terms.items()], bits
         )
 
-    def sign(self) -> int:
-        """Exact sign via certified_sign (interval doubling, then the
-        separation bound)."""
-        return certified_sign(self)
-
     def _sign_exact(self) -> int:
         """Sign from one evaluation at the separation precision
         :func:`_separation_bits`, which excludes 0 from the enclosure by
@@ -497,22 +493,8 @@ class SurdSum:
             raise AssertionError(f"separation bound broken: interval({bits}) contains 0")
         return sg
 
-    # -- ordering (exact; prefer explicit .sign() in hot paths) ------------
-
-    def __lt__(self, other) -> bool:
-        return (self - as_surdsum(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - as_surdsum(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - as_surdsum(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - as_surdsum(other)).sign() >= 0
-
     def abs(self) -> "SurdSum":
-        return -self if self.sign() < 0 else self
+        return -self if certified_sign(self) < 0 else self
 
     # -- floor and nearest integer (exact) --------------------------------
 

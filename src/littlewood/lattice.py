@@ -81,11 +81,10 @@ class DirichletPoint:
 @dataclass(frozen=True)
 class FEval:
     """Certified evaluation of f at a point: exact sign, magnitude
-    enclosure, the exact value handle, and the trichotomy against eps."""
+    enclosure, and the trichotomy against eps."""
 
     sign: int
     magnitude: DyadicInterval
-    exact: SurdSum
     vs_epsilon: str  # 'below' | 'equal' | 'above'
 
 
@@ -113,7 +112,7 @@ def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
     sign = certified_sign(fx)
     cmp_eps = certified_sign(fx * fx - epsilon * epsilon)
     vs = "below" if cmp_eps < 0 else ("equal" if cmp_eps == 0 else "above")
-    return FEval(sign, fx.interval(_ENCLOSURE_BITS).abs(), fx, vs)
+    return FEval(sign, fx.interval(_ENCLOSURE_BITS).abs(), vs)
 
 
 def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdSum, SurdSum]:

@@ -8,8 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood import certificate
-from littlewood.cfrac import CFSpec, InternalInconsistencyError, ProfileViolationError, convergent
+from littlewood import certificate, entrytime
+from littlewood.cfrac import (
+    CFSpec,
+    InternalInconsistencyError,
+    ProfileViolationError,
+    convergent,
+    error_term,
+)
 from littlewood.certificate import (
     FAIL_REASONS,
     b3_infeasibility_scan,
@@ -44,13 +50,15 @@ def test_theorem_check_transversality_short_circuit():
     # worked instance: at n = 3, N = 51, eps = 1/100, the beta error term
     # e_6(sqrt(3)-1) = sqrt(3) - 71/41... wait c_6 = 30/41; e_6 ~ 3.4e-4
     # exceeds the transversality budget 1.98e-4, so the cell short-circuits
-    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), 3, 51)
+    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 3, None)
+    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), line, 51)
     assert tc.reason == "transversality-fail"
     assert not tc.transversal and tc.x0 is None and tc.tau is None
 
 
 def test_theorem_check_transversal_cell_diagnostics():
-    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), 4, 51)
+    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 4, None)
+    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), line, 51)
     assert tc.transversal
     assert tc.x0 == 7
     assert tc.t_n == 150705
@@ -60,8 +68,9 @@ def test_theorem_check_transversal_cell_diagnostics():
 
 
 def test_theorem_check_precondition():
+    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 2, None)
     with pytest.raises(ParameterError):
-        theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), 2, 100)
+        theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), line, 100)
 
 
 def test_verify_certificate_basics():
@@ -134,6 +143,29 @@ def test_search_full_grid_runs_every_N_and_holds_the_geometric_cells():
         assert [c.N for c in full.cells if c.n == n] == list(range(6, max(ceiling, 6) + 1))
     by_cell = {(c.n, c.N): c for c in full.cells}
     assert all(by_cell[c.n, c.N] == c for c in geo.cells)
+
+
+def test_search_builds_one_line_per_n(monkeypatch):
+    # each n's order-2n line, two error terms, sets the transversality
+    # ceiling and is shared by every cell of that n
+    orders = []
+
+    def spy(spec, k):
+        orders.append(k)
+        return error_term(spec, k)
+
+    monkeypatch.setattr(entrytime, "error_term", spy)
+    alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
+    full = certificate_search(alpha, beta, eps, n_max=3, strategy="full", max_N=400)
+    assert len(full.cells) == 79 and sorted(orders) == [2, 2, 4, 4, 6, 6]
+    orders.clear()
+    # the README certificate example
+    certificate_search(alpha, beta, Fraction(1, 1000), n_max=10)
+    assert sorted(orders) == sorted(2 * [2 * n for n in range(1, 11)])
+    monkeypatch.undo()
+    for cell in full.cells:
+        line = approx_line(alpha, beta, cell.n, None)
+        assert cell == theorem_check(alpha, beta, eps, line, cell.N)
 
 
 def test_search_runs_past_2_to_the_32():

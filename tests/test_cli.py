@@ -401,6 +401,10 @@ def test_usage_errors_exit_2(tmp_path):
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
          "--epsilon", "0.01", "--n-max", "0"],
+        ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1/10",
+         "--n-max", "0"],
+        ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1/10",
+         "--n-max", "1", "--max-N", "1"],
         # a full grid of more cells than the search takes for one n
         ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1e30",
          "--n-max", "1", "--grid", "full", "--max-N", "10000000"],
@@ -420,6 +424,7 @@ def test_usage_errors_exit_2(tmp_path):
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "b3-max-N-0", "b3-max-N-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
+         "certificate-n-max-0", "certificate-max-N-1",
          "certificate-full-grid-too-large",
          "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",

@@ -12,8 +12,8 @@ from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import (
     ApproxLine,
     NontransversalConfigurationError,
+    _membership_coeffs,
     approx_line,
-    discriminant,
     entry_time,
     line_gamma,
     transversality_check,
@@ -124,6 +124,12 @@ def test_transversality_eventually_passes_in_n():
 
 
 # -- discriminant ------------------------------------------------------------
+
+
+def discriminant(line: ApproxLine, params: ConeParams) -> SurdSum:
+    """D_n = 4 (B^2 - A C), exactly, from the coefficients entry_time uses."""
+    A, B, C = _membership_coeffs(line, params)
+    return 4 * (B * B - A * C)
 
 
 def test_discriminant_axis_degenerate_is_zero():
@@ -266,8 +272,6 @@ def test_tau_vs_at_a_rational_entry_time():
 def test_quadratic_formula_consistency():
     # evaluating A t^2 + 2 B t + C over the certified t- and t+ intervals
     # (interval arithmetic end to end) must bracket zero
-    from littlewood.entrytime import _membership_coeffs
-
     rng = random.Random(22)
     for _ in range(8):
         _, _, line, params, rep = transversal_config(rng, require_segment=False)

@@ -1,6 +1,7 @@
 """Lint: every name a library module imports is used in that module,
-every name in an ``__all__`` resolves, and importing the command-line
-module loads no process-pool machinery, and no command loads numpy.
+every name in an ``__all__`` resolves and is read by the library, the
+benchmark or a gate test, importing the command-line module loads no
+process-pool machinery, and no command loads numpy.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
@@ -13,7 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "littlewood"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "littlewood"
+# the tests that gate the project's promises; the other tests do not keep a
+# public name alive
+GATES = (ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_golden.py")
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -30,11 +35,24 @@ def _annotation_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _all_names(tree: ast.AST) -> set[str]:
+    """The strings of a module's ``__all__`` list or tuple."""
+    return {
+        e.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        and isinstance(node.value, (ast.List, ast.Tuple))
+        for e in node.value.elts
+        if isinstance(e, ast.Constant)
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     used: set[str] = set()
-    exported: set[str] = set()
+    exported = _all_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -48,12 +66,6 @@ def unused_imports(source: str) -> list[str]:
             used |= _annotation_names(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             used |= _annotation_names(node.returns)
-        if (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-            and isinstance(node.value, (ast.List, ast.Tuple))
-        ):
-            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return [
         f"line {line}: {name}"
         for name, line in sorted(imported.items(), key=lambda kv: kv[1])
@@ -82,6 +94,44 @@ def test_checker_flags_unused_and_accepts_used_names():
         "    return math.floor(x)\n"
     )
     assert unused_imports(source) == ["line 3: Fraction"]
+
+
+def read_names(source: str) -> set[str]:
+    """The names a source reads, as a ``Name`` or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_exports(library: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each name in a library ``__all__`` that no
+    library module (its own included) and no reader source reads."""
+    read = set().union(*map(read_names, [*library.values(), *readers]))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in library.items()
+        for name in _all_names(ast.parse(source))
+        if name not in read
+    )
+
+
+def test_every_public_name_is_read():
+    # a public name that no command, benchmark or gate reads is deleted, or
+    # moved into the tests when one of them needs it as an oracle
+    library = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text() for path in [*sorted((ROOT / "bench").glob("*.py")), *GATES]]
+    assert unread_exports(library, readers) == []
+
+
+def test_unread_export_checker_counts_reads_not_definitions():
+    library = {
+        "a": "__all__ = ['f', 'g', 'K']\nK = 1\ndef f(): return K\ndef g(): pass\n",
+        "b": "from .a import g\n",
+    }
+    assert unread_exports(library, []) == ["a.f", "a.g"]
+    assert unread_exports(library, ["import a\na.f()\n"]) == ["a.g"]
 
 
 def test_every_name_in_all_resolves():

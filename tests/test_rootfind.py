@@ -3,6 +3,7 @@ and roots that cross a level twice inside a critical-point sliver."""
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -316,7 +317,10 @@ def test_exact_root_at_a_sliver_end_or_midpoint():
             assert len(roots) == 2 and roots[0][1] < roots[1][0]
             if b != mid:
                 assert (b, b) in roots
-            for x, (lo, hi) in zip(sorted([as_surdsum(b), 2 * c - b]), roots):
+            ends = sorted(
+                [as_surdsum(b), 2 * c - b], key=cmp_to_key(lambda u, v: certified_sign(u - v))
+            )
+            for x, (lo, hi) in zip(ends, roots):
                 assert certified_sign(x - lo) >= 0 and certified_sign(hi - x) >= 0
 
 
