@@ -29,16 +29,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cfrac import (
     CFSpec,
     InternalInconsistencyError,
     ProfileViolationError,
+    _checked_lcm_time,
     _observed_M,
-    lcm_time,
 )
 from .cone import ConeParams, cone_contains
 from .entrytime import (
@@ -89,8 +88,7 @@ FAIL_REASONS = (
 MAX_FULL_GRID_CELLS = 20000
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """Outcome of one (n, N) cell of the sufficient condition."""
 
     n: int
@@ -117,7 +115,7 @@ def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool
 def _gamma_lattice_point(line: ApproxLine, t_n: int) -> LatticePoint:
     """gamma_n(t_n) with exact integer coordinates (t_n is a multiple of
     both convergent denominators)."""
-    x0, y0, z0 = tuple(line.P0.point)
+    x0, y0, z0 = line.P0.point
     ea, eb = line.e_alpha, line.e_beta
     if t_n % ea.q_n or t_n % eb.q_n:
         raise ParameterError("t_n must be a common multiple of q_2n's")
@@ -134,9 +132,10 @@ def theorem_check(
     ``line`` is ``approx_line(alpha, beta, n, None)``, shared by every cell
     of one n.  Precondition N > 1/(2 eps) (the Dirichlet condition);
     violating it is a parameter error.  The Dirichlet point is searched
-    only for a transversal cell and then attached to the line.  The
-    recorded reason is the first failing link, so an exhaustion report
-    shows which constraint binds where.
+    only for a transversal cell and then attached to the line; t_n is the
+    lcm of the line's two order-2n denominators.  The recorded reason is
+    the first failing link, so an exhaustion report shows which constraint
+    binds where.
     """
     epsilon = Fraction(epsilon)
     n = line.n
@@ -155,10 +154,10 @@ def theorem_check(
         return TheoremCheck(n, N, epsilon, lam, False, reason="transversality-fail")
 
     P0 = dirichlet_search(alpha, beta, N)
-    line = replace(line, P0=P0)
+    line = line._replace(P0=P0)
     params = ConeParams.make(N, epsilon)
     rep = entry_time(line, params)
-    t_n = lcm_time(alpha, beta, n)
+    t_n = _checked_lcm_time(line.e_alpha.q_n, line.e_beta.q_n, n, lam)
     x0 = P0.x
 
     base = dict(
@@ -183,8 +182,7 @@ def theorem_check(
     )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Cells in the order run, the verified cell if any, and an x = 1 witness."""
 
     cells: tuple[TheoremCheck, ...]
@@ -272,8 +270,7 @@ def certificate_search(
 # -- the contradiction system of the degree-18 entry-time majorant --------
 
 
-@dataclass(frozen=True)
-class GridCheckResult:
+class GridCheckResult(NamedTuple):
     ok: bool
     points: int
     empty_range: bool
@@ -360,8 +357,7 @@ def infeasibility_grid_check(
     return GridCheckResult(margin > 0, count, False, shown, u_lo, u_hi)
 
 
-@dataclass(frozen=True)
-class B3PairReport:
+class B3PairReport(NamedTuple):
     alpha: CFSpec
     beta: CFSpec
     epsilon: Fraction
@@ -374,8 +370,7 @@ class B3PairReport:
     grid: GridCheckResult
 
 
-@dataclass(frozen=True)
-class B3ScanReport:
+class B3ScanReport(NamedTuple):
     reports: tuple[B3PairReport, ...]
 
     @property

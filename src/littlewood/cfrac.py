@@ -25,11 +25,11 @@ e_n = alpha - p_n/q_n are kept as exact surd handles with certified signs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import (
     ParameterError,
@@ -80,29 +80,46 @@ class InternalInconsistencyError(CFError):
     """A proven-impossible bound failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class CFSpec:
+class _CFSpecFields(NamedTuple):
+    surd: SurdSum | None = None
+    preperiod: tuple[int, ...] = ()
+    period: tuple[int, ...] = ()
+
+
+class CFSpec(_CFSpecFields):
     """A real number, given by its exact value or by its continued fraction.
 
     Either `surd` holds the value, a SurdSum that is rational or has one
     irrational term q1*sqrt(d), or `preperiod` (a_0 >= 0 first) and a
     nonempty `period`, all later quotients >= 1, hold the quotients of an
     eventually periodic expansion.  The form not given is computed on first
-    use, so the quotients of a periodic spec never need its value.
+    use, so the quotients of a periodic spec never need its value.  A spec
+    equals only a spec with the same fields, never a bare tuple.
     """
 
-    surd: SurdSum | None = None
-    preperiod: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.surd is None:
-            ok = self.period and self.preperiod and self.preperiod[0] >= 0
-            if not (ok and min(self.preperiod[1:] + self.period) >= 1):
+    def __new__(cls, surd: SurdSum | None = None, preperiod: tuple[int, ...] = (),
+                period: tuple[int, ...] = ()) -> "CFSpec":
+        if surd is None:
+            ok = period and preperiod and preperiod[0] >= 0
+            if not (ok and min(preperiod[1:] + period) >= 1):
                 raise CFError("a periodic spec needs a_0 >= 0, a nonempty period "
                               "and partial quotients a_j >= 1 for j >= 1")
-        elif sum(rad != 1 for rad, _ in self.surd.terms()) > 1:
+        elif sum(rad != 1 for rad, _ in surd.terms()) > 1:
             raise CFError("a spec value has at most one irrational term q1*sqrt(d)")
+        return super().__new__(cls, surd, preperiod, period)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CFSpec":
+        # _replace builds through _make, so it is checked by __new__ too
+        return cls(*iterable)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @classmethod
     def from_surd(cls, x: SurdSum | Fraction | int) -> "CFSpec":
@@ -212,8 +229,7 @@ def cf_expand(spec: CFSpec, count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """One convergent p_n / q_n (always in lowest terms)."""
 
     n: int
@@ -252,8 +268,7 @@ def convergent(spec: CFSpec, n: int) -> Convergent:
     return convergents(quots)[n]
 
 
-@dataclass(frozen=True)
-class ErrorTerm:
+class ErrorTerm(NamedTuple):
     """The convergent p_n/q_n of order n and its exact error e_n = alpha -
     p_n/q_n, with certified sign and the next denominator q_{n+1} (None
     when a rational expansion ends at n).
@@ -300,8 +315,7 @@ def error_term(spec: CFSpec, n: int) -> ErrorTerm:
     return ErrorTerm(n, value, sign, c.p, c.q, q_next)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Outcome of the denominator growth check 2^((n-2)/2) <= q_n <= lambda^(n/2)."""
 
     ok: bool
@@ -413,8 +427,7 @@ def _span(k: int, base: int, lo: int, hi: int) -> tuple[float | int, float | int
     return -((base - lo) // k), (hi - base) // k
 
 
-@dataclass
-class ResidualScan:
+class ResidualScan(SimpleNamespace):
     """Where a running-minimum scan stands: [1, X] is scanned, `bound` is
     the least integer upper bound on the scaled value met so far (None
     before the first x) and `best` the last record's value.  Plain data, so
@@ -427,12 +440,9 @@ class ResidualScan:
     even power of two at or above X**2 once that is larger, so the slack x
     of the integer residual bounds stays at most S/x."""
 
-    alphas: tuple[SurdSum, ...]
-    combine: str = "product"
-    X: int = 0
-    bound: int | None = None
-    best: SurdSum | None = None
-    bits: int = 64
+    def __init__(self, alphas: tuple[SurdSum, ...], combine: str = "product", X: int = 0,
+                 bound: int | None = None, best: SurdSum | None = None, bits: int = 64) -> None:
+        super().__init__(alphas=alphas, combine=combine, X=X, bound=bound, best=best, bits=bits)
 
 
 def _below(a: SurdSum, b: SurdSum) -> bool:
@@ -547,18 +557,27 @@ def bad_constant_estimate(spec: CFSpec, Q: int) -> Fraction:
     return best.interval(128).lo
 
 
-@dataclass(frozen=True)
-class BadProfile:
-    """Partial-quotient bound M, lambda = (M+1)^2, and a positive rational
-    lower-bound estimate for max(inf q||q*alpha||, inf q||q*beta||)."""
-
+class _BadProfileFields(NamedTuple):
     M: int
     lam: int
     C_estimate: Fraction
 
-    def __post_init__(self) -> None:
-        if self.lam != (self.M + 1) ** 2:
+
+class BadProfile(_BadProfileFields):
+    """Partial-quotient bound M, lambda = (M+1)^2, and a positive rational
+    lower-bound estimate for max(inf q||q*alpha||, inf q||q*beta||)."""
+
+    __slots__ = ()
+
+    def __new__(cls, M: int, lam: int, C_estimate: Fraction) -> "BadProfile":
+        if lam != (M + 1) ** 2:
             raise InternalInconsistencyError("lambda must equal (M+1)^2")
+        return super().__new__(cls, M, lam, C_estimate)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "BadProfile":
+        # _replace builds through _make, so it is checked by __new__ too
+        return cls(*iterable)
 
 
 def _observed_M(spec: CFSpec) -> int:
@@ -575,11 +594,14 @@ def lcm_time(alpha: CFSpec, beta: CFSpec, n: int) -> int:
     partial-quotient bound of the two expansions)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    qa = convergent(alpha, 2 * n).q
-    qb = convergent(beta, 2 * n).q
+    lam = (max(_observed_M(alpha), _observed_M(beta)) + 1) ** 2
+    return _checked_lcm_time(convergent(alpha, 2 * n).q, convergent(beta, 2 * n).q, n, lam)
+
+
+def _checked_lcm_time(qa: int, qb: int, n: int, lam: int) -> int:
+    """lcm(qa, qb) for the order-2n denominators qa and qb, after asserting
+    the sandwich 2^(n-1) <= t_n <= lambda^(2n)."""
     t = math.lcm(qa, qb)
-    M = max(_observed_M(alpha), _observed_M(beta))
-    lam = (M + 1) ** 2
     if n >= 1 and t < (1 << (n - 1)):
         raise InternalInconsistencyError(f"t_{n} = {t} < 2^(n-1)")
     if t > lam ** (2 * n):
@@ -587,8 +609,7 @@ def lcm_time(alpha: CFSpec, beta: CFSpec, n: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class LcmGrowthProfile:
+class LcmGrowthProfile(NamedTuple):
     """Empirical growth of log(t_n)/n.  The sequence is bounded; whether it
     converges is not asserted, so both tail estimates are reported."""
 

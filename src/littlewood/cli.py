@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CERTIFICATION = 3
 
-log = logging.getLogger("littlewood")
-
 
 def _metadata(ns: argparse.Namespace, **extra) -> dict:
     md = {"tool": f"littlewood {__version__}", "command": ns.command}
@@ -411,14 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    # the library's INFO notes go to stderr for this call only, so an
+    # in-process caller's logging is left as it was found
+    log = logging.getLogger("littlewood")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
+        ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except (NumberSpecError, ParameterError, CFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

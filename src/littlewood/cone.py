@@ -20,7 +20,6 @@ sqrt(phi), when it is made.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -59,8 +58,7 @@ def phi(N: int, epsilon: Fraction) -> Fraction:
     return 2 * epsilon / (N * (N - 1) ** 2)
 
 
-@dataclass(frozen=True)
-class ConeParams:
+class ConeParams(NamedTuple):
     N: int
     epsilon: Fraction
     phi: Fraction
@@ -71,8 +69,7 @@ class ConeParams:
         return cls(N, epsilon, phi(N, epsilon))
 
 
-@dataclass(frozen=True)
-class ConeMembershipVerdict:
+class ConeMembershipVerdict(NamedTuple):
     inside: bool
     margin: DyadicInterval  # lhs - rhs of the defining inequality
     margin_sign: int
@@ -97,8 +94,7 @@ def cone_contains(alpha, beta, p: Sequence, params: ConeParams) -> ConeMembershi
     )
 
 
-@dataclass(frozen=True)
-class TangencyData:
+class TangencyData(NamedTuple):
     """Base-circle data at x = 1: radius sqrt(2*eps), tangency point
     (1, sqrt(eps), sqrt(eps)) on the hyperbola y*z = eps, and the exact
     vanishing of the tangency discriminant r^4 - 4*eps^2."""

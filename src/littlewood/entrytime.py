@@ -25,8 +25,8 @@ certified interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import CFSpec, ErrorTerm, _below, cf_expand, error_term
 from .cone import ConeParams
@@ -64,8 +64,7 @@ class NonpositiveDenominatorError(RuntimeError):
     """The quadratic's leading coefficient is not positive."""
 
 
-@dataclass(frozen=True)
-class ApproxLine:
+class ApproxLine(NamedTuple):
     """Line through a Dirichlet point P0 whose direction is the pair of
     order-2n convergents, read with their errors from e_alpha and e_beta."""
 
@@ -83,7 +82,7 @@ def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoin
     """Bundle the order-2n data; even order keeps both error terms >= 0.
 
     With P0 = None the line carries the order-2n data alone, which is all
-    transversality needs; ``dataclasses.replace(line, P0=P0)`` attaches a
+    transversality needs; ``line._replace(P0=P0)`` attaches a
     Dirichlet point later without recomputing it.
     """
     if n < 0:
@@ -106,7 +105,7 @@ def line_gamma(line: ApproxLine, t: Fraction) -> tuple[Fraction, Fraction, Fract
     """gamma_n(t), exact.  Callers may evaluate outside [0, x0-1] for
     diagnostics; the segment semantics live in the membership checks."""
     t = Fraction(t)
-    x0, y0, z0 = tuple(line.P0.point)
+    x0, y0, z0 = line.P0.point
     ea, eb = line.e_alpha, line.e_beta
     return (x0 - t, y0 - t * Fraction(ea.p_n, ea.q_n), z0 - t * Fraction(eb.p_n, eb.q_n))
 
@@ -176,13 +175,14 @@ def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, S
     return A, B, C
 
 
-@dataclass(frozen=True)
-class EntryTimeReport:
+class EntryTimeReport(NamedTuple):
     """First entry of the line into the cone.
 
     tau is a certified interval (degenerate [0,0] when P0 is already
-    inside); denominator = A, B and C keep their exact handles so chain
-    comparisons downstream (:meth:`tau_vs`) stay exact.
+    inside), and t_minus and t_plus enclose both roots of A t^2 + 2 B t + C
+    (None unless the discriminant sign d_n_sign is positive).  The exact
+    coefficients denominator = A, B and C are kept so chain comparisons
+    downstream (:meth:`tau_vs`) stay exact.
     """
 
     n: int
@@ -193,8 +193,8 @@ class EntryTimeReport:
     t_minus: DyadicInterval | None
     t_plus: DyadicInterval | None
     tau: DyadicInterval
-    _B: SurdSum
-    _C: SurdSum
+    B: SurdSum
+    C: SurdSum
 
     def tau_vs(self, k, strict: bool = False) -> bool:
         """Exact comparison tau <= k (or < k).
@@ -207,10 +207,10 @@ class EntryTimeReport:
         k = Fraction(k)
         if self.already_inside:
             return 0 < k if strict else 0 <= k
-        slope = self.denominator * k + self._B
+        slope = self.denominator * k + self.B
         if certified_sign(slope) < 0:
             return False
-        cmp = certified_sign((slope + self._B) * k + self._C)
+        cmp = certified_sign((slope + self.B) * k + self.C)
         return cmp > 0 if strict else cmp >= 0
 
 

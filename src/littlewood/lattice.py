@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cfrac import CFSpec, ParameterError, ResidualScan, residual_minima
 from .exactnum import (
@@ -53,18 +52,13 @@ class TheoremViolationError(RuntimeError):
     """A pigeonhole-guaranteed search came back empty (indicates a bug)."""
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     x: int
     y: int
     z: int
 
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
 
-
-@dataclass(frozen=True)
-class DirichletPoint:
+class DirichletPoint(NamedTuple):
     """Simultaneous-approximation point: 1 <= x <= N with both residuals
     U0 = alpha*x - y and V0 = beta*x - z at most 1/sqrt(N) in magnitude."""
 
@@ -78,8 +72,7 @@ class DirichletPoint:
         return self.point.x
 
 
-@dataclass(frozen=True)
-class FEval:
+class FEval(NamedTuple):
     """Certified evaluation of f at a point: exact sign, magnitude
     enclosure, and the trichotomy against eps."""
 
@@ -107,7 +100,7 @@ def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    x, y, z = tuple(p)
+    x, y, z = p
     fx = f_exact(alpha, beta, x, y, z)
     sign = certified_sign(fx)
     cmp_eps = certified_sign(fx * fx - epsilon * epsilon)
@@ -119,7 +112,7 @@ def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdS
     """(x, alpha*x - y, beta*x - z): the unimodular shear under which
     f(x,y,z) = x' * y' * z' of the image."""
     alpha_s, beta_s = surdsum_of(alpha), surdsum_of(beta)
-    x, y, z = (as_surdsum(c) for c in tuple(p))
+    x, y, z = (as_surdsum(c) for c in p)
     return x, alpha_s * x - y, beta_s * x - z
 
 
@@ -165,8 +158,7 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     return DirichletPoint(point, N, ua, ub)
 
 
-@dataclass(frozen=True)
-class MinRecord:
+class MinRecord(NamedTuple):
     """A new running minimum of x * ||x*alpha|| * ||x*beta||."""
 
     x: int
@@ -191,8 +183,7 @@ def brute_min_scan(alpha, beta, X: int) -> list[MinRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class CartanReport:
+class CartanReport(NamedTuple):
     """Sublevel measures of the one-variable cubic through (y0, z0).
 
     P(x) = x (x - y0/alpha)(x - z0/beta) is the monic cubic with

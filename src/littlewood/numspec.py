@@ -13,7 +13,7 @@ rationals; nothing ever round-trips through binary floating point.
 
 from __future__ import annotations
 
-import logging
+import sys
 from fractions import Fraction
 
 from .cfrac import CFSpec, convergents
@@ -21,7 +21,14 @@ from .exactnum import SurdSum, squarefree_decompose
 
 __all__ = ["NumberSpecError", "parse_number_spec", "parse_exact_fraction"]
 
-log = logging.getLogger("littlewood")
+
+def _note(message: str, *args) -> None:
+    """An INFO note on the "littlewood" logger.  Only a process that has
+    imported logging can have a handler for it, so without that module the
+    note is dropped unformatted, as logging would drop it."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("littlewood").info(message, *args)
 
 
 class NumberSpecError(ValueError):
@@ -68,7 +75,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
             raise NumberSpecError(text, offset, "radicand must be nonnegative")
         square, free = _squarefree_at(text, d, offset)
         if square != 1 and free > 1:
-            log.info("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
+            _note("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
         spec = CFSpec.from_surd(_root_term(square, free, Fraction(1)))
     elif head == "quad":
         parts = body.split(",")
@@ -81,7 +88,7 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
             raise NumberSpecError(text, offset, "radicand d must be nonnegative")
         square, free = _squarefree_at(text, d, offset)
         if free != d:
-            log.info("quad radicand %d normalized to squarefree %d", d, free)
+            _note("quad radicand %d normalized to squarefree %d", d, free)
         spec = CFSpec.from_surd(_root_term(square, free, Fraction(b, c)) + Fraction(a, c))
     elif head == "cf":
         spec = _parse_cf(text, body, offset)

@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood import certificate, entrytime
+from littlewood import certificate, cfrac, entrytime
 from littlewood.cfrac import (
     CFSpec,
     InternalInconsistencyError,
     ProfileViolationError,
     convergent,
     error_term,
+    lcm_time,
 )
 from littlewood.certificate import (
     FAIL_REASONS,
@@ -166,6 +167,26 @@ def test_search_builds_one_line_per_n(monkeypatch):
     for cell in full.cells:
         line = approx_line(alpha, beta, cell.n, None)
         assert cell == theorem_check(alpha, beta, eps, line, cell.N)
+
+
+def test_search_reads_the_lcm_time_from_its_lines(monkeypatch):
+    # t_n = lcm(q_2n(alpha), q_2n(beta)) takes both denominators from the
+    # line's error terms, so the search computes no convergent of its own,
+    # and every transversal cell keeps the t_n of lcm_time
+    calls = []
+
+    def spy(spec, k):
+        calls.append(k)
+        return convergent(spec, k)
+
+    monkeypatch.setattr(cfrac, "convergent", spy)
+    alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
+    full = certificate_search(alpha, beta, eps, n_max=3, strategy="full", max_N=400)
+    assert len(full.cells) == 79 and calls == []
+    monkeypatch.undo()
+    transversal = [c for c in full.cells if c.transversal]
+    assert len(transversal) == 78
+    assert all(c.t_n == lcm_time(alpha, beta, c.n) for c in transversal)
 
 
 def test_search_runs_past_2_to_the_32():

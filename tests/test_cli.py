@@ -1,6 +1,7 @@
 """CLI: number-spec parsing, exact rationals, CSV shape, determinism and
 exit codes."""
 
+import logging
 import math
 import os
 from fractions import Fraction
@@ -531,3 +532,26 @@ def test_no_subcommand_takes_threads(capsys):
         _run(["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "8",
               "--epsilon", "1/9", "--samples", "10", "--threads", "1"])
     assert exc.value.code == 2
+
+
+def test_main_prints_its_notes_and_leaves_logging_as_it_found_it(tmp_path, capsys):
+    # the radicand note of a spec parsed by a command goes to stderr, as in a
+    # shell; the handler goes with the call, so a later parse in the same
+    # process writes nothing and the root logger keeps its handlers (none,
+    # as in a fresh process; the test runner's own are put back after)
+    root, lib = logging.getLogger(), logging.getLogger("littlewood")
+    runner_handlers = root.handlers[:]
+    root.handlers.clear()
+    try:
+        before = (list(root.handlers), root.level, list(lib.handlers), lib.level)
+        out = tmp_path / "l.csv"
+        assert main(["levy", "--alpha", "quad:1,1,1,8", "--n-max", "3", "--out", str(out)]) == 0
+        assert "quad radicand 8 normalized to squarefree 2\n" in capsys.readouterr().err
+        assert (list(root.handlers), root.level, list(lib.handlers), lib.level) == before
+        parse_number_spec("quad:1,1,1,8")
+        assert capsys.readouterr() == ("", "")
+        with pytest.raises(SystemExit):
+            main(["levy", "--help"])
+        assert (list(root.handlers), root.level, list(lib.handlers), lib.level) == before
+    finally:
+        root.handlers[:] = runner_handlers

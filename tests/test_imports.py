@@ -1,6 +1,7 @@
 """Lint: every name a library module imports is used in that module,
 every name in an ``__all__`` resolves and is read by the library, the
-benchmark or a gate test, importing the command-line module loads no
+benchmark or a gate test, importing the library loads no dataclasses,
+inspect, logging or argparse, importing the command-line module loads no
 process-pool machinery, and no command loads numpy.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
@@ -158,6 +159,20 @@ def test_cli_import_loads_no_process_pool():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
     assert _fresh_python(probe) == "[]\n"
+
+
+def test_library_import_loads_no_record_or_logging_machinery():
+    # every CLI call and every library user pays for what `import littlewood`
+    # loads; -S keeps site hooks from loading modules of their own
+    probe = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import littlewood; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'argparse') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_commands_never_load_numpy(tmp_path):
