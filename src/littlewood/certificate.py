@@ -28,9 +28,9 @@ in u > 0, so the margin at the low end of the u-range decides it.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
 
 from .cfrac import (
     CFSpec,
@@ -88,22 +88,15 @@ FAIL_REASONS = (
 MAX_FULL_GRID_CELLS = 20000
 
 
-class TheoremCheck(NamedTuple):
-    """Outcome of one (n, N) cell of the sufficient condition."""
+class TheoremCheck(namedtuple("TheoremCheck", "n N epsilon lam transversal x0 tau t_n chain_ok "
+                              "direct_ok reason candidate verified",
+                              defaults=(None, None, None, False, None, None, None, None))):
+    """Outcome of one (n, N) cell of the sufficient condition: the entry
+    time enclosure `tau`, `direct_ok` for tau <= t_n < x0, the failing
+    link's `reason` (None for a certificate) and the LatticePoint
+    `candidate` with its `verified` verdict."""
 
-    n: int
-    N: int
-    epsilon: Fraction
-    lam: int
-    transversal: bool
-    x0: int | None = None
-    tau: DyadicInterval | None = None
-    t_n: int | None = None
-    chain_ok: bool = False
-    direct_ok: bool | None = None  # tau <= t_n < x0
-    reason: str | None = None
-    candidate: LatticePoint | None = None
-    verified: bool | None = None
+    __slots__ = ()
 
 
 def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool:
@@ -182,12 +175,10 @@ def theorem_check(
     )
 
 
-class SearchOutcome(NamedTuple):
+class SearchOutcome(namedtuple("SearchOutcome", "cells found trivial_witness")):
     """Cells in the order run, the verified cell if any, and an x = 1 witness."""
 
-    cells: tuple[TheoremCheck, ...]
-    found: TheoremCheck | None
-    trivial_witness: LatticePoint | None
+    __slots__ = ()
 
     @property
     def exhausted(self) -> bool:
@@ -270,13 +261,13 @@ def certificate_search(
 # -- the contradiction system of the degree-18 entry-time majorant --------
 
 
-class GridCheckResult(NamedTuple):
-    ok: bool
-    points: int
-    empty_range: bool
-    min_margin: float  # min over the grid of lhs_lo - rhs_hi
-    u_lo: DyadicInterval
-    u_hi: DyadicInterval | None
+class GridCheckResult(namedtuple("GridCheckResult",
+                                 "ok points empty_range min_margin u_lo u_hi")):
+    """Outcome of :func:`infeasibility_grid_check`: `min_margin` is the
+    float min over the grid of lhs_lo - rhs_hi, and `u_lo`, `u_hi` enclose
+    the ends of the admissible u-range (u_hi None without an x0 >= 2)."""
+
+    __slots__ = ()
 
 
 def infeasibility_grid_check(
@@ -357,21 +348,18 @@ def infeasibility_grid_check(
     return GridCheckResult(margin > 0, count, False, shown, u_lo, u_hi)
 
 
-class B3PairReport(NamedTuple):
-    alpha: CFSpec
-    beta: CFSpec
-    epsilon: Fraction
-    n_lo: int
-    n_hi: int
-    cells: tuple[TheoremCheck, ...]
-    certificates: tuple[TheoremCheck, ...]
-    reason_counts: dict
-    x0_reference: int | None
-    grid: GridCheckResult
+class B3PairReport(namedtuple("B3PairReport", "alpha beta epsilon n_lo n_hi cells certificates "
+                              "reason_counts x0_reference grid")):
+    """One pair and eps of :func:`b3_infeasibility_scan`: its cells, the
+    certificates among them, a dict of reason counts and the grid check."""
+
+    __slots__ = ()
 
 
-class B3ScanReport(NamedTuple):
-    reports: tuple[B3PairReport, ...]
+class B3ScanReport(namedtuple("B3ScanReport", "reports")):
+    """The B3PairReports of a scan, in order."""
+
+    __slots__ = ()
 
     @property
     def total_certificates(self) -> int:

@@ -25,11 +25,12 @@ e_n = alpha - p_n/q_n are kept as exact surd handles with certified signs
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from types import SimpleNamespace
-from typing import Iterable, NamedTuple, Sequence
 
 from .exactnum import (
     ParameterError,
@@ -80,13 +81,7 @@ class InternalInconsistencyError(CFError):
     """A proven-impossible bound failed; indicates a bug, not bad input."""
 
 
-class _CFSpecFields(NamedTuple):
-    surd: SurdSum | None = None
-    preperiod: tuple[int, ...] = ()
-    period: tuple[int, ...] = ()
-
-
-class CFSpec(_CFSpecFields):
+class CFSpec(namedtuple("CFSpec", "surd preperiod period")):
     """A real number, given by its exact value or by its continued fraction.
 
     Either `surd` holds the value, a SurdSum that is rational or has one
@@ -229,12 +224,10 @@ def cf_expand(spec: CFSpec, count: int) -> list[int]:
     return out
 
 
-class Convergent(NamedTuple):
+class Convergent(namedtuple("Convergent", "n p q")):
     """One convergent p_n / q_n (always in lowest terms)."""
 
-    n: int
-    p: int
-    q: int
+    __slots__ = ()
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.p, self.q)
@@ -268,21 +261,16 @@ def convergent(spec: CFSpec, n: int) -> Convergent:
     return convergents(quots)[n]
 
 
-class ErrorTerm(NamedTuple):
+class ErrorTerm(namedtuple("ErrorTerm", "n value sign p_n q_n q_next")):
     """The convergent p_n/q_n of order n and its exact error e_n = alpha -
-    p_n/q_n, with certified sign and the next denominator q_{n+1} (None
-    when a rational expansion ends at n).
+    p_n/q_n (a SurdSum), with certified sign and the next denominator
+    q_{n+1} (None when a rational expansion ends at n).
 
     Sign alternates: positive at even n, negative at odd n (zero only when
     a finite rational expansion terminates exactly at n).
     """
 
-    n: int
-    value: SurdSum
-    sign: int
-    p_n: int
-    q_n: int
-    q_next: int | None
+    __slots__ = ()
 
     def magnitude(self) -> SurdSum:
         return self.value if self.sign >= 0 else -self.value
@@ -315,13 +303,12 @@ def error_term(spec: CFSpec, n: int) -> ErrorTerm:
     return ErrorTerm(n, value, sign, c.p, c.q, q_next)
 
 
-class GrowthReport(NamedTuple):
-    """Outcome of the denominator growth check 2^((n-2)/2) <= q_n <= lambda^(n/2)."""
+class GrowthReport(namedtuple("GrowthReport", "ok n_max lam first_violation",
+                              defaults=(None,))):
+    """Outcome of the denominator growth check 2^((n-2)/2) <= q_n <= lambda^(n/2):
+    `first_violation` is the first (n, "lower" | "upper") that fails, if any."""
 
-    ok: bool
-    n_max: int
-    lam: int
-    first_violation: tuple[int, str] | None = None
+    __slots__ = ()
 
 
 def growth_bounds_check(spec: CFSpec, M: int, n_max: int) -> GrowthReport:
@@ -557,13 +544,7 @@ def bad_constant_estimate(spec: CFSpec, Q: int) -> Fraction:
     return best.interval(128).lo
 
 
-class _BadProfileFields(NamedTuple):
-    M: int
-    lam: int
-    C_estimate: Fraction
-
-
-class BadProfile(_BadProfileFields):
+class BadProfile(namedtuple("BadProfile", "M lam C_estimate")):
     """Partial-quotient bound M, lambda = (M+1)^2, and a positive rational
     lower-bound estimate for max(inf q||q*alpha||, inf q||q*beta||)."""
 
@@ -609,13 +590,12 @@ def _checked_lcm_time(qa: int, qb: int, n: int, lam: int) -> int:
     return t
 
 
-class LcmGrowthProfile(NamedTuple):
+class LcmGrowthProfile(namedtuple("LcmGrowthProfile",
+                                  "quotients liminf_estimate limsup_estimate")):
     """Empirical growth of log(t_n)/n.  The sequence is bounded; whether it
     converges is not asserted, so both tail estimates are reported."""
 
-    quotients: tuple[float, ...]
-    liminf_estimate: float
-    limsup_estimate: float
+    __slots__ = ()
 
 
 def lcm_growth_profile(alpha: CFSpec, beta: CFSpec, n_max: int) -> LcmGrowthProfile:

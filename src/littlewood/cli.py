@@ -15,7 +15,6 @@ parameter error, 3 certification failure.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from collections import Counter
 
@@ -54,11 +53,13 @@ def _metadata(ns: argparse.Namespace, **extra) -> dict:
     return md
 
 
+def _spec(text: str, frac: bool):
+    """Parse a number spec, printing its normalization notes to stderr."""
+    return parse_number_spec(text, frac, note=lambda message: print(message, file=sys.stderr))
+
+
 def _numbers(ns: argparse.Namespace):
-    return (
-        parse_number_spec(ns.alpha, ns.frac),
-        parse_number_spec(ns.beta, ns.frac),
-    )
+    return _spec(ns.alpha, ns.frac), _spec(ns.beta, ns.frac)
 
 
 def _cmd_liminf(ns: argparse.Namespace) -> int:
@@ -221,9 +222,7 @@ def _cmd_b3_scan(ns: argparse.Namespace) -> int:
             parts = line.split()
             if len(parts) != 2:
                 raise ParameterError(f"expected two number specs per line, got {line!r}")
-            pairs.append(
-                (parse_number_spec(parts[0], ns.frac), parse_number_spec(parts[1], ns.frac))
-            )
+            pairs.append((_spec(parts[0], ns.frac), _spec(parts[1], ns.frac)))
             labels.append((parts[0], parts[1]))
     epsilons = [parse_exact_fraction(tok) for tok in ns.epsilons.split(",")]
     report = b3_infeasibility_scan(pairs, epsilons, u_points=ns.u_points, max_N=ns.max_N)
@@ -307,8 +306,8 @@ def _cmd_cartan(ns: argparse.Namespace) -> int:
 def _cmd_levy(ns: argparse.Namespace) -> int:
     if ns.n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    alpha = parse_number_spec(ns.alpha, ns.frac)
-    beta = parse_number_spec(ns.beta, ns.frac) if ns.beta else None
+    alpha = _spec(ns.alpha, ns.frac)
+    beta = _spec(ns.beta, ns.frac) if ns.beta else None
     header = ["n", "levy_alpha"]
     extra = {"levy_ae_reference": f"{LEVY_AE_LOG:.12f}"}
     if beta is not None:
@@ -409,23 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # the library's INFO notes go to stderr for this call only, so an
-    # in-process caller's logging is left as it was found
-    log = logging.getLogger("littlewood")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    level = log.level
-    log.addHandler(handler)
-    log.setLevel(logging.INFO)
     try:
         ns = build_parser().parse_args(argv)
         return ns.func(ns)
     except (NumberSpecError, ParameterError, CFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
 
 
 if __name__ == "__main__":

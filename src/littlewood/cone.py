@@ -20,8 +20,9 @@ sqrt(phi), when it is made.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
 
 from .exactnum import (
     DyadicInterval,
@@ -58,10 +59,10 @@ def phi(N: int, epsilon: Fraction) -> Fraction:
     return 2 * epsilon / (N * (N - 1) ** 2)
 
 
-class ConeParams(NamedTuple):
-    N: int
-    epsilon: Fraction
-    phi: Fraction
+class ConeParams(namedtuple("ConeParams", "N epsilon phi")):
+    """The cone's parameters: N, eps and the aperture phi(N, eps)."""
+
+    __slots__ = ()
 
     @classmethod
     def make(cls, N: int, epsilon) -> "ConeParams":
@@ -69,11 +70,12 @@ class ConeParams(NamedTuple):
         return cls(N, epsilon, phi(N, epsilon))
 
 
-class ConeMembershipVerdict(NamedTuple):
-    inside: bool
-    margin: DyadicInterval  # lhs - rhs of the defining inequality
-    margin_sign: int
-    x_in_range: bool
+class ConeMembershipVerdict(namedtuple("ConeMembershipVerdict",
+                                       "inside margin margin_sign x_in_range")):
+    """A membership verdict; `margin` encloses lhs - rhs of the defining
+    inequality (a DyadicInterval) and `margin_sign` is its exact sign."""
+
+    __slots__ = ()
 
 
 def cone_contains(alpha, beta, p: Sequence, params: ConeParams) -> ConeMembershipVerdict:
@@ -94,15 +96,13 @@ def cone_contains(alpha, beta, p: Sequence, params: ConeParams) -> ConeMembershi
     )
 
 
-class TangencyData(NamedTuple):
+class TangencyData(namedtuple("TangencyData",
+                              "radius point discriminant_is_zero on_hyperbola")):
     """Base-circle data at x = 1: radius sqrt(2*eps), tangency point
     (1, sqrt(eps), sqrt(eps)) on the hyperbola y*z = eps, and the exact
     vanishing of the tangency discriminant r^4 - 4*eps^2."""
 
-    radius: SurdSum
-    point: tuple[Fraction, SurdSum, SurdSum]
-    discriminant_is_zero: bool
-    on_hyperbola: bool
+    __slots__ = ()
 
 
 def base_tangency(epsilon) -> TangencyData:
@@ -117,7 +117,8 @@ def base_tangency(epsilon) -> TangencyData:
     return TangencyData(radius, (Fraction(1), se, se), disc_zero, on_hyp)
 
 
-class InclusionSample(NamedTuple):
+class InclusionSample(namedtuple("InclusionSample",
+                                 "x_num u_num v_num f_num margin_num phi_den violation")):
     """One sampled interior point, in scaled cross-section coordinates:
     the point is (x, alpha*x - u*s, beta*x - v*s) with s = sqrt(phi)*(N-x),
     so f at the point is the exact rational x*u*v*phi*(N-x)^2.
@@ -130,13 +131,7 @@ class InclusionSample(NamedTuple):
     margin <= 0 fails.
     """
 
-    x_num: int
-    u_num: int
-    v_num: int
-    f_num: int
-    margin_num: int
-    phi_den: int
-    violation: bool
+    __slots__ = ()
 
     @property
     def x_ratio(self) -> tuple[int, int]:

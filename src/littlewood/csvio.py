@@ -19,8 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = ["format_decimal", "format_ratio", "format_ratio_bounds", "render_csv", "write_csv"]
 

@@ -25,8 +25,8 @@ certified interval.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cfrac import CFSpec, ErrorTerm, _below, cf_expand, error_term
 from .cone import ConeParams
@@ -64,14 +64,12 @@ class NonpositiveDenominatorError(RuntimeError):
     """The quadratic's leading coefficient is not positive."""
 
 
-class ApproxLine(NamedTuple):
-    """Line through a Dirichlet point P0 whose direction is the pair of
-    order-2n convergents, read with their errors from e_alpha and e_beta."""
+class ApproxLine(namedtuple("ApproxLine", "n P0 e_alpha e_beta")):
+    """Line through a Dirichlet point P0 (None for the line of order n
+    alone) whose direction is the pair of order-2n convergents, read with
+    their errors from the ErrorTerms e_alpha and e_beta."""
 
-    n: int
-    P0: DirichletPoint | None
-    e_alpha: ErrorTerm
-    e_beta: ErrorTerm
+    __slots__ = ()
 
     @property
     def x0(self) -> int:
@@ -175,7 +173,8 @@ def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, S
     return A, B, C
 
 
-class EntryTimeReport(NamedTuple):
+class EntryTimeReport(namedtuple("EntryTimeReport", "n N already_inside d_n_sign denominator "
+                                 "t_minus t_plus tau B C")):
     """First entry of the line into the cone.
 
     tau is a certified interval (degenerate [0,0] when P0 is already
@@ -185,16 +184,7 @@ class EntryTimeReport(NamedTuple):
     downstream (:meth:`tau_vs`) stay exact.
     """
 
-    n: int
-    N: int
-    already_inside: bool
-    d_n_sign: int
-    denominator: SurdSum
-    t_minus: DyadicInterval | None
-    t_plus: DyadicInterval | None
-    tau: DyadicInterval
-    B: SurdSum
-    C: SurdSum
+    __slots__ = ()
 
     def tau_vs(self, k, strict: bool = False) -> bool:
         """Exact comparison tau <= k (or < k).

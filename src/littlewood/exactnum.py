@@ -25,9 +25,9 @@ from zero (a root-separation bound; see ``SurdSum._sign_exact``).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
 
 __all__ = [
     "ParameterError",
@@ -44,8 +44,6 @@ __all__ = [
     "as_surdsum",
     "certified_sign",
 ]
-
-RationalLike = Union[int, Fraction]
 
 SIGN_BITS_START = 64
 SIGN_BITS_CAP = 4096
@@ -155,7 +153,7 @@ class DyadicInterval:
         self.exp = exp
 
     @classmethod
-    def point(cls, x: RationalLike, bits: int = 64) -> "DyadicInterval":
+    def point(cls, x: int | Fraction, bits: int = 64) -> "DyadicInterval":
         """Enclosure of a rational, exact if x is a multiple of 2**-bits."""
         x = Fraction(x)
         return cls(*_outward(x.numerator, x.numerator, x.denominator, bits), bits)
@@ -248,7 +246,7 @@ class DyadicInterval:
         p3, p4 = self.hi_m * other.lo_m, self.hi_m * other.hi_m
         return DyadicInterval(min(p1, p2, p3, p4), max(p1, p2, p3, p4), self.exp + other.exp)
 
-    def scale(self, k: RationalLike) -> "DyadicInterval":
+    def scale(self, k: int | Fraction) -> "DyadicInterval":
         """Multiply by an exact dyadic constant (no rounding)."""
         k = Fraction(k)
         shift = k.denominator.bit_length() - 1
@@ -294,7 +292,7 @@ class DyadicInterval:
         return f"[{self.lo_m / scale:.17g}, {self.hi_m / scale:.17g}]"
 
 
-def root_interval(x: RationalLike, k: int, bits: int) -> DyadicInterval:
+def root_interval(x: int | Fraction, k: int, bits: int) -> DyadicInterval:
     """Enclosure of x**(1/k) (x >= 0, k >= 1) with width <= 2**-bits."""
     x = Fraction(x)
     if x < 0:
@@ -305,7 +303,7 @@ def root_interval(x: RationalLike, k: int, bits: int) -> DyadicInterval:
     return DyadicInterval(m, m if exact else m + 1, bits)
 
 
-def frac_pow_interval(base: RationalLike, num: int, den: int, bits: int) -> DyadicInterval:
+def frac_pow_interval(base: int | Fraction, num: int, den: int, bits: int) -> DyadicInterval:
     """Enclosure of base**(num/den) for a positive rational base."""
     base = Fraction(base)
     if base <= 0:
@@ -342,7 +340,7 @@ class SurdSum:
     # and a Fraction hash costs a modular inverse.
     __slots__ = ("_terms", "_fixed", "_hash")
 
-    def __init__(self, terms: Mapping[int, RationalLike] | None = None):
+    def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         if terms:
             for rad, coef in terms.items():
@@ -360,7 +358,7 @@ class SurdSum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, x: RationalLike) -> "SurdSum":
+    def from_rational(cls, x: int | Fraction) -> "SurdSum":
         return cls._from_squarefree({1: Fraction(x)} if x else {})
 
     @classmethod
@@ -372,7 +370,7 @@ class SurdSum:
         return result
 
     @classmethod
-    def sqrt(cls, x: RationalLike, coeff: RationalLike = 1) -> "SurdSum":
+    def sqrt(cls, x: int | Fraction, coeff: int | Fraction = 1) -> "SurdSum":
         """coeff * sqrt(x) for a nonnegative rational x:
         sqrt(p/q) = sqrt(p*q)/q keeps the radicand integral."""
         x = Fraction(x)
@@ -573,7 +571,7 @@ def fixed_enclosure(x) -> tuple[int, int]:
     return fixed_enclosure(as_surdsum(x))
 
 
-def _inverse_square_floor(m: SurdSum, c: RationalLike, cap: int | float) -> int | float:
+def _inverse_square_floor(m: SurdSum, c: int | Fraction, cap: int | float) -> int | float:
     """min(floor(c / m**2), cap) for m >= 0 and a rational c > 0, exactly
     (m = 0 gives the cap, which may be math.inf)."""
     if m.is_zero():

@@ -14,14 +14,15 @@ confirmed or rejected in exact arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 from .cfrac import CFSpec, ParameterError, ResidualScan, residual_minima
 from .exactnum import (
-    DyadicInterval,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
@@ -52,33 +53,30 @@ class TheoremViolationError(RuntimeError):
     """A pigeonhole-guaranteed search came back empty (indicates a bug)."""
 
 
-class LatticePoint(NamedTuple):
-    x: int
-    y: int
-    z: int
+class LatticePoint(namedtuple("LatticePoint", "x y z")):
+    """An integer point (x, y, z)."""
+
+    __slots__ = ()
 
 
-class DirichletPoint(NamedTuple):
-    """Simultaneous-approximation point: 1 <= x <= N with both residuals
-    U0 = alpha*x - y and V0 = beta*x - z at most 1/sqrt(N) in magnitude."""
+class DirichletPoint(namedtuple("DirichletPoint", "point N U0 V0")):
+    """Simultaneous-approximation point: a LatticePoint with 1 <= x <= N and
+    both residuals U0 = alpha*x - y and V0 = beta*x - z (SurdSums) at most
+    1/sqrt(N) in magnitude."""
 
-    point: LatticePoint
-    N: int
-    U0: SurdSum
-    V0: SurdSum
+    __slots__ = ()
 
     @property
     def x(self) -> int:
         return self.point.x
 
 
-class FEval(NamedTuple):
+class FEval(namedtuple("FEval", "sign magnitude vs_epsilon")):
     """Certified evaluation of f at a point: exact sign, magnitude
-    enclosure, and the trichotomy against eps."""
+    enclosure (a DyadicInterval), and the trichotomy against eps,
+    `vs_epsilon` = 'below' | 'equal' | 'above'."""
 
-    sign: int
-    magnitude: DyadicInterval
-    vs_epsilon: str  # 'below' | 'equal' | 'above'
+    __slots__ = ()
 
 
 def surdsum_of(x) -> SurdSum:
@@ -158,13 +156,11 @@ def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
     return DirichletPoint(point, N, ua, ub)
 
 
-class MinRecord(NamedTuple):
-    """A new running minimum of x * ||x*alpha|| * ||x*beta||."""
+class MinRecord(namedtuple("MinRecord", "x lo hi value")):
+    """A new running minimum of x * ||x*alpha|| * ||x*beta||: its exact
+    value and rational bounds lo <= value <= hi."""
 
-    x: int
-    lo: Fraction
-    hi: Fraction
-    value: SurdSum
+    __slots__ = ()
 
 
 def brute_min_scan(alpha, beta, X: int) -> list[MinRecord]:
@@ -183,24 +179,20 @@ def brute_min_scan(alpha, beta, X: int) -> list[MinRecord]:
     return records
 
 
-class CartanReport(NamedTuple):
+class CartanReport(namedtuple("CartanReport", "epsilon monic_measure_lo monic_measure_hi "
+                              "f_measure_lo f_measure_hi bound monic_within_bound "
+                              "f_within_bound")):
     """Sublevel measures of the one-variable cubic through (y0, z0).
 
     P(x) = x (x - y0/alpha)(x - z0/beta) is the monic cubic with
     alpha*beta*P(x) = f(x, y0, z0).  The report carries certified bounds on
     the Lebesgue measure of both {|P| <= eps} (monic form; the classical
     sublevel estimate 2e*eps^(1/3) is a theorem for it) and {|f| <= eps},
-    plus the comparison of each against 2e*eps^(1/3).
+    plus the comparison of each against 2e*eps^(1/3).  `bound` is that
+    2e*eps^(1/3) as a float, for display; the verdicts are exact.
     """
 
-    epsilon: Fraction
-    monic_measure_lo: Fraction
-    monic_measure_hi: Fraction
-    f_measure_lo: Fraction
-    f_measure_hi: Fraction
-    bound: float  # 2e * eps^(1/3), for display; the verdicts are exact
-    monic_within_bound: bool
-    f_within_bound: bool
+    __slots__ = ()
 
     @property
     def monic_measure(self) -> Fraction:
@@ -292,17 +284,16 @@ def cartan_measure(
 
 
 def _display_bound(epsilon: Fraction) -> float:
-    """2e * eps^(1/3) as a float, for display.  An eps past the float range
-    goes through logarithms (its bound may still fit), and a bound past it
-    is an infinity."""
-    try:
+    """2e * eps^(1/3) as a float, for display.  An eps outside the normal
+    floats goes through logarithms (its bound may still fit), and a bound
+    above the float range is an infinity, one below it 0.0."""
+    if sys.float_info.min <= epsilon <= sys.float_info.max:
         return 2 * math.e * float(epsilon) ** (1 / 3)
+    log_eps = math.log(epsilon.numerator) - math.log(epsilon.denominator)
+    try:
+        return math.exp(math.log(2) + 1 + log_eps / 3)
     except OverflowError:
-        log_eps = math.log(epsilon.numerator) - math.log(epsilon.denominator)
-        try:
-            return math.exp(math.log(2) + 1 + log_eps / 3)
-        except OverflowError:
-            return math.inf
+        return math.inf
 
 
 def _within_2e_cbrt(x: Fraction, epsilon: Fraction) -> bool:

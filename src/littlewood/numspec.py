@@ -9,26 +9,21 @@
 
 Decimals elsewhere in the CLI (epsilon and friends) parse as exact
 rationals; nothing ever round-trips through binary floating point.
+
+The parser writes nothing itself: a radicand it reduces to its squarefree
+part is reported, as one line of text, to the `note` callable a caller
+passes (the CLI prints it to stderr).
 """
 
 from __future__ import annotations
 
-import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from .cfrac import CFSpec, convergents
 from .exactnum import SurdSum, squarefree_decompose
 
 __all__ = ["NumberSpecError", "parse_number_spec", "parse_exact_fraction"]
-
-
-def _note(message: str, *args) -> None:
-    """An INFO note on the "littlewood" logger.  Only a process that has
-    imported logging can have a handler for it, so without that module the
-    note is dropped unformatted, as logging would drop it."""
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger("littlewood").info(message, *args)
 
 
 class NumberSpecError(ValueError):
@@ -62,9 +57,12 @@ def _root_term(square: int, free: int, coeff: Fraction) -> SurdSum:
     return SurdSum._from_squarefree({free: coeff} if free and coeff else {})
 
 
-def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
+def parse_number_spec(
+    text: str, frac: bool = False, note: Callable[[str], object] | None = None
+) -> CFSpec:
     """Parse the grammar above into a CF spec; `frac` maps the value to its
-    fractional part (the unit-interval normalization alpha - floor(alpha))."""
+    fractional part (the unit-interval normalization alpha - floor(alpha)),
+    and `note`, when given, receives each normalization note."""
     head, sep, body = text.partition(":")
     if not sep:
         raise NumberSpecError(text, 0, "expected '<kind>:<payload>'")
@@ -74,8 +72,8 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         if d < 0:
             raise NumberSpecError(text, offset, "radicand must be nonnegative")
         square, free = _squarefree_at(text, d, offset)
-        if square != 1 and free > 1:
-            _note("sqrt:%d normalized to %d*sqrt(%d)", d, square, free)
+        if note and square != 1 and free > 1:
+            note(f"sqrt:{d} normalized to {square}*sqrt({free})")
         spec = CFSpec.from_surd(_root_term(square, free, Fraction(1)))
     elif head == "quad":
         parts = body.split(",")
@@ -87,8 +85,8 @@ def parse_number_spec(text: str, frac: bool = False) -> CFSpec:
         if d < 0:
             raise NumberSpecError(text, offset, "radicand d must be nonnegative")
         square, free = _squarefree_at(text, d, offset)
-        if free != d:
-            _note("quad radicand %d normalized to squarefree %d", d, free)
+        if note and free != d:
+            note(f"quad radicand {d} normalized to squarefree {free}")
         spec = CFSpec.from_surd(_root_term(square, free, Fraction(b, c)) + Fraction(a, c))
     elif head == "cf":
         spec = _parse_cf(text, body, offset)

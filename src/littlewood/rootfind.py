@@ -31,8 +31,8 @@ returned as a degenerate interval.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .exactnum import FIXED_BITS, SurdSum, as_surdsum, certified_sign, fixed_enclosure
 

@@ -1,9 +1,10 @@
 """CLI: number-spec parsing, exact rationals, CSV shape, determinism and
 exit codes."""
 
-import logging
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -534,24 +535,57 @@ def test_no_subcommand_takes_threads(capsys):
     assert exc.value.code == 2
 
 
-def test_main_prints_its_notes_and_leaves_logging_as_it_found_it(tmp_path, capsys):
-    # the radicand note of a spec parsed by a command goes to stderr, as in a
-    # shell; the handler goes with the call, so a later parse in the same
-    # process writes nothing and the root logger keeps its handlers (none,
-    # as in a fresh process; the test runner's own are put back after)
-    root, lib = logging.getLogger(), logging.getLogger("littlewood")
-    runner_handlers = root.handlers[:]
-    root.handlers.clear()
-    try:
-        before = (list(root.handlers), root.level, list(lib.handlers), lib.level)
-        out = tmp_path / "l.csv"
-        assert main(["levy", "--alpha", "quad:1,1,1,8", "--n-max", "3", "--out", str(out)]) == 0
-        assert "quad radicand 8 normalized to squarefree 2\n" in capsys.readouterr().err
-        assert (list(root.handlers), root.level, list(lib.handlers), lib.level) == before
-        parse_number_spec("quad:1,1,1,8")
-        assert capsys.readouterr() == ("", "")
-        with pytest.raises(SystemExit):
-            main(["levy", "--help"])
-        assert (list(root.handlers), root.level, list(lib.handlers), lib.level) == before
-    finally:
-        root.handlers[:] = runner_handlers
+NOTES = {
+    "sqrt:8": "sqrt:8 normalized to 2*sqrt(2)\n",
+    "quad:1,1,1,8": "quad radicand 8 normalized to squarefree 2\n",
+}
+
+
+def _note_argv(command, spec, tmp_path):
+    nums = ["--alpha", spec, "--frac", "--beta", "sqrt:3", "--frac"]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text(f"{spec} sqrt:3\n")
+    return {
+        "liminf": ["liminf", *nums, "--max-x", "100"],
+        "cone-check": ["cone-check", *nums, "--N", "10", "--epsilon", "1/10", "--samples", "10"],
+        "entry-time": ["entry-time", *nums, "--N", "51", "--epsilon", "1/100", "--n-max", "2"],
+        "certificate": ["certificate", *nums, "--epsilon", "1/1000", "--n-max", "2"],
+        "b3-scan": ["b3-scan", "--pairs", str(pairs), "--frac", "--epsilons", "1/100"],
+        "cartan": ["cartan", *nums, "--y0", "1", "--z0", "1", "--epsilon", "1/1000"],
+        "levy": ["levy", "--alpha", "quad:1,1,2,5", "--frac", "--beta", spec, "--n-max", "3"],
+    }[command]
+
+
+@pytest.mark.parametrize("spec", NOTES)
+@pytest.mark.parametrize("command", ["liminf", "cone-check", "entry-time", "certificate",
+                                     "b3-scan", "cartan", "levy"])
+def test_every_command_prints_the_radicand_note(command, spec, tmp_path, capsys):
+    # the radicand note of every spec a command parses goes to stderr, one
+    # line each; 2*sqrt(2) has a partial quotient 4, past b3-scan's bound 3
+    code = main(_note_argv(command, spec, tmp_path))
+    err = capsys.readouterr().err
+    if command == "b3-scan":
+        assert (code, err) == (2, NOTES[spec] + "error: pair has a partial quotient 4 > 3\n")
+    else:
+        assert (code, err) == (0, NOTES[spec])
+
+
+def test_parsing_writes_nothing_and_hands_its_notes_to_the_caller():
+    # a process that sends INFO logging to stderr still sees no note: the
+    # library writes nothing itself, only to a `note` it is given
+    probe = (
+        "import logging; logging.basicConfig(level=logging.INFO); "
+        "from littlewood.numspec import parse_number_spec; "
+        "parse_number_spec('quad:1,1,1,8')"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert (done.stdout, done.stderr) == ("", "")
+    notes = []
+    for spec in NOTES:
+        parse_number_spec(spec, note=notes.append)
+    assert [note + "\n" for note in notes] == list(NOTES.values())
+    parse_number_spec("quad:1,1,2,5", note=notes.append)
+    assert len(notes) == 2

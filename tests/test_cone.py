@@ -316,7 +316,7 @@ def test_fresh_numbers_leave_no_state_behind():
     # what is built for one number lives on its spec or its run, or in a
     # cache of fixed size, so once those caches are warm the traced memory
     # stays flat however many fresh numbers follow (squarefree radicands,
-    # so that parsing logs nothing)
+    # so that each number brings a radicand of its own)
     params = ConeParams.make(12, Fraction(1, 8))
     radicands = [d for d in range(2, 1000) if squarefree_decompose(d)[0] == 1][:300]
     tracemalloc.start()

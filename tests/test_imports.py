@@ -1,8 +1,10 @@
 """Lint: every name a library module imports is used in that module,
 every name in an ``__all__`` resolves and is read by the library, the
-benchmark or a gate test, importing the library loads no dataclasses,
-inspect, logging or argparse, importing the command-line module loads no
-process-pool machinery, and no command loads numpy.
+benchmark or a gate test, no library module imports typing or logging,
+importing the library or its command-line module loads no typing,
+logging, dataclasses or inspect (and the library no argparse), importing
+the command-line module loads no process-pool machinery, and no command
+loads numpy.
 
 Pure stdlib ``ast``; ``from __future__`` imports and the re-exports a
 module lists in ``__all__`` count as used.
@@ -161,18 +163,39 @@ def test_cli_import_loads_no_process_pool():
     assert _fresh_python(probe) == "[]\n"
 
 
+def test_no_library_module_imports_typing_or_logging():
+    # records are collections.namedtuple subclasses, abstract types come from
+    # collections.abc and notes go to a caller's callable, so neither module
+    # is needed at any depth, a function body's import included
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("typing", "logging") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_library_import_loads_no_record_or_logging_machinery():
-    # every CLI call and every library user pays for what `import littlewood`
-    # loads; -S keeps site hooks from loading modules of their own
-    probe = (
-        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import littlewood; "
-        "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'argparse') "
-        "if m in sys.modules))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "[]\n"
+    # every CLI call and every library user pays for what these imports
+    # load; -S keeps site hooks from loading modules of their own
+    for module, unwanted in [
+        ("littlewood", ("typing", "logging", "dataclasses", "inspect", "argparse")),
+        ("littlewood.cli", ("typing", "logging", "dataclasses", "inspect")),
+    ]:
+        probe = (
+            f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import {module}; "
+            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n", module
 
 
 def test_commands_never_load_numpy(tmp_path):

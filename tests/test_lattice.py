@@ -401,6 +401,18 @@ def test_cartan_bound_verdict_where_the_float_bound_errs():
     assert _within_2e_cbrt(Fraction("0.543656365691809045"), eps)
 
 
+def test_display_bound_below_the_normal_floats_goes_through_logarithms():
+    # float(eps) underflows without an error below the normal floats; such
+    # an eps takes the logarithm branch, as one above the float range does
+    with mpmath.workdps(30):
+        for k in (320, 330, 400):
+            want = 2 * mpmath.e * mpmath.mpf(10) ** (-mpmath.mpf(k) / 3)
+            assert abs(lattice._display_bound(Fraction(1, 10**k)) - want) <= 1e-12 * want, k
+    assert lattice._display_bound(Fraction(1, 10**6)) == 0.05436563656918091
+    assert lattice._display_bound(Fraction(10**400)) == 1.1712721337030458e134
+    assert lattice._display_bound(Fraction(1, 10**4000)) == 0.0
+
+
 def test_cartan_verdicts_use_the_exact_bound(monkeypatch):
     # a measure enclosure whose upper end lies between 2e/10 and the float
     # bound at eps = 1/1000 is reported as outside the bound

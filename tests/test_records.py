@@ -1,7 +1,8 @@
 """Record semantics: the library's result types are immutable named tuples
 whose keyword construction, defaults, equality, hash and repr read as
-field-by-field records; CFSpec and BadProfile validate on construction,
-and ResidualScan is the one mutable record."""
+field-by-field records and that carry no instance dict but CFSpec's memos;
+CFSpec and BadProfile validate on construction, and ResidualScan is the
+one mutable record."""
 
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from littlewood.cfrac import (
     cf_expand,
     residual_minima,
 )
-from littlewood.cone import ConeMembershipVerdict, ConeParams, TangencyData
+from littlewood.cone import ConeMembershipVerdict, ConeParams, InclusionSample, TangencyData
 from littlewood.entrytime import ApproxLine, EntryTimeReport
 from littlewood.exactnum import DyadicInterval, SurdSum
 from littlewood.lattice import CartanReport, DirichletPoint, FEval, LatticePoint, MinRecord
@@ -62,6 +63,8 @@ RECORDS = [
     (TangencyData, dict(radius=SurdSum.sqrt(Fraction(1, 5)),
                         point=(Fraction(1), SurdSum.sqrt(Fraction(1, 10)), SurdSum.sqrt(Fraction(1, 10))),
                         discriminant_is_zero=True, on_hyperbola=True)),
+    (InclusionSample, dict(x_num=3, u_num=5, v_num=7, f_num=105, margin_num=-2, phi_den=75,
+                           violation=False)),
     (ApproxLine, dict(n=1, P0=None, e_alpha=_ERR, e_beta=_ERR)),
     (EntryTimeReport, dict(n=1, N=6, already_inside=False, d_n_sign=1, denominator=SQRT2M1,
                            t_minus=_IV, t_plus=_IV, tau=_IV, B=SQRT3M1, C=-SQRT2M1)),
@@ -106,6 +109,13 @@ def test_records_refuse_assignment(cls, fields):
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(rec, name, value)
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=IDS)
+def test_records_carry_no_instance_dict(cls, fields):
+    # __slots__ = () on every record keeps a dict off each of the many
+    # InclusionSamples and MinRecords; CFSpec keeps one for its memos
+    assert hasattr(cls(**fields), "__dict__") == (cls is CFSpec)
 
 
 def test_record_defaults():
