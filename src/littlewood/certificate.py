@@ -155,7 +155,8 @@ def theorem_check(
 
     base = dict(
         n=n, N=N, epsilon=epsilon, lam=lam, transversal=True, x0=x0, tau=rep.tau,
-        t_n=t_n, direct_ok=rep.tau_vs(t_n) and t_n < x0,
+        t_n=t_n,
+        direct_ok=rep.lattice_time_verdict(t_n, x0) == "lattice-time-in-cone",
     )
     # the chain tau_n <= 2^(n-1) < lambda^(2n) <= x0 - 2; its middle link
     # always holds: M >= 1, so lambda = (M+1)^2 >= 4 and lambda^(2n) >= 2^(4n)

@@ -21,8 +21,9 @@ from collections import Counter
 from . import __version__
 from .cfrac import (
     CFError,
+    _checked_lcm_time,
+    _observed_M,
     lcm_growth_profile,
-    lcm_time,
     levy_quotient,
     LEVY_AE_LOG,
 )
@@ -118,31 +119,26 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
     epsilon = parse_exact_fraction(ns.epsilon)
     params = ConeParams.make(ns.N, epsilon)
     p0 = dirichlet_search(alpha.value(), beta.value(), ns.N)
+    lam = (max(_observed_M(alpha), _observed_M(beta)) + 1) ** 2
     rows = []
     for n in range(1, ns.n_max + 1):
         line = approx_line(alpha, beta, n, p0)
-        t_n = lcm_time(alpha, beta, n)
-        transversal = transversality_check(ns.N, epsilon, line.e_alpha, line.e_beta)
-        if not transversal:
-            rows.append([n, line.e_alpha.q_n, line.e_beta.q_n, t_n, "", "", False, "nontransversal"])
+        qa, qb = line.e_alpha.q_n, line.e_beta.q_n
+        t_n = _checked_lcm_time(qa, qb, n, lam)
+        if not transversality_check(ns.N, epsilon, line.e_alpha, line.e_beta):
+            rows.append([n, qa, qb, t_n, "", "", False, "nontransversal"])
             continue
         rep = entry_time(line, params)
-        if not rep.tau_vs(t_n):
-            verdict = "entry-after-lattice-time"
-        elif t_n <= line.x0 - 1:
-            verdict = "lattice-time-in-cone"
-        else:
-            verdict = "lattice-time-beyond-segment"
         rows.append(
             [
                 n,
-                line.e_alpha.q_n,
-                line.e_beta.q_n,
+                qa,
+                qb,
                 t_n,
                 format_decimal(rep.tau.lo, direction=-1),
                 format_decimal(rep.tau.hi, direction=1),
                 True,
-                verdict,
+                rep.lattice_time_verdict(t_n, line.x0),
             ]
         )
     write_csv(

@@ -19,7 +19,6 @@ sqrt(phi), when it is made.
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -174,6 +173,8 @@ def _sample_chunk(
     phi = p/q, f = X*U*V*S^2*p / (q*2**265) and the margin is
     (U^2+V^2-2**106)*S^2*p / (q*2**212), so both verdicts are integer
     comparisons."""
+    import random  # only a sampling run pays for loading it
+
     rng = random.Random(seed * 1_000_003 + chunk_index)
     draw = rng.getrandbits
     one = 1 << _UNIT_BITS

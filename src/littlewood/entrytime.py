@@ -77,7 +77,8 @@ class ApproxLine(namedtuple("ApproxLine", "n P0 e_alpha e_beta")):
 
 
 def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint | None) -> ApproxLine:
-    """Bundle the order-2n data; even order keeps both error terms >= 0.
+    """Bundle the order-2n data; at even order error_term certifies both
+    error terms >= 0.
 
     With P0 = None the line carries the order-2n data alone, which is all
     transversality needs; ``line._replace(P0=P0)`` attaches a
@@ -92,11 +93,7 @@ def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoin
                 f"{name} = {spec.value()} is rational with {len(quotients)} partial "
                 f"quotients: it has no convergent of order 2n = {2 * n}"
             )
-    ea = error_term(alpha_spec, 2 * n)
-    eb = error_term(beta_spec, 2 * n)
-    if ea.sign < 0 or eb.sign < 0:
-        raise ParameterError("even-order error terms must be nonnegative")
-    return ApproxLine(n, P0, ea, eb)
+    return ApproxLine(n, P0, error_term(alpha_spec, 2 * n), error_term(beta_spec, 2 * n))
 
 
 def line_gamma(line: ApproxLine, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -173,15 +170,14 @@ def _membership_coeffs(line: ApproxLine, params: ConeParams) -> tuple[SurdSum, S
     return A, B, C
 
 
-class EntryTimeReport(namedtuple("EntryTimeReport", "n N already_inside d_n_sign denominator "
-                                 "t_minus t_plus tau B C")):
+class EntryTimeReport(namedtuple("EntryTimeReport", "already_inside d_n_sign denominator tau B C")):
     """First entry of the line into the cone.
 
-    tau is a certified interval (degenerate [0,0] when P0 is already
-    inside), and t_minus and t_plus enclose both roots of A t^2 + 2 B t + C
-    (None unless the discriminant sign d_n_sign is positive).  The exact
-    coefficients denominator = A, B and C are kept so chain comparisons
-    downstream (:meth:`tau_vs`) stay exact.
+    tau is a certified interval enclosing the entering root of
+    A t^2 + 2 B t + C (degenerate [0,0] when P0 is already inside), and
+    d_n_sign is the sign of the discriminant.  The exact coefficients
+    denominator = A, B and C are kept so chain comparisons downstream
+    (:meth:`tau_vs`, :meth:`lattice_time_verdict`) stay exact.
     """
 
     __slots__ = ()
@@ -203,6 +199,16 @@ class EntryTimeReport(namedtuple("EntryTimeReport", "n N already_inside d_n_sign
         cmp = certified_sign((slope + self.B) * k + self.C)
         return cmp > 0 if strict else cmp >= 0
 
+    def lattice_time_verdict(self, t_n: int, x0: int) -> str:
+        """Where the lattice time t_n falls on the segment [0, x0 - 1]:
+        before the entry, inside the cone (tau <= t_n < x0) or past the
+        segment's end."""
+        if not self.tau_vs(t_n):
+            return "entry-after-lattice-time"
+        if t_n < x0:
+            return "lattice-time-in-cone"
+        return "lattice-time-beyond-segment"
+
 
 def entry_time(line: ApproxLine, params: ConeParams) -> EntryTimeReport:
     """Entry time tau_n as a certified interval of relative width <= 1e-12.
@@ -219,44 +225,23 @@ def entry_time(line: ApproxLine, params: ConeParams) -> EntryTimeReport:
     if certified_sign(A) <= 0:
         raise NonpositiveDenominatorError("phi - e_a^2 - e_b^2 must be positive")
     D = 4 * (B * B - A * C)
-    d_sign = certified_sign(D)
-    c_sign = certified_sign(C)
-
-    already_inside = c_sign >= 0
-    t_minus = t_plus = None
-    if d_sign > 0:
-        t_minus, t_plus = _root_intervals(A, B, D)
-    if already_inside:
-        tau = DyadicInterval(0, 0, 0)
-    else:
-        # C < 0 forces D = 4(B^2 - AC) > 0, so t_plus exists
-        tau = t_plus
-    return EntryTimeReport(
-        line.n, params.N, already_inside, d_sign, A, t_minus, t_plus, tau, B, C,
-    )
+    if certified_sign(C) >= 0:
+        return EntryTimeReport(True, certified_sign(D), A, DyadicInterval(0, 0, 0), B, C)
+    # C < 0 and A > 0 force D = 4(B^2 - AC) > 0, so the entering root exists
+    return EntryTimeReport(False, 1, A, _entry_root(A, B, D), B, C)
 
 
-def _root_intervals(
-    A: SurdSum, B: SurdSum, D: SurdSum
-) -> tuple[DyadicInterval, DyadicInterval]:
-    """Certified intervals for both roots (-2B -+ sqrt(D)) / (2A)."""
+def _entry_root(A: SurdSum, B: SurdSum, D: SurdSum) -> DyadicInterval:
+    """Certified interval for the entering root (-2B + sqrt(D)) / (2A)."""
     bits = 128
     while True:
         a_iv = A.interval(bits)
         d_iv = D.interval(bits)
-        if a_iv.lo_m <= 0 or d_iv.lo_m < 0:
-            bits *= 2
-            continue
-        sq = d_iv.sqrt(bits)
-        minus2b = (-2 * B).interval(bits)
-        den = a_iv.scale(2)
-        tm = (minus2b - sq).divide(den, bits)
-        tp = (minus2b + sq).divide(den, bits)
-        scale = max(abs(tp.lo), abs(tp.hi), Fraction(1, 10**6))
-        if tp.width <= _TAU_REL_TOL * scale and tm.width <= _TAU_REL_TOL * max(
-            abs(tm.lo), abs(tm.hi), Fraction(1, 10**6)
-        ):
-            return tm, tp
-        if bits > 1 << 16:
-            raise ParameterError("entry time interval failed to converge")
+        if a_iv.lo_m > 0 and d_iv.lo_m >= 0:
+            two_a = DyadicInterval(a_iv.lo_m, a_iv.hi_m, a_iv.exp - 1)  # 2A, exactly
+            tau = ((-2 * B).interval(bits) + d_iv.sqrt(bits)).divide(two_a, bits)
+            if tau.width <= _TAU_REL_TOL * max(abs(tau.lo), abs(tau.hi), Fraction(1, 10**6)):
+                return tau
+            if bits > 1 << 16:
+                raise ParameterError("entry time interval failed to converge")
         bits *= 2

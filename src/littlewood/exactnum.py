@@ -246,14 +246,6 @@ class DyadicInterval:
         p3, p4 = self.hi_m * other.lo_m, self.hi_m * other.hi_m
         return DyadicInterval(min(p1, p2, p3, p4), max(p1, p2, p3, p4), self.exp + other.exp)
 
-    def scale(self, k: int | Fraction) -> "DyadicInterval":
-        """Multiply by an exact dyadic constant (no rounding)."""
-        k = Fraction(k)
-        shift = k.denominator.bit_length() - 1
-        if k.denominator != 1 << shift:
-            raise ValueError(f"scale needs a dyadic constant, got {k}")
-        return self * DyadicInterval(k.numerator, k.numerator, shift)
-
     def abs(self) -> "DyadicInterval":
         if self.lo_m >= 0:
             return self

@@ -261,6 +261,26 @@ def test_entry_time_run(tmp_path):
     assert "nontransversal" in lines[1]
 
 
+def test_entry_time_reads_t_n_from_its_lines(tmp_path, monkeypatch, capsys):
+    # the README command: t_n is the lcm of the q_2n each order-2n line
+    # already carries, so no convergent is computed a second time, and the
+    # CSV is the golden one
+    from littlewood import cfrac
+
+    golden = Path(__file__).parent / "golden"
+    calls = []
+    convergent = cfrac.convergent
+    monkeypatch.setattr(cfrac, "convergent", lambda *a: calls.append(a) or convergent(*a))
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
+        "--N", "51", "--epsilon", "0.01", "--n-max", "8", "--out", "entry.csv",
+    ]) == 0
+    assert capsys.readouterr().out == (golden / "entry.stdout").read_text()
+    assert (tmp_path / "entry.csv").read_bytes() == (golden / "entry.csv").read_bytes()
+    assert calls == []
+
+
 def test_certificate_run_exhaustion(tmp_path):
     out = tmp_path / "cert.csv"
     rc = _run([

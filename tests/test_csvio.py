@@ -119,6 +119,16 @@ def test_ints_and_small_values():
     assert format_decimal(True) == "1"
 
 
+def test_a_low_exponent_estimate_is_raised_on_the_quotient():
+    # log10(50) - log10(5) reads 0.9999999999999999 in floats, so the
+    # exponent estimate is one decade low and the quotient check lifts it;
+    # 10 + 3/den rounded up shows the lift, since at the low decade the
+    # last digit of the rounded-up mantissa would be cut off
+    assert format_ratio(50, 5) == "10"
+    den = 6503356840225830229637
+    assert format_ratio(10 * den + 3, den, direction=1) == "10.0000000000001"
+
+
 def test_streamed_rows_and_deferred_metadata():
     seen = []
 

@@ -2,6 +2,7 @@
 root against a bisection oracle, and the exact comparator tau_vs against
 the squaring oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import (
     ApproxLine,
     NontransversalConfigurationError,
+    _entry_root,
     _membership_coeffs,
     approx_line,
     entry_time,
@@ -204,11 +206,28 @@ def test_entry_time_matches_bisection_oracle():
 
 
 def test_entry_time_roots_ordered():
+    # tau is the larger root: the other is -2B/A - tau (the roots sum to
+    # -2B/A), enclosed here from tau and 256-bit enclosures of A and B
     rng = random.Random(15)
     for _ in range(10):
         _, _, line, params, rep = transversal_config(rng, require_segment=False)
-        assert rep.t_minus is not None and rep.t_plus is not None
-        assert rep.t_minus.hi < rep.t_plus.lo
+        assert rep.d_n_sign > 0
+        bits = 256
+        a_iv, b_iv = rep.denominator.interval(bits), rep.B.interval(bits)
+        other = (-(b_iv + b_iv)).divide(a_iv, bits) - rep.tau
+        assert other.hi < rep.tau.lo
+
+
+def test_entry_root_raises_the_precision_for_a_tiny_leading_coefficient():
+    # A = 1e-45 rounds to a 128-bit enclosure that holds 0, so the root of
+    # A t^2 + 2 t - 1 (just below 1/2) is enclosed at 256 bits
+    A, B, C = as_surdsum(Fraction(1, 10**45)), as_surdsum(1), as_surdsum(-1)
+    assert A.interval(128).contains_zero()
+    tau = _entry_root(A, B, 4 * (B * B - A * C))
+    assert tau.exp == 256
+    q = lambda t: A.as_fraction() * t * t + 2 * t - 1
+    assert q(tau.lo) <= 0 <= q(tau.hi)
+    assert tau.width <= Fraction(1, 10**12)
 
 
 def test_tau_zero_when_inside():
@@ -252,6 +271,26 @@ def test_tau_vs_matches_the_squaring_oracle():
     assert compared == 16 * 6 * 2
 
 
+def test_lattice_time_verdict_matches_the_squaring_oracle():
+    # one report method places t_n for the entry-time command and for
+    # theorem_check's direct_ok; t runs across tau and across x0
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(6):
+        _, _, line, params, rep = transversal_config(rng)
+        x0 = line.x0
+        for t in (0, math.floor(rep.tau.lo), math.ceil(rep.tau.hi), x0 - 1, x0, x0 + 5):
+            if not tau_vs_squared(line, params, t):
+                expected = "entry-after-lattice-time"
+            elif t < x0:
+                expected = "lattice-time-in-cone"
+            else:
+                expected = "lattice-time-beyond-segment"
+            assert rep.lattice_time_verdict(t, x0) == expected, (t, x0)
+            seen.add(expected)
+    assert len(seen) == 3
+
+
 def test_tau_vs_at_a_rational_entry_time():
     # zero error terms, N = 2, eps = 1/4: phi = 1/4, x0 = N and
     # U0^2 + V0^2 = 1/4, so A t^2 + 2 B t + C = (t^2 - 1) / 4 and tau = 1
@@ -270,7 +309,7 @@ def test_tau_vs_at_a_rational_entry_time():
 
 
 def test_quadratic_formula_consistency():
-    # evaluating A t^2 + 2 B t + C over the certified t- and t+ intervals
+    # evaluating A t^2 + 2 B t + C over the certified tau interval
     # (interval arithmetic end to end) must bracket zero
     rng = random.Random(22)
     for _ in range(8):
@@ -278,9 +317,9 @@ def test_quadratic_formula_consistency():
         A, B, C = _membership_coeffs(line, params)
         bits = 256
         a_iv, b_iv, c_iv = A.interval(bits), B.interval(bits), C.interval(bits)
-        for root in (rep.t_minus, rep.t_plus):
-            q_iv = a_iv * (root * root) + b_iv.scale(2) * root + c_iv
-            assert q_iv.contains_zero()
+        root = rep.tau
+        q_iv = a_iv * (root * root) + (b_iv + b_iv) * root + c_iv
+        assert q_iv.contains_zero()
 
 
 def test_substitute_back_on_boundary():

@@ -2,7 +2,7 @@
 every name in an ``__all__`` resolves and is read by the library, the
 benchmark or a gate test, no library module imports typing or logging,
 importing the library or its command-line module loads no typing,
-logging, dataclasses or inspect (and the library no argparse), importing
+logging, dataclasses, inspect or random (and the library no argparse), importing
 the command-line module loads no process-pool machinery, and no command
 loads numpy.
 
@@ -183,10 +183,11 @@ def test_no_library_module_imports_typing_or_logging():
 
 def test_library_import_loads_no_record_or_logging_machinery():
     # every CLI call and every library user pays for what these imports
-    # load; -S keeps site hooks from loading modules of their own
+    # load; -S keeps site hooks from loading modules of their own.  Only
+    # the cone sampler draws random numbers, and it loads random itself
     for module, unwanted in [
-        ("littlewood", ("typing", "logging", "dataclasses", "inspect", "argparse")),
-        ("littlewood.cli", ("typing", "logging", "dataclasses", "inspect")),
+        ("littlewood", ("typing", "logging", "dataclasses", "inspect", "random", "argparse")),
+        ("littlewood.cli", ("typing", "logging", "dataclasses", "inspect", "random")),
     ]:
         probe = (
             f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import {module}; "

@@ -411,6 +411,8 @@ def test_display_bound_below_the_normal_floats_goes_through_logarithms():
     assert lattice._display_bound(Fraction(1, 10**6)) == 0.05436563656918091
     assert lattice._display_bound(Fraction(10**400)) == 1.1712721337030458e134
     assert lattice._display_bound(Fraction(1, 10**4000)) == 0.0
+    # 2e * (10^1000)^(1/3) = 10^333.7 is past the largest float
+    assert lattice._display_bound(Fraction(10**1000)) == math.inf
 
 
 def test_cartan_verdicts_use_the_exact_bound(monkeypatch):

@@ -66,8 +66,8 @@ RECORDS = [
     (InclusionSample, dict(x_num=3, u_num=5, v_num=7, f_num=105, margin_num=-2, phi_den=75,
                            violation=False)),
     (ApproxLine, dict(n=1, P0=None, e_alpha=_ERR, e_beta=_ERR)),
-    (EntryTimeReport, dict(n=1, N=6, already_inside=False, d_n_sign=1, denominator=SQRT2M1,
-                           t_minus=_IV, t_plus=_IV, tau=_IV, B=SQRT3M1, C=-SQRT2M1)),
+    (EntryTimeReport, dict(already_inside=False, d_n_sign=1, denominator=SQRT2M1, tau=_IV,
+                           B=SQRT3M1, C=-SQRT2M1)),
     (TheoremCheck, dict(n=1, N=6, epsilon=Fraction(1, 10), lam=9, transversal=True, x0=5,
                         tau=_IV, t_n=60, chain_ok=True, direct_ok=False, reason=None,
                         candidate=_POINT, verified=True)),

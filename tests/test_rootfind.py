@@ -421,6 +421,16 @@ def test_bisection_probes_the_points_of_fraction_halving(monkeypatch):
     assert len(checked) > 100 and max(checked) > 20
 
 
+def test_root_bound_raises_the_precision_for_a_tiny_leading_coefficient():
+    # sqrt(2) - p/q at the order-30 convergent (q = 259,717,522,849) is
+    # about 5e-24, inside the rounding of a 64-bit enclosure; the bound on
+    # the root -1 / lead of 1 + lead t needs a positive lower end of lead
+    lead = SurdSum.sqrt(2) - Fraction(367296043199, 259717522849)
+    assert lead.interval(64).contains_zero()
+    R = rootfind.root_magnitude_bound([1, lead])
+    assert certified_sign(R * lead - 1) > 0  # -1/lead lies in (-R, R)
+
+
 def test_cartan_probe_count_is_the_benchmark_pin(monkeypatch):
     # bench/selftest.py pins 1,098 probes on this configuration
     calls = []
