@@ -4,11 +4,14 @@ arithmetic with certified sign determination.
 Two layers:
 
 * ``SurdSum`` -- a finite rational combination  q0 + q1*sqrt(d1) + ... of
-  square roots of distinct squarefree integers.  Sums, differences and
-  products stay in this class, and its sign is exactly decidable, so it is
-  the one arithmetic type: every exact number of the package (alpha and
-  beta included), every field operation, interval enclosure, floor and
-  certified comparison goes through it.
+  square roots of distinct squarefree integers, held as integer numerators
+  over one common denominator in a canonical form (positive denominator, no
+  zero numerator, no common factor), so its arithmetic is integer
+  arithmetic plus one gcd.  Sums, differences and products stay in this
+  class, and its sign is exactly decidable, so it is the one arithmetic
+  type: every exact number of the package (alpha and beta included), every
+  field operation, interval enclosure, floor and certified comparison goes
+  through it.
 * ``DyadicInterval`` -- the one interval representation: integer
   mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
   irrational sign is decided.  Sums and products are exact integer
@@ -315,22 +318,27 @@ def _sqrt_floor(d: int, bits: int) -> int:
 
 
 class SurdSum:
-    """Exact finite sum  q0 + q1*sqrt(d1) + q2*sqrt(d2) + ...  with rational
-    coefficients and distinct squarefree radicands (key 1 = rational part).
+    """Exact finite sum  (n0 + n1*sqrt(d1) + n2*sqrt(d2) + ...) / den  with
+    integer numerators over one common denominator and distinct squarefree
+    radicands (radicand 1 holds the rational part).
 
-    Closed under +, -, * and integer powers; equality is coefficient-wise.
-    A sum with a term is nonzero (square roots of distinct squarefree
-    integers are linearly independent over Q), and a root-separation bound
-    says how far from zero it is, so its sign is decided by one interval
-    evaluation at a precision computed from the terms.  It has no order
-    operators: compare u and v through ``certified_sign(u - v)``.
+    The form is canonical: den > 0, no numerator is 0, and den and the
+    numerators have no common factor, so equal values have equal integers
+    and equality and hashing read them.  Closed under +, -, * and integer
+    powers, each integer arithmetic plus one gcd.  A sum with a term is
+    nonzero (square roots of distinct squarefree integers are linearly
+    independent over Q), and a root-separation bound says how far from
+    zero it is, so its sign is decided by one interval evaluation at a
+    precision computed from the terms.  It has no order operators: compare
+    u and v through ``certified_sign(u - v)``.
     """
 
-    # _fixed and _hash: the memoised fixed_enclosure and hash, set on first
-    # use only; _terms is never changed after construction, so the memos
-    # stay valid.  alpha and beta key the lru cache of the Dirichlet records,
-    # and a Fraction hash costs a modular inverse.
-    __slots__ = ("_terms", "_fixed", "_hash")
+    # _num maps each radicand to its nonzero integer numerator, _den is the
+    # common denominator, both in the canonical form above and never
+    # changed after construction, so the memos _fixed (the fixed_enclosure)
+    # and _hash, set on first use only, stay valid.  alpha and beta key the
+    # lru cache of the Dirichlet records.
+    __slots__ = ("_num", "_den", "_fixed", "_hash")
 
     def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
@@ -344,22 +352,31 @@ class SurdSum:
                 square, free = squarefree_decompose(rad)
                 if square != 1:
                     coef *= square
-                clean[free] = clean.get(free, Fraction(0)) + coef
-        self._terms = {rad: c for rad, c in clean.items() if c != 0}
+                clean[free] = clean.get(free, 0) + coef
+        # over the lcm of the reduced denominators no prime divides every
+        # numerator, so the form is canonical without a gcd
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {rad: c.numerator * (den // c.denominator) for rad, c in clean.items() if c}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, x: int | Fraction) -> "SurdSum":
-        return cls._from_squarefree({1: Fraction(x)} if x else {})
+        return _adopt({1: x.numerator} if x else {}, x.denominator)
 
     @classmethod
-    def _from_squarefree(cls, terms: dict[int, Fraction]) -> "SurdSum":
-        """Adopt terms whose radicands are already squarefree and whose
-        coefficients are nonzero Fractions, without factoring them again."""
-        result = cls.__new__(cls)
-        result._terms = terms
-        return result
+    def _reduce(cls, num: dict[int, int], den: int) -> "SurdSum":
+        """The canonical form of (sum of num[rad]*sqrt(rad)) / den for
+        squarefree radicands, nonzero numerators and den != 0: divides out
+        the common factor and makes den positive, factoring nothing."""
+        g = math.gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {rad: n // g for rad, n in num.items()}
+            den //= g
+        return _adopt(num, den)
 
     @classmethod
     def sqrt(cls, x: int | Fraction, coeff: int | Fraction = 1) -> "SurdSum":
@@ -376,18 +393,20 @@ class SurdSum:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(rad == 1 for rad in self._terms)
+        num = self._num
+        return not num or (len(num) == 1 and 1 in num)
 
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """The (radicand, nonzero coefficient) pairs; radicand 1 holds the
         rational part."""
-        return tuple(self._terms.items())
+        den = self._den
+        return tuple((rad, Fraction(n, den)) for rad, n in self._num.items())
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -397,51 +416,82 @@ class SurdSum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, (SurdSum, int, Fraction)):
             return NotImplemented
-        return self._terms == as_surdsum(other)._terms
+        other = as_surdsum(other)
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
-            h = self._hash = hash(frozenset(self._terms.items()))
+            h = self._hash = hash((self._den, frozenset(self._num.items())))
         return h
 
     # -- ring operations ---------------------------------------------------
 
+    def _plus(self, other: "SurdSum", sign: int) -> "SurdSum":
+        """self + sign*other over the lcm of the two denominators."""
+        da, db = self._den, other._den
+        if da == db:
+            num = dict(self._num)
+            mb = sign
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            num = {rad: n * ma for rad, n in self._num.items()}
+            da *= ma
+        for rad, n in other._num.items():
+            num[rad] = num.get(rad, 0) + n * mb
+        return SurdSum._reduce({rad: n for rad, n in num.items() if n}, da)
+
+    def _plus_int(self, k: int) -> "SurdSum":
+        """self + k for an integer k."""
+        num = dict(self._num)
+        n = num.pop(1, 0) + k * self._den
+        if n:
+            num[1] = n
+        # the rational numerator moved by a multiple of den, so den still
+        # shares no prime with every numerator
+        return _adopt(num, self._den if num else 1)
+
     def __add__(self, other) -> "SurdSum":
-        other = as_surdsum(other)
-        out = dict(self._terms)
-        for rad, coef in other._terms.items():
-            out[rad] = out.get(rad, Fraction(0)) + coef
-        return SurdSum._from_squarefree({rad: c for rad, c in out.items() if c != 0})
+        if isinstance(other, int):
+            return self._plus_int(other)
+        return self._plus(as_surdsum(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum._from_squarefree({rad: -c for rad, c in self._terms.items()})
+        return _adopt({rad: -n for rad, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "SurdSum":
-        return self + (-as_surdsum(other))
+        if isinstance(other, int):
+            return self._plus_int(-other)
+        return self._plus(as_surdsum(other), -1)
 
     def __rsub__(self, other) -> "SurdSum":
-        return as_surdsum(other) + (-self)
+        return as_surdsum(other)._plus(self, -1)
 
     def __mul__(self, other) -> "SurdSum":
-        if isinstance(other, (int, Fraction)):
-            # a rational factor scales the coefficients; radicands stay
-            return SurdSum._from_squarefree(
-                {rad: c * other for rad, c in self._terms.items()} if other else {}
+        if isinstance(other, int):
+            # den // g shares no prime with k // g nor with the numerators
+            g = math.gcd(other, self._den)
+            k = other // g
+            return _adopt({rad: n * k for rad, n in self._num.items()} if k else {}, self._den // g)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return SurdSum._reduce(
+                {rad: n * p for rad, n in self._num.items()} if p else {},
+                self._den * other.denominator,
             )
         other = as_surdsum(other)
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
+        num: dict[int, int] = {}
+        for d1, n1 in self._num.items():
+            for d2, n2 in other._num.items():
                 # sqrt(d1)*sqrt(d2) = g*sqrt(d1' * d2') with g = gcd, both
                 # squarefree and coprime, so the product radicand is squarefree.
                 g = math.gcd(d1, d2)
                 rad = (d1 // g) * (d2 // g)
-                coef = c1 * c2 * g
-                out[rad] = out.get(rad, Fraction(0)) + coef
-        return SurdSum._from_squarefree({rad: c for rad, c in out.items() if c != 0})
+                num[rad] = num.get(rad, 0) + n1 * n2 * g
+        return SurdSum._reduce({rad: n for rad, n in num.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -450,7 +500,7 @@ class SurdSum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(other.denominator, other.numerator)
         return NotImplemented
 
     def __pow__(self, k: int) -> "SurdSum":
@@ -469,9 +519,8 @@ class SurdSum:
 
     def interval(self, bits: int) -> DyadicInterval:
         """Enclosure of the exact value (see DyadicInterval.of_surd_terms)."""
-        return DyadicInterval.of_surd_terms(
-            [(rad, c.numerator, c.denominator) for rad, c in self._terms.items()], bits
-        )
+        den = self._den
+        return DyadicInterval.of_surd_terms([(rad, n, den) for rad, n in self._num.items()], bits)
 
     def _sign_exact(self) -> int:
         """Sign from one evaluation at the separation precision
@@ -496,11 +545,7 @@ class SurdSum:
         """The nearest integer m (rational ties round up) and the signed
         residual self - m, exactly."""
         m = self._floor_plus_half(1)
-        terms = dict(self._terms)
-        rest = terms.pop(1, Fraction(0)) - m
-        if rest:
-            terms[1] = rest
-        return m, SurdSum._from_squarefree(terms)
+        return m, self._plus_int(-m)
 
     def _floor_plus_half(self, half: int) -> int:
         """floor(self + half/2) for half 0 or 1, read from the memoised
@@ -527,12 +572,20 @@ class SurdSum:
         return float(self.interval(64))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "SurdSum(0)"
         parts = []
-        for rad, coef in sorted(self._terms.items()):
+        for rad, coef in sorted(self.terms()):
             parts.append(str(coef) if rad == 1 else f"{coef}*sqrt({rad})")
         return f"SurdSum({' + '.join(parts)})"
+
+
+def _adopt(num: dict[int, int], den: int) -> SurdSum:
+    """A SurdSum holding a (num, den) pair that is already canonical."""
+    s = object.__new__(SurdSum)
+    s._num = num
+    s._den = den
+    return s
 
 
 def as_surdsum(x) -> SurdSum:
@@ -587,36 +640,45 @@ def _inverse_square_floor(m: SurdSum, c: int | Fraction, cap: int | float) -> in
         lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
 
 
-# The separation bound.  Let s = sum c_i*sqrt(d_i) be a canonical SurdSum
-# with n terms, k of them irrational (d_i > 1), D the lcm of the
-# denominators of the c_i and a_i = D*c_i, integers.
+# The separation bound.  Let s = (sum a_i*sqrt(d_i)) / D be a canonical
+# SurdSum with n terms: integer numerators a_i over D = den, which is the
+# lcm of the reduced denominators of the coefficients a_i/D.
 #  * s != 0 if n > 0: square roots of distinct squarefree integers are
 #    linearly independent over Q (Besicovitch 1940).
-#  * D*s is an algebraic integer of K = Q(sqrt(d_1), ..., sqrt(d_k)), a
-#    field of degree m <= 2**k.  Its conjugates are the sums
-#    sum +-a_i*sqrt(d_i), each at most H = sum |a_i|*ceil(sqrt(d_i)) >= 1
-#    in absolute value.
+#  * D*s is an algebraic integer of K = Q(sqrt(d_1), ..., sqrt(d_n)), a
+#    field of degree m = 2**r with r the F2-rank of the radicands: modulo
+#    squares they generate a group of 2**r squarefree integers, and K is
+#    generated by the square roots of any r of them that span it.  Its
+#    conjugates are the sums of the +-a_i*sqrt(d_i), each at most
+#    H = sum |a_i|*ceil(sqrt(d_i)) >= 1 in absolute value.
 #  * Its norm, the product of its m conjugates, is a nonzero integer, so
-#    |D*s| * H**(m - 1) >= 1 and |s| >= 1 / (D * H**(2**k - 1)) (the
+#    |D*s| * H**(m - 1) >= 1 and |s| >= 1 / (D * H**(2**r - 1)) (the
 #    root-separation argument of Burnikel, Fleischer, Mehlhorn and Schirra
 #    2000).
-#  * interval(b) encloses each term at work >= b bits to within |c_i| + 2
-#    units of 2**-work (sqrt(d_i) is known to one unit, scaled by |c_i|,
+#  * interval(b) encloses each term at work >= b bits to within |a_i/D| + 2
+#    units of 2**-work (sqrt(d_i) is known to one unit, scaled by |a_i/D|,
 #    and each end rounds outward by less than one unit), so its width is
-#    below (sum |c_i| + 2n) * 2**-b <= (H + 2n) * 2**-b.
+#    below (sum |a_i/D| + 2n) * 2**-b <= (H + 2n) * 2**-b.
 #  * An enclosure of s narrower than |s| excludes 0.  The b below has
-#    2**b > D * H**(2**k - 1) * (H + 2n), since x < 2**bitlen(x), so the
-#    width of interval(b) is below 1 / (D * H**(2**k - 1)) <= |s|.
+#    2**b > D * H**(2**r - 1) * (H + 2n), since x < 2**bitlen(x), so the
+#    width of interval(b) is below 1 / (D * H**(2**r - 1)) <= |s|.
 def _separation_bits(s: SurdSum) -> int:
     """Precision b at which ``s.interval(b)`` provably excludes 0 (s != 0)."""
-    terms = s._terms
-    D = math.lcm(*(c.denominator for c in terms.values()))
-    H = sum(
-        abs(c.numerator) * (D // c.denominator) * (math.isqrt(rad - 1) + 1)
-        for rad, c in terms.items()
-    )
-    k = len(terms) - (1 in terms)
-    return D.bit_length() + ((1 << k) - 1) * H.bit_length() + (H + 2 * len(terms)).bit_length()
+    num, D = s._num, s._den
+    H = sum(abs(n) * (math.isqrt(rad - 1) + 1) for rad, n in num.items())
+    r = _radicand_rank(num)
+    return D.bit_length() + ((1 << r) - 1) * H.bit_length() + (H + 2 * len(num)).bit_length()
+
+
+def _radicand_rank(radicands) -> int:
+    """The F2-rank r of squarefree radicands.  Their products modulo squares,
+    d*e // gcd(d, e)**2, form a group of 2**r squarefree integers with 1 in
+    it, and each radicand outside the group built so far doubles it."""
+    group = {1}
+    for d in radicands:
+        if d not in group:
+            group |= {e * d // math.gcd(e, d) ** 2 for e in group}
+    return len(group).bit_length() - 1
 
 
 def certified_sign(x) -> int:
@@ -630,8 +692,8 @@ def certified_sign(x) -> int:
     """
     s = as_surdsum(x)
     if s.is_rational():
-        v = s.rational_part()
-        return (v > 0) - (v < 0)
+        n = s._num.get(1, 0)  # over a positive denominator
+        return (n > 0) - (n < 0)
     bits = SIGN_BITS_START
     while bits <= SIGN_BITS_CAP:
         sg = s.interval(bits).sign_or_none()

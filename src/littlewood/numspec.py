@@ -54,7 +54,7 @@ def _root_term(square: int, free: int, coeff: Fraction) -> SurdSum:
     """coeff * sqrt(square**2 * free) from the decomposition already made,
     so the radicand is factored once per spec."""
     coeff *= square
-    return SurdSum._from_squarefree({free: coeff} if free and coeff else {})
+    return SurdSum._reduce({free: coeff.numerator} if free and coeff else {}, coeff.denominator)
 
 
 def parse_number_spec(

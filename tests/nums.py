@@ -1,5 +1,5 @@
 """Shared test numbers, small generators, the CSV reader, and the
-continued-fraction cycle, entry-time, entry-time comparator,
+Fraction-coefficient SurdSum ring, continued-fraction cycle, entry-time, entry-time comparator,
 running-minimum (numpy and convergent), Dirichlet-point, transversality,
 cone-row, u-grid and fixed-point Horner oracles."""
 
@@ -42,6 +42,106 @@ def quad(a: int, b: int = 0, c: int = 1, d: int = 0) -> SurdSum:
 def surd_nearest_int(s) -> int:
     """Nearest integer to an exact number (rational ties round up)."""
     return as_surdsum(s).nearest()[0]
+
+
+class FracSurd:
+    """Oracle of SurdSum: the same ring on a dict of squarefree radicand ->
+    nonzero Fraction coefficient (radicand 1 the rational part), each
+    operation done in Fraction arithmetic coefficient by coefficient."""
+
+    def __init__(self, terms=None):
+        self.terms: dict[int, Fraction] = {}
+        for rad, coef in (terms or {}).items():
+            square, free = _squarefree_by_trial(rad)
+            self._put(free, Fraction(coef) * square)
+
+    def _put(self, rad: int, coef: Fraction) -> None:
+        coef += self.terms.pop(rad, 0)
+        if coef:
+            self.terms[rad] = coef
+
+    @staticmethod
+    def of(x) -> "FracSurd":
+        return x if isinstance(x, FracSurd) else FracSurd({1: x})
+
+    def __add__(self, other) -> "FracSurd":
+        out = FracSurd(self.terms)
+        for rad, coef in FracSurd.of(other).terms.items():
+            out._put(rad, coef)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FracSurd":
+        return self * -1
+
+    def __sub__(self, other) -> "FracSurd":
+        return self + -FracSurd.of(other)
+
+    def __rsub__(self, other) -> "FracSurd":
+        return FracSurd.of(other) + -self
+
+    def __mul__(self, other) -> "FracSurd":
+        out = FracSurd()
+        for d1, c1 in self.terms.items():
+            for d2, c2 in FracSurd.of(other).terms.items():
+                g = math.gcd(d1, d2)
+                out._put(d1 // g * (d2 // g), c1 * c2 * g)
+        return out
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "FracSurd":
+        return self * (1 / Fraction(other))
+
+    def __pow__(self, k: int) -> "FracSurd":
+        out = FracSurd({1: 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
+        """[lo, hi] from integer square roots at 2**-bits, as Fractions."""
+        lo = hi = Fraction(0)
+        for rad, coef in self.terms.items():
+            m = math.isqrt(rad << (2 * bits))
+            r_lo, r_hi = Fraction(m, 1 << bits), Fraction(m + (m * m != rad << (2 * bits)), 1 << bits)
+            lo += min(coef * r_lo, coef * r_hi)
+            hi += max(coef * r_lo, coef * r_hi)
+        return lo, hi
+
+    def floor(self) -> int:
+        """An irrational sum is no integer, so refining ends."""
+        bits = 64
+        while True:
+            lo, hi = self.enclosure(bits)
+            if math.floor(lo) == math.floor(hi):
+                return math.floor(lo)
+            bits *= 2
+
+    def nearest(self) -> tuple[int, "FracSurd"]:
+        m = (self + Fraction(1, 2)).floor()
+        return m, self - m
+
+    def interval(self, bits: int) -> DyadicInterval:
+        """The enclosure on reduced coefficients, term by term."""
+        return DyadicInterval.of_surd_terms(
+            [(rad, c.numerator, c.denominator) for rad, c in self.terms.items()], bits
+        )
+
+
+def _squarefree_by_trial(n: int) -> tuple[int, int]:
+    """(s, r) with n = s*s*r and r squarefree, by plain trial division."""
+    s, r, p = 1, 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
+            r *= p
+        p += 1
+    return s, r * n
 
 
 SQRT2M1 = quad(-1, 1, 1, 2)  # sqrt(2) - 1 = [0; 2, 2, ...]

@@ -186,8 +186,8 @@ def random_surdsum(rng):
 
 def mp_value(s):
     return sum(
-        mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(rad) for rad, c in s._terms.items()
-    ) if s._terms else mpmath.mpf(0)
+        mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(rad) for rad, c in s.terms()
+    ) if not s.is_zero() else mpmath.mpf(0)
 
 
 def test_surdsum_interval_and_fixed_enclosure_match_oracle():
@@ -197,11 +197,11 @@ def test_surdsum_interval_and_fixed_enclosure_match_oracle():
             s = random_surdsum(rng)
             bits = rng.choice(BITS)
             iv = s.interval(bits)
-            assert ends(iv) == o_surdsum_interval(s._terms, bits)
+            assert ends(iv) == o_surdsum_interval(dict(s.terms()), bits)
             v = mp_value(s)
             assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= v
             assert v <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-            o64 = o_surdsum_interval(s._terms, 64)
+            o64 = o_surdsum_interval(dict(s.terms()), 64)
             assert fixed_enclosure(s) == o_fixed_enclosure(*o64)
     for x in (random_rational(rng) for _ in range(200)):
         assert fixed_enclosure(x) == o_fixed_enclosure(x, x)

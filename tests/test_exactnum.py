@@ -22,7 +22,7 @@ from littlewood.exactnum import (
 )
 from littlewood.numspec import NumberSpecError, parse_number_spec
 
-from nums import quad
+from nums import FracSurd, quad
 
 mpmath.mp.dps = 60
 
@@ -358,6 +358,18 @@ def test_separation_bound_failure_is_an_assertion(monkeypatch):
         certified_sign(s)
 
 
+def test_separation_degree_is_two_to_the_radicand_rank():
+    # sqrt 2, sqrt 3 and sqrt 6 span a field of degree 4, not 2**3
+    s = SurdSum({1: -7, 2: 1, 3: 1, 6: 5})
+    H = 7 * 1 + 1 * 2 + 1 * 2 + 5 * 3  # sum |a_i| * ceil(sqrt(d_i))
+    assert exactnum._separation_bits(s) == 1 + 3 * H.bit_length() + (H + 8).bit_length()
+    assert exactnum._radicand_rank([1, 2, 3, 6]) == 2
+    assert exactnum._radicand_rank([6, 10, 15]) == 2
+    assert exactnum._radicand_rank([2, 3, 5, 6, 10, 15, 30]) == 3
+    assert exactnum._radicand_rank([2, 9999991, 19999982]) == 2
+    assert exactnum._radicand_rank([1]) == 0
+
+
 def test_separation_bound_holds_on_random_sums():
     # |s| >= 2**-b on random small sums, many of them near a rational
     rng = random.Random(2000)
@@ -445,3 +457,82 @@ def test_surdsum_power_and_equality():
 def test_sqrt_of_fraction():
     h = SurdSum.sqrt(Fraction(1, 2))
     assert certified_sign(h * h - Fraction(1, 2)) == 0
+
+
+# -- the integer core against the Fraction-coefficient oracle --------------
+
+
+def _assert_canonical(s):
+    num, den = s._num, s._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert all(rad > 0 and squarefree_decompose(rad)[0] == 1 for rad in num)
+
+
+def _same(s, oracle):
+    _assert_canonical(s)
+    assert dict(s.terms()) == oracle.terms
+    assert all(type(c) is Fraction for _, c in s.terms())
+
+
+def _random_coef(rng):
+    den = rng.choice([1, 2, 6, 35, rng.randrange(1, 10**4), 1 << 70, 3**45])
+    return Fraction(rng.randrange(-10**6, 10**6) or 1, den)
+
+
+def test_surdsum_matches_the_fraction_oracle():
+    rng = random.Random(30)
+    # dependent radicand sets, a large prime radicand and square factors
+    radicand_sets = [(1, 2, 3, 6), (1, 6, 10, 15), (1, 2, 9999991), (1, 8, 12, 24, 50)]
+    for _ in range(300):
+        rads = rng.choice(radicand_sets)
+        pair = []
+        for _ in range(2):
+            terms = {d: _random_coef(rng) for d in rng.sample(rads, rng.randint(0, len(rads)))}
+            pair.append((SurdSum(terms), FracSurd(terms)))
+        (a, oa), (b, ob) = pair
+        _same(a, oa)
+        k, q, e = rng.randrange(-50, 50) or 1, _random_coef(rng), rng.randint(0, 4)
+        results = [
+            (a + b, oa + ob), (a - b, oa - ob), (a * b, oa * ob), (-a, -oa), (a**e, oa**e),
+            (a * k, oa * k), (k * a, oa * k), (a * q, oa * q), (q * a, oa * q), (a * 0, oa * 0),
+            (a + k, oa + k), (k - a, k - oa), (a - q, oa - q), (q + a, oa + q),
+            (a / q, oa / q), (a / k, oa / k),
+        ]
+        for s, o in results:
+            _same(s, o)
+        for s, o in ((a, oa), (a * b, oa * ob)):
+            assert s.floor() == o.floor()
+            m, r = s.nearest()
+            om, orest = o.nearest()
+            assert m == om
+            _same(r, orest)
+            for bits in (1, 7, 64, 200):
+                got, want = s.interval(bits), o.interval(bits)
+                assert (got.lo_m, got.hi_m, got.exp) == (want.lo_m, want.hi_m, want.exp)
+        # the same value reached two ways is one canonical form
+        for s, t in (((a + b) - b, a), (a * b, b * a), ((a * k) / k, a), (a - a, SurdSum())):
+            assert s == t and hash(s) == hash(t)
+            assert (s._num, s._den) == (t._num, t._den)
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    r2, r3, r6 = SurdSum.sqrt(2), SurdSum.sqrt(3), SurdSum.sqrt(6)
+    pairs = [
+        (SurdSum({8: 1}), 2 * r2),
+        (SurdSum({8: 1}), parse_number_spec("sqrt:8").surd),
+        (SurdSum.sqrt(Fraction(1, 2)), r2 / 2),
+        (SurdSum({24: Fraction(1, 4)}), SurdSum.sqrt(Fraction(3, 2))),
+        (r2 * r3, r6),
+        ((r2 + r3) ** 2, 5 + 2 * r6),
+        (SurdSum({1: Fraction(6, 4)}), SurdSum.from_rational(Fraction(3, 2))),
+        (r6 - r6, SurdSum()),
+        ((r2 + Fraction(1, 3)) - Fraction(1, 3), r2),
+    ]
+    for s, t in pairs:
+        _assert_canonical(s)
+        _assert_canonical(t)
+        assert s == t and hash(s) == hash(t)
+    assert SurdSum({1: Fraction(6, 4)}) == Fraction(3, 2)
+    assert SurdSum() == 0 and SurdSum()._den == 1
