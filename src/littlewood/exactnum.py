@@ -20,9 +20,9 @@ Two layers:
   (:func:`fixed_enclosure`).
 
 ``certified_sign`` ties the layers together: interval evaluation with a
-doubling precision schedule (64 up to 4096 bits), then, for a sum that
-still straddles zero, one evaluation at a precision proven to separate it
-from zero (a root-separation bound; see ``SurdSum._sign_exact``).
+doubling precision schedule from 64 bits, which stops at the precision
+proven to separate the sum from zero (a root-separation bound; see
+``SurdSum._sign_exact``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from functools import lru_cache
 __all__ = [
     "ParameterError",
     "SIGN_BITS_START",
-    "SIGN_BITS_CAP",
     "squarefree_decompose",
     "iroot",
     "root_interval",
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 SIGN_BITS_START = 64
-SIGN_BITS_CAP = 4096
 
 # Scale of the integer fixed-point enclosures: a mantissa m stands for
 # m * 2**-FIXED_BITS.  Equal to SIGN_BITS_START, so the enclosure of a
@@ -421,8 +419,9 @@ class SurdSum:
 
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
-        if h is None:
-            h = self._hash = hash((self._den, frozenset(self._num.items())))
+        if h is None:  # a rational sum hashes as the Fraction (or int) it equals
+            h = self._hash = hash(self.rational_part() if self.is_rational()
+                                  else (self._den, frozenset(self._num.items())))
         return h
 
     # -- ring operations ---------------------------------------------------
@@ -522,11 +521,10 @@ class SurdSum:
         den = self._den
         return DyadicInterval.of_surd_terms([(rad, n, den) for rad, n in self._num.items()], bits)
 
-    def _sign_exact(self) -> int:
-        """Sign from one evaluation at the separation precision
-        :func:`_separation_bits`, which excludes 0 from the enclosure by
-        proof; ``certified_sign`` calls it only past ``SIGN_BITS_CAP``."""
-        bits = _separation_bits(self)
+    def _sign_exact(self, bits: int) -> int:
+        """Sign from one evaluation at ``bits = _separation_bits(self)``,
+        at which the enclosure excludes 0 by proof; ``certified_sign``
+        calls it once its doubling schedule would reach that precision."""
         sg = self.interval(bits).sign_or_none()
         if sg is None:
             raise AssertionError(f"separation bound broken: interval({bits}) contains 0")
@@ -684,20 +682,19 @@ def _radicand_rank(radicands) -> int:
 def certified_sign(x) -> int:
     """Exact sign (-1, 0, +1) of an exact expression.
 
-    Interval evaluation with the doubling schedule (SIGN_BITS_START up to
-    SIGN_BITS_CAP) decides every sign in practice.  A sum that still
-    straddles zero at the cap is a nonzero near-zero; ``SurdSum._sign_exact``
-    decides it at the precision of the separation bound above, so no path
-    ends undecided.
+    Interval evaluation at doubling precision from SIGN_BITS_START decides
+    every sign in practice.  The separation precision of the bound above is
+    computed at the first undecided evaluation, and once the next doubling
+    would reach it, ``SurdSum._sign_exact`` decides the sign there instead.
     """
     s = as_surdsum(x)
     if s.is_rational():
         n = s._num.get(1, 0)  # over a positive denominator
         return (n > 0) - (n < 0)
-    bits = SIGN_BITS_START
-    while bits <= SIGN_BITS_CAP:
-        sg = s.interval(bits).sign_or_none()
-        if sg is not None:
-            return sg
+    bits, separation = SIGN_BITS_START, 0
+    while (sg := s.interval(bits).sign_or_none()) is None:
+        separation = separation or _separation_bits(s)
         bits *= 2
-    return s._sign_exact()
+        if bits >= separation:
+            return s._sign_exact(separation)
+    return sg

@@ -48,7 +48,7 @@ from littlewood.certificate import (
     b3_infeasibility_scan,
     verify_certificate,
 )
-from littlewood.cone import ConeParams, InclusionRun, base_tangency
+from littlewood.cone import ConeParams, InclusionRun, base_tangency, cone_contains
 from littlewood.entrytime import (
     approx_line,
     line_gamma,
@@ -299,8 +299,9 @@ def test_criterion_12_soundness():
                 )
     # (a') a synthetic configuration whose chain genuinely fires, so the
     # verified path is exercised end to end (all-ones pair, fat cone);
-    # the candidate's value is recomputed from scratch and a brute window
-    # scan around its x confirms the certificate independently
+    # the candidate's value is recomputed from scratch, the candidate lies
+    # in its cell's cone, and a brute window scan around its x confirms
+    # the certificate independently
     from littlewood.lattice import f_exact
 
     eps_big = Fraction(4 * 10**8)
@@ -310,6 +311,7 @@ def test_criterion_12_soundness():
     checked += 1
     ok = ok and verify_certificate(golden, golden, eps_big, found.candidate)
     cand = found.candidate
+    ok = ok and cone_contains(golden, golden, cand, ConeParams.make(found.N, eps_big)).inside
     val = f_exact(golden, golden, cand.x, cand.y, cand.z)
     ok = ok and certified_sign(val) != 0
     ok = ok and certified_sign(val * val - eps_big * eps_big) <= 0

@@ -2,6 +2,7 @@
 contradiction system of the entry-time majorant, and the bounded-quotient
 infeasibility scan."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from littlewood.certificate import (
     theorem_check,
     verify_certificate,
 )
+from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import approx_line, transversality_ceiling, transversality_check
 from littlewood.exactnum import DyadicInterval, as_surdsum, certified_sign
 from littlewood.lattice import LatticePoint, ParameterError, brute_min_scan
@@ -37,6 +39,7 @@ from nums import (
     SPEC_SQRT3M1,
     SQRT2M1,
     SQRT3M1,
+    SURD_POOL,
     TRANSVERSALITY_EPSILONS,
     TRANSVERSALITY_PAIRS,
     infeasibility_grid_loop,
@@ -270,6 +273,22 @@ def test_search_positive_control():
     assert verify_certificate(GOLDENM1, GOLDENM1, eps, cell.candidate)
     # the failed cells on the way record the binding constraint
     assert all(c.reason == "x0-too-small" for c in out.cells[:-1])
+
+
+@pytest.mark.parametrize("eps", [Fraction(4 * 10**8), Fraction(10**10)])
+def test_cone_membership_agrees_with_the_certificate(eps):
+    # the certificate is the f verdict alone; the cone lies inside
+    # {0 < |f| <= eps} (N >= 2), so gamma_n(t_n) in its cell's cone must
+    # verify, and on the pool every verified candidate is also inside
+    chain_ok = 0
+    for a, b in itertools.combinations(SURD_POOL, 2):
+        alpha, beta = CFSpec.from_surd(a), CFSpec.from_surd(b)
+        for cell in certificate_search(alpha, beta, eps, n_max=3).cells:
+            if cell.chain_ok:
+                chain_ok += 1
+                params = ConeParams.make(cell.N, eps)
+                assert cone_contains(a, b, cell.candidate, params).inside == cell.verified
+    assert chain_ok >= 20
 
 
 # -- the contradiction system ------------------------------------------------

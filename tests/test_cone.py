@@ -22,7 +22,7 @@ from littlewood.cone import (
 )
 from littlewood.cfrac import cf_expand
 from littlewood.exactnum import SurdSum, as_surdsum, squarefree_decompose
-from littlewood.lattice import LatticePoint, ParameterError, f_eval
+from littlewood.lattice import LatticePoint, ParameterError, f_eval, f_exact
 from littlewood.numspec import parse_number_spec
 
 from nums import SQRT2M1, SQRT3M1, quad
@@ -117,8 +117,15 @@ def test_tangency_random_rationals():
 def test_inclusion_sampling_no_violations():
     params = ConeParams.make(12, Fraction(1, 8))
     run = InclusionRun(SQRT2M1, SQRT3M1, params, 3000, seed=11)
-    for _ in run:
-        pass
+    for smp in run:
+        # every row, not only the run's own every (3000 // 32)-th: the
+        # integer f equals f_exact at the exact SurdSum point
+        # (x, alpha*x - u*s, beta*x - v*s), s = sqrt(phi)*(N - x)
+        x = smp.x
+        s = run.sqrt_phi * (params.N - x)
+        y = run.alpha * x - smp.u * s
+        z = run.beta * x - smp.v * s
+        assert f_exact(run.alpha, run.beta, x, y, z) == smp.f
     assert not run.violations and run.samples == 3000
     assert run.crosschecked > 0
 

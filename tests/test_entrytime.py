@@ -12,7 +12,7 @@ from littlewood.cfrac import ErrorTerm, lcm_time
 from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import (
     ApproxLine,
-    NontransversalConfigurationError,
+    NonpositiveDenominatorError,
     _entry_root,
     _membership_coeffs,
     approx_line,
@@ -185,12 +185,31 @@ def test_discriminant_positive_under_transversality():
 # -- entry time --------------------------------------------------------------
 
 
-def test_nontransversal_raises():
+def test_nontransversal_line_with_nonpositive_denominator_raises():
     line = _line(n=1, N=51)
     params = ConeParams.make(51, Fraction(1, 100))
     assert not transversality_check(51, Fraction(1, 100), line.e_alpha, line.e_beta)
-    with pytest.raises(NontransversalConfigurationError):
+    A, _, _ = _membership_coeffs(line, params)
+    assert certified_sign(A) <= 0
+    with pytest.raises(NonpositiveDenominatorError):
         entry_time(line, params)
+
+
+def test_nontransversal_line_with_positive_denominator_is_solved():
+    # transversality fails, but A > 0 and C < 0 still force D > 0, so the
+    # entering root is certified, and bisection on the membership
+    # predicate finds it inside the segment [0, x0 - 1] = [0, 6]
+    line = _line(n=2, N=18)
+    params = ConeParams.make(18, Fraction(1, 5))
+    assert not transversality_check(18, Fraction(1, 5), line.e_alpha, line.e_beta)
+    A, _, C = _membership_coeffs(line, params)
+    assert certified_sign(A) == 1 and certified_sign(C) == -1
+    rep = entry_time(line, params)
+    assert not rep.already_inside and rep.d_n_sign == 1
+    lo, hi = entry_time_bisected(line, params, tol=Fraction(1, 10**11))
+    assert 5 < lo and hi < 6
+    assert rep.tau.lo <= hi and lo <= rep.tau.hi  # both enclose the root
+    assert rep.tau.width <= Fraction(6, 10**12)
 
 
 def test_entry_time_matches_bisection_oracle():

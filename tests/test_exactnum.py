@@ -311,14 +311,33 @@ def test_linear_form_never_zero(d, x, y):
     assert certified_sign(alpha * x - y) != 0
 
 
-# -- the separation bound past SIGN_BITS_CAP --------------------------------
+# -- the doubling schedule and the separation bound -------------------------
 
 
 def _count_sign_exact(monkeypatch) -> list:
     calls = []
     sign_exact = SurdSum._sign_exact
-    monkeypatch.setattr(SurdSum, "_sign_exact", lambda s: calls.append(s) or sign_exact(s))
+    monkeypatch.setattr(
+        SurdSum, "_sign_exact", lambda s, bits: calls.append(s) or sign_exact(s, bits)
+    )
     return calls
+
+
+def test_sign_undecided_at_64_bits_is_decided_by_doubling(monkeypatch):
+    # sqrt(2) - p/q for a convergent with q ~ 2**45: |s| ~ 2**-92, so
+    # interval(64) straddles 0; the separation precision lies in (128, 256],
+    # so the schedule still tries 128 bits, which decides it
+    p, q = 1, 1
+    while q.bit_length() < 45:
+        p, q = p + 2 * q, p + q
+    s = SurdSum.sqrt(2) - Fraction(p, q)
+    assert s.interval(64).sign_or_none() is None
+    assert 128 < exactnum._separation_bits(s) <= 256
+    calls = _count_sign_exact(monkeypatch)
+    expected = 1 if p * p < 2 * q * q else -1
+    assert certified_sign(s) == expected
+    assert certified_sign(-s) == -expected
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -327,12 +346,14 @@ def _count_sign_exact(monkeypatch) -> list:
 )
 def test_sign_of_pell_near_zero_past_the_cap(monkeypatch, unit, n):
     # (a - sqrt(d))**n = p - q*sqrt(d) with q ~ 2**4200 and |p - q*sqrt(d)|
-    # ~ 2**-4200: undecided at 8192 bits, decided at the separation bound
+    # ~ 2**-4200, past any fixed precision cap: undecided at 8192 bits, the
+    # last doubling below the separation precision, and decided at that one
     a, d = unit
     s = (a - SurdSum.sqrt(d)) ** n
     (_, p), (_, minus_q) = sorted(s.terms())
     assert p > 0 > minus_q and p.numerator.bit_length() > 4150
-    assert s.interval(2 * exactnum.SIGN_BITS_CAP).sign_or_none() is None
+    assert 8192 < exactnum._separation_bits(s) <= 16384
+    assert s.interval(8192).sign_or_none() is None
     calls = _count_sign_exact(monkeypatch)
     assert certified_sign(s) == (-1) ** n
     assert certified_sign(-s) == -((-1) ** n)
@@ -353,7 +374,7 @@ def test_sign_of_a_near_zero_over_three_radicands(monkeypatch):
 
 def test_separation_bound_failure_is_an_assertion(monkeypatch):
     s = (1 - SurdSum.sqrt(2)) ** 3303
-    monkeypatch.setattr(exactnum, "_separation_bits", lambda s: exactnum.SIGN_BITS_CAP)
+    monkeypatch.setattr(exactnum, "_separation_bits", lambda s: 100)
     with pytest.raises(AssertionError):
         certified_sign(s)
 
@@ -386,7 +407,7 @@ def test_separation_bound_holds_on_random_sums():
         iv = s.interval(2 * b + 64)
         assert min(abs(iv.lo_m), abs(iv.hi_m)) >= 1 << (iv.exp - b)
         assert iv.lo_m > 0 or iv.hi_m < 0
-        assert s._sign_exact() == certified_sign(s)
+        assert s._sign_exact(b) == certified_sign(s)
 
 
 # -- interval conservativeness against an independent evaluator -------------
@@ -536,3 +557,27 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
         assert s == t and hash(s) == hash(t)
     assert SurdSum({1: Fraction(6, 4)}) == Fraction(3, 2)
     assert SurdSum() == 0 and SurdSum()._den == 1
+
+
+def test_equal_values_hash_equal_across_surdsum_fraction_and_int():
+    # a rational SurdSum equals its Fraction and int, so it must hash as
+    # they do: sets and dict keys then mix the three types
+    rng = random.Random(31)
+    values = []
+    for _ in range(200):
+        q = Fraction(rng.randrange(-50, 50), rng.choice([1, 1, 2, 3, 12, 1 << 70]))
+        r2 = SurdSum.sqrt(2) * rng.randrange(-3, 4)
+        forms = [q, SurdSum.from_rational(q), (q + r2) - r2, SurdSum({1: q, 3: 1}) - SurdSum.sqrt(3)]
+        if q.denominator == 1:
+            forms.append(int(q))
+        for a in forms:
+            for b in forms:
+                assert a == b and hash(a) == hash(b)
+        values += forms + [q + SurdSum.sqrt(2)]
+    for a in values:
+        for b in rng.sample(values, 40):
+            if a == b:
+                assert b == a and hash(a) == hash(b)
+    assert Fraction(1, 2) in {SurdSum.from_rational(Fraction(1, 2))}
+    assert 3 in {SurdSum.from_rational(3)} and SurdSum.from_rational(3) in {3}
+    assert {SurdSum.from_rational(Fraction(1, 3)): 1}[Fraction(1, 3)] == 1
