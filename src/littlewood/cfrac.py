@@ -33,11 +33,11 @@ from itertools import chain
 from types import SimpleNamespace
 
 from .exactnum import (
+    SIGN_BITS_START,
     ParameterError,
     SurdSum,
     as_surdsum,
     certified_sign,
-    fixed_enclosure,
     iroot,
 )
 
@@ -433,13 +433,10 @@ class ResidualScan(SimpleNamespace):
 
 
 def _below(a: SurdSum, b: SurdSum) -> bool:
-    """a < b, exactly; the memoised fixed-point enclosures decide unless
-    they overlap."""
-    a_lo, a_hi = fixed_enclosure(a)
-    b_lo, b_hi = fixed_enclosure(b)
-    if a_hi < b_lo or b_hi < a_lo:
-        return a_hi < b_lo
-    return certified_sign(a - b) < 0
+    """a < b, exactly; the memoised enclosures at SIGN_BITS_START decide
+    unless they overlap."""
+    sg = (a.interval(SIGN_BITS_START) - b.interval(SIGN_BITS_START)).sign_or_none()
+    return (sg if sg is not None else certified_sign(a - b)) < 0
 
 
 def _candidates(mults: list[int], is_max: bool, bound: int, a: int, b: int, S: int) -> list[int]:

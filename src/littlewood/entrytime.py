@@ -31,12 +31,12 @@ from fractions import Fraction
 from .cfrac import CFSpec, ErrorTerm, _below, cf_expand, error_term
 from .cone import ConeParams
 from .exactnum import (
+    SIGN_BITS_START,
     DyadicInterval,
     SurdSum,
     _inverse_square_floor,
     as_surdsum,
     certified_sign,
-    fixed_enclosure,
     iroot,
 )
 from .lattice import DirichletPoint, ParameterError
@@ -115,7 +115,7 @@ def _transversality_budget(epsilon, e_alpha, e_beta, cap: int) -> int:
     ea = _error_value(e_alpha)
     eb = _error_value(e_beta)
     emax = eb if _below(ea, eb) else ea
-    if fixed_enclosure(emax)[0] < 0:
+    if emax.interval(SIGN_BITS_START).lo_m < 0:
         emax = emax.abs()  # only negative inputs: the condition squares e
     if epsilon <= 0:
         return cap if emax.is_zero() else 0
@@ -224,7 +224,9 @@ def entry_time(line: ApproxLine, params: ConeParams) -> EntryTimeReport:
 
 
 def _entry_root(A: SurdSum, B: SurdSum, D: SurdSum) -> DyadicInterval:
-    """Certified interval for the entering root (-2B + sqrt(D)) / (2A)."""
+    """Certified interval for the entering root (-2B + sqrt(D)) / (2A).
+    ParameterError if 2**16 bits do not give it: no enclosure shows A > 0
+    and D >= 0, or the interval stays too wide."""
     bits = 128
     while True:
         a_iv = A.interval(bits)
@@ -234,6 +236,6 @@ def _entry_root(A: SurdSum, B: SurdSum, D: SurdSum) -> DyadicInterval:
             tau = ((-2 * B).interval(bits) + d_iv.sqrt(bits)).divide(two_a, bits)
             if tau.width <= _TAU_REL_TOL * max(abs(tau.lo), abs(tau.hi), Fraction(1, 10**6)):
                 return tau
-            if bits > 1 << 16:
-                raise ParameterError("entry time interval failed to converge")
+        if bits > 1 << 16:
+            raise ParameterError("entry time interval failed to converge")
         bits *= 2

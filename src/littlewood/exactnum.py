@@ -16,8 +16,8 @@ Two layers:
   mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
   irrational sign is decided.  Sums and products are exact integer
   operations; leaves, division and square roots round outward through one
-  helper.  Hot loops unbox the same mantissas at the fixed scale 2**-64
-  (:func:`fixed_enclosure`).
+  helper.  A SurdSum keeps its enclosure at SIGN_BITS_START, the one every
+  certified sign, floor and polynomial probe tries first.
 
 ``certified_sign`` ties the layers together: interval evaluation with a
 doubling precision schedule from 64 bits, which stops at the precision
@@ -40,19 +40,12 @@ __all__ = [
     "root_interval",
     "frac_pow_interval",
     "DyadicInterval",
-    "FIXED_BITS",
-    "fixed_enclosure",
     "SurdSum",
     "as_surdsum",
     "certified_sign",
 ]
 
 SIGN_BITS_START = 64
-
-# Scale of the integer fixed-point enclosures: a mantissa m stands for
-# m * 2**-FIXED_BITS.  Equal to SIGN_BITS_START, so the enclosure of a
-# SurdSum costs one interval(64), the evaluation certified_sign tries first.
-FIXED_BITS = 64
 
 # Sound factorisation limit for squarefree_decompose: after trial division
 # by everything <= _TRIAL_LIMIT, a cofactor <= _TRIAL_LIMIT**3 is 1, prime,
@@ -333,10 +326,10 @@ class SurdSum:
 
     # _num maps each radicand to its nonzero integer numerator, _den is the
     # common denominator, both in the canonical form above and never
-    # changed after construction, so the memos _fixed (the fixed_enclosure)
+    # changed after construction, so the memos _iv (interval(SIGN_BITS_START))
     # and _hash, set on first use only, stay valid.  alpha and beta key the
     # lru cache of the Dirichlet records.
-    __slots__ = ("_num", "_den", "_fixed", "_hash")
+    __slots__ = ("_num", "_den", "_iv", "_hash")
 
     def __init__(self, terms: Mapping[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
@@ -517,7 +510,16 @@ class SurdSum:
     # -- certified evaluation ----------------------------------------------
 
     def interval(self, bits: int) -> DyadicInterval:
-        """Enclosure of the exact value (see DyadicInterval.of_surd_terms)."""
+        """Enclosure of the exact value (see DyadicInterval.of_surd_terms);
+        the one at SIGN_BITS_START is computed once and kept."""
+        if bits == SIGN_BITS_START:
+            iv = getattr(self, "_iv", None)
+            if iv is None:
+                iv = self._iv = self._enclose(bits)
+            return iv
+        return self._enclose(bits)
+
+    def _enclose(self, bits: int) -> DyadicInterval:
         den = self._den
         return DyadicInterval.of_surd_terms([(rad, n, den) for rad, n in self._num.items()], bits)
 
@@ -547,19 +549,19 @@ class SurdSum:
 
     def _floor_plus_half(self, half: int) -> int:
         """floor(self + half/2) for half 0 or 1, read from the memoised
-        fixed_enclosure.  A certified sign is needed only when the
+        interval(SIGN_BITS_START).  A certified sign is needed only when the
         enclosure straddles an integer; a wider one (coefficients near
         2**64) is first narrowed at doubling precision."""
-        lo, hi = fixed_enclosure(self)
-        exp = bits = FIXED_BITS
+        bits = SIGN_BITS_START
+        iv = self.interval(bits)
         while True:
+            exp = iv.exp
             shift = half << (exp - 1)
-            k, k_hi = (lo + shift) >> exp, (hi + shift) >> exp
+            k, k_hi = (iv.lo_m + shift) >> exp, (iv.hi_m + shift) >> exp
             if k_hi - k <= 1:
                 break
             bits *= 2
             iv = self.interval(bits)
-            lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
         if k == k_hi:
             return k
         # self + half/2 lies in [k, k + 2) and reaches k + 1 iff self does
@@ -595,35 +597,17 @@ def as_surdsum(x) -> SurdSum:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact number")
 
 
-def fixed_enclosure(x) -> tuple[int, int]:
-    """Integer mantissas (lo, hi) with lo * 2**-FIXED_BITS <= x <=
-    hi * 2**-FIXED_BITS: ``interval(FIXED_BITS)`` rounded outward to that
-    scale.
-
-    Exact for integers and dyadic rationals.  A SurdSum computes its
-    enclosure once and keeps it in its ``_fixed`` slot.
-    """
-    if isinstance(x, SurdSum):
-        enc = getattr(x, "_fixed", None)
-        if enc is None:
-            iv = x.interval(FIXED_BITS)
-            enc = x._fixed = _outward(iv.lo_m, iv.hi_m, 1 << iv.exp, FIXED_BITS)
-        return enc
-    if isinstance(x, (int, Fraction)):
-        return _outward(x.numerator, x.numerator, x.denominator, FIXED_BITS)
-    return fixed_enclosure(as_surdsum(x))
-
-
 def _inverse_square_floor(m: SurdSum, c: int | Fraction, cap: int | float) -> int | float:
     """min(floor(c / m**2), cap) for m >= 0 and a rational c > 0, exactly
     (m = 0 gives the cap, which may be math.inf)."""
     if m.is_zero():
         return cap
     c = Fraction(c)
-    lo, hi = fixed_enclosure(m)  # memoised on m
-    exp = FIXED_BITS
+    bits = SIGN_BITS_START
+    iv = m.interval(bits)  # memoised on m
     while True:
         # m lies in [lo, hi] * 2**-exp, so floor(c/m**2) lies in [k, k_hi]
+        lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
         num = c.numerator << (2 * exp)
         k = num // (c.denominator * hi * hi)
         if k >= cap:
@@ -633,9 +617,8 @@ def _inverse_square_floor(m: SurdSum, c: int | Fraction, cap: int | float) -> in
             return k
         if k_hi == k + 1:
             return k_hi if certified_sign(m * m * k_hi - c) <= 0 else k
-        exp *= 2
-        iv = m.interval(exp)
-        lo, hi, exp = iv.lo_m, iv.hi_m, iv.exp
+        bits *= 2
+        iv = m.interval(bits)
 
 
 # The separation bound.  Let s = (sum a_i*sqrt(d_i)) / D be a canonical

@@ -3,16 +3,17 @@ coefficients.
 
 Polynomials are coefficient lists (ascending powers) of SurdSum / Fraction
 / int entries.  Every sign a bisection uses is certified and computed
-interval-first: Horner's rule on integer fixed-point enclosures
-(:func:`~littlewood.exactnum.fixed_enclosure`) decides it whenever the
-enclosure excludes 0, and the exact SurdSum Horner with
+interval-first: Horner's rule on ``DyadicInterval`` mantissas decides it
+whenever the enclosure excludes 0, and the exact SurdSum Horner with
 ``certified_sign`` decides the rest, exact zeros included.  The
-coefficient enclosures are taken once per polynomial and passed to every
-probe of it; the probe's own enclosure comes from its numerator and
-denominator by one floor division.  When the probe enclosure lies on one
-side of 0, each Horner step picks its lower and upper product from the
-signs of the running bounds (two products, not four), with a result
-bit-identical to the four-product step.
+coefficient enclosures are each coefficient's memoised
+``interval(SIGN_BITS_START)``, shifted onto their finest scale once per
+polynomial and passed to every probe of it; the probe's own enclosure, at
+SIGN_BITS_START, comes from its numerator and denominator by one floor
+division.  Each Horner step rounds the product outward to the coefficient
+scale, and when the probe enclosure lies on one side of 0 it picks its
+lower and upper product from the signs of the running bounds (two
+products, not four), with a result bit-identical to the four-product step.
 
 Roots are isolated by recursing on the derivative: between consecutive
 critical points the polynomial is strictly monotone and plain sign-change
@@ -34,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exactnum import FIXED_BITS, SurdSum, as_surdsum, certified_sign, fixed_enclosure
+from .exactnum import SIGN_BITS_START, DyadicInterval, SurdSum, as_surdsum, certified_sign
 
 __all__ = [
     "poly_eval",
@@ -60,18 +61,21 @@ def poly_derivative(coeffs: Coeffs) -> list[SurdSum]:
     return [as_surdsum(c) * k for k, c in enumerate(coeffs) if k >= 1]
 
 
-Fixed = list[tuple[int, int]]
+Enclosures = list[DyadicInterval]
 
 
-def _fixed_coeffs(coeffs: Coeffs) -> Fixed:
-    """The fixed-point enclosure of every coefficient, ascending."""
-    return [fixed_enclosure(c) for c in coeffs]
+def _enclosures(coeffs: Coeffs) -> Enclosures:
+    """The memoised interval(SIGN_BITS_START) of every coefficient,
+    ascending, shifted exactly onto the finest of their scales."""
+    ivs = [as_surdsum(c).interval(SIGN_BITS_START) for c in coeffs]
+    exp = max(iv.exp for iv in ivs)
+    return [DyadicInterval(iv.lo_m << (exp - iv.exp), iv.hi_m << (exp - iv.exp), exp) for iv in ivs]
 
 
-def _fixed_horner(fixed: Fixed, t_lo: int, t_hi: int) -> tuple[int, int]:
-    """Fixed-point enclosure (mantissas over 2**-FIXED_BITS) of the
-    polynomial with coefficient enclosures ``fixed`` on the argument
-    enclosure [t_lo, t_hi]; a point when equal."""
+def _horner(coeffs: Enclosures, t_lo: int, t_hi: int) -> DyadicInterval:
+    """Enclosure of the polynomial with coefficient enclosures ``coeffs``
+    (on one scale) on the argument [t_lo, t_hi] * 2**-SIGN_BITS_START, at
+    the coefficient scale: each product is rounded outward to it."""
     # Each step takes the least and the greatest of the corner products
     # x*t, x in {lo, hi}, t in {t_lo, t_hi}.  When t keeps one sign, x*t is
     # monotone in x, so the least product has x = lo for t >= 0 (x = hi for
@@ -79,37 +83,39 @@ def _fixed_horner(fixed: Fixed, t_lo: int, t_hi: int) -> tuple[int, int]:
     # picks the end of t.  The chosen product is one of the four corners
     # and no corner is smaller (greater), so it is their min (max) exactly
     # and the result is bit-identical to the four-product step.
+    shift = SIGN_BITS_START
     lo = hi = 0
     if t_lo >= 0:
-        for c_lo, c_hi in reversed(fixed):
-            lo = (lo * (t_lo if lo >= 0 else t_hi) >> FIXED_BITS) + c_lo
-            hi = -(-hi * (t_hi if hi >= 0 else t_lo) >> FIXED_BITS) + c_hi
+        for c in reversed(coeffs):
+            lo = (lo * (t_lo if lo >= 0 else t_hi) >> shift) + c.lo_m
+            hi = -(-hi * (t_hi if hi >= 0 else t_lo) >> shift) + c.hi_m
     elif t_hi <= 0:
-        for c_lo, c_hi in reversed(fixed):
+        for c in reversed(coeffs):
             lo, hi = (
-                (hi * (t_lo if hi >= 0 else t_hi) >> FIXED_BITS) + c_lo,
-                -(-lo * (t_hi if lo >= 0 else t_lo) >> FIXED_BITS) + c_hi,
+                (hi * (t_lo if hi >= 0 else t_hi) >> shift) + c.lo_m,
+                -(-lo * (t_hi if lo >= 0 else t_lo) >> shift) + c.hi_m,
             )
     else:
-        for c_lo, c_hi in reversed(fixed):
+        for c in reversed(coeffs):
             p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
-            lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
-            hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
-    return lo, hi
+            lo = (min(p1, p2, p3, p4) >> shift) + c.lo_m
+            hi = -(-max(p1, p2, p3, p4) >> shift) + c.hi_m
+    return DyadicInterval(lo, hi, coeffs[0].exp)
 
 
-def poly_sign_at(coeffs: Coeffs, t: Fraction, fixed: Fixed | None = None) -> int:
-    """Certified sign at a rational point: the fixed-point Horner when its
+def poly_sign_at(coeffs: Coeffs, t: Fraction, enclosures: Enclosures | None = None) -> int:
+    """Certified sign at a rational point: the interval Horner when its
     enclosure excludes 0, the exact Horner otherwise.  A caller that probes
-    one polynomial many times passes its ``_fixed_coeffs`` as ``fixed``."""
-    if fixed is None:
-        fixed = _fixed_coeffs(coeffs)
-    # fixed_enclosure(t), straight from the integers of t
-    t_lo, rem = divmod(t.numerator << FIXED_BITS, t.denominator)
-    lo, hi = _fixed_horner(fixed, t_lo, t_lo + (rem > 0))
-    if lo > 0:
+    one polynomial many times passes its ``_enclosures`` as ``enclosures``."""
+    if enclosures is None:
+        enclosures = _enclosures(coeffs)
+    # DyadicInterval.point(t, SIGN_BITS_START), straight from the integers of t
+    num, den = t.as_integer_ratio()
+    t_lo, rem = divmod(num << SIGN_BITS_START, den)
+    iv = _horner(enclosures, t_lo, t_lo + (rem > 0))
+    if iv.lo_m > 0:
         return 1
-    if hi < 0:
+    if iv.hi_m < 0:
         return -1
     return certified_sign(poly_eval(coeffs, t))
 
@@ -153,9 +159,9 @@ def bisect_root(
     the result are the rationals that halving [lo, hi] with Fraction
     arithmetic visits and returns.
     """
-    fixed = _fixed_coeffs(coeffs)
-    s_lo = poly_sign_at(coeffs, lo, fixed)
-    s_hi = poly_sign_at(coeffs, hi, fixed)
+    encs = _enclosures(coeffs)
+    s_lo = poly_sign_at(coeffs, lo, encs)
+    s_hi = poly_sign_at(coeffs, hi, encs)
     if s_lo == 0:
         return lo, lo
     if s_hi == 0:
@@ -176,24 +182,23 @@ def bisect_root(
     m = 0
     for j in range(1, k + 1):
         t = Fraction((P << j) + W * (2 * m + 1), D << j)
-        s_mid = poly_sign_at(coeffs, t, fixed)
+        s_mid = poly_sign_at(coeffs, t, encs)
         if s_mid == 0:
             return t, t
         m = 2 * m + (s_mid == s_lo)
     return Fraction((P << k) + W * m, D << k), Fraction((P << k) + W * (m + 1), D << k)
 
 
-def _keeps_sign(fixed: Fixed, deriv_fixed: Fixed, a: Fraction, b: Fraction, s: int) -> bool:
+def _keeps_sign(encs: Enclosures, deriv_encs: Enclosures, a: Fraction, b: Fraction, s: int) -> bool:
     """Mean-value proof that p keeps the sign s of p(a) on all of [a, b]:
-    p(t) lies in p(a) + [0, b - a] * p'([a, b]), all in fixed point, from
-    the coefficient enclosures of p and p'."""
-    a_lo, a_hi = fixed_enclosure(a)
-    p_lo, p_hi = _fixed_horner(fixed, a_lo, a_hi)
-    d_lo, d_hi = _fixed_horner(deriv_fixed, a_lo, fixed_enclosure(b)[1])
-    w = fixed_enclosure(b - a)[1]
-    if s > 0:
-        return p_lo + (min(0, w * d_lo) >> FIXED_BITS) > 0
-    return p_hi - (-max(0, w * d_hi) >> FIXED_BITS) < 0
+    p(t) lies in p(a) + [0, b - a] * p'([a, b]), from the coefficient
+    enclosures of p and p'."""
+    a_iv = DyadicInterval.point(a, SIGN_BITS_START)
+    b_hi = DyadicInterval.point(b, SIGN_BITS_START).hi_m
+    w_hi = DyadicInterval.point(b - a, SIGN_BITS_START).hi_m
+    slope = _horner(deriv_encs, a_iv.lo_m, b_hi)  # p'([a, b])
+    step = DyadicInterval(0, w_hi, SIGN_BITS_START) * slope
+    return (_horner(encs, a_iv.lo_m, a_iv.hi_m) + step).sign_or_none() == s
 
 
 def _bracket_inside(
@@ -237,17 +242,17 @@ def _sturm_chain(coeffs: list[SurdSum]) -> list[list[SurdSum]]:
     return chain
 
 
-def _sign_changes(chain: list[tuple[list[SurdSum], Fixed]], t: Fraction) -> int:
+def _sign_changes(chain: list[tuple[list[SurdSum], Enclosures]], t: Fraction) -> int:
     """Sign changes at t of a Sturm chain given as (polynomial, coefficient
     enclosures) pairs."""
-    signs = [s for s in (poly_sign_at(q, t, fixed) for q, fixed in chain) if s]
+    signs = [s for s in (poly_sign_at(q, t, encs) for q, encs in chain) if s]
     return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _sliver_roots(
     coeffs: list[SurdSum],
-    fixed: Fixed,
-    deriv_fixed: Fixed,
+    encs: Enclosures,
+    deriv_encs: Enclosures,
     a: Fraction,
     b: Fraction,
     sa: int,
@@ -255,8 +260,8 @@ def _sliver_roots(
     tol: Fraction,
 ) -> list[tuple[Fraction, Fraction]]:
     """Roots strictly inside a critical-point sliver [a, b], given the exact
-    signs sa, sb of p at its ends, which are not opposite; ``fixed`` and
-    ``deriv_fixed`` are the coefficient enclosures of p and p'.
+    signs sa, sb of p at its ends, which are not opposite; ``encs`` and
+    ``deriv_encs`` are the coefficient enclosures of p and p'.
 
     A mean-value enclosure proves most slivers root-free.  The rest are
     decided exactly by Sturm's theorem: with V(t) the sign changes of the
@@ -268,9 +273,9 @@ def _sliver_roots(
     a tangency at the level), enclosed by halving to width tol and away
     from the sliver ends.
     """
-    if sa and sa == sb and _keeps_sign(fixed, deriv_fixed, a, b, sa):
+    if sa and sa == sb and _keeps_sign(encs, deriv_encs, a, b, sa):
         return []
-    chain = [(q, _fixed_coeffs(q)) for q in _sturm_chain(coeffs)]
+    chain = [(q, _enclosures(q)) for q in _sturm_chain(coeffs)]
     sign = {a: sa, b: sb}
     changes = {a: _sign_changes(chain, a), b: _sign_changes(chain, b)}
     roots: list[tuple[Fraction, Fraction]] = []
@@ -287,7 +292,7 @@ def _sliver_roots(
             roots.append((u, v))
             continue
         m = (u + v) / 2
-        while (sm := poly_sign_at(coeffs, m, fixed)) == 0:
+        while (sm := poly_sign_at(coeffs, m, encs)) == 0:
             m = (u + m) / 2  # split only where p != 0; the root stays counted
         sign[m], changes[m] = sm, _sign_changes(chain, m)
         pieces += [(u, m), (m, v)]
@@ -313,11 +318,11 @@ def isolate_roots(
     # Cuts, their signs and the slivers live in lists: hashing a Fraction
     # costs a modular inverse
     cuts: list[Fraction] = [lo, hi]
-    deriv_fixed: Fixed = []
+    deriv_encs: Enclosures = []
     slivers: list[tuple[Fraction, Fraction]] = []  # critical-point enclosures
     if len(trimmed) > 2:
         deriv = poly_derivative(trimmed)
-        deriv_fixed = _fixed_coeffs(deriv)
+        deriv_encs = _enclosures(deriv)
         crit_tol = min(tol, (hi - lo) or tol) / 4
         for c_lo, c_hi in isolate_roots(deriv, lo, hi, crit_tol):
             cuts.extend((c_lo, c_hi))
@@ -326,15 +331,15 @@ def isolate_roots(
     cuts.sort()
     cuts = [t for i, t in enumerate(cuts) if i == 0 or t != cuts[i - 1]]
     roots: list[tuple[Fraction, Fraction]] = []
-    fixed = _fixed_coeffs(trimmed)
-    signs = [poly_sign_at(trimmed, t, fixed) for t in cuts]
+    encs = _enclosures(trimmed)
+    signs = [poly_sign_at(trimmed, t, encs) for t in cuts]
     for a, b, sa, sb in zip(cuts, cuts[1:], signs, signs[1:]):
         if sa == 0 and (not roots or roots[-1][1] < a):
             roots.append((a, a))
         if sa * sb < 0:
             roots.append(bisect_root(trimmed, a, b, tol))
         elif (a, b) in slivers:
-            roots.extend(_sliver_roots(trimmed, fixed, deriv_fixed, a, b, sa, sb, tol))
+            roots.extend(_sliver_roots(trimmed, encs, deriv_encs, a, b, sa, sb, tol))
     if signs[-1] == 0 and (not roots or roots[-1][1] < hi):
         roots.append((hi, hi))
     return roots

@@ -1,7 +1,7 @@
 """Shared test numbers, small generators, the CSV reader, and the
 Fraction-coefficient SurdSum ring, continued-fraction cycle, entry-time, entry-time comparator,
 running-minimum (numpy and convergent), Dirichlet-point, transversality,
-cone-row, u-grid and fixed-point Horner oracles."""
+cone-row, u-grid and interval Horner oracles."""
 
 import csv
 import math
@@ -18,7 +18,6 @@ from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
 from littlewood.entrytime import _error_value, _membership_coeffs
 from littlewood.exactnum import (
-    FIXED_BITS,
     DyadicInterval,
     SurdSum,
     as_surdsum,
@@ -288,14 +287,16 @@ def bisect_root_halving(coeffs, lo: Fraction, hi: Fraction, tol: Fraction):
     return lo, hi
 
 
-def fixed_horner_minmax(fixed, t_lo: int, t_hi: int) -> tuple[int, int]:
-    """Oracle for ``rootfind._fixed_horner``: every Horner step takes the
-    min and max of all four corner products, whatever the signs."""
+def horner_minmax(coeffs, t_lo: int, t_hi: int, bits: int) -> tuple[int, int]:
+    """Oracle for ``rootfind._horner``: coefficient mantissa pairs (lo, hi)
+    on one scale and the argument [t_lo, t_hi] * 2**-bits; every Horner
+    step takes the min and max of all four corner products, whatever the
+    signs, rounded outward by ``bits``."""
     lo = hi = 0
-    for c_lo, c_hi in reversed(fixed):
+    for c_lo, c_hi in reversed(coeffs):
         p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
-        lo = (min(p1, p2, p3, p4) >> FIXED_BITS) + c_lo
-        hi = -(-max(p1, p2, p3, p4) >> FIXED_BITS) + c_hi
+        lo = (min(p1, p2, p3, p4) >> bits) + c_lo
+        hi = -(-max(p1, p2, p3, p4) >> bits) + c_hi
     return lo, hi
 
 

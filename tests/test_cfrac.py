@@ -26,6 +26,7 @@ from littlewood.cfrac import (
     levy_quotient,
     residual_minima,
     LEVY_AE_LOG,
+    _below,
     _candidates,
     _cf_cycle,
     _distances,
@@ -685,3 +686,28 @@ def test_lcm_growth_profile():
     prof = lcm_growth_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, 16)
     assert 0 < prof.liminf_estimate <= prof.limsup_estimate
     assert len(prof.quotients) == 16
+
+
+def test_below_agrees_with_the_certified_sign():
+    # far-apart pairs are decided by their memoised 64-bit enclosures;
+    # equal values and values under 2**-80 apart overlap there, so
+    # certified_sign decides them
+    rng = random.Random(20261020)
+    pool = [as_surdsum(s) for s in SURD_POOL]
+    overlaps = 0
+    for i in range(600):
+        a = rng.choice(pool) * Fraction(rng.randrange(-50, 51), rng.randrange(1, 30))
+        kind = i % 3
+        if kind == 0:
+            b = rng.choice(pool) * Fraction(rng.randrange(-50, 51), rng.randrange(1, 30))
+        elif kind == 1:
+            b = SurdSum(dict(a.terms()))  # equal, built afresh
+        else:
+            tiny = rng.choice(
+                [Fraction(1, 2**81), Fraction(1, 3 * 10**30), SurdSum.sqrt(2, Fraction(1, 10**40))]
+            )
+            b = a + tiny if rng.random() < 0.5 else a - tiny
+        overlaps += (a.interval(64) - b.interval(64)).sign_or_none() is None
+        assert _below(a, b) == (certified_sign(a - b) < 0), (a, b)
+        assert _below(b, a) == (certified_sign(b - a) < 0), (a, b)
+    assert overlaps > 300

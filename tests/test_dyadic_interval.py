@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from littlewood.exactnum import DyadicInterval, SurdSum, fixed_enclosure
+from littlewood.exactnum import DyadicInterval, SurdSum
 
 BITS = (8, 53, 64, 160)
 
@@ -86,13 +86,6 @@ def o_surdsum_interval(terms, bits):
             hi = round_up(max(r_lo * coef, r_hi * coef), work)
             total = o_add(total, (lo, hi))
     return total
-
-
-def o_fixed_enclosure(lo, hi):
-    return (
-        (lo.numerator << 64) // lo.denominator,
-        -((-hi.numerator << 64) // hi.denominator),
-    )
 
 
 # -- random inputs -----------------------------------------------------------
@@ -201,10 +194,3 @@ def test_surdsum_interval_and_fixed_enclosure_match_oracle():
             v = mp_value(s)
             assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= v
             assert v <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
-            o64 = o_surdsum_interval(dict(s.terms()), 64)
-            assert fixed_enclosure(s) == o_fixed_enclosure(*o64)
-    for x in (random_rational(rng) for _ in range(200)):
-        assert fixed_enclosure(x) == o_fixed_enclosure(x, x)
-        assert fixed_enclosure(x.numerator) == o_fixed_enclosure(
-            Fraction(x.numerator), Fraction(x.numerator)
-        )

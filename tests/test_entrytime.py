@@ -20,7 +20,7 @@ from littlewood.entrytime import (
     line_gamma,
     transversality_check,
 )
-from littlewood.exactnum import SurdSum, as_surdsum, certified_sign
+from littlewood.exactnum import ParameterError, SurdSum, as_surdsum, certified_sign
 from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search
 
 from nums import (
@@ -247,6 +247,15 @@ def test_entry_root_raises_the_precision_for_a_tiny_leading_coefficient():
     q = lambda t: A.as_fraction() * t * t + 2 * t - 1
     assert q(tau.lo) <= 0 <= q(tau.hi)
     assert tau.width <= Fraction(1, 10**12)
+
+
+@pytest.mark.parametrize("A, B, C", [(Fraction(-1, 3), 1, -1), (1, 0, 1)])
+def test_entry_root_refuses_a_quadratic_outside_its_domain(A, B, C):
+    # A < 0 (or D = 4(B^2 - AC) < 0) is never enclosed as A > 0 and D >= 0,
+    # so the precision stops at its cap instead of doubling on
+    A, B, C = as_surdsum(A), as_surdsum(B), as_surdsum(C)
+    with pytest.raises(ParameterError):
+        _entry_root(A, B, 4 * (B * B - A * C))
 
 
 def test_tau_zero_when_inside():

@@ -8,12 +8,18 @@ from functools import cmp_to_key
 import pytest
 
 from littlewood import rootfind
-from littlewood.exactnum import SurdSum, as_surdsum, certified_sign, fixed_enclosure
+from littlewood.exactnum import (
+    SIGN_BITS_START,
+    DyadicInterval,
+    SurdSum,
+    as_surdsum,
+    certified_sign,
+)
 from littlewood.lattice import cartan_measure
 from littlewood.numspec import parse_number_spec
 from littlewood.rootfind import bisect_root, isolate_roots, poly_eval, poly_sign_at
 
-from nums import SURD_POOL, bisect_root_halving, fixed_horner_minmax
+from nums import SURD_POOL, bisect_root_halving, horner_minmax
 
 SQRT2 = SurdSum.sqrt(2)
 TOL = Fraction(1, 10**11)
@@ -42,7 +48,7 @@ def _rational_cubic(rng):
 def _points(rng, coeffs, near_root):
     """Non-dyadic and dyadic rationals; with near_root also the ends of a
     root enclosure of width 1e-8 and points within 1e-30 of that root,
-    where the fixed-point enclosure holds 0 and the exact Horner decides."""
+    where the interval Horner holds 0 and the exact Horner decides."""
     pts = [
         Fraction(rng.randrange(-3 * 10**6, 3 * 10**6), rng.choice([3, 7, 10**6 + 3, 3**20])),
         Fraction(rng.randrange(-(2**40), 2**40), 2**38),
@@ -92,10 +98,11 @@ def test_fixed_horner_encloses_the_exact_value():
         else:
             coeffs = [rng.randrange(-9, 10) for _ in range(4)]
         t = Fraction(rng.randrange(-(10**7), 10**7), rng.choice([3, 7, 10**6 + 3]))
-        lo, hi = rootfind._fixed_horner(rootfind._fixed_coeffs(coeffs), *fixed_enclosure(t))
+        t_iv = DyadicInterval.point(t, SIGN_BITS_START)
+        iv = rootfind._horner(rootfind._enclosures(coeffs), t_iv.lo_m, t_iv.hi_m)
         exact = poly_eval(coeffs, t)
-        assert certified_sign(exact - Fraction(lo, 2**64)) >= 0
-        assert certified_sign(exact - Fraction(hi, 2**64)) <= 0
+        assert certified_sign(exact - iv.lo) >= 0
+        assert certified_sign(exact - iv.hi) <= 0
 
 
 def test_exact_zero_goes_through_the_exact_path(monkeypatch):
@@ -105,18 +112,18 @@ def test_exact_zero_goes_through_the_exact_path(monkeypatch):
     assert poly_sign_at(coeffs, Fraction(1, 3)) == 0
     assert calls == [Fraction(1, 3)]
     assert poly_sign_at(coeffs, Fraction(1, 2)) == -1
-    assert calls == [Fraction(1, 3)]  # decided in fixed point
+    assert calls == [Fraction(1, 3)]  # decided by the interval Horner
 
 
 def test_fixed_enclosure_is_outward_and_kept():
     s = SQRT2 * Fraction(-7, 3) + Fraction(1, 10**30)
-    lo, hi = fixed_enclosure(s)
-    assert 0 < hi - lo <= 4
-    assert certified_sign(s - Fraction(lo, 2**64)) > 0
-    assert certified_sign(s - Fraction(hi, 2**64)) < 0
-    assert fixed_enclosure(s) is fixed_enclosure(s)
-    assert fixed_enclosure(Fraction(-1, 3)) == (-(2**64) // 3, -((2**64) // 3))
-    assert fixed_enclosure(Fraction(5, 4)) == (5 * 2**62, 5 * 2**62)
+    iv = s.interval(64)
+    assert 0 < iv.width <= Fraction(4, 2**64)
+    assert certified_sign(s - iv.lo) > 0
+    assert certified_sign(s - iv.hi) < 0
+    assert s.interval(64) is s.interval(64)
+    assert iv == DyadicInterval.of_surd_terms([(2, -7, 3), (1, 1, 10**30)], 64)
+    assert s.interval(128) is not s.interval(128)
 
 
 def _mantissa(rng, sign):
@@ -144,22 +151,27 @@ def test_sign_split_horner_matches_the_four_product_oracle():
     for i in range(2000):
         t_lo, t_hi = _enclosure(rng, kinds[i % 5])
         degree = (i // 5) % 5
-        fixed = [_enclosure(rng, rng.choice(kinds[:3])) for _ in range(degree + 1)]
-        assert rootfind._fixed_horner(fixed, t_lo, t_hi) == fixed_horner_minmax(fixed, t_lo, t_hi)
+        pairs = [_enclosure(rng, rng.choice(kinds[:3])) for _ in range(degree + 1)]
+        iv = rootfind._horner([DyadicInterval(*p, 69) for p in pairs], t_lo, t_hi)
+        assert iv.exp == 69
+        assert (iv.lo_m, iv.hi_m) == horner_minmax(pairs, t_lo, t_hi, SIGN_BITS_START)
     # and on the coefficient enclosures of cartan cubics at real probe points
     for _ in range(200):
         coeffs = _cartan_cubic(rng)
-        fixed = rootfind._fixed_coeffs(coeffs)
+        encs = rootfind._enclosures(coeffs)
+        assert len({c.exp for c in encs}) == 1
+        pairs = [(c.lo_m, c.hi_m) for c in encs]
         for t in _points(rng, coeffs, False):
-            t_lo, t_hi = fixed_enclosure(t)
-            assert rootfind._fixed_horner(fixed, t_lo, t_hi) == fixed_horner_minmax(fixed, t_lo, t_hi)
+            t_iv = DyadicInterval.point(t, SIGN_BITS_START)
+            iv = rootfind._horner(encs, t_iv.lo_m, t_iv.hi_m)
+            assert (iv.lo_m, iv.hi_m) == horner_minmax(pairs, t_iv.lo_m, t_iv.hi_m, SIGN_BITS_START)
 
 
 def test_probe_enclosure_from_integers_matches_fixed_enclosure(monkeypatch):
     seen = []
-    horner = rootfind._fixed_horner
+    horner = rootfind._horner
     monkeypatch.setattr(
-        rootfind, "_fixed_horner", lambda f, lo, hi: seen.append((lo, hi)) or horner(f, lo, hi)
+        rootfind, "_horner", lambda c, lo, hi: seen.append((lo, hi)) or horner(c, lo, hi)
     )
     rng = random.Random(7)
     pts = [0, 1, -1, 5, -(2**70), Fraction(0), Fraction(-5, 4), Fraction(3, 2**70)]
@@ -170,7 +182,8 @@ def test_probe_enclosure_from_integers_matches_fixed_enclosure(monkeypatch):
     for t in pts:
         seen.clear()
         poly_sign_at([SQRT2, 1], t)
-        assert seen == [fixed_enclosure(t)], t
+        point = DyadicInterval.point(t, SIGN_BITS_START)
+        assert seen == [(point.lo_m, point.hi_m)], t
 
 
 # -- critical-point slivers ----------------------------------------------------
