@@ -10,7 +10,8 @@ coefficient enclosures are each coefficient's memoised
 ``interval(SIGN_BITS_START)``, shifted onto their finest scale once per
 polynomial and passed to every probe of it; the probe's own enclosure, at
 SIGN_BITS_START, comes from its numerator and denominator by one floor
-division.  Each Horner step rounds the product outward to the coefficient
+division, and the Horner kernel returns the mantissas of its bounds
+as a pair.  Each Horner step rounds the product outward to the coefficient
 scale, and when the probe enclosure lies on one side of 0 it picks its
 lower and upper product from the signs of the running bounds (two
 products, not four), with a result bit-identical to the four-product step.
@@ -20,14 +21,15 @@ critical points the polynomial is strictly monotone and plain sign-change
 bisection applies.  The bisection counts its halvings once, from the
 width and tol, and indexes its brackets by integers: the probe at level j
 is lo + (hi - lo)(2m + 1) / 2**j, with m the index of the bracket at level
-j - 1, built as one Fraction from integers, so no Fraction arithmetic runs
-per probe.  Each critical point sits in a narrow sliver whose end signs
-may agree while the polynomial crosses a level twice inside it; a
-mean-value enclosure proves most slivers root-free, and exact Sturm counts
-over the SurdSum coefficients split the others until each root is
-bracketed.  A tangency at the level (a root of even multiplicity) comes
-back as an enclosure of width <= tol; an exact zero at a probe point is
-returned as a degenerate interval.
+j - 1, passed to the sign probe as an unreduced (numerator, denominator)
+pair, so no Fraction is built or reduced per probe; only the returned
+bracket is made of Fractions.  Each critical point sits in a narrow
+sliver whose end signs may agree while the polynomial crosses a level
+twice inside it; a mean-value enclosure proves most slivers root-free,
+and exact Sturm counts over the SurdSum coefficients split the others
+until each root is bracketed.  A tangency at the level (a root of even
+multiplicity) comes back as an enclosure of width <= tol; an exact zero
+at a probe point is returned as a degenerate interval.
 """
 
 from __future__ import annotations
@@ -72,10 +74,11 @@ def _enclosures(coeffs: Coeffs) -> Enclosures:
     return [DyadicInterval(iv.lo_m << (exp - iv.exp), iv.hi_m << (exp - iv.exp), exp) for iv in ivs]
 
 
-def _horner(coeffs: Enclosures, t_lo: int, t_hi: int) -> DyadicInterval:
-    """Enclosure of the polynomial with coefficient enclosures ``coeffs``
-    (on one scale) on the argument [t_lo, t_hi] * 2**-SIGN_BITS_START, at
-    the coefficient scale: each product is rounded outward to it."""
+def _horner(coeffs: Enclosures, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """Mantissas (lo, hi) of an enclosure of the polynomial with
+    coefficient enclosures ``coeffs`` (on one scale) on the argument
+    [t_lo, t_hi] * 2**-SIGN_BITS_START, at the coefficient scale: each
+    product is rounded outward to it."""
     # Each step takes the least and the greatest of the corner products
     # x*t, x in {lo, hi}, t in {t_lo, t_hi}.  When t keeps one sign, x*t is
     # monotone in x, so the least product has x = lo for t >= 0 (x = hi for
@@ -100,24 +103,31 @@ def _horner(coeffs: Enclosures, t_lo: int, t_hi: int) -> DyadicInterval:
             p1, p2, p3, p4 = lo * t_lo, lo * t_hi, hi * t_lo, hi * t_hi
             lo = (min(p1, p2, p3, p4) >> shift) + c.lo_m
             hi = -(-max(p1, p2, p3, p4) >> shift) + c.hi_m
-    return DyadicInterval(lo, hi, coeffs[0].exp)
+    return lo, hi
 
 
-def poly_sign_at(coeffs: Coeffs, t: Fraction, enclosures: Enclosures | None = None) -> int:
+def poly_sign_at(
+    coeffs: Coeffs, t: Fraction | tuple[int, int], enclosures: Enclosures | None = None
+) -> int:
     """Certified sign at a rational point: the interval Horner when its
-    enclosure excludes 0, the exact Horner otherwise.  A caller that probes
-    one polynomial many times passes its ``_enclosures`` as ``enclosures``."""
+    enclosure excludes 0, the exact Horner otherwise.  The point is a
+    Fraction (or int) or an unreduced integer pair (num, den) with den > 0,
+    which is read as num / den without reducing it; a Fraction is built
+    only for the exact Horner.  A caller that probes one polynomial many
+    times passes its ``_enclosures`` as ``enclosures``."""
     if enclosures is None:
         enclosures = _enclosures(coeffs)
-    # DyadicInterval.point(t, SIGN_BITS_START), straight from the integers of t
-    num, den = t.as_integer_ratio()
+    num, den = t if type(t) is tuple else t.as_integer_ratio()
+    if den <= 0:
+        raise ValueError("probe denominator must be positive")
+    # DyadicInterval.point(num / den, SIGN_BITS_START), by one floor division
     t_lo, rem = divmod(num << SIGN_BITS_START, den)
-    iv = _horner(enclosures, t_lo, t_lo + (rem > 0))
-    if iv.lo_m > 0:
+    lo, hi = _horner(enclosures, t_lo, t_lo + (rem > 0))
+    if lo > 0:
         return 1
-    if iv.hi_m < 0:
+    if hi < 0:
         return -1
-    return certified_sign(poly_eval(coeffs, t))
+    return certified_sign(poly_eval(coeffs, Fraction(num, den)))
 
 
 def _trim(coeffs: Coeffs) -> list[SurdSum]:
@@ -154,11 +164,19 @@ def bisect_root(
     The k halvings that take the width w = hi - lo to at most tol are
     counted once: k is the least integer with w <= tol * 2**k.  Level j
     keeps only the integer index m of the current bracket [lo + w m / 2**j,
-    lo + w (m+1) / 2**j], so each probe is one Fraction built from
-    integers over the common denominator of lo and hi.  The probes and
-    the result are the rationals that halving [lo, hi] with Fraction
-    arithmetic visits and returns.
+    lo + w (m+1) / 2**j], so each probe is an unreduced integer pair over
+    the common denominator of lo and hi, times 2**j, and no Fraction is
+    built until the result.  The probes and the result are the rationals
+    that halving [lo, hi] with Fraction arithmetic visits and returns.
     """
+    # Checked before any probe.  The internal callers meet both already:
+    # isolate_roots brackets consecutive cuts, sorted and without repeats,
+    # and _bracket_inside narrows a bracket of positive width with tol half
+    # that width; so the checks add no probe.
+    if not lo < hi:
+        raise ValueError("bracket needs lo < hi")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     encs = _enclosures(coeffs)
     s_lo = poly_sign_at(coeffs, lo, encs)
     s_hi = poly_sign_at(coeffs, hi, encs)
@@ -168,8 +186,6 @@ def bisect_root(
         return hi, hi
     if s_lo == s_hi:
         raise ValueError("endpoints do not bracket a sign change")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     # lo = P / D and hi - lo = W / D; k from the bit lengths of W * tol.den
     # and tol.num * D, then one exact fix-up
     D = lo.denominator * hi.denominator
@@ -181,10 +197,11 @@ def bisect_root(
         k += 1
     m = 0
     for j in range(1, k + 1):
-        t = Fraction((P << j) + W * (2 * m + 1), D << j)
+        t = ((P << j) + W * (2 * m + 1), D << j)
         s_mid = poly_sign_at(coeffs, t, encs)
         if s_mid == 0:
-            return t, t
+            root = Fraction(*t)
+            return root, root
         m = 2 * m + (s_mid == s_lo)
     return Fraction((P << k) + W * m, D << k), Fraction((P << k) + W * (m + 1), D << k)
 
@@ -196,9 +213,10 @@ def _keeps_sign(encs: Enclosures, deriv_encs: Enclosures, a: Fraction, b: Fracti
     a_iv = DyadicInterval.point(a, SIGN_BITS_START)
     b_hi = DyadicInterval.point(b, SIGN_BITS_START).hi_m
     w_hi = DyadicInterval.point(b - a, SIGN_BITS_START).hi_m
-    slope = _horner(deriv_encs, a_iv.lo_m, b_hi)  # p'([a, b])
+    slope = DyadicInterval(*_horner(deriv_encs, a_iv.lo_m, b_hi), deriv_encs[0].exp)  # p'([a, b])
     step = DyadicInterval(0, w_hi, SIGN_BITS_START) * slope
-    return (_horner(encs, a_iv.lo_m, a_iv.hi_m) + step).sign_or_none() == s
+    p_a = DyadicInterval(*_horner(encs, a_iv.lo_m, a_iv.hi_m), encs[0].exp)
+    return (p_a + step).sign_or_none() == s
 
 
 def _bracket_inside(

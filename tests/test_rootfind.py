@@ -99,10 +99,12 @@ def test_fixed_horner_encloses_the_exact_value():
             coeffs = [rng.randrange(-9, 10) for _ in range(4)]
         t = Fraction(rng.randrange(-(10**7), 10**7), rng.choice([3, 7, 10**6 + 3]))
         t_iv = DyadicInterval.point(t, SIGN_BITS_START)
-        iv = rootfind._horner(rootfind._enclosures(coeffs), t_iv.lo_m, t_iv.hi_m)
+        encs = rootfind._enclosures(coeffs)
+        lo, hi = rootfind._horner(encs, t_iv.lo_m, t_iv.hi_m)  # at the coefficient scale
+        ulp = Fraction(1, 2 ** encs[0].exp)
         exact = poly_eval(coeffs, t)
-        assert certified_sign(exact - iv.lo) >= 0
-        assert certified_sign(exact - iv.hi) <= 0
+        assert certified_sign(exact - lo * ulp) >= 0
+        assert certified_sign(exact - hi * ulp) <= 0
 
 
 def test_exact_zero_goes_through_the_exact_path(monkeypatch):
@@ -152,9 +154,8 @@ def test_sign_split_horner_matches_the_four_product_oracle():
         t_lo, t_hi = _enclosure(rng, kinds[i % 5])
         degree = (i // 5) % 5
         pairs = [_enclosure(rng, rng.choice(kinds[:3])) for _ in range(degree + 1)]
-        iv = rootfind._horner([DyadicInterval(*p, 69) for p in pairs], t_lo, t_hi)
-        assert iv.exp == 69
-        assert (iv.lo_m, iv.hi_m) == horner_minmax(pairs, t_lo, t_hi, SIGN_BITS_START)
+        bounds = rootfind._horner([DyadicInterval(*p, 69) for p in pairs], t_lo, t_hi)
+        assert bounds == horner_minmax(pairs, t_lo, t_hi, SIGN_BITS_START)
     # and on the coefficient enclosures of cartan cubics at real probe points
     for _ in range(200):
         coeffs = _cartan_cubic(rng)
@@ -163,8 +164,8 @@ def test_sign_split_horner_matches_the_four_product_oracle():
         pairs = [(c.lo_m, c.hi_m) for c in encs]
         for t in _points(rng, coeffs, False):
             t_iv = DyadicInterval.point(t, SIGN_BITS_START)
-            iv = rootfind._horner(encs, t_iv.lo_m, t_iv.hi_m)
-            assert (iv.lo_m, iv.hi_m) == horner_minmax(pairs, t_iv.lo_m, t_iv.hi_m, SIGN_BITS_START)
+            bounds = rootfind._horner(encs, t_iv.lo_m, t_iv.hi_m)
+            assert bounds == horner_minmax(pairs, t_iv.lo_m, t_iv.hi_m, SIGN_BITS_START)
 
 
 def test_probe_enclosure_from_integers_matches_fixed_enclosure(monkeypatch):
@@ -410,12 +411,16 @@ def test_integer_bisection_stops_on_an_exact_rational_root(flip):
 
 def test_bisection_probes_the_points_of_fraction_halving(monkeypatch):
     """The integer-indexed bisection makes the probes of the halving oracle,
-    in the same order, on every call of the two tests above."""
+    in the same order, on every call of the two tests above; a probe given
+    as an unreduced (num, den) pair counts as the rational num / den."""
     probes, checked = [], []
     sign_at = rootfind.poly_sign_at
-    monkeypatch.setattr(
-        rootfind, "poly_sign_at", lambda c, t, f=None: probes.append(t) or sign_at(c, t, f)
-    )
+
+    def spy(c, t, f=None):
+        probes.append(Fraction(*t) if isinstance(t, tuple) else t)
+        return sign_at(c, t, f)
+
+    monkeypatch.setattr(rootfind, "poly_sign_at", spy)
 
     def checked_bisect_root(coeffs, lo, hi, tol):
         probes.clear()
@@ -432,6 +437,104 @@ def test_bisection_probes_the_points_of_fraction_halving(monkeypatch):
     for flip in (1, -1):
         test_integer_bisection_stops_on_an_exact_rational_root(flip)
     assert len(checked) > 100 and max(checked) > 20
+
+
+def test_bisection_refuses_a_reversed_bracket_or_a_nonpositive_tol_before_probing(monkeypatch):
+    probes = []
+    sign_at = rootfind.poly_sign_at
+    monkeypatch.setattr(
+        rootfind, "poly_sign_at", lambda *args: probes.append(args) or sign_at(*args)
+    )
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect_root([-2, 0, 1], Fraction(2), Fraction(1), Fraction(1, 3))
+    with pytest.raises(ValueError, match="lo < hi"):
+        bisect_root([-2, 0, 1], Fraction(3, 2), Fraction(3, 2), Fraction(1, 3))
+    # the end 1 is a root, which used to be returned before tol was read
+    with pytest.raises(ValueError, match="tol must be positive"):
+        bisect_root([-1, 1], 1, 2, Fraction(0))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        bisect_root([-2, 0, 1], Fraction(1), Fraction(2), Fraction(-1, 3))
+    assert probes == []
+    # the same bracket in order: two halvings take its width to 1/4 <= 1/3
+    assert bisect_root([-2, 0, 1], Fraction(1), Fraction(2), Fraction(1, 3)) == (
+        Fraction(5, 4), Fraction(3, 2))
+
+
+def _probe_points(rng):
+    """Rationals of every sign and size, and the tiny points whose 64-bit
+    enclosure is [-1, 0] or [0, 1] ulps."""
+    tiny = Fraction(1, 3 * 2**70)
+    pts = [Fraction(0), Fraction(1), Fraction(-1), tiny, -tiny]
+    pts += [Fraction(rng.randrange(-(10**9), 10**9), rng.choice([1, 3, 7, 2**64 + 1, 10**6 + 3]))
+            for _ in range(60)]
+    pts += [Fraction(rng.getrandbits(200) - 2**199, rng.getrandbits(190) | 1) for _ in range(20)]
+    return pts
+
+
+def test_sign_of_an_unreduced_pair_is_the_sign_of_its_fraction(monkeypatch):
+    fallbacks = []  # (point, value) of every exact Horner
+
+    def exact_horner(c, t):
+        fallbacks.append((t, poly_eval(c, t)))
+        return fallbacks[-1][1]
+
+    monkeypatch.setattr(rootfind, "poly_eval", exact_horner)
+    rng = random.Random(20261020)
+    signs = []
+    for i in range(120):
+        if i % 3 == 2:
+            coeffs, roots = _rational_cubic(rng)  # exact zeros
+        else:
+            coeffs, roots = _cartan_cubic(rng), []
+        pts = _probe_points(rng) + roots + (_points(rng, coeffs, True) if i % 12 == 1 else [])
+        encs = rootfind._enclosures(coeffs)
+        for t in pts:
+            sign = poly_sign_at(coeffs, t)
+            for k in (1, rng.randrange(2, 10**6), rng.getrandbits(300) | 1):
+                num, den = k * t.numerator, k * t.denominator
+                assert poly_sign_at(coeffs, (num, den), encs) == sign, (coeffs, t, k)
+                assert poly_sign_at(coeffs, (num, den)) == sign, (coeffs, t, k)
+                signs.append(sign)
+    assert len(signs) > 10000 and {-1, 1} <= set(signs)
+    # the exact Horner decided exact zeros and nonzero values below 2**-64,
+    # and it was handed the point as a Fraction
+    assert signs.count(0) > 100
+    assert sum(not v.is_zero() for _, v in fallbacks) > 100
+    assert all(type(t) is Fraction for t, _ in fallbacks)
+
+
+def test_pair_with_a_nonpositive_denominator_is_refused():
+    for t in [(1, 0), (0, 0), (3, -7), (-3, -7)]:
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            poly_sign_at([SQRT2, 1], t)
+
+
+def test_bisection_builds_at_most_two_fractions(monkeypatch):
+    built, fallbacks = [], []
+    make = rootfind.Fraction
+    monkeypatch.setattr(rootfind, "Fraction", lambda *args: built.append(args) or make(*args))
+    monkeypatch.setattr(
+        rootfind, "poly_eval", lambda c, t: fallbacks.append(t) or poly_eval(c, t)
+    )
+    coeffs = [-2, 0, 1]  # root sqrt 2, at least 2**-48 away from every probe below
+    for k in range(0, 49):
+        built.clear()
+        lo, hi = bisect_root(coeffs, Fraction(1), Fraction(2), Fraction(1, 2**k))
+        assert hi - lo == Fraction(1, 2**k)
+        assert len(built) == 2, k
+    brackets = [(Fraction(-1, 3), Fraction(3, 2)), (Fraction(10**20 + 1, 10**20), Fraction(3, 2))]
+    for lo, hi in brackets:
+        for tol in (Fraction(1, 10**3), Fraction(1, 10**12)):
+            built.clear()
+            bisect_root(coeffs, lo, hi, tol)
+            assert len(built) == 2
+    # an exact zero at a probe: one Fraction, returned twice
+    root = [-Fraction(1, 24), 1]
+    built.clear()
+    assert bisect_root(root, Fraction(-1, 3), Fraction(2, 3), Fraction(1, 10**9)) == (
+        Fraction(1, 24), Fraction(1, 24))
+    assert len(built) <= 2
+    assert fallbacks == [Fraction(1, 24)]
 
 
 def test_root_bound_raises_the_precision_for_a_tiny_leading_coefficient():
