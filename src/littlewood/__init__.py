@@ -4,10 +4,10 @@ The conjecture asks whether, for every pair of reals (alpha, beta),
 liminf_n n*||n*alpha||*||n*beta|| = 0; equivalently whether the cubic
 f(x, y, z) = x*(alpha*x - y)*(beta*x - z) takes arbitrarily small nonzero
 values at integer points.  This package builds the objects of one concrete
-strategy for producing such points -- continued-fraction approximation
+method for producing such points -- continued-fraction approximation
 lines, a quadric cone inside the sublevel set {0 < |f| <= eps}, certified
 entry times, and an lcm-time lattice point -- and mechanically checks the
-sufficient condition that would make the strategy fire, with brute-force
+sufficient condition that would make the method fire, with brute-force
 oracles alongside every step.
 
 All number-theoretic decisions (signs, comparisons, memberships) are made

@@ -84,9 +84,6 @@ FAIL_REASONS = (
     "verify-fail",
 )
 
-# the most cells one n of a full grid may hold; a larger one is refused
-MAX_FULL_GRID_CELLS = 20000
-
 
 class TheoremCheck(namedtuple("TheoremCheck", "n N epsilon lam transversal x0 tau t_n chain_ok "
                               "direct_ok reason candidate verified",
@@ -97,6 +94,11 @@ class TheoremCheck(namedtuple("TheoremCheck", "n N epsilon lam transversal x0 ta
     `candidate` with its `verified` verdict."""
 
     __slots__ = ()
+
+
+def _dirichlet_floor(epsilon: Fraction) -> int:
+    """The least N with N >= 2 and N > 1/(2 eps), the Dirichlet condition."""
+    return max(2, int(1 / (2 * epsilon)) + 1)
 
 
 def verify_certificate(alpha, beta, epsilon, p: LatticePoint | Sequence) -> bool:
@@ -136,7 +138,7 @@ def theorem_check(
         raise ParameterError("epsilon must be positive")
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if N < 2 or 2 * epsilon * N <= 1:
+    if N < _dirichlet_floor(epsilon):
         raise ParameterError(
             f"dirichlet-gap: need N >= 2 and N > 1/(2 eps); got N={N}"
         )
@@ -186,6 +188,8 @@ class SearchOutcome(namedtuple("SearchOutcome", "cells found trivial_witness")):
 
 
 def _geometric_grid(N0: int, ceiling: int) -> list[int]:
+    """N0, 2 N0, 4 N0, ... up to the ceiling, closed by the ceiling itself;
+    [N0] when the ceiling is below N0."""
     out = []
     N = N0
     while N <= ceiling:
@@ -201,25 +205,22 @@ def certificate_search(
     beta: CFSpec,
     epsilon,
     n_max: int,
-    strategy: str = "geometric",
     max_N: int = 10**6,
     n_min: int = 1,
 ) -> SearchOutcome:
-    """Sweep n = n_min..n_max with, per n, N running from the Dirichlet
-    floor up to the transversality ceiling (geometric doubling by default,
-    every integer with strategy='full', refused past MAX_FULL_GRID_CELLS
-    cells for one n).  The order-2n line is built once per n, sets the
-    ceiling and is shared by every cell of that n.  Deterministic;
-    exhaustion is an outcome, not an error."""
+    """Sweep n = n_min..n_max with, per n, N doubling from the Dirichlet
+    floor N0 and closing at the transversality ceiling (N0 alone when the
+    ceiling is below it, which records the transversality failure there).
+    The order-2n line is built once per n, sets the ceiling and is shared
+    by every cell of that n.  Deterministic; exhaustion is an outcome, not
+    an error."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     if n_max < n_min:
         raise ParameterError(f"n_max must be >= n_min = {n_min}")
-    if strategy not in ("geometric", "full"):
-        raise ParameterError("strategy must be 'geometric' or 'full'")
 
-    N0 = max(2, int(1 / (2 * epsilon)) + 1)
+    N0 = _dirichlet_floor(epsilon)
     if N0 > max_N:
         raise ParameterError(
             f"Dirichlet floor {N0} exceeds max_N={max_N}; raise max_N"
@@ -236,18 +237,7 @@ def certificate_search(
     for n in range(n_min, n_max + 1):
         line = approx_line(alpha, beta, n, None)
         ceiling = transversality_ceiling(epsilon, line.e_alpha, line.e_beta, max_N)
-        if ceiling < N0:
-            grid = [N0]  # records the transversality failure at the floor
-        elif strategy == "geometric":
-            grid = _geometric_grid(N0, ceiling)
-        else:
-            if ceiling - N0 + 1 > MAX_FULL_GRID_CELLS:
-                raise ParameterError(
-                    f"full grid for n={n} has {ceiling - N0 + 1} cells, over "
-                    f"{MAX_FULL_GRID_CELLS}; use --grid geometric or a smaller --max-N"
-                )
-            grid = list(range(N0, ceiling + 1))
-        for N in grid:
+        for N in _geometric_grid(N0, ceiling):
             cell = theorem_check(alpha, beta, epsilon, line, N)
             cells.append(cell)
             if cell.verified:
@@ -409,9 +399,7 @@ def b3_infeasibility_scan(
                 (c.x0 for c in outcome.cells if c.x0 is not None), default=None
             )
             if x0_ref is None:
-                x0_ref = dirichlet_search(
-                    alpha, beta, max(2, int(1 / (2 * eps)) + 1)
-                ).x
+                x0_ref = dirichlet_search(alpha, beta, _dirichlet_floor(eps)).x
             grid = infeasibility_grid_check(X, x0_ref, points=u_points)
             counts = dict(Counter(c.reason for c in outcome.cells if c.reason))
             certs = tuple(c for c in outcome.cells if c.verified)

@@ -154,9 +154,7 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
 def _cmd_certificate(ns: argparse.Namespace) -> int:
     alpha, beta = _numbers(ns)
     epsilon = parse_exact_fraction(ns.epsilon)
-    outcome = certificate_search(
-        alpha, beta, epsilon, ns.n_max, strategy=ns.grid, max_N=ns.max_N
-    )
+    outcome = certificate_search(alpha, beta, epsilon, ns.n_max, max_N=ns.max_N)
     rows = []
     for c in outcome.cells:
         rows.append(
@@ -222,18 +220,17 @@ def _cmd_b3_scan(ns: argparse.Namespace) -> int:
             labels.append((parts[0], parts[1]))
     epsilons = [parse_exact_fraction(tok) for tok in ns.epsilons.split(",")]
     report = b3_infeasibility_scan(pairs, epsilons, u_points=ns.u_points, max_N=ns.max_N)
+    # the reports come pair-major, one per epsilon within each pair
+    labelled = list(zip([lab for lab in labels for _ in epsilons], report.reports))
     rows = []
-    label_of = {id(p[0]): lab for p, lab in zip(pairs, labels)}
-    for rep in report.reports:
-        lab = label_of[id(rep.alpha)]
+    for lab, rep in labelled:
         for c in rep.cells:
             rows.append(
                 [lab[0], lab[1], rep.epsilon, c.n, c.N,
                  c.x0 if c.x0 is not None else "", c.reason or "certificate"]
             )
     grid_meta = {}
-    for i, rep in enumerate(report.reports):
-        lab = label_of[id(rep.alpha)]
+    for i, (lab, rep) in enumerate(labelled):
         outcome = (
             "empty-range" if rep.grid.empty_range
             else "infeasible" if rep.grid.ok
@@ -246,8 +243,7 @@ def _cmd_b3_scan(ns: argparse.Namespace) -> int:
         rows,
         _metadata(ns, certificates=report.total_certificates, **grid_meta),
     )
-    for rep in report.reports:
-        lab = label_of[id(rep.alpha)]
+    for lab, rep in labelled:
         grid = rep.grid
         grid_msg = (
             "admissible u-range empty"
@@ -373,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_numbers(p)
     p.add_argument("--epsilon", required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--grid", choices=("geometric", "full"), default="geometric")
     p.add_argument("--max-N", type=int, default=10**6, dest="max_N")
     add_out(p)
     p.set_defaults(func=_cmd_certificate)

@@ -177,22 +177,21 @@ class EntryTimeReport(namedtuple("EntryTimeReport", "already_inside d_n_sign den
 
     __slots__ = ()
 
-    def tau_vs(self, k, strict: bool = False) -> bool:
-        """Exact comparison tau <= k (or < k).
+    def tau_vs(self, k) -> bool:
+        """Exact comparison tau <= k.
 
         tau <= k means sqrt(D) <= 2 (A k + B).  Since A > 0,
         D - 4 (A k + B)^2 = -4 A (A k^2 + 2 B k + C), so it holds iff
-        A k + B >= 0 and (A k + 2 B) k + C >= 0 (> 0 for tau < k), and
-        no SurdSum is squared.
+        A k + B >= 0 and (A k + 2 B) k + C >= 0, and no SurdSum is
+        squared.
         """
         k = Fraction(k)
         if self.already_inside:
-            return 0 < k if strict else 0 <= k
+            return 0 <= k
         slope = self.denominator * k + self.B
         if certified_sign(slope) < 0:
             return False
-        cmp = certified_sign((slope + self.B) * k + self.C)
-        return cmp > 0 if strict else cmp >= 0
+        return certified_sign((slope + self.B) * k + self.C) >= 0
 
     def lattice_time_verdict(self, t_n: int, x0: int) -> str:
         """Where the lattice time t_n falls on the segment [0, x0 - 1]:

@@ -1,7 +1,7 @@
 """Shared test numbers, small generators, the CSV reader, and the
 Fraction-coefficient SurdSum ring, continued-fraction cycle, entry-time, entry-time comparator,
 running-minimum (numpy and convergent), Dirichlet-point, transversality,
-cone-row, u-grid and interval Horner oracles."""
+every-N certificate search, cone-row, u-grid and interval Horner oracles."""
 
 import csv
 import math
@@ -12,11 +12,16 @@ from typing import NamedTuple
 import numpy as np
 
 from littlewood import rootfind
-from littlewood.certificate import GridCheckResult
+from littlewood.certificate import GridCheckResult, theorem_check
 from littlewood.cfrac import CFSpec, ResidualScan, _below, cf_expand, convergents
 from littlewood.cone import InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
-from littlewood.entrytime import _error_value, _membership_coeffs
+from littlewood.entrytime import (
+    _error_value,
+    _membership_coeffs,
+    approx_line,
+    transversality_ceiling,
+)
 from littlewood.exactnum import (
     DyadicInterval,
     SurdSum,
@@ -483,6 +488,25 @@ def transversality_ceiling_bisected(epsilon, e_alpha, e_beta, max_N: int) -> int
         else:
             hi = mid
     return lo
+
+
+def certificate_cells_every_N(alpha, beta, epsilon, n_max: int, max_N: int, n_min: int = 1):
+    """Oracle of the certificate search's cells: per n, the order-2n line
+    is built once and theorem_check runs at every N from the Dirichlet
+    floor N0 (the least N >= 2 with 2 eps N > 1) to the transversality
+    ceiling, or at N0 alone when the ceiling is below it.  The sweep stops
+    at the first verified cell."""
+    epsilon = Fraction(epsilon)
+    N0 = max(2, math.floor(1 / (2 * epsilon)) + 1)
+    cells = []
+    for n in range(n_min, n_max + 1):
+        line = approx_line(alpha, beta, n, None)
+        ceiling = transversality_ceiling(epsilon, line.e_alpha, line.e_beta, max_N)
+        for N in range(N0, max(ceiling, N0) + 1):
+            cells.append(theorem_check(alpha, beta, epsilon, line, N))
+            if cells[-1].verified:
+                return tuple(cells)
+    return tuple(cells)
 
 
 class CsvTable(NamedTuple):

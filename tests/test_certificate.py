@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood import certificate, cfrac, entrytime
+from littlewood import cfrac, entrytime
 from littlewood.cfrac import (
     CFSpec,
     InternalInconsistencyError,
@@ -20,6 +20,8 @@ from littlewood.cfrac import (
 )
 from littlewood.certificate import (
     FAIL_REASONS,
+    _dirichlet_floor,
+    _geometric_grid,
     b3_infeasibility_scan,
     certificate_search,
     infeasibility_grid_check,
@@ -42,6 +44,7 @@ from nums import (
     SURD_POOL,
     TRANSVERSALITY_EPSILONS,
     TRANSVERSALITY_PAIRS,
+    certificate_cells_every_N,
     infeasibility_grid_loop,
     transversality_ceiling_bisected,
 )
@@ -75,6 +78,22 @@ def test_theorem_check_precondition():
     line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 2, None)
     with pytest.raises(ParameterError):
         theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), line, 100)
+
+
+def test_dirichlet_floor_is_the_least_N_of_the_precondition():
+    # N >= 2 and N > 1/(2 eps): the floor meets both, the N below it
+    # misses one, and theorem_check refuses exactly that N
+    rng = random.Random(35)
+    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 1, None)
+    epsilons = [Fraction(1, 1000), Fraction(1, 2), Fraction(10**9)]
+    epsilons += [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(200)]
+    for eps in epsilons:
+        N0 = _dirichlet_floor(eps)
+        assert N0 >= 2 and 2 * eps * N0 > 1, eps
+        assert N0 == 2 or 2 * eps * (N0 - 1) <= 1, eps
+    for eps in epsilons[:12]:
+        with pytest.raises(ParameterError, match="dirichlet-gap: need N >= 2"):
+            theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, line, _dirichlet_floor(eps) - 1)
 
 
 def test_verify_certificate_basics():
@@ -122,30 +141,33 @@ def test_search_trivial_witness():
     assert verify_certificate(SQRT2M1, SQRT3M1, Fraction(1, 2), out.trivial_witness)
 
 
-def test_search_full_grid_guard(monkeypatch):
-    monkeypatch.setattr(certificate, "MAX_FULL_GRID_CELLS", 10)
-    with pytest.raises(ParameterError, match="--grid geometric or a smaller --max-N"):
-        certificate_search(
-            SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=9, strategy="full",
-        )
+def test_geometric_grid_doubles_from_the_floor_to_the_ceiling():
+    rng = random.Random(35)
+    for _ in range(500):
+        N0 = rng.randint(2, 10**4)
+        ceiling = rng.choice([rng.randint(1, N0 - 1), N0, rng.randint(N0, 10**7)])
+        grid = _geometric_grid(N0, ceiling)
+        if ceiling < N0:
+            assert grid == [N0], (N0, ceiling)
+            continue
+        doublings = [N0 << k for k in range(ceiling.bit_length()) if N0 << k <= ceiling]
+        assert grid == doublings + ([] if doublings[-1] == ceiling else [ceiling]), (N0, ceiling)
 
 
-def test_search_full_grid_runs_every_N_and_holds_the_geometric_cells():
-    # per n, the full grid runs from the Dirichlet floor N0 = 6 to the
+def test_search_geometric_cells_are_among_the_every_N_cells():
+    # per n, the every-N oracle runs from the Dirichlet floor N0 = 6 to the
     # transversality ceiling (the floor alone when the ceiling is below
-    # it), and the geometric grid's cells are among its cells, unchanged
+    # it), and the geometric search's cells are among its cells, unchanged
     eps, max_N = Fraction(1, 10), 400
-    full = certificate_search(
-        SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, strategy="full", max_N=max_N
-    )
+    every_N = certificate_cells_every_N(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, max_N=max_N)
     geo = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, max_N=max_N)
-    assert full.found is None and geo.found is None
-    assert (len(full.cells), len(geo.cells)) == (79, 9)
+    assert geo.found is None and not any(c.verified for c in every_N)
+    assert (len(every_N), len(geo.cells)) == (79, 9)
     for n in (1, 2, 3):
         line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, None)
         ceiling = transversality_ceiling(eps, line.e_alpha, line.e_beta, max_N)
-        assert [c.N for c in full.cells if c.n == n] == list(range(6, max(ceiling, 6) + 1))
-    by_cell = {(c.n, c.N): c for c in full.cells}
+        assert [c.N for c in every_N if c.n == n] == list(range(6, max(ceiling, 6) + 1))
+    by_cell = {(c.n, c.N): c for c in every_N}
     assert all(by_cell[c.n, c.N] == c for c in geo.cells)
 
 
@@ -160,14 +182,14 @@ def test_search_builds_one_line_per_n(monkeypatch):
 
     monkeypatch.setattr(entrytime, "error_term", spy)
     alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
-    full = certificate_search(alpha, beta, eps, n_max=3, strategy="full", max_N=400)
-    assert len(full.cells) == 79 and sorted(orders) == [2, 2, 4, 4, 6, 6]
+    geo = certificate_search(alpha, beta, eps, n_max=3, max_N=400)
+    assert len(geo.cells) == 9 and sorted(orders) == [2, 2, 4, 4, 6, 6]
     orders.clear()
     # the README certificate example
     certificate_search(alpha, beta, Fraction(1, 1000), n_max=10)
     assert sorted(orders) == sorted(2 * [2 * n for n in range(1, 11)])
     monkeypatch.undo()
-    for cell in full.cells:
+    for cell in geo.cells:
         line = approx_line(alpha, beta, cell.n, None)
         assert cell == theorem_check(alpha, beta, eps, line, cell.N)
 
@@ -184,10 +206,10 @@ def test_search_reads_the_lcm_time_from_its_lines(monkeypatch):
 
     monkeypatch.setattr(cfrac, "convergent", spy)
     alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
-    full = certificate_search(alpha, beta, eps, n_max=3, strategy="full", max_N=400)
-    assert len(full.cells) == 79 and calls == []
+    geo = certificate_search(alpha, beta, eps, n_max=3, max_N=400)
+    assert len(geo.cells) == 9 and calls == []
     monkeypatch.undo()
-    transversal = [c for c in full.cells if c.transversal]
+    transversal = [c for c in certificate_cells_every_N(alpha, beta, eps, 3, 400) if c.transversal]
     assert len(transversal) == 78
     assert all(c.t_n == lcm_time(alpha, beta, c.n) for c in transversal)
 

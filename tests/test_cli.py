@@ -1,6 +1,7 @@
 """CLI: number-spec parsing, exact rationals, CSV shape, determinism and
 exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from littlewood.cfrac import cf_expand
-from littlewood.cli import main
+from littlewood.cli import build_parser, main
 from littlewood.cone import ConeParams
 from littlewood.csvio import format_decimal, render_csv
 from littlewood.exactnum import SurdSum, certified_sign
@@ -293,7 +294,7 @@ def test_certificate_run_exhaustion(tmp_path):
     assert "# exhausted = True" in text
 
 
-def test_b3_scan_run(tmp_path):
+def test_b3_scan_run(tmp_path, capsys):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("sqrt:2 sqrt:3\nquad:1,1,2,5 sqrt:2\n")
     out = tmp_path / "b3.csv"
@@ -304,6 +305,18 @@ def test_b3_scan_run(tmp_path):
     assert rc == 0
     text = out.read_text()
     assert "# certificates = 0" in text
+    # the rows, the inequality keys and the summary lines carry each report's
+    # own spec strings, pair-major with the epsilons inside
+    labels = [(a, b, eps) for a, b in (("sqrt:2", "sqrt:3"), ("quad:1,1,2,5", "sqrt:2"))
+              for eps in ("1/100", "1/10000")]
+    table = read_csv(out)
+    seen = [(r["alpha"], r["beta"], r["epsilon"]) for r in table.rows]
+    assert list(dict.fromkeys(seen)) == labels
+    keys = [k for k in table.metadata if k.startswith("inequality.")]
+    assert keys == [f"inequality.{i}.{a}.{b}.{eps}" for i, (a, b, eps) in enumerate(labels)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": n in")[0] for line in lines[:4]] == [
+        f"pair ({a}, {b}), eps={eps}" for a, b, eps in labels]
 
 
 def test_b3_scan_refuses_a_purely_periodic_quotient_above_3(tmp_path, capsys):
@@ -427,9 +440,9 @@ def test_usage_errors_exit_2(tmp_path):
          "--n-max", "0"],
         ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1/10",
          "--n-max", "1", "--max-N", "1"],
-        # a full grid of more cells than the search takes for one n
-        ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1e30",
-         "--n-max", "1", "--grid", "full", "--max-N", "10000000"],
+        # a Dirichlet floor 1/(2 eps) above --max-N
+        ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--epsilon", "1/1000",
+         "--n-max", "1", "--max-N", "100"],
         # finite continued fractions with a quotient below 1 after a0
         ["levy", "--alpha", "cf:[0;0]"],
         ["levy", "--alpha", "cf:[0;-1,2]"],
@@ -447,7 +460,7 @@ def test_usage_errors_exit_2(tmp_path):
          "b3-max-N-0", "b3-max-N-negative",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
          "certificate-n-max-0", "certificate-max-N-1",
-         "certificate-full-grid-too-large",
+         "certificate-floor-above-max-N",
          "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",
          "cone-radicand-uncertified", "b3-radicand-uncertified"],
@@ -464,6 +477,33 @@ def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# every option of every subcommand, --help left out; adding or removing an
+# option is a deliberate edit of this table
+OPTIONS = {
+    "liminf": ["--alpha", "--beta", "--frac", "--max-x", "--out"],
+    "cone-check": ["--alpha", "--beta", "--frac", "--N", "--epsilon", "--samples", "--seed",
+                   "--out"],
+    "entry-time": ["--alpha", "--beta", "--frac", "--N", "--epsilon", "--n-max", "--out"],
+    "certificate": ["--alpha", "--beta", "--frac", "--epsilon", "--n-max", "--max-N", "--out"],
+    "b3-scan": ["--pairs", "--frac", "--epsilons", "--u-points", "--max-N", "--out"],
+    "cartan": ["--alpha", "--beta", "--frac", "--y0", "--z0", "--epsilon", "--out"],
+    "levy": ["--alpha", "--beta", "--frac", "--n-max", "--out"],
+}
+
+
+def test_option_inventory():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [opt for action in sub._actions
+               if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings]
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 45
 
 
 @pytest.mark.parametrize(

@@ -292,11 +292,9 @@ def test_tau_vs_matches_the_squaring_oracle():
             assert rep.already_inside
         tau = rep.tau
         for k in (0, tau.lo, tau.hi, tau.midpoint(), line.x0, -tau.hi - 1):
-            for strict in (False, True):
-                expected = tau_vs_squared(line, params, k, strict)
-                assert rep.tau_vs(k, strict) == expected, (i, k, strict)
-                compared += 1
-    assert compared == 16 * 6 * 2
+            assert rep.tau_vs(k) == tau_vs_squared(line, params, k), (i, k)
+            compared += 1
+    assert compared == 16 * 6
 
 
 def test_lattice_time_verdict_matches_the_squaring_oracle():
@@ -331,9 +329,9 @@ def test_tau_vs_at_a_rational_entry_time():
     params = ConeParams.make(2, Fraction(1, 4))
     rep = entry_time(line, params)
     assert not rep.already_inside and rep.tau.lo <= 1 <= rep.tau.hi
-    for k, strict, expected in ((1, False, True), (1, True, False), (-1, False, False)):
-        assert rep.tau_vs(k, strict) is expected
-        assert tau_vs_squared(line, params, k, strict) is expected
+    for k, expected in ((1, True), (Fraction(99, 100), False), (-1, False)):
+        assert rep.tau_vs(k) is expected
+        assert tau_vs_squared(line, params, k) is expected
 
 
 def test_quadratic_formula_consistency():

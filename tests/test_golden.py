@@ -44,8 +44,7 @@ CASES = [
               "--samples", "300"], 0),
     ("entry", ["entry-time", *NUMBERS, "--N", "51", "--epsilon", "0.01",
                "--n-max", "8"], 0),
-    ("cert", ["certificate", *NUMBERS, "--epsilon", "1/1000", "--n-max", "6",
-              "--grid", "geometric"], 0),
+    ("cert", ["certificate", *NUMBERS, "--epsilon", "1/1000", "--n-max", "6"], 0),
     ("b3", ["b3-scan", "--pairs", "pairs.txt", "--frac",
             "--epsilons", "1/100,1/10000,1/1000000", "--u-points", "100"], 0),
     ("cartan", ["cartan", *NUMBERS, "--y0", "1", "--z0", "1", "--epsilon", "0.001"], 0),
@@ -84,9 +83,10 @@ def test_printed_tau_encloses_exact_entry_time(name, tmp_path, monkeypatch, caps
     for row in rows:
         n, N = int(row["n"]), N_fixed or int(row["N"])
         line = approx_line(alpha, beta, n, dirichlet_search(alpha, beta, N))
-        rep = entry_time(line, ConeParams.make(N, epsilon))
+        params = ConeParams.make(N, epsilon)
+        rep = entry_time(line, params)
         lo, hi = Fraction(row["tau_lo"]), Fraction(row["tau_hi"])
-        assert not rep.tau_vs(lo, strict=True)  # tau >= lo
+        assert not tau_vs_squared(line, params, lo, strict=True)  # tau >= lo
         assert rep.tau_vs(hi)  # tau <= hi
 
 
