@@ -29,11 +29,11 @@ from .cfrac import (  # noqa: E402
     cf_expand,
     convergents,
     error_term,
-    lcm_time,
     levy_quotient,
 )
 from .lattice import (  # noqa: E402
     LatticePoint,
+    Pair,
     brute_min_scan,
     cartan_measure,
     dirichlet_search,
@@ -48,7 +48,6 @@ from .cone import (  # noqa: E402
     phi,
 )
 from .entrytime import (  # noqa: E402
-    approx_line,
     entry_time,
     line_gamma,
     transversality_check,
@@ -63,12 +62,11 @@ from .numspec import parse_number_spec  # noqa: E402
 
 __all__ = [
     "DyadicInterval", "SurdSum", "certified_sign",
-    "CFSpec", "cf_expand", "convergents", "error_term", "lcm_time",
-    "levy_quotient",
-    "LatticePoint", "brute_min_scan", "cartan_measure", "dirichlet_search",
+    "CFSpec", "cf_expand", "convergents", "error_term", "levy_quotient",
+    "LatticePoint", "Pair", "brute_min_scan", "cartan_measure", "dirichlet_search",
     "f_eval", "m_transform",
     "ConeParams", "InclusionRun", "base_tangency", "cone_contains", "phi",
-    "approx_line", "entry_time", "line_gamma", "transversality_check",
+    "entry_time", "line_gamma", "transversality_check",
     "b3_infeasibility_scan", "certificate_search",
     "theorem_check", "verify_certificate",
     "parse_number_spec",

@@ -1,14 +1,15 @@
 """The sufficient-condition checker and its search drivers.
 
-A single (n, N) cell is checked by the pipeline: transversality of the
-order-2n line (one integer comparison, N (N-1)^2 <= floor(eps / (2 e^2))),
-Dirichlet point for N, certified entry time tau_n, lcm time
+A single (n, N) cell of a :class:`littlewood.lattice.Pair` is checked by
+the pipeline: transversality of the pair's order-2n line (one integer
+comparison, N (N-1)^2 <= floor(eps / (2 e^2))), the pair's Dirichlet point
+for N, certified entry time tau_n, the pair's lcm time
 t_n = lcm(q_2n(alpha), q_2n(beta)), and the chain
 
     tau_n <= 2^(n-1)  <  lambda^(2n)  <=  x0 - 2,
 
-with lambda = (M+1)^2 from the pair's partial-quotient bound; the middle
-link always holds (lambda >= 4).  If the chain holds, the lattice point
+with the pair's lambda = (M+1)^2 from its partial-quotient bound; the
+middle link always holds (lambda >= 4).  If the chain holds, the lattice point
 gamma_n(t_n) is constructed and 0 < |f| <= eps is certified directly; the
 looser requirement
 tau_n <= t_n < x0 is evaluated and reported alongside.  A search sweeps
@@ -32,34 +33,16 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
-from .cfrac import (
-    CFSpec,
-    InternalInconsistencyError,
-    ProfileViolationError,
-    _checked_lcm_time,
-    _observed_M,
-)
+from .cfrac import CFSpec, InternalInconsistencyError, ProfileViolationError
 from .cone import ConeParams
-from .entrytime import (
-    ApproxLine,
-    approx_line,
-    entry_time,
-    transversality_ceiling,
-    transversality_check,
-)
+from .entrytime import entry_time, transversality_ceiling, transversality_check
 from .exactnum import (
     DyadicInterval,
     SurdSum,
     certified_sign,
     frac_pow_interval,
 )
-from .lattice import (
-    LatticePoint,
-    ParameterError,
-    dirichlet_search,
-    f_eval,
-    surdsum_of,
-)
+from .lattice import ApproxLine, LatticePoint, Pair, ParameterError, f_eval
 
 __all__ = [
     "TheoremCheck",
@@ -119,21 +102,17 @@ def _gamma_lattice_point(line: ApproxLine, t_n: int) -> LatticePoint:
     )
 
 
-def theorem_check(
-    alpha: CFSpec, beta: CFSpec, epsilon, line: ApproxLine, N: int
-) -> TheoremCheck:
-    """Run the full pipeline for the cell (line.n, N) and record what binds.
+def theorem_check(pair: Pair, epsilon, n: int, N: int) -> TheoremCheck:
+    """Run the full pipeline for the cell (n, N) of ``pair`` and record
+    what binds.
 
-    ``line`` is ``approx_line(alpha, beta, n, None)``, shared by every cell
-    of one n.  Precondition N > 1/(2 eps) (the Dirichlet condition);
-    violating it is a parameter error.  The Dirichlet point is searched
-    only for a transversal cell and then attached to the line; t_n is the
-    lcm of the line's two order-2n denominators.  The recorded reason is
-    the first failing link, so an exhaustion report shows which constraint
-    binds where.
+    Precondition N > 1/(2 eps) (the Dirichlet condition); violating it is
+    a parameter error.  The Dirichlet point is looked up only for a
+    transversal cell and then attached to the pair's order-2n line.  The
+    recorded reason is the first failing link, so an exhaustion report
+    shows which constraint binds where.
     """
     epsilon = Fraction(epsilon)
-    n = line.n
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
     if n < 1:
@@ -142,17 +121,14 @@ def theorem_check(
         raise ParameterError(
             f"dirichlet-gap: need N >= 2 and N > 1/(2 eps); got N={N}"
         )
-    M = max(_observed_M(alpha), _observed_M(beta))
-    lam = (M + 1) ** 2
-
+    lam, line = pair.lam, pair.line(n)
     if not transversality_check(N, epsilon, line.e_alpha, line.e_beta):
         return TheoremCheck(n, N, epsilon, lam, False, reason="transversality-fail")
 
-    P0 = dirichlet_search(alpha, beta, N)
+    P0 = pair.dirichlet_point(N)
     line = line._replace(P0=P0)
-    params = ConeParams.make(N, epsilon)
-    rep = entry_time(line, params)
-    t_n = _checked_lcm_time(line.e_alpha.q_n, line.e_beta.q_n, n, lam)
+    rep = entry_time(line, ConeParams.make(N, epsilon))
+    t_n = pair.t_n(n)
     x0 = P0.x
 
     base = dict(
@@ -170,7 +146,7 @@ def theorem_check(
     candidate = _gamma_lattice_point(line, t_n)
     # the certificate is the f verdict alone: the cone lies inside
     # {0 < |f| <= eps}, so a membership verdict would only repeat it
-    good = verify_certificate(alpha.value(), beta.value(), epsilon, candidate)
+    good = verify_certificate(*pair.values, epsilon, candidate)
     return TheoremCheck(
         **base, chain_ok=True, reason=None if good else "verify-fail",
         candidate=candidate, verified=good,
@@ -201,19 +177,13 @@ def _geometric_grid(N0: int, ceiling: int) -> list[int]:
 
 
 def certificate_search(
-    alpha: CFSpec,
-    beta: CFSpec,
-    epsilon,
-    n_max: int,
-    max_N: int = 10**6,
-    n_min: int = 1,
+    pair: Pair, epsilon, n_max: int, max_N: int = 10**6, n_min: int = 1
 ) -> SearchOutcome:
     """Sweep n = n_min..n_max with, per n, N doubling from the Dirichlet
-    floor N0 and closing at the transversality ceiling (N0 alone when the
-    ceiling is below it, which records the transversality failure there).
-    The order-2n line is built once per n, sets the ceiling and is shared
-    by every cell of that n.  Deterministic; exhaustion is an outcome, not
-    an error."""
+    floor N0 and closing at the transversality ceiling of the pair's
+    order-2n line (N0 alone when the ceiling is below it, which records
+    the transversality failure there).  Deterministic; exhaustion is an
+    outcome, not an error."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
@@ -226,8 +196,7 @@ def certificate_search(
             f"Dirichlet floor {N0} exceeds max_N={max_N}; raise max_N"
         )
 
-    ya, ua = surdsum_of(alpha).nearest()
-    yb, ub = surdsum_of(beta).nearest()
+    (ya, ua), (yb, ub) = (v.nearest() for v in pair.values)
     trivial = None
     if certified_sign(ua.abs() * ub.abs() - epsilon) <= 0:
         trivial = LatticePoint(1, ya, yb)
@@ -235,10 +204,10 @@ def certificate_search(
     cells: list[TheoremCheck] = []
     found = None
     for n in range(n_min, n_max + 1):
-        line = approx_line(alpha, beta, n, None)
+        line = pair.line(n)
         ceiling = transversality_ceiling(epsilon, line.e_alpha, line.e_beta, max_N)
         for N in _geometric_grid(N0, ceiling):
-            cell = theorem_check(alpha, beta, epsilon, line, N)
+            cell = theorem_check(pair, epsilon, n, N)
             cells.append(cell)
             if cell.verified:
                 found = cell
@@ -373,39 +342,37 @@ def b3_infeasibility_scan(
     """For bounded-quotient pairs (all partial quotients <= 3, lambda = 16),
     sweep the admissible (n, N) window for every eps and independently
     refute the contradiction system on the admissible u-range (u_points,
-    at least 1, sizes the grid that ``grid.points`` counts)."""
+    at least 1, sizes the grid that ``grid.points`` counts).  One Pair per
+    pair serves all its epsilons."""
     if u_points < 1:
         raise ParameterError(f"u_points must be >= 1, got {u_points}")
     if max_N < 1:
         raise ParameterError(f"max_N must be >= 1, got {max_N}")
     reports: list[B3PairReport] = []
-    pairs = list(pairs)
+    pairs = [Pair(alpha, beta) for alpha, beta in pairs]
     epsilons = [Fraction(eps) for eps in epsilons]
     if any(eps <= 0 for eps in epsilons):
         raise ParameterError("epsilon must be positive")
-    for alpha, beta in pairs:
-        M = max(_observed_M(alpha), _observed_M(beta))
-        if M > 3:
-            raise ProfileViolationError(f"pair has a partial quotient {M} > 3")
-    for alpha, beta in pairs:
+    for pair in pairs:
+        if pair.M > 3:
+            raise ProfileViolationError(f"pair has a partial quotient {pair.M} > 3")
+    for pair in pairs:
         for eps in epsilons:
             X = 2 * eps
             n_lo = _admissible_n_lo(X)
             n_hi = max(n_lo, (max_N.bit_length() - 1) // 4)  # floor(log2 max_N) // 4
-            outcome = certificate_search(
-                alpha, beta, eps, n_max=n_hi, n_min=n_lo, max_N=max_N
-            )
+            outcome = certificate_search(pair, eps, n_max=n_hi, n_min=n_lo, max_N=max_N)
             x0_ref = max(
                 (c.x0 for c in outcome.cells if c.x0 is not None), default=None
             )
             if x0_ref is None:
-                x0_ref = dirichlet_search(alpha, beta, _dirichlet_floor(eps)).x
+                x0_ref = pair.dirichlet_point(_dirichlet_floor(eps)).x
             grid = infeasibility_grid_check(X, x0_ref, points=u_points)
             counts = dict(Counter(c.reason for c in outcome.cells if c.reason))
             certs = tuple(c for c in outcome.cells if c.verified)
             reports.append(
                 B3PairReport(
-                    alpha, beta, eps, n_lo, n_hi, outcome.cells, certs,
+                    pair.alpha, pair.beta, eps, n_lo, n_hi, outcome.cells, certs,
                     counts, x0_ref, grid,
                 )
             )

@@ -51,7 +51,6 @@ __all__ = [
     "ErrorTerm",
     "BadProfile",
     "GrowthReport",
-    "LcmGrowthProfile",
     "LEVY_AE_LOG",
     "cf_expand",
     "convergents",
@@ -61,8 +60,6 @@ __all__ = [
     "levy_quotient",
     "bad_constant_estimate",
     "bad_constant_scan",
-    "lcm_time",
-    "lcm_growth_profile",
 ]
 
 # Almost-every-alpha limit of log(q_n)/n (Levy); comparison line only.
@@ -566,16 +563,6 @@ def _observed_M(spec: CFSpec) -> int:
     return max(pre[1:] + per, default=1)
 
 
-def lcm_time(alpha: CFSpec, beta: CFSpec, n: int) -> int:
-    """t_n = lcm(q_{2n}(alpha), q_{2n}(beta)), with the proven sandwich
-    2^(n-1) <= t_n <= lambda^(2n) asserted (lambda = (M+1)^2, M the larger
-    partial-quotient bound of the two expansions)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam = (max(_observed_M(alpha), _observed_M(beta)) + 1) ** 2
-    return _checked_lcm_time(convergent(alpha, 2 * n).q, convergent(beta, 2 * n).q, n, lam)
-
-
 def _checked_lcm_time(qa: int, qb: int, n: int, lam: int) -> int:
     """lcm(qa, qb) for the order-2n denominators qa and qb, after asserting
     the sandwich 2^(n-1) <= t_n <= lambda^(2n)."""
@@ -585,21 +572,3 @@ def _checked_lcm_time(qa: int, qb: int, n: int, lam: int) -> int:
     if t > lam ** (2 * n):
         raise InternalInconsistencyError(f"t_{n} = {t} > lambda^(2n)")
     return t
-
-
-class LcmGrowthProfile(namedtuple("LcmGrowthProfile",
-                                  "quotients liminf_estimate limsup_estimate")):
-    """Empirical growth of log(t_n)/n.  The sequence is bounded; whether it
-    converges is not asserted, so both tail estimates are reported."""
-
-    __slots__ = ()
-
-
-def lcm_growth_profile(alpha: CFSpec, beta: CFSpec, n_max: int) -> LcmGrowthProfile:
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    qs = []
-    for n in range(1, n_max + 1):
-        qs.append(math.log(lcm_time(alpha, beta, n)) / n)
-    tail = qs[len(qs) // 2 :]
-    return LcmGrowthProfile(tuple(qs), min(tail), max(tail))

@@ -15,28 +15,17 @@ parameter error, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
 from . import __version__
-from .cfrac import (
-    CFError,
-    _checked_lcm_time,
-    _observed_M,
-    lcm_growth_profile,
-    levy_quotient,
-    LEVY_AE_LOG,
-)
+from .cfrac import CFError, levy_quotient, LEVY_AE_LOG
 from .certificate import b3_infeasibility_scan, certificate_search
 from .cone import ConeParams, InclusionRun, sample_point_coordinates
 from .csvio import format_decimal, format_ratio, format_ratio_bounds, write_csv
-from .entrytime import approx_line, entry_time, transversality_check
-from .lattice import (
-    ParameterError,
-    brute_min_scan,
-    cartan_measure,
-    dirichlet_search,
-)
+from .entrytime import entry_time, transversality_check
+from .lattice import Pair, ParameterError, brute_min_scan, cartan_measure
 from .numspec import NumberSpecError, parse_exact_fraction, parse_number_spec
 
 EXIT_OK = 0
@@ -115,16 +104,15 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
 def _cmd_entry_time(ns: argparse.Namespace) -> int:
     if ns.n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    alpha, beta = _numbers(ns)
+    pair = Pair(*_numbers(ns))
     epsilon = parse_exact_fraction(ns.epsilon)
     params = ConeParams.make(ns.N, epsilon)
-    p0 = dirichlet_search(alpha.value(), beta.value(), ns.N)
-    lam = (max(_observed_M(alpha), _observed_M(beta)) + 1) ** 2
+    p0 = pair.dirichlet_point(ns.N)
     rows = []
     for n in range(1, ns.n_max + 1):
-        line = approx_line(alpha, beta, n, p0)
+        line = pair.line(n)._replace(P0=p0)
         qa, qb = line.e_alpha.q_n, line.e_beta.q_n
-        t_n = _checked_lcm_time(qa, qb, n, lam)
+        t_n = pair.t_n(n)
         if not transversality_check(ns.N, epsilon, line.e_alpha, line.e_beta):
             rows.append([n, qa, qb, t_n, "", "", False, "nontransversal"])
             continue
@@ -152,9 +140,8 @@ def _cmd_entry_time(ns: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(ns: argparse.Namespace) -> int:
-    alpha, beta = _numbers(ns)
     epsilon = parse_exact_fraction(ns.epsilon)
-    outcome = certificate_search(alpha, beta, epsilon, ns.n_max, max_N=ns.max_N)
+    outcome = certificate_search(Pair(*_numbers(ns)), epsilon, ns.n_max, max_N=ns.max_N)
     rows = []
     for c in outcome.cells:
         rows.append(
@@ -304,17 +291,20 @@ def _cmd_levy(ns: argparse.Namespace) -> int:
     extra = {"levy_ae_reference": f"{LEVY_AE_LOG:.12f}"}
     if beta is not None:
         header += ["levy_beta", "log_tn_over_n"]
-        profile = lcm_growth_profile(alpha, beta, ns.n_max)
+        pair = Pair(alpha, beta)
+        # log(t_n)/n is bounded; whether it converges is not asserted, so
+        # the least and greatest of its second half are both reported
+        growth = [math.log(pair.t_n(n)) / n for n in range(1, ns.n_max + 1)]
+        tail = growth[len(growth) // 2:]
+        extra["log_tn_over_n_liminf_estimate"] = f"{min(tail):.12f}"
+        extra["log_tn_over_n_limsup_estimate"] = f"{max(tail):.12f}"
     rows = []
     for n in range(1, ns.n_max + 1):
         row = [n, f"{levy_quotient(alpha, n):.12f}"]
         if beta is not None:
             row.append(f"{levy_quotient(beta, n):.12f}")
-            row.append(f"{profile.quotients[n - 1]:.12f}")
+            row.append(f"{growth[n - 1]:.12f}")
         rows.append(row)
-    if beta is not None:
-        extra["log_tn_over_n_liminf_estimate"] = f"{profile.liminf_estimate:.12f}"
-        extra["log_tn_over_n_limsup_estimate"] = f"{profile.limsup_estimate:.12f}"
     write_csv(ns.out, header, rows, _metadata(ns, **extra))
     print(
         f"log(q_n)/n up to n = {ns.n_max} "

@@ -26,9 +26,10 @@ from fractions import Fraction
 from .exactnum import (
     DyadicInterval,
     SurdSum,
+    as_surdsum,
     certified_sign,
 )
-from .lattice import ParameterError, f_exact, m_transform, surdsum_of
+from .lattice import ParameterError, f_exact, m_transform
 
 __all__ = [
     "ConeParams",
@@ -226,8 +227,8 @@ class InclusionRun:
     ) -> None:
         if sample_count < 1:
             raise ParameterError("sample_count must be >= 1")
-        self.alpha = surdsum_of(alpha)
-        self.beta = surdsum_of(beta)
+        self.alpha = as_surdsum(alpha)
+        self.beta = as_surdsum(beta)
         self.params = params
         self.sample_count = sample_count
         self.seed = seed

@@ -1,5 +1,4 @@
-"""Approximation lines through a Dirichlet point and their first entry
-into the cone.
+"""The first entry of an approximation line into the cone.
 
 The line through P0 = (x0, y0, z0) with the order-2n convergent direction
 is gamma_n(t) = (x0 - t, y0 - t*c_2n(alpha), z0 - t*c_2n(beta)), t in
@@ -12,7 +11,8 @@ is the quadratic inequality
     C = phi (N - x0)^2 - U0^2 - V0^2,
 
 with e_a = e_2n(alpha), e_b = e_2n(beta) the (positive) even-order error
-terms.  Under the transversality condition
+terms, which a pair's :class:`littlewood.lattice.ApproxLine` holds.  Under
+the transversality condition
 
     sqrt(N) (N - 1)  <=  sqrt(2 eps) / (2 max(e_a, e_b)),
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .cfrac import CFSpec, ErrorTerm, _below, cf_expand, error_term
+from .cfrac import ErrorTerm, _below
 from .cone import ConeParams
 from .exactnum import (
     SIGN_BITS_START,
@@ -39,13 +39,11 @@ from .exactnum import (
     certified_sign,
     iroot,
 )
-from .lattice import DirichletPoint, ParameterError
+from .lattice import ApproxLine, ParameterError
 
 __all__ = [
     "NonpositiveDenominatorError",
-    "ApproxLine",
     "EntryTimeReport",
-    "approx_line",
     "line_gamma",
     "transversality_check",
     "transversality_ceiling",
@@ -57,38 +55,6 @@ _TAU_REL_TOL = Fraction(1, 10**12)  # relative width of every entry-time interva
 
 class NonpositiveDenominatorError(RuntimeError):
     """The quadratic's leading coefficient is not positive."""
-
-
-class ApproxLine(namedtuple("ApproxLine", "n P0 e_alpha e_beta")):
-    """Line through a Dirichlet point P0 (None for the line of order n
-    alone) whose direction is the pair of order-2n convergents, read with
-    their errors from the ErrorTerms e_alpha and e_beta."""
-
-    __slots__ = ()
-
-    @property
-    def x0(self) -> int:
-        return self.P0.point.x
-
-
-def approx_line(alpha_spec: CFSpec, beta_spec: CFSpec, n: int, P0: DirichletPoint | None) -> ApproxLine:
-    """Bundle the order-2n data; at even order error_term certifies both
-    error terms >= 0.
-
-    With P0 = None the line carries the order-2n data alone, which is all
-    transversality needs; ``line._replace(P0=P0)`` attaches a
-    Dirichlet point later without recomputing it.
-    """
-    if n < 0:
-        raise ParameterError("n must be >= 0")
-    for name, spec in (("alpha", alpha_spec), ("beta", beta_spec)):
-        quotients = cf_expand(spec, 2 * n + 1)
-        if len(quotients) <= 2 * n:
-            raise ParameterError(
-                f"{name} = {spec.value()} is rational with {len(quotients)} partial "
-                f"quotients: it has no convergent of order 2n = {2 * n}"
-            )
-    return ApproxLine(n, P0, error_term(alpha_spec, 2 * n), error_term(beta_spec, 2 * n))
 
 
 def line_gamma(line: ApproxLine, t: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -189,6 +155,9 @@ class EntryTimeReport(namedtuple("EntryTimeReport", "already_inside d_n_sign den
         if self.already_inside:
             return 0 <= k
         slope = self.denominator * k + self.B
+        # `<= 0` here would change nothing: at slope = A k + B = 0 the next
+        # test reads (slope + B) k + C = B k + C = -D / (4 A), negative as
+        # A > 0 and C < 0 make D = 4 (B^2 - A C) > 0, so both return False
         if certified_sign(slope) < 0:
             return False
         return certified_sign((slope + self.B) * k + self.C) >= 0

@@ -328,7 +328,7 @@ class SurdSum:
     # common denominator, both in the canonical form above and never
     # changed after construction, so the memos _iv (interval(SIGN_BITS_START))
     # and _hash, set on first use only, stay valid.  alpha and beta key the
-    # lru cache of the Dirichlet records.
+    # lru cache of the Pairs that dirichlet_search reads.
     __slots__ = ("_num", "_den", "_iv", "_hash")
 
     def __init__(self, terms: Mapping[int, int | Fraction] | None = None):

@@ -1,14 +1,17 @@
-"""The cubic form f(x,y,z) = x(alpha*x - y)(beta*x - z) on lattice points,
-the shear that straightens it, simultaneous Dirichlet search, brute-force
-minimisation oracles, and the sublevel-measure check for the one-variable
-cubic.
+"""The cubic f(x,y,z) = x(alpha*x - y)(beta*x - z) on lattice points,
+the shear that straightens it, the per-pair state of the sufficient
+condition, brute-force minimisation oracles, and the sublevel-measure check
+for the one-variable cubic.
 
-Both scans run on :func:`littlewood.cfrac.residual_minima`, the one
-running-minimum loop over x: the brute-force minima take the records of
-x*||x*alpha||*||x*beta||, and every Dirichlet point is read from the records
-of max(||x*alpha||, ||x*beta||), which are kept per (alpha, beta) and grown
-on demand.  The loop's screen only nominates candidates; each nominee is
-confirmed or rejected in exact arithmetic.
+A :class:`Pair` owns what belongs to one (alpha, beta): the exact values,
+lambda, the order-2n approximation lines and lcm times, and the Dirichlet
+points, each computed on first use and kept.  Both scans run on
+:func:`littlewood.cfrac.residual_minima`, the one running-minimum loop over
+x: the brute-force minima take the records of x*||x*alpha||*||x*beta||, and
+every Dirichlet point is read from the records of max(||x*alpha||,
+||x*beta||), which the pair grows on demand.  The loop's screen only
+nominates candidates; each nominee is confirmed or rejected in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .cfrac import CFSpec, ParameterError, ResidualScan, residual_minima
+from .cfrac import (CFSpec, ParameterError, ResidualScan, _checked_lcm_time, _observed_M,
+                    cf_expand, convergent, error_term, residual_minima)
 from .exactnum import (
     SurdSum,
     _inverse_square_floor,
@@ -35,10 +39,11 @@ __all__ = [
     "TheoremViolationError",
     "LatticePoint",
     "DirichletPoint",
+    "ApproxLine",
+    "Pair",
     "FEval",
     "MinRecord",
     "CartanReport",
-    "surdsum_of",
     "f_eval",
     "m_transform",
     "dirichlet_search",
@@ -71,18 +76,24 @@ class DirichletPoint(namedtuple("DirichletPoint", "point N U0 V0")):
         return self.point.x
 
 
+class ApproxLine(namedtuple("ApproxLine", "n P0 e_alpha e_beta")):
+    """Line through a Dirichlet point P0 (None for the line of order n
+    alone) whose direction is the pair of order-2n convergents, read with
+    their errors from the ErrorTerms e_alpha and e_beta."""
+
+    __slots__ = ()
+
+    @property
+    def x0(self) -> int:
+        return self.P0.point.x
+
+
 class FEval(namedtuple("FEval", "sign magnitude vs_epsilon")):
     """Certified evaluation of f at a point: exact sign, magnitude
     enclosure (a DyadicInterval), and the trichotomy against eps,
     `vs_epsilon` = 'below' | 'equal' | 'above'."""
 
     __slots__ = ()
-
-
-def surdsum_of(x) -> SurdSum:
-    """The SurdSum of an alpha or beta given as CFSpec, SurdSum, Fraction
-    or int: the one coercion of those arguments."""
-    return as_surdsum(x.value() if isinstance(x, CFSpec) else x)
 
 
 def f_exact(alpha, beta, x, y, z) -> SurdSum:
@@ -109,51 +120,114 @@ def f_eval(alpha, beta, p: LatticePoint | Sequence, epsilon: Fraction) -> FEval:
 def m_transform(alpha, beta, p: LatticePoint | Sequence) -> tuple[SurdSum, SurdSum, SurdSum]:
     """(x, alpha*x - y, beta*x - z): the unimodular shear under which
     f(x,y,z) = x' * y' * z' of the image."""
-    alpha_s, beta_s = surdsum_of(alpha), surdsum_of(beta)
+    alpha_s, beta_s = as_surdsum(alpha), as_surdsum(beta)
     x, y, z = (as_surdsum(c) for c in p)
     return x, alpha_s * x - y, beta_s * x - z
 
 
+class Pair:
+    """One pair (alpha, beta) of CFSpecs and the state the sufficient
+    condition reads from it, each part computed on first use and kept:
+    the exact ``values``, ``lam`` = (M+1)^2 with M the larger
+    partial-quotient bound, the order-2n lines and lcm times per n, and
+    the Dirichlet records."""
+
+    def __init__(self, alpha: CFSpec, beta: CFSpec) -> None:
+        self.alpha, self.beta = alpha, beta
+        self._lines: dict[int, ApproxLine] = {}
+        self._times: dict[int, int] = {}
+
+    @cached_property
+    def values(self) -> tuple[SurdSum, SurdSum]:
+        return as_surdsum(self.alpha.value()), as_surdsum(self.beta.value())
+
+    @cached_property
+    def M(self) -> int:
+        return max(_observed_M(self.alpha), _observed_M(self.beta))
+
+    @property
+    def lam(self) -> int:
+        return (self.M + 1) ** 2
+
+    def line(self, n: int) -> ApproxLine:
+        """The order-2n line without a Dirichlet point, which is all
+        transversality needs; ``line._replace(P0=P0)`` attaches one.  At
+        even order error_term certifies both error terms >= 0."""
+        if n < 0:
+            raise ParameterError("n must be >= 0")
+        if n not in self._lines:
+            for name, spec in (("alpha", self.alpha), ("beta", self.beta)):
+                quotients = cf_expand(spec, 2 * n + 1)
+                if len(quotients) <= 2 * n:
+                    raise ParameterError(
+                        f"{name} = {spec.value()} is rational with {len(quotients)} partial "
+                        f"quotients: it has no convergent of order 2n = {2 * n}"
+                    )
+            self._lines[n] = ApproxLine(
+                n, None, error_term(self.alpha, 2 * n), error_term(self.beta, 2 * n)
+            )
+        return self._lines[n]
+
+    def t_n(self, n: int) -> int:
+        """t_n = lcm(q_2n(alpha), q_2n(beta)), read from the two convergent
+        denominators, with the sandwich 2^(n-1) <= t_n <= lambda^(2n)
+        asserted."""
+        if n not in self._times:
+            qa, qb = (convergent(spec, 2 * n).q for spec in (self.alpha, self.beta))
+            self._times[n] = _checked_lcm_time(qa, qb, n, self.lam)
+        return self._times[n]
+
+    @cached_property
+    def _records(self) -> tuple[ResidualScan, list, list]:
+        """(scan, keys, points) for the running-minimum records of m(x) =
+        max(||x*alpha||, ||x*beta||) over the scanned [1, scan.X], Lagarias's
+        best simultaneous approximations: per record the key floor(1/m**2)
+        (infinite at m = 0, a rational pair), which never decreases along
+        the list, and the lattice point with its two residuals.
+        dirichlet_point grows the lists."""
+        return ResidualScan(self.values, "max"), [], []
+
+    def dirichlet_point(self, N: int) -> DirichletPoint:
+        """Smallest x in [1, N] whose nearest-integer residuals for alpha
+        and beta are both at most 1/sqrt(N), residual comparisons exact
+        (squared: residual^2 <= 1/N).
+
+        Every earlier x has a larger m(x) = max(||x*alpha||, ||x*beta||),
+        so the answer is the first running-minimum record of m with
+        m(x)**2 <= 1/N, that is with N <= floor(1/m(x)**2).  A query that
+        none of the kept records answers extends the scan, one dyadic block
+        [X + 1, 2X + 1] at a time, toward max(N, 2 * X) from the scanned X,
+        and stops at the first block with a record that answers it.
+        Existence for N >= 2 is a Minkowski/pigeonhole guarantee, so an
+        empty result raises TheoremViolationError.
+        """
+        if N < 2:
+            raise ParameterError("N must be >= 2")
+        scan, keys, points = self._records
+        target = max(N, 2 * scan.X)
+        i = bisect_left(keys, N)
+        while i == len(keys) and scan.X < target:
+            for x, m, ((ya, ua), (yb, ub)) in residual_minima(scan, min(2 * scan.X + 1, target)):
+                keys.append(_inverse_square_floor(m, 1, math.inf))
+                points.append((LatticePoint(x, ya, yb), ua, ub))
+            i = bisect_left(keys, N, i)
+        if i == len(keys) or points[i][0].x > N:
+            raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
+        point, ua, ub = points[i]
+        return DirichletPoint(point, N, ua, ub)
+
+
 @lru_cache(maxsize=32)
-def _best_approximations(alpha: SurdSum, beta: SurdSum):
-    """(scan, keys, points) for the running-minimum records of m(x) =
-    max(||x*alpha||, ||x*beta||) over the scanned [1, scan.X], Lagarias's
-    best simultaneous approximations: per record the key floor(1/m**2)
-    (infinite at m = 0, a rational pair), which never decreases along the
-    list, and the lattice point with its two residuals.  dirichlet_search
-    grows the lists."""
-    return ResidualScan((alpha, beta), "max"), [], []
+def _pair_of(alpha: SurdSum, beta: SurdSum) -> Pair:
+    """The Pair of two exact values, kept for the last 32 pairs so that a
+    sweep of dirichlet_search over N grows one record scan."""
+    return Pair(CFSpec.from_surd(alpha), CFSpec.from_surd(beta))
 
 
 def dirichlet_search(alpha, beta, N: int) -> DirichletPoint:
-    """Smallest x in [1, N] whose nearest-integer residuals for alpha and
-    beta are both at most 1/sqrt(N), residual comparisons exact (squared:
-    residual^2 <= 1/N).
-
-    Every earlier x has a larger m(x) = max(||x*alpha||, ||x*beta||), so the
-    answer is the first running-minimum record of m with m(x)**2 <= 1/N,
-    that is with N <= floor(1/m(x)**2).  The records of each (alpha, beta)
-    are cached; a query that none of them answers extends the scan, one
-    dyadic block [X + 1, 2X + 1] at a time, toward max(N, 2 * X) from the
-    scanned X, and stops at the first block with a record that answers it.
-    Existence for N >= 2 is a Minkowski/pigeonhole guarantee, so an empty
-    result raises TheoremViolationError.
-    """
-    if N < 2:
-        raise ParameterError("N must be >= 2")
-    alpha, beta = surdsum_of(alpha), surdsum_of(beta)
-    scan, keys, points = _best_approximations(alpha, beta)
-    target = max(N, 2 * scan.X)
-    i = bisect_left(keys, N)
-    while i == len(keys) and scan.X < target:
-        for x, m, ((ya, ua), (yb, ub)) in residual_minima(scan, min(2 * scan.X + 1, target)):
-            keys.append(_inverse_square_floor(m, 1, math.inf))
-            points.append((LatticePoint(x, ya, yb), ua, ub))
-        i = bisect_left(keys, N, i)
-    if i == len(keys) or points[i][0].x > N:
-        raise TheoremViolationError(f"no Dirichlet point for N={N}; this is a bug")
-    point, ua, ub = points[i]
-    return DirichletPoint(point, N, ua, ub)
+    """:meth:`Pair.dirichlet_point` of two exact values (SurdSum, Fraction
+    or int)."""
+    return _pair_of(as_surdsum(alpha), as_surdsum(beta)).dirichlet_point(N)
 
 
 class MinRecord(namedtuple("MinRecord", "x lo hi value")):
@@ -173,7 +247,7 @@ def brute_min_scan(alpha, beta, X: int) -> list[MinRecord]:
     if X < 1:
         raise ParameterError("X must be >= 1")
     records: list[MinRecord] = []
-    for x, val, _ in residual_minima(ResidualScan((surdsum_of(alpha), surdsum_of(beta))), X):
+    for x, val, _ in residual_minima(ResidualScan((as_surdsum(alpha), as_surdsum(beta))), X):
         iv = val.interval(_ENCLOSURE_BITS)
         records.append(MinRecord(x, iv.lo, iv.hi, val))
     return records
@@ -257,7 +331,7 @@ def cartan_measure(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ParameterError("epsilon must be positive")
-    alpha_s, beta_s = surdsum_of(alpha), surdsum_of(beta)
+    alpha_s, beta_s = as_surdsum(alpha), as_surdsum(beta)
     ab = alpha_s * beta_s
     if certified_sign(ab) <= 0:
         raise ParameterError("alpha*beta must be positive")

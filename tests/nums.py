@@ -19,7 +19,6 @@ from littlewood.csvio import format_decimal
 from littlewood.entrytime import (
     _error_value,
     _membership_coeffs,
-    approx_line,
     transversality_ceiling,
 )
 from littlewood.exactnum import (
@@ -32,9 +31,9 @@ from littlewood.exactnum import (
 from littlewood.lattice import (
     DirichletPoint,
     LatticePoint,
+    Pair,
     ParameterError,
     TheoremViolationError,
-    surdsum_of,
 )
 
 
@@ -238,7 +237,7 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
     All qualifying predicates are checked exactly before returning.
     """
     from littlewood.cone import ConeParams
-    from littlewood.entrytime import approx_line, entry_time, transversality_check
+    from littlewood.entrytime import entry_time, transversality_check
     from littlewood.lattice import dirichlet_search
 
     for _ in range(2000):
@@ -249,7 +248,7 @@ def transversal_config(rng, require_segment: bool = True, n_range=(2, 5)):
         if p0.x < 3 or p0.x >= N:
             continue
         n = rng.randrange(*n_range)
-        line = approx_line(a_spec, b_spec, n, p0)
+        line = Pair(a_spec, b_spec).line(n)._replace(P0=p0)
         resid = (p0.U0 * p0.U0 + p0.V0 * p0.V0).interval(96)
         eps_star = resid.hi * N * (N - 1) ** 2 / (2 * (N - p0.x) ** 2)
         for theta in (Fraction(9, 10), Fraction(3, 4), Fraction(1, 2), Fraction(3, 10)):
@@ -438,7 +437,7 @@ def dirichlet_search_chunked(alpha, beta, N: int) -> DirichletPoint:
     <= 1/N exactly."""
     if N < 2:
         raise ParameterError("N must be >= 2")
-    alpha, beta = surdsum_of(alpha), surdsum_of(beta)
+    alpha, beta = as_surdsum(alpha), as_surdsum(beta)
     bound = Fraction(1, N)
     # lo <= 2**64 / sqrt(N) is lo <= isqrt(2**128 // N) for an integer lo
     cap = np.uint64(math.isqrt((1 << 128) // N))
@@ -490,7 +489,7 @@ def transversality_ceiling_bisected(epsilon, e_alpha, e_beta, max_N: int) -> int
     return lo
 
 
-def certificate_cells_every_N(alpha, beta, epsilon, n_max: int, max_N: int, n_min: int = 1):
+def certificate_cells_every_N(pair, epsilon, n_max: int, max_N: int, n_min: int = 1):
     """Oracle of the certificate search's cells: per n, the order-2n line
     is built once and theorem_check runs at every N from the Dirichlet
     floor N0 (the least N >= 2 with 2 eps N > 1) to the transversality
@@ -500,10 +499,10 @@ def certificate_cells_every_N(alpha, beta, epsilon, n_max: int, max_N: int, n_mi
     N0 = max(2, math.floor(1 / (2 * epsilon)) + 1)
     cells = []
     for n in range(n_min, n_max + 1):
-        line = approx_line(alpha, beta, n, None)
+        line = pair.line(n)
         ceiling = transversality_ceiling(epsilon, line.e_alpha, line.e_beta, max_N)
         for N in range(N0, max(ceiling, N0) + 1):
-            cells.append(theorem_check(alpha, beta, epsilon, line, N))
+            cells.append(theorem_check(pair, epsilon, n, N))
             if cells[-1].verified:
                 return tuple(cells)
     return tuple(cells)

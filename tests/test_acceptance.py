@@ -39,7 +39,6 @@ from littlewood.cfrac import (
     convergents,
     error_term,
     growth_bounds_check,
-    lcm_time,
     levy_quotient,
     _observed_M,
 )
@@ -49,13 +48,11 @@ from littlewood.certificate import (
     verify_certificate,
 )
 from littlewood.cone import ConeParams, InclusionRun, base_tangency, cone_contains
-from littlewood.entrytime import (
-    approx_line,
-    line_gamma,
-)
+from littlewood.entrytime import line_gamma
 from littlewood.exactnum import as_surdsum, certified_sign
 from littlewood.lattice import (
     LatticePoint,
+    Pair,
     brute_min_scan,
     cartan_measure,
     dirichlet_search,
@@ -203,9 +200,10 @@ def test_criterion_08_lattice_time_integrality():
     ok = True
     for a_spec, b_spec in TEST_PAIRS:
         p0 = dirichlet_search(a_spec.value(), b_spec.value(), 100)
+        pair = Pair(a_spec, b_spec)
         for n in range(1, 21):
-            line = approx_line(a_spec, b_spec, n, p0)
-            t_n = lcm_time(a_spec, b_spec, n)
+            line = pair.line(n)._replace(P0=p0)
+            t_n = pair.t_n(n)
             x, y, z = line_gamma(line, Fraction(t_n))
             ok = ok and x.denominator == y.denominator == z.denominator == 1
     _report(8, ok, "gamma_n(t_n) integral for n <= 20 on 3 pairs")
@@ -306,7 +304,7 @@ def test_criterion_12_soundness():
 
     eps_big = Fraction(4 * 10**8)
     golden = SPEC_GOLDENM1.value()
-    found = certificate_search(SPEC_GOLDENM1, SPEC_GOLDENM1, eps_big, n_max=1).found
+    found = certificate_search(Pair(SPEC_GOLDENM1, SPEC_GOLDENM1), eps_big, n_max=1).found
     ok = ok and found is not None and found.verified
     checked += 1
     ok = ok and verify_certificate(golden, golden, eps_big, found.candidate)

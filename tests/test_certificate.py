@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood import cfrac, entrytime
+from littlewood import lattice
 from littlewood.cfrac import (
     CFSpec,
     InternalInconsistencyError,
     ProfileViolationError,
     convergent,
     error_term,
-    lcm_time,
 )
 from littlewood.certificate import (
     FAIL_REASONS,
@@ -29,9 +28,16 @@ from littlewood.certificate import (
     verify_certificate,
 )
 from littlewood.cone import ConeParams, cone_contains
-from littlewood.entrytime import approx_line, transversality_ceiling, transversality_check
+from littlewood.entrytime import transversality_ceiling, transversality_check
 from littlewood.exactnum import DyadicInterval, as_surdsum, certified_sign
-from littlewood.lattice import LatticePoint, ParameterError, brute_min_scan
+from littlewood.lattice import (
+    DirichletPoint,
+    LatticePoint,
+    Pair,
+    ParameterError,
+    brute_min_scan,
+    f_eval,
+)
 from littlewood.numspec import parse_number_spec
 
 from nums import (
@@ -57,15 +63,13 @@ def test_theorem_check_transversality_short_circuit():
     # worked instance: at n = 3, N = 51, eps = 1/100, the beta error term
     # e_6(sqrt(3)-1) = sqrt(3) - 71/41... wait c_6 = 30/41; e_6 ~ 3.4e-4
     # exceeds the transversality budget 1.98e-4, so the cell short-circuits
-    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 3, None)
-    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), line, 51)
+    tc = theorem_check(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 100), 3, 51)
     assert tc.reason == "transversality-fail"
     assert not tc.transversal and tc.x0 is None and tc.tau is None
 
 
 def test_theorem_check_transversal_cell_diagnostics():
-    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 4, None)
-    tc = theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 100), line, 51)
+    tc = theorem_check(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 100), 4, 51)
     assert tc.transversal
     assert tc.x0 == 7
     assert tc.t_n == 150705
@@ -75,16 +79,29 @@ def test_theorem_check_transversal_cell_diagnostics():
 
 
 def test_theorem_check_precondition():
-    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 2, None)
     with pytest.raises(ParameterError):
-        theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), line, 100)
+        theorem_check(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 1000), 2, 100)
+
+
+def test_zero_epsilon_and_a_max_N_at_the_floor():
+    # eps = 0 is refused by name, before the floor divides by it; a max_N
+    # equal to the floor N0 = 6 leaves one cell per n, one below it none
+    pair = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1)
+    with pytest.raises(ParameterError, match="epsilon must be positive"):
+        theorem_check(pair, 0, 1, 2)
+    with pytest.raises(ParameterError, match="epsilon must be positive"):
+        certificate_search(pair, 0, n_max=1)
+    out = certificate_search(pair, Fraction(1, 10), n_max=2, max_N=6)
+    assert [(c.n, c.N) for c in out.cells] == [(1, 6), (2, 6)]
+    with pytest.raises(ParameterError, match="Dirichlet floor 6 exceeds max_N=5;"):
+        certificate_search(pair, Fraction(1, 10), n_max=2, max_N=5)
 
 
 def test_dirichlet_floor_is_the_least_N_of_the_precondition():
     # N >= 2 and N > 1/(2 eps): the floor meets both, the N below it
     # misses one, and theorem_check refuses exactly that N
     rng = random.Random(35)
-    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 1, None)
+    pair = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1)
     epsilons = [Fraction(1, 1000), Fraction(1, 2), Fraction(10**9)]
     epsilons += [Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(200)]
     for eps in epsilons:
@@ -93,7 +110,7 @@ def test_dirichlet_floor_is_the_least_N_of_the_precondition():
         assert N0 == 2 or 2 * eps * (N0 - 1) <= 1, eps
     for eps in epsilons[:12]:
         with pytest.raises(ParameterError, match="dirichlet-gap: need N >= 2"):
-            theorem_check(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, line, _dirichlet_floor(eps) - 1)
+            theorem_check(pair, eps, 1, _dirichlet_floor(eps) - 1)
 
 
 def test_verify_certificate_basics():
@@ -101,6 +118,16 @@ def test_verify_certificate_basics():
     assert not verify_certificate(SQRT2M1, SQRT3M1, eps, LatticePoint(0, 3, 1))
     assert verify_certificate(SQRT2M1, SQRT3M1, eps, LatticePoint(1, 0, 1))
     assert not verify_certificate(SQRT2M1, SQRT3M1, eps, LatticePoint(5, 50, -3))
+
+
+def test_verify_certificate_accepts_the_exact_tie():
+    # alpha = sqrt(2) - 1 and beta = 2 sqrt(2) - 2 (sqrt:2 and sqrt:8 with
+    # --frac): at (1, 0, -4), f = (sqrt(2) - 1)(2 sqrt(2) + 2) = 2 exactly
+    alpha, beta = (parse_number_spec(t, True).value() for t in ("sqrt:2", "sqrt:8"))
+    p = LatticePoint(1, 0, -4)
+    assert f_eval(alpha, beta, p, Fraction(2)).vs_epsilon == "equal"
+    assert verify_certificate(alpha, beta, Fraction(2), p)
+    assert not verify_certificate(alpha, beta, Fraction(1999, 1000), p)
 
 
 def test_verify_certificate_on_brute_records():
@@ -119,7 +146,7 @@ def test_verify_certificate_on_brute_records():
 
 
 def test_search_exhaustion_and_reasons():
-    out = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=6)
+    out = certificate_search(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 1000), n_max=6)
     assert out.exhausted and out.found is None
     assert len(out.cells) >= 6
     for cell in out.cells:
@@ -129,14 +156,14 @@ def test_search_exhaustion_and_reasons():
 
 
 def test_search_deterministic():
-    a = certificate_search(SPEC_GOLDENM1, SPEC_SQRT2M1, Fraction(1, 100), n_max=5)
-    b = certificate_search(SPEC_GOLDENM1, SPEC_SQRT2M1, Fraction(1, 100), n_max=5)
+    a = certificate_search(Pair(SPEC_GOLDENM1, SPEC_SQRT2M1), Fraction(1, 100), n_max=5)
+    b = certificate_search(Pair(SPEC_GOLDENM1, SPEC_SQRT2M1), Fraction(1, 100), n_max=5)
     assert a == b
 
 
 def test_search_trivial_witness():
     # eps >= ||alpha|| * ||beta||: the x = 1 point is already a witness
-    out = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 2), n_max=2)
+    out = certificate_search(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 2), n_max=2)
     assert out.trivial_witness == LatticePoint(1, 0, 1)
     assert verify_certificate(SQRT2M1, SQRT3M1, Fraction(1, 2), out.trivial_witness)
 
@@ -158,13 +185,13 @@ def test_search_geometric_cells_are_among_the_every_N_cells():
     # per n, the every-N oracle runs from the Dirichlet floor N0 = 6 to the
     # transversality ceiling (the floor alone when the ceiling is below
     # it), and the geometric search's cells are among its cells, unchanged
-    eps, max_N = Fraction(1, 10), 400
-    every_N = certificate_cells_every_N(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, max_N=max_N)
-    geo = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, eps, n_max=3, max_N=max_N)
+    eps, max_N, pair = Fraction(1, 10), 400, Pair(SPEC_SQRT2M1, SPEC_SQRT3M1)
+    every_N = certificate_cells_every_N(pair, eps, n_max=3, max_N=max_N)
+    geo = certificate_search(pair, eps, n_max=3, max_N=max_N)
     assert geo.found is None and not any(c.verified for c in every_N)
     assert (len(every_N), len(geo.cells)) == (79, 9)
     for n in (1, 2, 3):
-        line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, None)
+        line = pair.line(n)
         ceiling = transversality_ceiling(eps, line.e_alpha, line.e_beta, max_N)
         assert [c.N for c in every_N if c.n == n] == list(range(6, max(ceiling, 6) + 1))
     by_cell = {(c.n, c.N): c for c in every_N}
@@ -180,38 +207,42 @@ def test_search_builds_one_line_per_n(monkeypatch):
         orders.append(k)
         return error_term(spec, k)
 
-    monkeypatch.setattr(entrytime, "error_term", spy)
+    monkeypatch.setattr(lattice, "error_term", spy)
     alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
-    geo = certificate_search(alpha, beta, eps, n_max=3, max_N=400)
+    geo = certificate_search(Pair(alpha, beta), eps, n_max=3, max_N=400)
     assert len(geo.cells) == 9 and sorted(orders) == [2, 2, 4, 4, 6, 6]
     orders.clear()
     # the README certificate example
-    certificate_search(alpha, beta, Fraction(1, 1000), n_max=10)
+    certificate_search(Pair(alpha, beta), Fraction(1, 1000), n_max=10)
     assert sorted(orders) == sorted(2 * [2 * n for n in range(1, 11)])
     monkeypatch.undo()
     for cell in geo.cells:
-        line = approx_line(alpha, beta, cell.n, None)
-        assert cell == theorem_check(alpha, beta, eps, line, cell.N)
+        assert cell == theorem_check(Pair(alpha, beta), eps, cell.n, cell.N)
 
 
 def test_search_reads_the_lcm_time_from_its_lines(monkeypatch):
-    # t_n = lcm(q_2n(alpha), q_2n(beta)) takes both denominators from the
-    # line's error terms, so the search computes no convergent of its own,
-    # and every transversal cell keeps the t_n of lcm_time
+    # t_n = lcm(q_2n(alpha), q_2n(beta)) reads the two order-2n convergent
+    # denominators once per n of the pair, not once per cell, and every
+    # transversal cell keeps the lcm of its line's two denominators
     calls = []
 
     def spy(spec, k):
         calls.append(k)
         return convergent(spec, k)
 
-    monkeypatch.setattr(cfrac, "convergent", spy)
+    monkeypatch.setattr(lattice, "convergent", spy)
     alpha, beta, eps = SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 10)
-    geo = certificate_search(alpha, beta, eps, n_max=3, max_N=400)
-    assert len(geo.cells) == 9 and calls == []
+    geo = certificate_search(Pair(alpha, beta), eps, n_max=3, max_N=400)
+    orders = {2 * c.n for c in geo.cells if c.transversal}
+    assert len(geo.cells) == 9 and sorted(calls) == sorted(2 * list(orders))
     monkeypatch.undo()
-    transversal = [c for c in certificate_cells_every_N(alpha, beta, eps, 3, 400) if c.transversal]
+    pair = Pair(alpha, beta)
+    transversal = [c for c in certificate_cells_every_N(pair, eps, 3, 400) if c.transversal]
     assert len(transversal) == 78
-    assert all(c.t_n == lcm_time(alpha, beta, c.n) for c in transversal)
+    for c in transversal:
+        line = pair.line(c.n)
+        assert c.t_n == math.lcm(line.e_alpha.q_n, line.e_beta.q_n)
+        assert c.t_n == math.lcm(convergent(alpha, 2 * c.n).q, convergent(beta, 2 * c.n).q)
 
 
 def test_search_runs_past_2_to_the_32():
@@ -220,7 +251,7 @@ def test_search_runs_past_2_to_the_32():
     # each cell's x0 is checked exactly to be the least x whose residuals
     # both have square at most 1/N
     alpha, beta = parse_number_spec("rat:3/7"), parse_number_spec("rat:2/7")
-    out = certificate_search(alpha, beta, Fraction(1, 10), n_max=1, max_N=10**10)
+    out = certificate_search(Pair(alpha, beta), Fraction(1, 10), n_max=1, max_N=10**10)
     assert [c.N for c in out.cells] == [6 * 2**k for k in range(31)] + [10**10]
     values = (as_surdsum(alpha.value()), as_surdsum(beta.value()))
     for cell in out.cells:
@@ -232,7 +263,7 @@ def test_search_runs_past_2_to_the_32():
 
 
 def test_transversality_ceiling_monotone():
-    line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, 3, None)
+    line = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1).line(3)
     ceiling = transversality_ceiling(
         Fraction(1, 100), line.e_alpha, line.e_beta, 10**6
     )
@@ -246,7 +277,7 @@ def test_transversality_ceiling_monotone():
 def test_transversality_ceiling_matches_bisection_oracle():
     for a_spec, b_spec in TRANSVERSALITY_PAIRS:
         for n in range(1, 9):
-            line = approx_line(a_spec, b_spec, n, None)
+            line = Pair(a_spec, b_spec).line(n)
             for eps in TRANSVERSALITY_EPSILONS:
                 for max_N in (2, 3, 10, 3000, 10**6):
                     got = transversality_ceiling(eps, line.e_alpha, line.e_beta, max_N)
@@ -272,11 +303,27 @@ def test_transversality_ceiling_edges():
 def test_search_exhaustion_deep():
     # n up to 12 with the default geometric grid: exhaustion, with the
     # transversality budget binding at small n and tau binding afterwards
-    out = certificate_search(SPEC_SQRT2M1, SPEC_SQRT3M1, Fraction(1, 1000), n_max=12)
+    out = certificate_search(Pair(SPEC_SQRT2M1, SPEC_SQRT3M1), Fraction(1, 1000), n_max=12)
     assert out.exhausted
     reasons = {c.reason for c in out.cells}
     assert reasons == {"transversality-fail", "tau-too-large"}
     assert max(c.N for c in out.cells) == 10**6
+
+
+@pytest.mark.parametrize("slack, reason", [(1, "x0-too-small"), (2, None)])
+def test_chain_link_x0_at_its_tie(monkeypatch, slack, reason):
+    # the link lambda^(2n) <= x0 - 2 on a Dirichlet point placed inside the
+    # cone (tau = 0): x0 = lambda^(2n) + 1 fails it, x0 = lambda^(2n) + 2
+    # passes it and the candidate gamma_n(t_n) is verified
+    pair, eps, n, N = Pair(SPEC_GOLDENM1, SPEC_GOLDENM1), Fraction(4 * 10**8), 1, 1024
+    x0 = pair.lam ** (2 * n) + slack
+    y0, u0 = (GOLDENM1 * x0).nearest()
+    p0 = DirichletPoint(LatticePoint(x0, y0, y0), N, u0, u0)
+    assert cone_contains(GOLDENM1, GOLDENM1, p0.point, ConeParams.make(N, eps)).inside
+    monkeypatch.setattr(Pair, "dirichlet_point", lambda self, N: p0)
+    cell = theorem_check(pair, eps, n, N)
+    assert cell.transversal and cell.x0 == x0 and cell.tau.hi == 0
+    assert cell.reason == reason and cell.chain_ok is (reason is None)
 
 
 def test_search_positive_control():
@@ -286,7 +333,7 @@ def test_search_positive_control():
     # a huge eps makes the cone fat enough for tau = 0 and transversality.
     # Exercises candidate construction, membership at t_n, and verification.
     eps = Fraction(4 * 10**8)
-    out = certificate_search(SPEC_GOLDENM1, SPEC_GOLDENM1, eps, n_max=1)
+    out = certificate_search(Pair(SPEC_GOLDENM1, SPEC_GOLDENM1), eps, n_max=1)
     assert out.found is not None
     cell = out.found
     assert (cell.n, cell.N, cell.x0, cell.t_n) == (1, 1024, 21, 2)
@@ -305,7 +352,7 @@ def test_cone_membership_agrees_with_the_certificate(eps):
     chain_ok = 0
     for a, b in itertools.combinations(SURD_POOL, 2):
         alpha, beta = CFSpec.from_surd(a), CFSpec.from_surd(b)
-        for cell in certificate_search(alpha, beta, eps, n_max=3).cells:
+        for cell in certificate_search(Pair(alpha, beta), eps, n_max=3).cells:
             if cell.chain_ok:
                 chain_ok += 1
                 params = ConeParams.make(cell.N, eps)
@@ -402,6 +449,16 @@ def test_grid_check_rejects_grids_below_one_point():
             )
 
 
+def test_b3_scan_accepts_its_least_sizes():
+    # one grid point is enough; max_N = 1 passes the scan's own check and
+    # is refused by the search, whose Dirichlet floor is at least 2
+    pairs, eps = [(SPEC_SQRT2M1, SPEC_SQRT3M1)], [Fraction(1, 100)]
+    (report,) = b3_infeasibility_scan(pairs, eps, u_points=1).reports
+    assert report.grid.ok and report.grid.points == 1
+    with pytest.raises(ParameterError, match="Dirichlet floor 51 exceeds max_N=1;"):
+        b3_infeasibility_scan(pairs, eps, max_N=1)
+
+
 def test_grid_check_refuses_a_nonpositive_lower_end():
     # at 1 bit u_lo = 2^(-5/8) X^(-3/16) ~ 0.049 rounds down to 0, where the
     # least-point lemma does not apply
@@ -429,6 +486,9 @@ def test_b3_scan_rejects_large_quotients():
     bad = CFSpec.from_periodic([0], [4])
     with pytest.raises(ProfileViolationError):
         b3_infeasibility_scan([(bad, SPEC_SQRT2M1)], [Fraction(1, 100)])
+    # a quotient 3 is within the bound
+    ok = CFSpec.from_periodic([0], [3])
+    assert b3_infeasibility_scan([(ok, SPEC_SQRT2M1)], [Fraction(1, 100)]).reports[0].grid.ok
 
 
 def test_b3_scan_shape():

@@ -21,8 +21,6 @@ from littlewood.cfrac import (
     convergents,
     error_term,
     growth_bounds_check,
-    lcm_growth_profile,
-    lcm_time,
     levy_quotient,
     residual_minima,
     LEVY_AE_LOG,
@@ -38,6 +36,7 @@ from littlewood.exactnum import (
     as_surdsum,
     certified_sign,
 )
+from littlewood.lattice import Pair
 from littlewood.numspec import parse_number_spec
 
 from nums import (
@@ -642,22 +641,22 @@ def test_convergent_beyond_rational_expansion():
 def test_lcm_time_example():
     assert convergent(SPEC_SQRT2M1, 2).q == 5
     assert convergent(SPEC_SQRT3M1, 2).q == 3
-    assert lcm_time(SPEC_SQRT2M1, SPEC_SQRT3M1, 1) == 15
+    assert Pair(SPEC_SQRT2M1, SPEC_SQRT3M1).t_n(1) == 15
 
 
 def test_lcm_time_equal_and_coprime():
-    assert lcm_time(SPEC_SQRT2M1, SPEC_SQRT2M1, 3) == convergent(SPEC_SQRT2M1, 6).q
+    assert Pair(SPEC_SQRT2M1, SPEC_SQRT2M1).t_n(3) == convergent(SPEC_SQRT2M1, 6).q
     qa = convergent(SPEC_SQRT2M1, 4).q
     qb = convergent(SPEC_GOLDENM1, 4).q
     if math.gcd(qa, qb) == 1:
-        assert lcm_time(SPEC_SQRT2M1, SPEC_GOLDENM1, 2) == qa * qb
+        assert Pair(SPEC_SQRT2M1, SPEC_GOLDENM1).t_n(2) == qa * qb
 
 
 def test_lcm_time_bounds_hold():
     lam = (max(_observed_M(SPEC_SQRT2M1), _observed_M(SPEC_SQRT3M1)) + 1) ** 2
     assert lam == 9
     for n in range(1, 15):
-        t = lcm_time(SPEC_SQRT2M1, SPEC_SQRT3M1, n)
+        t = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1).t_n(n)
         assert 2 ** (n - 1) <= t <= lam ** (2 * n)
 
 
@@ -678,14 +677,16 @@ def test_lcm_time_bounds_hold_on_purely_periodic_inputs():
         for b_spec in specs:
             lam = (max(_observed_M(a_spec), _observed_M(b_spec)) + 1) ** 2
             for n in range(1, 11):
-                t = lcm_time(a_spec, b_spec, n)
+                t = Pair(a_spec, b_spec).t_n(n)
                 assert 2 ** (n - 1) <= t <= lam ** (2 * n)
 
 
 def test_lcm_growth_profile():
-    prof = lcm_growth_profile(SPEC_SQRT2M1, SPEC_SQRT3M1, 16)
-    assert 0 < prof.liminf_estimate <= prof.limsup_estimate
-    assert len(prof.quotients) == 16
+    # log(t_n)/n lies in [(n-1) log 2 / n, 2 log lambda] by the sandwich
+    pair = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1)
+    growth = [math.log(pair.t_n(n)) / n for n in range(1, 17)]
+    assert all((n - 1) * math.log(2) / n <= g <= 2 * math.log(9) for n, g in enumerate(growth, 1))
+    assert 0 < min(growth[8:]) <= max(growth[8:])
 
 
 def test_below_agrees_with_the_certified_sign():

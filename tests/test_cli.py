@@ -263,15 +263,15 @@ def test_entry_time_run(tmp_path):
 
 
 def test_entry_time_reads_t_n_from_its_lines(tmp_path, monkeypatch, capsys):
-    # the README command: t_n is the lcm of the q_2n each order-2n line
-    # already carries, so no convergent is computed a second time, and the
-    # CSV is the golden one
-    from littlewood import cfrac
+    # the README command: the pair reads each t_n once, from the two
+    # order-2n convergent denominators, which are the q_2n its line carries;
+    # the CSV is the golden one
+    from littlewood import lattice
 
     golden = Path(__file__).parent / "golden"
     calls = []
-    convergent = cfrac.convergent
-    monkeypatch.setattr(cfrac, "convergent", lambda *a: calls.append(a) or convergent(*a))
+    convergent = lattice.convergent
+    monkeypatch.setattr(lattice, "convergent", lambda *a: calls.append(a) or convergent(*a))
     monkeypatch.chdir(tmp_path)
     assert main([
         "entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
@@ -279,7 +279,51 @@ def test_entry_time_reads_t_n_from_its_lines(tmp_path, monkeypatch, capsys):
     ]) == 0
     assert capsys.readouterr().out == (golden / "entry.stdout").read_text()
     assert (tmp_path / "entry.csv").read_bytes() == (golden / "entry.csv").read_bytes()
-    assert calls == []
+    assert sorted(k for _, k in calls) == sorted(2 * [2 * n for n in range(1, 9)])
+    for row in read_csv(tmp_path / "entry.csv").rows:
+        assert int(row["t_n"]) == math.lcm(int(row["q2n_alpha"]), int(row["q2n_beta"]))
+
+
+def test_certificate_prints_the_trivial_witness_at_its_tie(capsys):
+    # beta = (1 + sqrt(2))/5, so ||alpha|| * ||beta|| = (sqrt(2) - 1)(sqrt(2) + 1)/5
+    # = 1/5 exactly: the x = 1 point is a witness at eps = 1/5 and not below
+    argv = ["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "quad:1,1,5,2",
+            "--n-max", "1", "--epsilon"]
+    assert _run(argv + ["1/5"]) == 0
+    assert "(1, 0, 0) is a trivial witness" in capsys.readouterr().out
+    assert _run(argv + ["1/6"]) == 0
+    assert "trivial witness" not in capsys.readouterr().out
+
+
+def test_certificate_observes_the_quotients_once_per_pair(monkeypatch, capsys):
+    # the README certificate run sweeps 50 cells of one pair; lambda is the
+    # pair's, so each number's partial-quotient bound is read once
+    from littlewood import lattice
+
+    calls = []
+    observed_M = lattice._observed_M
+    monkeypatch.setattr(lattice, "_observed_M", lambda spec: calls.append(spec) or observed_M(spec))
+    assert _run(["certificate", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3",
+                 "--epsilon", "1/1000", "--n-max", "10"]) == 0
+    assert "searched 50 (n, N) cells" in capsys.readouterr().out
+    assert len(calls) <= 2
+
+
+def test_b3_scan_builds_each_error_term_once(tmp_path, monkeypatch, capsys):
+    # the golden b3 run: one pair at three epsilons shares its order-2n
+    # lines, so each (number, n) has its error term built once
+    from littlewood import lattice
+
+    calls = []
+    error_term = lattice.error_term
+    monkeypatch.setattr(lattice, "error_term",
+                        lambda spec, k: calls.append((spec, k)) or error_term(spec, k))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pairs.txt").write_text("sqrt:2 sqrt:3\n")
+    assert _run(["b3-scan", "--pairs", "pairs.txt", "--frac", "--epsilons",
+                 "1/100,1/10000,1/1000000", "--u-points", "100"]) == 0
+    assert "total certificates: 0" in capsys.readouterr().out
+    assert len(calls) == len(set(calls)) == 8
 
 
 def test_certificate_run_exhaustion(tmp_path):
@@ -573,6 +617,11 @@ def test_rational_without_order_2n_convergent_exits_2(capsys):
     err = capsys.readouterr().err
     assert "alpha = 1/3" in err
     assert "order 2n = 2" in err
+    # levy reads t_1 = lcm(q_2(alpha), q_2(beta)), and 1/3 = [0; 3] has no q_2
+    assert _run(["levy", "--alpha", "sqrt:2", "--beta", "rat:1/3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: expansion has only 2 quotients; convergent 2 does not exist\n"
+    )
 
 
 def test_help_exits_zero():

@@ -8,20 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from littlewood.cfrac import ErrorTerm, lcm_time
+from littlewood.cfrac import ErrorTerm
 from littlewood.cone import ConeParams, cone_contains
 from littlewood.entrytime import (
-    ApproxLine,
     NonpositiveDenominatorError,
     _entry_root,
     _membership_coeffs,
-    approx_line,
     entry_time,
     line_gamma,
     transversality_check,
 )
 from littlewood.exactnum import ParameterError, SurdSum, as_surdsum, certified_sign
-from littlewood.lattice import DirichletPoint, LatticePoint, dirichlet_search
+from littlewood.lattice import ApproxLine, DirichletPoint, LatticePoint, Pair, dirichlet_search
 
 from nums import (
     SPEC_SQRT2M1,
@@ -41,7 +39,7 @@ from nums import (
 
 def _line(n=2, N=10):
     p0 = dirichlet_search(SQRT2M1, SQRT3M1, N)
-    return approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, p0)
+    return Pair(SPEC_SQRT2M1, SPEC_SQRT3M1).line(n)._replace(P0=p0)
 
 
 # -- the line ----------------------------------------------------------------
@@ -57,9 +55,10 @@ def test_gamma_endpoints():
 def test_gamma_at_lcm_time_is_integral():
     for a_spec, b_spec in TEST_PAIRS:
         p0 = dirichlet_search(a_spec.value(), b_spec.value(), 50)
+        pair = Pair(a_spec, b_spec)
         for n in range(1, 9):
-            line = approx_line(a_spec, b_spec, n, p0)
-            t_n = lcm_time(a_spec, b_spec, n)
+            line = pair.line(n)._replace(P0=p0)
+            t_n = pair.t_n(n)
             x, y, z = line_gamma(line, Fraction(t_n))
             assert x.denominator == y.denominator == z.denominator == 1
 
@@ -83,7 +82,7 @@ def test_transversality_matches_surd_oracle_for_every_N(pair):
     # the integer check must agree with that at every N in [2, 3000]
     a_spec, b_spec = pair
     for n in range(1, 9):
-        line = approx_line(a_spec, b_spec, n, None)
+        line = Pair(a_spec, b_spec).line(n)
         ea, eb = line.e_alpha, line.e_beta
         for eps in TRANSVERSALITY_EPSILONS:
             c = transversality_ceiling_bisected(eps, ea, eb, 3000)
@@ -118,7 +117,7 @@ def test_transversality_eventually_passes_in_n():
     p0 = dirichlet_search(SQRT2M1, SQRT3M1, N)
     results = []
     for n in range(1, 7):
-        line = approx_line(SPEC_SQRT2M1, SPEC_SQRT3M1, n, p0)
+        line = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1).line(n)._replace(P0=p0)
         results.append(transversality_check(N, eps, line.e_alpha, line.e_beta))
     assert results == sorted(results)  # False ... False True ... True
     assert results[-1] is True

@@ -9,8 +9,11 @@ identical keeps every printed enclosure and verdict.
 """
 
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,8 +23,8 @@ from littlewood.cfrac import cf_expand, convergent, error_term
 from littlewood.cli import main
 from littlewood.cone import ConeParams, InclusionRun, sample_point_coordinates
 from littlewood.csvio import format_decimal
-from littlewood.entrytime import approx_line, entry_time
-from littlewood.lattice import cartan_measure, dirichlet_search
+from littlewood.entrytime import entry_time
+from littlewood.lattice import Pair, cartan_measure
 from littlewood.numspec import parse_number_spec
 
 from nums import (
@@ -33,6 +36,7 @@ from nums import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 NUMBERS = ["--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3"]
 
@@ -63,6 +67,23 @@ def test_readme_example_matches_golden(name, argv, code, tmp_path, monkeypatch, 
     assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["0", "98765"])
+def test_readme_examples_do_not_depend_on_the_hash_seed(seed, tmp_path):
+    """The seven cases, each in a fresh interpreter under a fixed
+    PYTHONHASHSEED (the caches key on hashed numbers), write the golden
+    stdout and CSV byte for byte."""
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+    shutil.copy(GOLDEN / "pairs.txt", tmp_path / "pairs.txt")
+    for name, argv, code in CASES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "littlewood.cli", *argv, "--out", f"{name}.csv"],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == code, (name, proc.stderr)
+        assert proc.stdout == (GOLDEN / f"{name}.stdout").read_bytes(), name
+        assert (tmp_path / f"{name}.csv").read_bytes() == (GOLDEN / f"{name}.csv").read_bytes(), name
+
+
 def _tau_rows(path):
     return [r for r in read_csv(path).rows if r["tau_lo"]]
 
@@ -75,14 +96,14 @@ def test_printed_tau_encloses_exact_entry_time(name, tmp_path, monkeypatch, caps
     ((_, argv, code),) = [c for c in CASES if c[0] == name]
     assert main([*argv, "--out", f"{name}.csv"]) == code
     capsys.readouterr()
-    alpha, beta = parse_number_spec("sqrt:2", True), parse_number_spec("sqrt:3", True)
+    pair = Pair(parse_number_spec("sqrt:2", True), parse_number_spec("sqrt:3", True))
     epsilon = Fraction(argv[argv.index("--epsilon") + 1])
     N_fixed = int(argv[argv.index("--N") + 1]) if "--N" in argv else None
     rows = _tau_rows(tmp_path / f"{name}.csv")
     assert len(rows) >= 5
     for row in rows:
         n, N = int(row["n"]), N_fixed or int(row["N"])
-        line = approx_line(alpha, beta, n, dirichlet_search(alpha, beta, N))
+        line = pair.line(n)._replace(P0=pair.dirichlet_point(N))
         params = ConeParams.make(N, epsilon)
         rep = entry_time(line, params)
         lo, hi = Fraction(row["tau_lo"]), Fraction(row["tau_hi"])
@@ -145,7 +166,7 @@ def _expected_cell(alpha, beta, epsilon, n, N):
         return None, False, None, lam, False, None, "transversality-fail"
     p0 = dirichlet_search_chunked(alpha.value(), beta.value(), N)
     t_n = math.lcm(convergent(alpha, 2 * n).q, convergent(beta, 2 * n).q)
-    line = approx_line(alpha, beta, n, p0)
+    line = Pair(alpha, beta).line(n)._replace(P0=p0)
     params = ConeParams.make(N, epsilon)
     direct_ok = tau_vs_squared(line, params, t_n) and t_n < p0.x
     if not tau_vs_squared(line, params, 1 << (n - 1)):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from littlewood import lattice
-from littlewood.cfrac import ResidualScan, bad_constant_estimate, bad_constant_scan, residual_minima
+from littlewood.cfrac import (
+    CFSpec,
+    ResidualScan,
+    bad_constant_estimate,
+    bad_constant_scan,
+    residual_minima,
+)
 from littlewood.exactnum import (
     SurdSum,
     _inverse_square_floor,
@@ -20,8 +26,10 @@ from littlewood.exactnum import (
 )
 from littlewood.lattice import (
     LatticePoint,
+    Pair,
     ParameterError,
-    _best_approximations,
+    TheoremViolationError,
+    _pair_of,
     _within_2e_cbrt,
     brute_min_scan,
     cartan_measure,
@@ -191,13 +199,16 @@ def oracle_points():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "random"])
 def test_dirichlet_lookup_matches_the_chunked_oracle(oracle_points, order):
-    # the record list grows differently in each order; the answers must not
+    # the record list grows differently in each order; the answers must not,
+    # through the value-level search or a Pair of the periodic specs
     Ns = sorted(oracle_points, reverse=order == "descending")
     if order == "random":
         random.Random(8).shuffle(Ns)
-    _best_approximations.cache_clear()
+    _pair_of.cache_clear()
+    pair = Pair(CFSpec.from_periodic([0], [2]), CFSpec.from_periodic([0], [1, 2]))
     for N in Ns:
         assert dirichlet_search(SQRT2M1, SQRT3M1, N) == oracle_points[N], N
+        assert pair.dirichlet_point(N) == oracle_points[N], N
 
 
 @pytest.mark.parametrize(
@@ -217,9 +228,9 @@ def test_dirichlet_lookup_matches_the_chunked_oracle(oracle_points, order):
 def test_dirichlet_lookup_matches_the_oracle_on_special_pairs(alpha, beta, Ns):
     expected = {N: dirichlet_search_chunked(alpha, beta, N) for N in Ns}
     for N in Ns:  # each query cold
-        _best_approximations.cache_clear()
+        _pair_of.cache_clear()
         assert dirichlet_search(alpha, beta, N) == expected[N], N
-    _best_approximations.cache_clear()
+    _pair_of.cache_clear()
     for N in Ns:  # one growing record list
         assert dirichlet_search(alpha, beta, N) == expected[N], N
 
@@ -230,12 +241,12 @@ def test_dirichlet_lookup_beyond_the_first_chunks():
     N = 500001
     expected = dirichlet_search_chunked(SQRT2M1, SQRT3M1, N)
     assert expected.x.bit_length() == 18
-    _best_approximations.cache_clear()
+    _pair_of.cache_clear()
     assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
     # a cold query scans no further than the block holding its answer
-    scan, _, _ = _best_approximations(SQRT2M1, SQRT3M1)
+    scan, _, _ = _pair_of(SQRT2M1, SQRT3M1)._records
     assert scan.X == 2 ** expected.x.bit_length() - 1
-    _best_approximations.cache_clear()
+    _pair_of.cache_clear()
     for small in range(2, 300):
         dirichlet_search(SQRT2M1, SQRT3M1, small)
     assert dirichlet_search(SQRT2M1, SQRT3M1, N) == expected
@@ -261,6 +272,36 @@ def test_inverse_square_floor_is_exact(m, key):
     assert _inverse_square_floor(as_surdsum(m), 1, 2**32) == key
 
 
+def test_pair_line_memoises_each_order_from_zero():
+    pair = Pair(SPEC_SQRT2M1, SPEC_SQRT3M1)
+    line = pair.line(0)
+    assert (line.n, line.P0, line.e_alpha.q_n, line.e_beta.q_n) == (0, None, 1, 1)
+    assert pair.line(0) is line
+    with pytest.raises(ParameterError, match="n must be >= 0"):
+        pair.line(-1)
+
+
+@pytest.mark.parametrize("record_x", [None, 5, 6])
+def test_dirichlet_point_guards_the_theorem_at_x_equal_to_N(monkeypatch, record_x):
+    # no pair of the test pool puts its answer at x = N, so a scan is faked:
+    # its one record, if any, has key floor(1/m**2) = 9 >= N = 5; an answer
+    # at x = N is returned, none or one past N is a theorem violation
+    def fake(scan, X):
+        first, scan.X = scan.X == 0, X
+        if record_x is None or not first:
+            return []
+        u = as_surdsum(Fraction(1, 3))
+        return [(record_x, u, [(0, u), (0, u)])]
+
+    monkeypatch.setattr(lattice, "residual_minima", fake)
+    pair = Pair(CFSpec.from_surd(SQRT2M1), CFSpec.from_surd(SQRT3M1))
+    if record_x == 5:
+        assert pair.dirichlet_point(5).point == LatticePoint(5, 0, 0)
+    else:
+        with pytest.raises(TheoremViolationError):
+            pair.dirichlet_point(5)
+
+
 def test_dirichlet_keys_are_uncapped():
     # the Dirichlet keys pass no cap: m = 0 (a rational pair) answers every N
     assert _inverse_square_floor(as_surdsum(0), 1, math.inf) == math.inf
@@ -279,7 +320,7 @@ def test_dirichlet_sweep_extends_the_scan_logarithmically(monkeypatch):
 
     monkeypatch.setattr(lattice, "residual_minima", counting)
     for alpha, beta in ((SQRT2M1, SQRT3M1), (GOLDENM1, SQRT2M1), (SURD_POOL[4], SURD_POOL[7])):
-        _best_approximations.cache_clear()
+        _pair_of.cache_clear()
         calls.clear()
         for N in range(2, 251):
             dirichlet_search(alpha, beta, N)

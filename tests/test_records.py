@@ -24,15 +24,21 @@ from littlewood.cfrac import (
     ErrorTerm,
     GrowthReport,
     InternalInconsistencyError,
-    LcmGrowthProfile,
     ResidualScan,
     cf_expand,
     residual_minima,
 )
 from littlewood.cone import ConeMembershipVerdict, ConeParams, InclusionSample, TangencyData
-from littlewood.entrytime import ApproxLine, EntryTimeReport
+from littlewood.entrytime import EntryTimeReport
 from littlewood.exactnum import DyadicInterval, SurdSum
-from littlewood.lattice import CartanReport, DirichletPoint, FEval, LatticePoint, MinRecord
+from littlewood.lattice import (
+    ApproxLine,
+    CartanReport,
+    DirichletPoint,
+    FEval,
+    LatticePoint,
+    MinRecord,
+)
 
 from nums import SQRT2M1, SQRT3M1
 
@@ -49,7 +55,6 @@ RECORDS = [
     (ErrorTerm, dict(n=2, value=SQRT2M1 - Fraction(2, 5), sign=1, p_n=2, q_n=5, q_next=12)),
     (GrowthReport, dict(ok=False, n_max=9, lam=16, first_violation=(3, "upper"))),
     (BadProfile, dict(M=3, lam=16, C_estimate=Fraction(1, 10))),
-    (LcmGrowthProfile, dict(quotients=(0.5, 0.75), liminf_estimate=0.5, limsup_estimate=0.75)),
     (LatticePoint, dict(x=5, y=2, z=4)),
     (DirichletPoint, dict(point=_POINT, N=6, U0=SQRT2M1 * 5 - 2, V0=SQRT3M1 * 5 - 4)),
     (FEval, dict(sign=1, magnitude=_IV, vs_epsilon="below")),
