@@ -227,6 +227,8 @@ class InclusionRun:
     ) -> None:
         if sample_count < 1:
             raise ParameterError("sample_count must be >= 1")
+        if seed < 0:  # random.Random(-n) draws what random.Random(n) does
+            raise ParameterError("seed must be >= 0")
         self.alpha = as_surdsum(alpha)
         self.beta = as_surdsum(beta)
         self.params = params

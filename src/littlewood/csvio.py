@@ -12,6 +12,11 @@ to ``sig`` digits, and its single ``divmod`` gives both directed roundings,
 so :func:`format_ratio_bounds` renders an enclosing (lo, hi) pair of one
 value from one search.  :func:`format_decimal` renders ints and Fractions
 through the same core.
+
+A row is written as its cells joined by commas unless a cell needs
+quoting (it holds a comma, a double quote, a carriage return or a line
+feed, or it is a row's only cell and empty); only such rows go through
+the csv module's writer, so the text is the writer's own, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from fractions import Fraction
 __all__ = ["format_decimal", "format_ratio", "format_ratio_bounds", "render_csv", "write_csv"]
 
 SIG_DIGITS = 15
+# 10**k for the scale shifts of everyday values; larger k is computed
+_POW10 = tuple(10**k for k in range(128))
 
 
 def _check(den: int, sig: int, direction: int = 0) -> None:
@@ -44,14 +51,14 @@ def _scaled(a: int, den: int, sig: int) -> tuple[int, int, int, int]:
     itself (both bounds are integers, so q alone decides them): a right
     estimate costs one divmod."""
     e10 = math.floor(math.log10(a) - math.log10(den))
-    top = 10**sig
+    top = _POW10[sig] if sig < len(_POW10) else 10**sig
     while True:
         shift = sig - 1 - e10
         if shift >= 0:
             d = den
-            q, r = divmod(a * 10**shift, d)
+            q, r = divmod(a * (_POW10[shift] if shift < len(_POW10) else 10**shift), d)
         else:
-            d = den * 10**-shift
+            d = den * (_POW10[-shift] if -shift < len(_POW10) else 10**-shift)
             q, r = divmod(a, d)
         if q >= top:
             e10 += 1
@@ -69,17 +76,16 @@ def _render(mag: int, e10: int, sig: int, neg: bool) -> str:
     if len(digits) > sig:  # rounded up to 10**sig: one digit fewer, one decade up
         digits = digits[:sig]
         e10 += 1
+    sign = "-" if neg else ""
     if -4 <= e10 < sig:
         if e10 >= 0:
-            intpart, fracpart = digits[: e10 + 1], digits[e10 + 1 :]
-        else:
-            intpart, fracpart = "0", "0" * (-e10 - 1) + digits
-        fracpart = fracpart.rstrip("0")
-        body = intpart + ("." + fracpart if fracpart else "")
-    else:
-        tail = digits[1:].rstrip("0")
-        body = f"{digits[0]}{'.' + tail if tail else ''}e{e10:+03d}"
-    return "-" + body if neg else body
+            point = e10 + 1
+            frac = digits[point:].rstrip("0")
+            return f"{sign}{digits[:point]}.{frac}" if frac else sign + digits[:point]
+        # the leading digit is nonzero, so the fraction is too
+        return f"{sign}0.{'0' * (-e10 - 1)}{digits.rstrip('0')}"
+    tail = digits[1:].rstrip("0")
+    return f"{sign}{digits[0]}.{tail}e{e10:+03d}" if tail else f"{sign}{digits[0]}e{e10:+03d}"
 
 
 def format_ratio(num: int, den: int, sig: int = SIG_DIGITS, direction: int = 0) -> str:
@@ -139,9 +145,18 @@ def render_csv(
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    write = buf.write
     writer.writerow(list(header))
     for row in rows:
-        writer.writerow([str(cell) for cell in row])
+        line = ",".join(map(str, row))
+        # rows the csv module may quote go through it: a comma inside a
+        # cell adds to the comma count, and a lone empty cell joins to ""
+        if line.count(",") == len(row) - 1 and line and not (
+            '"' in line or "\n" in line or "\r" in line
+        ):
+            write(line + "\n")
+        else:
+            writer.writerow([str(cell) for cell in row])
     if callable(metadata):
         metadata = metadata()
     if metadata:

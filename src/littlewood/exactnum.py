@@ -121,7 +121,8 @@ def iroot(n: int, k: int) -> int:
 def _outward(lo_num: int, hi_num: int, den: int, bits: int) -> tuple[int, int]:
     """Mantissas over 2**-bits of the rational interval [lo_num/den,
     hi_num/den] (den > 0), rounded outward: the floor of the lower end and
-    the ceiling of the upper end.  All outward rounding goes through here."""
+    the ceiling of the upper end.  :meth:`DyadicInterval.of_surd_terms`
+    rounds its terms itself, from one divmod per term."""
     return (lo_num << bits) // den, -((-hi_num << bits) // den)
 
 
@@ -158,21 +159,28 @@ class DyadicInterval:
         ``terms``, with rad = 1 or squarefree, q > 0 and p != 0; p/q need not
         be reduced, since every bound is a floor or a ceiling of an exact
         term.  Each term is rounded outward at a few guard bits above
-        ``bits`` (more terms, more guard bits) and the sum is exact."""
+        ``bits`` (more terms, more guard bits) and the sum is exact.
+
+        A term's two bounds come from one ``divmod(m*p, q) = (t, r)``, with
+        m = 2**work for rad = 1 and m = floor(sqrt(rad) * 2**work) otherwise,
+        when sqrt(rad) lies in (m, m + 1) * 2**-work.  Then m*p/q has floor
+        t and ceiling t + (r != 0), and (m + 1)*p/q = t + (r + p)/q, whose
+        floor or ceiling needs only a division of the small r + p."""
         work = bits + max(1, len(terms)).bit_length() + 4
         lo = hi = 0
         for rad, p, q in terms:
             if rad == 1:
-                t_lo, t_hi = _outward(p, p, q, work)
-            else:
-                # sqrt(rad) lies in (m, m + 1) * 2**-work: rad > 1 is squarefree
-                m = _sqrt_floor(rad, work)
-                if p > 0:
-                    t_lo, t_hi = _outward(m * p, (m + 1) * p, q, 0)
-                else:
-                    t_lo, t_hi = _outward((m + 1) * p, m * p, q, 0)
-            lo += t_lo
-            hi += t_hi
+                t, r = divmod(p << work, q)
+                lo += t
+                hi += t + (r != 0)
+                continue
+            t, r = divmod(_sqrt_floor(rad, work) * p, q)
+            if p > 0:  # [m*p/q, (m + 1)*p/q]
+                lo += t
+                hi += t - (-(r + p) // q)
+            else:  # [(m + 1)*p/q, m*p/q]
+                lo += t + (r + p) // q
+                hi += t + (r != 0)
         return cls(lo, hi, work)
 
     @property

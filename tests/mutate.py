@@ -48,6 +48,23 @@ EQUIVALENT = {
     ("certificate:_geometric_grid", "N <= ceiling", "<=", "<"):
         "at N = ceiling the closing append adds the ceiling the loop no longer "
         "does, and an empty list falls back to [N0] = [ceiling]",
+    ("csvio:format_ratio", "num < 0", "<", "<="):
+        "num = 0 has returned \"0\" before the test",
+    ("csvio:format_ratio_bounds", "num < 0", "<", "<="):
+        "num = 0 has returned (\"0\", \"0\") before the test",
+    ("csvio:format_ratio", "direction < 0", "<", "<="):
+        "direction = 0 took the branch before, so direction is -1 or 1 here",
+    ("csvio:_scaled", "shift >= 0", ">=", ">"):
+        "at shift = 0 the other branch divides a by den * 10**0 = den: the same divmod",
+    ("exactnum:DyadicInterval.of_surd_terms", "p > 0", ">", ">="):
+        "only p = 0 tells the branches apart, and there t = r = 0, so both add 0 to "
+        "both ends",
+    ("cone:_sample_chunk", "r2 < one2", "<", "<="):
+        "U*U + V*V = 4**53 has no solution with U and V nonzero (squares are 0 or 1 "
+        "mod 4, so both are even, and halving both descends to a sum of 1)",
+    ("cone:_sample_chunk", "M > 0", ">", ">="):
+        "M = (r2 - one2) * (top - X)**2 * p with r2 < one2, p > 0 and "
+        "X <= one + (N-1)*(2**53 - 1) < top, so M < 0 on every draw",
 }
 
 

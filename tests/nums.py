@@ -1,7 +1,8 @@
 """Shared test numbers, small generators, the CSV reader, and the
 Fraction-coefficient SurdSum ring, continued-fraction cycle, entry-time, entry-time comparator,
 running-minimum (numpy and convergent), Dirichlet-point, transversality,
-every-N certificate search, cone-row, u-grid and interval Horner oracles."""
+every-N certificate search, cone-row, u-grid, interval Horner and
+surd-term enclosure oracles."""
 
 import csv
 import math
@@ -131,6 +132,30 @@ class FracSurd:
         return DyadicInterval.of_surd_terms(
             [(rad, c.numerator, c.denominator) for rad, c in self.terms.items()], bits
         )
+
+
+def surd_terms_outward(terms, bits: int) -> tuple[int, int, int]:
+    """(lo_m, hi_m, exp) of DyadicInterval.of_surd_terms(terms, bits) in its
+    two-rounding form: each term's ends rounded outward by their own floor
+    and ceiling divisions."""
+
+    def outward(lo_num: int, hi_num: int, den: int, shift: int) -> tuple[int, int]:
+        return (lo_num << shift) // den, -((-hi_num << shift) // den)
+
+    work = bits + max(1, len(terms)).bit_length() + 4
+    lo = hi = 0
+    for rad, p, q in terms:
+        if rad == 1:
+            t_lo, t_hi = outward(p, p, q, work)
+        else:
+            m = math.isqrt(rad << 2 * work)  # sqrt(rad) in (m, m + 1) * 2**-work
+            if p > 0:
+                t_lo, t_hi = outward(m * p, (m + 1) * p, q, 0)
+            else:
+                t_lo, t_hi = outward((m + 1) * p, m * p, q, 0)
+        lo += t_lo
+        hi += t_hi
+    return lo, hi, work
 
 
 def _squarefree_by_trial(n: int) -> tuple[int, int]:

@@ -363,6 +363,24 @@ def test_b3_scan_run(tmp_path, capsys):
         f"pair ({a}, {b}), eps={eps}" for a, b, eps in labels]
 
 
+def test_b3_scan_quotes_labels_that_hold_commas(tmp_path):
+    # a cf: label holds commas, so its cells are quoted; the other cells of
+    # the row, the empty x0 cells among them, are not
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("cf:[0;(1,2)] cf:[0;(2,3)]\n")
+    out = tmp_path / "b3.csv"
+    rc = _run(["b3-scan", "--pairs", str(pairs), "--frac", "--epsilons", "1/100",
+               "--u-points", "10", "--out", str(out)])
+    assert rc == 0
+    lines = [ln for ln in out.read_text().splitlines()[1:] if not ln.startswith("#")]
+    assert lines and all(ln.startswith('"cf:[0;(1,2)]","cf:[0;(2,3)]",1/100,') for ln in lines)
+    table = read_csv(out)
+    assert {(r["alpha"], r["beta"]) for r in table.rows} == {("cf:[0;(1,2)]", "cf:[0;(2,3)]")}
+    empty = [r for r in table.rows if r["reason"] == "transversality-fail"]
+    assert empty and all(r["x0"] == "" for r in empty)
+    assert all(",," in ln for ln in lines if ln.endswith(",transversality-fail"))
+
+
 def test_b3_scan_refuses_a_purely_periodic_quotient_above_3(tmp_path, capsys):
     # 2 + sqrt(5) = [4; 4, 4, ...]: its a_0 = 4 recurs, so the pair fails
     # the bounded-quotient gate before any cell runs
@@ -499,6 +517,9 @@ def test_usage_errors_exit_2(tmp_path):
          "--epsilon", "1/1000000000000000000000000000057"],
         ["b3-scan", "--pairs", "CF_PAIRS", "--frac",
          "--epsilons", "1000000000000000000057/100000000000000000000117"],
+        # a negative seed would repeat the rows of its absolute value
+        ["cone-check", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "10",
+         "--epsilon", "1/100", "--samples", "5", "--seed=-5"],
     ],
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
          "b3-max-N-0", "b3-max-N-negative",
@@ -507,7 +528,7 @@ def test_usage_errors_exit_2(tmp_path):
          "certificate-floor-above-max-N",
          "cf-quotient-0", "cf-quotient-negative",
          "quad-denominator-0", "quad-radicand-negative",
-         "cone-radicand-uncertified", "b3-radicand-uncertified"],
+         "cone-radicand-uncertified", "b3-radicand-uncertified", "cone-seed-negative"],
 )
 def test_bad_input_exits_2_with_a_message(tmp_path, capsys, argv):
     pairs = tmp_path / "pairs.txt"

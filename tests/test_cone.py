@@ -264,6 +264,10 @@ def test_inclusion_run_streams_the_report():
     assert run.crosschecked == again.crosschecked == len(rows[:: 700 // _CROSSCHECKS]) == 34
     with pytest.raises(ParameterError):
         InclusionRun(SQRT2M1, SQRT3M1, params, 0)
+    # seed 0 is the least seed; -1 would draw the rows of seed 1
+    assert list(InclusionRun(SQRT2M1, SQRT3M1, params, 3, seed=0))
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        InclusionRun(SQRT2M1, SQRT3M1, params, 3, seed=-1)
 
 
 def test_sample_point_coordinates_match_the_surd_route():

@@ -1,14 +1,19 @@
 """format_decimal against the Fraction implementation it replaced, the
-integer entry points against format_decimal, argument checks, and the
-streamed rows / deferred metadata of render_csv."""
+integer entry points against format_decimal, argument checks, and
+render_csv: its streamed rows and deferred metadata, and its bytes
+against the csv module's writer."""
 
+import csv
+import io
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from littlewood.cone import ConeParams, InclusionRun
 from littlewood.csvio import (
+    _POW10,
     SIG_DIGITS,
     format_decimal,
     format_ratio,
@@ -119,6 +124,20 @@ def test_ints_and_small_values():
     assert format_decimal(True) == "1"
 
 
+@pytest.mark.parametrize("sig", [1, SIG_DIGITS, len(_POW10) - 1, len(_POW10), len(_POW10) + 1])
+def test_scale_shifts_at_the_ends_of_the_powers_of_ten_table(sig):
+    # shifts and sig just inside, at and past the last table entry, either
+    # way: 10**k read from the table, or computed past it
+    n = len(_POW10)
+    for shift in (n - 2, n - 1, n, n + 1):
+        for e10 in (sig - 1 - shift, sig - 1 + shift):
+            p = Fraction(10) ** e10
+            for x in (p, p * Fraction(10**sig + 1, 10**sig), p * Fraction(7, 3)):
+                _agree(x, sig)
+                _agree(-x, sig)
+                _bounds(x.numerator, x.denominator, sig)
+
+
 def test_a_low_exponent_estimate_is_raised_on_the_quotient():
     # log10(50) - log10(5) reads 0.9999999999999999 in floats, so the
     # exponent estimate is one decade low and the quotient check lifts it;
@@ -140,6 +159,60 @@ def test_streamed_rows_and_deferred_metadata():
     text = render_csv(["i", "q"], rows(), lambda: {"rows": len(seen)})
     assert text == "i,q\n0,0\n1,0.25\n2,0.5\n# rows = 3\n"
     assert render_csv(["i"], [[1]], {"a": 1}) == "i\n1\n# a = 1\n"
+
+
+def csv_module_text(header, rows, metadata=None) -> str:
+    """render_csv by the csv module's writer alone, every row quoted as it
+    decides."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([str(cell) for cell in row])
+    if callable(metadata):
+        metadata = metadata()
+    for key in metadata or {}:
+        buf.write(f"# {key} = {metadata[key]}\n")
+    return buf.getvalue()
+
+
+# cells that need quoting, cells that do not, and the ones at the edge:
+# spaces, empty strings and non-str cells
+_text_cells = st.text(alphabet=st.sampled_from(list(',"\r\n ab1.-e+')), max_size=6)
+_cells = st.one_of(
+    _text_cells,
+    st.sampled_from(["", " ", ",", '"', "\r", "\n", "\r\n", 'a"b', "a,b", "ok"]),
+    st.integers(),
+    st.booleans(),
+    st.fractions(max_denominator=1000),
+)
+_rows = st.lists(st.lists(_cells, max_size=5), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rows)
+def test_render_csv_writes_what_the_csv_module_writes(rows):
+    rows = [*rows, [""], [], [" "], [True, 0, Fraction(-1, 3)]]
+    assert render_csv(["h", "i"], rows) == csv_module_text(["h", "i"], rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_rows)
+def test_render_csv_streams_rows_with_callable_metadata(rows):
+    def streamed():
+        yield from (tuple(row) for row in rows)
+
+    def metadata():
+        return {"rows": len(rows), "cells": sum(map(len, rows))}
+
+    assert render_csv(["h"], streamed(), metadata) == csv_module_text(["h"], rows, metadata)
+
+
+def test_render_csv_quotes_only_where_the_csv_module_does():
+    rows = [[""], [], ["", ""], ["a,b", 1], ['say "x"'], ["a\nb", ""], [" a "]]
+    text = render_csv(["h"], rows)
+    assert text == 'h\n""\n\n,\n"a,b",1\n"say ""x"""\n"a\nb",\n a \n'
+    assert text == csv_module_text(["h"], rows)
 
 
 # -- the paired renderer --------------------------------------------------

@@ -17,6 +17,8 @@ import pytest
 
 from littlewood.exactnum import DyadicInterval, SurdSum
 
+from nums import surd_terms_outward
+
 BITS = (8, 53, 64, 160)
 
 
@@ -194,3 +196,32 @@ def test_surdsum_interval_and_fixed_enclosure_match_oracle():
             v = mp_value(s)
             assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= v
             assert v <= mpmath.mpf(iv.hi.numerator) / iv.hi.denominator
+
+
+def test_surd_terms_match_the_two_rounding_form():
+    # one divmod per term against a floor and a ceiling division per end:
+    # rad = 1 and squarefree radicands, both signs, unreduced p/q (a
+    # common factor, q a power of two or q = 1), 0 to 4 terms
+    rng = random.Random(37)
+    rads = [1, 2, 3, 5, 6, 7, 30, 78, 9999991]
+    for _ in range(3000):
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            p = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 80))
+            q = rng.choice((1, 1 << rng.randint(0, 300), rng.randint(1, 10 ** rng.randint(1, 80))))
+            k = rng.choice((1, 1, rng.randint(2, 10**6)))
+            terms.append((rng.choice(rads), k * p, k * q))
+        bits = rng.randint(1, 256)
+        iv = DyadicInterval.of_surd_terms(terms, bits)
+        assert (iv.lo_m, iv.hi_m, iv.exp) == surd_terms_outward(terms, bits), (terms, bits)
+
+
+@pytest.mark.parametrize("rad", [1, 2])
+@pytest.mark.parametrize("p", [1, -1, 3, -3, 7, -7])
+def test_surd_term_ends_at_small_exact_quotients(rad, p):
+    # q dividing m*p, or r + p landing on 0 or on q: every carry of the
+    # second division, at every q up to 9 and at precisions 1 to 8
+    for q in range(1, 10):
+        for bits in range(1, 9):
+            iv = DyadicInterval.of_surd_terms([(rad, p, q)], bits)
+            assert (iv.lo_m, iv.hi_m, iv.exp) == surd_terms_outward([(rad, p, q)], bits)
