@@ -22,8 +22,8 @@ from collections import Counter
 from . import __version__
 from .cfrac import CFError, levy_quotient, LEVY_AE_LOG
 from .certificate import b3_infeasibility_scan, certificate_search
-from .cone import ConeParams, InclusionRun, sample_point_coordinates
-from .csvio import format_decimal, format_ratio, format_ratio_bounds, write_csv
+from .cone import ConeParams, InclusionRun, sample_point_midpoints
+from .csvio import RatioRenderer, format_decimal, write_csv
 from .entrytime import entry_time, transversality_check
 from .lattice import Pair, ParameterError, brute_min_scan, cartan_measure
 from .numspec import NumberSpecError, parse_exact_fraction, parse_number_spec
@@ -73,16 +73,17 @@ def _cmd_cone_check(ns: argparse.Namespace) -> int:
     alpha, beta = (spec.value() for spec in _numbers(ns))
     params = ConeParams.make(ns.N, parse_exact_fraction(ns.epsilon))
     run = InclusionRun(alpha, beta, params, ns.samples, seed=ns.seed)
+    x_col, y_col, z_col, margin_col, f_col = map(RatioRenderer, run.denominators)
 
     def rows():  # streamed into write_csv, which asks for the counts at the end
         for smp in run:
-            y_iv, z_iv = sample_point_coordinates(run, smp)
+            y, z = sample_point_midpoints(run, smp)
             yield [
-                format_ratio(*smp.x_ratio),
-                format_ratio(*y_iv.midpoint_ratio()),
-                format_ratio(*z_iv.midpoint_ratio()),
-                *format_ratio_bounds(*smp.margin_ratio),
-                *format_ratio_bounds(*smp.f_ratio),
+                x_col.render(smp.x_num),
+                y_col.render(y),
+                z_col.render(z),
+                *margin_col.bounds(smp.margin_num),
+                *f_col.bounds(smp.f_num),
                 "violation" if smp.violation else "ok",
             ]
 

@@ -12,9 +12,11 @@ The sampler, :class:`InclusionRun`, works on integers: every draw is
 k/2**53, so x, u, v, f and the margin are integer numerators over fixed
 denominators and every verdict is an integer comparison.  It streams its
 rows.  A row is reported from those integers too: x, f and the margin as
-(numerator, denominator) pairs, and y and z as enclosures computed from
-integer forms of their SurdSum terms, which the run builds once, with
-sqrt(phi), when it is made.
+numerators over the run's fixed denominators, and y and z as enclosures
+of their SurdSums.  Each coordinate is a sum of integer linear forms in
+the sample's numerators times square roots, and the run takes those roots
+once, when it is made, so a row costs one outward-rounding pass per
+coordinate (``exactnum._linear_surd_bounds``) and no root.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from fractions import Fraction
 from .exactnum import (
     DyadicInterval,
     SurdSum,
+    _linear_surd_bounds,
+    _linear_surd_forms,
     as_surdsum,
     certified_sign,
 )
@@ -40,6 +44,7 @@ __all__ = [
     "phi",
     "cone_contains",
     "base_tangency",
+    "sample_point_midpoints",
 ]
 
 _CHUNK = 2048  # samples per seeded generator; the rows depend on it, so it is fixed
@@ -125,29 +130,16 @@ class InclusionSample(namedtuple("InclusionSample",
 
     Held as integer numerators: x, u and v over 2**53, f over
     phi_den * 2**265 and the margin (u^2+v^2-1)*phi*(N-x)^2 over
-    phi_den * 2**212.  The ``*_ratio`` properties give x, f and the margin
-    as unreduced (numerator, denominator) pairs, the others read the values
-    as exact Fractions.  ``violation`` is set when 0 < |f| <= eps or
-    margin <= 0 fails.
+    phi_den * 2**212 (InclusionRun.denominators has them); the properties
+    read the values as exact Fractions.  ``violation`` is set when
+    0 < |f| <= eps or margin <= 0 fails.
     """
 
     __slots__ = ()
 
     @property
-    def x_ratio(self) -> tuple[int, int]:
-        return self.x_num, 1 << _UNIT_BITS
-
-    @property
-    def f_ratio(self) -> tuple[int, int]:
-        return self.f_num, self.phi_den << 5 * _UNIT_BITS
-
-    @property
-    def margin_ratio(self) -> tuple[int, int]:
-        return self.margin_num, self.phi_den << 4 * _UNIT_BITS
-
-    @property
     def x(self) -> Fraction:
-        return Fraction(*self.x_ratio)
+        return Fraction(self.x_num, 1 << _UNIT_BITS)
 
     @property
     def u(self) -> Fraction:
@@ -159,11 +151,11 @@ class InclusionSample(namedtuple("InclusionSample",
 
     @property
     def f(self) -> Fraction:
-        return Fraction(*self.f_ratio)
+        return Fraction(self.f_num, self.phi_den << 5 * _UNIT_BITS)
 
     @property
     def margin(self) -> Fraction:
-        return Fraction(*self.margin_ratio)
+        return Fraction(self.margin_num, self.phi_den << 4 * _UNIT_BITS)
 
 
 def _sample_chunk(
@@ -218,8 +210,10 @@ class InclusionRun:
 
     ``sqrt_phi`` is sqrt(phi) = sqrt(2*eps/N) / (N-1), the perfect square
     (N-1)^2 pulled out of the radicand so that even desk-scale N keeps it
-    factorable, and ``forms`` are the integer forms of y and z that
-    :func:`sample_point_coordinates` reads.
+    factorable.  The integer forms of y and z, with their roots, are built
+    with it, once.  ``denominators`` are those of a row's x, y, z, margin
+    and f numerators: ``x_num``, the two of :func:`sample_point_midpoints`,
+    ``margin_num`` and ``f_num``.
     """
 
     def __init__(
@@ -238,7 +232,17 @@ class InclusionRun:
         self.sqrt_phi = SurdSum.sqrt(
             Fraction(2 * params.epsilon, params.N), coeff=Fraction(1, params.N - 1)
         )
-        self.forms = _coordinate_forms(self.alpha, self.beta, self.sqrt_phi)
+        # y and z as (forms, work, rooted): the integer forms (rad, a, b,
+        # den), and the precision and forms (m, a, b, den) of
+        # _linear_surd_bounds, with the roots m taken here, once
+        self._y, self._z = (
+            (forms, *_linear_surd_forms(forms, _COORDINATE_BITS))
+            for forms in _coordinate_forms(self.alpha, self.beta, self.sqrt_phi)
+        )
+        self._top = params.N << _UNIT_BITS
+        phi_den = params.phi.denominator
+        self.denominators = (1 << _UNIT_BITS, 2 << self._y[1], 2 << self._z[1],
+                             phi_den << 4 * _UNIT_BITS, phi_den << 5 * _UNIT_BITS)
         self.samples = self.crosschecked = 0
         self.violations: list[InclusionSample] = []
 
@@ -294,15 +298,30 @@ def _coordinate_forms(
     return tuple(forms)
 
 
-def _coordinate_interval(
+def _coordinate_bounds(
+    run: InclusionRun, sample: InclusionSample
+) -> tuple[tuple[tuple[int, int], int], tuple[tuple[int, int], int]]:
+    """The y and z enclosures of a sample of ``run``, each as ((lo_m, hi_m),
+    exp): at the run's precision, or, where a term cancels, from the terms
+    left at their own precision, as the exact SurdSum's ``interval(128)``
+    has it."""
+    X = sample.x_num
+    S = run._top - X
+    (y_forms, y_work, y_rooted), (z_forms, z_work, z_rooted) = run._y, run._z
+    y_W, z_W = sample.u_num * S, sample.v_num * S
+    y = _linear_surd_bounds(y_rooted, X, y_W, y_work)
+    z = _linear_surd_bounds(z_rooted, X, z_W, z_work)
+    return ((y, y_work) if y is not None else _live_term_bounds(y_forms, X, y_W),
+            (z, z_work) if z is not None else _live_term_bounds(z_forms, X, z_W))
+
+
+def _live_term_bounds(
     forms: tuple[tuple[int, int, int, int], ...], X: int, W: int
-) -> DyadicInterval:
-    terms = []
-    for rad, a, b, den in forms:
-        p = a * X + b * W
-        if p:
-            terms.append((rad, p, den))
-    return DyadicInterval.of_surd_terms(terms, _COORDINATE_BITS)
+) -> tuple[tuple[int, int], int]:
+    """((lo_m, hi_m), exp) of the terms of ``forms`` with p = a*X + b*W != 0."""
+    live = [(rad, p, den) for rad, a, b, den in forms if (p := a * X + b * W)]
+    iv = DyadicInterval.of_surd_terms(live, _COORDINATE_BITS)
+    return (iv.lo_m, iv.hi_m), iv.exp
 
 
 def sample_point_coordinates(
@@ -310,11 +329,15 @@ def sample_point_coordinates(
 ) -> tuple[DyadicInterval, DyadicInterval]:
     """The y and z coordinates of a sample of ``run`` for reporting, as the
     enclosures ``interval(128)`` of their exact SurdSums (x is exact on
-    the sample: ``sample.x`` or ``sample.x_ratio``)."""
-    y_forms, z_forms = run.forms
-    X = sample.x_num
-    S = (run.params.N << _UNIT_BITS) - X
-    return (
-        _coordinate_interval(y_forms, X, sample.u_num * S),
-        _coordinate_interval(z_forms, X, sample.v_num * S),
-    )
+    the sample: ``sample.x``)."""
+    (y, y_exp), (z, z_exp) = _coordinate_bounds(run, sample)
+    return DyadicInterval(*y, y_exp), DyadicInterval(*z, z_exp)
+
+
+def sample_point_midpoints(run: InclusionRun, sample: InclusionSample) -> tuple[int, int]:
+    """The midpoints of :func:`sample_point_coordinates` as numerators over
+    ``run.denominators[1]`` and ``[2]``, 2**(work+1) at the run's precision:
+    lo_m + hi_m, shifted up where a term cancelled.  This is a cone-check
+    row's y and z."""
+    ((y_lo, y_hi), y_exp), ((z_lo, z_hi), z_exp) = _coordinate_bounds(run, sample)
+    return (y_lo + y_hi) << run._y[1] - y_exp, (z_lo + z_hi) << run._z[1] - z_exp

@@ -15,9 +15,11 @@ Two layers:
 * ``DyadicInterval`` -- the one interval representation: integer
   mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
   irrational sign is decided.  Sums and products are exact integer
-  operations; leaves, division and square roots round outward through one
-  helper.  A SurdSum keeps its enclosure at SIGN_BITS_START, the one every
-  certified sign, floor and polynomial probe tries first.
+  operations; leaves, division and square roots round outward, a sum of
+  surd terms through one loop over integer linear forms, which the cone
+  sampler also runs on its coordinates.  A SurdSum keeps its enclosure at
+  SIGN_BITS_START, the one every certified sign, floor and polynomial
+  probe tries first.
 
 ``certified_sign`` ties the layers together: interval evaluation with a
 doubling precision schedule from 64 bits, which stops at the precision
@@ -121,9 +123,54 @@ def iroot(n: int, k: int) -> int:
 def _outward(lo_num: int, hi_num: int, den: int, bits: int) -> tuple[int, int]:
     """Mantissas over 2**-bits of the rational interval [lo_num/den,
     hi_num/den] (den > 0), rounded outward: the floor of the lower end and
-    the ceiling of the upper end.  :meth:`DyadicInterval.of_surd_terms`
-    rounds its terms itself, from one divmod per term."""
+    the ceiling of the upper end.  :func:`_linear_surd_bounds` rounds its
+    terms itself, from one divmod per term."""
     return (lo_num << bits) // den, -((-hi_num << bits) // den)
+
+
+def _linear_surd_forms(terms: Sequence[tuple[int, int, int, int]], bits: int) -> tuple[int, list]:
+    """(work, forms) for :func:`_linear_surd_bounds` from terms (rad, a, b,
+    q), rad = 1 or squarefree and q > 0: the precision, a few guard bits
+    above ``bits`` (more terms, more guard bits), and each term with its
+    root m = floor(sqrt(rad) * 2**work) in place of rad, or None for 1."""
+    work = bits + max(1, len(terms)).bit_length() + 4
+    return work, [
+        (None if rad == 1 else _sqrt_floor(rad, work), a, b, q) for rad, a, b, q in terms
+    ]
+
+
+def _linear_surd_bounds(
+    forms: Sequence[tuple[int | None, int, int, int]], X: int, W: int, work: int
+) -> tuple[int, int] | None:
+    """Mantissas over 2**-work of the sum of p/q * sqrt(rad), p = a*X + b*W,
+    over the forms (m, a, b, q) of :func:`_linear_surd_forms`, each term
+    rounded outward and the sum exact; None when some p is 0 (the term
+    count, and with it the precision, would then be wrong).  p/q need not
+    be reduced, since every bound is a floor or a ceiling of an exact term.
+
+    A term's two bounds come from one ``divmod(m*p, q) = (t, r)``, with
+    sqrt(rad) in (m, m + 1) * 2**-work (for rad = 1, m is None and the
+    root 2**work is exact).  Then m*p/q has floor t and ceiling
+    t + (r != 0), and (m + 1)*p/q = t + (r + p)/q, whose floor or ceiling
+    needs only a division of the small r + p."""
+    lo = hi = 0
+    for m, a, b, q in forms:
+        p = a * X + b * W
+        if not p:
+            return None
+        if m is None:
+            t, r = divmod(p << work, q)
+            lo += t
+            hi += t + (r != 0)
+            continue
+        t, r = divmod(m * p, q)
+        if p > 0:  # [m*p/q, (m + 1)*p/q]
+            lo += t
+            hi += t - (-(r + p) // q)
+        else:  # [(m + 1)*p/q, m*p/q]
+            lo += t + (r + p) // q
+            hi += t + (r != 0)
+    return lo, hi
 
 
 class DyadicInterval:
@@ -133,9 +180,10 @@ class DyadicInterval:
     Sums, differences and products are exact (a sum aligns the scales by
     shifting, a product multiplies the mantissas and adds the scales), so
     only leaves (:meth:`point`, :meth:`of_surd_terms`, square roots),
-    :meth:`divide` and :meth:`sqrt` round, always outward.  ``lo``, ``hi``,
-    ``width`` and ``midpoint()`` read as exact Fractions, and equality is by
-    value.  Instances are not changed after construction.
+    :meth:`divide` and :meth:`sqrt` round, always outward; a sum of surd
+    terms rounds in :func:`_linear_surd_bounds`, the one loop for it.
+    ``lo``, ``hi``, ``width`` and ``midpoint()`` read as exact Fractions,
+    and equality is by value.  Instances are not changed after construction.
     """
 
     __slots__ = ("lo_m", "hi_m", "exp")
@@ -156,32 +204,14 @@ class DyadicInterval:
     @classmethod
     def of_surd_terms(cls, terms: Sequence[tuple[int, int, int]], bits: int) -> "DyadicInterval":
         """Enclosure of the sum of p/q * sqrt(rad) over the (rad, p, q) in
-        ``terms``, with rad = 1 or squarefree, q > 0 and p != 0; p/q need not
-        be reduced, since every bound is a floor or a ceiling of an exact
-        term.  Each term is rounded outward at a few guard bits above
-        ``bits`` (more terms, more guard bits) and the sum is exact.
-
-        A term's two bounds come from one ``divmod(m*p, q) = (t, r)``, with
-        m = 2**work for rad = 1 and m = floor(sqrt(rad) * 2**work) otherwise,
-        when sqrt(rad) lies in (m, m + 1) * 2**-work.  Then m*p/q has floor
-        t and ceiling t + (r != 0), and (m + 1)*p/q = t + (r + p)/q, whose
-        floor or ceiling needs only a division of the small r + p."""
-        work = bits + max(1, len(terms)).bit_length() + 4
-        lo = hi = 0
-        for rad, p, q in terms:
-            if rad == 1:
-                t, r = divmod(p << work, q)
-                lo += t
-                hi += t + (r != 0)
-                continue
-            t, r = divmod(_sqrt_floor(rad, work) * p, q)
-            if p > 0:  # [m*p/q, (m + 1)*p/q]
-                lo += t
-                hi += t - (-(r + p) // q)
-            else:  # [(m + 1)*p/q, m*p/q]
-                lo += t + (r + p) // q
-                hi += t + (r != 0)
-        return cls(lo, hi, work)
+        ``terms``, with rad = 1 or squarefree, q > 0 and p != 0 (a term with
+        p = 0 raises ValueError); p/q need not be reduced.  It is
+        :func:`_linear_surd_bounds` on the forms (rad, p, 0, q) at X = 1."""
+        work, forms = _linear_surd_forms([(rad, p, 0, q) for rad, p, q in terms], bits)
+        bounds = _linear_surd_bounds(forms, 1, 0, work)
+        if bounds is None:
+            raise ValueError("a surd term has numerator 0")
+        return cls(*bounds, work)
 
     @property
     def lo(self) -> Fraction:
@@ -195,12 +225,8 @@ class DyadicInterval:
     def width(self) -> Fraction:
         return Fraction(self.hi_m - self.lo_m, 1 << self.exp)
 
-    def midpoint_ratio(self) -> tuple[int, int]:
-        """The midpoint as an unreduced (numerator, denominator) pair."""
-        return self.lo_m + self.hi_m, 1 << (self.exp + 1)
-
     def midpoint(self) -> Fraction:
-        return Fraction(*self.midpoint_ratio())
+        return Fraction(self.lo_m + self.hi_m, 1 << (self.exp + 1))
 
     def __float__(self) -> float:
         return (self.lo_m + self.hi_m) / (1 << (self.exp + 1))
@@ -529,7 +555,11 @@ class SurdSum:
 
     def _enclose(self, bits: int) -> DyadicInterval:
         den = self._den
-        return DyadicInterval.of_surd_terms([(rad, n, den) for rad, n in self._num.items()], bits)
+        # of_surd_terms on the forms (rad, n, 0, den), built here without
+        # its (rad, p, q) tuples: every sign decision starts here.  No None
+        # check, since a SurdSum stores no zero numerator, so no p is 0
+        work, forms = _linear_surd_forms([(rad, n, 0, den) for rad, n in self._num.items()], bits)
+        return DyadicInterval(*_linear_surd_bounds(forms, 1, 0, work), work)
 
     def _sign_exact(self, bits: int) -> int:
         """Sign from one evaluation at ``bits = _separation_bits(self)``,

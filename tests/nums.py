@@ -7,7 +7,6 @@ surd-term enclosure oracles."""
 import csv
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -542,8 +541,10 @@ class CsvTable(NamedTuple):
 def read_csv(path) -> CsvTable:
     """A CSV written by ``csvio.write_csv``: its rows and its metadata
     block, split where the first "#" line starts; every line after it
-    must be a "# key = value" line."""
-    lines = Path(path).read_text().splitlines(keepends=True)
+    must be a "# key = value" line.  The file is read as written, without
+    newline translation, so a quoted cell keeps a carriage return."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines(keepends=True)
     split = next((i for i, ln in enumerate(lines) if ln.startswith("#")), len(lines))
     header, *rows = csv.reader(lines[:split])
     metadata = {}

@@ -232,6 +232,12 @@ def test_cone_check_run(tmp_path):
         # so the y form merges two terms in sqrt(2), the shape that can cancel
         ("quad:0,1,64,2", "sqrt:3", 2, "2", 5, 2048 + 301),
         ("rat:2/7", "sqrt:5", 37, "0.0004", 2**40, 2048 + 301),
+        # the benchmark's shape: radicands near 3000, N up to 199
+        ("quad:1,1,2,2917", "quad:3,2,5,2963", 199, "7/10000", 7, 2048 + 301),
+        # 2*eps/N = 1: sqrt(phi) = 1/7 is rational, so the rad-1 term of each
+        # coordinate carries the s part
+        ("sqrt:2", "sqrt:3", 8, "4", 2, 500),
+        ("quad:1,1,2,5", "sqrt:7", 5, "1/10", 4, 500),
     ],
 )
 def test_cone_csv_matches_the_fraction_renderer(tmp_path, alpha, beta, N, eps, seed, samples):
@@ -247,6 +253,46 @@ def test_cone_csv_matches_the_fraction_renderer(tmp_path, alpha, beta, N, eps, s
     params = ConeParams.make(N, parse_exact_fraction(eps))
     rows = cone_rows_fraction(alpha_v, beta_v, params, samples, seed)
     assert out.read_bytes() == render_csv(CONE_HEADER, rows, table.metadata).encode()
+
+
+def test_cone_check_takes_roots_and_builds_renderers_once_per_run(tmp_path, monkeypatch):
+    # the coordinate roots and the five column renderers are per-run work:
+    # outside the cross-check, whose row count is fixed near 32, a run of
+    # 3000 rows takes as many roots and builds as many renderers as a run
+    # of 300
+    from littlewood import cone, csvio, exactnum
+
+    counts = {}
+    inside = []
+    real_sqrt, real_check = exactnum._sqrt_floor, cone.InclusionRun._crosscheck
+    real_init = csvio.RatioRenderer.__init__
+
+    def crosscheck(self, sample):
+        inside.append(sample)
+        try:
+            return real_check(self, sample)
+        finally:
+            inside.pop()
+
+    def sqrt_floor(d, bits):
+        counts["roots"] += not inside
+        return real_sqrt(d, bits)
+
+    def init(self, *args):
+        counts["renderers"] += not inside
+        real_init(self, *args)
+
+    monkeypatch.setattr(exactnum, "_sqrt_floor", sqrt_floor)
+    monkeypatch.setattr(cone.InclusionRun, "_crosscheck", crosscheck)
+    monkeypatch.setattr(csvio.RatioRenderer, "__init__", init)
+    seen = []
+    for samples in (300, 3000):
+        counts.update(roots=0, renderers=0)
+        assert _run(["cone-check", "--alpha", "quad:1,1,2,2917", "--beta", "sqrt:7", "--frac",
+                     "--N", "40", "--epsilon", "1/1000", "--samples", str(samples),
+                     "--out", str(tmp_path / "c.csv")]) == 0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1] and seen[0]["roots"] > 0 and seen[0]["renderers"] == 5, seen
 
 
 def test_entry_time_run(tmp_path):

@@ -18,6 +18,7 @@ from littlewood.cone import (
     cone_contains,
     phi,
     sample_point_coordinates,
+    sample_point_midpoints,
     _sample_chunk,
 )
 from littlewood.cfrac import cf_expand
@@ -313,6 +314,45 @@ def test_sample_point_coordinates_when_a_term_cancels():
         y_iv, z_iv = sample_point_coordinates(run, smp)
         assert y_iv == y.interval(128) and y_iv.exp == y.interval(128).exp
         assert z_iv == z.interval(128) and z_iv.exp == z.interval(128).exp
+
+
+def test_row_midpoints_are_the_reported_coordinate_midpoints():
+    # the numerators a cone-check row renders, over the run's fixed
+    # denominators, are the midpoints of sample_point_coordinates: on
+    # seeded runs, and on the shape whose sqrt(2) term cancels (N = 2,
+    # eps = 2, quad:0,1,64,2 with sqrt:3 at x = 1, u = 1/64), where the
+    # enclosure has a precision of its own
+    one = 1 << 53
+    cases = [
+        (SQRT2M1, SQRT3M1, ConeParams.make(10, Fraction(1, 10)), 300, 1),
+        (quad(1, 1, 2, 2917), quad(3, 2, 5, 2963), ConeParams.make(199, Fraction(7, 10**4)),
+         300, 7),
+        (quad(3, 5, 7, 2), SQRT3M1, ConeParams.make(8, Fraction(4)), 200, 2),
+        (quad(0, 1, 64, 2), SQRT3M1, ConeParams.make(2, Fraction(2)), 200, 5),
+    ]
+    cancelled = 0
+    for alpha, beta, params, count, seed in cases:
+        run = InclusionRun(alpha, beta, params, count, seed)
+        _, y_den, z_den, _, _ = run.denominators
+        samples = list(run)
+        if params.N == 2:
+            samples.append(
+                InclusionSample(one, one >> 6, one >> 1, 0, 0, params.phi.denominator, False)
+            )
+        for smp in samples:
+            y, z = sample_point_midpoints(run, smp)
+            y_iv, z_iv = sample_point_coordinates(run, smp)
+            assert Fraction(y, y_den) == y_iv.midpoint() and Fraction(z, z_den) == z_iv.midpoint()
+            assert z_den == 2 << z_iv.exp
+            cancelled += y_den != 2 << y_iv.exp
+    for alpha in (quad(0, 1, 64, 2), quad(1, 1, 64, 2)):
+        run = InclusionRun(alpha, SQRT3M1, ConeParams.make(2, Fraction(2)), 1)
+        smp = InclusionSample(one, one >> 6, one >> 1, 0, 0, 1, False)
+        (y, _), (y_iv, _) = (sample_point_midpoints(run, smp),
+                             sample_point_coordinates(run, smp))
+        assert Fraction(y, run.denominators[1]) == y_iv.midpoint()
+        cancelled += run.denominators[1] != 2 << y_iv.exp
+    assert cancelled == 1  # quad(1, 1, 64, 2): two terms, one left
 
 
 def _sample_a_fresh_number(i, d, params):

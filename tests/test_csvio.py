@@ -1,7 +1,8 @@
 """format_decimal against the Fraction implementation it replaced, the
 integer entry points against format_decimal, argument checks, and
 render_csv: its streamed rows and deferred metadata, and its bytes
-against the csv module's writer."""
+against the csv module's writer (with RFC 4180 quoting of a carriage
+return)."""
 
 import csv
 import io
@@ -15,13 +16,14 @@ from littlewood.cone import ConeParams, InclusionRun
 from littlewood.csvio import (
     _POW10,
     SIG_DIGITS,
+    RatioRenderer,
     format_decimal,
     format_ratio,
-    format_ratio_bounds,
     render_csv,
+    write_csv,
 )
 
-from nums import SQRT2M1, SQRT3M1
+from nums import SQRT2M1, SQRT3M1, read_csv
 
 
 def fraction_format_decimal(x, sig: int = SIG_DIGITS, direction: int = 0) -> str:
@@ -148,6 +150,21 @@ def test_a_low_exponent_estimate_is_raised_on_the_quotient():
     assert format_ratio(10 * den + 3, den, direction=1) == "10.0000000000001"
 
 
+@pytest.mark.parametrize("den", [1, 3, 1 << 53, 7 << 265, 10**130 + 1])
+def test_a_renderer_reused_across_decades_renders_as_the_oracle(den):
+    # one renderer serves a whole column: values of both signs and hundreds
+    # of decades apart, in random order, render as the Fraction oracle does
+    rng = random.Random(den)
+    nums = [rng.choice((-1, 1)) * (rng.getrandbits(rng.randrange(1, 500)) + 1)
+            for _ in range(300)]
+    col = RatioRenderer(den)
+    for num in nums:
+        x = Fraction(num, den)
+        for direction in DIRECTIONS:
+            assert col.render(num, direction) == fraction_format_decimal(x, SIG_DIGITS, direction)
+        assert col.bounds(num) == (col.render(num, -1), col.render(num, 1))
+
+
 def test_streamed_rows_and_deferred_metadata():
     seen = []
 
@@ -163,12 +180,14 @@ def test_streamed_rows_and_deferred_metadata():
 
 def csv_module_text(header, rows, metadata=None) -> str:
     """render_csv by the csv module's writer alone, every row quoted as it
-    decides."""
+    decides, but with a cell that holds a carriage return quoted too, as
+    RFC 4180 asks: the writer's line terminator is CRLF, so it quotes on
+    both line-break characters, and each line then ends in LF."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([str(cell) for cell in row])
+    for row in [header, *rows]:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow([str(cell) for cell in row])
+        buf.write(line.getvalue().removesuffix("\r\n") + "\n")
     if callable(metadata):
         metadata = metadata()
     for key in metadata or {}:
@@ -215,14 +234,27 @@ def test_render_csv_quotes_only_where_the_csv_module_does():
     assert text == csv_module_text(["h"], rows)
 
 
+def test_a_carriage_return_cell_is_quoted_and_read_back_as_one_row(tmp_path):
+    rows = [["a\rb", "c"], ["\r", 1], ["x\r\ny", "z"]]
+    text = render_csv(["h", "i"], rows, {"rows": 3})
+    assert text == 'h,i\n"a\rb",c\n"\r",1\n"x\r\ny",z\n# rows = 3\n'
+    cells = [["h", "i"], ["a\rb", "c"], ["\r", "1"], ["x\r\ny", "z"]]
+    assert list(csv.reader(io.StringIO(text[: text.index("#")], newline=""))) == cells
+    path = tmp_path / "cr.csv"
+    write_csv(str(path), ["h", "i"], rows, {"rows": 3})
+    table = read_csv(path)
+    assert [[r["h"], r["i"]] for r in table.rows] == cells[1:]
+    assert table.metadata == {"rows": "3"}
+
+
 # -- the paired renderer --------------------------------------------------
 
 
 def _bounds(num: int, den: int, sig: int = SIG_DIGITS) -> tuple[str, str]:
-    """format_ratio_bounds, checked against two format_decimal calls and
+    """RatioRenderer.bounds, checked against two format_decimal calls and
     for enclosure of num/den."""
     x = Fraction(num, den)
-    lo, hi = format_ratio_bounds(num, den, sig)
+    lo, hi = RatioRenderer(den, sig).bounds(num)
     assert (lo, hi) == (format_decimal(x, sig, -1), format_decimal(x, sig, 1)), (num, den, sig)
     assert Fraction(lo) <= x <= Fraction(hi)
     return lo, hi
@@ -243,9 +275,11 @@ def test_bounds_of_dyadic_rationals_and_cone_cells():
         _bounds(num, 1 << rng.randrange(0, 300))
     # the margin and f cells of sampled cone rows, unreduced
     params = ConeParams.make(30, Fraction(3, 10**4))
-    for smp in InclusionRun(SQRT2M1, SQRT3M1, params, 200, seed=4):
-        _bounds(*smp.margin_ratio)
-        _bounds(*smp.f_ratio)
+    run = InclusionRun(SQRT2M1, SQRT3M1, params, 200, seed=4)
+    *_, margin_den, f_den = run.denominators
+    for smp in run:
+        _bounds(smp.margin_num, margin_den)
+        _bounds(smp.f_num, f_den)
 
 
 @pytest.mark.parametrize("sig", range(1, 21))
@@ -271,7 +305,7 @@ def test_bounds_swap_ends_for_negative_values():
         lo, hi = _bounds(num, den)
         neg_lo, neg_hi = _bounds(-num, den)
         assert lo != hi and (neg_lo, neg_hi) == ("-" + hi, "-" + lo)
-    assert format_ratio_bounds(0, 5) == ("0", "0")
+    assert RatioRenderer(5).bounds(0) == ("0", "0")
 
 
 # -- argument checks ------------------------------------------------------
@@ -284,7 +318,7 @@ def test_sig_below_one_is_rejected(sig):
     with pytest.raises(ValueError, match="sig"):
         format_ratio(7, 3, sig)
     with pytest.raises(ValueError, match="sig"):
-        format_ratio_bounds(7, 3, sig)
+        RatioRenderer(3, sig)
 
 
 @pytest.mark.parametrize("direction", [5, 2, -2])
@@ -301,4 +335,4 @@ def test_nonpositive_denominator_is_rejected(den):
         with pytest.raises(ValueError, match="denominator"):
             format_ratio(num, den)
         with pytest.raises(ValueError, match="denominator"):
-            format_ratio_bounds(num, den)
+            RatioRenderer(den)

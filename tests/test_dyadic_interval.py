@@ -15,7 +15,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from littlewood.exactnum import DyadicInterval, SurdSum
+from littlewood.exactnum import (
+    DyadicInterval,
+    SurdSum,
+    _linear_surd_bounds,
+    _linear_surd_forms,
+)
 
 from nums import surd_terms_outward
 
@@ -225,3 +230,55 @@ def test_surd_term_ends_at_small_exact_quotients(rad, p):
         for bits in range(1, 9):
             iv = DyadicInterval.of_surd_terms([(rad, p, q)], bits)
             assert (iv.lo_m, iv.hi_m, iv.exp) == surd_terms_outward([(rad, p, q)], bits)
+
+
+def test_linear_surd_forms_match_the_two_rounding_form():
+    # the loop the cone coordinates run, on forms (rad, a, b, q) at the
+    # sizes of the cone's own numbers, X < 200*2**53 and |W| < 2**114: rad
+    # = 1 and squarefree radicands, both signs of p = a*X + b*W, unreduced
+    # p/q; the enclosure is the oracle's on the terms (rad, p, q)
+    rng = random.Random(38)
+    rads = [1, 2, 3, 7, 2917, 2963, 9999991]
+
+    def coefficient():
+        return rng.choice((0, rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 70))))
+
+    checked = 0
+    for _ in range(2000):
+        forms = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.choice((1, 1, rng.randint(2, 10**6)))
+            q = rng.choice((1 << rng.randint(0, 120), rng.randint(1, 1 << rng.randint(1, 130))))
+            forms.append((rng.choice(rads), k * coefficient(), k * coefficient(), k * q))
+        X = rng.randrange(1 << 53, 200 << 53)
+        W = rng.randrange(-(1 << 114) + 1, 1 << 114)
+        bits = rng.choice((1, 64, 128, 200))
+        terms = [(rad, a * X + b * W, q) for rad, a, b, q in forms]
+        work, kernel = _linear_surd_forms(forms, bits)
+        bounds = _linear_surd_bounds(kernel, X, W, work)
+        if all(p for _, p, _ in terms):
+            assert (*bounds, work) == surd_terms_outward(terms, bits), (forms, X, W, bits)
+            checked += 1
+        else:  # a = b = 0 somewhere
+            assert bounds is None
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("rad", [1, 2])
+def test_linear_surd_bounds_signal_a_vanishing_term(rad):
+    # a term whose p = a*X + b*W is 0 at this sample gives the signal, not
+    # a sum at the precision of a term count that is one too high
+    X, W = 3 << 53, -(5 << 100)
+    gone = (rad, W, -X, 7)
+    for forms in ([gone], [(3, 1, 1, 1), gone], [gone, (1, 0, 1, 5)], [(rad, 0, 0, 1)]):
+        work, kernel = _linear_surd_forms(forms, 128)
+        assert _linear_surd_bounds(kernel, X, W, work) is None
+        live = [(r, a * X + b * W, q) for r, a, b, q in forms if a * X + b * W]
+        assert len(live) == len(forms) - 1
+    # one more in b makes p = W, and the term is summed
+    work, kernel = _linear_surd_forms([(rad, W, -X + 1, 7)], 128)
+    assert (*_linear_surd_bounds(kernel, X, W, work), work) == surd_terms_outward(
+        [(rad, W, 7)], 128
+    )
+    with pytest.raises(ValueError, match="numerator 0"):
+        DyadicInterval.of_surd_terms([(rad, 0, 3)], 64)
