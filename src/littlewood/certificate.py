@@ -346,8 +346,8 @@ def b3_infeasibility_scan(
     pair serves all its epsilons."""
     if u_points < 1:
         raise ParameterError(f"u_points must be >= 1, got {u_points}")
-    if max_N < 1:
-        raise ParameterError(f"max_N must be >= 1, got {max_N}")
+    if max_N < 2:  # every Dirichlet floor is at least 2
+        raise ParameterError(f"max_N must be >= 2, got {max_N}")
     reports: list[B3PairReport] = []
     pairs = [Pair(alpha, beta) for alpha, beta in pairs]
     epsilons = [Fraction(eps) for eps in epsilons]

@@ -436,20 +436,34 @@ def _below(a: SurdSum, b: SurdSum) -> bool:
     return (sg if sg is not None else certified_sign(a - b)) < 0
 
 
+def _scaled_floor(alpha: SurdSum, bits: int) -> int:
+    """floor(alpha * 2**bits), exactly.  At bits <= SIGN_BITS_START it is
+    read from alpha's memoised enclosure [lo, hi] * 2**-exp there when
+    lo >> g and hi >> g agree, g = exp - bits >= 0 (the floors of both ends
+    of alpha * 2**bits, so of every point between); otherwise it is the
+    exact floor."""
+    if bits <= SIGN_BITS_START:
+        iv = alpha.interval(SIGN_BITS_START)
+        g = iv.exp - bits
+        k = iv.lo_m >> g
+        if k == iv.hi_m >> g:
+            return k
+    return (alpha * (1 << bits)).floor()
+
+
 def _candidates(mults: list[int], is_max: bool, bound: int, a: int, b: int, S: int) -> list[int]:
     """The x in [a, b], sorted, that can hold a record of a scan whose
     bound is `bound` at scale S: for every record, D(x) < S ||x*alpha|| + x
     <= S ||x*alpha|| + b of some alpha, so its residuals put x in the thin
     set of that alpha at threshold T."""
     if is_max:
-        # S m(x) < bound: every residual is below bound / S, so x is in
-        # the thin set of the first alpha and D(x) <= T for the rest
+        # S m(x) < bound: both residuals are below bound / S, so x is in
+        # the thin set of the first alpha and D(x) <= T for the second
         T = bound + b - 1
-        mask = S - 1
+        mask, T2 = S - 1, 2 * T
+        A, B = mults
         return sorted(
-            x
-            for x in chain.from_iterable(_thin_set(mults[0], T, a, b, S))
-            if all((x * B + T) & mask <= 2 * T for B in mults[1:])
+            [x for x in chain.from_iterable(_thin_set(A, T, a, b, S)) if (x * B + T) & mask <= T2]
         )
     # S**k x prod ||x*alpha|| < bound and x >= a: the least scaled residual
     # is below (bound / a)**(1/k) <= iroot(ceil(bound / a), k) + 1
@@ -476,7 +490,10 @@ def residual_minima(scan: ResidualScan, X: int) -> list[tuple[int, SurdSum, list
     if bound is not None:
         bound <<= (bits - scan.bits) * (1 if is_max else len(scan.alphas))
     S = 1 << bits
-    mults = [(alpha * S).floor() % S for alpha in scan.alphas]
+    # the multipliers A = floor(frac(alpha) * S) = floor(alpha * S) mod S
+    # of _distances; at the scan's first scale, 2**64, alpha's memoised
+    # enclosure gives the floor without a new SurdSum
+    mults = [_scaled_floor(alpha, bits) % S for alpha in scan.alphas]
     a = scan.X + 1
     while a <= X and not (best is not None and best.is_zero()):
         b = min(2 * a - 1, X)

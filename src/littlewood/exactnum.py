@@ -15,9 +15,11 @@ Two layers:
 * ``DyadicInterval`` -- the one interval representation: integer
   mantissas ``lo_m, hi_m`` over a scale ``2**-exp``, on which every
   irrational sign is decided.  Sums and products are exact integer
-  operations; leaves, division and square roots round outward, a sum of
-  surd terms through one loop over integer linear forms, which the cone
-  sampler also runs on its coordinates.  A SurdSum keeps its enclosure at
+  operations; leaves, division and square roots round outward.  A sum of
+  surd terms rounds from one divmod per term, in one of two loops: over
+  integer linear forms (``_linear_surd_bounds``, which the cone sampler
+  runs on its coordinates) or over a SurdSum's own numerators
+  (``SurdSum._enclose``).  A SurdSum keeps its enclosure at
   SIGN_BITS_START, the one every certified sign, floor and polynomial
   probe tries first.
 
@@ -102,13 +104,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 def iroot(n: int, k: int) -> int:
-    """Exact floor of the k-th root of a nonnegative integer."""
+    """Exact floor of the k-th root of a nonnegative integer: for k a power
+    of two (k = 1 included) by nested ``math.isqrt``, otherwise by integer
+    Newton steps from an upper seed."""
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
-    if n == 0 or k == 1:
+    if k & (k - 1) == 0:
+        # floor(sqrt(floor(y))) = floor(sqrt(y)) for real y >= 0: m =
+        # floor(sqrt(y)) has m**2 <= y, so m**2 <= floor(y) (m**2 is an
+        # integer), and (m + 1)**2 > y >= floor(y).  With y = n**(1/2**i)
+        # each isqrt therefore takes the floor of the next root exactly.
+        for _ in range(k.bit_length() - 1):
+            n = math.isqrt(n)
         return n
-    if k == 2:
-        return math.isqrt(n)
+    if n == 0:
+        return n
     x = 1 << (-(-n.bit_length() // k))  # upper seed: 2^ceil(bits/k) >= n^(1/k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
@@ -123,8 +133,9 @@ def iroot(n: int, k: int) -> int:
 def _outward(lo_num: int, hi_num: int, den: int, bits: int) -> tuple[int, int]:
     """Mantissas over 2**-bits of the rational interval [lo_num/den,
     hi_num/den] (den > 0), rounded outward: the floor of the lower end and
-    the ceiling of the upper end.  :func:`_linear_surd_bounds` rounds its
-    terms itself, from one divmod per term."""
+    the ceiling of the upper end.  :func:`_linear_surd_bounds` and
+    ``SurdSum._enclose`` round their terms themselves, from one divmod per
+    term."""
     return (lo_num << bits) // den, -((-hi_num << bits) // den)
 
 
@@ -181,7 +192,8 @@ class DyadicInterval:
     shifting, a product multiplies the mantissas and adds the scales), so
     only leaves (:meth:`point`, :meth:`of_surd_terms`, square roots),
     :meth:`divide` and :meth:`sqrt` round, always outward; a sum of surd
-    terms rounds in :func:`_linear_surd_bounds`, the one loop for it.
+    terms rounds from one divmod per term, in :func:`_linear_surd_bounds`
+    or, on a SurdSum's own numerators, in ``SurdSum._enclose``.
     ``lo``, ``hi``, ``width`` and ``midpoint()`` read as exact Fractions,
     and equality is by value.  Instances are not changed after construction.
     """
@@ -554,12 +566,28 @@ class SurdSum:
         return self._enclose(bits)
 
     def _enclose(self, bits: int) -> DyadicInterval:
-        den = self._den
-        # of_surd_terms on the forms (rad, n, 0, den), built here without
-        # its (rad, p, q) tuples: every sign decision starts here.  No None
-        # check, since a SurdSum stores no zero numerator, so no p is 0
-        work, forms = _linear_surd_forms([(rad, n, 0, den) for rad, n in self._num.items()], bits)
-        return DyadicInterval(*_linear_surd_bounds(forms, 1, 0, work), work)
+        """of_surd_terms on the terms (rad, n, den): the working precision
+        and the one-divmod rounding of _linear_surd_bounds, taken straight
+        from the numerators without building forms, since every sign
+        decision starts here.  A SurdSum stores no zero numerator, so no
+        term vanishes."""
+        num, den = self._num, self._den
+        work = bits + max(1, len(num)).bit_length() + 4
+        lo = hi = 0
+        for rad, n in num.items():
+            if rad == 1:
+                t, r = divmod(n << work, den)
+                lo += t
+                hi += t + (r != 0)
+                continue
+            t, r = divmod(_sqrt_floor(rad, work) * n, den)
+            if n > 0:
+                lo += t
+                hi += t - (-(r + n) // den)
+            else:
+                lo += t + (r + n) // den
+                hi += t + (r != 0)
+        return DyadicInterval(lo, hi, work)
 
     def _sign_exact(self, bits: int) -> int:
         """Sign from one evaluation at ``bits = _separation_bits(self)``,

@@ -59,6 +59,11 @@ EQUIVALENT = {
     ("exactnum:_linear_surd_bounds", "p > 0", ">", ">="):
         "only p = 0 tells the branches apart, and p = 0 has returned None before "
         "the test (were it summed, t = r = 0 and both branches would add 0 to both ends)",
+    ("exactnum:SurdSum._enclose", "n > 0", ">", ">="):
+        "only n = 0 tells the branches apart, and a SurdSum stores no zero numerator",
+    ("cfrac:_scaled_floor", "bits <= SIGN_BITS_START", "<=", "<"):
+        "both branches return floor(alpha * 2**bits); at bits = SIGN_BITS_START the "
+        "mutant takes the exact one, which differs only in cost",
     ("cone:_sample_chunk", "r2 < one2", "<", "<="):
         "U*U + V*V = 4**53 has no solution with U and V nonzero (squares are 0 or 1 "
         "mod 4, so both are even, and halving both descends to a sum of 1)",

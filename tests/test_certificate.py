@@ -450,13 +450,20 @@ def test_grid_check_rejects_grids_below_one_point():
 
 
 def test_b3_scan_accepts_its_least_sizes():
-    # one grid point is enough; max_N = 1 passes the scan's own check and
-    # is refused by the search, whose Dirichlet floor is at least 2
+    # one grid point is enough, and max_N = 2 is the least usable bound: the
+    # Dirichlet floor max(2, floor(1/(2 eps)) + 1) is 2 at eps = 1
     pairs, eps = [(SPEC_SQRT2M1, SPEC_SQRT3M1)], [Fraction(1, 100)]
     (report,) = b3_infeasibility_scan(pairs, eps, u_points=1).reports
     assert report.grid.ok and report.grid.points == 1
-    with pytest.raises(ParameterError, match="Dirichlet floor 51 exceeds max_N=1;"):
-        b3_infeasibility_scan(pairs, eps, max_N=1)
+    (report,) = b3_infeasibility_scan(pairs, [Fraction(1)], max_N=2).reports
+    assert [(c.n, c.N) for c in report.cells] == [(1, 2)] and report.grid.ok
+
+    def unread_pairs():
+        raise AssertionError("a pair was read before max_N was checked")
+        yield
+
+    with pytest.raises(ParameterError, match="max_N must be >= 2, got 1"):
+        b3_infeasibility_scan(unread_pairs(), eps, max_N=1)
 
 
 def test_grid_check_refuses_a_nonpositive_lower_end():

@@ -29,6 +29,7 @@ from littlewood.cfrac import (
     _cf_cycle,
     _distances,
     _observed_M,
+    _scaled_floor,
     _thin_set,
 )
 from littlewood.exactnum import (
@@ -588,6 +589,29 @@ def test_candidates_hold_every_x_the_screen_admits():
             case = (is_max, mults, a, b, bound)
             assert got == sorted(set(got)) and all(a <= x <= b for x in got), case
             assert {x for x, lo in zip(xs, lows) if lo < bound} <= set(got), case
+
+
+def test_scaled_floor_is_the_exact_floor():
+    # the multipliers of residual_minima: at bits <= 64 read from alpha's
+    # memoised enclosure where its two ends agree, and exact otherwise:
+    # always at 96 and 128 bits, and at 64 bits when the ends straddle an
+    # integer (a coefficient near 2**45 widens the enclosure past one unit)
+    rng = random.Random(4712)
+    decided = undecided = 0
+    for _ in range(300):
+        b = rng.choice((0, 1, -3, rng.randint(-99, 99), rng.randint(1, 2**45)))
+        d = rng.choice((2, 3, 7, 2917, 9999991))
+        alpha = quad(rng.randint(-10**6, 10**6), b, rng.randint(1, 99), d)
+        for bits in (1, 32, 63, 64, 96, 128):
+            assert _scaled_floor(alpha, bits) == (alpha * 2**bits).floor(), (alpha, bits)
+            if bits <= 64:
+                iv = alpha.interval(64)
+                g = iv.exp - bits
+                if iv.lo_m >> g == iv.hi_m >> g:
+                    decided += 1
+                else:
+                    undecided += 1
+    assert decided > 800 and undecided > 100
 
 
 def check_residual_bounds(S: int, x_max: int) -> None:

@@ -540,6 +540,7 @@ def test_usage_errors_exit_2(tmp_path):
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--u-points=-5"],
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--max-N", "0"],
         ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--max-N=-4"],
+        ["b3-scan", "--pairs", "PAIRS", "--frac", "--epsilons", "1/100", "--max-N", "1"],
         ["levy", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--n-max", "0"],
         ["levy", "--alpha", "sqrt:2", "--n-max", "0"],
         ["entry-time", "--alpha", "sqrt:2", "--frac", "--beta", "sqrt:3", "--N", "51",
@@ -568,7 +569,7 @@ def test_usage_errors_exit_2(tmp_path):
          "--epsilon", "1/100", "--samples", "5", "--seed=-5"],
     ],
     ids=["b3-eps-0", "b3-eps-negative", "b3-u-points-0", "b3-u-points-negative",
-         "b3-max-N-0", "b3-max-N-negative",
+         "b3-max-N-0", "b3-max-N-negative", "b3-max-N-1",
          "levy-n-max-0-pair", "levy-n-max-0", "entry-n-max-0",
          "certificate-n-max-0", "certificate-max-N-1",
          "certificate-floor-above-max-N",

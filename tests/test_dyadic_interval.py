@@ -232,6 +232,26 @@ def test_surd_term_ends_at_small_exact_quotients(rad, p):
             assert (iv.lo_m, iv.hi_m, iv.exp) == surd_terms_outward([(rad, p, q)], bits)
 
 
+def test_surdsum_interval_matches_the_two_rounding_form():
+    # SurdSum.interval rounds its own numerators over their common
+    # denominator: 1 to 5 terms, both signs, radicand 1 alone, bits 1 to
+    # 4096.  Each bound is a floor or a ceiling of an exact term, so the
+    # reduced coefficients of terms() give the oracle the same enclosure
+    rng = random.Random(39)
+    rads = [1, 2, 3, 5, 6, 7, 30, 78, 9999991]
+    for trial in range(1500):
+        picked = [1] if trial % 10 == 0 else rng.sample(rads, rng.randint(1, 5))
+        s = SurdSum({
+            rad: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 40)),
+                          rng.choice((1, 1 << rng.randint(0, 90), rng.randint(1, 10**30))))
+            for rad in picked
+        })
+        bits = rng.choice((1, 2, 63, 64, 65, 128, 160, 4096, rng.randint(1, 4096)))
+        terms = [(rad, c.numerator, c.denominator) for rad, c in s.terms()]
+        iv = s.interval(bits)
+        assert (iv.lo_m, iv.hi_m, iv.exp) == surd_terms_outward(terms, bits), (s, bits)
+
+
 def test_linear_surd_forms_match_the_two_rounding_form():
     # the loop the cone coordinates run, on forms (rad, a, b, q) at the
     # sizes of the cone's own numbers, X < 200*2**53 and |W| < 2**114: rad

@@ -227,6 +227,21 @@ def test_iroot():
     assert iroot(27, 3) == 3
 
 
+def test_iroot_brackets_the_root_on_seeded_inputs():
+    # k = 1..40 and 64, so that k = 1, 2, 4, ..., 64 take the nested-isqrt
+    # path and the rest the Newton steps; n up to 2**5000, and the edges
+    # x**k and x**k - 1 of every root x
+    rng = random.Random(20261022)
+    for k in [*range(1, 41), 64]:
+        assert iroot(0, k) == 0 and iroot(1, k) == 1
+        for _ in range(25):
+            n = rng.getrandbits(rng.randint(1, 5000))
+            x = iroot(n, k)
+            assert x**k <= n < (x + 1) ** k, (n, k)
+            x = rng.randint(1, 1 << rng.randint(1, 5000 // k))
+            assert iroot(x**k, k) == x and iroot(x**k - 1, k) == x - 1, (x, k)
+
+
 def test_squarefree_decompose():
     assert squarefree_decompose(8) == (2, 2)
     assert squarefree_decompose(1) == (1, 1)
